@@ -35,23 +35,25 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# bench runs the benchmark-regression harness (internal/perf) at full size:
-# every scenario on both the event-driven and the cycle-by-cycle reference
-# driver, plus the sweep-level warmup-sharing benchmark (cold vs checkpointed
-# accuracy-sweep fixture), writing the BENCH_<n>.json trajectory artifact.
-# Takes a few minutes.
-BENCH_OUT ?= BENCH_9.json
+# bench runs the ledger (benchmark/, declared in BENCHMARK.json) on its six
+# workloads untraced, one result file per workload under $(BENCH_OUT). Compare
+# two directories with `go run ./benchmark -compare <before> <after>`; the
+# metrics and the baseline table are in benchmark/README.md. About 15 s per
+# workload.
+BENCH_OUT ?= .bench_out
 bench:
-	$(GO) run ./cmd/gdpsim bench -out $(BENCH_OUT)
+	for w in sim_dense sim_sparse serve_unique serve_dup sweep_cold sweep_recall; do \
+		$(GO) run ./benchmark -workload $$w -seed 1 -out $(BENCH_OUT) || exit 1; \
+	done
 
-# bench-smoke is the CI regression gate: a small fixed-seed scenario on the
-# fast driver only, failing if the steady-state interval loop allocates, if
-# checkpointed warmup sharing yields less than 1.5x on the tiny sweep fixture,
-# or if the parallel driver (-sim-workers) is slower than 1.5x serial on the
-# 16-core point / diverges from serial byte for byte. The parallel speedup
-# half self-waives on machines with fewer than 4 CPUs; identity always gates.
+# bench-smoke is the CI correctness gate: one short traced ledger run whose
+# exit status is the ledger's own verdict — serial, forked and Workers=2 runs
+# end on the same cycle, the loopback-worker sweep returns the local rows and
+# the processed-cycle share stays in its band. No wall-clock threshold, so
+# nothing self-waives on a small machine.
 bench-smoke:
-	$(GO) run ./cmd/gdpsim bench -quick -out /dev/null -max-allocs 0.5 -min-sweep-speedup 1.5 -min-parallel-speedup 1.5
+	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+		$(GO) run ./benchmark -workload sim_sparse -seed 1 -seconds 2 -trace 1 -out "$$out"
 
 # serve-smoke boots the real binary, curls /healthz and /metrics and checks
 # the telemetry exposition end to end (see scripts/serve_smoke.sh).

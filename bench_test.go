@@ -44,8 +44,9 @@ func BenchmarkTable1Config(b *testing.B) {
 // BenchmarkFigure3IPCAccuracy regenerates Figure 3a: the average absolute RMS
 // error of the private-mode IPC estimates for every technique.
 func BenchmarkFigure3IPCAccuracy(b *testing.B) {
+	engine := newTestEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := AccuracyStudy(AccuracyOptions{
+		res, err := engine.AccuracyStudy(context.Background(), AccuracyOptions{
 			Cores:               4,
 			Mix:                 MixH,
 			Workloads:           1,
@@ -68,8 +69,9 @@ func BenchmarkFigure3IPCAccuracy(b *testing.B) {
 // BenchmarkFigure3StallAccuracy regenerates Figure 3b: the SMS-load stall
 // cycle estimation errors.
 func BenchmarkFigure3StallAccuracy(b *testing.B) {
+	engine := newTestEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := AccuracyStudy(AccuracyOptions{
+		res, err := engine.AccuracyStudy(context.Background(), AccuracyOptions{
 			Cores:               4,
 			Mix:                 MixM,
 			Workloads:           1,
@@ -111,8 +113,9 @@ func BenchmarkFigure4Distribution(b *testing.B) {
 // BenchmarkFigure5Components regenerates Figure 5: the CPL, overlap and
 // latency component error distributions of GDP/GDP-O.
 func BenchmarkFigure5Components(b *testing.B) {
+	engine := newTestEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := AccuracyStudy(AccuracyOptions{
+		res, err := engine.AccuracyStudy(context.Background(), AccuracyOptions{
 			Cores:               4,
 			Mix:                 MixH,
 			Workloads:           1,
@@ -137,8 +140,9 @@ func BenchmarkFigure5Components(b *testing.B) {
 // BenchmarkFigure6STP regenerates Figure 6: system throughput under the five
 // LLC management policies.
 func BenchmarkFigure6STP(b *testing.B) {
+	engine := newTestEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := PartitioningStudy(PartitioningOptions{
+		res, err := engine.PartitioningStudy(context.Background(), PartitioningOptions{
 			Cores:               4,
 			Mix:                 MixH,
 			Workloads:           1,
@@ -181,10 +185,11 @@ func BenchmarkFigure7Sensitivity(b *testing.B) {
 // BenchmarkAblationPRBSize sweeps the Pending Request Buffer size (the
 // Figure 7e ablation of the PRB eviction design decision).
 func BenchmarkAblationPRBSize(b *testing.B) {
+	engine := newTestEngine(b)
 	for _, entries := range []int{8, 32, 128} {
 		b.Run(sizeName(entries), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := AccuracyStudy(AccuracyOptions{
+				res, err := engine.AccuracyStudy(context.Background(), AccuracyOptions{
 					Cores:               4,
 					Mix:                 MixH,
 					Workloads:           1,
@@ -220,6 +225,7 @@ func sizeName(entries int) string {
 // machine). A fresh in-memory cache per iteration keeps the comparison
 // honest (no cross-iteration reference reuse).
 func BenchmarkAccuracySweep(b *testing.B) {
+	engine := newTestEngine(b)
 	parallel := runtime.NumCPU()
 	if parallel < 2 {
 		parallel = 2
@@ -227,7 +233,7 @@ func BenchmarkAccuracySweep(b *testing.B) {
 	for _, jobs := range []int{1, parallel} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := AccuracyStudy(AccuracyOptions{
+				res, err := engine.AccuracyStudy(context.Background(), AccuracyOptions{
 					Cores:               4,
 					Mix:                 MixH,
 					Workloads:           4,
@@ -251,6 +257,7 @@ func BenchmarkAccuracySweep(b *testing.B) {
 // BenchmarkSimulatorThroughput measures the raw simulator speed (cycles per
 // second of a 4-core shared-mode run); it is the cost driver of every figure.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	engine := newTestEngine(b)
 	ws, err := GenerateWorkloads(4, MixH, 1, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -262,7 +269,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(SimOptions{
+		res, err := engine.Run(context.Background(), SimOptions{
 			Config:              ScaledConfig(4),
 			Workload:            ws[0],
 			InstructionsPerCore: 3000,
@@ -282,10 +289,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // Engine (the hot path of the service layer), one sub-benchmark per named
 // scenario, reporting simulated cycles per second.
 func BenchmarkRunScenario(b *testing.B) {
-	engine, err := NewEngine()
-	if err != nil {
-		b.Fatal(err)
-	}
+	engine := newTestEngine(b)
 	for _, name := range ScenarioNames() {
 		b.Run(name, func(b *testing.B) {
 			var cycles uint64
@@ -310,10 +314,7 @@ func BenchmarkRunScenario(b *testing.B) {
 // advances in the consumer's goroutine and every IntervalRecord is yielded as
 // soon as its interval completes. One sub-benchmark per named scenario.
 func BenchmarkEngineStream(b *testing.B) {
-	engine, err := NewEngine()
-	if err != nil {
-		b.Fatal(err)
-	}
+	engine := newTestEngine(b)
 	for _, name := range ScenarioNames() {
 		b.Run(name, func(b *testing.B) {
 			sc, err := ScenarioByName(name)

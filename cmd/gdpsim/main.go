@@ -11,7 +11,6 @@
 //	gdpsim headline               Headline ratios derived from fig3
 //	gdpsim overhead               Storage and latency overheads (Section IV)
 //	gdpsim run                    Run a single workload and print estimates
-//	gdpsim bench                  Benchmark-regression harness (BENCH_*.json)
 //	gdpsim scenarios              List the named workload scenarios
 //	gdpsim sweep                  Run a user-defined experiment grid
 //	gdpsim trace record           Record a scenario or benchmark list to trace files
@@ -117,7 +116,7 @@ func run(ctx context.Context, args []string) error {
 	rest := fs.Args()
 	if len(rest) == 0 {
 		fs.Usage()
-		return fmt.Errorf("missing subcommand (table1, fig3, fig4, fig5, fig6, fig7, headline, overhead, run, bench, scenarios, sweep, trace, serve)")
+		return fmt.Errorf("missing subcommand (table1, fig3, fig4, fig5, fig6, fig7, headline, overhead, run, scenarios, sweep, trace, serve)")
 	}
 
 	scale := gdp.DefaultScale()
@@ -173,8 +172,6 @@ func run(ctx context.Context, args []string) error {
 		return cmdOverhead(*cores)
 	case "run":
 		return cmdRun(ctx, engine, *cores, *benchNames)
-	case "bench":
-		return cmdBench(rest[1:])
 	case "scenarios":
 		return cmdScenarios(engine, rest[1:])
 	case "sweep":

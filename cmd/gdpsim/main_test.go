@@ -32,8 +32,13 @@ func TestRunOverhead(t *testing.T) {
 }
 
 func TestRunUnknownSubcommand(t *testing.T) {
-	if err := run(context.Background(), []string{"nope"}); err == nil {
-		t.Error("unknown subcommand accepted")
+	// "bench" must stay unknown: benchmarking is `go run ./benchmark`, not a
+	// gdpsim subcommand.
+	for _, name := range []string{"nope", "bench"} {
+		err := run(context.Background(), []string{name})
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("subcommand %q: err = %v, want unknown subcommand", name, err)
+		}
 	}
 	if err := run(context.Background(), nil); err == nil {
 		t.Error("missing subcommand accepted")

@@ -40,9 +40,9 @@ type Engine struct {
 	// resolved cache once all options have run, so it composes with
 	// WithCache in either order.
 	cacheBudget int64
-	// processCache marks the engine behind the deprecated package-level
-	// functions: it resolves its cache through the process-wide default at
-	// every call, so SetDefaultResultCache keeps affecting legacy callers.
+	// processCache marks the process-wide DefaultEngine: it resolves its
+	// cache through the process-wide default at every call, so
+	// SetDefaultResultCache keeps affecting it.
 	processCache bool
 
 	// registry holds every metric family the Engine's layers register; the
@@ -226,8 +226,7 @@ func (e *Engine) initTelemetry() {
 }
 
 // MetricsRegistry returns the Engine's telemetry registry: the backing store
-// of the service layer's /metrics endpoint and of `gdpsim bench
-// -metrics-out` snapshots.
+// of the service layer's /metrics endpoint.
 func (e *Engine) MetricsRegistry() *telemetry.Registry {
 	return e.registry
 }
@@ -311,8 +310,7 @@ func (e *Engine) fillSim(opts *SimOptions) {
 
 // RunPrivate executes a benchmark alone on the CMP, aligned on the supplied
 // instruction sample points. maxCycles bounds the run as a safety net; zero
-// selects a generous default derived from the last sample point. (The
-// deprecated package-level RunPrivate always defaulted this bound.)
+// selects a generous default derived from the last sample point.
 func (e *Engine) RunPrivate(ctx context.Context, cfg *CMPConfig, bench Benchmark,
 	samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	return sim.RunPrivateContext(ctx, cfg, bench, samplePoints, seed, maxCycles)
@@ -583,17 +581,16 @@ func (e *Engine) fillStudy(jobs *int, cache **ResultCache, progress *ProgressFun
 	}
 }
 
-// defaultEngine backs the deprecated package-level functions. It shares the
-// process-wide default cache so SetDefaultResultCache keeps working for
-// legacy callers.
+// defaultEngine backs DefaultEngine. It shares the process-wide default cache
+// so SetDefaultResultCache keeps affecting it.
 var (
 	defaultEngineOnce sync.Once
 	defaultEngine     *Engine
 )
 
-// DefaultEngine returns the process-wide Engine the deprecated package-level
-// functions run on. Its studies use the process-wide default result cache
-// (DefaultResultCache), so SetDefaultResultCache affects it.
+// DefaultEngine returns the process-wide Engine NewServer(nil) serves. Its
+// studies use the process-wide default result cache (DefaultResultCache), so
+// SetDefaultResultCache affects it.
 func DefaultEngine() *Engine {
 	defaultEngineOnce.Do(func() {
 		defaultEngine = &Engine{scale: experiments.DefaultScale(), processCache: true}

@@ -31,15 +31,10 @@
 //   - the parallel experiment runner (worker-pool fan-out, result caching,
 //     progress reporting and grid sweeps).
 //
-// The batch-style package-level functions (Run, AccuracyStudy, Sweep, ...)
-// are deprecated shims over a process-wide default Engine; new code should
-// construct an Engine.
-//
 // See examples/ for runnable programs built only on this package.
 package gdp
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/accounting"
@@ -191,22 +186,6 @@ var (
 	ErrCheckpointMismatch = sim.ErrCheckpointMismatch
 )
 
-// Run executes a shared-mode simulation.
-//
-// Deprecated: use Engine.Run, which takes a context honored mid-simulation.
-func Run(opts SimOptions) (*SimResult, error) {
-	return DefaultEngine().Run(context.Background(), opts)
-}
-
-// RunPrivate executes a benchmark alone on the CMP, aligned on the supplied
-// instruction sample points.
-//
-// Deprecated: use Engine.RunPrivate, which takes a context and exposes the
-// run's cycle bound instead of always defaulting it.
-func RunPrivate(cfg *CMPConfig, bench Benchmark, samplePoints []uint64, seed int64) (*PrivateReference, error) {
-	return DefaultEngine().RunPrivate(context.Background(), cfg, bench, samplePoints, seed, 0)
-}
-
 // Metrics.
 
 // STP computes system throughput from per-core private and shared CPIs.
@@ -245,34 +224,6 @@ func DefaultScale() StudyScale { return experiments.DefaultScale() }
 // PaperScale returns a scale closer to the paper's workload population.
 func PaperScale() StudyScale { return experiments.PaperScale() }
 
-// AccuracyStudy runs one cell of the accounting-accuracy evaluation.
-//
-// Deprecated: use Engine.AccuracyStudy, which takes a context.
-func AccuracyStudy(opts AccuracyOptions) (*AccuracyResult, error) {
-	return DefaultEngine().AccuracyStudy(context.Background(), opts)
-}
-
-// PartitioningStudy runs one cell of the LLC-partitioning evaluation.
-//
-// Deprecated: use Engine.PartitioningStudy, which takes a context.
-func PartitioningStudy(opts PartitioningOptions) (*PartitioningResult, error) {
-	return DefaultEngine().PartitioningStudy(context.Background(), opts)
-}
-
-// Figure3 regenerates Figures 3a/3b for the given scale.
-//
-// Deprecated: use Engine.Figure3, which takes a context.
-func Figure3(scale StudyScale) (*Figure3Result, error) {
-	return DefaultEngine().Figure3(context.Background(), scale)
-}
-
-// Figure7 regenerates every panel of the sensitivity study.
-//
-// Deprecated: use Engine.Figure7, which takes a context.
-func Figure7(opts SensitivityOptions) ([]*SensitivityResult, error) {
-	return DefaultEngine().Figure7(context.Background(), opts)
-}
-
 // Experiment runner.
 type (
 	// ResultCache memoizes simulation cells across studies (in memory and,
@@ -298,25 +249,9 @@ type (
 	// histograms) and encodes them in the Prometheus text format; Server
 	// exposes an Engine's registry as GET /metrics.
 	MetricsRegistry = telemetry.Registry
-	// MetricsSnapshot is one metric family in a JSON-ready point-in-time
-	// copy of a registry (see MetricsRegistry.Snapshot).
-	MetricsSnapshot = telemetry.FamilySnapshot
-	// Instrumentation bundles the per-layer telemetry sinks a study threads
-	// through the runner pool, the checkpoint layer and the simulator.
-	Instrumentation = experiments.Instrumentation
 	// CacheStats is the per-layer breakdown of result-cache activity.
 	CacheStats = runner.CacheStats
 )
-
-// NewMetricsRegistry returns an empty telemetry registry for standalone use;
-// Engines built by NewEngine already own one (Engine.MetricsRegistry).
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// NewInstrumentation registers the full experiment-layer metric set
-// (runner pool, checkpoint layer, simulation counters) on r.
-func NewInstrumentation(r *MetricsRegistry) *Instrumentation {
-	return experiments.NewInstrumentation(r)
-}
 
 // NewResultCache returns an in-memory result cache.
 func NewResultCache() *ResultCache { return runner.NewCache() }
@@ -342,11 +277,3 @@ func WriteJSON(w io.Writer, v any) error { return runner.WriteJSON(w, v) }
 
 // WriteJSONFile writes v as indented JSON to a file.
 func WriteJSONFile(path string, v any) error { return runner.WriteJSONFile(path, v) }
-
-// Sweep runs a user-defined experiment grid (cores × mixes × PRB sizes ×
-// policies) through the parallel runner.
-//
-// Deprecated: use Engine.Sweep, which takes a context.
-func Sweep(opts SweepOptions) (*SweepResult, error) {
-	return DefaultEngine().Sweep(context.Background(), opts)
-}

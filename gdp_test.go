@@ -61,7 +61,18 @@ func TestPublicPoliciesHavePaperNames(t *testing.T) {
 	}
 }
 
+// newTestEngine builds a default-configured Engine for one test or benchmark.
+func newTestEngine(tb testing.TB) *Engine {
+	tb.Helper()
+	engine, err := NewEngine()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return engine
+}
+
 func TestPublicEndToEndRun(t *testing.T) {
+	engine := newTestEngine(t)
 	cfg := ScaledConfig(2)
 	ws, err := GenerateWorkloads(2, MixH, 1, 9)
 	if err != nil {
@@ -71,7 +82,7 @@ func TestPublicEndToEndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(SimOptions{
+	res, err := engine.Run(t.Context(), SimOptions{
 		Config:              cfg,
 		Workload:            ws[0],
 		InstructionsPerCore: 3000,
@@ -87,7 +98,7 @@ func TestPublicEndToEndRun(t *testing.T) {
 	if res.Cycles == 0 || len(res.Intervals[0]) == 0 {
 		t.Fatal("run produced no results")
 	}
-	priv, err := RunPrivate(cfg, ws[0].Benchmarks[0], res.SamplePoints[0], 9)
+	priv, err := engine.RunPrivate(t.Context(), cfg, ws[0].Benchmarks[0], res.SamplePoints[0], 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +125,7 @@ func TestPublicScales(t *testing.T) {
 func TestPublicSweepAndCache(t *testing.T) {
 	cache := NewResultCache()
 	var events int
-	res, err := Sweep(SweepOptions{
+	res, err := newTestEngine(t).Sweep(t.Context(), SweepOptions{
 		CoreCounts:          []int{2},
 		Mixes:               []MixKind{MixH},
 		PRBSizes:            []int{32},

@@ -355,7 +355,7 @@ func enumerateCells(opts SweepOptions) []Cell {
 				c.Cores = cores
 				c.Scenario = name
 				c.PRB = prb
-				c.Seed = ScenarioSweepSeed(opts.Seed, cores, name)
+				c.Seed = opts.Seed + int64(cores)*8 + scenarioSeedOffset(name)
 				c.Techniques = opts.Techniques
 				c.WarmupIntervals = opts.WarmupIntervals
 				c.CoPRBSizes = opts.PRBSizes

@@ -231,13 +231,6 @@ type sweepCellSpec struct {
 	Policies            []string `json:"policies,omitempty"`
 }
 
-// ScenarioSweepSeed returns the seed a sweep derives for a scenario cell, so
-// external calibration (the perf harness's warmup sizing) can reproduce the
-// exact simulation a scenario cell will run.
-func ScenarioSweepSeed(base int64, cores int, scenario string) int64 {
-	return base + int64(cores)*8 + scenarioSeedOffset(scenario)
-}
-
 // scenarioSeedOffset maps a scenario name to a stable seed offset so that a
 // scenario cell's numbers do not depend on the registry order or on the rest
 // of the grid.

@@ -214,8 +214,7 @@ func (s *System) SetPartition(alloc []int) error { return s.llc.SetPartition(all
 // DisableRecycling turns request pooling off: every Submit heap-allocates a
 // fresh mem.Request and completed objects are never reused. The reference
 // simulation path runs with recycling disabled so it reproduces the
-// pre-pooling engine exactly (including its allocation behaviour, which the
-// perf harness uses as the baseline).
+// pre-pooling engine exactly (including its allocation behaviour).
 func (s *System) DisableRecycling() { s.pooling = false }
 
 // Submit injects a request from core into the shared memory system at the

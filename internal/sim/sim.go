@@ -5,15 +5,15 @@
 // aligned shared-mode / private-mode measurements the paper's evaluation
 // methodology requires (Section VI).
 //
-// Two drivers share the same per-cycle semantics. The default driver is
-// event-driven: whenever every component proves itself idle until some future
-// cycle (cores fully stalled on memory, the memory system waiting on DRAM
-// timing), the driver jumps there in one step, applying the per-cycle
-// bookkeeping of the skipped span in closed form. The reference driver
-// (Options.Reference) ticks cycle by cycle with request pooling disabled; it
-// reproduces the pre-optimization engine exactly and anchors the differential
-// tests and the perf harness baseline. Both drivers produce byte-identical
-// Results.
+// One serial loop drives every run, with a skip policy that is on or off. By
+// default the loop is event-driven: whenever every component proves itself
+// idle until some future cycle (cores fully stalled on memory, the memory
+// system waiting on DRAM timing), it jumps there in one step, applying the
+// per-cycle bookkeeping of the skipped span in closed form. With skipping off
+// (Options.Reference, which also disables request pooling) the same loop
+// ticks every cycle explicitly; it reproduces the pre-optimization engine
+// exactly and anchors the differential tests. Both settings produce
+// byte-identical Results.
 package sim
 
 import (
@@ -87,10 +87,10 @@ type Options struct {
 	// consumers set this so long runs hold O(cores) instead of O(intervals)
 	// memory.
 	DiscardIntervals bool
-	// Reference selects the cycle-by-cycle reference driver with request
-	// pooling disabled: the exact pre-optimization engine, kept build-tag-free
-	// for differential testing against the event-driven fast path and as the
-	// perf harness baseline. Results are byte-identical either way.
+	// Reference turns event skipping and request pooling off, so every cycle
+	// is ticked explicitly: the exact pre-optimization engine, kept
+	// build-tag-free for differential testing against the event-driven
+	// default. Results are byte-identical either way.
 	Reference bool
 	// Workers selects the parallel driver when > 1: the per-cycle core loop is
 	// split across that many OS threads (per-core workers own cpu.Core state
@@ -224,9 +224,10 @@ type runState struct {
 	// can be recycled across intervals.
 	reuseEstimates bool
 
-	// Event fast-forwarding. canSkip is false when an attached accountant
-	// does not declare its Tick schedule (accounting.EventSource), which
-	// forces cycle-by-cycle operation for correctness.
+	// Skip policy of the one event loop. canSkip is off — every cycle is
+	// ticked — under Options.Reference, and when an attached accountant does
+	// not declare its Tick schedule (accounting.EventSource), which forces
+	// cycle-by-cycle operation for correctness.
 	canSkip     bool
 	acctSources []accounting.EventSource
 
@@ -258,18 +259,14 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	return st.res, nil
 }
 
-// run dispatches to the driver the options select: the cycle-by-cycle
-// reference engine, the parallel worker/coordinator driver, or the serial
-// event-driven driver. All three produce byte-identical Results.
+// run dispatches to the driver the options select: the parallel
+// worker/coordinator driver or the serial event loop (whose skip policy
+// Options.Reference turns off). Both produce byte-identical Results.
 func (st *runState) run(ctx context.Context) error {
-	switch {
-	case st.opts.Reference:
-		return st.runReference(ctx)
-	case st.workers > 1:
+	if st.workers > 1 {
 		return st.runParallel(ctx)
-	default:
-		return st.runFast(ctx)
 	}
+	return st.runFast(ctx)
 }
 
 // defaultMaxCyclesMultiplier derives the default cycle budget from the
@@ -397,7 +394,7 @@ func newRunState(opts Options) (*runState, error) {
 		intervals:      make([]cpu.Stats, len(cores)),
 		records:        make([]IntervalRecord, len(cores)),
 		reuseEstimates: opts.DiscardIntervals && opts.OnInterval == nil,
-		canSkip:        true,
+		canSkip:        !opts.Reference,
 		acctSources:    make([]accounting.EventSource, len(opts.Accountants)),
 	}
 	for i, acct := range opts.Accountants {
@@ -444,44 +441,13 @@ func (st *runState) tickCycle(now uint64) (done int) {
 	return done
 }
 
-// runReference is the cycle-by-cycle driver: every cycle of the run is
-// simulated explicitly. It is the behavioural anchor for the event-driven
-// driver and the perf harness baseline.
-func (st *runState) runReference(ctx context.Context) error {
-	opts := st.opts
-	now := st.startCycle
-	for ; now < st.maxCycles; now++ {
-		done := st.tickCycle(now)
-
-		// Interval boundary: estimates, repartitioning and cancellation.
-		if (now+1)%opts.IntervalCycles == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := st.recordInterval(); err != nil {
-				return err
-			}
-			st.flushMetrics(now+1, 1)
-			if st.cpCapture != nil && now+1 == st.cpCapture.at {
-				return st.takeCheckpoint(now + 1)
-			}
-		}
-
-		if done == len(st.cores) {
-			now++
-			break
-		}
-	}
-	st.finish(now)
-	return nil
-}
-
-// runFast is the event-driven driver: after every simulated cycle it asks
-// each component for a lower bound on its next event and, when every bound
-// lies beyond the next cycle, jumps to the earliest one in a single step.
-// The skipped span's per-cycle bookkeeping (stall counters, probe snapshots,
-// DRAM queue-interference charges) is applied in closed form, so the Result
-// is byte-identical to the reference driver's.
+// runFast is the serial event loop: after every simulated cycle it asks each
+// component for a lower bound on its next event and, when every bound lies
+// beyond the next cycle, jumps to the earliest one in a single step. The
+// skipped span's per-cycle bookkeeping (stall counters, probe snapshots, DRAM
+// queue-interference charges) is applied in closed form, so the Result is
+// byte-identical to a run with skipping off (canSkip false), where
+// nextEventCycle always answers now+1 and every cycle is ticked.
 func (st *runState) runFast(ctx context.Context) error {
 	opts := st.opts
 	now := st.startCycle
@@ -732,9 +698,9 @@ func RunPrivateContext(ctx context.Context, cfg *config.CMPConfig, bench workloa
 	return ref, err
 }
 
-// RunPrivateReference executes a private-mode run on the cycle-by-cycle
-// reference driver with request pooling disabled (the pre-optimization
-// engine). Kept for differential testing against RunPrivateContext.
+// RunPrivateReference executes a private-mode run with event skipping and
+// request pooling disabled (the pre-optimization engine). Kept for
+// differential testing against RunPrivateContext.
 func RunPrivateReference(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	ref, _, err := runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, privateRunConfig{reference: true})
 	return ref, err

@@ -90,8 +90,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSON round-trips a snapshot through encoding/json, the path
-// `gdpsim bench -metrics-out` uses.
+// TestSnapshotJSON round-trips a snapshot through encoding/json.
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "help").Add(7)

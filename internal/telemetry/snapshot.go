@@ -1,8 +1,7 @@
 package telemetry
 
 // Snapshot types: a JSON-marshalable point-in-time copy of the registry,
-// used by `gdpsim bench -metrics-out` to attach telemetry provenance to
-// benchmark reports and by healthz-style introspection.
+// which the benchmark ledger reads its per-layer counters from.
 
 // FamilySnapshot is one metric family with all its series.
 type FamilySnapshot struct {

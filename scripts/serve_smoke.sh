@@ -35,7 +35,7 @@ echo "serve-smoke: server on $addr"
 
 health=$(curl -fsS "http://$addr/healthz")
 echo "$health" | grep -q '"status": "ok"' || { echo "bad healthz payload: $health"; exit 1; }
-echo "$health" | grep -q '"schema_version"' || { echo "healthz missing schema_version: $health"; exit 1; }
+echo "$health" | grep -q '"git_revision"' || { echo "healthz missing git_revision: $health"; exit 1; }
 
 # One real estimate exercises the coalescer path (a single request is still
 # one batch) before the metrics scrape.

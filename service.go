@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
-	"repro/internal/perf"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -835,18 +835,41 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	stats := s.engine.Cache().DetailedStats()
 	body := map[string]any{
-		"status":         "ok",
-		"api_version":    APIVersion,
-		"git_revision":   perf.GitRevision(),
-		"schema_version": perf.SchemaVersion,
-		"cache_hits":     stats.MemoryHits + stats.DiskHits + stats.InflightJoins,
-		"cache_misses":   stats.Misses,
-		"cache":          stats,
+		"status":       "ok",
+		"api_version":  APIVersion,
+		"git_revision": gitRevision(),
+		"cache_hits":   stats.MemoryHits + stats.DiskHits + stats.InflightJoins,
+		"cache_misses": stats.Misses,
+		"cache":        stats,
 	}
 	if fleet := s.engine.FleetHealth(); fleet != nil {
 		body["fleet"] = fleet
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// gitRevision returns the VCS revision stamped into the binary by the Go
+// toolchain, suffixed "+dirty" for a modified tree (empty when the build
+// carries no VCS metadata, e.g. `go test`).
+func gitRevision() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	var rev string
+	var dirty bool
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev != "" && dirty {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 // handleMetrics exposes the Engine's registry in the Prometheus text format
