@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet fmt-check bench bench-smoke bench-go bench-sweep serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
+.PHONY: all build test race fuzz-smoke vet fmt-check bench bench-smoke bench-go bench-cpu bench-sweep serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
 
 all: build test vet fmt-check
 
@@ -79,9 +79,19 @@ cache-smoke:
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
-# bench-go runs the go-test figure/regeneration benchmarks.
+# bench-go runs the go-test figure/regeneration benchmarks and the core-tick
+# micro-benchmark once each.
 bench-go:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/cpu
+
+# bench-cpu times cpu.Core.Tick alone (BenchmarkCoreTick: ns per ticked cycle
+# on the ledger's dense and sparse scenarios, allocations per cycle) and leaves
+# the test binary and a CPU profile in $(BENCH_OUT), to be read with
+# `go tool pprof -top $(BENCH_OUT)/cpu.test $(BENCH_OUT)/cpu.prof`.
+bench-cpu:
+	mkdir -p $(BENCH_OUT)
+	$(GO) test -run=^$$ -bench=BenchmarkCoreTick -benchtime=20000000x \
+		-o $(BENCH_OUT)/cpu.test -cpuprofile $(BENCH_OUT)/cpu.prof ./internal/cpu
 
 # bench-sweep compares the runner's serial vs parallel accuracy-study
 # wall-clock (BenchmarkAccuracySweep/jobs=1 vs /jobs=N).

@@ -11,6 +11,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -36,10 +37,25 @@ type robEntry struct {
 	isL1Miss  bool
 	req       *mem.Request
 	stallSeen bool // commit has already reported a stall on this entry
+
+	// Wake-up scheduling state of an un-issued entry. It is derived from the
+	// dependency distances and the producers' completion cycles (linkProducers
+	// at dispatch, setComplete afterwards), so it is rebuilt by Restore and
+	// never serialized.
+	waiting  uint8      // producers whose completion cycle is still unknown
+	readyAt  uint64     // latest known completion cycle among the producers
+	wakeHead wakeRef    // consumers to wake once complete becomes known
+	wakeNext [2]wakeRef // per-operand link on that operand's producer's list
 }
+
+// wakeRef names one operand of one ROB slot on a producer's wake list, encoded
+// as (slot<<1 | operand) + 1 so the zero value is the empty list. The lists
+// are threaded through the ROB entries themselves: waking allocates nothing.
+type wakeRef int32
 
 // loadWaiters tracks ROB entries waiting on one outstanding cache line.
 type loadWaiters struct {
+	line    uint64
 	primary *robEntry
 	merged  []*robEntry
 	req     *mem.Request
@@ -64,20 +80,27 @@ type Core struct {
 	l2     *cache.Cache
 	shared MemorySystem
 	probes []Probe
+	// idleProbes[i] is probes[i] as an IdleSpanProbe, nil when it is not one.
+	idleProbes []IdleSpanProbe
 
 	// Reorder buffer as a ring buffer.
 	rob      []robEntry
 	robHead  int
 	robCount int
 
-	// Issue queue: dispatched entries whose execution has not started.
-	issueQueue []*robEntry
+	// Issue queue: the dispatched entries whose execution has not started are
+	// the ROB entries with issued == false, unissued of them. resolved holds
+	// one bit per ROB slot, set for the un-issued entries whose producers all
+	// have a known completion cycle (waiting == 0): the only ones execute and
+	// computeNextEvent need to look at. Ring order from robHead is age order.
+	unissued int
+	resolved []uint64
 
 	instIndex uint64 // next instruction number to dispatch
 
-	// Outstanding L1 misses by line address.
-	pending           map[uint64]*loadWaiters
-	outstandingMisses int
+	// Outstanding L1 misses, one per line address; at most l1MSHRs of them,
+	// in no particular order (findPending scans, CompleteRequest swap-removes).
+	pending []*loadWaiters
 
 	// Store buffer occupancy: completion cycles of draining stores.
 	storeBuffer []uint64
@@ -144,17 +167,18 @@ func New(id int, cfg *config.CMPConfig, src trace.Source, sharedMem MemorySystem
 		return nil, err
 	}
 	return &Core{
-		id:      id,
-		cfg:     cfg.Core,
-		l1Lat:   cfg.L1D.LatencyCyc,
-		l2Lat:   cfg.L2.LatencyCyc,
-		l1MSHRs: cfg.L1D.MSHRs,
-		src:     src,
-		l1d:     l1d,
-		l2:      l2,
-		shared:  sharedMem,
-		rob:     make([]robEntry, cfg.Core.ROBEntries),
-		pending: make(map[uint64]*loadWaiters),
+		id:       id,
+		cfg:      cfg.Core,
+		l1Lat:    cfg.L1D.LatencyCyc,
+		l2Lat:    cfg.L2.LatencyCyc,
+		l1MSHRs:  cfg.L1D.MSHRs,
+		src:      src,
+		l1d:      l1d,
+		l2:       l2,
+		shared:   sharedMem,
+		rob:      make([]robEntry, cfg.Core.ROBEntries),
+		resolved: make([]uint64, (cfg.Core.ROBEntries+63)/64),
+		pending:  make([]*loadWaiters, 0, cfg.L1D.MSHRs),
 	}, nil
 }
 
@@ -171,7 +195,11 @@ func (c *Core) L1D() *cache.Cache { return c.l1d }
 func (c *Core) L2() *cache.Cache { return c.l2 }
 
 // AttachProbe registers an accounting probe.
-func (c *Core) AttachProbe(p Probe) { c.probes = append(c.probes, p) }
+func (c *Core) AttachProbe(p Probe) {
+	isp, _ := p.(IdleSpanProbe)
+	c.probes = append(c.probes, p)
+	c.idleProbes = append(c.idleProbes, isp)
+}
 
 // SetInstructionLimit makes Done report true once the core has committed n
 // instructions. Zero disables the limit.
@@ -185,10 +213,18 @@ func (c *Core) Done() bool {
 // lineAddr masks an address to its cache-line address.
 func lineAddr(addr uint64) uint64 { return addr &^ 63 }
 
-// robAt returns the ROB entry at queue position i (0 = oldest).
-func (c *Core) robAt(i int) *robEntry {
-	return &c.rob[(c.robHead+i)%len(c.rob)]
+// robSlot maps queue position i (0 = oldest, at most len(c.rob)) to its slot
+// in the ring.
+func (c *Core) robSlot(i int) int {
+	i += c.robHead
+	if i >= len(c.rob) {
+		i -= len(c.rob)
+	}
+	return i
 }
+
+// robAt returns the ROB entry at queue position i (0 = oldest).
+func (c *Core) robAt(i int) *robEntry { return &c.rob[c.robSlot(i)] }
 
 // entryFor returns the ROB entry holding instruction index idx, or nil if the
 // instruction has already committed (and is therefore complete).
@@ -196,7 +232,7 @@ func (c *Core) entryFor(idx uint64) *robEntry {
 	if c.robCount == 0 {
 		return nil
 	}
-	oldest := c.robAt(0).index
+	oldest := c.rob[c.robHead].index
 	if idx < oldest {
 		return nil
 	}
@@ -207,25 +243,77 @@ func (c *Core) entryFor(idx uint64) *robEntry {
 	return c.robAt(offset)
 }
 
-// depsReady reports whether the dependencies of entry e are satisfied at now,
-// and the cycle at which they become satisfied if known.
-func (c *Core) depsReady(e *robEntry, now uint64) bool {
-	for _, dist := range []int32{e.inst.Dep1, e.inst.Dep2} {
-		if dist <= 0 {
+// linkProducers initialises the wake-up state of the freshly dispatched (or
+// restored) un-issued entry e in ROB slot `slot`: each register producer still
+// in the ROB either contributes its known completion cycle to readyAt or, if
+// that cycle is still unknown, gets e linked onto its wake list. A producer
+// that has already committed is complete and contributes nothing.
+func (c *Core) linkProducers(e *robEntry, slot int) {
+	for op, dist := range [2]int32{e.inst.Dep1, e.inst.Dep2} {
+		if dist <= 0 || uint64(dist) > e.index {
 			continue
 		}
-		if uint64(dist) > e.index {
+		p := c.entryFor(e.index - uint64(dist))
+		if p == nil {
 			continue
 		}
-		dep := c.entryFor(e.index - uint64(dist))
-		if dep == nil {
-			continue // already committed, hence complete
+		if p.complete != unknownCycle {
+			e.readyAt = max(e.readyAt, p.complete)
+			continue
 		}
-		if dep.complete == unknownCycle || dep.complete > now {
-			return false
+		e.waiting++
+		e.wakeNext[op] = p.wakeHead
+		p.wakeHead = wakeRef(slot<<1|op) + 1
+	}
+	if e.waiting == 0 {
+		c.resolved[slot>>6] |= 1 << (slot & 63)
+	}
+}
+
+// setComplete records the cycle at which p's result is available and wakes
+// the consumers linked onto p. Every write that turns complete from
+// unknownCycle into a cycle goes through here.
+func (c *Core) setComplete(p *robEntry, cycle uint64) {
+	p.complete = cycle
+	for ref := p.wakeHead; ref != 0; {
+		slot, op := int(ref-1)>>1, (ref-1)&1
+		e := &c.rob[slot]
+		e.readyAt = max(e.readyAt, cycle)
+		if e.waiting--; e.waiting == 0 {
+			c.resolved[slot>>6] |= 1 << (slot & 63)
+		}
+		ref, e.wakeNext[op] = e.wakeNext[op], 0
+	}
+	p.wakeHead = 0
+}
+
+// nextResolved returns the lowest ROB slot at or above slot whose resolved
+// bit is set, or len(c.rob) if there is none. The register dependencies of
+// the entry there are satisfied from cycle readyAt on; an un-issued entry
+// without the bit waits for a producer whose completion is not known yet.
+func (c *Core) nextResolved(slot int) int {
+	if slot >= len(c.rob) {
+		return len(c.rob)
+	}
+	wi := slot >> 6
+	w := c.resolved[wi] >> (slot & 63) << (slot & 63)
+	for w == 0 {
+		if wi++; wi == len(c.resolved) {
+			return len(c.rob)
+		}
+		w = c.resolved[wi]
+	}
+	return wi<<6 + bits.TrailingZeros64(w)
+}
+
+// findPending returns the outstanding-miss tracker of a line address, or -1.
+func (c *Core) findPending(line uint64) int {
+	for i, w := range c.pending {
+		if w.line == line {
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
 // getWaiter returns a recycled (or fresh) loadWaiters entry.
@@ -241,6 +329,7 @@ func (c *Core) getWaiter() *loadWaiters {
 
 // putWaiter recycles a loadWaiters entry once its request completed.
 func (c *Core) putWaiter(w *loadWaiters) {
+	w.line = 0
 	w.primary = nil
 	w.req = nil
 	w.issueCount = 0
@@ -259,21 +348,23 @@ func (c *Core) CompleteRequest(req *mem.Request, now uint64) {
 	if req.IsWrite {
 		return // store-buffer writes are fire-and-forget
 	}
-	key := lineAddr(req.Addr)
-	w, ok := c.pending[key]
-	if !ok {
+	i := c.findPending(lineAddr(req.Addr))
+	if i < 0 {
 		return
 	}
-	delete(c.pending, key)
-	c.outstandingMisses--
+	w := c.pending[i]
+	last := len(c.pending) - 1
+	c.pending[i] = c.pending[last]
+	c.pending[last] = nil
+	c.pending = c.pending[:last]
 
 	latency := req.TotalLatency()
 	interference := req.TotalInterference()
 
-	w.primary.complete = now
+	c.setComplete(w.primary, now)
 	w.primary.isSMS = true
 	for _, m := range w.merged {
-		m.complete = now + 1
+		c.setComplete(m, now+1)
 		m.isSMS = true
 	}
 
@@ -388,7 +479,7 @@ func (c *Core) commit(now uint64) (bool, StallKind) {
 		if head.inst.Kind.IsMem() {
 			c.memOps--
 		}
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		c.robHead = c.robSlot(1)
 		c.robCount--
 		c.stats.Instructions++
 		committed++
@@ -431,10 +522,7 @@ func (c *Core) classifyStall(head *robEntry, now uint64) StallKind {
 		if head.req != nil {
 			return StallSMS
 		}
-		if head.isL1Miss {
-			return StallPMS
-		}
-		return StallPMS // L1 hit latency not yet elapsed
+		return StallPMS // L2 access or L1 hit latency not yet elapsed
 	case trace.Store:
 		return StallOther
 	default:
@@ -475,29 +563,35 @@ func (c *Core) drainStoreBuffer(now uint64) {
 	c.storeBuffer = kept
 }
 
-// execute starts execution of issue-queue entries whose dependencies are met.
+// execute starts execution of up to FetchWidth un-issued entries whose
+// dependencies are met, oldest first: ring order from the head, i.e. slots
+// [robHead, len) then [0, robHead). The mask is re-read at every step, so an
+// entry woken by an older one issuing in this very scan is still visited.
 func (c *Core) execute(now uint64) {
 	issued := 0
-	kept := c.issueQueue[:0]
-	for _, e := range c.issueQueue {
-		if issued >= c.cfg.FetchWidth || !c.depsReady(e, now) || !c.fuAvailable(e.inst.Kind) {
-			kept = append(kept, e)
-			continue
-		}
-		if e.inst.Kind == trace.Load {
-			if !c.issueLoad(e, now) {
-				kept = append(kept, e)
+	from, to := c.robHead, len(c.rob)
+	for range 2 {
+		for slot := c.nextResolved(from); slot < to && issued < c.cfg.FetchWidth; slot = c.nextResolved(slot + 1) {
+			e := &c.rob[slot]
+			if e.readyAt > now || !c.fuAvailable(e.inst.Kind) {
 				continue
 			}
-		} else {
-			c.claimFU(e.inst.Kind)
-			e.complete = now + uint64(trace.ExecLatency(e.inst.Kind))
+			if e.inst.Kind == trace.Load {
+				if !c.issueLoad(e, now) {
+					continue
+				}
+			} else {
+				c.claimFU(e.inst.Kind)
+				c.setComplete(e, now+uint64(trace.ExecLatency(e.inst.Kind)))
+			}
+			e.issued = true
+			c.resolved[slot>>6] &^= 1 << (slot & 63)
+			c.unissued--
+			issued++
+			c.active = true
 		}
-		e.issued = true
-		issued++
-		c.active = true
+		from, to = 0, c.robHead
 	}
-	c.issueQueue = kept
 
 	// Resolve branch redirects whose branch has executed.
 	if c.pendingRedirect != nil && c.pendingRedirect.complete != unknownCycle && c.pendingRedirect.complete <= now {
@@ -550,21 +644,22 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 	c.stats.Loads++
 
 	if c.l1d.AccessAndFill(c.id, addr) {
-		e.complete = now + uint64(c.l1Lat)
+		c.setComplete(e, now+uint64(c.l1Lat))
 		return true
 	}
 
 	// L1 miss.
 	key := lineAddr(addr)
-	if w, ok := c.pending[key]; ok {
+	if i := c.findPending(key); i >= 0 {
 		// MSHR merge: this load completes when the outstanding request does.
+		w := c.pending[i]
 		w.merged = append(w.merged, e)
 		e.isL1Miss = true
 		e.req = w.req
 		c.stats.L1Misses++
 		return true
 	}
-	if c.outstandingMisses >= c.l1MSHRs {
+	if len(c.pending) >= c.l1MSHRs {
 		c.stats.Loads-- // retry next cycle; do not double-count
 		c.fuMemPorts--
 		return false
@@ -578,7 +673,7 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 
 	if c.l2.AccessAndFill(c.id, addr) {
 		// PMS load: serviced by the private L2.
-		e.complete = now + uint64(c.l1Lat+c.l2Lat)
+		c.setComplete(e, now+uint64(c.l1Lat+c.l2Lat))
 		c.stats.PMSLoads++
 		for _, p := range c.probes {
 			p.OnLoadCompleted(addr, false, e.complete, uint64(c.l1Lat+c.l2Lat), 0)
@@ -589,13 +684,12 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 	// SMS load: goes to the shared memory system.
 	req := c.shared.Submit(c.id, addr, false, now)
 	e.req = req
-	e.complete = unknownCycle
 	w := c.getWaiter()
+	w.line = key
 	w.primary = e
 	w.req = req
 	w.issueCount = c.commitCycleCount
-	c.pending[key] = w
-	c.outstandingMisses++
+	c.pending = append(c.pending, w)
 	return true
 }
 
@@ -646,22 +740,22 @@ func (c *Core) computeNextEvent(now uint64) uint64 {
 	}
 
 	// Issue queue: entries whose dependencies resolve at a known cycle start
-	// executing then. An entry that is ready *now* but did not issue must be
-	// an MSHR-blocked L1-missing load (the only non-issuing path in execute);
-	// anything else means the idle proof fails and we do not skip.
-	for _, e := range c.issueQueue {
-		ready, external := c.depsReadyAt(e)
-		if external {
-			continue // waits on an in-flight SMS load: an external event
-		}
-		if ready <= now {
+	// executing then. The unresolved ones wait, directly or through other
+	// unresolved entries, either on an in-flight SMS load — an external event
+	// — or on a resolved entry, whose own issue this scan accounts for. An
+	// entry that is ready *now* but did not issue must be an MSHR-blocked
+	// L1-missing load (the only non-issuing path in execute); anything else
+	// means the idle proof fails and we do not skip.
+	for slot := c.nextResolved(0); slot < len(c.rob); slot = c.nextResolved(slot + 1) {
+		e := &c.rob[slot]
+		if e.readyAt <= now {
 			if !c.loadProvablyBlocked(e) {
 				return now + 1
 			}
 			continue // unblocks on a request completion: external
 		}
-		if ready < next {
-			next = ready
+		if e.readyAt < next {
+			next = e.readyAt
 		}
 	}
 
@@ -689,7 +783,7 @@ func (c *Core) computeNextEvent(now uint64) uint64 {
 	// every cycle (trace sources are infinite), so the core is never idle.
 	if !c.Done() && c.pendingRedirect == nil {
 		robFull := c.robCount >= len(c.rob)
-		iqFull := len(c.issueQueue) >= c.cfg.IssueQueueEntries
+		iqFull := c.unissued >= c.cfg.IssueQueueEntries
 		lsqBlocked := c.hasStaged && c.memOps >= c.cfg.LSQEntries
 		if !robFull && !iqFull && !lsqBlocked {
 			if c.fetchStallUntil > now+1 {
@@ -710,31 +804,6 @@ func (c *Core) computeNextEvent(now uint64) uint64 {
 	return next
 }
 
-// depsReadyAt returns the cycle at which entry e's register dependencies are
-// all satisfied. external reports that at least one dependency waits on an
-// in-flight shared-memory request (unknown completion cycle).
-func (c *Core) depsReadyAt(e *robEntry) (ready uint64, external bool) {
-	for _, dist := range []int32{e.inst.Dep1, e.inst.Dep2} {
-		if dist <= 0 {
-			continue
-		}
-		if uint64(dist) > e.index {
-			continue
-		}
-		dep := c.entryFor(e.index - uint64(dist))
-		if dep == nil {
-			continue // already committed, hence complete
-		}
-		if dep.complete == unknownCycle {
-			return 0, true
-		}
-		if dep.complete > ready {
-			ready = dep.complete
-		}
-	}
-	return ready, false
-}
-
 // loadProvablyBlocked reports whether a dependency-ready entry is a load that
 // execute() provably cannot start this cycle or any later cycle until a
 // shared-memory request completes: it misses the L1, does not merge with an
@@ -744,17 +813,14 @@ func (c *Core) loadProvablyBlocked(e *robEntry) bool {
 	if e.inst.Kind != trace.Load {
 		return false
 	}
-	if c.outstandingMisses < c.l1MSHRs {
+	if len(c.pending) < c.l1MSHRs {
 		return false
 	}
 	addr := e.inst.Addr
 	if c.l1d.Lookup(addr) {
 		return false // would hit the L1 and issue
 	}
-	if _, ok := c.pending[lineAddr(addr)]; ok {
-		return false // would MSHR-merge and issue
-	}
-	return true
+	return c.findPending(lineAddr(addr)) < 0 // else it would MSHR-merge and issue
 }
 
 // FastForward accounts for the idle span [from, to): the core repeats the
@@ -792,8 +858,8 @@ func (c *Core) FastForward(from, to uint64) {
 
 	if len(c.probes) > 0 {
 		state := c.buildCycleState(from, false, stall)
-		for _, p := range c.probes {
-			if isp, ok := p.(IdleSpanProbe); ok {
+		for i, p := range c.probes {
+			if isp := c.idleProbes[i]; isp != nil {
 				isp.OnIdleSpan(state, n)
 				continue
 			}
@@ -813,7 +879,7 @@ func (c *Core) dispatch(now uint64) {
 		return
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.robCount >= len(c.rob) || len(c.issueQueue) >= c.cfg.IssueQueueEntries {
+		if c.robCount >= len(c.rob) || c.unissued >= c.cfg.IssueQueueEntries {
 			return
 		}
 		var inst trace.Instruction
@@ -831,19 +897,20 @@ func (c *Core) dispatch(now uint64) {
 			return
 		}
 		c.active = true
-		pos := (c.robHead + c.robCount) % len(c.rob)
+		pos := c.robSlot(c.robCount)
 		c.rob[pos] = robEntry{
 			inst:     inst,
 			index:    c.instIndex,
 			complete: unknownCycle,
 		}
 		e := &c.rob[pos]
+		c.linkProducers(e, pos)
+		c.unissued++
 		c.instIndex++
 		c.robCount++
 		if inst.Kind.IsMem() {
 			c.memOps++
 		}
-		c.issueQueue = append(c.issueQueue, e)
 		if inst.Kind == trace.Branch && inst.Mispredicted {
 			// Stop dispatching past an unresolved mispredicted branch; the
 			// front end refills BranchMissPenalty cycles after it executes.

@@ -6,42 +6,70 @@ import (
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// fakeMem is a MemorySystem with a fixed service latency, used to test the
-// core in isolation from the full shared memory system.
+// fakeMem is a MemorySystem used to test the core in isolation from the full
+// shared memory system. A read completes `latency` cycles after issue, plus —
+// when jitter is non-zero — up to jitter-1 further cycles drawn from (seed,
+// address, issue cycle), so two instances with one seed serve one schedule.
+//
+// Requests come from a ring, so steady-state ticking allocates nothing. A
+// slot is reused 512 reads later, by which time every ROB entry that pointed
+// at it has committed: a request is referenced only by loads that were in the
+// ROB together with its primary, and each read belongs to a new instruction.
 type fakeMem struct {
-	latency   uint64
-	nextID    uint64
-	inflight  []*mem.Request
-	submitted int
+	latency      uint64
+	jitter, seed uint64
+	nextID       uint64
+	inflight     []*mem.Request // CompleteCycle holds the due cycle
+	done         []*mem.Request // scratch returned by completions
+	submitted    int
+	ring         [512]mem.Request
+	write        mem.Request // writes are fire-and-forget: one scratch object
 }
 
 func (f *fakeMem) Submit(core int, addr uint64, isWrite bool, now uint64) *mem.Request {
 	f.nextID++
 	f.submitted++
-	req := &mem.Request{ID: f.nextID, Core: core, Addr: addr, IsWrite: isWrite, IssueCycle: now}
+	req := &f.write
+	if !isWrite {
+		req = &f.ring[f.nextID%uint64(len(f.ring))]
+	}
+	*req = mem.Request{ID: f.nextID, Core: core, Addr: addr, IsWrite: isWrite, IssueCycle: now}
 	req.LLCArrival = now + 10
+	req.CompleteCycle = now + f.latency
+	if f.jitter > 0 {
+		req.CompleteCycle += splitmix(f.seed^addr^now<<32) % f.jitter
+	}
 	if !isWrite {
 		f.inflight = append(f.inflight, req)
 	}
 	return req
 }
 
-// completions returns the requests whose latency has elapsed by cycle now.
+// splitmix is the SplitMix64 finalizer: a stateless hash for fakeMem's jitter.
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// completions returns the requests due by cycle now, in submission order. The
+// slice is reused by the next call.
 func (f *fakeMem) completions(now uint64) []*mem.Request {
-	var out []*mem.Request
+	f.done = f.done[:0]
 	kept := f.inflight[:0]
 	for _, r := range f.inflight {
-		if r.IssueCycle+f.latency <= now {
-			r.CompleteCycle = now
-			out = append(out, r)
+		if r.CompleteCycle <= now {
+			f.done = append(f.done, r)
 		} else {
 			kept = append(kept, r)
 		}
 	}
 	f.inflight = kept
-	return out
+	return f.done
 }
 
 func memParams() trace.Params {
@@ -68,27 +96,52 @@ func computeParams() trace.Params {
 	return p
 }
 
-func newTestCore(t *testing.T, params trace.Params, m MemorySystem) *Core {
-	t.Helper()
-	gen, err := trace.NewGenerator(params, 42)
+// conflictParams is a load-heavy stream that walks six lines mapping to one
+// set of the scaled L1 (2 ways) and L2 (4 ways): every load misses both, and
+// a line is re-requested while its previous miss is still outstanding, so
+// loads merge onto MSHRs all the time (the registry scenarios almost never do).
+func conflictParams() trace.Params {
+	p := memParams()
+	p.LoadFrac = 0.4
+	p.WorkingSets = []trace.WorkingSet{{Bytes: 6 * 2048, AccessProb: 1.0, Sequential: true, Stride: 2048}}
+	return p
+}
+
+// scenarioParams returns the trace profile of one core slot of a registry
+// scenario.
+func scenarioParams(tb testing.TB, scenario string, slot int) trace.Params {
+	tb.Helper()
+	sc, err := workload.ScenarioByName(scenario)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	return sc.Params(slot)
+}
+
+func newTestCore(tb testing.TB, params trace.Params, m MemorySystem) *Core {
+	return newSeededCore(tb, params, 42, m)
+}
+
+func newSeededCore(tb testing.TB, params trace.Params, seed int64, m MemorySystem) *Core {
+	tb.Helper()
+	gen, err := trace.NewGenerator(params, seed)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	cfg := config.ScaledConfig(2)
 	core, err := New(0, cfg, gen, m)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return core
 }
 
-// run drives a core (with a fakeMem) for the given number of cycles.
-func run(core *Core, fm *fakeMem, cycles uint64) {
-	for cyc := uint64(0); cyc < cycles; cyc++ {
-		if fm != nil {
-			for _, req := range fm.completions(cyc) {
-				core.CompleteRequest(req, cyc)
-			}
+// run drives a core and its fakeMem through cycles [from, to), delivering the
+// completions due at each cycle before ticking it.
+func run(core *Core, fm *fakeMem, from, to uint64) {
+	for cyc := from; cyc < to; cyc++ {
+		for _, req := range fm.completions(cyc) {
+			core.CompleteRequest(req, cyc)
 		}
 		core.Tick(cyc)
 	}
@@ -108,7 +161,7 @@ func TestNewValidation(t *testing.T) {
 func TestCoreMakesForwardProgress(t *testing.T) {
 	fm := &fakeMem{latency: 200}
 	core := newTestCore(t, memParams(), fm)
-	run(core, fm, 20000)
+	run(core, fm, 0, 20000)
 	st := core.Stats()
 	if st.Instructions == 0 {
 		t.Fatal("core committed no instructions")
@@ -129,7 +182,7 @@ func TestCycleTaxonomyPartition(t *testing.T) {
 	// Equation 1 invariant: every cycle is a commit cycle or exactly one stall kind.
 	fm := &fakeMem{latency: 150}
 	core := newTestCore(t, memParams(), fm)
-	run(core, fm, 50000)
+	run(core, fm, 0, 50000)
 	st := core.Stats()
 	sum := st.CommitCycles + st.StallInd + st.StallPMS + st.StallSMS + st.StallOther
 	if sum != st.Cycles {
@@ -140,7 +193,7 @@ func TestCycleTaxonomyPartition(t *testing.T) {
 func TestComputeBoundWorkloadHasFewSMSLoads(t *testing.T) {
 	fm := &fakeMem{latency: 200}
 	core := newTestCore(t, computeParams(), fm)
-	run(core, fm, 20000)
+	run(core, fm, 0, 20000)
 	st := core.Stats()
 	if st.Instructions == 0 {
 		t.Fatal("no forward progress")
@@ -156,7 +209,7 @@ func TestComputeBoundWorkloadHasFewSMSLoads(t *testing.T) {
 func TestMemoryBoundWorkloadStallsOnSMS(t *testing.T) {
 	fm := &fakeMem{latency: 300}
 	core := newTestCore(t, memParams(), fm)
-	run(core, fm, 50000)
+	run(core, fm, 0, 50000)
 	st := core.Stats()
 	if st.SMSLoads == 0 {
 		t.Fatal("memory-bound workload produced no SMS loads")
@@ -175,8 +228,8 @@ func TestHigherMemoryLatencyLowersIPC(t *testing.T) {
 	slow := &fakeMem{latency: 600}
 	coreFast := newTestCore(t, memParams(), fast)
 	coreSlow := newTestCore(t, memParams(), slow)
-	run(coreFast, fast, 40000)
-	run(coreSlow, slow, 40000)
+	run(coreFast, fast, 0, 40000)
+	run(coreSlow, slow, 0, 40000)
 	if coreSlow.Stats().IPC() >= coreFast.Stats().IPC() {
 		t.Errorf("IPC should drop with memory latency: fast=%v slow=%v",
 			coreFast.Stats().IPC(), coreSlow.Stats().IPC())
@@ -187,7 +240,7 @@ func TestInstructionLimit(t *testing.T) {
 	fm := &fakeMem{latency: 100}
 	core := newTestCore(t, computeParams(), fm)
 	core.SetInstructionLimit(5000)
-	run(core, fm, 200000)
+	run(core, fm, 0, 200000)
 	st := core.Stats()
 	if !core.Done() {
 		t.Fatal("core did not reach its instruction limit")
@@ -208,7 +261,7 @@ func TestMSHRMerging(t *testing.T) {
 	p.LoadDepFrac = 0
 	p.WorkingSets = []trace.WorkingSet{{Bytes: 64, AccessProb: 1.0}}
 	core := newTestCore(t, p, fm)
-	run(core, fm, 3000)
+	run(core, fm, 0, 3000)
 	if fm.submitted > 4 {
 		t.Errorf("single-line workload submitted %d SMS requests, expected the misses to merge", fm.submitted)
 	}
@@ -220,14 +273,9 @@ func TestMSHRMerging(t *testing.T) {
 func TestStatsDelta(t *testing.T) {
 	fm := &fakeMem{latency: 150}
 	core := newTestCore(t, memParams(), fm)
-	run(core, fm, 10000)
+	run(core, fm, 0, 10000)
 	snap := core.Stats()
-	for cyc := uint64(10000); cyc < 20000; cyc++ {
-		for _, req := range fm.completions(cyc) {
-			core.CompleteRequest(req, cyc)
-		}
-		core.Tick(cyc)
-	}
+	run(core, fm, 10000, 20000)
 	delta := core.Stats().Delta(snap)
 	if delta.Cycles != 10000 {
 		t.Errorf("delta cycles = %d, want 10000", delta.Cycles)
@@ -269,7 +317,7 @@ func TestProbeEventStream(t *testing.T) {
 	core := newTestCore(t, memParams(), fm)
 	probe := &recordingProbe{}
 	core.AttachProbe(probe)
-	run(core, fm, 30000)
+	run(core, fm, 0, 30000)
 	st := core.Stats()
 
 	if probe.cycles != 30000 {
@@ -300,7 +348,7 @@ func TestOverlapAccounting(t *testing.T) {
 	p.LoadFrac = 0.15
 	p.LoadDepFrac = 0
 	core := newTestCore(t, p, fm)
-	run(core, fm, 40000)
+	run(core, fm, 0, 40000)
 	st := core.Stats()
 	if st.SMSLoads == 0 {
 		t.Fatal("no SMS loads")

@@ -73,8 +73,9 @@ func (c *Core) Snapshot(t *mem.SnapshotTable) CoreState {
 	queuePos := make(map[*robEntry]int, c.robCount)
 	st := CoreState{
 		ROB:               make([]ROBEntryState, c.robCount),
+		IssueQueue:        make([]int, 0, c.unissued),
 		InstIndex:         c.instIndex,
-		OutstandingMisses: c.outstandingMisses,
+		OutstandingMisses: len(c.pending),
 		StoreBuffer:       append([]uint64(nil), c.storeBuffer...),
 		PendingRedirect:   -1,
 		FetchStallUntil:   c.fetchStallUntil,
@@ -91,6 +92,9 @@ func (c *Core) Snapshot(t *mem.SnapshotTable) CoreState {
 	for qi := 0; qi < c.robCount; qi++ {
 		e := c.robAt(qi)
 		queuePos[e] = qi
+		if !e.issued {
+			st.IssueQueue = append(st.IssueQueue, qi)
+		}
 		st.ROB[qi] = ROBEntryState{
 			Inst:      e.inst,
 			Index:     e.index,
@@ -102,10 +106,6 @@ func (c *Core) Snapshot(t *mem.SnapshotTable) CoreState {
 			StallSeen: e.stallSeen,
 		}
 	}
-	st.IssueQueue = make([]int, len(c.issueQueue))
-	for i, e := range c.issueQueue {
-		st.IssueQueue[i] = queuePos[e]
-	}
 	if c.pendingRedirect != nil {
 		st.PendingRedirect = queuePos[c.pendingRedirect]
 	}
@@ -113,14 +113,15 @@ func (c *Core) Snapshot(t *mem.SnapshotTable) CoreState {
 		st.StalledOn = queuePos[c.stalledOn]
 	}
 	st.Pending = make([]WaiterState, 0, len(c.pending))
-	for line, w := range c.pending {
-		ws := WaiterState{Line: line, Primary: queuePos[w.primary], Req: t.Ref(w.req), IssueCount: w.issueCount}
+	for _, w := range c.pending {
+		ws := WaiterState{Line: w.line, Primary: queuePos[w.primary], Req: t.Ref(w.req), IssueCount: w.issueCount}
 		for _, m := range w.merged {
 			ws.Merged = append(ws.Merged, queuePos[m])
 		}
 		st.Pending = append(st.Pending, ws)
 	}
-	// Map iteration order is random; sort for a canonical serialized form.
+	// The table's order is incidental (swap-remove); sort for a canonical
+	// serialized form.
 	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].Line < st.Pending[j].Line })
 	return st
 }
@@ -133,6 +134,9 @@ func (c *Core) Snapshot(t *mem.SnapshotTable) CoreState {
 func (c *Core) Restore(st CoreState, t *mem.RestoreTable) error {
 	if len(st.ROB) > len(c.rob) {
 		return fmt.Errorf("cpu: core %d snapshot holds %d ROB entries, capacity is %d", c.id, len(st.ROB), len(c.rob))
+	}
+	if st.OutstandingMisses != len(st.Pending) {
+		return fmt.Errorf("cpu: core %d snapshot counts %d outstanding misses but lists %d", c.id, st.OutstandingMisses, len(st.Pending))
 	}
 	if err := c.l1d.Restore(st.L1D); err != nil {
 		return err
@@ -163,13 +167,17 @@ func (c *Core) Restore(st CoreState, t *mem.RestoreTable) error {
 		}
 		return &c.rob[qi], nil
 	}
-	c.issueQueue = c.issueQueue[:0]
+	// The wake-up state is not part of the snapshot: re-derive it for every
+	// un-issued entry from the restored completion cycles (robHead is 0, so a
+	// queue position is its slot).
+	c.unissued = len(st.IssueQueue)
+	clear(c.resolved)
 	for _, qi := range st.IssueQueue {
 		e, err := entryAt(qi, "issue-queue")
 		if err != nil {
 			return err
 		}
-		c.issueQueue = append(c.issueQueue, e)
+		c.linkProducers(e, qi)
 	}
 	c.pendingRedirect = nil
 	if st.PendingRedirect >= 0 {
@@ -187,14 +195,18 @@ func (c *Core) Restore(st CoreState, t *mem.RestoreTable) error {
 		}
 		c.stalledOn = e
 	}
-	clear(c.pending)
-	c.outstandingMisses = st.OutstandingMisses
+	for i, w := range c.pending {
+		c.putWaiter(w)
+		c.pending[i] = nil
+	}
+	c.pending = c.pending[:0]
 	for _, ws := range st.Pending {
 		w := c.getWaiter()
 		primary, err := entryAt(ws.Primary, "waiter")
 		if err != nil {
 			return err
 		}
+		w.line = ws.Line
 		w.primary = primary
 		w.req = t.Get(ws.Req)
 		w.issueCount = ws.IssueCount
@@ -205,7 +217,7 @@ func (c *Core) Restore(st CoreState, t *mem.RestoreTable) error {
 			}
 			w.merged = append(w.merged, m)
 		}
-		c.pending[ws.Line] = w
+		c.pending = append(c.pending, w)
 	}
 	c.instIndex = st.InstIndex
 	c.storeBuffer = append(c.storeBuffer[:0], st.StoreBuffer...)
