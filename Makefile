@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet fmt-check bench bench-smoke bench-go bench-cpu bench-sweep serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
+.PHONY: all build test race fuzz-smoke vet fmt-check bench bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
 
 all: build test vet fmt-check
 
@@ -47,13 +47,16 @@ bench:
 	done
 
 # bench-smoke is the CI correctness gate: one short traced ledger run whose
-# exit status is the ledger's own verdict — serial, forked and Workers=2 runs
-# end on the same cycle, the loopback-worker sweep returns the local rows and
-# the processed-cycle share stays in its band. No wall-clock threshold, so
-# nothing self-waives on a small machine.
+# exit status is the ledger's own verdict — cold and forked runs end on the
+# same cycle, the loopback-worker sweep returns the local rows and the
+# processed-cycle share stays in its band. No wall-clock threshold, so nothing
+# self-waives on a small machine.
 bench-smoke:
 	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
 		$(GO) run ./benchmark -workload sim_sparse -seed 1 -seconds 2 -trace 1 -out "$$out"
+
+# smoke runs the four end-to-end scripts in sequence (CI's one smoke job).
+smoke: serve-smoke dispatch-smoke cache-smoke chaos-smoke
 
 # serve-smoke boots the real binary, curls /healthz and /metrics and checks
 # the telemetry exposition end to end (see scripts/serve_smoke.sh).

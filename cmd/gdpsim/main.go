@@ -18,11 +18,10 @@
 //	gdpsim serve                  Serve estimation queries over HTTP/JSON
 //
 // Every subcommand runs on one shared gdp.Engine built from the global flags:
-// -jobs selects the worker-pool width, -sim-workers the number of OS threads
-// ticking the cores inside each simulation, -progress reports per-cell
-// progress and ETA on stderr, and -cache-dir persists the private-mode
-// reference simulations across invocations. Output is byte-identical for
-// every -jobs and -sim-workers value. SIGINT/SIGTERM cancel the root context; a running simulation aborts
+// -jobs selects the worker-pool width, -progress reports per-cell progress
+// and ETA on stderr, and -cache-dir persists the private-mode reference
+// simulations across invocations. Output is byte-identical for every -jobs
+// value. SIGINT/SIGTERM cancel the root context; a running simulation aborts
 // at its next interval boundary and `serve` shuts down gracefully, draining
 // in-flight requests first.
 //
@@ -79,7 +78,6 @@ func run(ctx context.Context, args []string) error {
 	cores := fs.Int("cores", 4, "core count for single-cell commands (run, fig6, overhead, table1)")
 	benchNames := fs.String("benchmarks", "", "comma-separated benchmark names for the run command")
 	jobs := fs.Int("jobs", 0, "worker-pool width for simulation cells (0 = all CPUs, 1 = serial)")
-	simWorkers := fs.Int("sim-workers", 0, "OS threads ticking the cores inside one simulation (0/1 = serial; results are byte-identical at any width)")
 	cacheDir := fs.String("cache-dir", "", "persist private-mode reference simulations in this directory")
 	cacheMemMB := fs.Float64("cache-mem-mb", 0, "bound the result cache's memory layer to this many MB, evicting cold entries (to -cache-dir when set, so they stay one disk read away; 0 = unbounded; may be fractional)")
 	progress := fs.Bool("progress", false, "report per-cell progress and ETA on stderr")
@@ -91,9 +89,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *jobs < 0 {
 		return fmt.Errorf("-jobs %d out of range (0 = all CPUs, or a positive width)", *jobs)
-	}
-	if *simWorkers < 0 {
-		return fmt.Errorf("-sim-workers %d out of range (0/1 = serial, or a positive width)", *simWorkers)
 	}
 	if *cacheMemMB < 0 {
 		return fmt.Errorf("-cache-mem-mb %v out of range (0 = unbounded, or a positive budget in MB)", *cacheMemMB)
@@ -134,7 +129,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	scale.Seed = *seed
 
-	engineOpts := []gdp.EngineOption{gdp.WithScale(scale), gdp.WithJobs(*jobs), gdp.WithSimWorkers(*simWorkers)}
+	engineOpts := []gdp.EngineOption{gdp.WithScale(scale), gdp.WithJobs(*jobs)}
 	if *cacheDir != "" {
 		cache, err := gdp.NewDiskResultCache(*cacheDir)
 		if err != nil {

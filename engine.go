@@ -58,11 +58,6 @@ type Engine struct {
 	workers         []string
 	pool            *dispatch.Pool
 	dispatchMetrics *dispatch.Metrics
-
-	// simWorkers is the Engine's default intra-simulation parallel width
-	// (WithSimWorkers); SimOptions carrying their own Workers field override
-	// it per run.
-	simWorkers int
 }
 
 // EngineOption configures an Engine at construction time.
@@ -77,22 +72,6 @@ func WithJobs(n int) EngineOption {
 			return fmt.Errorf("gdp: WithJobs(%d): width must be >= 0", n)
 		}
 		e.jobs = n
-		return nil
-	}
-}
-
-// WithSimWorkers sets the default intra-simulation parallel width: runs the
-// Engine starts with n > 1 tick their cores on the worker/coordinator driver
-// across n OS threads (clamped to the core count), with results byte-identical
-// to the serial driver. 0 and 1 select the serial event driver. SimOptions
-// that carry their own Workers field override it per run; reference runs
-// always stay serial.
-func WithSimWorkers(n int) EngineOption {
-	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("gdp: WithSimWorkers(%d): width must be >= 0", n)
-		}
-		e.simWorkers = n
 		return nil
 	}
 }
@@ -297,14 +276,11 @@ func (e *Engine) Run(ctx context.Context, opts SimOptions) (*SimResult, error) {
 	return sim.RunContext(ctx, opts)
 }
 
-// fillSim applies the Engine's simulation defaults to one run's options: the
-// telemetry sink and the intra-simulation parallel width (WithSimWorkers).
+// fillSim applies the Engine's simulation default to one run's options: the
+// telemetry sink.
 func (e *Engine) fillSim(opts *SimOptions) {
 	if opts.Metrics == nil {
 		opts.Metrics = e.simMetrics()
-	}
-	if opts.Workers == 0 {
-		opts.Workers = e.simWorkers
 	}
 }
 

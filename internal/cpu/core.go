@@ -62,9 +62,7 @@ type loadWaiters struct {
 	// issueCount is commitCycleCount at the cycle the request was issued;
 	// per-request overlap (GDP-O) is the counter's increase over the request's
 	// lifetime. Keeping it on the waiter (rather than in a map keyed by the
-	// request ID) means the core never reads the ID, so a staged submission
-	// whose ID is assigned later — the parallel driver's injection protocol —
-	// is indistinguishable from an immediate one.
+	// request ID) means the core never reads a request ID.
 	issueCount uint64
 }
 

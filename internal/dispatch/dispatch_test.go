@@ -36,6 +36,8 @@ type fakeWorker struct {
 	cutAfterLines atomic.Int64
 	// blockCell, when set, blocks matching cells until the client goes away.
 	blockCell func(experiments.Cell) bool
+	// firstPost, when set, runs inside the first POST /v1/cells handler.
+	firstPost func()
 }
 
 func newFakeWorker(exec func(experiments.Cell) ([]experiments.SweepRow, error)) *fakeWorker {
@@ -45,7 +47,9 @@ func newFakeWorker(exec func(experiments.Cell) ([]experiments.SweepRow, error)) 
 func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/cells":
-		f.posts.Add(1)
+		if f.posts.Add(1) == 1 && f.firstPost != nil {
+			f.firstPost()
+		}
 		if f.rejectPosts.Load() {
 			http.Error(w, "shedding", http.StatusServiceUnavailable)
 			return
@@ -206,6 +210,24 @@ func TestParseWorkers(t *testing.T) {
 	}
 }
 
+// rendezvousFirstPosts makes each fake's first POST block until the other fake
+// has been posted to. The fakes answer instantly, so without it one can drain
+// the whole grid before the other's first POST lands; with it "both workers
+// served" is structural.
+func rendezvousFirstPosts(t *testing.T, f1, f2 *fakeWorker) {
+	posted := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	for i, f := range []*fakeWorker{f1, f2} {
+		f.firstPost = func() {
+			close(posted[i])
+			select {
+			case <-posted[1-i]:
+			case <-time.After(10 * time.Second):
+				t.Errorf("worker %d was posted to but worker %d never was", i, 1-i)
+			}
+		}
+	}
+}
+
 // TestPoolRemoteMatchesLocal pins the core contract: a grid dispatched across
 // two healthy workers merges by index into exactly the rows local execution
 // produces, without touching the local executor.
@@ -214,6 +236,8 @@ func TestPoolRemoteMatchesLocal(t *testing.T) {
 	s1, s2 := httptest.NewServer(f1), httptest.NewServer(f2)
 	defer s1.Close()
 	defer s2.Close()
+
+	rendezvousFirstPosts(t, f1, f2)
 
 	reg := telemetry.NewRegistry()
 	opts := testOptions(s1.URL, s2.URL)
@@ -279,6 +303,7 @@ func TestPoolWorkerDiesMidGrid(t *testing.T) {
 	defer s2.Close()
 	dying.cutAfterLines.Store(1)
 	dying.rejectPosts.Store(false)
+	rendezvousFirstPosts(t, dying, healthy)
 
 	reg := telemetry.NewRegistry()
 	opts := testOptions(s1.URL, s2.URL)

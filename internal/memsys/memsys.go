@@ -107,10 +107,11 @@ type System struct {
 	// generations before re-entering the free lists, so a recycled object is
 	// never reused while a core-side observer may still dereference it (the
 	// window is at most one cycle past completion delivery). Free lists are
-	// per core — a request retires into the pool of the core that issued it —
-	// so the parallel driver's per-core workers allocate without contending:
-	// each worker only ever touches its own cores' pools, and a recycled
-	// object's last reader was that same core's completion path.
+	// per core: a request retires into the pool of the core that issued it.
+	// No caller needs the split, but the reuse order decides which dead
+	// object a core's stale reference aliases when a checkpoint is taken, so
+	// one shared list would change checkpoint bytes (never behaviour) and
+	// with them the ledger's exact runner.cache_disk_bytes count.
 	pooling     bool
 	pools       [][]*mem.Request
 	retiredNow  []*mem.Request
@@ -232,8 +233,7 @@ func (s *System) Submit(core int, addr uint64, isWrite bool, now uint64) *mem.Re
 }
 
 // newRequest allocates (or recycles from core's pool) a request with every
-// field initialized except the ID, which the injection path assigns. It only
-// touches per-core state, so concurrent callers for distinct cores are safe.
+// field initialized except the ID, which Submit assigns.
 func (s *System) newRequest(core int, addr uint64, isWrite bool, now uint64) *mem.Request {
 	var req *mem.Request
 	if pool := s.pools[core]; s.pooling && len(pool) > 0 {

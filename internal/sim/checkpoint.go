@@ -174,7 +174,7 @@ func RunToCheckpoint(ctx context.Context, opts Options, warmupCycles uint64) (*C
 		at:   warmupCycles,
 		ests: make([][][]accounting.Estimate, len(opts.Accountants)),
 	}
-	if err := st.run(ctx); err != nil {
+	if err := st.runFast(ctx); err != nil {
 		return nil, err
 	}
 	if st.cpOut == nil {
@@ -373,7 +373,7 @@ func RunFromCheckpoint(ctx context.Context, opts Options, cp *Checkpoint) (*Resu
 
 	st.startCycle = cp.Cycle
 	st.flushedCycle = cp.Cycle
-	if err := st.run(ctx); err != nil {
+	if err := st.runFast(ctx); err != nil {
 		return nil, err
 	}
 	return st.res, nil

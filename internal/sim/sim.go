@@ -5,7 +5,7 @@
 // aligned shared-mode / private-mode measurements the paper's evaluation
 // methodology requires (Section VI).
 //
-// One serial loop drives every run, with a skip policy that is on or off. By
+// One step loop drives every run, with a skip policy that is on or off. By
 // default the loop is event-driven: whenever every component proves itself
 // idle until some future cycle (cores fully stalled on memory, the memory
 // system waiting on DRAM timing), it jumps there in one step, applying the
@@ -92,15 +92,11 @@ type Options struct {
 	// build-tag-free for differential testing against the event-driven
 	// default. Results are byte-identical either way.
 	Reference bool
-	// Workers selects the parallel driver when > 1: the per-cycle core loop is
-	// split across that many OS threads (per-core workers own cpu.Core state
-	// and tick independently; a coordinator barriers at the shared-memory
-	// hand-off points and accountant epoch boundaries). Results are
-	// byte-identical to the serial drivers — the parallel driver replicates
-	// the serial submission order by staging requests per core and injecting
-	// them in core order at the barrier. 0 and 1 select the serial event
-	// driver; values above the core count are clamped to it; Reference runs
-	// always stay serial. Negative values fail validation.
+	// Workers is accepted and ignored: it selected the width of an
+	// intra-simulation threaded driver that was measured and removed. Negative
+	// values still fail validation. Its last reader is the benchmark ledger's
+	// sim.run_16c_workers2 probe; the field goes away with the next
+	// benchmark-only PR.
 	Workers int
 	// Metrics, when non-nil, receives run/interval/cycle counters. Updates
 	// are batched at interval boundaries so the hot loop stays untouched.
@@ -198,11 +194,6 @@ type runState struct {
 	res       *Result
 	maxCycles uint64
 
-	// workers is the resolved parallel width (1 = serial); stagers are the
-	// per-core submission façades the parallel driver wires into the cores.
-	workers int
-	stagers []*memsys.Stager
-
 	// startCycle is the first cycle the drivers simulate: 0 for a cold run,
 	// the checkpoint boundary for a forked run.
 	startCycle uint64
@@ -253,20 +244,10 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := st.run(ctx); err != nil {
+	if err := st.runFast(ctx); err != nil {
 		return nil, err
 	}
 	return st.res, nil
-}
-
-// run dispatches to the driver the options select: the parallel
-// worker/coordinator driver or the serial event loop (whose skip policy
-// Options.Reference turns off). Both produce byte-identical Results.
-func (st *runState) run(ctx context.Context) error {
-	if st.workers > 1 {
-		return st.runParallel(ctx)
-	}
-	return st.runFast(ctx)
 }
 
 // defaultMaxCyclesMultiplier derives the default cycle budget from the
@@ -291,29 +272,12 @@ func newRunState(opts Options) (*runState, error) {
 		maxCycles = defaultMaxCycles(opts.InstructionsPerCore)
 	}
 
-	// Resolve the worker count: the parallel driver engages only for the
-	// non-reference shared-mode drivers and never spreads wider than the CMP.
-	workers := 1
-	if opts.Workers > 1 && !opts.Reference {
-		workers = opts.Workers
-		if workers > opts.Config.Cores {
-			workers = opts.Config.Cores
-		}
-	}
-
 	shared, err := memsys.New(opts.Config)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Reference {
 		shared.DisableRecycling()
-	}
-	var stagers []*memsys.Stager
-	if workers > 1 {
-		stagers = make([]*memsys.Stager, opts.Config.Cores)
-		for i := range stagers {
-			stagers[i] = shared.Stager(i)
-		}
 	}
 	cores := make([]*cpu.Core, opts.Config.Cores)
 	sources := make([]trace.Source, opts.Config.Cores)
@@ -334,13 +298,7 @@ func newRunState(opts Options) (*runState, error) {
 			src = gen
 		}
 		sources[i] = src
-		// Under the parallel driver every core submits through its staging
-		// façade so the worker phase never contends on the shared system.
-		var ms cpu.MemorySystem = shared
-		if stagers != nil {
-			ms = stagers[i]
-		}
-		core, err := cpu.New(i, opts.Config, src, ms)
+		core, err := cpu.New(i, opts.Config, src, shared)
 		if err != nil {
 			return nil, err
 		}
@@ -387,8 +345,6 @@ func newRunState(opts Options) (*runState, error) {
 		sources:        sources,
 		res:            res,
 		maxCycles:      maxCycles,
-		workers:        workers,
-		stagers:        stagers,
 		sampleTaken:    make([]bool, len(cores)),
 		lastSnapshot:   make([]cpu.Stats, len(cores)),
 		intervals:      make([]cpu.Stats, len(cores)),
@@ -441,7 +397,7 @@ func (st *runState) tickCycle(now uint64) (done int) {
 	return done
 }
 
-// runFast is the serial event loop: after every simulated cycle it asks each
+// runFast is the step loop: after every simulated cycle it asks each
 // component for a lower bound on its next event and, when every bound lies
 // beyond the next cycle, jumps to the earliest one in a single step. The
 // skipped span's per-cycle bookkeeping (stall counters, probe snapshots, DRAM

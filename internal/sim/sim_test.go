@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/accounting"
@@ -58,6 +60,57 @@ func TestOptionsValidation(t *testing.T) {
 	opts.IntervalCycles = 0
 	if _, err := Run(opts); err == nil {
 		t.Error("zero interval accepted")
+	}
+}
+
+// TestWorkersValidation pins the inert-field contract of Options.Workers:
+// negative values are rejected, and every other value produces the Result of
+// the one step loop.
+func TestWorkersValidation(t *testing.T) {
+	opts := scenarioOptions(t, "bandwidth-bound", 4)
+	opts.Workers = -1
+	if _, err := Run(opts); err == nil {
+		t.Fatal("negative Workers accepted")
+	}
+
+	var want *Result
+	for _, workers := range []int{0, 2, 64} {
+		opts := scenarioOptions(t, "bandwidth-bound", 4)
+		opts.Workers = workers
+		got, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(want, got) {
+			t.Fatalf("Workers=%d changed the Result", workers)
+		}
+	}
+}
+
+// TestDefaultMaxCyclesSaturates pins the overflow fix: a huge instruction
+// sample must select an effectively unbounded default cycle budget instead of
+// silently wrapping to a tiny one (which produced empty results).
+func TestDefaultMaxCyclesSaturates(t *testing.T) {
+	if got := defaultMaxCycles(10); got != 5000 {
+		t.Fatalf("defaultMaxCycles(10) = %d, want 5000", got)
+	}
+	threshold := uint64(math.MaxUint64 / defaultMaxCyclesMultiplier)
+	if got := defaultMaxCycles(threshold); got == math.MaxUint64 || got < threshold {
+		t.Fatalf("defaultMaxCycles at the threshold wrapped: %d", got)
+	}
+	if got := defaultMaxCycles(threshold + 1); got != math.MaxUint64 {
+		t.Fatalf("defaultMaxCycles(threshold+1) = %d, want saturation", got)
+	}
+	opts := scenarioOptions(t, "bandwidth-bound", 4)
+	opts.InstructionsPerCore = math.MaxUint64 / 3
+	st, err := newRunState(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.maxCycles != math.MaxUint64 {
+		t.Fatalf("maxCycles = %d for a huge sample, want saturation at MaxUint64", st.maxCycles)
 	}
 }
 

@@ -21,13 +21,6 @@ type Metrics struct {
 	intervals atomic.Uint64
 	cycles    atomic.Uint64
 	ffCycles  atomic.Uint64
-
-	// Parallel-driver instrumentation: runs that used the worker/coordinator
-	// driver, the width of the most recent one, and the coordinator's sampled
-	// barrier-wait times (nil when the Metrics is not registry-backed).
-	parallelRuns atomic.Uint64
-	workersGauge atomic.Uint64
-	barrierWait  *telemetry.Histogram
 }
 
 // NewMetrics returns a Metrics registered on r under the gdpsim_sim_* family
@@ -42,14 +35,6 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		"Simulated cycles across all runs (including fast-forwarded spans).", m.cycles.Load)
 	r.CounterFunc("gdpsim_sim_fastforwarded_cycles_total",
 		"Cycles the event-driven driver skipped in closed form.", m.ffCycles.Load)
-	r.CounterFunc("gdpsim_sim_parallel_runs_total",
-		"Runs executed on the parallel worker/coordinator driver.", m.parallelRuns.Load)
-	r.GaugeFunc("gdpsim_sim_workers",
-		"Worker width of the most recent parallel simulation run.",
-		func() float64 { return float64(m.workersGauge.Load()) })
-	m.barrierWait = r.Histogram("gdpsim_sim_barrier_wait_seconds",
-		"Sampled coordinator wait at the parallel driver's cycle barriers.",
-		[]float64{1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3})
 	return m
 }
 
@@ -83,23 +68,6 @@ func (m *Metrics) FastForwardedCycles() uint64 {
 		return 0
 	}
 	return m.ffCycles.Load()
-}
-
-// ParallelRuns returns the runs executed on the parallel driver (0 for nil).
-func (m *Metrics) ParallelRuns() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.parallelRuns.Load()
-}
-
-// Workers returns the worker width of the most recent parallel run (0 for
-// nil, or when no parallel run has executed).
-func (m *Metrics) Workers() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.workersGauge.Load()
 }
 
 // flushMetrics publishes the cycles simulated since the last flush plus any
