@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet fmt-check bench bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
+.PHONY: all build test race fuzz-smoke vet fmt-check diet bench bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
 
 all: build test vet fmt-check
 
@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderStreaming -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +35,16 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# diet prints the five tracked size numbers (ROADMAP aim 2; down is good), so
+# every PR reports them with the same commands. Never fails the build.
+NONTEST_GO = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
+diet:
+	@echo "non-test Go lines outside benchmark/: $$($(NONTEST_GO) | xargs cat | wc -l)"
+	@echo "test Go lines outside benchmark/:     $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "gdpsim flag definitions:              $$(cat cmd/gdpsim/main.go cmd/gdpsim/trace.go | grep -cE 'fs\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|Var|[A-Za-z0-9]+Var)\(')"
+	@echo "root exported symbols:                $$(ls *.go | grep -v _test.go | xargs grep -hE '^(func|type|var|const) [A-Z]' | wc -l)"
+	@echo "gdpsim_* metric families:             $$($(NONTEST_GO) | xargs grep -hoE '"gdpsim_[a-z_]+"' | sort -u | wc -l)"
 
 # bench runs the ledger (benchmark/, declared in BENCHMARK.json) on its six
 # workloads untraced, one result file per workload under $(BENCH_OUT). Compare

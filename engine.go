@@ -51,12 +51,8 @@ type Engine struct {
 	registry *telemetry.Registry
 	instr    *experiments.Instrumentation
 
-	// workers is the Engine's default worker fleet (WithWorkers); pool is the
-	// long-lived dispatcher over it, sharing breaker state across sweeps.
-	// dispatchMetrics instruments every dispatcher the Engine builds,
-	// including the per-request pools of SweepWorkers.
-	workers         []string
-	pool            *dispatch.Pool
+	// dispatchMetrics instruments the per-call dispatcher pools of
+	// SweepWorkers.
 	dispatchMetrics *dispatch.Metrics
 }
 
@@ -146,22 +142,6 @@ func WithCheckpoints(warmupIntervals int) EngineOption {
 	}
 }
 
-// WithWorkers installs a default worker fleet: every Sweep the Engine runs is
-// sharded across the named `gdpsim serve` workers (base URLs or host[:port]
-// forms), with graceful degradation to local execution when the fleet is
-// unreachable. Rows are byte-identical to a local sweep. Malformed worker
-// URLs are rejected here, at construction, with a *dispatch.WorkerURLError.
-func WithWorkers(workers ...string) EngineOption {
-	return func(e *Engine) error {
-		parsed, err := dispatch.ParseWorkers(workers)
-		if err != nil {
-			return err
-		}
-		e.workers = parsed
-		return nil
-	}
-}
-
 // NewEngine constructs an Engine from functional options.
 func NewEngine(opts ...EngineOption) (*Engine, error) {
 	e := &Engine{scale: experiments.DefaultScale()}
@@ -177,17 +157,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 		e.cache.SetMaxBytes(e.cacheBudget)
 	}
 	e.initTelemetry()
-	if len(e.workers) > 0 {
-		pool, err := dispatch.NewPool(dispatch.Options{
-			Workers:   e.workers,
-			LocalJobs: e.jobs,
-			Metrics:   e.dispatchMetrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.pool = pool
-	}
 	return e, nil
 }
 
@@ -387,26 +356,22 @@ func (e *Engine) PartitioningStudy(ctx context.Context, opts PartitioningOptions
 	return experiments.PartitioningStudyContext(ctx, opts)
 }
 
-// Sweep runs a user-defined experiment grid through the Engine's worker pool,
-// or — when the Engine was built WithWorkers — through the distributed
-// dispatcher, with byte-identical rows either way. Unset Jobs/Cache/Progress
-// options inherit the Engine's, as does the checkpointed warmup-sharing
-// default (WithCheckpoints).
+// Sweep runs a user-defined experiment grid through the Engine's worker pool.
+// Unset Jobs/Cache/Progress options inherit the Engine's, as does the
+// checkpointed warmup-sharing default (WithCheckpoints).
 func (e *Engine) Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
 	if opts.WarmupIntervals == 0 {
 		opts.WarmupIntervals = e.warmupIntervals
-	}
-	if e.pool != nil {
-		return e.sweepDistributed(ctx, opts, e.pool)
 	}
 	return experiments.SweepContext(ctx, opts)
 }
 
 // SweepWorkers is Sweep sharded across an explicit worker fleet for this call
 // only (the `workers` field of POST /v1/sweep and the CLI's `-workers` flag).
-// An empty fleet falls back to the Engine's default behavior. The per-call
-// pool shares the Engine's dispatch telemetry but not its breaker state.
+// An empty fleet runs a local Sweep; rows are byte-identical either way. The
+// per-call pool reports into the Engine's dispatch telemetry, and its breaker
+// state does not outlive the call.
 func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []string) (*SweepResult, error) {
 	if len(workers) == 0 {
 		return e.Sweep(ctx, opts)
@@ -517,15 +482,6 @@ func (a cellCacheAdapter) Get(key string) ([]SweepRow, bool) {
 
 func (a cellCacheAdapter) Put(key string, rows []SweepRow) {
 	a.c.Put(key, rows)
-}
-
-// FleetHealth snapshots the Engine's default worker fleet for /healthz (nil
-// when the Engine has no fleet).
-func (e *Engine) FleetHealth() []dispatch.WorkerHealth {
-	if e.pool == nil {
-		return nil
-	}
-	return e.pool.FleetHealth()
 }
 
 // Figure3 regenerates Figures 3a/3b. A zero scale selects the Engine's.

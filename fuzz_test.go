@@ -1,9 +1,17 @@
 package gdp
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/dispatch"
+	"repro/internal/faultinject"
 )
 
 // FuzzEstimateRequestJSON fuzzes the v1 estimate request decode-and-validate
@@ -78,6 +86,71 @@ func FuzzSweepRequestJSON(f *testing.F) {
 		cells += coreN * len(opts.Scenarios) * prbN
 		if cells > maxSweepCells {
 			t.Fatalf("validate accepted a grid of %d cells (limit %d): %q", cells, maxSweepCells, data)
+		}
+	})
+}
+
+// FuzzCellsRequestJSON fuzzes the worker wire endpoint: arbitrary bytes posted
+// to /v1/cells must be refused with a 400 or answered with a well-formed
+// result stream — one line per posted cell, each carrying an index of the
+// batch, then the done line — and never panic. An armed cell.exec fault fails
+// every accepted cell before it simulates, so the decoder, validateCell and
+// the stream are exercised without running a simulation.
+func FuzzCellsRequestJSON(f *testing.F) {
+	f.Add([]byte(`{"api_version": "v2", "cells": [{"index": 0, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": 16, "seed": 1}}]}`))
+	f.Add([]byte(`{"api_version": "v2", "cells": [{"index": 7, "cell": {"kind": "scenario", "cores": 2, "scenario": "streaming", "prb": 32}}, {"index": 7, "cell": {"kind": "partitioning", "cores": 4, "mix": "M", "policies": ["UCP"]}}]}`))
+	f.Add([]byte(`{"api_version": "v1", "cells": [{"index": 0, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": 16}}]}`))
+	f.Add([]byte(`{"api_version": "v2"}`))
+	f.Add([]byte(`{"api_version": "v2", "cells": [{"index": -1, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": 16}}]}`))
+	f.Add([]byte(`{"api_version": "v2", "cells": [{"index": 0, "cell": {"kind": "nope", "cores": 100000, "instructions_per_core": 99999999999}}]}`))
+	f.Add([]byte(`{"api_version": "v2", "cells": [{"index": 0, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": -3, "warmup_intervals": 5000, "co_prb_sizes": [0]}}]}`))
+	f.Add([]byte(`{"api_version": "v2", "cells": [{}]} trailing`))
+
+	in, err := faultinject.Parse("cell.exec:err=EIO", 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	faultinject.SetActive(in)
+	defer faultinject.SetActive(nil)
+	srv, err := NewServer(&Engine{})
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cells", bytes.NewReader(data)))
+		if rec.Code == http.StatusBadRequest {
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d for %q, want 200 or 400", rec.Code, data)
+		}
+		var req dispatch.CellsRequest
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+			t.Fatalf("handler accepted %q, which does not decode: %v", data, err)
+		}
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		if len(lines) != len(req.Cells)+1 {
+			t.Fatalf("%d lines for a batch of %d cells:\n%s", len(lines), len(req.Cells), rec.Body.String())
+		}
+		for i, line := range lines {
+			var res dispatch.CellResult
+			if err := json.Unmarshal([]byte(line), &res); err != nil {
+				t.Fatalf("line %d %q: %v", i, line, err)
+			}
+			if last := i == len(lines)-1; res.Done != last {
+				t.Fatalf("line %d of %d: done = %v", i, len(lines), res.Done)
+			}
+			if res.Done {
+				continue
+			}
+			if !slices.ContainsFunc(req.Cells, func(env dispatch.CellEnvelope) bool { return env.Index == res.Index }) {
+				t.Fatalf("line %d answers index %d, which was not posted", i, res.Index)
+			}
+			if res.Error == "" || len(res.Rows) != 0 {
+				t.Fatalf("line %d: cell ran despite the armed cell.exec fault: %+v", i, res)
+			}
 		}
 	})
 }

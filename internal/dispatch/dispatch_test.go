@@ -23,10 +23,6 @@ import (
 type fakeWorker struct {
 	exec func(experiments.Cell) ([]experiments.SweepRow, error)
 
-	mu      sync.Mutex
-	batches map[string][]CellEnvelope
-	nextID  int
-
 	posts       atomic.Int64
 	streamLines atomic.Int64
 
@@ -38,72 +34,56 @@ type fakeWorker struct {
 	blockCell func(experiments.Cell) bool
 	// firstPost, when set, runs inside the first POST /v1/cells handler.
 	firstPost func()
+	// answerIndex, when set, rewrites the index a result line carries.
+	answerIndex func(int) int
 }
 
 func newFakeWorker(exec func(experiments.Cell) ([]experiments.SweepRow, error)) *fakeWorker {
-	return &fakeWorker{exec: exec, batches: map[string][]CellEnvelope{}}
+	return &fakeWorker{exec: exec}
 }
 
 func (f *fakeWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/v1/cells":
-		if f.posts.Add(1) == 1 && f.firstPost != nil {
-			f.firstPost()
-		}
-		if f.rejectPosts.Load() {
-			http.Error(w, "shedding", http.StatusServiceUnavailable)
-			return
-		}
-		var req CellsRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.APIVersion != ProtocolVersion {
-			http.Error(w, "bad request", http.StatusBadRequest)
-			return
-		}
-		f.mu.Lock()
-		f.nextID++
-		id := fmt.Sprintf("b%d", f.nextID)
-		f.batches[id] = req.Cells
-		f.mu.Unlock()
-		json.NewEncoder(w).Encode(CellsResponse{APIVersion: ProtocolVersion, BatchID: id, Cells: len(req.Cells)})
-	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cells/"):
-		id := strings.TrimPrefix(r.URL.Path, "/v1/cells/")
-		f.mu.Lock()
-		cells, ok := f.batches[id]
-		f.mu.Unlock()
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		enc := json.NewEncoder(w)
-		flusher, _ := w.(http.Flusher)
-		completed, failed := 0, 0
-		for _, env := range cells {
-			if f.blockCell != nil && f.blockCell(env.Cell) {
-				<-r.Context().Done()
-				panic(http.ErrAbortHandler)
-			}
-			if cut := f.cutAfterLines.Load(); cut > 0 && f.streamLines.Load() >= cut {
-				panic(http.ErrAbortHandler)
-			}
-			res := CellResult{Index: env.Index}
-			rows, err := f.exec(env.Cell)
-			if err != nil {
-				res.Error = err.Error()
-				failed++
-			} else {
-				res.Rows = rows
-				completed++
-			}
-			enc.Encode(res)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			f.streamLines.Add(1)
-		}
-		enc.Encode(CellResult{Done: true, Completed: completed, Failed: failed})
-	default:
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/cells" {
 		http.NotFound(w, r)
+		return
 	}
+	if f.posts.Add(1) == 1 && f.firstPost != nil {
+		f.firstPost()
+	}
+	if f.rejectPosts.Load() {
+		http.Error(w, "shedding", http.StatusServiceUnavailable)
+		return
+	}
+	var req CellsRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.APIVersion != ProtocolVersion {
+		http.Error(w, "bad request", http.StatusBadRequest)
+		return
+	}
+	enc := json.NewEncoder(w)
+	w.(http.Flusher).Flush()
+	for _, env := range req.Cells {
+		if f.blockCell != nil && f.blockCell(env.Cell) {
+			<-r.Context().Done()
+			panic(http.ErrAbortHandler)
+		}
+		if cut := f.cutAfterLines.Load(); cut > 0 && f.streamLines.Load() >= cut {
+			panic(http.ErrAbortHandler)
+		}
+		res := CellResult{Index: env.Index}
+		if f.answerIndex != nil {
+			res.Index = f.answerIndex(env.Index)
+		}
+		rows, err := f.exec(env.Cell)
+		if err != nil {
+			res.Error = err.Error()
+		} else {
+			res.Rows = rows
+		}
+		enc.Encode(res)
+		w.(http.Flusher).Flush()
+		f.streamLines.Add(1)
+	}
+	enc.Encode(CellResult{Done: true})
 }
 
 // fakeRows is the pure "simulation" of the scheduling tests: rows derived
@@ -363,18 +343,42 @@ func TestPoolAllWorkersUnhealthy(t *testing.T) {
 	if local.calls.Load() == 0 {
 		t.Fatal("local executor never ran despite a dead fleet")
 	}
-	health := pool.FleetHealth()
-	open := 0
-	for _, h := range health {
-		if h.State == "open" {
-			open++
-			if h.LastError == "" {
-				t.Errorf("open worker %s lost its last error", h.URL)
-			}
-		}
+	if opts.Metrics.BreakerOpen.With(s1.URL).Value()+opts.Metrics.BreakerOpen.With(s2.URL).Value() == 0 {
+		t.Fatal("no breaker opened")
 	}
-	if open == 0 {
-		t.Fatalf("no breaker opened: %+v", health)
+}
+
+// TestPoolForeignIndexRejected: a worker that labels its results with the
+// index of a cell it was never sent must not complete that other cell with the
+// wrong rows. The answer is a protocol violation that fails the batch like a
+// cut stream, so the cells are retried and finally run locally.
+func TestPoolForeignIndexRejected(t *testing.T) {
+	f := newFakeWorker(fakeExec)
+	f.answerIndex = func(i int) int { return i + 1 }
+	s := httptest.NewServer(f)
+	defer s.Close()
+
+	opts := testOptions(s.URL)
+	opts.BatchSize = 1 // every answered index is outside its one-cell batch
+	opts.Metrics = NewMetrics(telemetry.NewRegistry())
+	pool, err := NewPool(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := testCells(4)
+	var local localCounter
+	got, err := pool.Run(context.Background(), cells, RunConfig{Local: local.fn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := wantGroups(cells); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a foreign index completed the wrong cell:\ngot  %v\nwant %v", got, want)
+	}
+	if opts.Metrics.WorkerFailures.With(s.URL).Value() == 0 {
+		t.Fatal("foreign index was not counted as a worker failure")
+	}
+	if n := opts.Metrics.Cells.With("completed").Value(); n != 0 {
+		t.Fatalf("%d cells completed remotely from mislabelled results", n)
 	}
 }
 

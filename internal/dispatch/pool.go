@@ -126,21 +126,6 @@ func NewPool(opts Options) (*Pool, error) {
 	return p, nil
 }
 
-// Workers returns the normalized fleet URLs.
-func (p *Pool) Workers() []string {
-	return append([]string(nil), p.opts.Workers...)
-}
-
-// FleetHealth snapshots every worker's health for /healthz.
-func (p *Pool) FleetHealth() []WorkerHealth {
-	now := time.Now()
-	out := make([]WorkerHealth, 0, len(p.workers))
-	for _, w := range p.workers {
-		out = append(out, w.health(now))
-	}
-	return out
-}
-
 // LocalFunc executes one cell in-process (the graceful-degradation path).
 type LocalFunc func(ctx context.Context, cell experiments.Cell) ([]experiments.SweepRow, error)
 
@@ -508,9 +493,6 @@ func (r *run) workerLoop(ctx context.Context, wi int) {
 		o.Metrics.cells("dispatched", len(batch))
 		start := time.Now()
 		err := w.runBatch(ctx, batch, func(res CellResult) {
-			if res.Index < 0 || res.Index >= len(r.cells) {
-				return // protocol violation; the batch check below rescheduls
-			}
 			if res.Error != "" {
 				if res.Retryable {
 					// Worker-state error (shutdown, batch timeout), not a
@@ -529,7 +511,7 @@ func (r *run) workerLoop(ctx context.Context, wi int) {
 				return // run is ending; the "failure" is our own cancellation
 			}
 			o.Metrics.workerFailure(w.url)
-			backoff, tripped := w.failure(err, o)
+			backoff, tripped := w.failure(o)
 			if tripped {
 				o.Metrics.breaker(w.url, true)
 			}
@@ -541,8 +523,8 @@ func (r *run) workerLoop(ctx context.Context, wi int) {
 		}
 		w.success()
 		o.Metrics.breaker(w.url, false)
-		// A worker that acknowledged the batch but omitted cells from the
-		// stream (despite the done line) forfeits them back to the queue.
+		// A worker that sent the done line but omitted cells from the stream
+		// forfeits them back to the queue.
 		o.Metrics.cells("retried", r.unclaim(wi, batch))
 	}
 }

@@ -21,7 +21,7 @@ import (
 // ProtocolVersion is the worker wire protocol version. A worker rejects a
 // batch whose api_version it does not speak, so a mixed-version fleet fails
 // loudly at dispatch time instead of corrupting a sweep.
-const ProtocolVersion = "v1"
+const ProtocolVersion = "v2"
 
 // CellEnvelope pairs a cell with its index in the dispatcher's grid, so
 // streamed results merge back by position no matter which worker ran them or
@@ -32,37 +32,25 @@ type CellEnvelope struct {
 }
 
 // CellsRequest is the body of POST /v1/cells: one batch of spec-keyed cells
-// to execute.
+// to execute. The response is the batch's NDJSON result stream.
 type CellsRequest struct {
 	APIVersion string         `json:"api_version"`
 	Cells      []CellEnvelope `json:"cells"`
 }
 
-// CellsResponse acknowledges an accepted batch. Results are streamed
-// separately from GET /v1/cells/{batch_id}.
-type CellsResponse struct {
-	APIVersion string `json:"api_version"`
-	BatchID    string `json:"batch_id"`
-	Cells      int    `json:"cells"`
-}
-
-// CellResult is one NDJSON line of GET /v1/cells/{id}: a completed cell (Rows
-// set), a failed cell (Error set), or the terminal line (Done true) that
-// closes the stream. SpecKey is the cell's content hash, echoed so the
-// dispatcher can populate its own cache without re-hashing.
+// CellResult is one NDJSON line of the POST /v1/cells response: a completed
+// cell (Rows set), a failed cell (Error set), or the terminal line (Done
+// true) that closes the stream. Lines arrive in completion order.
 type CellResult struct {
-	Index   int                    `json:"index"`
-	SpecKey string                 `json:"spec_key,omitempty"`
-	Rows    []experiments.SweepRow `json:"rows,omitempty"`
-	Error   string                 `json:"error,omitempty"`
+	Index int                    `json:"index"`
+	Rows  []experiments.SweepRow `json:"rows,omitempty"`
+	Error string                 `json:"error,omitempty"`
 	// Retryable marks an error that reflects the worker's state (shutdown,
 	// batch timeout) rather than the cell itself: the dispatcher reschedules
 	// the cell instead of failing the sweep.
 	Retryable bool `json:"retryable,omitempty"`
 
-	Done      bool `json:"done,omitempty"`
-	Completed int  `json:"completed,omitempty"`
-	Failed    int  `json:"failed,omitempty"`
+	Done bool `json:"done,omitempty"`
 }
 
 // WorkerURLError reports a malformed worker address. It is a typed error so

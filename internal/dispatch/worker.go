@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,16 +34,6 @@ type workerClient struct {
 	mu        sync.Mutex
 	fails     int       // consecutive transport failures
 	openUntil time.Time // breaker open until this instant (zero = closed)
-	lastErr   string
-}
-
-// WorkerHealth is one worker's health snapshot, JSON-ready for /healthz.
-type WorkerHealth struct {
-	URL string `json:"url"`
-	// State is "healthy" or "open" (circuit breaker tripped).
-	State               string `json:"state"`
-	ConsecutiveFailures int    `json:"consecutive_failures"`
-	LastError           string `json:"last_error,omitempty"`
 }
 
 // healthy reports whether the worker is eligible for new batches now.
@@ -52,38 +43,20 @@ func (w *workerClient) healthy(now time.Time) bool {
 	return now.After(w.openUntil)
 }
 
-// health snapshots the worker for /healthz.
-func (w *workerClient) health(now time.Time) WorkerHealth {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	state := "healthy"
-	if !now.After(w.openUntil) {
-		state = "open"
-	}
-	return WorkerHealth{
-		URL:                 w.url,
-		State:               state,
-		ConsecutiveFailures: w.fails,
-		LastError:           w.lastErr,
-	}
-}
-
 // success resets the failure streak and closes the breaker.
 func (w *workerClient) success() {
 	w.mu.Lock()
 	w.fails = 0
 	w.openUntil = time.Time{}
-	w.lastErr = ""
 	w.mu.Unlock()
 }
 
 // failure records one transport failure and returns the backoff to sleep plus
 // whether this failure tripped the breaker open.
-func (w *workerClient) failure(err error, o Options) (backoff time.Duration, tripped bool) {
+func (w *workerClient) failure(o Options) (backoff time.Duration, tripped bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.fails++
-	w.lastErr = err.Error()
 	// Jittered exponential backoff on the failure streak.
 	d := o.BackoffBase << (w.fails - 1)
 	if d > o.BackoffMax || d <= 0 {
@@ -97,11 +70,12 @@ func (w *workerClient) failure(err error, o Options) (backoff time.Duration, tri
 	return d, tripped
 }
 
-// runBatch executes one batch on the worker: POST the cells, then stream the
-// NDJSON results, invoking onResult for every per-cell line. It returns nil
-// only after the terminal done line; any transport or protocol problem —
-// connection failure, non-2xx status, stream cut before done — is an error
-// and the caller rescheduls the batch's unfinished cells.
+// runBatch executes one batch on the worker: POST the cells and scan the
+// NDJSON result stream the worker answers with, invoking onResult for every
+// per-cell line. It returns nil only after the terminal done line; any
+// transport or protocol problem — connection failure, non-200 status, a result
+// for a cell that was not in the batch, stream cut before done — is an error
+// and the caller reschedules the batch's unfinished cells.
 func (w *workerClient) runBatch(ctx context.Context, cells []CellEnvelope, onResult func(CellResult)) error {
 	body, err := json.Marshal(CellsRequest{APIVersion: ProtocolVersion, Cells: cells})
 	if err != nil {
@@ -119,27 +93,15 @@ func (w *workerClient) runBatch(ctx context.Context, cells []CellEnvelope, onRes
 	if err != nil {
 		return err
 	}
-	ack, err := decodeAck(resp)
-	if err != nil {
-		return err
-	}
-
-	streamReq, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/cells/"+ack.BatchID, nil)
-	if err != nil {
-		return err
-	}
-	streamResp, err := w.client.Do(streamReq)
-	if err != nil {
-		return err
-	}
 	defer func() {
-		io.Copy(io.Discard, io.LimitReader(streamResp.Body, 1<<16))
-		streamResp.Body.Close()
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		resp.Body.Close()
 	}()
-	if streamResp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dispatch: worker %s stream: %s", w.url, streamResp.Status)
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("dispatch: worker %s rejected batch: %s: %s", w.url, resp.Status, bytes.TrimSpace(msg))
 	}
-	sc := bufio.NewScanner(streamResp.Body)
+	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, initialResultLineBytes), maxResultLineBytes)
 	for sc.Scan() {
 		// An injected dispatch.stream cut severs the result stream mid-flight,
@@ -158,33 +120,15 @@ func (w *workerClient) runBatch(ctx context.Context, cells []CellEnvelope, onRes
 		if res.Done {
 			return nil
 		}
+		// The index comes off the network: only a cell of this batch may be
+		// completed by it, or another cell would silently get these rows.
+		if !slices.ContainsFunc(cells, func(env CellEnvelope) bool { return env.Index == res.Index }) {
+			return fmt.Errorf("dispatch: worker %s answered cell %d, which is not in the batch", w.url, res.Index)
+		}
 		onResult(res)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("dispatch: worker %s stream cut: %w", w.url, err)
 	}
 	return fmt.Errorf("dispatch: worker %s stream ended before done line", w.url)
-}
-
-// decodeAck reads and validates the batch acknowledgement.
-func decodeAck(resp *http.Response) (CellsResponse, error) {
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-	}()
-	var ack CellsResponse
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return ack, fmt.Errorf("dispatch: worker rejected batch: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return ack, fmt.Errorf("dispatch: bad batch ack: %w", err)
-	}
-	if ack.APIVersion != ProtocolVersion {
-		return ack, fmt.Errorf("dispatch: worker speaks protocol %q, want %q", ack.APIVersion, ProtocolVersion)
-	}
-	if ack.BatchID == "" {
-		return ack, fmt.Errorf("dispatch: worker ack missing batch id")
-	}
-	return ack, nil
 }

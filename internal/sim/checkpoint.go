@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/config"
-	gdpcore "repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/memsys"
@@ -377,72 +376,4 @@ func RunFromCheckpoint(ctx context.Context, opts Options, cp *Checkpoint) (*Resu
 		return nil, err
 	}
 	return st.res, nil
-}
-
-// PrivateCheckpoint is the private-mode counterpart of Checkpoint: a complete
-// snapshot of a RunPrivate simulation at an arbitrary cycle.
-type PrivateCheckpoint struct {
-	Version int    `json:"version"`
-	Cycle   uint64 `json:"cycle"`
-
-	Config       *config.CMPConfig  `json:"config"`
-	Benchmark    workload.Benchmark `json:"benchmark"`
-	SamplePoints []uint64           `json:"sample_points"`
-	Seed         int64              `json:"seed"`
-
-	Requests []mem.Request     `json:"requests"`
-	Core     cpu.CoreState     `json:"core"`
-	Memsys   memsys.State      `json:"memsys"`
-	Source   trace.SourceState `json:"source"`
-	Ref      gdpcore.State     `json:"ref"`
-
-	Next      int         `json:"next"`
-	At        []cpu.Stats `json:"at,omitempty"`
-	CPLAt     []uint64    `json:"cpl_at,omitempty"`
-	OverlapAt []float64   `json:"overlap_at,omitempty"`
-}
-
-// validatePrivateFork checks that a private checkpoint matches the fork's
-// parameters.
-func (cp *PrivateCheckpoint) validatePrivateFork(cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) error {
-	switch {
-	case cp.Version != CheckpointVersion:
-		return mismatchf("private checkpoint version %d, this build speaks %d", cp.Version, CheckpointVersion)
-	case !reflect.DeepEqual(cfg, cp.Config):
-		return mismatchf("CMP configuration diverges from the private checkpoint's")
-	case !reflect.DeepEqual(bench, cp.Benchmark):
-		return mismatchf("benchmark diverges from the private checkpoint's")
-	case !reflect.DeepEqual(samplePoints, cp.SamplePoints):
-		return mismatchf("sample points diverge from the private checkpoint's")
-	case seed != cp.Seed:
-		return mismatchf("seed %d, private checkpoint used %d", seed, cp.Seed)
-	case maxCycles != 0 && maxCycles <= cp.Cycle:
-		return mismatchf("cycle budget %d not beyond the checkpoint cycle %d", maxCycles, cp.Cycle)
-	}
-	return nil
-}
-
-// RunPrivateToCheckpoint simulates the first warmupCycles cycles of a
-// private-mode run and returns the snapshot. If the run reaches its last
-// sample point before the boundary, ErrWarmupTooLong is returned.
-func RunPrivateToCheckpoint(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, warmupCycles uint64) (*PrivateCheckpoint, error) {
-	if warmupCycles == 0 {
-		return nil, fmt.Errorf("sim: private warmup must be positive")
-	}
-	_, cp, err := runPrivate(ctx, cfg, bench, samplePoints, seed, 0, privateRunConfig{stopAt: warmupCycles})
-	if err != nil {
-		return nil, err
-	}
-	if cp == nil {
-		return nil, ErrWarmupTooLong
-	}
-	return cp, nil
-}
-
-// RunPrivateFromCheckpoint forks a private-mode run from a checkpoint and
-// continues it to completion. The PrivateReference is byte-identical to a
-// cold RunPrivateContext with the same parameters.
-func RunPrivateFromCheckpoint(ctx context.Context, cp *PrivateCheckpoint, maxCycles uint64) (*PrivateReference, error) {
-	ref, _, err := runPrivate(ctx, cp.Config, cp.Benchmark, cp.SamplePoints, cp.Seed, maxCycles, privateRunConfig{resume: cp})
-	return ref, err
 }

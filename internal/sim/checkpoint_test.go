@@ -342,42 +342,6 @@ func TestWarmupTooLongReported(t *testing.T) {
 	}
 }
 
-// TestPrivateForkMatchesColdAcrossScenarios is the private-mode differential:
-// for every scenario, a private run forked from a checkpoint must equal the
-// cold private run exactly.
-func TestPrivateForkMatchesColdAcrossScenarios(t *testing.T) {
-	ctx := context.Background()
-	for _, name := range workload.ScenarioNames() {
-		t.Run(name, func(t *testing.T) {
-			sc, err := workload.ScenarioByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wl, err := sc.Workload(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := config.ScaledConfig(1)
-			points := []uint64{1000, 2500, 4000}
-			cold, err := RunPrivateContext(ctx, cfg, wl.Benchmarks[0], points, 11, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp, err := RunPrivateToCheckpoint(ctx, cfg, wl.Benchmarks[0], points, 11, 3000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			forked, err := RunPrivateFromCheckpoint(ctx, cp, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cold, forked) {
-				t.Fatalf("private fork diverges:\ncold:   %+v\nforked: %+v", cold, forked)
-			}
-		})
-	}
-}
-
 // TestSnapshotRoundTripProperty is the fuzzed snapshot round-trip property:
 // over randomized (scenario, split point, seed) triples, Snapshot -> Restore
 // -> run N cycles must equal the uninterrupted run. The cases are drawn from

@@ -26,7 +26,6 @@ import (
 	gdpcore "repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/partition"
 	"repro/internal/trace"
@@ -650,53 +649,44 @@ const privateCancelCheckCycles = 4096
 // privateCancelCheckCycles cycles. It uses the event-driven fast driver;
 // RunPrivateReference is the cycle-by-cycle twin for differential tests.
 func RunPrivateContext(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
-	ref, _, err := runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, privateRunConfig{})
-	return ref, err
+	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, false)
 }
 
 // RunPrivateReference executes a private-mode run with event skipping and
 // request pooling disabled (the pre-optimization engine). Kept for
 // differential testing against RunPrivateContext.
 func RunPrivateReference(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
-	ref, _, err := runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, privateRunConfig{reference: true})
-	return ref, err
+	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, true)
 }
 
-// privateRunConfig selects a private run's driver variant: the cycle-by-cycle
-// reference engine, a prefix run stopping at a checkpoint, or a fork resuming
-// from one.
-type privateRunConfig struct {
-	reference bool
-	stopAt    uint64             // snapshot-and-stop cycle (0 = run to completion)
-	resume    *PrivateCheckpoint // state to fork from (nil = cold start)
-}
-
-func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64, prc privateRunConfig) (*PrivateReference, *PrivateCheckpoint, error) {
+// runPrivate is the one private-mode loop: reference selects the
+// cycle-by-cycle engine (no event skipping, no request pooling).
+func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64, reference bool) (*PrivateReference, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	shared, err := memsys.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if prc.reference {
+	if reference {
 		shared.DisableRecycling()
 	}
 	gen, err := bench.NewGenerator(seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	core, err := cpu.New(0, cfg, gen, shared)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Reference dataflow unit: effectively unbounded PRB, overlap tracking on.
 	ref, err := gdpcore.New(gdpcore.Options{PRBEntries: 4096, TrackOverlap: true})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	core.AttachProbe(ref)
 
@@ -715,58 +705,10 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	out := &PrivateReference{Benchmark: bench.Name}
 	next := 0
 	now := uint64(0)
-	if cp := prc.resume; cp != nil {
-		if err := cp.validatePrivateFork(cfg, bench, samplePoints, seed, maxCycles); err != nil {
-			return nil, nil, err
-		}
-		rt := mem.NewRestoreTable(cp.Requests)
-		if err := shared.Restore(cp.Memsys, rt); err != nil {
-			return nil, nil, err
-		}
-		if err := core.Restore(cp.Core, rt); err != nil {
-			return nil, nil, err
-		}
-		if err := trace.RestoreSource(gen, cp.Source); err != nil {
-			return nil, nil, err
-		}
-		if err := ref.Restore(cp.Ref); err != nil {
-			return nil, nil, err
-		}
-		next = cp.Next
-		out.At = append(out.At, cp.At...)
-		out.CPLAt = append(out.CPLAt, cp.CPLAt...)
-		out.OverlapAt = append(out.OverlapAt, cp.OverlapAt...)
-		now = cp.Cycle
-	}
 	for now < maxCycles {
-		if prc.stopAt != 0 && now >= prc.stopAt {
-			t := mem.NewSnapshotTable()
-			cp := &PrivateCheckpoint{
-				Version:      CheckpointVersion,
-				Cycle:        now,
-				Config:       cfg,
-				Benchmark:    bench,
-				SamplePoints: samplePoints,
-				Seed:         seed,
-				Core:         core.Snapshot(t),
-				Memsys:       shared.Snapshot(t),
-				Ref:          ref.Snapshot(),
-				Next:         next,
-				At:           append([]cpu.Stats(nil), out.At...),
-				CPLAt:        append([]uint64(nil), out.CPLAt...),
-				OverlapAt:    append([]float64(nil), out.OverlapAt...),
-			}
-			src, err := trace.SnapshotSource(gen)
-			if err != nil {
-				return nil, nil, err
-			}
-			cp.Source = src
-			cp.Requests = t.Requests
-			return nil, cp, nil
-		}
 		if now%privateCancelCheckCycles == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		shared.Tick(now)
@@ -786,7 +728,7 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 			break
 		}
 
-		if prc.reference {
+		if reference {
 			now++
 			continue
 		}
@@ -801,12 +743,6 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 			}
 			if skipTo > maxCycles {
 				skipTo = maxCycles
-			}
-			// Never skip past a pending checkpoint cycle. Splitting an idle
-			// span at the boundary is exact: FastForward is additive over
-			// adjacent spans.
-			if prc.stopAt != 0 && skipTo > prc.stopAt {
-				skipTo = prc.stopAt
 			}
 		}
 		if skipTo > now+1 {
@@ -825,5 +761,5 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 		out.CPLAt = append(out.CPLAt, 0)
 		out.OverlapAt = append(out.OverlapAt, 0)
 	}
-	return out, nil, nil
+	return out, nil
 }

@@ -602,9 +602,9 @@ type Server struct {
 	// pprofEnabled mounts net/http/pprof under /debug/pprof/.
 	pprofEnabled bool
 	metrics      *httpServerMetrics
-	// batches, cellSem and dispatchSrv form the worker side of the
+	// batchSem, cellSem and dispatchSrv form the worker side of the
 	// distributed dispatch protocol (see service_cells.go).
-	batches     *batchRegistry
+	batchSem    chan struct{}
 	cellSem     chan struct{}
 	dispatchSrv *dispatchServerMetrics
 	// coalesce merges concurrent identical estimate requests into one
@@ -698,7 +698,7 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 		maxBodyBytes: 1 << 20,
 		logger:       slog.New(slog.DiscardHandler),
 		metrics:      newHTTPServerMetrics(engine.registry),
-		batches:      newBatchRegistry(),
+		batchSem:     make(chan struct{}, maxActiveCellBatches),
 		dispatchSrv:  newDispatchServerMetrics(engine.registry),
 	}
 	for _, opt := range opts {
@@ -725,7 +725,6 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", handleJSON(s, s.engine.EvaluateSweep)))
 	s.mux.HandleFunc("/v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarios))
 	s.mux.HandleFunc("/v1/cells", s.instrument("/v1/cells", s.handleCellsPost))
-	s.mux.HandleFunc("/v1/cells/", s.instrument("/v1/cells/{id}", s.handleCellStream))
 	if s.pprofEnabled {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -747,6 +746,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+// Unwrap lets http.ResponseController reach the real writer's Flush.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // requestInfo carries per-request annotations from the handler back to the
 // instrument wrapper (currently the result-cache spec-key prefix, set by
@@ -834,18 +836,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stats := s.engine.Cache().DetailedStats()
-	body := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status":       "ok",
 		"api_version":  APIVersion,
 		"git_revision": gitRevision(),
 		"cache_hits":   stats.MemoryHits + stats.DiskHits + stats.InflightJoins,
 		"cache_misses": stats.Misses,
 		"cache":        stats,
-	}
-	if fleet := s.engine.FleetHealth(); fleet != nil {
-		body["fleet"] = fleet
-	}
-	writeJSON(w, http.StatusOK, body)
+	})
 }
 
 // gitRevision returns the VCS revision stamped into the binary by the Go

@@ -2,13 +2,10 @@ package gdp
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,123 +23,25 @@ import (
 // produce one, and the cell may well succeed elsewhere).
 var errCellPanic = errors.New("cell execution panicked")
 
-// Worker wire protocol (the server side of internal/dispatch):
+// Worker wire protocol (the server side of internal/dispatch), one request
+// per batch:
 //
-//	POST /v1/cells       dispatch.CellsRequest -> dispatch.CellsResponse
-//	GET  /v1/cells/{id}  NDJSON stream of dispatch.CellResult lines
+//	POST /v1/cells  dispatch.CellsRequest -> NDJSON dispatch.CellResult lines
 //
-// A batch executes asynchronously on the worker's cell pool; the result
-// stream replays every line already produced and then follows live, so a
-// dispatcher that reconnects after a network blip loses nothing. Each cell
-// runs through the engine's two-layer cache under its spec key — a repeated
-// cell (from any dispatcher, or from this worker's own local sweeps) is
-// answered without re-simulation.
+// The batch executes on the worker's cell pool while the response streams one
+// line per cell in completion order and the terminal done line last. A
+// dispatcher whose stream is cut re-posts the unfinished cells as a new batch:
+// each cell runs through the engine's two-layer cache under its spec key, so a
+// repeated cell (from any dispatcher, or from this worker's own local sweeps)
+// is answered without re-simulation or joins the execution still in flight.
 
 const (
 	// maxActiveCellBatches bounds concurrently executing batches; excess
 	// POSTs shed with 503 like the JSON endpoints.
 	maxActiveCellBatches = 8
-	// cellBatchRetention keeps a finished batch's lines available for replay.
-	cellBatchRetention = 5 * time.Minute
 	// cellBatchMaxAge hard-caps a batch's lifetime, execution included.
 	cellBatchMaxAge = 30 * time.Minute
 )
-
-// cellBatch is one accepted batch: its result lines (already JSON-encoded,
-// newline-free) and the completion state. Lines are retained until the batch
-// expires so result streams can replay from the start.
-type cellBatch struct {
-	id      string
-	created time.Time
-
-	mu      sync.Mutex
-	lines   []json.RawMessage
-	done    bool
-	doneAt  time.Time
-	changed chan struct{} // replaced on every append; closed to wake streams
-}
-
-// append encodes one result line and wakes every follower.
-func (b *cellBatch) append(res dispatch.CellResult) {
-	raw, err := json.Marshal(res)
-	if err != nil {
-		raw, _ = json.Marshal(dispatch.CellResult{Index: res.Index, Error: err.Error()})
-	}
-	b.mu.Lock()
-	b.lines = append(b.lines, raw)
-	if res.Done {
-		b.done = true
-		b.doneAt = time.Now()
-	}
-	close(b.changed)
-	b.changed = make(chan struct{})
-	b.mu.Unlock()
-}
-
-// batchRegistry tracks the server's batches.
-type batchRegistry struct {
-	mu      sync.Mutex
-	batches map[string]*cellBatch
-}
-
-func newBatchRegistry() *batchRegistry {
-	return &batchRegistry{batches: map[string]*cellBatch{}}
-}
-
-// prune drops finished batches past the replay retention and any batch past
-// the hard age cap. Called on every POST; the registry stays O(active).
-func (r *batchRegistry) prune(now time.Time) {
-	for id, b := range r.batches {
-		b.mu.Lock()
-		expired := (b.done && now.Sub(b.doneAt) > cellBatchRetention) ||
-			now.Sub(b.created) > cellBatchMaxAge
-		b.mu.Unlock()
-		if expired {
-			delete(r.batches, id)
-		}
-	}
-}
-
-// admit registers a new batch if the active count allows it.
-func (r *batchRegistry) admit(now time.Time) (*cellBatch, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.prune(now)
-	active := 0
-	for _, b := range r.batches {
-		b.mu.Lock()
-		if !b.done {
-			active++
-		}
-		b.mu.Unlock()
-	}
-	if active >= maxActiveCellBatches {
-		return nil, false
-	}
-	buf := make([]byte, 8)
-	if _, err := rand.Read(buf); err != nil {
-		return nil, false
-	}
-	b := &cellBatch{
-		id:      hex.EncodeToString(buf),
-		created: now,
-		changed: make(chan struct{}),
-	}
-	r.batches[b.id] = b
-	return b, true
-}
-
-// get looks a batch up for streaming, pruning expired batches first: an idle
-// worker that only ever serves reads after a dispatch burst still drops
-// retired batches (and their retained result lines) the next time any stream
-// attaches, instead of holding them until the next POST.
-func (r *batchRegistry) get(id string, now time.Time) (*cellBatch, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.prune(now)
-	b, ok := r.batches[id]
-	return b, ok
-}
 
 // dispatchServerMetrics instruments the worker side of the protocol.
 type dispatchServerMetrics struct {
@@ -189,7 +88,8 @@ func validateCell(c experiments.Cell) error {
 	return nil
 }
 
-// handleCellsPost accepts one batch of cells and starts executing it.
+// handleCellsPost accepts one batch of cells, starts executing it and streams
+// the results on the same response.
 func (s *Server) handleCellsPost(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -225,38 +125,71 @@ func (s *Server) handleCellsPost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	b, ok := s.batches.admit(time.Now())
-	if !ok {
+	select {
+	case s.batchSem <- struct{}{}:
+	default:
 		s.metrics.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "batch limit reached")
 		return
 	}
 	s.dispatchSrv.activeBatches.Inc()
-	go s.runCellBatch(b, req.Cells)
-	writeJSON(w, http.StatusOK, dispatch.CellsResponse{
-		APIVersion: dispatch.ProtocolVersion,
-		BatchID:    b.id,
-		Cells:      len(req.Cells),
-	})
+	// Buffered for the whole batch and its done line: cells never block on a
+	// reader that went away, so the batch keeps executing into the cache
+	// after a cut stream.
+	results := make(chan dispatch.CellResult, len(req.Cells)+1)
+	go s.runCellBatch(req.Cells, results)
+	if err := streamCellResults(r.Context(), w, results); err != nil {
+		s.logger.Warn("cell stream cut; the batch keeps executing", "err", err)
+	}
 }
 
-// runCellBatch executes a batch on the server's cell pool, appending each
-// result line the moment its cell finishes (completion order — the dispatcher
-// merges by index). Cells flow through the engine cache under their spec
-// keys, so repeats are answered without simulation and local sweeps on this
-// worker reuse dispatched results.
-func (s *Server) runCellBatch(b *cellBatch, cells []dispatch.CellEnvelope) {
+// streamCellResults writes the batch's result lines as they arrive, flushing
+// each, and returns after the done line, on the first write or flush error,
+// or when ctx ends (the client went away).
+func streamCellResults(ctx context.Context, w http.ResponseWriter, results <-chan dispatch.CellResult) error {
+	// The dispatcher bounds its wait for the response headers, so they go out
+	// before the first cell finishes.
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flush := http.NewResponseController(w).Flush
+	if err := flush(); err != nil {
+		return err
+	}
+	for {
+		select {
+		case res := <-results:
+			line, err := json.Marshal(res)
+			if err != nil {
+				line, _ = json.Marshal(dispatch.CellResult{Index: res.Index, Error: err.Error()})
+			}
+			if _, err := w.Write(append(line, '\n')); err != nil {
+				return err
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+			if res.Done {
+				return nil
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// runCellBatch executes a batch on the server's cell pool, sending each result
+// the moment its cell finishes (completion order — the dispatcher merges by
+// index) and the done line after the last. It runs under the server-lifetime
+// deadline, not the request's. Cells flow through the engine cache under their
+// spec keys, so repeats are answered without simulation and local sweeps on
+// this worker reuse dispatched results.
+func (s *Server) runCellBatch(cells []dispatch.CellEnvelope, results chan<- dispatch.CellResult) {
 	ctx, cancel := context.WithTimeout(context.Background(), cellBatchMaxAge)
 	defer cancel()
 	cache := s.engine.Cache()
 	cfg := experiments.CellConfig{Cache: cache, Instr: s.engine.instr}
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		completed int
-		failed    int
-	)
+	var wg sync.WaitGroup
 	for _, env := range cells {
 		wg.Add(1)
 		go func(env dispatch.CellEnvelope) {
@@ -266,13 +199,11 @@ func (s *Server) runCellBatch(b *cellBatch, cells []dispatch.CellEnvelope) {
 			res := dispatch.CellResult{Index: env.Index}
 			key, err := runner.SpecKey(env.Cell.Spec())
 			if err == nil {
-				res.SpecKey = key
-				var rows []SweepRow
 				// The recover lives inside the memoized function: the cache
 				// layer re-panics on a panicking compute, so this is the only
 				// place a cell's panic can be converted into an error before
 				// it unwinds the worker goroutine and kills the process.
-				rows, _, err = runner.MemoKeyedContext(ctx, cache, key, func() (rows []SweepRow, err error) {
+				res.Rows, _, err = runner.MemoKeyedContext(ctx, cache, key, func() (rows []SweepRow, err error) {
 					defer func() {
 						if r := recover(); r != nil {
 							err = fmt.Errorf("%w: %v", errCellPanic, r)
@@ -283,26 +214,19 @@ func (s *Server) runCellBatch(b *cellBatch, cells []dispatch.CellEnvelope) {
 					}
 					return env.Cell.Run(ctx, cfg)
 				})
-				res.Rows = rows
 			}
-			mu.Lock()
 			switch {
 			case err == nil:
-				completed++
 			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 				// The worker is giving up (shutdown, batch age cap), not the
 				// cell itself: tell the dispatcher to reschedule elsewhere
 				// instead of failing the whole sweep.
 				res.Rows, res.Error, res.Retryable = nil, err.Error(), true
-				failed++
 			case errors.Is(err, errCellPanic):
 				res.Rows, res.Error, res.Retryable = nil, err.Error(), true
-				failed++
 			default:
 				res.Rows, res.Error = nil, err.Error()
-				failed++
 			}
-			mu.Unlock()
 			outcome := "completed"
 			switch {
 			case errors.Is(err, errCellPanic):
@@ -311,61 +235,14 @@ func (s *Server) runCellBatch(b *cellBatch, cells []dispatch.CellEnvelope) {
 				outcome = "failed"
 			}
 			s.dispatchSrv.servedCells.With(outcome).Inc()
-			b.append(res)
+			results <- res
 		}(env)
 	}
 	wg.Wait()
-	mu.Lock()
-	done := dispatch.CellResult{Done: true, Completed: completed, Failed: failed}
-	mu.Unlock()
-	b.append(done)
+	// Free the slot before the done line: a dispatcher that reads it may post
+	// its next batch at once.
+	<-s.batchSem
 	s.dispatchSrv.activeBatches.Dec()
 	s.dispatchSrv.servedBatches.Inc()
-}
-
-// handleCellStream streams a batch's results as NDJSON: every line produced
-// so far (replay), then live lines until the terminal done line.
-func (s *Server) handleCellStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/cells/")
-	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "unknown batch")
-		return
-	}
-	b, ok := s.batches.get(id, time.Now())
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown batch")
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	sent := 0
-	for {
-		b.mu.Lock()
-		lines := b.lines[sent:]
-		done := b.done
-		ch := b.changed
-		b.mu.Unlock()
-		for _, line := range lines {
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return
-			}
-		}
-		sent += len(lines)
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if done {
-			return
-		}
-		select {
-		case <-ch:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	results <- dispatch.CellResult{Done: true}
 }

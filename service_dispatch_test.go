@@ -1,17 +1,23 @@
 package gdp
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
+	"repro/internal/runner"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -110,55 +116,23 @@ func TestSweepWorkersMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestEngineWithWorkersRoutesSweep checks the WithWorkers construction path:
-// Engine.Sweep itself dispatches, and FleetHealth reports the fleet.
-func TestEngineWithWorkersRoutesSweep(t *testing.T) {
-	want := localSweepRows(t)
-
-	w1, _ := newWorker(t)
-	engine, err := NewEngine(WithScale(dispatchTestScale()), WithWorkers(w1.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet := engine.FleetHealth()
-	if len(fleet) != 1 || fleet[0].State != "healthy" {
-		t.Fatalf("fleet = %+v, want one healthy worker", fleet)
-	}
-	res, err := engine.Sweep(t.Context(), dispatchTestSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rowsJSON(t, res.Rows); got != want {
-		t.Errorf("WithWorkers rows differ from local:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestWithWorkersRejectsBadURL(t *testing.T) {
-	_, err := NewEngine(WithWorkers("http://host/path"))
-	if err == nil {
-		t.Fatal("WithWorkers accepted a URL with a path")
-	}
-}
-
 // killableWorker proxies a real worker and then "dies" mid-grid: the first
-// result stream is cut after one line and every later request is refused, so
-// the dispatcher must finish the grid via retry/steal on the survivors.
+// batch's result stream is cut after one line and every later request is
+// refused, so the dispatcher must finish the grid via retry/steal on the
+// survivors.
 type killableWorker struct {
-	srv      *Server
-	killed   atomic.Bool
-	streams  atomic.Int64
-	rejected atomic.Int64
+	srv    *Server
+	killed atomic.Bool
+	posts  atomic.Int64
 }
 
 func (k *killableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if k.killed.Load() {
-		k.rejected.Add(1)
 		http.Error(w, "worker down", http.StatusServiceUnavailable)
 		return
 	}
-	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cells/") && k.streams.Add(1) == 1 {
-		k.srv.ServeHTTP(&cutWriter{ResponseWriter: w, allow: 1, onCut: func() { k.killed.Store(true) }}, r)
-		return
+	if r.URL.Path == "/v1/cells" && k.posts.Add(1) == 1 {
+		w = &cutWriter{ResponseWriter: w, allow: 1, onCut: func() { k.killed.Store(true) }}
 	}
 	k.srv.ServeHTTP(w, r)
 }
@@ -296,42 +270,67 @@ func TestSweepEndpointWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestCellsEndpointProtocol exercises the worker wire endpoints directly:
-// a valid batch streams per-cell lines ending in a done line; malformed
-// batches are 400s; unknown batch ids are 404s.
-func TestCellsEndpointProtocol(t *testing.T) {
-	srv := testServer(t)
-	cell := experiments.Cell{
+// testCell is one small accuracy cell; the seed tells cells apart.
+func testCell(seed int64) experiments.Cell {
+	return experiments.Cell{
 		Kind: experiments.CellKindAccuracy, Cores: 2, Mix: "H", PRB: 16,
-		Seed: 1, Workloads: 1, InstructionsPerCore: 3000, IntervalCycles: 2000,
+		Seed: seed, Workloads: 1, InstructionsPerCore: 3000, IntervalCycles: 2000,
 		Techniques: []string{"GDP"},
 	}
-	reqBody, _ := json.Marshal(dispatch.CellsRequest{
-		APIVersion: dispatch.ProtocolVersion,
-		Cells:      []dispatch.CellEnvelope{{Index: 0, Cell: cell}},
-	})
-	rec := postJSON(t, srv, "/v1/cells", string(reqBody))
+}
+
+// holdCell occupies the cell's entry in the worker's cache with a computation
+// the test releases: the worker's own execution of the cell joins it in
+// flight, so the test decides when the cell finishes, without simulating.
+// release may be called more than once.
+func holdCell(t *testing.T, e *Engine, c experiments.Cell) (release func()) {
+	t.Helper()
+	key, err := runner.SpecKey(c.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		runner.MemoKeyedContext(context.Background(), e.Cache(), key, func() ([]SweepRow, error) {
+			close(started)
+			<-gate
+			return []SweepRow{{Cores: c.Cores, Name: "held"}}, nil
+		})
+	}()
+	<-started
+	return sync.OnceFunc(func() { close(gate); <-done })
+}
+
+// cellsBody encodes a batch of cells, indexed in order.
+func cellsBody(t *testing.T, cells ...experiments.Cell) string {
+	t.Helper()
+	req := dispatch.CellsRequest{APIVersion: dispatch.ProtocolVersion}
+	for i, c := range cells {
+		req.Cells = append(req.Cells, dispatch.CellEnvelope{Index: i, Cell: c})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// TestCellsEndpointProtocol exercises the worker wire endpoint directly: a
+// valid batch answers with the NDJSON stream of its per-cell lines ending in
+// the done line, on the same response; malformed batches are 400s.
+func TestCellsEndpointProtocol(t *testing.T) {
+	srv := testServer(t)
+	rec := postJSON(t, srv, "/v1/cells", cellsBody(t, testCell(1)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch status = %d, body = %s", rec.Code, rec.Body.String())
 	}
-	var ack dispatch.CellsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
-		t.Fatal(err)
+	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 	}
-	if ack.APIVersion != dispatch.ProtocolVersion || ack.BatchID == "" || ack.Cells != 1 {
-		t.Fatalf("bad ack: %+v", ack)
-	}
-
-	// The stream handler blocks until the done line; a recorder collects it.
-	streamReq := httptest.NewRequest(http.MethodGet, "/v1/cells/"+ack.BatchID, nil)
-	streamRec := httptest.NewRecorder()
-	srv.ServeHTTP(streamRec, streamReq)
-	if streamRec.Code != http.StatusOK {
-		t.Fatalf("stream status = %d", streamRec.Code)
-	}
-	lines := strings.Split(strings.TrimSpace(streamRec.Body.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("stream lines = %d, want 2 (result + done):\n%s", len(lines), streamRec.Body.String())
+		t.Fatalf("stream lines = %d, want 2 (result + done):\n%s", len(lines), rec.Body.String())
 	}
 	var res, done dispatch.CellResult
 	if err := json.Unmarshal([]byte(lines[0]), &res); err != nil {
@@ -340,43 +339,37 @@ func TestCellsEndpointProtocol(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &done); err != nil {
 		t.Fatal(err)
 	}
-	if res.Error != "" || len(res.Rows) == 0 || res.SpecKey == "" {
+	if res.Done || res.Index != 0 || res.Error != "" || len(res.Rows) == 0 {
 		t.Errorf("cell result: %+v", res)
 	}
-	if !done.Done || done.Completed != 1 || done.Failed != 0 {
+	if !done.Done || len(done.Rows) != 0 || done.Error != "" {
 		t.Errorf("done line: %+v", done)
-	}
-
-	// Replay: a second stream of the same batch returns the same lines.
-	replayRec := httptest.NewRecorder()
-	srv.ServeHTTP(replayRec, httptest.NewRequest(http.MethodGet, "/v1/cells/"+ack.BatchID, nil))
-	if replayRec.Body.String() != streamRec.Body.String() {
-		t.Error("replayed stream differs from the first stream")
 	}
 
 	for name, body := range map[string]string{
 		"wrong version": `{"api_version": "v0", "cells": [{"index": 0}]}`,
-		"empty batch":   `{"api_version": "v1"}`,
-		"bad cell":      `{"api_version": "v1", "cells": [{"index": 0, "cell": {"kind": "nope", "cores": 2}}]}`,
-		"neg index":     `{"api_version": "v1", "cells": [{"index": -1, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": 16}}]}`,
+		"old version":   strings.Replace(cellsBody(t, testCell(1)), `"v2"`, `"v1"`, 1),
+		"empty batch":   `{"api_version": "v2"}`,
+		"bad cell":      `{"api_version": "v2", "cells": [{"index": 0, "cell": {"kind": "nope", "cores": 2}}]}`,
+		"neg index":     `{"api_version": "v2", "cells": [{"index": -1, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": 16}}]}`,
 	} {
 		if rec := postJSON(t, srv, "/v1/cells", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, rec.Code, rec.Body.String())
 		}
 	}
 
-	notFound := httptest.NewRecorder()
-	srv.ServeHTTP(notFound, httptest.NewRequest(http.MethodGet, "/v1/cells/doesnotexist", nil))
-	if notFound.Code != http.StatusNotFound {
-		t.Errorf("unknown batch: status = %d, want 404", notFound.Code)
+	// The batch id route is gone with the registry behind it.
+	gone := httptest.NewRecorder()
+	srv.ServeHTTP(gone, httptest.NewRequest(http.MethodGet, "/v1/cells/0123456789abcdef", nil))
+	if gone.Code != http.StatusNotFound {
+		t.Errorf("GET /v1/cells/{id}: status = %d, want 404", gone.Code)
 	}
 }
 
-// TestHealthzFleetSection: a dispatcher engine built WithWorkers reports fleet
-// health on /healthz; a plain engine omits the section.
-func TestHealthzFleetSection(t *testing.T) {
-	w1, _ := newWorker(t)
-	engine, err := NewEngine(WithScale(dispatchTestScale()), WithWorkers(w1.URL))
+// TestCellsStreamIsLive posts one held and one fast cell over a real listener:
+// the fast cell's line must be readable while the batch is still executing.
+func TestCellsStreamIsLive(t *testing.T) {
+	engine, err := NewEngine(WithScale(dispatchTestScale()), WithJobs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,23 +377,81 @@ func TestHealthzFleetSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var body struct {
-		Fleet []dispatch.WorkerHealth `json:"fleet"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	held, fast := testCell(1), testCell(2)
+	release := holdCell(t, engine, held)
+	defer release()
+	resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(cellsBody(t, held, fast)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body.Fleet) != 1 || body.Fleet[0].URL != w1.URL {
-		t.Errorf("fleet = %+v, want the one worker", body.Fleet)
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var got []dispatch.CellResult
+	for sc.Scan() {
+		var res dispatch.CellResult
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatalf("status %s, line %q: %v", resp.Status, sc.Bytes(), err)
+		}
+		if len(got) == 0 {
+			// The batch cannot have finished: its other cell is still held.
+			if n := srv.dispatchSrv.servedBatches.Value(); n != 0 {
+				t.Errorf("served batches = %d when the first line arrived, want 0", n)
+			}
+			release()
+		}
+		got = append(got, res)
 	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0].Index != 1 || got[1].Index != 0 || !got[2].Done {
+		t.Fatalf("stream = %+v, want the fast cell (1), the held cell (0), then done", got)
+	}
+}
 
-	plain := testServer(t)
-	rec = httptest.NewRecorder()
-	plain.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if strings.Contains(rec.Body.String(), `"fleet"`) {
-		t.Error("fleet section present on a worker-less engine")
+// TestCellsHeadersBeatSlowCells is the header-wait regression: a dispatcher
+// bounds its wait for the response headers, so a worker whose cells take
+// longer than that wait must still answer in time — the cells complete
+// remotely, none is re-simulated locally and the worker is never marked failed.
+func TestCellsHeadersBeatSlowCells(t *testing.T) {
+	const headerWait = 300 * time.Millisecond
+	w, srv := newWorker(t)
+	metrics := dispatch.NewMetrics(telemetry.NewRegistry())
+	pool, err := dispatch.NewPool(dispatch.Options{
+		Workers:               []string{w.URL},
+		ResponseHeaderTimeout: headerWait,
+		Metrics:               metrics,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []experiments.Cell{testCell(1), testCell(2)}
+	for _, c := range cells {
+		time.AfterFunc(3*headerWait, holdCell(t, srv.engine, c))
+	}
+	var local atomic.Int64
+	groups, err := pool.Run(t.Context(), cells, dispatch.RunConfig{
+		Local: func(ctx context.Context, c experiments.Cell) ([]SweepRow, error) {
+			local.Add(1)
+			return []SweepRow{{Cores: c.Cores, Name: "local"}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rows := range groups {
+		if len(rows) != 1 || rows[0].Name != "held" {
+			t.Errorf("cell %d rows = %+v, want the worker's held rows", i, rows)
+		}
+	}
+	if n := local.Load(); n != 0 {
+		t.Errorf("%d of %d cells were re-run locally", n, len(cells))
+	}
+	if n := metrics.WorkerFailures.With(w.URL).Value(); n != 0 {
+		t.Errorf("gdpsim_dispatch_worker_failures_total = %d, want 0", n)
 	}
 }
 
