@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet fmt-check diet bench bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
+.PHONY: all build test race fuzz-smoke vet fmt-check diet bench bench-pairs bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
 
 all: build test vet fmt-check
 
@@ -56,6 +56,39 @@ bench:
 	for w in sim_dense sim_sparse serve_unique serve_dup sweep_cold sweep_recall; do \
 		$(GO) run ./benchmark -workload $$w -seed 1 -out $(BENCH_OUT) || exit 1; \
 	done
+
+# bench-pairs is the ledger's rule for claiming a gain — at least ten
+# alternating pairs on seeds not used while the change was written — as one
+# command: it builds ./benchmark at PARENT (in a throw-away git worktree, so
+# the result files carry that commit) and at the working tree, runs PAIRS
+# pairs of WORKLOAD on fresh seeds, alternating which side goes first, into
+# $(BENCH_OUT)/pairs-$(WORKLOAD)/{parent,change}, and ends with -compare.
+# TRACE=1 gives the per-layer numbers instead; SEED0 pins the seeds.
+PARENT ?= HEAD
+WORKLOAD ?= sim_dense
+PAIRS ?= 10
+PAIR_SECONDS ?= 10
+TRACE ?= 0
+bench-pairs:
+	@set -e; root=$$(pwd); tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/parent" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/parent" $(PARENT) >/dev/null; \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/bench-parent" ./benchmark); \
+	$(GO) build -o "$$tmp/bench-change" ./benchmark; \
+	out=$(abspath $(BENCH_OUT))/pairs-$(WORKLOAD); rm -rf "$$out"; mkdir -p "$$out/parent" "$$out/change"; \
+	seed0=$${SEED0:-$$(date +%s)}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		seed=$$((seed0 + i)); order="parent change"; \
+		if [ $$((i % 2)) = 0 ]; then order="change parent"; fi; \
+		for side in $$order; do \
+			dir="$$root"; if [ $$side = parent ]; then dir="$$tmp/parent"; fi; \
+			printf 'pair %d/%d seed %d %s: ' $$i $(PAIRS) $$seed $$side; \
+			(cd "$$dir" && "$$tmp/bench-$$side" -workload $(WORKLOAD) -seed $$seed -seconds $(PAIR_SECONDS) \
+				-trace $(TRACE) -out "$$out/$$side" >"$$tmp/log" 2>&1) || { cat "$$tmp/log"; exit 1; }; \
+			sed -n '$$s/.*"ops_per_s":{"value":\([0-9.]*\).*/\1 op\/s/p' "$$tmp/log" | grep . || echo ok; \
+		done; \
+	done; \
+	"$$tmp/bench-change" -compare "$$out/parent" "$$out/change"
 
 # bench-smoke is the CI correctness gate: one short traced ledger run whose
 # exit status is the ledger's own verdict — cold and forked runs end on the

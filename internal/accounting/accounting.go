@@ -27,7 +27,8 @@ const NoEvent = uint64(math.MaxUint64)
 // cycles (invasive techniques such as ASM, whose epoch schedule reprograms
 // the memory controller). NextEvent returns a lower bound, strictly after
 // now, on the next cycle the accountant's Tick needs to observe; the event
-// fast-forwarding driver never skips past it. Accountants that do not
+// fast-forwarding driver never skips past it, and holds on to the bound until
+// that cycle, so only the Tick there may move it. Accountants that do not
 // implement EventSource disable fast-forwarding entirely (their Tick is
 // then called every cycle, which is always correct).
 type EventSource interface {

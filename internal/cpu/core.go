@@ -130,20 +130,13 @@ type Core struct {
 	waiterPool []*loadWaiters
 
 	// Event fast-forwarding state: active reports whether the last Tick (or a
-	// CompleteRequest since it) changed any architectural state; nextEvent
-	// caches the NextEvent computation while the core provably idles.
-	active         bool
-	nextEvent      uint64
-	nextEventValid bool
+	// CompleteRequest since it) changed any architectural state.
+	active bool
 
 	// Functional-unit usage in the current cycle.
 	fuIntALU, fuIntMul, fuFPALU, fuFPMul, fuMemPorts int
 
 	stats Stats
-
-	// Instruction budget: the core stops dispatching (and reports Done) after
-	// committing this many instructions. Zero means unlimited.
-	instLimit uint64
 }
 
 // New creates a core. src provides the instruction stream (a synthetic
@@ -197,15 +190,6 @@ func (c *Core) AttachProbe(p Probe) {
 	isp, _ := p.(IdleSpanProbe)
 	c.probes = append(c.probes, p)
 	c.idleProbes = append(c.idleProbes, isp)
-}
-
-// SetInstructionLimit makes Done report true once the core has committed n
-// instructions. Zero disables the limit.
-func (c *Core) SetInstructionLimit(n uint64) { c.instLimit = n }
-
-// Done reports whether the core has reached its instruction limit.
-func (c *Core) Done() bool {
-	return c.instLimit > 0 && c.stats.Instructions >= c.instLimit
 }
 
 // lineAddr masks an address to its cache-line address.
@@ -342,7 +326,6 @@ func (c *Core) putWaiter(w *loadWaiters) {
 // request issued by this core finishes. It wakes the waiting loads.
 func (c *Core) CompleteRequest(req *mem.Request, now uint64) {
 	c.active = true
-	c.nextEventValid = false
 	if req.IsWrite {
 		return // store-buffer writes are fire-and-forget
 	}
@@ -413,12 +396,6 @@ func (c *Core) Tick(now uint64) {
 		case StallOther:
 			c.stats.StallOther++
 		}
-	}
-
-	if c.active {
-		// Architectural state changed this cycle: any cached idle-span
-		// analysis is stale.
-		c.nextEventValid = false
 	}
 
 	if len(c.probes) > 0 {
@@ -702,18 +679,13 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 // (now, NextEvent(now)), Tick(t) would only repeat the current stall — one
 // cycle of the same stall counter and one identical probe snapshot — which
 // FastForward reproduces in closed form. The driver may therefore skip the
-// span without simulating it.
+// span without simulating it; it holds on to the bound until that cycle, so
+// the core does not cache it.
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.active {
 		return now + 1
 	}
-	if c.nextEventValid && c.nextEvent > now {
-		return c.nextEvent
-	}
-	e := c.computeNextEvent(now)
-	c.nextEvent = e
-	c.nextEventValid = true
-	return e
+	return c.computeNextEvent(now)
 }
 
 func (c *Core) computeNextEvent(now uint64) uint64 {
@@ -779,7 +751,7 @@ func (c *Core) computeNextEvent(now uint64) uint64 {
 
 	// Dispatch: when it is not structurally blocked, the front end fetches
 	// every cycle (trace sources are infinite), so the core is never idle.
-	if !c.Done() && c.pendingRedirect == nil {
+	if c.pendingRedirect == nil {
 		robFull := c.robCount >= len(c.rob)
 		iqFull := c.unissued >= c.cfg.IssueQueueEntries
 		lsqBlocked := c.hasStaged && c.memOps >= c.cfg.LSQEntries
@@ -873,7 +845,7 @@ func (c *Core) FastForward(from, to uint64) {
 // queue, respecting the fetch width, ROB/issue-queue/LSQ capacity and branch
 // redirect bubbles.
 func (c *Core) dispatch(now uint64) {
-	if c.Done() || c.pendingRedirect != nil || now < c.fetchStallUntil {
+	if c.pendingRedirect != nil || now < c.fetchStallUntil {
 		return
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {

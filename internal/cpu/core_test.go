@@ -236,22 +236,6 @@ func TestHigherMemoryLatencyLowersIPC(t *testing.T) {
 	}
 }
 
-func TestInstructionLimit(t *testing.T) {
-	fm := &fakeMem{latency: 100}
-	core := newTestCore(t, computeParams(), fm)
-	core.SetInstructionLimit(5000)
-	run(core, fm, 0, 200000)
-	st := core.Stats()
-	if !core.Done() {
-		t.Fatal("core did not reach its instruction limit")
-	}
-	// The limit stops dispatch; instructions already in the ROB still retire,
-	// so allow an overshoot of at most the ROB capacity.
-	if st.Instructions < 5000 || st.Instructions > 5000+uint64(len(core.rob)) {
-		t.Errorf("instructions = %d, want about 5000", st.Instructions)
-	}
-}
-
 func TestMSHRMerging(t *testing.T) {
 	fm := &fakeMem{latency: 400}
 	// Pointer-chase-free, single hot line far beyond L2: loads to the same

@@ -100,6 +100,15 @@ type Probe interface {
 // exactly equivalent to `cycles` consecutive OnCycle calls with that
 // snapshot. Probes that do not implement it receive the individual OnCycle
 // calls instead (correct, just slower).
+//
+// Only this core is idle over the span: the driver defers the call until the
+// core's next event, so other cores and the memory system may have acted on
+// cycles inside it. An implementation may read its own state, the snapshot,
+// and state its accountant changes only in a Tick it declares through
+// accounting.EventSource (the driver settles every core before such a Tick).
+// Of an in-flight request the snapshot points to it may read InterferenceMiss
+// (kept constant over a span via memsys.System.OnInterferenceMiss) and nothing
+// else: the interference counters keep running until the request completes.
 type IdleSpanProbe interface {
 	OnIdleSpan(state CycleState, cycles uint64)
 }

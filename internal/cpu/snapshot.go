@@ -58,8 +58,7 @@ type CoreState struct {
 	Staged    trace.Instruction `json:"staged"`
 	HasStaged bool              `json:"has_staged,omitempty"`
 
-	InstLimit uint64 `json:"inst_limit,omitempty"`
-	Stats     Stats  `json:"stats"`
+	Stats Stats `json:"stats"`
 
 	L1D cache.CacheState `json:"l1d"`
 	L2  cache.CacheState `json:"l2"`
@@ -84,7 +83,6 @@ func (c *Core) Snapshot(t *mem.SnapshotTable) CoreState {
 		MemOps:            c.memOps,
 		Staged:            c.staged,
 		HasStaged:         c.hasStaged,
-		InstLimit:         c.instLimit,
 		Stats:             c.stats,
 		L1D:               c.l1d.Snapshot(),
 		L2:                c.l2.Snapshot(),
@@ -226,13 +224,11 @@ func (c *Core) Restore(st CoreState, t *mem.RestoreTable) error {
 	c.memOps = st.MemOps
 	c.staged = st.Staged
 	c.hasStaged = st.HasStaged
-	c.instLimit = st.InstLimit
 	c.stats = st.Stats
 	c.fuIntALU, c.fuIntMul, c.fuFPALU, c.fuFPMul, c.fuMemPorts = 0, 0, 0, 0, 0
 	// Conservatively treat the restored core as active: the driver simulates
 	// the first post-restore cycle explicitly rather than trusting a stale
 	// idle proof, which is always correct (fast-forwarding is an optimization).
 	c.active = true
-	c.nextEventValid = false
 	return nil
 }

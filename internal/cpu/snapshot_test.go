@@ -64,7 +64,7 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 		v    any
 		want string
 	}{
-		{CoreState{}, "commit_cycle_count fetch_stall_until has_staged inst_index inst_limit issue_queue l1d l2 mem_ops outstanding_misses pending pending_redirect rob staged stalled_on stats store_buffer"},
+		{CoreState{}, "commit_cycle_count fetch_stall_until has_staged inst_index issue_queue l1d l2 mem_ops outstanding_misses pending pending_redirect rob staged stalled_on stats store_buffer"},
 		{ROBEntryState{}, "done idx inst issued l1miss req sms stall_seen"},
 		{WaiterState{}, "issue_count line merged primary req"},
 	} {

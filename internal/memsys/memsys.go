@@ -12,10 +12,10 @@
 // raw information DIEF turns into private-mode latency estimates.
 //
 // The system is allocation-free in steady state: mem.Request objects are
-// pooled and recycled two ticks after their completion was delivered (the
+// pooled and recycled two cycles after their completion was delivered (the
 // delay covers accounting probes that read a completed request's counters
-// one cycle after delivery), and every internal queue reuses its backing
-// storage.
+// one cycle after delivery; elapsed cycles, not executed Ticks), and every
+// internal queue reuses its backing storage.
 package memsys
 
 import (
@@ -104,7 +104,8 @@ type System struct {
 	completed [][]*mem.Request
 
 	// Request pool. Completed requests age through two retirement
-	// generations before re-entering the free lists, so a recycled object is
+	// generations, one per elapsed cycle (agedTo is the first cycle not aged
+	// through yet), before re-entering the free lists, so a recycled object is
 	// never reused while a core-side observer may still dereference it (the
 	// window is at most one cycle past completion delivery). Free lists are
 	// per core: a request retires into the pool of the core that issued it.
@@ -116,6 +117,13 @@ type System struct {
 	pools       [][]*mem.Request
 	retiredNow  []*mem.Request
 	retiredPrev []*mem.Request
+	agedTo      uint64
+
+	// OnInterferenceMiss, when non-nil, is called with the issuing core and
+	// the cycle just before a request is marked as an interference miss:
+	// core-side probes read that flag off in-flight requests, so a driver that
+	// defers a stalled core's bookkeeping settles it while the flag reads false.
+	OnInterferenceMiss func(core int, now uint64)
 
 	// activity reports whether the last Tick moved anything (used as a cheap
 	// shortcut by NextEvent).
@@ -224,6 +232,7 @@ func (s *System) Submit(core int, addr uint64, isWrite bool, now uint64) *mem.Re
 	if core < 0 || core >= s.cfg.Cores {
 		panic(fmt.Sprintf("memsys: core %d out of range", core))
 	}
+	s.ageQuarantine(now)
 	req := s.newRequest(core, addr, isWrite, now)
 	s.nextID++
 	req.ID = s.nextID
@@ -268,9 +277,10 @@ func (s *System) bankOf(addr uint64) int {
 	return int(line % uint64(len(s.bankBusyUntil)))
 }
 
-// Tick advances the shared memory system by one cycle.
+// Tick simulates cycle now. The driver may leave out cycles before the one
+// NextEvent last returned, provided it applies FastForward for them.
 func (s *System) Tick(now uint64) {
-	s.advanceGenerations()
+	s.ageQuarantine(now)
 	s.activity = false
 	s.drainMemoryController(now)
 	s.startLLCLookups(now)
@@ -282,19 +292,25 @@ func (s *System) Tick(now uint64) {
 	s.retryResponses(now)
 }
 
-// advanceGenerations moves requests retired two ticks ago into the free lists
-// (each request returns to its issuing core's pool) and ages the current
-// generation.
-func (s *System) advanceGenerations() {
-	if !s.pooling {
+// ageQuarantine ages the retirement quarantine through cycle now, one step
+// per cycle elapsed since the last call: requests retired two cycles ago enter
+// the free lists (each returns to its issuing core's pool) and the current
+// generation becomes the previous one. Tick and Submit both call it, so the
+// pool a Submit draws from does not depend on which cycles were ticked.
+func (s *System) ageQuarantine(now uint64) {
+	if !s.pooling || now < s.agedTo {
 		return
 	}
-	for _, req := range s.retiredPrev {
-		s.pools[req.Core] = append(s.pools[req.Core], req)
+	// After two steps both generations are empty; more would move nothing.
+	for steps := min(now+1-s.agedTo, 2); steps > 0; steps-- {
+		for _, req := range s.retiredPrev {
+			s.pools[req.Core] = append(s.pools[req.Core], req)
+		}
+		recycled := s.retiredPrev[:0]
+		s.retiredPrev = s.retiredNow
+		s.retiredNow = recycled
 	}
-	recycled := s.retiredPrev[:0]
-	s.retiredPrev = s.retiredNow
-	s.retiredNow = recycled
+	s.agedTo = now + 1
 }
 
 // retire queues a finished request for recycling.
@@ -304,10 +320,6 @@ func (s *System) retire(req *mem.Request) {
 	}
 	s.retiredNow = append(s.retiredNow, req)
 }
-
-// Active reports whether the last Tick moved at least one request between
-// pipeline stages.
-func (s *System) Active() bool { return s.activity }
 
 // moveIngressToRing moves per-core ingress entries onto the request ring in
 // round-robin order, respecting ring back-pressure.
@@ -388,6 +400,9 @@ func (s *System) finishLLCLookups(now uint64) {
 		s.stats.LLCMisses++
 		if sampled && privateHit {
 			// The access would have hit in private mode: interference miss.
+			if s.OnInterferenceMiss != nil {
+				s.OnInterferenceMiss(req.Core, now)
+			}
 			req.InterferenceMiss = true
 			s.stats.InterferenceMisses++
 		}

@@ -6,14 +6,18 @@
 // methodology requires (Section VI).
 //
 // One step loop drives every run, with a skip policy that is on or off. By
-// default the loop is event-driven: whenever every component proves itself
-// idle until some future cycle (cores fully stalled on memory, the memory
-// system waiting on DRAM timing), it jumps there in one step, applying the
-// per-cycle bookkeeping of the skipped span in closed form. With skipping off
-// (Options.Reference, which also disables request pooling) the same loop
-// ticks every cycle explicitly; it reproduces the pre-optimization engine
-// exactly and anchors the differential tests. Both settings produce
-// byte-identical Results.
+// default the loop is event-driven and every component — each core, the
+// shared memory system — runs on its own clock: the loop visits a cycle when
+// at least one component has an event there, ticks only the components that
+// do, and lets the others fall behind until their own next event, a
+// completion delivered to them or a synchronisation point, where the
+// per-cycle bookkeeping of the span they sat out (stall counters, probe
+// snapshots, DRAM queue-interference charges) is applied in closed form.
+// Cycles on which no component has an event are not visited at all. With
+// skipping off (Options.Reference, which also disables request pooling) the
+// same loop visits every cycle and ticks every component on it; it
+// reproduces the pre-optimization engine exactly and anchors the differential
+// tests. Both settings produce byte-identical Results.
 package sim
 
 import (
@@ -26,6 +30,7 @@ import (
 	gdpcore "repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
+	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/partition"
 	"repro/internal/trace"
@@ -214,12 +219,11 @@ type runState struct {
 	// can be recycled across intervals.
 	reuseEstimates bool
 
-	// Skip policy of the one event loop. canSkip is off — every cycle is
-	// ticked — under Options.Reference, and when an attached accountant does
-	// not declare its Tick schedule (accounting.EventSource), which forces
-	// cycle-by-cycle operation for correctness.
-	canSkip     bool
-	acctSources []accounting.EventSource
+	// clk steps the hardware and the accountants, each on its own clock
+	// (runFast builds it, starting at startCycle).
+	clk *stepper
+	// done counts the cores that have committed their instruction sample.
+	done int
 
 	// Telemetry accumulators: plain fields the drivers advance on the hot
 	// path and flushMetrics publishes atomically at interval boundaries.
@@ -349,69 +353,211 @@ func newRunState(opts Options) (*runState, error) {
 		intervals:      make([]cpu.Stats, len(cores)),
 		records:        make([]IntervalRecord, len(cores)),
 		reuseEstimates: opts.DiscardIntervals && opts.OnInterval == nil,
-		canSkip:        !opts.Reference,
-		acctSources:    make([]accounting.EventSource, len(opts.Accountants)),
-	}
-	for i, acct := range opts.Accountants {
-		src, ok := acct.(accounting.EventSource)
-		if !ok {
-			// Unknown Tick schedule: never skip a cycle.
-			st.canSkip = false
-			continue
-		}
-		st.acctSources[i] = src
 	}
 	return st, nil
 }
 
-// tickCycle advances the whole CMP by one cycle and reports how many cores
-// have completed their instruction sample.
-func (st *runState) tickCycle(now uint64) (done int) {
-	for _, acct := range st.opts.Accountants {
+// stepper advances the cores, the shared memory system and the accountants of
+// one run, each component on its own clock. The step loop decides which cycles
+// to visit; on a visited cycle the stepper ticks only the components that are
+// due. One it leaves out falls behind: the per-cycle bookkeeping of the cycles
+// it sat out is applied in closed form (FastForward) when it is next ticked or
+// at a synchronisation point. coreAt[i] and memAt are those clocks —
+// bookkeeping is applied for every cycle below them — and wake[i], memWake and
+// acctWake hold the NextEvent bound each component gave after its last tick,
+// valid until input reaches it from outside: a completion for a core (which is
+// then ticked whatever its bound), a Submit for the memory system (whose bound
+// is then taken again).
+//
+// A deferred span is sound only while nothing its closed form reads changes,
+// so a component is caught up before each of these:
+//
+//  1. its own Tick, and for a core any CompleteRequest;
+//  2. the memory system marking an in-flight request of a core as an
+//     interference miss (the core's idle snapshot counts those flags and ITCA
+//     reads them): memsys.System.OnInterferenceMiss settles that core first;
+//  3. a cycle on which an accountant's EventSource bound is reached (ASM
+//     rotates the epoch owner its probes read in OnIdleSpan and reprograms the
+//     memory controller): every component is settled before the Ticks;
+//  4. every interval boundary, before recordInterval reads statistics,
+//     estimates and in-flight interference or a checkpoint is taken, and the
+//     end of the run.
+type stepper struct {
+	shared *memsys.System
+	cores  []*cpu.Core
+	accts  []accounting.Accountant
+	// lazy is the skip policy. It is off — every cycle is visited and every
+	// component ticked on it — under Options.Reference, and when an attached
+	// accountant does not declare its Tick schedule (accounting.EventSource).
+	lazy bool
+
+	coreAt, wake             []uint64
+	memAt, memWake, acctWake uint64
+
+	// Exact work counts for the in-package tests: cycles visited, Ticks
+	// executed, and how often each cause other than a component's own bound
+	// settled or woke one that had fallen behind.
+	visited, coreTicks, memTicks                         uint64
+	missSyncs, acctSyncs, boundarySyncs, completionWakes uint64
+}
+
+// newStepper wires a stepper to the hardware with every clock at cycle start:
+// all bookkeeping below it is applied and every component is due. skip is the
+// requested policy.
+func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Accountant, skip bool, start uint64) *stepper {
+	s := &stepper{
+		shared:   shared,
+		cores:    cores,
+		accts:    accts,
+		lazy:     skip,
+		coreAt:   make([]uint64, len(cores)),
+		wake:     make([]uint64, len(cores)),
+		memAt:    start,
+		memWake:  start,
+		acctWake: start,
+	}
+	for i := range cores {
+		s.coreAt[i], s.wake[i] = start, start
+	}
+	for _, acct := range accts {
+		if _, ok := acct.(accounting.EventSource); !ok {
+			s.lazy = false // unknown Tick schedule: never skip a cycle
+		}
+	}
+	shared.OnInterferenceMiss = func(core int, now uint64) { // rule 2
+		if s.settle(core, now) {
+			s.missSyncs++
+		}
+	}
+	return s
+}
+
+// settle applies core i's deferred bookkeeping for the cycles below to and
+// reports whether it had fallen behind.
+func (s *stepper) settle(i int, to uint64) bool {
+	if s.coreAt[i] >= to {
+		return false
+	}
+	s.cores[i].FastForward(s.coreAt[i], to)
+	s.coreAt[i] = to
+	return true
+}
+
+// sync settles every component up to cycle to and reports whether any had
+// fallen behind.
+func (s *stepper) sync(to uint64) (behind bool) {
+	for i := range s.cores {
+		behind = s.settle(i, to) || behind
+	}
+	if s.memAt < to {
+		s.shared.FastForward(s.memAt, to)
+		s.memAt, behind = to, true
+	}
+	return behind
+}
+
+// step simulates the visited cycle now: accountants, then the memory system,
+// then the cores in index order, leaving out every component that is not due.
+func (s *stepper) step(now uint64) {
+	s.visited++
+	acctEvent := s.lazy && s.acctWake <= now
+	if acctEvent && s.sync(now) { // rule 3
+		s.acctSyncs++
+	}
+	for _, acct := range s.accts {
 		acct.Tick(now)
 	}
-	st.shared.Tick(now)
-	for i, core := range st.cores {
-		for _, req := range st.shared.Completed(i) {
+	if acctEvent {
+		s.acctWake = accounting.NoEvent
+		for _, acct := range s.accts { // lazy: each one declares its schedule
+			s.acctWake = min(s.acctWake, acct.(accounting.EventSource).NextEvent(now))
+		}
+	}
+
+	memTicked := !s.lazy || s.memWake <= now
+	if memTicked {
+		s.shared.FastForward(s.memAt, now)
+		s.shared.Tick(now)
+		s.memAt = now + 1
+		s.memTicks++
+	}
+	submitted := s.shared.Stats().Submitted
+	for i, core := range s.cores {
+		var completed []*mem.Request
+		if memTicked {
+			completed = s.shared.Completed(i)
+		}
+		if s.lazy && s.wake[i] > now {
+			if len(completed) == 0 {
+				continue
+			}
+			s.completionWakes++
+		}
+		s.settle(i, now)
+		for _, req := range completed {
 			core.CompleteRequest(req, now)
-			for _, acct := range st.opts.Accountants {
+			for _, acct := range s.accts {
 				acct.ObserveRequest(i, req)
 			}
 		}
 		core.Tick(now)
-	}
-
-	// Record per-core sample completion for STP.
-	for i, core := range st.cores {
-		if !st.sampleTaken[i] {
-			if stats := core.Stats(); stats.Instructions >= st.opts.InstructionsPerCore {
-				st.res.SampleStats[i] = stats
-				st.sampleTaken[i] = true
-			}
-		}
-		if st.sampleTaken[i] {
-			done++
+		s.coreAt[i] = now + 1
+		s.coreTicks++
+		if s.lazy {
+			s.wake[i] = core.NextEvent(now)
 		}
 	}
-	return done
+	if s.lazy && (memTicked || s.shared.Stats().Submitted != submitted) {
+		s.memWake = s.shared.NextEvent(now)
+	}
 }
 
-// runFast is the step loop: after every simulated cycle it asks each
-// component for a lower bound on its next event and, when every bound lies
-// beyond the next cycle, jumps to the earliest one in a single step. The
-// skipped span's per-cycle bookkeeping (stall counters, probe snapshots, DRAM
-// queue-interference charges) is applied in closed form, so the Result is
-// byte-identical to a run with skipping off (canSkip false), where
-// nextEventCycle always answers now+1 and every cycle is ticked.
+// nextEvent returns the earliest cycle after the just-stepped cycle now at
+// which any component is due (math.MaxUint64 when everything waits forever,
+// which the caller caps), or now+1 with the skip policy off.
+func (s *stepper) nextEvent(now uint64) uint64 {
+	if !s.lazy {
+		return now + 1
+	}
+	next := min(s.memWake, s.acctWake)
+	for _, w := range s.wake {
+		next = min(next, w)
+	}
+	return next
+}
+
+// runFast is the step loop: after every visited cycle it takes the earliest
+// cycle at which any component is due and, when that lies beyond the next
+// cycle, jumps there in a single step. Nothing is simulated for the cycles in
+// between: each component's clock records where it stopped, and the stepper
+// applies the span's per-cycle bookkeeping in closed form when it catches the
+// component up, so the Result is byte-identical to a run with skipping off,
+// where every cycle is visited and every component ticked on it.
 func (st *runState) runFast(ctx context.Context) error {
 	opts := st.opts
 	now := st.startCycle
+	st.clk = newStepper(st.shared, st.cores, opts.Accountants, !opts.Reference, now)
 	for now < st.maxCycles {
-		done := st.tickCycle(now)
+		st.clk.step(now)
+		// Per-core sample completion for STP: a core's instruction count only
+		// moves on a cycle it was ticked on.
+		for i, core := range st.cores {
+			if st.sampleTaken[i] || st.clk.coreAt[i] <= now {
+				continue
+			}
+			if stats := core.Stats(); stats.Instructions >= opts.InstructionsPerCore {
+				st.res.SampleStats[i] = stats
+				st.sampleTaken[i] = true
+				st.done++
+			}
+		}
 
 		if (now+1)%opts.IntervalCycles == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
+			}
+			if st.clk.sync(now + 1) {
+				st.clk.boundarySyncs++
 			}
 			if err := st.recordInterval(); err != nil {
 				return err
@@ -422,12 +568,12 @@ func (st *runState) runFast(ctx context.Context) error {
 			}
 		}
 
-		if done == len(st.cores) {
+		if st.done == len(st.cores) {
 			now++
 			break
 		}
 
-		target := st.nextEventCycle(now)
+		target := st.clk.nextEvent(now)
 		if target > now+1 {
 			// Never skip an interval boundary or the cycle budget.
 			if boundary := now + opts.IntervalCycles - (now+1)%opts.IntervalCycles; target > boundary {
@@ -438,10 +584,6 @@ func (st *runState) runFast(ctx context.Context) error {
 			}
 		}
 		if target > now+1 {
-			for _, core := range st.cores {
-				core.FastForward(now+1, target)
-			}
-			st.shared.FastForward(now+1, target)
 			st.ffPending += target - (now + 1)
 			now = target
 		} else {
@@ -452,47 +594,9 @@ func (st *runState) runFast(ctx context.Context) error {
 	return nil
 }
 
-// nextEventCycle returns the earliest cycle after now at which any component
-// can change state (math.MaxUint64 when everything waits forever, which the
-// caller caps at the interval boundary).
-func (st *runState) nextEventCycle(now uint64) uint64 {
-	if !st.canSkip {
-		return now + 1
-	}
-	next := uint64(math.MaxUint64)
-	for _, core := range st.cores {
-		e := core.NextEvent(now)
-		if e <= now+1 {
-			return now + 1
-		}
-		if e < next {
-			next = e
-		}
-	}
-	e := st.shared.NextEvent(now)
-	if e <= now+1 {
-		return now + 1
-	}
-	if e < next {
-		next = e
-	}
-	for _, src := range st.acctSources {
-		if src == nil {
-			continue
-		}
-		e := src.NextEvent(now)
-		if e <= now+1 {
-			return now + 1
-		}
-		if e < next {
-			next = e
-		}
-	}
-	return next
-}
-
 // finish seals the result once the run's last cycle has been simulated.
 func (st *runState) finish(now uint64) {
+	st.clk.sync(now)
 	st.res.Cycles = now
 	for i, core := range st.cores {
 		st.res.CoreStats[i] = core.Stats()
@@ -659,7 +763,8 @@ func RunPrivateReference(ctx context.Context, cfg *config.CMPConfig, bench workl
 	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, true)
 }
 
-// runPrivate is the one private-mode loop: reference selects the
+// runPrivate is the private-mode run: one core and the memory system on the
+// shared-mode stepper, visiting cycles by the same rule. reference selects the
 // cycle-by-cycle engine (no event skipping, no request pooling).
 func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64, reference bool) (*PrivateReference, error) {
 	if err := cfg.Validate(); err != nil {
@@ -703,6 +808,7 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	}
 
 	out := &PrivateReference{Benchmark: bench.Name}
+	clk := newStepper(shared, []*cpu.Core{core}, nil, !reference, 0)
 	next := 0
 	now := uint64(0)
 	for now < maxCycles {
@@ -711,31 +817,23 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 				return nil, err
 			}
 		}
-		shared.Tick(now)
-		for _, req := range shared.Completed(0) {
-			core.CompleteRequest(req, now)
-		}
-		core.Tick(now)
-		stats := core.Stats()
-		for next < len(samplePoints) && stats.Instructions >= samplePoints[next] {
-			out.At = append(out.At, stats)
-			cpl, overlap := ref.Retrieve()
-			out.CPLAt = append(out.CPLAt, cpl)
-			out.OverlapAt = append(out.OverlapAt, overlap)
-			next++
-		}
-		if next >= len(samplePoints) && stats.Instructions >= target {
-			break
+		clk.step(now)
+		if clk.coreAt[0] > now { // the core was ticked: its counts may have moved
+			stats := core.Stats()
+			for next < len(samplePoints) && stats.Instructions >= samplePoints[next] {
+				out.At = append(out.At, stats)
+				cpl, overlap := ref.Retrieve()
+				out.CPLAt = append(out.CPLAt, cpl)
+				out.OverlapAt = append(out.OverlapAt, overlap)
+				next++
+			}
+			if next >= len(samplePoints) && stats.Instructions >= target {
+				now++
+				break
+			}
 		}
 
-		if reference {
-			now++
-			continue
-		}
-		skipTo := core.NextEvent(now)
-		if e := shared.NextEvent(now); e < skipTo {
-			skipTo = e
-		}
+		skipTo := clk.nextEvent(now)
 		if skipTo > now+1 {
 			// Preserve the cancellation poll stride and the cycle budget.
 			if poll := now - now%privateCancelCheckCycles + privateCancelCheckCycles; skipTo > poll {
@@ -744,15 +842,12 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 			if skipTo > maxCycles {
 				skipTo = maxCycles
 			}
-		}
-		if skipTo > now+1 {
-			core.FastForward(now+1, skipTo)
-			shared.FastForward(now+1, skipTo)
 			now = skipTo
 		} else {
 			now++
 		}
 	}
+	clk.sync(now)
 	out.Total = core.Stats()
 	// Pad missing sample points (if the cycle budget ran out) with the final
 	// statistics so downstream indexing stays aligned.

@@ -8,8 +8,10 @@ import (
 
 // Metrics aggregates engine-level simulation counters across runs: completed
 // runs, recorded intervals, simulated cycles and the subset of cycles the
-// event-driven driver fast-forwarded over. Scrape-time rates (intervals/sec)
-// and the fast-forward fraction fall out of these counters.
+// step loop did not visit because no component had an event there (the finer
+// saving of ticking only the due components on a visited cycle is not counted).
+// Scrape-time rates (intervals/sec) and the fast-forward fraction fall out of
+// these counters.
 //
 // The hot path never touches Metrics directly: drivers accumulate into plain
 // uint64 fields on runState and flush with a handful of atomic adds at
@@ -34,7 +36,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	r.CounterFunc("gdpsim_sim_cycles_total",
 		"Simulated cycles across all runs (including fast-forwarded spans).", m.cycles.Load)
 	r.CounterFunc("gdpsim_sim_fastforwarded_cycles_total",
-		"Cycles the event-driven driver skipped in closed form.", m.ffCycles.Load)
+		"Cycles the step loop did not visit: no component had an event, so none was ticked.", m.ffCycles.Load)
 	return m
 }
 
@@ -62,7 +64,7 @@ func (m *Metrics) Cycles() uint64 {
 	return m.cycles.Load()
 }
 
-// FastForwardedCycles returns the cycles skipped in closed form (0 for nil).
+// FastForwardedCycles returns the cycles the loop did not visit (0 for nil).
 func (m *Metrics) FastForwardedCycles() uint64 {
 	if m == nil {
 		return 0
