@@ -132,13 +132,17 @@ bench-go:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/cpu
 
 # bench-cpu times cpu.Core.Tick alone (BenchmarkCoreTick: ns per ticked cycle
-# on the ledger's dense and sparse scenarios, allocations per cycle) and leaves
-# the test binary and a CPU profile in $(BENCH_OUT), to be read with
-# `go tool pprof -top $(BENCH_OUT)/cpu.test $(BENCH_OUT)/cpu.prof`.
+# on the ledger's dense and sparse scenarios, allocations per cycle) and the
+# whole step loop (BenchmarkStepLoop: ns per visited cycle, memory system and
+# accountants included), and leaves each test binary and CPU profile in
+# $(BENCH_OUT), to be read with `go tool pprof -top $(BENCH_OUT)/cpu.test
+# $(BENCH_OUT)/cpu.prof` (sim.test and sim.prof for the step loop).
 bench-cpu:
 	mkdir -p $(BENCH_OUT)
 	$(GO) test -run=^$$ -bench=BenchmarkCoreTick -benchtime=20000000x \
 		-o $(BENCH_OUT)/cpu.test -cpuprofile $(BENCH_OUT)/cpu.prof ./internal/cpu
+	$(GO) test -run=^$$ -bench=BenchmarkStepLoop -benchtime=2000000x \
+		-o $(BENCH_OUT)/sim.test -cpuprofile $(BENCH_OUT)/sim.prof ./internal/sim
 
 # bench-sweep compares the runner's serial vs parallel accuracy-study
 # wall-clock (BenchmarkAccuracySweep/jobs=1 vs /jobs=N).

@@ -68,7 +68,7 @@ func main() {
 	// Ground truth: run each benchmark alone and compare whole-sample CPIs.
 	fmt.Println("\nwhole-sample comparison (shared vs actual private):")
 	for core, bench := range wl.Benchmarks {
-		priv, err := engine.RunPrivate(ctx, cfg, bench, res.SamplePoints[core], 1+int64(core)*7919, 0)
+		priv, err := engine.RunPrivate(ctx, cfg, bench, res.SamplePoints[core], gdp.CoreSeed(1, core), 0)
 		if err != nil {
 			log.Fatal(err)
 		}

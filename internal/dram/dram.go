@@ -102,10 +102,6 @@ type Controller struct {
 	// doneWrites collects completed write requests so the shared memory
 	// system can recycle their objects; drained by CompletedWrites.
 	doneWrites []*mem.Request
-	// activity reports whether the last Tick completed or issued anything
-	// (per-cycle queue-interference charging does not count: it is exactly
-	// reproducible in closed form by FastForward).
-	activity bool
 
 	// Stats.
 	reads, writes  uint64
@@ -251,7 +247,6 @@ func (c *Controller) pickFRFCFS(chn *channel, q []queued, now uint64) int {
 // only valid until the next Tick.
 func (c *Controller) Tick(now uint64) []*mem.Request {
 	done := c.doneBuf[:0]
-	c.activity = false
 	for chIdx := range c.channels {
 		chn := &c.channels[chIdx]
 
@@ -260,7 +255,6 @@ func (c *Controller) Tick(now uint64) []*mem.Request {
 		for _, f := range chn.inflight {
 			if f.complete <= now {
 				f.req.CompleteCycle = now
-				c.activity = true
 				if !f.req.IsWrite {
 					c.totalReadLat += f.req.CompleteCycle - f.req.MemArrival
 					c.completedReads++
@@ -330,15 +324,10 @@ func (c *Controller) Tick(now uint64) []*mem.Request {
 		chn.busBusyUntil = now + uint64(lat)
 		chn.busOwner = item.req.Core
 		chn.inflight = append(chn.inflight, inflight{req: item.req, complete: now + uint64(lat)})
-		c.activity = true
 	}
 	c.doneBuf = done
 	return done
 }
-
-// Active reports whether the last Tick completed a transfer or issued a
-// command (the state changes FastForward cannot reproduce).
-func (c *Controller) Active() bool { return c.activity }
 
 // CompletedWrites drains the write requests whose data transfer finished
 // since the last call, so their objects can be recycled. The returned slice
@@ -354,7 +343,8 @@ func (c *Controller) CompletedWrites() []*mem.Request {
 // no new requests are enqueued in between. Idle controllers return
 // math.MaxUint64. Between now and the returned cycle the only per-cycle state
 // change is the queue-interference charge, which FastForward reproduces
-// exactly, so the simulation driver can skip the span.
+// exactly, so the driver may hold the bound across ticks of the rest of the
+// memory system and leave the controller's Tick out until it or an Enqueue.
 func (c *Controller) NextEvent(now uint64) uint64 {
 	next := uint64(math.MaxUint64)
 	for chIdx := range c.channels {
@@ -397,7 +387,9 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 // interference for every cycle its bank or the channel's data bus is busy
 // with another core's request, exactly as per-cycle Ticks would have charged
 // (the busy windows are fixed during an idle span, so the count is the
-// overlap of [from, to) with the union of the two windows).
+// overlap of [from, to) with the union of the two windows). The span may hold
+// memory-system ticks but no controller Tick, and must end by an Enqueue's
+// cycle inclusive: the driver settles [from, now+1) before one at cycle now.
 func (c *Controller) FastForward(from, to uint64) {
 	if to <= from {
 		return
@@ -431,7 +423,7 @@ func (c *Controller) FastForward(from, to uint64) {
 	}
 }
 
-// Stats summarizes controller activity.
+// Stats summarizes the work the controller has done.
 type Stats struct {
 	Reads, Writes                    uint64
 	RowHits, RowMisses, RowConflicts uint64

@@ -137,7 +137,6 @@ func (c *Controller) Restore(st State, t *mem.RestoreTable) error {
 	for _, ref := range st.DoneWrites {
 		c.doneWrites = append(c.doneWrites, t.Get(ref))
 	}
-	c.activity = false
 	for i := range c.channels {
 		chn := &c.channels[i]
 		cs := st.Channels[i]

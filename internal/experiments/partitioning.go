@@ -121,7 +121,7 @@ func privateCPIs(ctx context.Context, opts PartitioningOptions, wl workload.Work
 	privateCPI := make([]float64, wl.Cores())
 	for core, bench := range wl.Benchmarks {
 		priv, err := memoPrivateRef(ctx, opts.Cache, opts.Config, bench,
-			[]uint64{opts.InstructionsPerCore}, simSeed+int64(core)*7919)
+			[]uint64{opts.InstructionsPerCore}, sim.CoreSeed(simSeed, core))
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,12 @@
 // how much of each request's latency was caused by other cores, which is the
 // raw information DIEF turns into private-mode latency estimates.
 //
+// The memory controller has its own clock: a Tick ticks it only once its
+// NextEvent is reached, and the queue-interference charge of the cycles it sat
+// out is applied in closed form (dram.Controller.FastForward) before its next
+// Tick, before every Enqueue (through the enqueue cycle) and on Settle, at the
+// driver's synchronisation points.
+//
 // The system is allocation-free in steady state: mem.Request objects are
 // pooled and recycled two cycles after their completion was delivered (the
 // delay covers accounting probes that read a completed request's counters
@@ -125,9 +131,10 @@ type System struct {
 	// defers a stalled core's bookkeeping settles it while the flag reads false.
 	OnInterferenceMiss func(core int, now uint64)
 
-	// activity reports whether the last Tick moved anything (used as a cheap
-	// shortcut by NextEvent).
-	activity bool
+	// The controller's clock: mcAt is the first cycle not yet charged, mcWake
+	// its NextEvent after its last Tick or Enqueue, mcTicks its Ticks.
+	mcAt, mcWake, mcTicks uint64
+	mcEveryCycle          bool
 
 	nextID uint64
 
@@ -214,11 +221,35 @@ func (s *System) ATD(core int) *cache.ATD { return s.atds[core] }
 // Controller returns the memory controller (for ASM's priority hook).
 func (s *System) Controller() *dram.Controller { return s.mc }
 
+// Ring returns the interconnect (for diagnostics).
+func (s *System) Ring() *ring.Ring { return s.ring }
+
 // Stats returns a copy of the accumulated counters.
 func (s *System) Stats() Stats { return s.stats }
 
 // SetPartition installs an LLC way partition (nil disables partitioning).
 func (s *System) SetPartition(alloc []int) error { return s.llc.SetPartition(alloc) }
+
+// StartClock anchors the memory controller's clock at the driver's first
+// cycle (a restored system's is the checkpoint cycle): nothing before it is
+// charged. everyCycle makes every Tick tick the controller (the reference).
+func (s *System) StartClock(now uint64, everyCycle bool) {
+	s.mcAt, s.mcWake, s.mcEveryCycle = now, now, everyCycle
+}
+
+// Settle applies the memory controller's deferred queue-interference charge
+// for the cycles below to and reports whether it had fallen behind.
+func (s *System) Settle(to uint64) bool {
+	if s.mcAt >= to {
+		return false
+	}
+	s.mc.FastForward(s.mcAt, to)
+	s.mcAt = to
+	return true
+}
+
+// ControllerTicks returns the number of memory-controller Ticks executed.
+func (s *System) ControllerTicks() uint64 { return s.mcTicks }
 
 // DisableRecycling turns request pooling off: every Submit heap-allocates a
 // fresh mem.Request and completed objects are never reused. The reference
@@ -278,10 +309,9 @@ func (s *System) bankOf(addr uint64) int {
 }
 
 // Tick simulates cycle now. The driver may leave out cycles before the one
-// NextEvent last returned, provided it applies FastForward for them.
+// NextEvent last returned; the system catches up on them itself.
 func (s *System) Tick(now uint64) {
 	s.ageQuarantine(now)
-	s.activity = false
 	s.drainMemoryController(now)
 	s.startLLCLookups(now)
 	s.finishLLCLookups(now)
@@ -331,7 +361,6 @@ func (s *System) moveIngressToRing(now uint64) {
 				break
 			}
 			q.pop()
-			s.activity = true
 		}
 	}
 }
@@ -343,7 +372,6 @@ func (s *System) deliverRequestsToBanks(now uint64) {
 		req.LLCArrival = now
 		b := s.bankOf(req.Addr)
 		s.bankQueue[b].push(req)
-		s.activity = true
 	}
 }
 
@@ -363,7 +391,6 @@ func (s *System) startLLCLookups(now uint64) {
 		s.bankQueue[b].pop()
 		s.bankBusyUntil[b] = now + uint64(s.cfg.LLC.LatencyCyc)
 		s.inLookup = append(s.inLookup, lookup{req: req, readyAt: now + uint64(s.cfg.LLC.LatencyCyc)})
-		s.activity = true
 	}
 }
 
@@ -387,7 +414,6 @@ func (s *System) finishLLCLookups(now uint64) {
 			kept = append(kept, l)
 			continue
 		}
-		s.activity = true
 		req := l.req
 		sampled, privateHit := s.atds[req.Core].Access(req.Addr)
 		hit := s.llc.Access(req.Core, req.Addr)
@@ -414,13 +440,18 @@ func (s *System) finishLLCLookups(now uint64) {
 // retryMemoryEnqueue moves LLC misses into the memory controller, honoring
 // its queue capacity.
 func (s *System) retryMemoryEnqueue(now uint64) {
+	if len(s.toMemory) == 0 {
+		return
+	}
+	s.Settle(now + 1) // cycle now is charged on the queue without these
 	kept := s.toMemory[:0]
 	for _, req := range s.toMemory {
 		if !s.mc.Enqueue(req, now) {
 			kept = append(kept, req)
-			continue
 		}
-		s.activity = true
+	}
+	if len(kept) < len(s.toMemory) {
+		s.mcWake = s.mc.NextEvent(now)
 	}
 	for i := len(kept); i < len(s.toMemory); i++ {
 		s.toMemory[i] = nil
@@ -428,10 +459,15 @@ func (s *System) retryMemoryEnqueue(now uint64) {
 	s.toMemory = kept
 }
 
-// drainMemoryController completes DRAM accesses: the returned data fills the
-// LLC (honoring the way partition) and heads back to the core on the
-// response ring. Completed writes (fire-and-forget) are recycled here.
+// drainMemoryController ticks the memory controller if it is due. Completed
+// DRAM reads fill the LLC (honoring the way partition) and head back to the
+// core on the response ring; completed writes (fire-and-forget) are recycled
+// here.
 func (s *System) drainMemoryController(now uint64) {
+	if !s.mcEveryCycle && now < s.mcWake {
+		return
+	}
+	s.Settle(now)
 	for _, req := range s.mc.Tick(now) {
 		s.llc.Fill(req.Core, req.Addr)
 		s.toResponse = append(s.toResponse, req)
@@ -439,9 +475,8 @@ func (s *System) drainMemoryController(now uint64) {
 	for _, req := range s.mc.CompletedWrites() {
 		s.retire(req)
 	}
-	if s.mc.Active() {
-		s.activity = true
-	}
+	s.mcAt, s.mcWake = now+1, s.mc.NextEvent(now)
+	s.mcTicks++
 }
 
 // retryResponses pushes pending responses onto the response ring.
@@ -450,9 +485,7 @@ func (s *System) retryResponses(now uint64) {
 	for _, req := range s.toResponse {
 		if !s.ring.Submit(ring.ResponseRing, req, now) {
 			kept = append(kept, req)
-			continue
 		}
-		s.activity = true
 	}
 	for i := len(kept); i < len(s.toResponse); i++ {
 		s.toResponse[i] = nil
@@ -480,40 +513,24 @@ func (s *System) deliverResponses(now uint64) {
 		s.stats.Completed++
 		s.completed[req.Core] = append(s.completed[req.Core], req)
 		s.retire(req)
-		s.activity = true
 	}
 }
 
 // NextEvent returns a lower bound on the next cycle (strictly after now) at
 // which the shared memory system can move a request between stages, assuming
 // no new submissions arrive in between. A fully drained system returns
-// math.MaxUint64. The driver may skip to the returned cycle in one step after
-// applying Controller.FastForward for the span (the queue-interference charge
-// is the only per-cycle state change of an otherwise idle system).
+// math.MaxUint64. The driver may skip to the returned cycle in one step (the
+// controller's queue-interference charge, the only per-cycle state change of
+// an otherwise idle system, is caught up at the settle points).
 func (s *System) NextEvent(now uint64) uint64 {
-	if s.activity {
-		return now + 1
-	}
-	next := s.mc.NextEvent(now)
-	if r := s.ring.NextEvent(now); r < next {
-		next = r
-	}
+	next := min(s.mcWake, s.ring.NextEvent(now))
 	for b := range s.bankQueue {
-		if s.bankQueue[b].len() == 0 {
-			continue
-		}
-		t := now + 1
-		if s.bankBusyUntil[b] > t {
-			t = s.bankBusyUntil[b]
-		}
-		if t < next {
-			next = t
+		if s.bankQueue[b].len() > 0 {
+			next = min(next, max(now+1, s.bankBusyUntil[b]))
 		}
 	}
 	for i := range s.inLookup {
-		if t := s.inLookup[i].readyAt; t < next {
-			next = t
-		}
+		next = min(next, s.inLookup[i].readyAt)
 	}
 	if next <= now+1 {
 		return now + 1
@@ -522,11 +539,9 @@ func (s *System) NextEvent(now uint64) uint64 {
 	// is an event. (If the downstream stage is full, its drain is already one
 	// of the events computed above, and the retry succeeds on the tick that
 	// follows it.)
-	if len(s.toMemory) > 0 {
-		for _, req := range s.toMemory {
-			if s.mc.CanAccept(req.Addr, req.IsWrite) {
-				return now + 1
-			}
+	for _, req := range s.toMemory {
+		if s.mc.CanAccept(req.Addr, req.IsWrite) {
+			return now + 1
 		}
 	}
 	if len(s.toResponse) > 0 && s.ring.HasSpace(ring.ResponseRing) {
@@ -538,13 +553,6 @@ func (s *System) NextEvent(now uint64) uint64 {
 		}
 	}
 	return next
-}
-
-// FastForward applies the per-cycle state changes of the span [from, to) in
-// closed form. The only such change in an idle shared memory system is the
-// memory controller's queue-interference charge.
-func (s *System) FastForward(from, to uint64) {
-	s.mc.FastForward(from, to)
 }
 
 // PendingCount returns the number of requests currently anywhere in the

@@ -111,7 +111,8 @@ func (s *System) Snapshot(t *mem.SnapshotTable) State {
 // Restore overwrites the system's state with a snapshot from a system of
 // identical configuration, resolving request references through the restore
 // table. The pool and retirement quarantine restart empty (steady-state
-// pooling refills them); the snapshot is copied, never aliased.
+// pooling refills them); the snapshot is copied, never aliased. The driver
+// then anchors the controller's clock at the snapshot's cycle (StartClock).
 func (s *System) Restore(st State, t *mem.RestoreTable) error {
 	if len(st.Ingress) != len(s.ingress) || len(st.ATDs) != len(s.atds) || len(st.Completed) != len(s.completed) {
 		return fmt.Errorf("memsys: snapshot is for %d cores, system has %d", len(st.Ingress), len(s.ingress))
@@ -156,9 +157,5 @@ func (s *System) Restore(st State, t *mem.RestoreTable) error {
 	s.retiredPrev = nil
 	s.nextID = st.NextID
 	s.stats = st.Stats
-	// Conservatively treat the restored system as active: the driver then
-	// simulates the first post-restore cycle explicitly instead of consulting
-	// a stale idle proof, which is always correct.
-	s.activity = true
 	return nil
 }

@@ -362,12 +362,13 @@ func newRunState(opts Options) (*runState, error) {
 // to visit; on a visited cycle the stepper ticks only the components that are
 // due. One it leaves out falls behind: the per-cycle bookkeeping of the cycles
 // it sat out is applied in closed form (FastForward) when it is next ticked or
-// at a synchronisation point. coreAt[i] and memAt are those clocks —
-// bookkeeping is applied for every cycle below them — and wake[i], memWake and
-// acctWake hold the NextEvent bound each component gave after its last tick,
-// valid until input reaches it from outside: a completion for a core (which is
-// then ticked whatever its bound), a Submit for the memory system (whose bound
-// is then taken again).
+// at a synchronisation point. coreAt[i] are the cores' clocks — bookkeeping is
+// applied for every cycle below them; the memory system keeps its controller's
+// clock itself and catches up on Settle — and wake[i], memWake and acctWake
+// hold the NextEvent bound each component gave after its last tick, valid
+// until input reaches it from outside: a completion for a core (which is then
+// ticked whatever its bound), a Submit for the memory system (whose bound is
+// then taken again).
 //
 // A deferred span is sound only while nothing its closed form reads changes,
 // so a component is caught up before each of these:
@@ -391,8 +392,8 @@ type stepper struct {
 	// accountant does not declare its Tick schedule (accounting.EventSource).
 	lazy bool
 
-	coreAt, wake             []uint64
-	memAt, memWake, acctWake uint64
+	coreAt, wake      []uint64
+	memWake, acctWake uint64
 
 	// Exact work counts for the in-package tests: cycles visited, Ticks
 	// executed, and how often each cause other than a component's own bound
@@ -412,7 +413,6 @@ func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Acc
 		lazy:     skip,
 		coreAt:   make([]uint64, len(cores)),
 		wake:     make([]uint64, len(cores)),
-		memAt:    start,
 		memWake:  start,
 		acctWake: start,
 	}
@@ -424,6 +424,7 @@ func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Acc
 			s.lazy = false // unknown Tick schedule: never skip a cycle
 		}
 	}
+	shared.StartClock(start, !s.lazy)
 	shared.OnInterferenceMiss = func(core int, now uint64) { // rule 2
 		if s.settle(core, now) {
 			s.missSyncs++
@@ -449,11 +450,7 @@ func (s *stepper) sync(to uint64) (behind bool) {
 	for i := range s.cores {
 		behind = s.settle(i, to) || behind
 	}
-	if s.memAt < to {
-		s.shared.FastForward(s.memAt, to)
-		s.memAt, behind = to, true
-	}
-	return behind
+	return s.shared.Settle(to) || behind
 }
 
 // step simulates the visited cycle now: accountants, then the memory system,
@@ -476,9 +473,7 @@ func (s *stepper) step(now uint64) {
 
 	memTicked := !s.lazy || s.memWake <= now
 	if memTicked {
-		s.shared.FastForward(s.memAt, now)
 		s.shared.Tick(now)
-		s.memAt = now + 1
 		s.memTicks++
 	}
 	submitted := s.shared.Stats().Submitted

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/accounting"
+	"repro/internal/dram"
+	"repro/internal/memsys"
 	"repro/internal/workload"
 )
 
@@ -77,31 +79,45 @@ func TestSyncRulesAllExercised(t *testing.T) {
 
 // TestStepperTicksOnlyDueComponents pins, in exact counts, that the work
 // disappears: a stalled core is not ticked on the cycles other components act
-// on, and a memory system with nothing in flight is not ticked while the
-// cores compute. With skipping off every component is ticked on every cycle.
+// on, a memory system with nothing in flight is not ticked while the cores
+// compute, and the memory controller is not ticked on the memory system's
+// ticks that only move requests through the ring and the LLC. A cycle on
+// which no component has an event is not visited at all. With skipping off
+// every component is ticked on every cycle.
 func TestStepperTicksOnlyDueComponents(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string
 		cores    int
 		// Upper bounds on executed ticks as a share of the maximum (cores ×
-		// visited cycles, visited cycles); 1 leaves that component unbounded.
-		coreShare, memShare float64
+		// visited cycles, visited cycles, memsys ticks); 1 leaves that
+		// component unbounded.
+		coreShare, memShare, mcShare float64
+		// maxVisited bounds the visited cycles (0: unbounded).
+		maxVisited uint64
 	}{
-		{"latency-bound", 4, 0.15, 1},
-		{"compute-heavy", 2, 1, 0.30},
+		{"latency-bound", 4, 0.15, 1, 0.25, 45000},
+		{"compute-heavy", 2, 1, 0.30, 1, 0},
 	} {
 		t.Run(tc.scenario, func(t *testing.T) {
 			res, clk := runStepped(t, scenarioOptions(t, tc.scenario, tc.cores))
 			coreMax := uint64(tc.cores) * clk.visited
 			coreShare := float64(clk.coreTicks) / float64(coreMax)
 			memShare := float64(clk.memTicks) / float64(clk.visited)
-			t.Logf("%d cycles, %d visited; core ticks %d of %d (%.3f); memsys ticks %d (%.3f)",
-				res.Cycles, clk.visited, clk.coreTicks, coreMax, coreShare, clk.memTicks, memShare)
+			mcTicks := clk.shared.ControllerTicks()
+			mcShare := float64(mcTicks) / float64(clk.memTicks)
+			t.Logf("%d cycles, %d visited; core ticks %d of %d (%.3f); memsys ticks %d (%.3f); controller ticks %d (%.3f of memsys)",
+				res.Cycles, clk.visited, clk.coreTicks, coreMax, coreShare, clk.memTicks, memShare, mcTicks, mcShare)
 			if coreShare > tc.coreShare {
 				t.Errorf("core ticks are %.3f of cores × visited cycles, want <= %.2f", coreShare, tc.coreShare)
 			}
 			if memShare > tc.memShare {
 				t.Errorf("memsys ticks are %.3f of visited cycles, want <= %.2f", memShare, tc.memShare)
+			}
+			if mcShare > tc.mcShare {
+				t.Errorf("controller ticks are %.3f of memsys ticks, want <= %.2f", mcShare, tc.mcShare)
+			}
+			if tc.maxVisited > 0 && clk.visited > tc.maxVisited {
+				t.Errorf("visited %d cycles, want <= %d", clk.visited, tc.maxVisited)
 			}
 
 			refOpts := scenarioOptions(t, tc.scenario, tc.cores)
@@ -116,21 +132,33 @@ func TestStepperTicksOnlyDueComponents(t *testing.T) {
 			if refClk.memTicks != ref.Cycles {
 				t.Errorf("reference executed %d memsys ticks, want %d (every cycle)", refClk.memTicks, ref.Cycles)
 			}
+			if n := refClk.shared.ControllerTicks(); n != ref.Cycles {
+				t.Errorf("reference executed %d controller ticks, want %d (every cycle)", n, ref.Cycles)
+			}
 		})
 	}
 }
 
 // TestNextEventBoundsHold checks, per component, the promise the stepper's
-// cached bounds rest on. With skipping off every component is ticked on every
-// cycle, and after each Tick it is asked for its bound again: while a bound it
-// gave earlier is still in the future and no input from outside has reached it
-// since (a completion for a core, a Submit for the memory system), it must
-// repeat that bound. NextEvent answers now+1 after any Tick that changed
-// state, so a repeated bound is the public face of "the Tick left the
-// component inactive", and a component that promised too late a cycle fails
-// here by name instead of as an end-to-end fast ≠ reference diff.
+// cached bounds rest on: while a bound a component gave is still in the
+// future and no input from outside has reached it since (a completion for a
+// core, a Submit for the memory system, an Enqueue for the memory controller),
+// its Tick changes nothing. With skipping off every component is ticked on
+// every cycle. A core answers now+1 after any state-changing Tick, so it must
+// repeat a held bound; the memory system, the memory controller and the ring
+// are checked directly, on a fingerprint of their observable state taken
+// before and after the Tick (the controller's queue-interference charge is
+// the one per-cycle change it may make, and the fingerprints leave it out). A
+// component that promised too late a cycle fails here by name instead of as
+// an end-to-end fast ≠ reference diff.
 func TestNextEventBoundsHold(t *testing.T) {
 	const cycles = 30000
+	type memPrint struct {
+		pending       int
+		stats         memsys.Stats
+		mc            dram.Stats
+		req, rsp, que uint64
+	}
 	for _, name := range workload.ScenarioNames() {
 		for _, cores := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/%dc", name, cores), func(t *testing.T) {
@@ -140,32 +168,51 @@ func TestNextEventBoundsHold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check := func(component string, now, held, got uint64) {
-					if held > now+1 && got != held {
-						t.Fatalf("%s: promised no event before cycle %d, but its Tick at cycle %d changed state (bound now %d)",
-							component, held, now, got)
-					}
+				shared, mc, rg := st.shared, st.shared.Controller(), st.shared.Ring()
+				shared.StartClock(0, true) // tick the controller every cycle
+				fingerprint := func() memPrint {
+					req, rsp := rg.Delivered()
+					return memPrint{shared.PendingCount(), shared.Stats(), mc.Stats(), req, rsp, rg.TotalQueueing()}
+				}
+				changed := func(component string, now, held uint64) {
+					t.Fatalf("%s: promised no event before cycle %d, but its Tick at cycle %d changed state",
+						component, held, now)
 				}
 				coreBound := make([]uint64, cores)
-				memBound := uint64(0)
+				var memBound, mcBound, ringBound uint64
 				for now := uint64(0); now < cycles; now++ {
-					// Cores submit after the memory system's Tick, so its bound
-					// is the one taken at the end of the previous cycle.
-					st.shared.Tick(now)
-					check("memsys.System", now, memBound, st.shared.NextEvent(now))
+					// Bounds are taken at the end of the previous cycle, after
+					// the cores submitted and the memory system enqueued. Within
+					// the memory system's Tick the controller ticks before any
+					// Enqueue, and a message the ring accepts on cycle now is
+					// not ready before now+1, so its Deliver is unaffected.
+					before := fingerprint()
+					shared.Tick(now)
+					after := fingerprint()
+					if mcBound > now && (after.mc.RowHits != before.mc.RowHits || after.mc.RowMisses != before.mc.RowMisses ||
+						after.mc.RowConflicts != before.mc.RowConflicts || after.mc.AvgReadLatency != before.mc.AvgReadLatency) {
+						changed("dram.Controller", now, mcBound)
+					}
+					if ringBound > now && (after.req != before.req || after.rsp != before.rsp || after.que != before.que) {
+						changed("ring.Ring", now, ringBound)
+					}
+					if memBound > now && after != before {
+						changed("memsys.System", now, memBound)
+					}
 					for i, core := range st.cores {
-						completed := st.shared.Completed(i)
+						completed := shared.Completed(i)
 						for _, req := range completed {
 							core.CompleteRequest(req, now)
 						}
 						core.Tick(now)
 						got := core.NextEvent(now)
-						if len(completed) == 0 {
-							check(fmt.Sprintf("cpu.Core %d", i), now, coreBound[i], got)
+						if len(completed) == 0 && coreBound[i] > now+1 && got != coreBound[i] {
+							changed(fmt.Sprintf("cpu.Core %d", i), now, coreBound[i])
 						}
 						coreBound[i] = got
 					}
-					memBound = st.shared.NextEvent(now)
+					memBound = shared.NextEvent(now)
+					mcBound, ringBound = mc.NextEvent(now), rg.NextEvent(now)
 				}
 			})
 		}
