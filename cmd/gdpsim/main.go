@@ -499,8 +499,6 @@ func cmdServe(ctx context.Context, engine *gdp.Engine, logger *slog.Logger, args
 	maxConcurrent := fs.Int("max-concurrent", 0, "concurrent estimation/sweep requests (0 = 2x CPUs)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second, "how long to drain in-flight requests on shutdown")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes process internals; keep off in shared deployments)")
-	coalesceWindow := fs.Duration("coalesce-window", 0, "hold an estimate for this long so identical concurrent requests share one simulation (0 = coalesce only while one is already running)")
-	coalesceMax := fs.Int("coalesce-max", 0, "release a coalesced estimate batch early once this many requests joined (0 = no size flush)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -510,9 +508,6 @@ func cmdServe(ctx context.Context, engine *gdp.Engine, logger *slog.Logger, args
 	srvOpts := []gdp.ServerOption{gdp.WithLogger(logger)}
 	if *maxConcurrent > 0 {
 		srvOpts = append(srvOpts, gdp.WithMaxConcurrent(*maxConcurrent))
-	}
-	if *coalesceWindow != 0 || *coalesceMax != 0 {
-		srvOpts = append(srvOpts, gdp.WithCoalesce(*coalesceWindow, *coalesceMax))
 	}
 	if *pprofFlag {
 		srvOpts = append(srvOpts, gdp.WithPprof())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
 
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
@@ -31,19 +30,11 @@ type Engine struct {
 	cache    *runner.Cache
 	progress runner.ProgressFunc
 	scale    StudyScale
-	// warmupIntervals is the default checkpointed warmup-sharing prefix
-	// (in accounting intervals) applied to studies and sweeps that do not
-	// carry their own checkpoint configuration. Zero disables sharing.
-	warmupIntervals int
 	// cacheBudget bounds the result cache's memory layer in approximate
 	// bytes (WithCacheBudget); zero leaves it unbounded. Applied to the
 	// resolved cache once all options have run, so it composes with
 	// WithCache in either order.
 	cacheBudget int64
-	// processCache marks the process-wide DefaultEngine: it resolves its
-	// cache through the process-wide default at every call, so
-	// SetDefaultResultCache keeps affecting it.
-	processCache bool
 
 	// registry holds every metric family the Engine's layers register; the
 	// service layer exposes it as /metrics. instr is the per-layer
@@ -124,24 +115,6 @@ func WithCacheBudget(maxBytes int64) EngineOption {
 	}
 }
 
-// WithCheckpoints turns on checkpointed warmup sharing by default: every
-// accuracy study and sweep the Engine runs simulates its first
-// warmupIntervals accounting intervals once per unique warmup prefix
-// (memoized in the Engine's cache) and forks each cell from the snapshot.
-// Results are byte-identical with or without sharing; only wall-clock
-// changes. A study whose own warmup setting is non-zero overrides the
-// default per call; zero inherits it, and a negative per-call warmup forces
-// cold runs despite the Engine default.
-func WithCheckpoints(warmupIntervals int) EngineOption {
-	return func(e *Engine) error {
-		if warmupIntervals < 0 {
-			return fmt.Errorf("gdp: WithCheckpoints(%d): intervals must be >= 0", warmupIntervals)
-		}
-		e.warmupIntervals = warmupIntervals
-		return nil
-	}
-}
-
 // NewEngine constructs an Engine from functional options.
 func NewEngine(opts ...EngineOption) (*Engine, error) {
 	e := &Engine{scale: experiments.DefaultScale()}
@@ -156,21 +129,12 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	if e.cacheBudget > 0 {
 		e.cache.SetMaxBytes(e.cacheBudget)
 	}
-	e.initTelemetry()
-	return e, nil
-}
-
-// initTelemetry builds the Engine's metric registry and instrumentation
-// bundle. Cache metrics read through Cache() at scrape time, so they follow
-// the process-wide default cache on the legacy Engine.
-func (e *Engine) initTelemetry() {
 	e.registry = telemetry.NewRegistry()
 	e.instr = experiments.NewInstrumentation(e.registry)
 	e.dispatchMetrics = dispatch.NewMetrics(e.registry)
-	runner.RegisterCacheMetrics(e.registry, func() runner.CacheStats {
-		return e.Cache().DetailedStats()
-	})
+	runner.RegisterCacheMetrics(e.registry, e.cache.DetailedStats)
 	faultinject.RegisterMetrics(e.registry)
+	return e, nil
 }
 
 // MetricsRegistry returns the Engine's telemetry registry: the backing store
@@ -179,40 +143,15 @@ func (e *Engine) MetricsRegistry() *telemetry.Registry {
 	return e.registry
 }
 
-// simMetrics returns the Engine's simulation counters (nil when the Engine
-// was built without constructors, e.g. a zero value in tests).
-func (e *Engine) simMetrics() *sim.Metrics {
-	if e.instr == nil {
-		return nil
-	}
-	return e.instr.Sim
-}
-
 // Cache returns the Engine's result cache.
 func (e *Engine) Cache() *ResultCache {
-	if e.processCache {
-		return experiments.DefaultCache()
-	}
 	return e.cache
 }
 
 // Scale returns the Engine's default experiment scale with the Engine's
-// worker-pool width, cache and progress sink filled in.
+// worker-pool width, cache, progress sink and instrumentation filled in.
 func (e *Engine) Scale() StudyScale {
-	s := e.scale
-	if s.Jobs == 0 {
-		s.Jobs = e.jobs
-	}
-	if s.Cache == nil && !e.processCache {
-		s.Cache = e.cache
-	}
-	if s.Progress == nil {
-		s.Progress = e.progress
-	}
-	if s.Instr == nil {
-		s.Instr = e.instr
-	}
-	return s
+	return e.fillScale(StudyScale{})
 }
 
 // fillScale resolves a per-call scale against the Engine defaults: a zero
@@ -220,20 +159,9 @@ func (e *Engine) Scale() StudyScale {
 // the Engine's.
 func (e *Engine) fillScale(s StudyScale) StudyScale {
 	if s.WorkloadsPerCell == 0 && s.InstructionsPerCore == 0 && len(s.CoreCounts) == 0 {
-		return e.Scale()
+		s = e.scale
 	}
-	if s.Jobs == 0 {
-		s.Jobs = e.jobs
-	}
-	if s.Cache == nil && !e.processCache {
-		s.Cache = e.cache
-	}
-	if s.Progress == nil {
-		s.Progress = e.progress
-	}
-	if s.Instr == nil {
-		s.Instr = e.instr
-	}
+	e.fillStudy(&s.Jobs, &s.Cache, &s.Progress, &s.Instr)
 	return s
 }
 
@@ -249,7 +177,7 @@ func (e *Engine) Run(ctx context.Context, opts SimOptions) (*SimResult, error) {
 // telemetry sink.
 func (e *Engine) fillSim(opts *SimOptions) {
 	if opts.Metrics == nil {
-		opts.Metrics = e.simMetrics()
+		opts.Metrics = e.instr.Sim
 	}
 }
 
@@ -332,13 +260,9 @@ func (e *Engine) RunFromCheckpoint(ctx context.Context, opts SimOptions, cp *Che
 }
 
 // AccuracyStudy runs one cell of the accounting-accuracy evaluation
-// (Figures 3-5). Unset Jobs/Cache/Progress options inherit the Engine's, as
-// does the checkpointed warmup-sharing default (WithCheckpoints).
+// (Figures 3-5). Unset Jobs/Cache/Progress options inherit the Engine's.
 func (e *Engine) AccuracyStudy(ctx context.Context, opts AccuracyOptions) (*AccuracyResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	if opts.Checkpoint.WarmupIntervals == 0 {
-		opts.Checkpoint.WarmupIntervals = e.warmupIntervals
-	}
 	return experiments.AccuracyStudyContext(ctx, opts)
 }
 
@@ -357,13 +281,9 @@ func (e *Engine) PartitioningStudy(ctx context.Context, opts PartitioningOptions
 }
 
 // Sweep runs a user-defined experiment grid through the Engine's worker pool.
-// Unset Jobs/Cache/Progress options inherit the Engine's, as does the
-// checkpointed warmup-sharing default (WithCheckpoints).
+// Unset Jobs/Cache/Progress options inherit the Engine's.
 func (e *Engine) Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	if opts.WarmupIntervals == 0 {
-		opts.WarmupIntervals = e.warmupIntervals
-	}
 	return experiments.SweepContext(ctx, opts)
 }
 
@@ -377,9 +297,6 @@ func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []
 		return e.Sweep(ctx, opts)
 	}
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	if opts.WarmupIntervals == 0 {
-		opts.WarmupIntervals = e.warmupIntervals
-	}
 	pool, err := dispatch.NewPool(dispatch.Options{
 		Workers:   workers,
 		LocalJobs: e.jobs,
@@ -398,9 +315,6 @@ func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []
 // fleet — cells it already holds are answered without dispatch, and every
 // completion (remote or local) is written back under the cell's spec key.
 func (e *Engine) sweepDistributed(ctx context.Context, opts SweepOptions, pool *dispatch.Pool) (*SweepResult, error) {
-	if opts.Cache == nil {
-		opts.Cache = e.Cache()
-	}
 	cells := experiments.EnumerateSweepCells(opts)
 	cfg := experiments.CellConfig{Cache: opts.Cache, Instr: opts.Instr}
 
@@ -502,7 +416,7 @@ func (e *Engine) fillStudy(jobs *int, cache **ResultCache, progress *ProgressFun
 	if *jobs == 0 {
 		*jobs = e.jobs
 	}
-	if *cache == nil && !e.processCache {
+	if *cache == nil {
 		*cache = e.cache
 	}
 	if *progress == nil {
@@ -511,22 +425,4 @@ func (e *Engine) fillStudy(jobs *int, cache **ResultCache, progress *ProgressFun
 	if *instr == nil {
 		*instr = e.instr
 	}
-}
-
-// defaultEngine backs DefaultEngine. It shares the process-wide default cache
-// so SetDefaultResultCache keeps affecting it.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the process-wide Engine NewServer(nil) serves. Its
-// studies use the process-wide default result cache (DefaultResultCache), so
-// SetDefaultResultCache affects it.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() {
-		defaultEngine = &Engine{scale: experiments.DefaultScale(), processCache: true}
-		defaultEngine.initTelemetry()
-	})
-	return defaultEngine
 }

@@ -51,15 +51,13 @@ func TestNewEngineOptionValidation(t *testing.T) {
 	if e.Scale().Jobs != 2 {
 		t.Error("engine jobs not reflected in Scale()")
 	}
-	if _, err := NewEngine(WithCheckpoints(-1)); err == nil {
-		t.Error("negative checkpoint warmup accepted")
-	}
 }
 
 // TestEngineCheckpointFork drives the Engine's explicit checkpoint surface:
 // a fork from Engine.Checkpoint must equal a cold Engine.Run byte for byte.
+// The warmup (two intervals) is passed per call.
 func TestEngineCheckpointFork(t *testing.T) {
-	e, err := NewEngine(WithCheckpoints(2))
+	e, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +66,10 @@ func TestEngineCheckpointFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const warmupIntervals = 2
 	prefix := testSimOptions(t)
 	prefix.InstructionsPerCore = 1 << 40
-	cp, err := e.Checkpoint(ctx, prefix, prefix.IntervalCycles*2)
+	cp, err := e.Checkpoint(ctx, prefix, prefix.IntervalCycles*warmupIntervals)
 	if err != nil {
 		t.Fatal(err)
 	}

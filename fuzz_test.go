@@ -112,7 +112,11 @@ func FuzzCellsRequestJSON(f *testing.F) {
 	}
 	faultinject.SetActive(in)
 	defer faultinject.SetActive(nil)
-	srv, err := NewServer(&Engine{})
+	engine, err := NewEngine()
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := NewServer(engine)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -260,14 +260,6 @@ func NewResultCache() *ResultCache { return runner.NewCache() }
 // dir, so repeated processes reuse earlier simulations.
 func NewDiskResultCache(dir string) (*ResultCache, error) { return runner.NewDiskCache(dir) }
 
-// DefaultResultCache returns the process-wide cache every experiment driver
-// uses unless its options name another one.
-func DefaultResultCache() *ResultCache { return experiments.DefaultCache() }
-
-// SetDefaultResultCache replaces the process-wide result cache (for example
-// with a disk-backed one).
-func SetDefaultResultCache(c *ResultCache) { experiments.SetDefaultCache(c) }
-
 // ConsoleProgress returns a ProgressFunc that prints one line per completed
 // simulation cell to w.
 func ConsoleProgress(w io.Writer) ProgressFunc { return runner.ConsoleProgress(w) }

@@ -150,7 +150,4 @@ func TestPublicSweepAndCache(t *testing.T) {
 	if _, misses := cache.Stats(); misses == 0 {
 		t.Error("cache saw no simulations")
 	}
-	if DefaultResultCache() == nil {
-		t.Error("no default result cache")
-	}
 }

@@ -59,14 +59,6 @@ func (s Stats) AvgSMSLatency() float64 {
 	return float64(s.SMSLatencySum) / float64(s.SMSLoads)
 }
 
-// AvgSMSInterference returns the average per-SMS-load interference latency.
-func (s Stats) AvgSMSInterference() float64 {
-	if s.SMSLoads == 0 {
-		return 0
-	}
-	return float64(s.SMSInterferenceSum) / float64(s.SMSLoads)
-}
-
 // AvgOverlap returns the average number of cycles the core committed
 // instructions while an SMS load was in flight (GDP-O's overlap term).
 func (s Stats) AvgOverlap() float64 {

@@ -9,14 +9,14 @@
 // by job index, and per-job seeds are derived from the study seed and the
 // workload index, so every driver produces byte-identical output whether it
 // runs on one worker or on runtime.NumCPU() workers. Private-mode reference
-// runs are memoized in a shared result cache (see DefaultCache) because
-// several studies align on the same reference simulations.
+// runs are memoized in the result cache the caller passes (a nil cache
+// memoizes nothing) because several studies align on the same reference
+// simulations.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/accounting"
 	"repro/internal/config"
@@ -26,28 +26,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// defaultCache memoizes simulation cells (most importantly the private-mode
-// reference runs) across every study executed in this process.
-var (
-	defaultCacheMu sync.Mutex
-	defaultCache   = runner.NewCache()
-)
-
-// DefaultCache returns the process-wide result cache shared by all drivers.
-func DefaultCache() *runner.Cache {
-	defaultCacheMu.Lock()
-	defer defaultCacheMu.Unlock()
-	return defaultCache
-}
-
-// SetDefaultCache replaces the process-wide result cache; the CLI uses this
-// to install a disk-backed cache (-cache-dir).
-func SetDefaultCache(c *runner.Cache) {
-	defaultCacheMu.Lock()
-	defer defaultCacheMu.Unlock()
-	defaultCache = c
-}
 
 // privateRefSpec is the cache key of one private-mode reference run; it
 // captures everything sim.RunPrivate's outcome depends on.
@@ -101,7 +79,7 @@ type AccuracyOptions struct {
 	// value: aggregation is ordered by job index and per-job seeds are
 	// derived from Seed and the workload index.
 	Jobs int
-	// Cache memoizes private-mode reference runs (nil = DefaultCache()).
+	// Cache memoizes private-mode reference runs (nil = no memoization).
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one event per completed job.
 	Progress runner.ProgressFunc
@@ -138,9 +116,6 @@ func (o AccuracyOptions) withDefaults() AccuracyOptions {
 	}
 	if len(o.Techniques) == 0 {
 		o.Techniques = TechniqueNames
-	}
-	if o.Cache == nil {
-		o.Cache = DefaultCache()
 	}
 	return o
 }

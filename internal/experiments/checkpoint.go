@@ -21,9 +21,7 @@ import (
 // never changes a study's numbers, only its wall-clock.
 type CheckpointOptions struct {
 	// WarmupIntervals is the shared warmup prefix length in accounting
-	// intervals. Zero and negative values disable checkpointing (negative
-	// exists so a caller can force cold runs on an Engine whose
-	// WithCheckpoints default would otherwise fill a zero in).
+	// intervals. Zero and negative values disable checkpointing.
 	WarmupIntervals int
 	// CoPRBSizes lists additional GDP/GDP-O Pending Request Buffer sizes to
 	// co-simulate in the warmup prefix. Transparent accountants do not

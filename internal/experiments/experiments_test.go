@@ -5,8 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
+
+// testCache is the result cache the package's quick tests share, so studies
+// that align on the same private-mode references simulate them once.
+var testCache = runner.NewCache()
 
 // quickScale keeps experiment tests fast: tiny samples, one workload per cell.
 func quickScale() StudyScale {
@@ -16,6 +22,7 @@ func quickScale() StudyScale {
 		IntervalCycles:      3000,
 		Seed:                7,
 		CoreCounts:          []int{2},
+		Cache:               testCache,
 	}
 }
 
@@ -28,6 +35,7 @@ func quickAccuracyOptions(techniques ...string) AccuracyOptions {
 		IntervalCycles:      3000,
 		Seed:                7,
 		Techniques:          techniques,
+		Cache:               testCache,
 	}
 }
 
@@ -140,6 +148,7 @@ func TestPartitioningStudy(t *testing.T) {
 		InstructionsPerCore: 3000,
 		IntervalCycles:      2500,
 		Seed:                3,
+		Cache:               testCache,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +190,7 @@ func TestPartitioningStudySubset(t *testing.T) {
 		IntervalCycles:      2500,
 		Seed:                3,
 		Policies:            []string{"LRU", "MCP"},
+		Cache:               testCache,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,11 +204,14 @@ func TestPartitioningStudySubset(t *testing.T) {
 }
 
 func TestSensitivityPanels(t *testing.T) {
+	instr := NewInstrumentation(telemetry.NewRegistry())
 	opts := SensitivityOptions{Scale: StudyScale{
 		WorkloadsPerCell:    1,
 		InstructionsPerCore: 2000,
 		IntervalCycles:      2000,
 		Seed:                11,
+		Cache:               testCache,
+		Instr:               instr,
 	}}
 	// Run two representative panels (the full Figure 7 is exercised by the
 	// benchmark harness; running all six here would slow the test suite).
@@ -208,6 +221,9 @@ func TestSensitivityPanels(t *testing.T) {
 	}
 	if len(d.Points) != 2 {
 		t.Errorf("Figure 7d points = %d, want 2", len(d.Points))
+	}
+	if instr.Sim.Runs() == 0 {
+		t.Error("Figure 7 simulations did not reach the scale's sim run counter")
 	}
 	f, err := Figure7f(context.Background(), opts)
 	if err != nil {

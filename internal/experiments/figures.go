@@ -27,7 +27,7 @@ type StudyScale struct {
 	// any value.
 	Jobs int
 	// Cache memoizes the private-mode reference runs of every driver that
-	// accepts this scale (nil = DefaultCache()).
+	// accepts this scale (nil = no memoization).
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one runner event per completed
 	// simulation job.

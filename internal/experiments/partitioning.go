@@ -35,7 +35,7 @@ type PartitioningOptions struct {
 	// for any value.
 	Jobs int
 	// Cache memoizes the policy-independent private-mode runs
-	// (nil = DefaultCache()).
+	// (nil = no memoization).
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one event per completed job.
 	Progress runner.ProgressFunc
@@ -62,9 +62,6 @@ func (o PartitioningOptions) withDefaults() PartitioningOptions {
 	}
 	if len(o.Policies) == 0 {
 		o.Policies = PolicyNames
-	}
-	if o.Cache == nil {
-		o.Cache = DefaultCache()
 	}
 	return o
 }

@@ -48,6 +48,7 @@ func gdpoErrorByMix(ctx context.Context, scale StudyScale, cfg *config.CMPConfig
 			Jobs:                scale.Jobs,
 			Cache:               scale.Cache,
 			Progress:            scale.Progress,
+			Instr:               scale.Instr,
 		})
 		if err != nil {
 			return nil, err

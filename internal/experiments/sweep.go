@@ -42,7 +42,8 @@ type SweepOptions struct {
 	// Jobs is the worker-pool width for the grid (0 = runtime.NumCPU()).
 	Jobs int
 	// Cache memoizes private-mode reference runs, whole grid cells and — when
-	// WarmupIntervals is set — shared warmup checkpoints (nil = DefaultCache()).
+	// WarmupIntervals is set — shared warmup checkpoints (nil = no
+	// memoization).
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one event per completed grid cell.
 	Progress runner.ProgressFunc
@@ -63,8 +64,7 @@ type SweepOptions struct {
 	// co-simulates GDP/GDP-O units for every size in PRBSizes), and ASM cells
 	// share their own invasive prefix across PRB variants. Results are
 	// byte-identical with or without warmup sharing; only wall-clock changes.
-	// Zero disables sharing (unless an Engine WithCheckpoints default fills
-	// it in); negative forces cold runs despite such a default.
+	// Zero or negative disables sharing.
 	WarmupIntervals int
 }
 
@@ -83,9 +83,6 @@ func (o SweepOptions) withDefaults() SweepOptions {
 	}
 	if len(o.Techniques) == 0 {
 		o.Techniques = TechniqueNames
-	}
-	if o.Cache == nil {
-		o.Cache = DefaultCache()
 	}
 	return o
 }

@@ -349,11 +349,6 @@ func SetActive(inj *Injector) {
 	active.Store(inj)
 }
 
-// Active returns the armed injector (nil when disarmed).
-func Active() *Injector {
-	return active.Load()
-}
-
 // Enabled reports whether any injector is armed.
 func Enabled() bool {
 	return active.Load() != nil

@@ -34,8 +34,7 @@ import (
 // The on-disk layer shards entries into 256 two-hex-character subdirectories
 // of the cache directory (dir/ab/<key>.json): checkpoint blobs and large
 // sweeps would otherwise pile thousands of files into one directory, which
-// degrades lookup on most filesystems. Entries written by earlier versions
-// into the flat layout are found and migrated transparently on first access.
+// degrades lookup on most filesystems.
 //
 // Concurrent lookups of the same key are deduplicated: while one goroutine
 // computes a result, others requesting the same spec block and share the
@@ -326,15 +325,19 @@ func memoKeyed[T any](ctx context.Context, c *Cache, key string, fn func() (T, e
 	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
+	// Count the owner's lookup before waking the joiners: anyone who observes
+	// this call's completion must also see its miss (or disk hit).
+	if err == nil {
+		if fromDisk {
+			c.diskHits.Add(1)
+		} else {
+			c.misses.Add(1)
+		}
+	}
 	close(call.done)
 	c.spill(spill)
 	if err != nil {
 		return zero, false, err
-	}
-	if fromDisk {
-		c.diskHits.Add(1)
-	} else {
-		c.misses.Add(1)
 	}
 	return val, fromDisk, nil
 }
@@ -516,12 +519,11 @@ func (c *Cache) Put(key string, v any) {
 	c.spill(spill)
 }
 
-// removeCorrupt deletes a key's on-disk entry (both layouts) after a decode
-// failure and counts the corruption.
+// removeCorrupt deletes a key's on-disk entry after a decode failure and
+// counts the corruption.
 func (c *Cache) removeCorrupt(key string) {
 	c.diskCorrupt.Add(1)
 	_ = os.Remove(c.path(key))
-	_ = os.Remove(c.legacyPath(key))
 }
 
 // path returns the sharded on-disk location of a key: a two-hex-character
@@ -534,38 +536,13 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, shard, key+".json")
 }
 
-// legacyPath is the pre-sharding flat location of a key.
-func (c *Cache) legacyPath(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-// readDisk loads a key's bytes from the sharded location, transparently
-// migrating an entry an earlier version wrote into the flat layout: the
-// legacy file is renamed into its shard (same filesystem, atomic) and read
-// from there. An injected disk.read fault behaves like a missing entry.
+// readDisk loads a key's bytes from the sharded location. An injected
+// disk.read fault behaves like a missing entry.
 func (c *Cache) readDisk(key string) ([]byte, bool) {
 	if faultinject.Fire(faultinject.PointDiskRead) != nil {
 		return nil, false
 	}
-	p := c.path(key)
-	if raw, err := os.ReadFile(p); err == nil {
-		return raw, true
-	}
-	legacy := c.legacyPath(key)
-	if _, err := os.Stat(legacy); err != nil {
-		return nil, false
-	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err == nil {
-		if os.Rename(legacy, p) == nil {
-			if raw, err := os.ReadFile(p); err == nil {
-				return raw, true
-			}
-			return nil, false
-		}
-	}
-	// Migration failed (read-only directory, concurrent migration): fall back
-	// to reading the legacy file in place.
-	raw, err := os.ReadFile(legacy)
+	raw, err := os.ReadFile(c.path(key))
 	return raw, err == nil
 }
 

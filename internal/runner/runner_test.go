@@ -220,38 +220,6 @@ func TestDiskCacheShardLayout(t *testing.T) {
 	}
 }
 
-// TestDiskCacheMigratesLegacyFlatEntries: an entry written by the pre-shard
-// layout (dir/<key>.json) is found, served and moved into its shard.
-func TestDiskCacheMigratesLegacyFlatEntries(t *testing.T) {
-	dir := t.TempDir()
-	spec := specV{Op: "legacy", Seed: 11}
-	key, err := SpecKey(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("42"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var computed atomic.Int64
-	v, hit, err := Memo(c, spec, func() (int, error) { computed.Add(1); return 0, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit || v != 42 || computed.Load() != 0 {
-		t.Fatalf("legacy recall failed: hit=%v v=%d computed=%d", hit, v, computed.Load())
-	}
-	if _, err := os.Stat(filepath.Join(dir, key[:2], key+".json")); err != nil {
-		t.Fatalf("legacy entry was not migrated into its shard: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); !os.IsNotExist(err) {
-		t.Fatalf("legacy flat entry still present (err=%v)", err)
-	}
-}
-
 // TestMemoKeyedContextMatchesMemoContext: the precomputed-key path and the
 // spec path address the same entries.
 func TestMemoKeyedContextMatchesMemoContext(t *testing.T) {

@@ -18,7 +18,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 $GO build -o "$workdir/gdpsim" ./cmd/gdpsim
-"$workdir/gdpsim" -cache-mem-mb 64 serve -addr 127.0.0.1:0 -coalesce-window 5ms 2>"$log" &
+"$workdir/gdpsim" -cache-mem-mb 64 serve -addr 127.0.0.1:0 2>"$log" &
 server_pid=$!
 
 # The startup log line carries the resolved ephemeral address:
@@ -49,12 +49,11 @@ echo "$metrics" | grep -q '^gdpsim_http_requests_total{' || {
 echo "$metrics" | grep -q '^# TYPE gdpsim_http_request_seconds histogram' || {
     echo "metrics exposition missing the latency histogram family"; exit 1; }
 for series in gdpsim_cache_evictions_total gdpsim_cache_mem_bytes \
-              gdpsim_cache_mem_budget_bytes gdpsim_coalesce_joined_total; do
+              gdpsim_cache_mem_budget_bytes gdpsim_coalesce_joined_total \
+              gdpsim_coalesce_batches_total; do
     echo "$metrics" | grep -q "^$series " || {
         echo "metrics exposition missing $series"; exit 1; }
 done
-echo "$metrics" | grep -q '^gdpsim_coalesce_batches_total{reason=' || {
-    echo "metrics exposition missing gdpsim_coalesce_batches_total series"; exit 1; }
 # -cache-mem-mb 64 = 67108864 bytes must be reported as the budget gauge.
 echo "$metrics" | grep -q '^gdpsim_cache_mem_budget_bytes 6.7108864e+07' || {
     echo "cache budget gauge does not reflect -cache-mem-mb 64:"

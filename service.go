@@ -308,14 +308,13 @@ func (e *Engine) runEstimate(ctx context.Context, p estimateParams) (*EstimateRe
 		return nil, err
 	}
 
-	scale := e.Scale()
 	instructions := p.instructionsPerCore
 	if instructions == 0 {
-		instructions = scale.InstructionsPerCore
+		instructions = e.scale.InstructionsPerCore
 	}
 	interval := p.intervalCycles
 	if interval == 0 {
-		interval = scale.IntervalCycles
+		interval = e.scale.IntervalCycles
 	}
 
 	// Reduce the stream in place: per core, the instruction-weighted mean of
@@ -608,11 +607,8 @@ type Server struct {
 	cellSem     chan struct{}
 	dispatchSrv *dispatchServerMetrics
 	// coalesce merges concurrent identical estimate requests into one
-	// simulation (see service_coalesce.go); coalesceWindow/coalesceMax are
-	// its WithCoalesce configuration, applied at construction.
-	coalesce       *coalescer
-	coalesceWindow time.Duration
-	coalesceMax    int
+	// simulation (see service_coalesce.go).
+	coalesce *coalescer
 }
 
 // httpServerMetrics holds the HTTP-layer metric handles, resolved once at
@@ -682,16 +678,10 @@ func WithPprof() ServerOption {
 	}
 }
 
-// NewServer wraps an Engine as an HTTP handler. A nil engine selects
-// DefaultEngine().
+// NewServer wraps an Engine built by NewEngine as an HTTP handler.
 func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 	if engine == nil {
-		engine = DefaultEngine()
-	}
-	if engine.registry == nil {
-		// Zero-value Engines (struct literals in tests) skip NewEngine; give
-		// them a registry so /metrics and the instrumentation still work.
-		engine.initTelemetry()
+		return nil, errors.New("gdp: NewServer(nil): build the engine with NewEngine")
 	}
 	s := &Server{
 		engine:       engine,
@@ -717,7 +707,7 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 		cellJobs = defaultConcurrency()
 	}
 	s.cellSem = make(chan struct{}, cellJobs)
-	s.coalesce = newCoalescer(s.coalesceWindow, s.coalesceMax, newCoalesceMetrics(engine.registry))
+	s.coalesce = newCoalescer(engine.Estimate, newCoalesceMetrics(engine.registry))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))

@@ -2,9 +2,7 @@ package gdp
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/runner"
 	"repro/internal/telemetry"
@@ -12,14 +10,10 @@ import (
 
 // coalescer merges concurrent identical POST /v1/estimate requests into one
 // simulation. Requests are grouped by the spec key of their decoded body; the
-// first arrival becomes the group's leader and runs the engine once, every
-// request that arrives before the leader finishes joins the group and shares
-// the response. It is a size-or-deadline micro-batcher: with a positive
-// window the leader holds its simulation back for up to that long, letting a
-// burst of identical requests accumulate (maxBatch waiters flush early); with
-// a zero window the leader starts immediately and the coalescer degenerates
-// to pure in-flight deduplication — late arrivals still share the running
-// simulation, and no request ever waits longer than the simulation itself.
+// first arrival becomes the group's leader and starts the engine at once, and
+// every request that arrives before the leader finishes joins the group and
+// shares the response. It is pure in-flight deduplication: no request ever
+// waits longer than the simulation it shares.
 //
 // Estimate responses are not memoized in the result cache (an estimate is
 // cheap enough to re-run when traffic is not concurrent), so under sustained
@@ -28,21 +22,16 @@ import (
 type coalescer struct {
 	mu     sync.Mutex
 	groups map[string]*coalesceGroup
-	// window is how long a leader waits for joiners before simulating
-	// (0 = start immediately).
-	window time.Duration
-	// maxBatch flushes a window early once this many requests have grouped
-	// (0 = no size flush).
-	maxBatch int
+	// estimate runs one group's simulation (the Engine's Estimate).
+	estimate func(context.Context, *EstimateRequest) (*EstimateResponse, error)
 	metrics  *coalesceMetrics
 }
 
 // coalesceGroup is one in-flight set of identical requests sharing a
-// simulation. waiters/total/fired/abandoned are guarded by the coalescer's
-// mutex; resp and err are written once before done closes.
+// simulation. waiters and abandoned are guarded by the coalescer's mutex;
+// resp and err are written once before done closes.
 type coalesceGroup struct {
 	key  string
-	fire chan struct{} // closed to flush the batching window early
 	done chan struct{} // closed when resp/err are ready
 	resp *EstimateResponse
 	err  error
@@ -50,10 +39,6 @@ type coalesceGroup struct {
 	// disconnected, and after completion to release the context.
 	cancel  context.CancelFunc
 	waiters int // requests currently blocked on done
-	total   int // requests that ever joined (the batch size)
-	// fired marks that the window has been flushed (or expired): guards the
-	// one close(fire).
-	fired bool
 	// abandoned marks a group whose every waiter left before completion: its
 	// simulation is being cancelled, so new arrivals must start fresh
 	// instead of inheriting the foreign cancellation error.
@@ -62,53 +47,26 @@ type coalesceGroup struct {
 
 // coalesceMetrics are the /metrics counters of the request coalescer.
 type coalesceMetrics struct {
-	// batches counts executed groups by what released them: "immediate"
-	// (zero window), "deadline" (window expired), "size" (maxBatch reached)
-	// or "abandoned" (every waiter disconnected first).
-	batches *telemetry.CounterVec
+	// batches counts executed groups (one simulation each).
+	batches *telemetry.Counter
 	// joined counts requests that shared another request's simulation.
 	joined *telemetry.Counter
 }
 
 func newCoalesceMetrics(r *telemetry.Registry) *coalesceMetrics {
 	return &coalesceMetrics{
-		batches: r.CounterVec("gdpsim_coalesce_batches_total",
-			"Coalesced estimate groups executed, by what released the batch.", "reason"),
+		batches: r.Counter("gdpsim_coalesce_batches_total",
+			"Coalesced estimate groups executed (one simulation each)."),
 		joined: r.Counter("gdpsim_coalesce_joined_total",
 			"Estimate requests that shared another identical request's simulation."),
 	}
 }
 
-// newCoalescer builds a coalescer; window and maxBatch of zero give pure
-// in-flight deduplication.
-func newCoalescer(window time.Duration, maxBatch int, m *coalesceMetrics) *coalescer {
+func newCoalescer(estimate func(context.Context, *EstimateRequest) (*EstimateResponse, error), m *coalesceMetrics) *coalescer {
 	return &coalescer{
 		groups:   map[string]*coalesceGroup{},
-		window:   window,
-		maxBatch: maxBatch,
+		estimate: estimate,
 		metrics:  m,
-	}
-}
-
-// WithCoalesce tunes the estimate coalescer's batching: a leader request
-// holds its simulation for up to window so identical concurrent requests can
-// join its batch, and maxBatch waiters release the batch early (0 = no size
-// flush). The default is a zero window — identical requests coalesce only
-// while one is already simulating, adding no latency. A window of a few
-// milliseconds trades that much added latency for coalescing short bursts
-// whose requests do not overlap exactly; keep it well under a simulation's
-// wall-clock or it is pure loss.
-func WithCoalesce(window time.Duration, maxBatch int) ServerOption {
-	return func(s *Server) error {
-		if window < 0 {
-			return fmt.Errorf("gdp: WithCoalesce: window %v must be >= 0", window)
-		}
-		if maxBatch < 0 {
-			return fmt.Errorf("gdp: WithCoalesce: maxBatch %d must be >= 0", maxBatch)
-		}
-		s.coalesceWindow = window
-		s.coalesceMax = maxBatch
-		return nil
 	}
 }
 
@@ -148,30 +106,20 @@ func (s *Server) coalescedEstimate(ctx context.Context, req *EstimateRequest) (*
 		runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 		g = &coalesceGroup{
 			key:     key,
-			fire:    make(chan struct{}),
 			done:    make(chan struct{}),
 			cancel:  cancel,
 			waiters: 1,
-			total:   1,
 		}
 		co.groups[key] = g
 		co.mu.Unlock()
 		go func() {
 			defer func() { <-s.sem }()
-			co.run(runCtx, g, req, s.engine)
+			co.run(runCtx, g, req)
 		}()
 	} else {
 		g.waiters++
-		g.total++
-		flush := co.maxBatch > 0 && g.total >= co.maxBatch && !g.fired
-		if flush {
-			g.fired = true
-		}
 		co.mu.Unlock()
 		co.metrics.joined.Inc()
-		if flush {
-			close(g.fire)
-		}
 	}
 	defer co.release(g)
 	select {
@@ -182,28 +130,12 @@ func (s *Server) coalescedEstimate(ctx context.Context, req *EstimateRequest) (*
 	}
 }
 
-// run executes one group: it waits out the batching window (unless flushed by
-// size, cancelled, or zero), simulates once, publishes the result and retires
-// the group so later requests start fresh.
-func (co *coalescer) run(ctx context.Context, g *coalesceGroup, req *EstimateRequest, engine *Engine) {
-	reason := "immediate"
-	if co.window > 0 {
-		timer := time.NewTimer(co.window)
-		select {
-		case <-timer.C:
-			reason = "deadline"
-		case <-g.fire:
-			timer.Stop()
-			reason = "size"
-		case <-ctx.Done():
-			timer.Stop()
-			reason = "abandoned"
-		}
-		co.mu.Lock()
-		g.fired = true // the window is over; no joiner may close fire now
-		co.mu.Unlock()
-	}
-	resp, err := engine.Estimate(ctx, req)
+// run executes one group: it simulates once, publishes the result and retires
+// the group so later requests start fresh. The batch is counted before the
+// waiters wake, so a scrape after any response already sees it.
+func (co *coalescer) run(ctx context.Context, g *coalesceGroup, req *EstimateRequest) {
+	resp, err := co.estimate(ctx, req)
+	co.metrics.batches.Inc()
 	co.mu.Lock()
 	g.resp, g.err = resp, err
 	if co.groups[g.key] == g {
@@ -211,7 +143,6 @@ func (co *coalescer) run(ctx context.Context, g *coalesceGroup, req *EstimateReq
 	}
 	close(g.done)
 	co.mu.Unlock()
-	co.metrics.batches.With(reason).Inc()
 }
 
 // release drops one waiter from a group. When the last live waiter leaves,
