@@ -25,6 +25,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzJournalLoad -fuzztime=$(FUZZTIME) ./internal/journal
 
 vet:
 	$(GO) vet ./...
@@ -91,10 +92,9 @@ bench-pairs:
 	"$$tmp/bench-change" -compare "$$out/parent" "$$out/change"
 
 # bench-smoke is the CI correctness gate: one short traced ledger run whose
-# exit status is the ledger's own verdict — cold and forked runs end on the
-# same cycle, the loopback-worker sweep returns the local rows and the
-# processed-cycle share stays in its band. No wall-clock threshold, so nothing
-# self-waives on a small machine.
+# exit status is the ledger's own verdict — the loopback-worker sweep returns
+# the local rows and the processed-cycle share stays in its band. No
+# wall-clock threshold, so nothing self-waives on a small machine.
 bench-smoke:
 	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
 		$(GO) run ./benchmark -workload sim_sparse -seed 1 -seconds 2 -trace 1 -out "$$out"

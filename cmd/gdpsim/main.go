@@ -376,8 +376,6 @@ func cmdSweep(ctx context.Context, engine *gdp.Engine, args []string) error {
 	techniques := fs.String("techniques", "", "comma-separated accounting techniques (default: all five)")
 	policies := fs.String("policies", "", "comma-separated LLC policies; adds one partitioning cell per (cores, mix)")
 	scenarios := fs.String("scenario", "", "comma-separated scenario names; adds one accuracy cell per (cores, scenario)")
-	checkpoint := fs.Bool("checkpoint", false, "share warmup across grid cells via simulation-state checkpoints (byte-identical rows, less wall-clock)")
-	warmupIntervals := fs.Int("warmup-intervals", 0, "warmup prefix length in accounting intervals shared per checkpoint group (0 with -checkpoint = a conservative instructions/interval default; set explicitly — most of the run, but under the shortest cell — for memory-bound grids)")
 	csvPath := fs.String("csv", "", "also export the rows as CSV to this file")
 	jsonPath := fs.String("json", "", "also export the result as JSON to this file")
 	workers := fs.String("workers", "", "comma-separated base URLs of gdpsim serve workers; shards the grid across the fleet (rows stay byte-identical)")
@@ -391,9 +389,6 @@ func cmdSweep(ctx context.Context, engine *gdp.Engine, args []string) error {
 	}
 	if *resume && *journalPath == "" {
 		return fmt.Errorf("sweep: -resume needs -journal to name the journal file")
-	}
-	if *warmupIntervals < 0 {
-		return fmt.Errorf("sweep: -warmup-intervals %d out of range (0 = derive a default with -checkpoint, or a positive prefix length)", *warmupIntervals)
 	}
 
 	coreCounts, err := experiments.ParseIntList(*coresList)
@@ -432,20 +427,6 @@ func cmdSweep(ctx context.Context, engine *gdp.Engine, args []string) error {
 			}
 		}
 	}
-	if *checkpoint || *warmupIntervals > 0 {
-		w := *warmupIntervals
-		if w <= 0 {
-			// Default warmup: about half the expected run. Runs end after
-			// InstructionsPerCore committed instructions at a CPI of roughly
-			// two, so half the run is ~InstructionsPerCore cycles.
-			w = int(opts.InstructionsPerCore / opts.IntervalCycles)
-			if w < 1 {
-				w = 1
-			}
-		}
-		opts.WarmupIntervals = w
-	}
-
 	var jnl *experiments.SweepJournal
 	if *journalPath != "" {
 		jnl, err = experiments.OpenSweepJournal(*journalPath, *resume)

@@ -176,10 +176,14 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	}
 }
 
-func TestSweepRejectsNegativeWarmupIntervals(t *testing.T) {
-	err := run(context.Background(), []string{"sweep", "-cores", "2", "-warmup-intervals", "-3"})
-	if err == nil || !strings.Contains(err.Error(), "-warmup-intervals") {
-		t.Errorf("negative -warmup-intervals accepted (err = %v)", err)
+// TestSweepCheckpointFlagsRemoved: warm-up sharing is gone, and so are its
+// two sweep flags.
+func TestSweepCheckpointFlagsRemoved(t *testing.T) {
+	for _, args := range [][]string{{"-checkpoint"}, {"-warmup-intervals", "4"}} {
+		err := run(context.Background(), append([]string{"sweep", "-cores", "2"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("sweep %s: err = %v, want an undefined-flag error", args[0], err)
+		}
 	}
 }
 

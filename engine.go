@@ -101,10 +101,7 @@ func WithScale(s StudyScale) EngineOption {
 // are evicted; with a disk-backed cache (WithCache over NewDiskResultCache)
 // they spill to the sharded disk layer and stay one read away, so rows remain
 // byte-identical — only recompute-vs-reread wall-clock changes. Zero leaves
-// the memory layer unbounded (the historical behavior). Long-lived servers
-// whose sweeps memoize checkpoint blobs should always set a budget: the
-// blobs are orders of magnitude larger than the result rows the cache was
-// designed for.
+// the memory layer unbounded (the historical behavior).
 func WithCacheBudget(maxBytes int64) EngineOption {
 	return func(e *Engine) error {
 		if maxBytes < 0 {
@@ -241,22 +238,35 @@ func (e *Engine) Stream(ctx context.Context, opts SimOptions) (iter.Seq2[Interva
 	return seq, result
 }
 
-// Checkpoint simulates the first warmupCycles cycles of a shared-mode run
-// (a positive multiple of opts.IntervalCycles) and returns the boundary
-// snapshot. The checkpoint is serializable and content-addressable: it can
-// be stored in the Engine's result cache and seed any number of forks.
-func (e *Engine) Checkpoint(ctx context.Context, opts SimOptions, warmupCycles uint64) (*Checkpoint, error) {
-	e.fillSim(&opts)
-	return sim.RunToCheckpoint(ctx, opts, warmupCycles)
+// Checkpoint names an interval boundary of a shared-mode run.
+//
+// Deprecated: simulation-state checkpointing was measured to save nothing and
+// removed. A Checkpoint holds only its cycle, and RunFromCheckpoint runs the
+// whole simulation, which is exact because the simulator is deterministic.
+type Checkpoint struct {
+	Cycle uint64 `json:"cycle"`
 }
 
-// RunFromCheckpoint forks a shared-mode run from a checkpoint and continues
-// it to completion under opts. The Result is byte-identical to a cold
-// Engine.Run of the same options; a checkpoint that cannot seed these
-// options fails with an error wrapping ErrCheckpointMismatch.
+// Checkpoint checks that warmupCycles is a positive multiple of
+// opts.IntervalCycles and returns it as a Checkpoint. It simulates nothing.
+//
+// Deprecated: see Checkpoint.
+func (e *Engine) Checkpoint(ctx context.Context, opts SimOptions, warmupCycles uint64) (*Checkpoint, error) {
+	if opts.IntervalCycles == 0 || warmupCycles == 0 || warmupCycles%opts.IntervalCycles != 0 {
+		return nil, fmt.Errorf("gdp: checkpoint cycle %d is not a positive multiple of the %d-cycle interval",
+			warmupCycles, opts.IntervalCycles)
+	}
+	return &Checkpoint{Cycle: warmupCycles}, nil
+}
+
+// RunFromCheckpoint is Run for any non-nil checkpoint.
+//
+// Deprecated: use Run.
 func (e *Engine) RunFromCheckpoint(ctx context.Context, opts SimOptions, cp *Checkpoint) (*SimResult, error) {
-	e.fillSim(&opts)
-	return sim.RunFromCheckpoint(ctx, opts, cp)
+	if cp == nil {
+		return nil, errors.New("gdp: RunFromCheckpoint: nil checkpoint")
+	}
+	return e.Run(ctx, opts)
 }
 
 // AccuracyStudy runs one cell of the accounting-accuracy evaluation

@@ -53,9 +53,8 @@ func TestNewEngineOptionValidation(t *testing.T) {
 	}
 }
 
-// TestEngineCheckpointFork drives the Engine's explicit checkpoint surface:
-// a fork from Engine.Checkpoint must equal a cold Engine.Run byte for byte.
-// The warmup (two intervals) is passed per call.
+// TestEngineCheckpointFork pins the deprecated checkpoint stubs: a "fork" from
+// Engine.Checkpoint is Engine.Run of the same options.
 func TestEngineCheckpointFork(t *testing.T) {
 	e, err := NewEngine()
 	if err != nil {
@@ -66,19 +65,39 @@ func TestEngineCheckpointFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const warmupIntervals = 2
 	prefix := testSimOptions(t)
-	prefix.InstructionsPerCore = 1 << 40
-	cp, err := e.Checkpoint(ctx, prefix, prefix.IntervalCycles*warmupIntervals)
+	cp, err := e.Checkpoint(ctx, prefix, prefix.IntervalCycles*2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cp.Cycle != prefix.IntervalCycles*2 {
+		t.Errorf("checkpoint cycle = %d, want %d", cp.Cycle, prefix.IntervalCycles*2)
 	}
 	forked, err := e.RunFromCheckpoint(ctx, testSimOptions(t), cp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cold, forked) {
-		t.Error("engine fork diverges from the cold run")
+		t.Error("RunFromCheckpoint diverges from Run")
+	}
+}
+
+// TestEngineCheckpointRejectsBadInput: the stubs still reject what the
+// removed implementation rejected up front.
+func TestEngineCheckpointRejectsBadInput(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := testSimOptions(t)
+	for _, cycle := range []uint64{0, opts.IntervalCycles / 2, opts.IntervalCycles*3 + 1} {
+		if cp, err := e.Checkpoint(ctx, opts, cycle); err == nil {
+			t.Errorf("Checkpoint at cycle %d accepted: %+v", cycle, cp)
+		}
+	}
+	if _, err := e.RunFromCheckpoint(ctx, opts, nil); err == nil {
+		t.Error("RunFromCheckpoint accepted a nil checkpoint")
 	}
 }
 

@@ -170,20 +170,6 @@ type (
 	IntervalRecord = sim.IntervalRecord
 	// PrivateReference is the interference-free ground truth of one benchmark.
 	PrivateReference = sim.PrivateReference
-	// Checkpoint is a serializable snapshot of a shared-mode simulation at an
-	// interval boundary; forks from it are byte-identical to cold runs.
-	Checkpoint = sim.Checkpoint
-	// CheckpointOptions configure warmup sharing for studies and sweeps.
-	CheckpointOptions = experiments.CheckpointOptions
-)
-
-// Checkpointing errors.
-var (
-	// ErrWarmupTooLong reports that a run ended before its checkpoint cycle.
-	ErrWarmupTooLong = sim.ErrWarmupTooLong
-	// ErrCheckpointMismatch reports that a checkpoint cannot seed a fork with
-	// the given options; callers fall back to a cold run.
-	ErrCheckpointMismatch = sim.ErrCheckpointMismatch
 )
 
 // Metrics.

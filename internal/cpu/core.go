@@ -40,8 +40,7 @@ type robEntry struct {
 
 	// Wake-up scheduling state of an un-issued entry. It is derived from the
 	// dependency distances and the producers' completion cycles (linkProducers
-	// at dispatch, setComplete afterwards), so it is rebuilt by Restore and
-	// never serialized.
+	// at dispatch, setComplete afterwards).
 	waiting  uint8      // producers whose completion cycle is still unknown
 	readyAt  uint64     // latest known completion cycle among the producers
 	wakeHead wakeRef    // consumers to wake once complete becomes known
@@ -225,8 +224,8 @@ func (c *Core) entryFor(idx uint64) *robEntry {
 	return c.robAt(offset)
 }
 
-// linkProducers initialises the wake-up state of the freshly dispatched (or
-// restored) un-issued entry e in ROB slot `slot`: each register producer still
+// linkProducers initialises the wake-up state of the freshly dispatched
+// un-issued entry e in ROB slot `slot`: each register producer still
 // in the ROB either contributes its known completion cycle to readyAt or, if
 // that cycle is still unknown, gets e linked onto its wake list. A producer
 // that has already committed is complete and contributes nothing.

@@ -83,14 +83,9 @@ type AccuracyOptions struct {
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one event per completed job.
 	Progress runner.ProgressFunc
-	// Checkpoint enables warmup sharing for the shared-mode simulations: the
-	// first WarmupIntervals intervals are simulated once per unique prefix
-	// (memoized in Cache) and every cell forks from the snapshot. Results
-	// are byte-identical with or without it.
-	Checkpoint CheckpointOptions
 	// Instr, when non-nil, attaches telemetry to the study: pool metrics on
-	// the worker pool, run counters on every simulation, and fork/fallback
-	// counters on the checkpoint layer. Purely observational.
+	// the worker pool and run counters on every simulation. Purely
+	// observational.
 	Instr *Instrumentation
 }
 
@@ -411,9 +406,7 @@ func runTransparentCell(ctx context.Context, wl workload.Workload, opts Accuracy
 	for _, a := range transparent {
 		transparentNames = append(transparentNames, a.Name())
 	}
-	res, err := runSharedCheckpointed(ctx, opts, wl, simSeed, transparent, func() ([]accounting.Accountant, error) {
-		return buildPrefixTransparent(opts)
-	})
+	res, err := sim.RunContext(ctx, sharedOptions(opts, wl, simSeed, transparent))
 	if err != nil {
 		return partial, err
 	}
@@ -433,15 +426,7 @@ func runASMCell(ctx context.Context, wl workload.Workload, opts AccuracyOptions,
 	if err != nil {
 		return partial, err
 	}
-	res, err := runSharedCheckpointed(ctx, opts, wl, simSeed, []accounting.Accountant{asm}, func() ([]accounting.Accountant, error) {
-		// ASM is invasive (it reprograms the memory controller), so its
-		// prefix is its own: only identically configured ASM runs share it.
-		prefixASM, err := accounting.NewASM(opts.Cores, opts.IntervalCycles/4, nil)
-		if err != nil {
-			return nil, err
-		}
-		return []accounting.Accountant{prefixASM}, nil
-	})
+	res, err := sim.RunContext(ctx, sharedOptions(opts, wl, simSeed, []accounting.Accountant{asm}))
 	if err != nil {
 		return partial, err
 	}
@@ -451,6 +436,20 @@ func runASMCell(ctx context.Context, wl workload.Workload, opts AccuracyOptions,
 	}
 	accumulateErrors(res, privs, []string{"ASM"}, partial.PerTechnique, nil, wl)
 	return partial, nil
+}
+
+// sharedOptions describes one workload's shared-mode simulation with accts
+// attached.
+func sharedOptions(opts AccuracyOptions, wl workload.Workload, simSeed int64, accts []accounting.Accountant) sim.Options {
+	return sim.Options{
+		Config:              opts.Config,
+		Workload:            wl,
+		InstructionsPerCore: opts.InstructionsPerCore,
+		IntervalCycles:      opts.IntervalCycles,
+		Seed:                simSeed,
+		Accountants:         accts,
+		Metrics:             opts.Instr.simMetrics(),
+	}
 }
 
 // accuracyStudyOver is the shared implementation of the accuracy studies: it

@@ -48,13 +48,6 @@ type Cell struct {
 	Techniques []string `json:"techniques,omitempty"`
 	// Policies lists the LLC policies for partitioning cells.
 	Policies []string `json:"policies,omitempty"`
-
-	// WarmupIntervals and CoPRBSizes configure checkpointed warmup sharing
-	// for accuracy/scenario cells. They are deliberately absent from Spec():
-	// a checkpointed cell is byte-identical to a cold one, so checkpointed
-	// and cold executions share cache entries.
-	WarmupIntervals int   `json:"warmup_intervals,omitempty"`
-	CoPRBSizes      []int `json:"co_prb_sizes,omitempty"`
 }
 
 // Spec returns the content-hashable identity of the cell (see runner.SpecKey).
@@ -176,22 +169,11 @@ type CellConfig struct {
 	Instr *Instrumentation
 }
 
-// checkpoint builds the warmup-sharing options of an accuracy or scenario
-// cell: the prefix co-simulates GDP units for every PRB size the grid sweeps,
-// so all PRB variants of a pair fork from one checkpoint.
-func (c Cell) checkpoint() CheckpointOptions {
-	return CheckpointOptions{
-		WarmupIntervals: c.WarmupIntervals,
-		CoPRBSizes:      c.CoPRBSizes,
-	}
-}
-
 // Run executes the cell and returns its flattened rows. Cell-level fan-out is
 // assumed to already saturate whatever pool the caller runs, so the inner
 // study runs serially (Jobs: 1) to avoid nesting worker pools. Rows are a
 // pure function of the cell's exported fields: the same Cell produces
-// byte-identical rows on any machine, for any jobs count, with or without
-// warmup sharing.
+// byte-identical rows on any machine and for any jobs count.
 func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 	switch c.Kind {
 	case CellKindAccuracy:
@@ -210,7 +192,6 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 			Techniques:          c.Techniques,
 			Jobs:                1,
 			Cache:               cfg.Cache,
-			Checkpoint:          c.checkpoint(),
 			Instr:               cfg.Instr,
 		})
 		if err != nil {
@@ -273,7 +254,6 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 			Techniques:          c.Techniques,
 			Jobs:                1,
 			Cache:               cfg.Cache,
-			Checkpoint:          c.checkpoint(),
 			Instr:               cfg.Instr,
 		})
 		if err != nil {
@@ -328,8 +308,6 @@ func enumerateCells(opts SweepOptions) []Cell {
 				c.PRB = prb
 				c.Seed = pairSeed(cores, mix)
 				c.Techniques = opts.Techniques
-				c.WarmupIntervals = opts.WarmupIntervals
-				c.CoPRBSizes = opts.PRBSizes
 				cells = append(cells, c)
 			}
 		}
@@ -357,8 +335,6 @@ func enumerateCells(opts SweepOptions) []Cell {
 				c.PRB = prb
 				c.Seed = opts.Seed + int64(cores)*8 + scenarioSeedOffset(name)
 				c.Techniques = opts.Techniques
-				c.WarmupIntervals = opts.WarmupIntervals
-				c.CoPRBSizes = opts.PRBSizes
 				cells = append(cells, c)
 			}
 		}

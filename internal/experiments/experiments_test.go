@@ -237,6 +237,28 @@ func TestSensitivityPanels(t *testing.T) {
 	}
 }
 
+// TestSensitivityRenderOrdersMixes: a panel prints its categories in a fixed
+// order (H, M, L, then the mixed patterns sorted), not in map order, so
+// `gdpsim fig7` output is the same on every run.
+func TestSensitivityRenderOrdersMixes(t *testing.T) {
+	res := &SensitivityResult{Panel: "Figure 7x", Points: []SensitivityPoint{
+		{Setting: "a", ErrorByMix: map[string]float64{"L": 0.3, "HMML": 0.5, "M": 0.2, "HHML": 0.4, "H": 0.1, "HMLL": 0.6}},
+		{Setting: "b", ErrorByMix: map[string]float64{"HMLL": 1, "HHML": 2, "HMML": 3}},
+		{Setting: "c", ErrorByMix: map[string]float64{"M": 0.25, "L": 0.5, "H": 0.125}},
+	}}
+	want := "Figure 7x (GDP-O average absolute IPC RMS error)\n" +
+		"  a                 H=0.1000  M=0.2000  L=0.3000  HHML=0.4000  HMLL=0.6000  HMML=0.5000\n" +
+		"  b                 HHML=2.0000  HMLL=1.0000  HMML=3.0000\n" +
+		"  c                 H=0.1250  M=0.2500  L=0.5000\n"
+	// Map iteration order is randomised per range statement, so one lucky
+	// render proves little; twenty in a row do.
+	for i := 0; i < 20; i++ {
+		if got := res.Render(); got != want {
+			t.Fatalf("render %d:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestDefaultAndPaperScale(t *testing.T) {
 	d := DefaultScale()
 	p := PaperScale()

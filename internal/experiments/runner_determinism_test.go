@@ -254,6 +254,71 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestSweepIgnoresWarmupIntervals: the deprecated WarmupIntervals knob is
+// accepted and ignored, so a sweep with a warm-up gives the rows of one
+// without, ASM and scenario cells included.
+func TestSweepIgnoresWarmupIntervals(t *testing.T) {
+	run := func(warmupIntervals int) *SweepResult {
+		t.Helper()
+		res, err := Sweep(SweepOptions{
+			CoreCounts:          []int{2},
+			Mixes:               []workload.MixKind{workload.MixH},
+			PRBSizes:            []int{16, 32},
+			Techniques:          []string{"GDP", "GDP-O", "ITCA", "ASM"},
+			Scenarios:           []string{"streaming"},
+			Workloads:           1,
+			InstructionsPerCore: 5000,
+			IntervalCycles:      2000,
+			Seed:                7,
+			Jobs:                1,
+			Cache:               runner.NewCache(),
+			WarmupIntervals:     warmupIntervals,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if !reflect.DeepEqual(run(0), run(4)) {
+		t.Error("sweep rows with WarmupIntervals 4 differ from the rows with 0")
+	}
+}
+
+// TestSweepCellsRecalledFromCache: grid cells carry specs, so re-running the
+// same grid over the same cache recalls every cell instead of re-simulating.
+func TestSweepCellsRecalledFromCache(t *testing.T) {
+	ctx := context.Background()
+	cache := runner.NewCache()
+	opts := SweepOptions{
+		CoreCounts:          []int{2},
+		Mixes:               []workload.MixKind{workload.MixL},
+		PRBSizes:            []int{32},
+		Techniques:          []string{"GDP"},
+		Workloads:           1,
+		InstructionsPerCore: 4000,
+		IntervalCycles:      2000,
+		Seed:                3,
+		Jobs:                1,
+		Cache:               cache,
+	}
+	first, err := SweepContext(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitsBefore, _ := cache.Stats()
+	second, err := SweepContext(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitsAfter, _ := cache.Stats()
+	if hitsAfter <= hitsBefore {
+		t.Fatalf("second sweep hit the cache %d times, want more than %d", hitsAfter, hitsBefore)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("recalled sweep diverges from the computed one")
+	}
+}
+
 // TestScenarioSweepDeterministicAcrossWorkerCounts pins the event-driven
 // fast driver's determinism at the experiment layer: an accuracy sweep over
 // every named scenario must produce byte-identical results whether the cells

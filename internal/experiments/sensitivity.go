@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/config"
@@ -187,10 +190,22 @@ func (r *SensitivityResult) Render() string {
 	fmt.Fprintf(&b, "%s (GDP-O average absolute IPC RMS error)\n", r.Panel)
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "  %-16s", p.Setting)
-		for mix, v := range p.ErrorByMix {
-			fmt.Fprintf(&b, "  %s=%.4f", mix, v)
+		mixes := slices.SortedFunc(maps.Keys(p.ErrorByMix), func(a, b string) int {
+			return cmp.Or(mixRank(a)-mixRank(b), strings.Compare(a, b))
+		})
+		for _, mix := range mixes {
+			fmt.Fprintf(&b, "  %s=%.4f", mix, p.ErrorByMix[mix])
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// mixRank orders a panel's categories as Figure 7 prints them: H, M and L
+// first, then the mixed patterns.
+func mixRank(mix string) int {
+	if i := slices.Index([]string{"H", "M", "L"}, mix); i >= 0 {
+		return i
+	}
+	return 3
 }

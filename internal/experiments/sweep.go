@@ -41,9 +41,8 @@ type SweepOptions struct {
 
 	// Jobs is the worker-pool width for the grid (0 = runtime.NumCPU()).
 	Jobs int
-	// Cache memoizes private-mode reference runs, whole grid cells and — when
-	// WarmupIntervals is set — shared warmup checkpoints (nil = no
-	// memoization).
+	// Cache memoizes private-mode reference runs and whole grid cells (nil =
+	// no memoization).
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one event per completed grid cell.
 	Progress runner.ProgressFunc
@@ -57,14 +56,10 @@ type SweepOptions struct {
 	// pure the resumed rows are byte-identical to an uninterrupted run.
 	Journal CellJournal
 
-	// WarmupIntervals, when positive, turns on checkpointed warmup sharing:
-	// every accuracy and scenario cell simulates its first WarmupIntervals
-	// accounting intervals through a shared, cache-memoized checkpoint. Cells
-	// that differ only in PRB size fork from one prefix (the prefix
-	// co-simulates GDP/GDP-O units for every size in PRBSizes), and ASM cells
-	// share their own invasive prefix across PRB variants. Results are
-	// byte-identical with or without warmup sharing; only wall-clock changes.
-	// Zero or negative disables sharing.
+	// WarmupIntervals is accepted and ignored.
+	//
+	// Deprecated: it sized the warm-up prefix of simulation-state
+	// checkpointing, which was measured to save nothing and removed.
 	WarmupIntervals int
 }
 
@@ -210,9 +205,7 @@ func SweepContext(ctx context.Context, opts SweepOptions) (*SweepResult, error) 
 }
 
 // sweepCellSpec is the content-hashable identity of one grid cell: everything
-// its rows depend on. Warmup sharing is deliberately absent — a checkpointed
-// cell is byte-identical to a cold one (the differential tests pin that), so
-// checkpointed and cold sweeps share cache entries.
+// its rows depend on.
 type sweepCellSpec struct {
 	Op                  string   `json:"op"`
 	Kind                string   `json:"kind"`

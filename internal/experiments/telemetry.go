@@ -7,21 +7,19 @@ import (
 )
 
 // Instrumentation bundles the telemetry sinks a study driver threads through
-// its layers: the runner pool metrics, the engine-level simulation counters
-// and the checkpoint-sharing counters. A nil *Instrumentation disables all
-// of it; every accessor and increment is nil-safe so drivers never branch.
+// its layers: the runner pool metrics and the engine-level simulation
+// counters. A nil *Instrumentation disables all of it; every accessor and
+// increment is nil-safe so drivers never branch.
 type Instrumentation struct {
-	Pool       *runner.PoolMetrics
-	Sim        *sim.Metrics
-	Checkpoint *CheckpointMetrics
+	Pool *runner.PoolMetrics
+	Sim  *sim.Metrics
 }
 
 // NewInstrumentation registers the full experiment-layer metric set on r.
 func NewInstrumentation(r *telemetry.Registry) *Instrumentation {
 	return &Instrumentation{
-		Pool:       runner.NewPoolMetrics(r),
-		Sim:        sim.NewMetrics(r),
-		Checkpoint: NewCheckpointMetrics(r),
+		Pool: runner.NewPoolMetrics(r),
+		Sim:  sim.NewMetrics(r),
 	}
 }
 
@@ -39,65 +37,4 @@ func (in *Instrumentation) simMetrics() *sim.Metrics {
 		return nil
 	}
 	return in.Sim
-}
-
-// checkpoint returns the checkpoint counters (nil for nil Instrumentation).
-func (in *Instrumentation) checkpoint() *CheckpointMetrics {
-	if in == nil {
-		return nil
-	}
-	return in.Checkpoint
-}
-
-// CheckpointMetrics counts how the warmup-sharing layer resolved each cell:
-// prefix simulations actually executed, successful forks from a snapshot,
-// and transparent falls back to a cold run. A high fallback share means the
-// checkpoint configuration is not earning its keep.
-type CheckpointMetrics struct {
-	// PrefixRuns counts warmup prefix simulations that actually ran (cache
-	// misses of the prefix spec; hits fork without re-simulating).
-	PrefixRuns *telemetry.Counter
-	// Forks counts cells seeded from a warmup checkpoint.
-	Forks *telemetry.Counter
-	// ColdFallbacks counts cells that gave up on the shared prefix and ran
-	// cold (non-snapshottable accountant, warmup longer than the sample, or
-	// a checkpoint/cell mismatch).
-	ColdFallbacks *telemetry.Counter
-}
-
-// NewCheckpointMetrics registers the checkpoint counter family on r.
-func NewCheckpointMetrics(r *telemetry.Registry) *CheckpointMetrics {
-	return &CheckpointMetrics{
-		PrefixRuns: r.Counter("gdpsim_checkpoint_prefix_runs_total",
-			"Warmup prefix simulations executed (not recalled from cache)."),
-		Forks: r.Counter("gdpsim_checkpoint_forks_total",
-			"Cells seeded from a shared warmup checkpoint."),
-		ColdFallbacks: r.Counter("gdpsim_checkpoint_cold_fallbacks_total",
-			"Cells that fell back to a cold run instead of forking."),
-	}
-}
-
-// prefixRun records one executed warmup prefix simulation.
-func (m *CheckpointMetrics) prefixRun() {
-	if m == nil {
-		return
-	}
-	m.PrefixRuns.Inc()
-}
-
-// fork records one cell successfully seeded from a checkpoint.
-func (m *CheckpointMetrics) fork() {
-	if m == nil {
-		return
-	}
-	m.Forks.Inc()
-}
-
-// coldFallback records one cell that ran cold despite checkpointing being
-// enabled.
-func (m *CheckpointMetrics) coldFallback() {
-	if m == nil {
-		return
-	}
-	m.ColdFallbacks.Inc()
 }

@@ -111,16 +111,11 @@ type System struct {
 
 	// Request pool. Completed requests age through two retirement
 	// generations, one per elapsed cycle (agedTo is the first cycle not aged
-	// through yet), before re-entering the free lists, so a recycled object is
+	// through yet), before re-entering the free list, so a recycled object is
 	// never reused while a core-side observer may still dereference it (the
-	// window is at most one cycle past completion delivery). Free lists are
-	// per core: a request retires into the pool of the core that issued it.
-	// No caller needs the split, but the reuse order decides which dead
-	// object a core's stale reference aliases when a checkpoint is taken, so
-	// one shared list would change checkpoint bytes (never behaviour) and
-	// with them the ledger's exact runner.cache_disk_bytes count.
+	// window is at most one cycle past completion delivery).
 	pooling     bool
-	pools       [][]*mem.Request
+	pool        []*mem.Request
 	retiredNow  []*mem.Request
 	retiredPrev []*mem.Request
 	agedTo      uint64
@@ -196,7 +191,6 @@ func New(cfg *config.CMPConfig) (*System, error) {
 		bankQueue:     make([]reqQueue, cfg.LLC.Banks),
 		completed:     make([][]*mem.Request, cfg.Cores),
 		pooling:       true,
-		pools:         make([][]*mem.Request, cfg.Cores),
 	}
 	s.atds = make([]*cache.ATD, cfg.Cores)
 	for core := 0; core < cfg.Cores; core++ {
@@ -231,8 +225,8 @@ func (s *System) Stats() Stats { return s.stats }
 func (s *System) SetPartition(alloc []int) error { return s.llc.SetPartition(alloc) }
 
 // StartClock anchors the memory controller's clock at the driver's first
-// cycle (a restored system's is the checkpoint cycle): nothing before it is
-// charged. everyCycle makes every Tick tick the controller (the reference).
+// cycle: nothing before it is charged. everyCycle makes every Tick tick the
+// controller (the reference).
 func (s *System) StartClock(now uint64, everyCycle bool) {
 	s.mcAt, s.mcWake, s.mcEveryCycle = now, now, everyCycle
 }
@@ -272,15 +266,14 @@ func (s *System) Submit(core int, addr uint64, isWrite bool, now uint64) *mem.Re
 	return req
 }
 
-// newRequest allocates (or recycles from core's pool) a request with every
-// field initialized except the ID, which Submit assigns.
+// newRequest allocates (or recycles from the pool) a request with every field
+// initialized except the ID, which Submit assigns.
 func (s *System) newRequest(core int, addr uint64, isWrite bool, now uint64) *mem.Request {
 	var req *mem.Request
-	if pool := s.pools[core]; s.pooling && len(pool) > 0 {
-		n := len(pool)
-		req = pool[n-1]
-		pool[n-1] = nil
-		s.pools[core] = pool[:n-1]
+	if n := len(s.pool); s.pooling && n > 0 {
+		req = s.pool[n-1]
+		s.pool[n-1] = nil
+		s.pool = s.pool[:n-1]
 		*req = mem.Request{}
 	} else {
 		req = &mem.Request{}
@@ -324,18 +317,16 @@ func (s *System) Tick(now uint64) {
 
 // ageQuarantine ages the retirement quarantine through cycle now, one step
 // per cycle elapsed since the last call: requests retired two cycles ago enter
-// the free lists (each returns to its issuing core's pool) and the current
-// generation becomes the previous one. Tick and Submit both call it, so the
-// pool a Submit draws from does not depend on which cycles were ticked.
+// the free list and the current generation becomes the previous one. Tick and
+// Submit both call it, so the pool a Submit draws from does not depend on
+// which cycles were ticked.
 func (s *System) ageQuarantine(now uint64) {
 	if !s.pooling || now < s.agedTo {
 		return
 	}
 	// After two steps both generations are empty; more would move nothing.
 	for steps := min(now+1-s.agedTo, 2); steps > 0; steps-- {
-		for _, req := range s.retiredPrev {
-			s.pools[req.Core] = append(s.pools[req.Core], req)
-		}
+		s.pool = append(s.pool, s.retiredPrev...)
 		recycled := s.retiredPrev[:0]
 		s.retiredPrev = s.retiredNow
 		s.retiredNow = recycled

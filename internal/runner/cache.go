@@ -32,9 +32,9 @@ import (
 // (the default) the memory layer is unbounded, as it always was.
 //
 // The on-disk layer shards entries into 256 two-hex-character subdirectories
-// of the cache directory (dir/ab/<key>.json): checkpoint blobs and large
-// sweeps would otherwise pile thousands of files into one directory, which
-// degrades lookup on most filesystems.
+// of the cache directory (dir/ab/<key>.json): large sweeps would otherwise
+// pile thousands of files into one directory, which degrades lookup on most
+// filesystems.
 //
 // Concurrent lookups of the same key are deduplicated: while one goroutine
 // computes a result, others requesting the same spec block and share the

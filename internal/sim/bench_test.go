@@ -49,7 +49,7 @@ func BenchmarkStepLoop(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			clk := newStepper(st.shared, st.cores, accts, true, 0)
+			clk := newStepper(st.shared, st.cores, accts, true)
 			// visit mirrors runFast's loop for n visited cycles from now.
 			visit := func(now uint64, n int) uint64 {
 				for range n {

@@ -198,15 +198,6 @@ type runState struct {
 	res       *Result
 	maxCycles uint64
 
-	// startCycle is the first cycle the drivers simulate: 0 for a cold run,
-	// the checkpoint boundary for a forked run.
-	startCycle uint64
-	// cpCapture, when non-nil, arms checkpointing: recordInterval accumulates
-	// the per-interval data and the drivers stop at cpCapture.at with the
-	// snapshot in cpOut.
-	cpCapture *checkpointCapture
-	cpOut     *Checkpoint
-
 	sampleTaken  []bool
 	lastSnapshot []cpu.Stats
 
@@ -220,7 +211,7 @@ type runState struct {
 	reuseEstimates bool
 
 	// clk steps the hardware and the accountants, each on its own clock
-	// (runFast builds it, starting at startCycle).
+	// (runFast builds it).
 	clk *stepper
 	// done counts the cores that have committed their instruction sample.
 	done int
@@ -381,8 +372,7 @@ func newRunState(opts Options) (*runState, error) {
 //     rotates the epoch owner its probes read in OnIdleSpan and reprograms the
 //     memory controller): every component is settled before the Ticks;
 //  4. every interval boundary, before recordInterval reads statistics,
-//     estimates and in-flight interference or a checkpoint is taken, and the
-//     end of the run.
+//     estimates and in-flight interference, and the end of the run.
 type stepper struct {
 	shared *memsys.System
 	cores  []*cpu.Core
@@ -402,29 +392,23 @@ type stepper struct {
 	missSyncs, acctSyncs, boundarySyncs, completionWakes uint64
 }
 
-// newStepper wires a stepper to the hardware with every clock at cycle start:
-// all bookkeeping below it is applied and every component is due. skip is the
-// requested policy.
-func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Accountant, skip bool, start uint64) *stepper {
+// newStepper wires a stepper to the hardware with every clock at cycle 0,
+// where every component is due. skip is the requested policy.
+func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Accountant, skip bool) *stepper {
 	s := &stepper{
-		shared:   shared,
-		cores:    cores,
-		accts:    accts,
-		lazy:     skip,
-		coreAt:   make([]uint64, len(cores)),
-		wake:     make([]uint64, len(cores)),
-		memWake:  start,
-		acctWake: start,
-	}
-	for i := range cores {
-		s.coreAt[i], s.wake[i] = start, start
+		shared: shared,
+		cores:  cores,
+		accts:  accts,
+		lazy:   skip,
+		coreAt: make([]uint64, len(cores)),
+		wake:   make([]uint64, len(cores)),
 	}
 	for _, acct := range accts {
 		if _, ok := acct.(accounting.EventSource); !ok {
 			s.lazy = false // unknown Tick schedule: never skip a cycle
 		}
 	}
-	shared.StartClock(start, !s.lazy)
+	shared.StartClock(0, !s.lazy)
 	shared.OnInterferenceMiss = func(core int, now uint64) { // rule 2
 		if s.settle(core, now) {
 			s.missSyncs++
@@ -530,8 +514,8 @@ func (s *stepper) nextEvent(now uint64) uint64 {
 // where every cycle is visited and every component ticked on it.
 func (st *runState) runFast(ctx context.Context) error {
 	opts := st.opts
-	now := st.startCycle
-	st.clk = newStepper(st.shared, st.cores, opts.Accountants, !opts.Reference, now)
+	st.clk = newStepper(st.shared, st.cores, opts.Accountants, !opts.Reference)
+	var now uint64
 	for now < st.maxCycles {
 		st.clk.step(now)
 		// Per-core sample completion for STP: a core's instruction count only
@@ -558,9 +542,6 @@ func (st *runState) runFast(ctx context.Context) error {
 				return err
 			}
 			st.flushMetrics(now+1, 1)
-			if st.cpCapture != nil && now+1 == st.cpCapture.at {
-				return st.takeCheckpoint(now + 1)
-			}
 		}
 
 		if st.done == len(st.cores) {
@@ -632,38 +613,9 @@ func (st *runState) recordInterval() error {
 		st.lastSnapshot[i] = stats
 	}
 	records := st.records
-	if st.cpCapture != nil {
-		// Checkpoint capture: the accountant-independent record parts, stored
-		// per interval so a fork rebuilds the warmup records verbatim.
-		base := make([]IntervalRecordBase, len(cores))
+	for _, acct := range opts.Accountants {
 		for i := range cores {
-			base[i] = IntervalRecordBase{
-				Core:              i,
-				StartInstructions: records[i].StartInstructions,
-				EndInstructions:   records[i].EndInstructions,
-				Shared:            records[i].Shared,
-			}
-		}
-		st.cpCapture.bases = append(st.cpCapture.bases, base)
-	}
-	for ai, acct := range opts.Accountants {
-		var captured []accounting.Estimate
-		if st.cpCapture != nil {
-			captured = make([]accounting.Estimate, len(cores))
-		}
-		for i := range cores {
-			est := acct.Estimate(i, st.intervals[i])
-			// A prefix run may attach several same-named accountants (for
-			// example GDP units of different PRB sizes); the map keeps the
-			// last one, but the capture stores every accountant's estimates
-			// by index, which is what forks consume.
-			records[i].Estimates[acct.Name()] = est
-			if captured != nil {
-				captured[i] = est
-			}
-		}
-		if captured != nil {
-			st.cpCapture.ests[ai] = append(st.cpCapture.ests[ai], captured)
+			records[i].Estimates[acct.Name()] = acct.Estimate(i, st.intervals[i])
 		}
 		acct.EndInterval()
 	}
@@ -803,7 +755,7 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	}
 
 	out := &PrivateReference{Benchmark: bench.Name}
-	clk := newStepper(shared, []*cpu.Core{core}, nil, !reference, 0)
+	clk := newStepper(shared, []*cpu.Core{core}, nil, !reference)
 	next := 0
 	now := uint64(0)
 	for now < maxCycles {

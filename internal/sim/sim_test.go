@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -12,6 +13,39 @@ import (
 	"repro/internal/partition"
 	"repro/internal/workload"
 )
+
+// mustEqualResults fails the test unless two Results are byte-identical
+// (compared both structurally and through their canonical JSON encoding, so
+// "byte-identical" is literal).
+func mustEqualResults(t *testing.T, want, got *Result) {
+	t.Helper()
+	if want.Cycles != got.Cycles {
+		t.Fatalf("cycles diverge: want=%d got=%d", want.Cycles, got.Cycles)
+	}
+	if !reflect.DeepEqual(want.CoreStats, got.CoreStats) {
+		t.Fatalf("core stats diverge:\nwant: %+v\ngot:  %+v", want.CoreStats, got.CoreStats)
+	}
+	if !reflect.DeepEqual(want.SampleStats, got.SampleStats) {
+		t.Fatal("sample stats diverge")
+	}
+	if !reflect.DeepEqual(want.SamplePoints, got.SamplePoints) {
+		t.Fatalf("sample points diverge:\nwant: %v\ngot:  %v", want.SamplePoints, got.SamplePoints)
+	}
+	if !reflect.DeepEqual(want.Intervals, got.Intervals) {
+		t.Fatal("interval records diverge")
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(wantJSON) != string(gotJSON) {
+		t.Fatal("results are not byte-identical under JSON encoding")
+	}
+}
 
 // testWorkload builds a small workload of the requested size from named
 // benchmarks.

@@ -164,8 +164,6 @@ func (p *Params) Validate() error {
 // Generator produces an infinite deterministic instruction stream.
 type Generator struct {
 	params Params
-	seed   int64
-	src    *countingSource
 	rng    *rand.Rand
 
 	// cumulative access probabilities for the working sets
@@ -186,15 +184,9 @@ func NewGenerator(params Params, seed int64) (*Generator, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	// The counting source wraps the exact same math/rand source the
-	// generator always used (every stream stays byte-identical); the draw
-	// count it maintains is what makes generators snapshottable.
-	src := newCountingSource(seed)
 	g := &Generator{
 		params: params,
-		seed:   seed,
-		src:    src,
-		rng:    rand.New(src),
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 	var total float64
 	for _, ws := range params.WorkingSets {

@@ -398,16 +398,6 @@ type SweepRequest struct {
 	InstructionsPerCore uint64   `json:"instructions_per_core,omitempty"`
 	IntervalCycles      uint64   `json:"interval_cycles,omitempty"`
 	Seed                int64    `json:"seed,omitempty"`
-	// Checkpoint, when non-nil, turns on checkpointed warmup sharing for the
-	// grid's accuracy and scenario cells. Rows are byte-identical with or
-	// without it; only the sweep's wall-clock changes. Operational note:
-	// checkpoint blobs are memoized in the serving Engine's result cache,
-	// which holds entries for the life of the process — each distinct
-	// (workload, seed, config, warmup, accountant-set) prefix is retained.
-	// A shared deployment that lets untrusted clients vary those fields
-	// freely should run with a disk-backed cache and periodic restarts, or
-	// leave the knob to trusted callers (eviction is a ROADMAP item).
-	Checkpoint *SweepCheckpointRequest `json:"checkpoint,omitempty"`
 	// Workers, when non-empty, shards the grid across the listed remote
 	// `gdpsim serve` workers (base URLs; bare host:port implies http://)
 	// instead of the local pool. Rows are byte-identical either way.
@@ -416,18 +406,6 @@ type SweepRequest struct {
 
 // maxServiceWorkers bounds the fleet size one sweep request may name.
 const maxServiceWorkers = 64
-
-// SweepCheckpointRequest is the warmup-sharing knob of a sweep request.
-type SweepCheckpointRequest struct {
-	// WarmupIntervals is the shared warmup prefix length in accounting
-	// intervals (1..maxServiceWarmupIntervals).
-	WarmupIntervals int `json:"warmup_intervals"`
-}
-
-// maxServiceWarmupIntervals bounds the warmup prefix one request may demand:
-// the prefix simulation costs warmup_intervals x interval_cycles cycles even
-// when every cell later falls back to a cold run.
-const maxServiceWarmupIntervals = 4096
 
 // SweepResponse is the outcome of a sweep query.
 type SweepResponse struct {
@@ -486,13 +464,6 @@ func (req *SweepRequest) validate() (SweepOptions, error) {
 		if _, err := workload.ScenarioByName(name); err != nil {
 			return SweepOptions{}, badRequestErr(err)
 		}
-	}
-	if req.Checkpoint != nil {
-		w := req.Checkpoint.WarmupIntervals
-		if w < 1 || w > maxServiceWarmupIntervals {
-			return SweepOptions{}, badRequestf("checkpoint.warmup_intervals = %d out of range (1..%d)", w, maxServiceWarmupIntervals)
-		}
-		opts.WarmupIntervals = w
 	}
 	if len(req.Workers) > maxServiceWorkers {
 		return SweepOptions{}, badRequestf("%d workers exceeds the %d-worker limit", len(req.Workers), maxServiceWorkers)

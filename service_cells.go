@@ -77,14 +77,6 @@ func validateCell(c experiments.Cell) error {
 	if c.PRB > maxServicePRBEntries {
 		return badRequestf("cell prb size %d out of range (1..%d)", c.PRB, maxServicePRBEntries)
 	}
-	if c.WarmupIntervals < 0 || c.WarmupIntervals > maxServiceWarmupIntervals {
-		return badRequestf("cell warmup_intervals = %d out of range (0..%d)", c.WarmupIntervals, maxServiceWarmupIntervals)
-	}
-	for _, prb := range c.CoPRBSizes {
-		if prb <= 0 || prb > maxServicePRBEntries {
-			return badRequestf("cell co_prb_sizes entry %d out of range (1..%d)", prb, maxServicePRBEntries)
-		}
-	}
 	return nil
 }
 

@@ -192,9 +192,9 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
-// TestSweepEndpointCheckpointKnob: the checkpoint knob turns on warmup
-// sharing, and — because forked runs are byte-identical to cold runs — the
-// response matches the uncheckpointed one exactly.
+// TestSweepEndpointCheckpointKnob: warm-up sharing is gone, and an old
+// client's "checkpoint" field, valid or not, is ignored: the response matches
+// the one without it exactly.
 func TestSweepEndpointCheckpointKnob(t *testing.T) {
 	srv := testServer(t)
 	body := `{"core_counts": [2], "mixes": ["H"], "prb_sizes": [16, 32], "techniques": ["GDP-O"],
@@ -203,12 +203,14 @@ func TestSweepEndpointCheckpointKnob(t *testing.T) {
 	if cold.Code != http.StatusOK {
 		t.Fatalf("cold status = %d, body = %s", cold.Code, cold.Body.String())
 	}
-	checkpointed := postJSON(t, srv, "/v1/sweep", fmt.Sprintf(body, `, "checkpoint": {"warmup_intervals": 2}`))
-	if checkpointed.Code != http.StatusOK {
-		t.Fatalf("checkpointed status = %d, body = %s", checkpointed.Code, checkpointed.Body.String())
-	}
-	if cold.Body.String() != checkpointed.Body.String() {
-		t.Error("checkpointed sweep response diverges from the cold one")
+	for _, knob := range []string{`{"warmup_intervals": 2}`, `{"warmup_intervals": 0}`} {
+		old := postJSON(t, srv, "/v1/sweep", fmt.Sprintf(body, `, "checkpoint": `+knob))
+		if old.Code != http.StatusOK {
+			t.Fatalf("checkpoint %s: status = %d, body = %s", knob, old.Code, old.Body.String())
+		}
+		if cold.Body.String() != old.Body.String() {
+			t.Errorf("checkpoint %s: sweep response diverges from the one without it", knob)
+		}
 	}
 }
 
@@ -221,8 +223,6 @@ func TestSweepEndpointRejectsInvalidNamesAndSizes(t *testing.T) {
 		`{"instructions_per_core": 999999999999}`,
 		`{"interval_cycles": 3}`,
 		`{"prb_sizes": [0]}`,
-		`{"checkpoint": {"warmup_intervals": 0}}`,
-		`{"checkpoint": {"warmup_intervals": 5000}}`,
 	}
 	for _, body := range cases {
 		rec := postJSON(t, srv, "/v1/sweep", body)
