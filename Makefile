@@ -20,8 +20,6 @@ race:
 # `go test -run=Fuzz` once the failing input is added to testdata.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzReader$$ -fuzztime=$(FUZZTIME) ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzReaderStreaming -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
@@ -43,7 +41,7 @@ NONTEST_GO = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
 diet:
 	@echo "non-test Go lines outside benchmark/: $$($(NONTEST_GO) | xargs cat | wc -l)"
 	@echo "test Go lines outside benchmark/:     $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
-	@echo "gdpsim flag definitions:              $$(cat cmd/gdpsim/main.go cmd/gdpsim/trace.go | grep -cE 'fs\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|Var|[A-Za-z0-9]+Var)\(')"
+	@echo "gdpsim flag definitions:              $$(ls cmd/gdpsim/*.go | grep -v _test.go | xargs cat | grep -cE 'fs\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|Var|[A-Za-z0-9]+Var)\(')"
 	@echo "root exported symbols:                $$(ls *.go | grep -v _test.go | xargs grep -hE '^(func|type|var|const) [A-Z]' | wc -l)"
 	@echo "gdpsim_* metric families:             $$($(NONTEST_GO) | xargs grep -hoE '"gdpsim_[a-z_]+"' | sort -u | wc -l)"
 

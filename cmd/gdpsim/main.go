@@ -13,8 +13,6 @@
 //	gdpsim run                    Run a single workload and print estimates
 //	gdpsim scenarios              List the named workload scenarios
 //	gdpsim sweep                  Run a user-defined experiment grid
-//	gdpsim trace record           Record a scenario or benchmark list to trace files
-//	gdpsim trace replay           Replay recorded trace files and print estimates
 //	gdpsim serve                  Serve estimation queries over HTTP/JSON
 //
 // Every subcommand runs on one shared gdp.Engine built from the global flags:
@@ -111,7 +109,7 @@ func run(ctx context.Context, args []string) error {
 	rest := fs.Args()
 	if len(rest) == 0 {
 		fs.Usage()
-		return fmt.Errorf("missing subcommand (table1, fig3, fig4, fig5, fig6, fig7, headline, overhead, run, scenarios, sweep, trace, serve)")
+		return fmt.Errorf("missing subcommand (table1, fig3, fig4, fig5, fig6, fig7, headline, overhead, run, scenarios, sweep, serve)")
 	}
 
 	scale := gdp.DefaultScale()
@@ -171,8 +169,6 @@ func run(ctx context.Context, args []string) error {
 		return cmdScenarios(engine, rest[1:])
 	case "sweep":
 		return cmdSweep(ctx, engine, rest[1:])
-	case "trace":
-		return cmdTrace(ctx, engine, rest[1:])
 	case "serve":
 		return cmdServe(ctx, engine, logger, rest[1:])
 	default:
@@ -361,6 +357,18 @@ func cmdRun(ctx context.Context, engine *gdp.Engine, cores int, benchNames strin
 	for _, t := range res.Techniques {
 		fmt.Printf("  %-6s mean IPC abs RMS=%.4f  mean stall abs RMS=%.1f\n",
 			t.Technique, t.MeanIPCAbsRMS, t.MeanStallAbsRMS)
+	}
+	return nil
+}
+
+// cmdScenarios lists the named workload scenarios of the registry.
+func cmdScenarios(engine *gdp.Engine, args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("scenarios: unexpected argument %q", args[0])
+	}
+	fmt.Println("Named workload scenarios (gdpsim sweep -scenario, POST /v1/estimate {\"scenario\": ...}):")
+	for _, sc := range engine.Scenarios() {
+		fmt.Printf("  %-16s [%s] %s\n", sc.Name, sc.Class, sc.Description)
 	}
 	return nil
 }

@@ -33,15 +33,50 @@ func TestRunOverhead(t *testing.T) {
 
 func TestRunUnknownSubcommand(t *testing.T) {
 	// "bench" must stay unknown: benchmarking is `go run ./benchmark`, not a
-	// gdpsim subcommand.
-	for _, name := range []string{"nope", "bench"} {
-		err := run(context.Background(), []string{name})
+	// gdpsim subcommand. "trace" is gone with trace record/replay: a
+	// generator's stream is a pure function of (profile, seed).
+	for _, args := range [][]string{{"nope"}, {"bench"}, {"trace", "record"}} {
+		err := run(context.Background(), args)
 		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
-			t.Errorf("subcommand %q: err = %v, want unknown subcommand", name, err)
+			t.Errorf("subcommand %q: err = %v, want unknown subcommand", args, err)
 		}
 	}
 	if err := run(context.Background(), nil); err == nil {
 		t.Error("missing subcommand accepted")
+	}
+}
+
+func TestScenariosSubcommand(t *testing.T) {
+	out := captureStdout(t, func() error { return run(context.Background(), []string{"scenarios"}) })
+	for _, name := range []string{"streaming", "pointer-chase", "compute-heavy"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("scenarios listing missing %q:\n%s", name, out)
+		}
+	}
+	if err := run(context.Background(), []string{"scenarios", "stray"}); err == nil {
+		t.Error("scenarios accepted a stray argument")
+	}
+}
+
+func TestSweepScenarioFlag(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run(context.Background(), []string{
+			"-workloads", "1", "-instructions", "1000", "-interval", "800",
+			"sweep", "-cores", "2", "-mixes", "H", "-techniques", "GDP-O", "-scenario", "compute-heavy",
+		})
+	})
+	if !strings.Contains(out, "compute-heavy") {
+		t.Errorf("sweep output missing scenario row:\n%s", out)
+	}
+}
+
+func TestSweepRejectsUnknownScenario(t *testing.T) {
+	err := run(context.Background(), []string{"sweep", "-scenario", "not-a-scenario"})
+	if err == nil {
+		t.Fatal("unknown sweep scenario accepted")
+	}
+	if !strings.Contains(err.Error(), "unknown scenario") {
+		t.Errorf("error %q does not identify the unknown scenario", err)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Command scenarios demonstrates the workload scenario subsystem: it lists
-// the registry, runs one scenario live through Engine.RunScenario, records
-// the scenario's instruction streams to trace files with
-// gdp.RecordBenchmarkTrace, replays the recording through the same engine and
-// verifies the replayed estimates are byte-identical to the live run —
-// the property that makes recorded traces shareable, reproducible artifacts.
+// the registry, runs one scenario through Engine.RunScenario, reruns it with
+// the same seed and verifies the two results are byte-identical — every
+// instruction stream is a pure function of (profile, seed), so a scenario
+// name plus a seed is the whole reproducible artifact.
 package main
 
 import (
@@ -12,8 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	gdp "repro"
 )
@@ -30,88 +27,37 @@ func main() {
 		fmt.Printf("  %-16s [%s] %s\n", sc.Name, sc.Class, sc.Description)
 	}
 
-	const (
-		name         = "pointer-chase"
-		cores        = 2
-		seed         = int64(7)
-		instructions = 3000
-		interval     = 2000
-	)
+	const name = "pointer-chase"
 	opts := gdp.ScenarioRunOptions{
-		Cores:               cores,
-		InstructionsPerCore: instructions,
-		IntervalCycles:      interval,
-		Seed:                seed,
+		Cores:               2,
+		InstructionsPerCore: 3000,
+		IntervalCycles:      2000,
+		Seed:                7,
 	}
-
-	// 1. Run the scenario live: instruction streams come from the synthetic
-	// generator.
-	live, err := engine.RunScenario(ctx, name, opts)
+	first, err := engine.RunScenario(ctx, name, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nlive run of %q (%d cores, %d cycles):\n", name, cores, live.Cycles)
-	for _, ce := range live.Cores {
+	fmt.Printf("\nrun of %q (%d cores, %d cycles):\n", name, opts.Cores, first.Cycles)
+	for _, ce := range first.Cores {
 		fmt.Printf("  core %d (%s): shared CPI=%.3f  estimated private CPI=%.3f  slowdown=%.2fx\n",
 			ce.Core, ce.Benchmark, ce.SharedCPI, ce.EstimatedPrivateCPI, ce.EstimatedSlowdown)
 	}
 
-	// 2. Record the same streams to trace files (format v1, gzip-framed).
-	sc, err := gdp.ScenarioByName(name)
+	second, err := engine.RunScenario(ctx, name, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	wl, err := sc.Workload(cores)
+	firstJSON, err := json.Marshal(first)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dir, err := os.MkdirTemp("", "gdp-scenarios")
+	secondJSON, err := json.Marshal(second)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	sources := make([]gdp.TraceSource, cores)
-	for core, bench := range wl.Benchmarks {
-		path := filepath.Join(dir, fmt.Sprintf("%s.core%d.gdpt", name, core))
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Record past the per-core budget: benchmarks keep executing until
-		// the last core finishes its sample.
-		if err := gdp.RecordBenchmarkTrace(f, bench, seed, core, instructions*50); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err := gdp.NewTraceReplayer(in)
-		in.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, _ := os.Stat(path)
-		fmt.Printf("\nrecorded %s: %d instructions in %d compressed bytes", path, rep.Len(), st.Size())
-		sources[core] = rep
+	if !bytes.Equal(firstJSON, secondJSON) {
+		log.Fatalf("rerun diverged:\nfirst:  %s\nsecond: %s", firstJSON, secondJSON)
 	}
-	fmt.Println()
-
-	// 3. Replay the recording through the same scenario run.
-	replayOpts := opts
-	replayOpts.Sources = sources
-	replayed, err := engine.RunScenario(ctx, name, replayOpts)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	liveJSON, _ := json.Marshal(live)
-	replayJSON, _ := json.Marshal(replayed)
-	if !bytes.Equal(liveJSON, replayJSON) {
-		log.Fatalf("replay diverged from the live run:\nlive:   %s\nreplay: %s", liveJSON, replayJSON)
-	}
-	fmt.Println("replayed estimates are byte-identical to the live run")
+	fmt.Println("\nrerun with the same seed is byte-identical")
 }

@@ -20,9 +20,9 @@
 //   - CMP configuration (Table I parameter sets),
 //   - the synthetic benchmark suite and multi-programmed workload generator,
 //   - the workload scenario registry (named patterns beyond the paper's
-//     mixes; Engine.Scenarios, Engine.RunScenario) and the versioned binary
-//     trace format that records and replays any instruction stream
-//     byte-identically (TraceWriter, TraceReplayer, RecordBenchmarkTrace),
+//     mixes; Engine.Scenarios, Engine.RunScenario), whose instruction
+//     streams, like the suite's, are pure functions of (profile, seed)
+//     (CoreSeed names the seed a run gives each core),
 //   - the simulation driver (shared-mode and private-mode runs),
 //   - the accounting techniques (GDP, GDP-O, ITCA, PTCA, ASM),
 //   - the LLC partitioning policies (LRU, UCP, MCP, MCP-O),

@@ -72,7 +72,7 @@ type Core struct {
 	l1Lat, l2Lat int
 	l1MSHRs      int
 
-	src    trace.Source
+	src    *trace.Generator
 	l1d    *cache.Cache
 	l2     *cache.Cache
 	shared MemorySystem
@@ -138,10 +138,9 @@ type Core struct {
 	stats Stats
 }
 
-// New creates a core. src provides the instruction stream (a synthetic
-// trace.Generator or a trace.Replayer playing back a recording), sharedMem
+// New creates a core. src provides the instruction stream, sharedMem
 // receives requests that miss in the private L1/L2 hierarchy.
-func New(id int, cfg *config.CMPConfig, src trace.Source, sharedMem MemorySystem) (*Core, error) {
+func New(id int, cfg *config.CMPConfig, src *trace.Generator, sharedMem MemorySystem) (*Core, error) {
 	if src == nil {
 		return nil, fmt.Errorf("cpu: core %d needs an instruction source", id)
 	}
@@ -749,7 +748,7 @@ func (c *Core) computeNextEvent(now uint64) uint64 {
 	}
 
 	// Dispatch: when it is not structurally blocked, the front end fetches
-	// every cycle (trace sources are infinite), so the core is never idle.
+	// every cycle (the generator is infinite), so the core is never idle.
 	if c.pendingRedirect == nil {
 		robFull := c.robCount >= len(c.rob)
 		iqFull := c.unissued >= c.cfg.IssueQueueEntries

@@ -33,13 +33,12 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/partition"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // CoreSeed derives the per-core trace seed of a shared-mode run from the
-// run's base seed. External trace recorders use it to reproduce the exact
-// instruction streams a live run with the same base seed would generate.
+// run's base seed: a generator built with it yields exactly the instruction
+// stream a run with the same base seed feeds that core.
 func CoreSeed(seed int64, core int) int64 { return seed + int64(core)*7919 }
 
 // Options configure one shared-mode simulation run.
@@ -58,16 +57,8 @@ type Options struct {
 	// uses 5M cycles on full-size samples; scaled runs use smaller values).
 	IntervalCycles uint64
 	// Seed randomizes the synthetic traces. Core i's generator is seeded with
-	// CoreSeed(Seed, i). Ignored when Sources is set.
+	// CoreSeed(Seed, i).
 	Seed int64
-	// Sources, when non-empty, supplies every core's instruction stream
-	// directly (for example trace.Replayers playing back recorded traces)
-	// instead of constructing generators from Workload and Seed. Its length
-	// must equal the core count and every entry must be non-nil. Workload
-	// still labels the run (benchmark names in records and results).
-	// Sources implementing Reset() (trace.Replayer does) are rewound at the
-	// start of the run, so the same sources drive repeated runs identically.
-	Sources []trace.Source
 	// Accountants are attached to the run and produce per-interval estimates.
 	Accountants []accounting.Accountant
 	// Partitioner, when non-nil, repartitions the LLC every interval.
@@ -153,16 +144,6 @@ func (o *Options) validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("sim: Workers = %d, must be >= 0", o.Workers)
 	}
-	if len(o.Sources) > 0 {
-		if len(o.Sources) != o.Config.Cores {
-			return fmt.Errorf("sim: %d instruction sources for %d cores", len(o.Sources), o.Config.Cores)
-		}
-		for i, src := range o.Sources {
-			if src == nil {
-				return fmt.Errorf("sim: instruction source for core %d is nil", i)
-			}
-		}
-	}
 	return nil
 }
 
@@ -194,7 +175,6 @@ type runState struct {
 	opts      Options
 	shared    *memsys.System
 	cores     []*cpu.Core
-	sources   []trace.Source
 	res       *Result
 	maxCycles uint64
 
@@ -274,25 +254,12 @@ func newRunState(opts Options) (*runState, error) {
 		shared.DisableRecycling()
 	}
 	cores := make([]*cpu.Core, opts.Config.Cores)
-	sources := make([]trace.Source, opts.Config.Cores)
 	for i := range cores {
-		var src trace.Source
-		if len(opts.Sources) > 0 {
-			src = opts.Sources[i]
-			// Rewind replay-style sources so repeated runs over the same
-			// sources observe the stream from the beginning every time.
-			if r, ok := src.(interface{ Reset() }); ok {
-				r.Reset()
-			}
-		} else {
-			gen, err := opts.Workload.Benchmarks[i].NewGenerator(CoreSeed(opts.Seed, i))
-			if err != nil {
-				return nil, err
-			}
-			src = gen
+		gen, err := opts.Workload.Benchmarks[i].NewGenerator(CoreSeed(opts.Seed, i))
+		if err != nil {
+			return nil, err
 		}
-		sources[i] = src
-		core, err := cpu.New(i, opts.Config, src, shared)
+		core, err := cpu.New(i, opts.Config, gen, shared)
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +303,6 @@ func newRunState(opts Options) (*runState, error) {
 		opts:           opts,
 		shared:         shared,
 		cores:          cores,
-		sources:        sources,
 		res:            res,
 		maxCycles:      maxCycles,
 		sampleTaken:    make([]bool, len(cores)),

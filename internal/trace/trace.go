@@ -205,13 +205,9 @@ func NewGenerator(params Params, seed int64) (*Generator, error) {
 		// multi-programmed workload) live in disjoint address spaces, as
 		// separate processes would.
 		g.base[i] = (uint64(i)+1)<<40 | uint64(uint16(seed))<<22
-		_ = ws
 	}
 	return g, nil
 }
-
-// Params returns a copy of the generator's parameters.
-func (g *Generator) Params() Params { return g.params }
 
 // inComputePhase reports whether the current index falls in a compute-bound
 // phase of a phased benchmark.

@@ -1,7 +1,10 @@
 package gdp
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"io"
 
 	"repro/internal/sim"
@@ -9,63 +12,67 @@ import (
 	"repro/internal/workload"
 )
 
-// Trace types. The versioned binary trace format (TraceFormatVersion) makes
-// instruction streams shareable artifacts: record once with a TraceWriter,
-// replay anywhere with a TraceReplayer. Every component that consumes
-// instructions accepts a TraceSource, so synthetic generation and replay are
-// interchangeable backends.
-type (
-	// TraceSource is an instruction stream (synthetic generator or replayer).
-	TraceSource = trace.Source
-	// TraceInstruction is one element of an instruction stream.
-	TraceInstruction = trace.Instruction
-	// TraceWriter serializes an instruction stream to the binary trace format.
-	TraceWriter = trace.Writer
-	// TraceReader decodes a binary trace record by record.
-	TraceReader = trace.Reader
-	// TraceReplayer replays a recorded trace as an infinite TraceSource.
-	TraceReplayer = trace.Replayer
-)
-
-// TraceFormatVersion is the on-disk trace format version this build reads
-// and writes.
-const TraceFormatVersion = trace.FormatVersion
-
-// ErrBadTrace wraps every structural problem found in a trace file.
-var ErrBadTrace = trace.ErrBadTrace
-
-// NewTraceWriter starts a binary trace stream named name on w.
-func NewTraceWriter(w io.Writer, name string) (*TraceWriter, error) { return trace.NewWriter(w, name) }
-
-// NewTraceReader validates the trace header on r and decodes records.
-func NewTraceReader(r io.Reader) (*TraceReader, error) { return trace.NewReader(r) }
-
-// NewTraceReplayer loads a complete binary trace and replays it as a
-// TraceSource (wrapping around at the end of the recording).
-func NewTraceReplayer(r io.Reader) (*TraceReplayer, error) { return trace.NewReplayer(r) }
-
-// RecordTrace writes n instructions from src to w as a complete trace stream
-// named name.
-func RecordTrace(w io.Writer, name string, src TraceSource, n int) error {
-	return trace.Record(w, name, src, n)
-}
+// TraceInstruction is one element of an instruction stream.
+type TraceInstruction = trace.Instruction
 
 // CoreSeed derives the per-core trace seed Engine.Run uses for core i of a
-// run with the given base seed. Recording a benchmark with this seed yields
-// exactly the stream the live run would generate on that core.
+// run with the given base seed: a benchmark generator built with it yields
+// exactly the stream the run feeds that core.
 func CoreSeed(seed int64, core int) int64 { return sim.CoreSeed(seed, core) }
 
-// RecordBenchmarkTrace records n instructions of bench's deterministic
-// stream — exactly as Engine.Run would generate them on core `core` of a run
-// with base seed `seed` — to w. Replaying the recording through a run with
-// Sources set reproduces the live run byte for byte, as long as n covers
-// every instruction the run fetches.
-func RecordBenchmarkTrace(w io.Writer, bench Benchmark, seed int64, core int, n int) error {
-	gen, err := bench.NewGenerator(sim.CoreSeed(seed, core))
-	if err != nil {
-		return err
+// RecordTrace writes the next n instructions of gen to w as fixed-size
+// little-endian records, one per instruction. name only labels errors.
+//
+// Deprecated: trace record/replay was removed. A generator's stream is a pure
+// function of (profile, seed), so a recording holds nothing the seed does not;
+// rebuild the generator instead. RecordTrace and NewTraceReplayer remain only
+// for the benchmark ledger.
+func RecordTrace(w io.Writer, name string, gen *trace.Generator, n int) error {
+	if n < 1 {
+		return fmt.Errorf("gdp: cannot record %d instructions", n)
 	}
-	return trace.Record(w, bench.Name, gen, n)
+	if err := binary.Write(w, binary.LittleEndian, gen.Generate(n)); err != nil {
+		return fmt.Errorf("gdp: recording trace %q: %w", name, err)
+	}
+	return nil
+}
+
+// TraceReplayer plays back a RecordTrace recording, wrapping at its end.
+//
+// Deprecated: see RecordTrace.
+type TraceReplayer struct {
+	insts []TraceInstruction
+	pos   int
+}
+
+// NewTraceReplayer reads a complete RecordTrace recording from r. An empty
+// input, or one that is not a whole number of records, is an error.
+//
+// Deprecated: see RecordTrace.
+func NewTraceReplayer(r io.Reader) (*TraceReplayer, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("gdp: reading trace: %w", err)
+	}
+	size := binary.Size(TraceInstruction{})
+	if len(data) == 0 || len(data)%size != 0 {
+		return nil, fmt.Errorf("gdp: trace of %d bytes is not a whole number of %d-byte records", len(data), size)
+	}
+	insts := make([]TraceInstruction, len(data)/size)
+	if err := binary.Read(bytes.NewReader(data), binary.LittleEndian, insts); err != nil {
+		return nil, fmt.Errorf("gdp: decoding trace: %w", err)
+	}
+	return &TraceReplayer{insts: insts}, nil
+}
+
+// Next returns the next recorded instruction, wrapping at the end.
+func (p *TraceReplayer) Next() TraceInstruction {
+	if p.pos == len(p.insts) {
+		p.pos = 0
+	}
+	inst := p.insts[p.pos]
+	p.pos++
+	return inst
 }
 
 // Scenario types. Scenarios are named workload patterns beyond the paper's
@@ -103,17 +110,11 @@ type ScenarioRunOptions struct {
 	Seed                int64
 	// MaxCycles bounds the simulation (0 = derived default).
 	MaxCycles uint64
-	// Sources, when non-empty, replays externally recorded traces (one per
-	// core) instead of generating the scenario's instruction streams live.
-	Sources []TraceSource
 }
 
 // RunScenario runs a named scenario workload and reduces the run to per-core
 // instruction-weighted private-performance estimates. An unknown name yields
-// an *UnknownScenarioError (reachable through errors.As). With opts.Sources
-// set, the scenario is replayed from recorded traces instead of generated
-// live; a recording produced by RecordBenchmarkTrace with the same seed
-// yields estimates byte-identical to the live run.
+// an *UnknownScenarioError (reachable through errors.As).
 func (e *Engine) RunScenario(ctx context.Context, name string, opts ScenarioRunOptions) (*EstimateResponse, error) {
 	sc, err := workload.ScenarioByName(name)
 	if err != nil {
@@ -135,34 +136,5 @@ func (e *Engine) RunScenario(ctx context.Context, name string, opts ScenarioRunO
 		intervalCycles:      opts.IntervalCycles,
 		seed:                opts.Seed,
 		maxCycles:           opts.MaxCycles,
-		sources:             opts.Sources,
-	})
-}
-
-// Replay runs an estimation over externally supplied instruction sources,
-// one per core. wl labels the run (its benchmark names appear in the
-// response); the instruction streams come entirely from the sources
-// parameter. opts.Cores is ignored (the core count is len(sources)) and
-// opts.Sources must be empty — that field belongs to RunScenario, where no
-// separate parameter exists.
-func (e *Engine) Replay(ctx context.Context, wl Workload, sources []TraceSource, opts ScenarioRunOptions) (*EstimateResponse, error) {
-	if len(opts.Sources) > 0 {
-		return nil, badRequestf("pass replay sources as the Replay parameter, not ScenarioRunOptions.Sources")
-	}
-	if len(sources) == 0 {
-		return nil, badRequestf("replay needs at least one trace source")
-	}
-	if wl.Cores() != len(sources) {
-		return nil, badRequestf("workload names %d benchmarks for %d trace sources", wl.Cores(), len(sources))
-	}
-	return e.runEstimate(ctx, estimateParams{
-		workload:            wl,
-		technique:           opts.Technique,
-		prbEntries:          opts.PRBEntries,
-		instructionsPerCore: opts.InstructionsPerCore,
-		intervalCycles:      opts.IntervalCycles,
-		seed:                opts.Seed,
-		maxCycles:           opts.MaxCycles,
-		sources:             sources,
 	})
 }

@@ -5,179 +5,51 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 )
 
-// recordScenarioSources records every benchmark of a scenario workload with
-// the seeds a live run would use and returns replay sources.
-func recordScenarioSources(t *testing.T, wl Workload, seed int64, n int) []TraceSource {
-	t.Helper()
-	sources := make([]TraceSource, wl.Cores())
-	for core, bench := range wl.Benchmarks {
-		var buf bytes.Buffer
-		if err := RecordBenchmarkTrace(&buf, bench, seed, core, n); err != nil {
-			t.Fatal(err)
+// TestDeprecatedTraceStubs pins the two stubs left of trace record/replay:
+// a RecordTrace recording plays back as the generator's first n instructions
+// and then wraps, and bad input is an error, never a panic.
+func TestDeprecatedTraceStubs(t *testing.T) {
+	const n = 300
+	bench, err := BenchmarkByName("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := bench.NewGenerator(CoreSeed(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RecordTrace(&buf, bench.Name, gen, n); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewTraceReplayer(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := bench.NewGenerator(CoreSeed(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Generate(n)
+	for i := 0; i < 2*n; i++ {
+		if got := rep.Next(); got != want[i%n] {
+			t.Fatalf("instruction %d: replayed %+v, want %+v", i, got, want[i%n])
 		}
-		rep, err := NewTraceReplayer(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
+	}
+
+	if err := RecordTrace(io.Discard, bench.Name, gen, 0); err == nil {
+		t.Error("RecordTrace accepted n = 0")
+	}
+	for _, data := range [][]byte{nil, buf.Bytes()[:buf.Len()-1], buf.Bytes()[:7]} {
+		if _, err := NewTraceReplayer(bytes.NewReader(data)); err == nil {
+			t.Errorf("NewTraceReplayer accepted %d bytes", len(data))
 		}
-		sources[core] = rep
-	}
-	return sources
-}
-
-// TestRecordReplayByteIdentical is the PR's acceptance criterion: recording a
-// scenario to trace files and replaying it through Engine.Run produces
-// estimates byte-identical to running the same scenario live, at worker-pool
-// widths 1 and 8.
-func TestRecordReplayByteIdentical(t *testing.T) {
-	const (
-		name         = "cache-thrash"
-		cores        = 2
-		seed         = int64(13)
-		instructions = 1500
-		interval     = 1000
-	)
-	sc, err := ScenarioByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := sc.Workload(cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, jobs := range []int{1, 8} {
-		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
-			engine, err := NewEngine(WithJobs(jobs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-
-			// Raw simulation comparison through Engine.Run: every cycle count,
-			// statistic and per-interval estimate must match exactly.
-			runOpts := func() SimOptions {
-				acct, err := NewGDPO(cores, 32)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return SimOptions{
-					Config:              ScaledConfig(cores),
-					Workload:            wl,
-					InstructionsPerCore: instructions,
-					IntervalCycles:      interval,
-					Seed:                seed,
-					Accountants:         []Accountant{acct},
-				}
-			}
-			live, err := engine.Run(ctx, runOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Record past the sample budget: cores keep fetching until the
-			// last core finishes.
-			sources := recordScenarioSources(t, wl, seed, instructions*50)
-			replayOpts := runOpts()
-			replayOpts.Sources = sources
-			replayed, err := engine.Run(ctx, replayOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, src := range sources {
-				if rep := src.(*TraceReplayer); rep.Wraps() > 0 {
-					t.Fatalf("replayer %q wrapped %d times: recording too short for an exact comparison", rep.Name(), rep.Wraps())
-				}
-			}
-			if live.Cycles != replayed.Cycles {
-				t.Fatalf("cycles: live %d, replayed %d", live.Cycles, replayed.Cycles)
-			}
-			if !reflect.DeepEqual(live.CoreStats, replayed.CoreStats) {
-				t.Fatal("per-core statistics diverge between live and replayed runs")
-			}
-			if !reflect.DeepEqual(live.Intervals, replayed.Intervals) {
-				t.Fatal("interval records (including estimates) diverge between live and replayed runs")
-			}
-
-			// Reduced-estimate comparison through RunScenario: the JSON
-			// encodings must be byte-identical.
-			scOpts := ScenarioRunOptions{
-				Cores:               cores,
-				InstructionsPerCore: instructions,
-				IntervalCycles:      interval,
-				Seed:                seed,
-			}
-			liveResp, err := engine.RunScenario(ctx, name, scOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scOpts.Sources = recordScenarioSources(t, wl, seed, instructions*50)
-			replayResp, err := engine.RunScenario(ctx, name, scOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			liveJSON, err := json.Marshal(liveResp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayJSON, err := json.Marshal(replayResp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(liveJSON, replayJSON) {
-				t.Fatalf("estimates diverge:\nlive:   %s\nreplay: %s", liveJSON, replayJSON)
-			}
-		})
-	}
-}
-
-// TestReplaySourcesReusable pins the reset contract: running the same replay
-// sources through two consecutive runs yields identical estimates, because
-// the simulation driver rewinds resettable sources at run start.
-func TestReplaySourcesReusable(t *testing.T) {
-	const (
-		name         = "compute-heavy"
-		cores        = 2
-		seed         = int64(3)
-		instructions = 1000
-		interval     = 800
-	)
-	sc, err := ScenarioByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := sc.Workload(cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := ScenarioRunOptions{
-		Cores:               cores,
-		InstructionsPerCore: instructions,
-		IntervalCycles:      interval,
-		Seed:                seed,
-		Sources:             recordScenarioSources(t, wl, seed, instructions*50),
-	}
-	first, err := engine.RunScenario(context.Background(), name, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := engine.RunScenario(context.Background(), name, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(first)
-	b, _ := json.Marshal(second)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("reusing replay sources changed the estimates:\nfirst:  %s\nsecond: %s", a, b)
 	}
 }
 
@@ -208,37 +80,6 @@ func TestRunScenarioUnknownNameTypedError(t *testing.T) {
 	var reqErr *RequestError
 	if !errors.As(err, &reqErr) {
 		t.Fatalf("error %v would not map to HTTP 400", err)
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := engine.Replay(ctx, Workload{}, nil, ScenarioRunOptions{}); err == nil {
-		t.Error("Replay accepted zero sources")
-	}
-	bench, err := BenchmarkByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := RecordBenchmarkTrace(&buf, bench, 1, 0, 100); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewTraceReplayer(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoBench := Workload{ID: "w", Benchmarks: []Benchmark{bench, bench}}
-	if _, err := engine.Replay(ctx, twoBench, []TraceSource{rep}, ScenarioRunOptions{}); err == nil {
-		t.Error("Replay accepted a workload/source count mismatch")
-	}
-	oneBench := Workload{ID: "w", Benchmarks: []Benchmark{bench}}
-	if _, err := engine.Replay(ctx, oneBench, []TraceSource{rep}, ScenarioRunOptions{Sources: []TraceSource{rep}}); err == nil {
-		t.Error("Replay accepted sources in both the parameter and ScenarioRunOptions")
 	}
 }
 

@@ -248,7 +248,7 @@ func (r *EstimateRequest) validate() (estimateParams, error) {
 		return estimateParams{}, err
 	}
 	// PRBEntries is range-checked in runEstimate (after defaulting), which
-	// every entry point — Estimate, RunScenario, Replay — flows through.
+	// both entry points — Estimate and RunScenario — flow through.
 	wl, err := r.resolveWorkload()
 	if err != nil {
 		return estimateParams{}, err
@@ -265,7 +265,7 @@ func (r *EstimateRequest) validate() (estimateParams, error) {
 }
 
 // estimateParams is the resolved form of one estimation run, shared by
-// Engine.Estimate, Engine.RunScenario and Engine.Replay. Zero values of
+// Engine.Estimate and Engine.RunScenario. Zero values of
 // technique, prbEntries, instructionsPerCore and intervalCycles select the
 // defaults (GDP-O, 32, and the Engine scale).
 type estimateParams struct {
@@ -276,9 +276,6 @@ type estimateParams struct {
 	intervalCycles      uint64
 	seed                int64
 	maxCycles           uint64
-	// sources, when non-empty, replays externally supplied instruction
-	// streams (one per core) instead of generating the workload's traces.
-	sources []TraceSource
 }
 
 // runEstimate executes one estimation run and reduces its interval stream to
@@ -287,9 +284,6 @@ func (e *Engine) runEstimate(ctx context.Context, p estimateParams) (*EstimateRe
 	cores := p.workload.Cores()
 	if cores == 0 {
 		return nil, badRequestf("empty workload")
-	}
-	if len(p.sources) > 0 && len(p.sources) != cores {
-		return nil, badRequestf("%d trace sources for %d cores", len(p.sources), cores)
 	}
 
 	technique := p.technique
@@ -332,7 +326,6 @@ func (e *Engine) runEstimate(ctx context.Context, p estimateParams) (*EstimateRe
 		InstructionsPerCore: instructions,
 		IntervalCycles:      interval,
 		Seed:                p.seed,
-		Sources:             p.sources,
 		Accountants:         []Accountant{acct},
 		MaxCycles:           p.maxCycles,
 		DiscardIntervals:    true,
