@@ -1,126 +1,98 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
-	"errors"
-	"io"
+	"encoding/binary"
 	"testing"
+
+	gdp "repro"
+	"repro/internal/trace"
 )
 
-// FuzzReader throws arbitrary bytes at the trace decoder. The invariants:
-// the decoder never panics, any stream it fully accepts re-encodes and
-// re-decodes to the same instructions (round-trip stability), and every
-// rejection is a classified ErrBadTrace, not a raw I/O or gzip error leaking
-// through.
-func FuzzReader(f *testing.F) {
-	// Seed with well-formed traces of several shapes plus near-miss
-	// corruptions (see also the committed corpus under testdata/fuzz).
-	mkTrace := func(name string, insts []Instruction) []byte {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, inst := range insts {
-			if err := w.Write(inst); err != nil {
-				f.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+// recordSize is the length of one gdp.RecordTrace record.
+var recordSize = binary.Size(trace.Instruction{})
+
+func rawRecords(t testing.TB, insts []trace.Instruction) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := binary.Write(&buf, binary.LittleEndian, insts); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// FuzzReader throws arbitrary bytes at gdp.NewTraceReplayer. The invariants:
+// it never panics, it accepts exactly the non-empty inputs that are a whole
+// number of records, and an accepted stream re-encodes and re-decodes to the
+// same instructions. The committed corpus under testdata/fuzz holds files of
+// the retired gzip trace format, which must be rejected or decoded the same
+// way.
+func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("GDPTRC"))
-	f.Add(mkTrace("", nil))
-	f.Add(mkTrace("one", []Instruction{{Kind: Load, Addr: 1 << 40, Dep1: 3}}))
-	f.Add(mkTrace("mixed", []Instruction{
-		{Kind: IntOp, Dep1: 1, Dep2: 2},
-		{Kind: Branch, Dep1: 4, Mispredicted: true},
-		{Kind: Store, Addr: 4096, Dep1: 1, Dep2: 1},
-		{Kind: FPMul, Dep1: 8, Dep2: 16},
+	f.Add(rawRecords(f, []trace.Instruction{{Kind: trace.Load, Addr: 1 << 40, Dep1: 3}}))
+	f.Add(rawRecords(f, []trace.Instruction{
+		{Kind: trace.IntOp, Dep1: 1, Dep2: 2},
+		{Kind: trace.Branch, Dep1: 4, Mispredicted: true},
+		{Kind: trace.Store, Addr: 4096, Dep1: 1, Dep2: 1},
+		{Kind: trace.FPMul, Dep1: 8, Dep2: 16},
 	}))
-	g, err := NewGenerator(formatTestParams(), 3)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mkTrace("generated", g.Generate(64)))
-	truncated := mkTrace("trunc", []Instruction{{Kind: Load, Addr: 64, Dep1: 1}})
+	f.Add(encodeTrace(f, "generated", 3, 64))
+	truncated := encodeTrace(f, "trunc", 3, 1)
 	f.Add(truncated[:len(truncated)-3])
+	// A non-canonical bool byte decodes as true and re-encodes as 1.
+	odd := rawRecords(f, []trace.Instruction{{Kind: trace.Branch, Dep1: 1, Mispredicted: true}})
+	odd[len(odd)-1] = 2
+	f.Add(odd)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, insts, err := ReadAll(bytes.NewReader(data))
+		rep, err := gdp.NewTraceReplayer(bytes.NewReader(data))
+		whole := len(data) > 0 && len(data)%recordSize == 0
 		if err != nil {
-			if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("rejection is not an ErrBadTrace: %v", err)
+			if whole {
+				t.Fatalf("rejected %d bytes of whole records: %v", len(data), err)
 			}
 			return
 		}
-		// Accepted stream: it must round-trip through Writer and Reader.
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, name)
-		if err != nil {
-			t.Fatalf("re-encoding accepted stream: %v", err)
+		if !whole {
+			t.Fatalf("accepted %d bytes, not a whole number of %d-byte records", len(data), recordSize)
 		}
-		for i, inst := range insts {
-			if err := w.Write(inst); err != nil {
-				t.Fatalf("re-encoding accepted instruction %d (%+v): %v", i, inst, err)
-			}
+		insts := make([]trace.Instruction, len(data)/recordSize)
+		for i := range insts {
+			insts[i] = rep.Next()
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		name2, insts2, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		again, err := gdp.NewTraceReplayer(bytes.NewReader(rawRecords(t, insts)))
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded stream: %v", err)
 		}
-		if name2 != name || len(insts2) != len(insts) {
-			t.Fatalf("round trip changed shape: (%q, %d) vs (%q, %d)", name2, len(insts2), name, len(insts))
-		}
 		for i := range insts {
-			if insts[i] != insts2[i] {
-				t.Fatalf("round trip changed instruction %d: %+v vs %+v", i, insts2[i], insts[i])
+			if got := again.Next(); got != insts[i] {
+				t.Fatalf("round trip changed instruction %d: %+v vs %+v", i, got, insts[i])
 			}
 		}
 	})
 }
 
-// FuzzReaderStreaming drives the incremental Read path (rather than ReadAll)
-// so mid-stream error handling and the Count bookkeeping get fuzzed too.
+// FuzzReaderStreaming drives Next past the end of an accepted stream, so the
+// wrap-around bookkeeping gets fuzzed too: every later pass repeats the first.
 func FuzzReaderStreaming(f *testing.F) {
-	g, err := NewGenerator(formatTestParams(), 11)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Record(&buf, "stream", g, 32); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(encodeTrace(f, "stream", 11, 32))
 	f.Add([]byte("GDPTRC\x01\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
+		rep, err := gdp.NewTraceReplayer(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		defer r.Close()
-		var n uint64
-		for {
-			_, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if !errors.Is(err, ErrBadTrace) {
-					t.Fatalf("mid-stream rejection is not an ErrBadTrace: %v", err)
+		first := make([]trace.Instruction, len(data)/recordSize)
+		for i := range first {
+			first[i] = rep.Next()
+		}
+		for pass := 1; pass <= 2; pass++ {
+			for i := range first {
+				if got := rep.Next(); got != first[i] {
+					t.Fatalf("pass %d, instruction %d: %+v, first pass %+v", pass, i, got, first[i])
 				}
-				break
-			}
-			n++
-			if r.Count() != n {
-				t.Fatalf("Count = %d after %d reads", r.Count(), n)
 			}
 		}
 	})

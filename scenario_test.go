@@ -1,57 +1,13 @@
 package gdp
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 )
-
-// TestDeprecatedTraceStubs pins the two stubs left of trace record/replay:
-// a RecordTrace recording plays back as the generator's first n instructions
-// and then wraps, and bad input is an error, never a panic.
-func TestDeprecatedTraceStubs(t *testing.T) {
-	const n = 300
-	bench, err := BenchmarkByName("omnetpp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := bench.NewGenerator(CoreSeed(5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := RecordTrace(&buf, bench.Name, gen, n); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewTraceReplayer(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := bench.NewGenerator(CoreSeed(5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Generate(n)
-	for i := 0; i < 2*n; i++ {
-		if got := rep.Next(); got != want[i%n] {
-			t.Fatalf("instruction %d: replayed %+v, want %+v", i, got, want[i%n])
-		}
-	}
-
-	if err := RecordTrace(io.Discard, bench.Name, gen, 0); err == nil {
-		t.Error("RecordTrace accepted n = 0")
-	}
-	for _, data := range [][]byte{nil, buf.Bytes()[:buf.Len()-1], buf.Bytes()[:7]} {
-		if _, err := NewTraceReplayer(bytes.NewReader(data)); err == nil {
-			t.Errorf("NewTraceReplayer accepted %d bytes", len(data))
-		}
-	}
-}
 
 func TestEngineScenariosListsRegistry(t *testing.T) {
 	engine, err := NewEngine()
