@@ -16,14 +16,16 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each checked-in fuzz target briefly against its seed corpus
-# plus a short exploration budget. A regression found here reproduces with
-# `go test -run=Fuzz` once the failing input is added to testdata.
+# plus a short exploration budget: the three request decoders and the disk
+# cache entry decoder (the one durable-state decoder). A regression found
+# here reproduces with `go test -run=Fuzz` once the failing input is added to
+# testdata.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
-	$(GO) test -run='^$$' -fuzz=FuzzJournalLoad -fuzztime=$(FUZZTIME) ./internal/journal
+	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/runner
 
 vet:
 	$(GO) vet ./...
@@ -117,8 +119,8 @@ dispatch-smoke:
 cache-smoke:
 	sh scripts/cache_smoke.sh
 
-# chaos-smoke SIGKILLs a journaled sweep mid-grid under injected disk faults,
-# resumes it, and runs a fleet sweep against a worker with an injected
+# chaos-smoke SIGKILLs a -cache-dir sweep mid-grid under injected disk faults,
+# reruns it over the same directory, and runs a fleet sweep against a worker with an injected
 # cell-execution panic and cut result streams — all byte-compared against an
 # uninterrupted fault-free run (see scripts/chaos_smoke.sh).
 chaos-smoke:

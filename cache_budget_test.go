@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // budgetSweepOpts is a grid with enough distinct cells (4 PRB sizes x 5
@@ -101,14 +103,14 @@ func TestWithCacheBudgetValidation(t *testing.T) {
 	if _, err := NewEngine(WithCacheBudget(-1)); err == nil {
 		t.Error("negative budget accepted")
 	}
-	cache := NewResultCache()
+	cache := runner.NewCache()
 	if _, err := NewEngine(WithCacheBudget(4096), WithCache(cache)); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.MaxBytes(); got != 4096 {
 		t.Errorf("budget before WithCache: MaxBytes = %d, want 4096", got)
 	}
-	cache2 := NewResultCache()
+	cache2 := runner.NewCache()
 	if _, err := NewEngine(WithCache(cache2), WithCacheBudget(8192)); err != nil {
 		t.Fatal(err)
 	}

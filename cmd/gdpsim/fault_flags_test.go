@@ -2,15 +2,12 @@ package main
 
 import (
 	"context"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
 )
 
-// sweepArgs is the tiny grid every journal-flag test runs.
+// sweepArgs is the tiny grid every fault-flag test runs.
 func sweepArgs(extra ...string) []string {
 	args := []string{
 		"-workloads", "1", "-instructions", "2000", "-interval", "2000",
@@ -19,36 +16,31 @@ func sweepArgs(extra ...string) []string {
 	return append(args, extra...)
 }
 
-// TestSweepJournalFlag is the CLI acceptance check for crash-safe sweeps:
-// -journal records the grid, a second run without -resume refuses to clobber
-// it, and -resume replays it with byte-identical output.
-func TestSweepJournalFlag(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	first := captureStdout(t, func() error {
-		return run(context.Background(), sweepArgs("-journal", path))
-	})
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() == 0 {
-		t.Fatalf("journal not written: %v, %v", fi, err)
+// TestSweepCacheDirResume is the CLI face of crash-safe sweeps: a sweep that
+// finished only part of its grid, rerun in full over the same -cache-dir,
+// prints exactly what an uninterrupted run prints.
+func TestSweepCacheDirResume(t *testing.T) {
+	dir := t.TempDir()
+	sweep := func(prb string, cached bool) func() error {
+		args := []string{"-workloads", "1", "-instructions", "2000", "-interval", "2000"}
+		if cached {
+			args = append(args, "-cache-dir", dir)
+		}
+		args = append(args, "sweep", "-cores", "2", "-mixes", "H", "-prb", prb, "-techniques", "GDP")
+		return func() error { return run(context.Background(), args) }
 	}
-
-	// Without -resume the existing journal is a refusal, not a silent restart.
-	err = run(context.Background(), sweepArgs("-journal", path))
-	if err == nil || !strings.Contains(err.Error(), "resume") {
-		t.Fatalf("rerun without -resume: err = %v, want a refusal naming -resume", err)
-	}
-
-	resumed := captureStdout(t, func() error {
-		return run(context.Background(), sweepArgs("-journal", path, "-resume"))
-	})
-	if resumed != first {
-		t.Errorf("resumed output differs:\n--- first\n%s--- resumed\n%s", first, resumed)
+	want := captureStdout(t, sweep("16,32", false))
+	captureStdout(t, sweep("16", true))
+	if got := captureStdout(t, sweep("16,32", true)); got != want {
+		t.Errorf("resumed output differs:\n--- fresh\n%s--- resumed\n%s", want, got)
 	}
 }
 
+// TestSweepResumeRequiresJournal: -resume went with the journal, so a sweep
+// given it fails instead of silently starting over.
 func TestSweepResumeRequiresJournal(t *testing.T) {
 	if err := run(context.Background(), sweepArgs("-resume")); err == nil {
-		t.Error("-resume without -journal accepted")
+		t.Error("-resume accepted")
 	}
 }
 
@@ -59,6 +51,9 @@ func TestFaultSpecFlag(t *testing.T) {
 	defer faultinject.SetActive(nil)
 	if err := run(context.Background(), []string{"-fault-spec", "nosuch.point:err=EIO", "table1"}); err == nil {
 		t.Error("bad fault spec accepted")
+	}
+	if err := run(context.Background(), []string{"-fault-spec", "journal.write:err=EIO", "table1"}); err == nil {
+		t.Error("the deleted journal.write point was accepted")
 	}
 	if err := run(context.Background(), append([]string{"-fault-spec", "disk.write:err=EIO:after=1000000"},
 		sweepArgs()...)); err != nil {

@@ -18,16 +18,17 @@
 // Every subcommand runs on one shared gdp.Engine built from the global flags:
 // -jobs selects the worker-pool width, -progress reports per-cell progress
 // and ETA on stderr, and -cache-dir persists the private-mode reference
-// simulations across invocations. Output is byte-identical for every -jobs
-// value. SIGINT/SIGTERM cancel the root context; a running simulation aborts
-// at its next interval boundary and `serve` shuts down gracefully, draining
-// in-flight requests first.
+// simulations and finished sweep cells across invocations. Output is
+// byte-identical for every -jobs value. SIGINT/SIGTERM cancel the root
+// context; a running simulation aborts at its next interval boundary and
+// `serve` shuts down gracefully, draining in-flight requests first.
 //
 // -fault-spec (or the FI_SPEC environment variable) arms the deterministic
 // fault injector for chaos testing — e.g. "disk.write:err=EIO:every=7" or
-// "dispatch.stream:cut=0.05" — and `sweep -journal` records completed cells
-// in a crash-safe journal that `sweep -resume` replays, so a killed sweep
-// picks up where it died with byte-identical rows.
+// "dispatch.stream:cut=0.05". A sweep run with -cache-dir is crash-safe: every
+// completed cell is fsynced into the cache before the next one starts, so
+// rerunning a killed sweep over the same directory recalls the finished cells
+// and simulates only the rest, with byte-identical rows.
 package main
 
 import (
@@ -76,7 +77,7 @@ func run(ctx context.Context, args []string) error {
 	cores := fs.Int("cores", 4, "core count for single-cell commands (run, fig6, overhead, table1)")
 	benchNames := fs.String("benchmarks", "", "comma-separated benchmark names for the run command")
 	jobs := fs.Int("jobs", 0, "worker-pool width for simulation cells (0 = all CPUs, 1 = serial)")
-	cacheDir := fs.String("cache-dir", "", "persist private-mode reference simulations in this directory")
+	cacheDir := fs.String("cache-dir", "", "persist simulation results in this directory; a killed sweep rerun over it simulates only the missing cells")
 	cacheMemMB := fs.Float64("cache-mem-mb", 0, "bound the result cache's memory layer to this many MB, evicting cold entries (to -cache-dir when set, so they stay one disk read away; 0 = unbounded; may be fractional)")
 	progress := fs.Bool("progress", false, "report per-cell progress and ETA on stderr")
 	logLevel := fs.String("log-level", "info", "minimum structured log level on stderr (debug, info, warn, error)")
@@ -96,7 +97,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	// Arm fault injection before the engine exists so every layer — cache,
-	// dispatcher, workers, journal — sees the same armed injector; the engine
+	// dispatcher, workers — sees the same armed injector; the engine
 	// registers the per-point counters at /metrics.
 	injector, err := faultinject.Parse(*faultSpec, *faultSeed)
 	if err != nil {
@@ -387,16 +388,11 @@ func cmdSweep(ctx context.Context, engine *gdp.Engine, args []string) error {
 	csvPath := fs.String("csv", "", "also export the rows as CSV to this file")
 	jsonPath := fs.String("json", "", "also export the result as JSON to this file")
 	workers := fs.String("workers", "", "comma-separated base URLs of gdpsim serve workers; shards the grid across the fleet (rows stay byte-identical)")
-	journalPath := fs.String("journal", "", "record each completed cell in this crash-safe journal, so a killed sweep can be resumed with -resume")
-	resume := fs.Bool("resume", false, "resume an interrupted sweep from the -journal file, skipping every cell it already holds (rows stay byte-identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("sweep: unexpected argument %q", fs.Arg(0))
-	}
-	if *resume && *journalPath == "" {
-		return fmt.Errorf("sweep: -resume needs -journal to name the journal file")
 	}
 
 	coreCounts, err := experiments.ParseIntList(*coresList)
@@ -435,19 +431,6 @@ func cmdSweep(ctx context.Context, engine *gdp.Engine, args []string) error {
 			}
 		}
 	}
-	var jnl *experiments.SweepJournal
-	if *journalPath != "" {
-		jnl, err = experiments.OpenSweepJournal(*journalPath, *resume)
-		if err != nil {
-			return err
-		}
-		defer jnl.Close()
-		if n := jnl.Resumed(); n > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resuming, %d completed cells replayed from %s\n", n, *journalPath)
-		}
-		opts.Journal = jnl
-	}
-
 	var res *gdp.SweepResult
 	if *workers != "" {
 		res, err = engine.SweepWorkers(ctx, opts, experiments.ParseStringList(*workers))
@@ -456,11 +439,6 @@ func cmdSweep(ctx context.Context, engine *gdp.Engine, args []string) error {
 	}
 	if err != nil {
 		return err
-	}
-	if jnl != nil {
-		if n, lastErr := jnl.WriteErrors(); n > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: %d journal appends failed (last: %v); the affected cells recompute on resume\n", n, lastErr)
-		}
 	}
 	fmt.Print(res.Render())
 	if *csvPath != "" {

@@ -211,10 +211,12 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointFlagsRemoved: warm-up sharing is gone, and so are its
-// two sweep flags.
+// TestSweepCheckpointFlagsRemoved: warm-up sharing and the sweep journal are
+// gone, and so are their sweep flags.
 func TestSweepCheckpointFlagsRemoved(t *testing.T) {
-	for _, args := range [][]string{{"-checkpoint"}, {"-warmup-intervals", "4"}} {
+	for _, args := range [][]string{
+		{"-checkpoint"}, {"-warmup-intervals", "4"}, {"-journal", "sweep.journal"}, {"-resume"},
+	} {
 		err := run(context.Background(), append([]string{"sweep", "-cores", "2"}, args...))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("sweep %s: err = %v, want an undefined-flag error", args[0], err)

@@ -301,8 +301,12 @@ func (e *Engine) Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, er
 // only (the `workers` field of POST /v1/sweep and the CLI's `-workers` flag).
 // An empty fleet runs a local Sweep; rows are byte-identical either way. The
 // per-call pool reports into the Engine's dispatch telemetry, and its breaker
-// state does not outlive the call.
+// state does not outlive the call. The deprecated opts.Journal is rejected: a
+// disk-backed cache makes a fleet sweep resumable.
 func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []string) (*SweepResult, error) {
+	if opts.Journal != nil {
+		return nil, errors.New("gdp: SweepWorkers: SweepOptions.Journal is not supported; resume from a disk-backed cache")
+	}
 	if len(workers) == 0 {
 		return e.Sweep(ctx, opts)
 	}
@@ -327,71 +331,21 @@ func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []
 func (e *Engine) sweepDistributed(ctx context.Context, opts SweepOptions, pool *dispatch.Pool) (*SweepResult, error) {
 	cells := experiments.EnumerateSweepCells(opts)
 	cfg := experiments.CellConfig{Cache: opts.Cache, Instr: opts.Instr}
-
-	// With a journal attached, it fronts the cell cache: cells a crashed run
-	// completed are answered before the fleet sees them, and every completion
-	// the dispatcher writes back is journaled as it lands. The keys (and the
-	// cells' purity) are shared with the local path, so a sweep interrupted
-	// under -workers can resume locally and vice versa.
-	var cache dispatch.CellCache = cellCacheAdapter{opts.Cache}
-	var keys []string
-	if opts.Journal != nil {
-		keys = make([]string, len(cells))
-		labels := make(map[string]string, len(cells))
-		for i, c := range cells {
-			key, err := runner.SpecKey(c.Spec())
-			if err != nil {
-				return nil, fmt.Errorf("gdp: sweep cell %q: %w", c.Label(), err)
-			}
-			keys[i] = key
-			labels[key] = c.Label()
-		}
-		cache = journalCellCache{inner: cache, journal: opts.Journal, labels: labels}
-	}
 	groups, err := pool.Run(ctx, cells, dispatch.RunConfig{
 		Local: func(ctx context.Context, c experiments.Cell) ([]SweepRow, error) {
 			return c.Run(ctx, cfg)
 		},
-		Cache:    cache,
+		Cache:    cellCacheAdapter{opts.Cache},
 		Progress: opts.Progress,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.Journal != nil {
-		// Completion pass, as in the local sweep: cells the cache answered
-		// during prefill never reached Put, so record them now (Record
-		// deduplicates) and a finished sweep leaves a complete journal.
-		for i, c := range cells {
-			_ = opts.Journal.Record(keys[i], c.Label(), groups[i])
-		}
 	}
 	out := &SweepResult{Cells: len(cells)}
 	for _, rows := range groups {
 		out.Rows = append(out.Rows, rows...)
 	}
 	return out, nil
-}
-
-// journalCellCache fronts the dispatcher's cell cache with the sweep journal:
-// Get answers from the crashed run's completed cells first, and Put journals
-// every completion the moment the dispatcher absorbs it.
-type journalCellCache struct {
-	inner   dispatch.CellCache
-	journal experiments.CellJournal
-	labels  map[string]string
-}
-
-func (c journalCellCache) Get(key string) ([]SweepRow, bool) {
-	if rows, ok := c.journal.Lookup(key); ok {
-		return rows, true
-	}
-	return c.inner.Get(key)
-}
-
-func (c journalCellCache) Put(key string, rows []SweepRow) {
-	c.inner.Put(key, rows)
-	_ = c.journal.Record(key, c.labels[key], rows)
 }
 
 // cellCacheAdapter exposes a runner.Cache as the dispatcher's cell cache. The

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // testSimOptions is a small 2-core shared-mode run with GDP-O attached.
@@ -38,7 +40,7 @@ func TestNewEngineOptionValidation(t *testing.T) {
 	if _, err := NewEngine(WithScale(StudyScale{})); err == nil {
 		t.Error("incomplete scale accepted")
 	}
-	e, err := NewEngine(WithJobs(2), WithCache(NewResultCache()), WithScale(PaperScale()))
+	e, err := NewEngine(WithJobs(2), WithCache(runner.NewCache()), WithScale(PaperScale()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestEngineRunPrivateExposesCycleBound(t *testing.T) {
 }
 
 func TestEngineAccuracyStudyUsesEngineCache(t *testing.T) {
-	cache := NewResultCache()
+	cache := runner.NewCache()
 	e, err := NewEngine(WithCache(cache), WithJobs(2))
 	if err != nil {
 		t.Fatal(err)

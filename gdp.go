@@ -39,9 +39,7 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/config"
-	gdpcore "repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -62,9 +60,6 @@ const (
 	DDR2 = config.DDR2
 	DDR4 = config.DDR4
 )
-
-// PaperConfig returns the Table I configuration for 2, 4 or 8 cores.
-func PaperConfig(cores int) *CMPConfig { return config.PaperConfig(cores) }
 
 // ScaledConfig returns the proportionally scaled configuration used for the
 // short synthetic samples of this reproduction.
@@ -107,10 +102,6 @@ type (
 	Accountant = accounting.Accountant
 	// AccountingEstimate is one private-mode performance estimate.
 	AccountingEstimate = accounting.Estimate
-	// DataflowUnit is the per-core GDP/GDP-O hardware unit (PRB + PCB + CPL).
-	DataflowUnit = gdpcore.GDP
-	// DataflowOptions configure a DataflowUnit.
-	DataflowOptions = gdpcore.Options
 )
 
 // NewGDP creates the GDP accounting technique for a CMP with cores cores and
@@ -135,10 +126,6 @@ func NewPTCA(cores int) (Accountant, error) { return accounting.NewPTCA(cores) }
 func NewASM(cores int, epochLen uint64) (Accountant, error) {
 	return accounting.NewASM(cores, epochLen, nil)
 }
-
-// NewDataflowUnit creates a bare GDP/GDP-O unit for direct use (for example
-// to attach to a custom core model).
-func NewDataflowUnit(opts DataflowOptions) (*DataflowUnit, error) { return gdpcore.New(opts) }
 
 // Partitioning types.
 type (
@@ -171,18 +158,6 @@ type (
 	// PrivateReference is the interference-free ground truth of one benchmark.
 	PrivateReference = sim.PrivateReference
 )
-
-// Metrics.
-
-// STP computes system throughput from per-core private and shared CPIs.
-func STP(privateCPI, sharedCPI []float64) (float64, error) {
-	return metrics.STP(privateCPI, sharedCPI)
-}
-
-// ANTT computes the average normalized turnaround time.
-func ANTT(privateCPI, sharedCPI []float64) (float64, error) {
-	return metrics.ANTT(privateCPI, sharedCPI)
-}
 
 // Experiment drivers.
 type (
@@ -238,9 +213,6 @@ type (
 	// CacheStats is the per-layer breakdown of result-cache activity.
 	CacheStats = runner.CacheStats
 )
-
-// NewResultCache returns an in-memory result cache.
-func NewResultCache() *ResultCache { return runner.NewCache() }
 
 // NewDiskResultCache returns a result cache that also persists entries under
 // dir, so repeated processes reuse earlier simulations.

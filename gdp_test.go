@@ -2,13 +2,13 @@ package gdp
 
 import (
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/runner"
 )
 
 func TestPublicConfigConstructors(t *testing.T) {
 	for _, cores := range []int{2, 4, 8} {
-		if err := PaperConfig(cores).Validate(); err != nil {
-			t.Errorf("PaperConfig(%d): %v", cores, err)
-		}
 		if err := ScaledConfig(cores).Validate(); err != nil {
 			t.Errorf("ScaledConfig(%d): %v", cores, err)
 		}
@@ -44,10 +44,6 @@ func TestPublicAccountantConstructors(t *testing.T) {
 		if a.Name() != name {
 			t.Errorf("constructor for %s produced %s", name, a.Name())
 		}
-	}
-	unit, err := NewDataflowUnit(DataflowOptions{PRBEntries: 32})
-	if err != nil || unit == nil {
-		t.Errorf("NewDataflowUnit: %v", err)
 	}
 }
 
@@ -104,14 +100,14 @@ func TestPublicEndToEndRun(t *testing.T) {
 	}
 	privCPI := []float64{priv.Total.CPI(), priv.Total.CPI()}
 	sharedCPI := []float64{res.SampleStats[0].CPI(), res.SampleStats[1].CPI()}
-	stp, err := STP(privCPI, sharedCPI)
+	stp, err := metrics.STP(privCPI, sharedCPI)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stp <= 0 || stp > 2.01 {
 		t.Errorf("STP = %v out of range", stp)
 	}
-	if _, err := ANTT(privCPI, sharedCPI); err != nil {
+	if _, err := metrics.ANTT(privCPI, sharedCPI); err != nil {
 		t.Error(err)
 	}
 }
@@ -123,7 +119,7 @@ func TestPublicScales(t *testing.T) {
 }
 
 func TestPublicSweepAndCache(t *testing.T) {
-	cache := NewResultCache()
+	cache := runner.NewCache()
 	var events int
 	res, err := newTestEngine(t).Sweep(t.Context(), SweepOptions{
 		CoreCounts:          []int{2},

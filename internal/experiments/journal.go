@@ -1,137 +1,45 @@
 package experiments
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
+import "repro/internal/runner"
 
-	"repro/internal/journal"
-)
-
-// CellJournal is the sweep's crash-safety overlay: completed cells are
-// recorded as soon as their rows exist, and a resumed sweep answers recorded
-// cells from the journal instead of re-simulating them. Implementations must
-// be safe for concurrent use — cells complete on every pool worker.
+// SweepJournal answers and records whole sweep cells by spec key, over a
+// disk-backed result cache: the same store, entry format and fsync discipline
+// as -cache-dir.
 //
-// The journal is an overlay, not a store of record: a cell that fails to
-// record costs one recompute on the next resume, never correctness, so
-// Record errors are surfaced for accounting but do not fail the sweep.
-type CellJournal interface {
-	// Lookup returns the recorded rows for a cell's spec key.
-	Lookup(key string) ([]SweepRow, bool)
-	// Record persists one completed cell. Recording the same key again is a
-	// no-op (cells are pure; duplicates would be byte-identical).
-	Record(key, label string, rows []SweepRow) error
-}
+// Deprecated: a sweep run with a disk-backed SweepOptions.Cache
+// (runner.NewDiskCache, gdpsim -cache-dir) is already crash-safe and
+// resumable.
+type SweepJournal struct{ store *runner.Cache }
 
-// SweepJournal is the file-backed CellJournal over the crash-safe journal
-// format (internal/journal). Open it with OpenSweepJournal, attach it to
-// SweepOptions.Journal, and Close it when the sweep returns.
-type SweepJournal struct {
-	w *journal.Writer
-
-	mu        sync.Mutex
-	recorded  map[string]bool
-	loaded    map[string][]SweepRow
-	writeErrs int
-	lastErr   error
-}
-
-// OpenSweepJournal opens the journal at path.
+// OpenSweepJournal opens (creating if needed) the store directory at path.
+// resume is ignored: recorded cells are always recalled.
 //
-// With resume false the journal must not already hold records: starting a
-// fresh sweep over a crashed run's journal would silently discard its
-// completed cells, so that is an error directing the user to -resume (or to
-// remove the file). With resume true the existing records are replayed — a
-// torn final record from the crash is truncated away — and the sweep answers
-// every recorded cell from the journal.
+// Deprecated: use runner.NewDiskCache(path) as SweepOptions.Cache.
 func OpenSweepJournal(path string, resume bool) (*SweepJournal, error) {
-	j := &SweepJournal{
-		recorded: map[string]bool{},
-		loaded:   map[string][]SweepRow{},
-	}
-	if !resume {
-		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-			return nil, fmt.Errorf(
-				"experiments: journal %s already exists; resume it with -resume or remove it to start fresh", path)
-		}
-		w, err := journal.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		j.w = w
-		return j, nil
-	}
-	res, err := journal.Load(path)
+	store, err := runner.NewDiskCache(path)
 	if err != nil {
 		return nil, err
 	}
-	for key, raw := range res.Cells {
-		var rows []SweepRow
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			// A CRC-valid record that does not decode means the journal was
-			// written by an incompatible build; recomputing silently would
-			// mask that, so refuse.
-			return nil, fmt.Errorf("experiments: journal %s: cell %s does not decode: %w", path, key, err)
-		}
-		j.loaded[key] = rows
-		j.recorded[key] = true
-	}
-	w, err := journal.OpenAppend(path, res.GoodSize)
-	if err != nil {
-		return nil, err
-	}
-	j.w = w
-	return j, nil
+	return &SweepJournal{store: store}, nil
 }
 
-// Lookup returns the rows a previous (crashed) run recorded for this key.
+// Lookup returns the rows recorded for key.
 func (j *SweepJournal) Lookup(key string) ([]SweepRow, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rows, ok := j.loaded[key]
-	return rows, ok
+	return runner.Lookup[[]SweepRow](j.store, key)
 }
 
-// Record appends one completed cell, deduplicating by key.
+// Record stores a completed cell unless the store already holds its key, so
+// a sweep's completion pass rewrites nothing.
 func (j *SweepJournal) Record(key, label string, rows []SweepRow) error {
-	raw, err := json.Marshal(rows)
-	if err != nil {
-		return fmt.Errorf("experiments: journal: marshal rows for %s: %w", key, err)
+	if _, ok := j.Lookup(key); !ok {
+		j.store.Put(key, rows)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.recorded[key] {
-		return nil
-	}
-	err = j.w.Append(journal.Record{Kind: journal.KindCell, Key: key, Label: label, Rows: raw})
-	if err != nil {
-		j.writeErrs++
-		j.lastErr = err
-		return err
-	}
-	j.recorded[key] = true
 	return nil
 }
 
-// Resumed reports how many completed cells the journal replayed at open.
-func (j *SweepJournal) Resumed() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.loaded)
-}
+// WriteErrors reports zero: a failed disk write is silent, as for every
+// disk-cache entry, and costs one recompute on the next run.
+func (j *SweepJournal) WriteErrors() (int, error) { return 0, nil }
 
-// WriteErrors reports failed Record appends and the most recent failure.
-// Each failed append costs one recompute on the next resume, nothing more,
-// but a caller that cares about crash-safety should surface the count.
-func (j *SweepJournal) WriteErrors() (int, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.writeErrs, j.lastErr
-}
-
-// Close closes the journal file.
-func (j *SweepJournal) Close() error {
-	return j.w.Close()
-}
+// Close releases nothing: the store holds no open file.
+func (j *SweepJournal) Close() error { return nil }

@@ -50,11 +50,14 @@ type SweepOptions struct {
 	// into every cell's inner study. Purely observational.
 	Instr *Instrumentation
 
-	// Journal, when non-nil, records every completed cell so a killed sweep
-	// can resume from where it died (see SweepJournal). Cells the journal
-	// already holds are answered without simulation, and because cells are
-	// pure the resumed rows are byte-identical to an uninterrupted run.
-	Journal CellJournal
+	// Journal, when non-nil, answers the cells it holds and records every
+	// other one as it completes.
+	//
+	// Deprecated: a disk-backed Cache already persists every completed cell
+	// before the pool hands out the next one, so a killed sweep rerun over
+	// the same cache directory recalls them. Local sweeps still honour
+	// Journal; Engine.SweepWorkers rejects it.
+	Journal *SweepJournal
 
 	// WarmupIntervals is accepted and ignored.
 	//
@@ -134,10 +137,7 @@ func SweepContext(ctx context.Context, opts SweepOptions) (*SweepResult, error) 
 	cells := enumerateCells(opts)
 	cfg := CellConfig{Cache: opts.Cache, Instr: opts.Instr}
 
-	// With a journal attached every cell needs its spec key up front: the
-	// journal stores cells under the same content-addressed keys as the
-	// result cache, so a resumed sweep and a cached sweep recall the same
-	// identities.
+	// A journal stores cells under the result cache's spec keys.
 	keys := make([]string, len(cells))
 	if opts.Journal != nil {
 		for i, cell := range cells {
@@ -163,11 +163,6 @@ func SweepContext(ctx context.Context, opts SweepOptions) (*SweepResult, error) 
 				}
 				rows, err := cell.Run(ctx, cfg)
 				if err == nil && opts.Journal != nil {
-					// Journal the cell the moment it completes — this is the
-					// append that makes a SIGKILL one cell later recoverable.
-					// A failed append costs a recompute on resume, not the
-					// sweep (the journal is an overlay, not a store of
-					// record), so the error is only accounted, not returned.
 					_ = opts.Journal.Record(keys[i], cell.Label(), rows)
 				}
 				return rows, err
@@ -188,11 +183,8 @@ func SweepContext(ctx context.Context, opts SweepOptions) (*SweepResult, error) 
 		return nil, err
 	}
 	if opts.Journal != nil {
-		// Completion pass: cells answered by the result cache never ran their
-		// job function, so they were not journaled above. Recording them now
-		// (Record deduplicates by key) leaves a finished sweep with a complete
-		// journal, so a later -resume needs neither the cache nor a single
-		// simulation.
+		// Cells the result cache answered never ran their job function:
+		// record them too, so the journal holds the whole grid.
 		for i, cell := range cells {
 			_ = opts.Journal.Record(keys[i], cell.Label(), rowGroups[i])
 		}

@@ -2,7 +2,8 @@
 // reproduction: a seeded, rule-based injector with named injection points
 // threaded through the I/O and distribution layers (disk cache reads/writes,
 // the dispatch client transport and its NDJSON result stream, worker-side
-// cell execution, the runner pool and the sweep journal).
+// cell execution and the runner pool). The disk cache is the one durable
+// store, so disk.write is also the fault point of a resumable sweep.
 //
 // A fault specification is a comma-separated list of rules, each of the form
 //
@@ -74,9 +75,6 @@ const (
 	PointCellExec = "cell.exec"
 	// PointRunnerJob is the local runner pool's job execution path.
 	PointRunnerJob = "runner.job"
-	// PointJournalWrite is the sweep journal's append path: an injected
-	// error exercises the sweep's journal-degradation handling.
-	PointJournalWrite = "journal.write"
 )
 
 // points is the fixed registry, in a stable order for metrics and docs.
@@ -87,7 +85,6 @@ var points = []string{
 	PointDispatchStream,
 	PointCellExec,
 	PointRunnerJob,
-	PointJournalWrite,
 }
 
 // Points returns the registered injection-point names.

@@ -1,308 +1,88 @@
-// Package journal implements the crash-safe sweep journal: a versioned,
-// append-only NDJSON file that records each completed sweep cell as soon as
-// its rows exist, so a killed sweep resumes from where it died instead of
-// recomputing the whole grid.
+// Package journal is what is left of the sweep journal: a plain JSON-lines
+// writer and a line counter.
 //
-// # Format
-//
-// Each line frames one JSON record with a CRC-32 (Castagnoli) checksum of the
-// payload bytes:
-//
-//	crc32c-hex SP payload-json LF
-//
-// The first record is a header carrying the format magic and version; every
-// subsequent record is a cell completion keyed by its runner.SpecKey. Records
-// are written with O_APPEND and fsynced one by one — a journal append that
-// returned has reached the disk, which is the property that makes SIGKILL
-// (and power loss) recoverable.
-//
-// # Torn tails
-//
-// A process killed mid-append leaves a torn final line: truncated JSON, a
-// missing newline, or a payload that no longer matches its checksum. Load
-// tolerates exactly that — the torn tail is dropped and reported, and
-// GoodSize tells the writer where to truncate before appending again. A
-// corrupt record in the middle of the file is not tolerable the same way (an
-// append-only writer cannot produce one; it means real disk damage) and
-// surfaces as an error rather than silently dropping completed work.
+// Deprecated: the sweep journal was deleted; a killed sweep resumes from its
+// -cache-dir (runner.NewDiskCache), the one durable store. These stubs write
+// one unframed JSON record per line, with no header, checksum or fsync, and
+// exist only because the benchmark ledger's journal probe still calls them.
 package journal
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
-	"strconv"
-	"sync"
-
-	"repro/internal/faultinject"
 )
 
-// Magic identifies the file format; Version is bumped on incompatible record
-// changes. A reader rejects files whose header carries neither.
-const (
-	Magic   = "gdpsim-sweep-journal"
-	Version = 1
-)
+// KindCell is the kind of a cell record.
+//
+// Deprecated: see the package comment.
+const KindCell = "cell"
 
-// Record kinds.
-const (
-	KindHeader = "header"
-	KindCell   = "cell"
-)
-
-// Record is one journal line's payload.
+// Record is one journal line.
+//
+// Deprecated: see the package comment.
 type Record struct {
-	Kind string `json:"kind"`
-	// Header fields.
-	Magic   string `json:"magic,omitempty"`
-	Version int    `json:"version,omitempty"`
-	// Cell fields: the cell's content-addressed identity (runner.SpecKey),
-	// its human-readable label, and its completed rows (opaque to this
-	// package — the experiments layer owns the row schema).
+	Kind  string          `json:"kind"`
 	Key   string          `json:"key,omitempty"`
 	Label string          `json:"label,omitempty"`
 	Rows  json.RawMessage `json:"rows,omitempty"`
 }
 
-// ErrBadJournal wraps every structural load failure (bad magic, bad version,
-// mid-file corruption), so callers can distinguish a damaged journal from
-// ordinary I/O errors.
-type ErrBadJournal struct {
-	Path   string
-	Reason string
-}
+// Writer appends records to a file.
+//
+// Deprecated: see the package comment.
+type Writer struct{ f *os.File }
 
-func (e *ErrBadJournal) Error() string {
-	return fmt.Sprintf("journal: %s: %s", e.Path, e.Reason)
-}
-
-// castagnoli is the CRC-32C table used for record framing.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// frame encodes one record into its on-disk line.
-func frame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: marshal record: %w", err)
-	}
-	line := make([]byte, 0, len(payload)+10)
-	line = appendCRC(line, payload)
-	line = append(line, ' ')
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// appendCRC appends the payload's checksum as 8 lowercase hex digits.
-func appendCRC(dst, payload []byte) []byte {
-	sum := crc32.Checksum(payload, castagnoli)
-	const hexdigits = "0123456789abcdef"
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, hexdigits[(sum>>uint(shift))&0xf])
-	}
-	return dst
-}
-
-// parseLine decodes one framed line (without its trailing newline).
-func parseLine(line []byte) (Record, error) {
-	var rec Record
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, fmt.Errorf("short or unframed line")
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return rec, fmt.Errorf("bad checksum field: %v", err)
-	}
-	payload := line[9:]
-	if got := crc32.Checksum(payload, castagnoli); got != uint32(want) {
-		return rec, fmt.Errorf("checksum mismatch (want %08x, got %08x)", want, got)
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("bad record JSON: %v", err)
-	}
-	return rec, nil
-}
-
-// Writer appends records to a journal file, fsyncing each one.
-type Writer struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
-
-// Create starts a fresh journal at path, truncating any existing file and
-// writing (and syncing) the header record plus the containing directory.
+// Create starts an empty journal at path, truncating any existing file.
+//
+// Deprecated: see the package comment.
 func Create(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: create: %w", err)
 	}
-	w := &Writer{f: f, path: path}
-	if err := w.Append(Record{Kind: KindHeader, Magic: Magic, Version: Version}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	syncDir(filepath.Dir(path))
-	return w, nil
+	return &Writer{f: f}, nil
 }
 
-// OpenAppend reopens an existing journal for appending after a Load: the file
-// is truncated to goodSize first, so a torn tail from the crashed run never
-// corrupts the record that will be appended over it.
-func OpenAppend(path string, goodSize int64) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: open: %w", err)
-	}
-	if err := f.Truncate(goodSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: seek: %w", err)
-	}
-	w := &Writer{f: f, path: path}
-	if goodSize == 0 {
-		// The crashed run died before its header reached the disk: this is an
-		// empty journal, so start it properly.
-		if err := w.Append(Record{Kind: KindHeader, Magic: Magic, Version: Version}); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return w, nil
-}
-
-// Append frames, writes and fsyncs one record. When Append returns nil the
-// record is durable; on error the journal may hold a torn tail, which the
-// next Load tolerates.
+// Append writes one record as a JSON line.
 func (w *Writer) Append(rec Record) error {
-	if err := faultinject.Fire(faultinject.PointJournalWrite); err != nil {
-		return err
-	}
-	line, err := frame(rec)
+	line, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("journal: marshal record: %w", err)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	return nil
+	_, err = w.f.Write(append(line, '\n'))
+	return err
 }
 
-// Close closes the underlying file.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
+// Close closes the file.
+func (w *Writer) Close() error { return w.f.Close() }
 
-// Path returns the journal's file path.
-func (w *Writer) Path() string { return w.path }
-
-// LoadResult is the outcome of replaying a journal.
+// LoadResult is the outcome of Load.
+//
+// Deprecated: see the package comment.
 type LoadResult struct {
-	// Cells maps each recorded cell's spec key to its rows payload. The last
-	// record for a key wins (duplicates are byte-identical anyway — cells are
-	// pure).
-	Cells map[string]json.RawMessage
-	// Count is the number of cell records replayed.
+	// Count is the number of lines that decode as a cell record.
 	Count int
-	// GoodSize is the byte offset just past the last valid record: the
-	// truncation point for OpenAppend.
-	GoodSize int64
-	// TornTail reports that a torn final record was dropped.
-	TornTail bool
 }
 
-// Load replays a journal. A missing or empty file yields an empty result
-// (GoodSize 0) rather than an error, so a resume pointed at a journal that
-// never got its header is simply a fresh start.
+// Load counts the cell records of a journal; a missing file holds none.
+//
+// Deprecated: see the package comment.
 func Load(path string) (*LoadResult, error) {
 	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return &LoadResult{}, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return &LoadResult{Cells: map[string]json.RawMessage{}}, nil
-		}
 		return nil, fmt.Errorf("journal: read: %w", err)
 	}
-	res := &LoadResult{Cells: map[string]json.RawMessage{}}
-	offset := int64(0)
-	sawHeader := false
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			// No newline: the final append was torn mid-line.
-			res.TornTail = true
-			break
-		}
-		line := raw[:nl]
-		rec, perr := parseLine(line)
-		if perr != nil {
-			// An invalid line is only tolerable as the file's very tail (the
-			// append the crash interrupted). Anything after it means mid-file
-			// damage, which an append-only writer cannot have produced.
-			if rest := bytes.TrimSpace(raw[nl+1:]); len(rest) > 0 {
-				return nil, &ErrBadJournal{Path: path, Reason: fmt.Sprintf(
-					"corrupt record at offset %d (%v) with %d bytes after it", offset, perr, len(rest))}
-			}
-			res.TornTail = true
-			break
-		}
-		switch rec.Kind {
-		case KindHeader:
-			if sawHeader {
-				return nil, &ErrBadJournal{Path: path, Reason: "duplicate header record"}
-			}
-			if rec.Magic != Magic {
-				return nil, &ErrBadJournal{Path: path, Reason: fmt.Sprintf("bad magic %q", rec.Magic)}
-			}
-			if rec.Version != Version {
-				return nil, &ErrBadJournal{Path: path, Reason: fmt.Sprintf(
-					"journal version %d, this build reads version %d", rec.Version, Version)}
-			}
-			sawHeader = true
-		case KindCell:
-			if !sawHeader {
-				return nil, &ErrBadJournal{Path: path, Reason: "cell record before header"}
-			}
-			if rec.Key == "" {
-				return nil, &ErrBadJournal{Path: path, Reason: fmt.Sprintf("cell record without key at offset %d", offset)}
-			}
-			res.Cells[rec.Key] = rec.Rows
+	res := &LoadResult{}
+	for line := range bytes.Lines(raw) {
+		var rec Record
+		if json.Unmarshal(line, &rec) == nil && rec.Kind == KindCell {
 			res.Count++
-		default:
-			// Unknown kinds from a future minor revision are skipped, not
-			// fatal: the header version gates incompatible changes.
 		}
-		advance := int64(nl + 1)
-		offset += advance
-		raw = raw[nl+1:]
-		res.GoodSize = offset
-	}
-	if len(raw) > 0 && !res.TornTail {
-		res.TornTail = true
 	}
 	return res, nil
-}
-
-// syncDir fsyncs a directory so a just-created file's directory entry is
-// durable. Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
 }

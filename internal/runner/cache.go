@@ -551,8 +551,10 @@ func (c *Cache) readDisk(key string) ([]byte, bool) {
 // drop from memory. Failures are silent: the disk layer is an optimization.
 // The tmp file is fsynced before the rename and the shard directory after it,
 // so a crash (or power loss) can never leave a renamed-but-empty entry — the
-// rename only becomes visible once the entry's bytes are durable. An injected
-// disk.write fault behaves like any other failed write.
+// rename only becomes visible once the entry's bytes are durable. Every write
+// has its own tmp file, so concurrent writers of one key (two processes on one
+// -cache-dir) never truncate each other's bytes. An injected disk.write fault
+// behaves like any other failed write.
 func (c *Cache) writeDisk(key string, raw []byte) bool {
 	if faultinject.Fire(faultinject.PointDiskWrite) != nil {
 		return false
@@ -561,26 +563,25 @@ func (c *Cache) writeDisk(key string, raw []byte) bool {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return false
 	}
-	tmp := p + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.CreateTemp(filepath.Dir(p), key+".*.tmp")
 	if err != nil {
 		return false
 	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false
+	tmp := f.Name()
+	_, err = f.Write(raw)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp creates 0600
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return false
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, p); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, p)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return false
 	}

@@ -1,10 +1,11 @@
 #!/bin/sh
 # chaos_smoke.sh is the end-to-end check of the fault-injection harness and
-# crash-safe sweep journal:
+# of crash-safe sweeps:
 #
-#   1. A sweep running under injected disk-write errors (-journal armed) is
-#      SIGKILLed mid-grid; `sweep -resume` finishes it, and the final JSON
-#      export must be byte-identical to an uninterrupted fault-free run.
+#   1. A -cache-dir sweep running under injected disk-write errors is
+#      SIGKILLed mid-grid; rerunning it over the same directory finishes it,
+#      and the final JSON export must be byte-identical to an uninterrupted
+#      fault-free run.
 #   2. The same grid sharded across a real worker whose cell execution is
 #      injected to panic — the worker must survive (the cell comes back as a
 #      retried failure, not a dead process), the dispatcher's stream is cut
@@ -35,39 +36,34 @@ GRID="-cores 2 -mixes H,M,L -prb 16,32 -techniques GDP"
 "$workdir/gdpsim" $SCALE sweep $GRID -json "$workdir/ref.json" >/dev/null
 echo "chaos-smoke: reference rows computed"
 
-# --- Phase 1: crash mid-grid under injected disk faults, then resume -------
-journal="$workdir/sweep.journal"
+# --- Phase 1: crash mid-grid under injected disk faults, then rerun --------
+# The cache directory is the sweep's one durable store: every completed cell
+# is fsynced into it before the next one starts.
+cache="$workdir/cache"
 # shellcheck disable=SC2086
 FI_SPEC="disk.write:err=EIO:every=3" \
-    "$workdir/gdpsim" -jobs 1 $SCALE sweep $GRID -journal "$journal" \
+    "$workdir/gdpsim" -jobs 1 -cache-dir "$cache" $SCALE sweep $GRID \
     -json "$workdir/crashed.json" >/dev/null 2>"$workdir/crash.log" &
 sweep_pid=$!
 
-# SIGKILL once the journal holds at least two completed cells (header + 2
-# records = 3 fsynced lines). If the grid outruns the poll, the kill is a
-# no-op and the resume below simply replays a complete journal.
+# SIGKILL once the cache holds at least two entries. If the grid outruns the
+# poll, the kill is a no-op and the rerun below simply recalls every cell.
+entries() { find "$cache" -name '*.json' 2>/dev/null | wc -l; }
 for _ in $(seq 1 200); do
-    lines=0
-    [ -f "$journal" ] && lines=$(wc -l <"$journal")
-    [ "$lines" -ge 3 ] && break
+    [ "$(entries)" -ge 2 ] && break
     kill -0 "$sweep_pid" 2>/dev/null || break
     sleep 0.05
 done
 kill -9 "$sweep_pid" 2>/dev/null || true
 wait "$sweep_pid" 2>/dev/null || true
-[ -s "$journal" ] || { echo "no journal survived the kill"; cat "$workdir/crash.log" >&2; exit 1; }
-echo "chaos-smoke: killed sweep mid-grid, journal has $(wc -l <"$journal") lines"
+[ "$(entries)" -ge 1 ] || { echo "no cache entry survived the kill"; cat "$workdir/crash.log" >&2; exit 1; }
+echo "chaos-smoke: killed sweep mid-grid, cache holds $(entries) entries"
 
-# A restart without -resume must refuse to clobber the crashed run's journal.
-# shellcheck disable=SC2086
-if "$workdir/gdpsim" $SCALE sweep $GRID -journal "$journal" >/dev/null 2>&1; then
-    echo "restart without -resume clobbered the journal"; exit 1
-fi
-
-# Resume under the same injected disk faults: byte-identical to the reference.
+# Rerun over the same directory under the same injected disk faults: it
+# recalls what the killed run finished and is byte-identical to the reference.
 # shellcheck disable=SC2086
 FI_SPEC="disk.write:err=EIO:every=3" \
-    "$workdir/gdpsim" -jobs 1 $SCALE sweep $GRID -journal "$journal" -resume \
+    "$workdir/gdpsim" -jobs 1 -cache-dir "$cache" $SCALE sweep $GRID \
     -json "$workdir/resumed.json" >/dev/null
 cmp "$workdir/ref.json" "$workdir/resumed.json" || {
     echo "resumed rows differ from the uninterrupted run"; exit 1; }
@@ -103,7 +99,7 @@ echo "chaos-smoke: fleet rows byte-identical under cut streams and a worker pani
 # served as a retried cell rather than a dead worker.
 kill -0 "$w1_pid" 2>/dev/null || { echo "worker died of its injected panic"; exit 1; }
 metrics=$(curl -fsS "http://$addr/metrics")
-for point in disk.read disk.write dispatch.send dispatch.stream cell.exec runner.job journal.write; do
+for point in disk.read disk.write dispatch.send dispatch.stream cell.exec runner.job; do
     echo "$metrics" | grep -q "gdpsim_fault_injected_total{point=\"$point\"}" || {
         echo "worker /metrics missing injection point $point"; exit 1; }
 done
