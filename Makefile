@@ -16,8 +16,9 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each checked-in fuzz target briefly against its seed corpus
-# plus a short exploration budget: the three request decoders and the disk
-# cache entry decoder (the one durable-state decoder). A regression found
+# plus a short exploration budget: the three request decoders, the disk
+# cache entry decoder (the one durable-state decoder) and the dataflow unit
+# against its O(PRB) oracle. A regression found
 # here reproduces with `go test -run=Fuzz` once the failing input is added to
 # testdata.
 FUZZTIME ?= 10s
@@ -26,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/runner
+	$(GO) test -run='^$$' -fuzz=FuzzGDPUnitMatchesOracle -fuzztime=$(FUZZTIME) ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -132,13 +134,16 @@ bench-go:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/cpu
 
 # bench-cpu times cpu.Core.Tick alone (BenchmarkCoreTick: ns per ticked cycle
-# on the ledger's dense and sparse scenarios, allocations per cycle) and the
-# whole step loop (BenchmarkStepLoop: ns per visited cycle, memory system and
-# accountants included), and leaves each test binary and CPU profile in
+# on the ledger's dense and sparse scenarios, allocations per cycle), the GDP
+# dataflow unit alone (BenchmarkDataflowUnit: ns per event group at PRB 32 and
+# 4096, which should be about equal) and the whole step loop
+# (BenchmarkStepLoop: ns per visited cycle, memory system and accountants
+# included), and leaves the cpu and sim test binaries and CPU profiles in
 # $(BENCH_OUT), to be read with `go tool pprof -top $(BENCH_OUT)/cpu.test
 # $(BENCH_OUT)/cpu.prof` (sim.test and sim.prof for the step loop).
 bench-cpu:
 	mkdir -p $(BENCH_OUT)
+	$(GO) test -run=^$$ -bench=BenchmarkDataflowUnit ./internal/core
 	$(GO) test -run=^$$ -bench=BenchmarkCoreTick -benchtime=20000000x \
 		-o $(BENCH_OUT)/cpu.test -cpuprofile $(BENCH_OUT)/cpu.prof ./internal/cpu
 	$(GO) test -run=^$$ -bench=BenchmarkStepLoop -benchtime=2000000x \

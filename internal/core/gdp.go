@@ -17,31 +17,44 @@
 // the estimated private-mode memory latency; GDP-O additionally subtracts the
 // average number of cycles the core commits instructions while an SMS load is
 // pending (the overlap).
+//
+// The hardware searches its PRB in parallel; the simulator keeps Figure 2's
+// fields with bookkeeping of its own, so a cycle costs O(1) and an event
+// O(live entries): a committing-cycle counter and a base per entry for the
+// per-entry overlap counters, a child bit per entry for the PCB's bit vector,
+// and a list of the valid entries. StorageBits still counts the paper's
+// hardware (3117 bits for GDP and 3597 for GDP-O at 32 entries).
 package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/cpu"
 )
 
-// prbEntry is one Pending Request Buffer entry (Figure 2 of the paper).
+// prbEntry is one Pending Request Buffer entry (Figure 2 of the paper). The
+// private reference allocates 4096 entries per run, so it stays at 40 bytes.
 type prbEntry struct {
 	addr        uint64
 	depth       uint64
 	completedAt uint64
-	overlap     uint64
-	completed   bool
-	valid       bool
+	// base is the unit's committing-cycle count at insertion. The first SMS
+	// completion replaces it with the entry's overlap, which then stays frozen.
+	base      uint64
+	completed bool
+	valid     bool
+	child     bool // of the pending commit period (the PCB's child bit)
 }
 
-// pcb is the Pending Commit Buffer (Figure 2 of the paper).
+// pcb is the Pending Commit Buffer (Figure 2 of the paper); its children are
+// the valid PRB entries with the child bit set.
 type pcb struct {
 	depth     uint64
 	startedAt uint64
 	stalledAt uint64
 	stalled   bool
-	children  []bool
 }
 
 // Options configure a GDP instance.
@@ -49,7 +62,8 @@ type Options struct {
 	// PRBEntries is the Pending Request Buffer size. The paper's default is 32.
 	PRBEntries int
 	// TrackOverlap enables the GDP-O overlap machinery (per-entry overlap
-	// counters and the global overlap accumulator).
+	// counters, kept as the unit's committing-cycle counter and a base per
+	// entry, and the global overlap accumulator).
 	TrackOverlap bool
 }
 
@@ -67,6 +81,11 @@ type GDP struct {
 	oldest int
 	pcb    pcb
 
+	// live lists the slots of the valid PRB entries, in no particular order.
+	live []int32
+	// committing counts the cycles the core committed instructions (GDP-O).
+	committing uint64
+
 	// CPL baseline at the last Retrieve call.
 	lastRetrievedDepth uint64
 
@@ -82,27 +101,37 @@ type GDP struct {
 
 // New creates a GDP unit.
 func New(opts Options) (*GDP, error) {
-	if opts.PRBEntries < 1 {
-		return nil, fmt.Errorf("core: PRB needs at least one entry, got %d", opts.PRBEntries)
+	if opts.PRBEntries < 1 || opts.PRBEntries > math.MaxInt32 {
+		return nil, fmt.Errorf("core: PRB needs 1 to %d entries, got %d", math.MaxInt32, opts.PRBEntries)
 	}
 	return &GDP{
 		opts: opts,
 		prb:  make([]prbEntry, opts.PRBEntries),
-		pcb:  pcb{children: make([]bool, opts.PRBEntries)},
+		live: make([]int32, 0, opts.PRBEntries),
 	}, nil
 }
 
 // Options returns the configuration the unit was created with.
 func (g *GDP) Options() Options { return g.opts }
 
-// findByAddr returns the index of the valid PRB entry for addr, or -1.
+// findByAddr returns the position in g.live of the valid PRB entry for addr,
+// or -1. Of several valid entries for addr, the lowest slot wins.
 func (g *GDP) findByAddr(addr uint64) int {
-	for i := range g.prb {
-		if g.prb[i].valid && g.prb[i].addr == addr {
-			return i
+	pos, slot := -1, int32(math.MaxInt32)
+	for i, s := range g.live {
+		if s < slot && g.prb[s].addr == addr {
+			pos, slot = i, s
 		}
 	}
-	return -1
+	return pos
+}
+
+// drop invalidates the entry at g.live[pos] and swap-removes it from the list.
+func (g *GDP) drop(pos int) {
+	g.prb[g.live[pos]].valid = false
+	last := len(g.live) - 1
+	g.live[pos] = g.live[last]
+	g.live = g.live[:last]
 }
 
 // OnLoadIssued implements Algorithm 1: insert an L1-miss request into the PRB
@@ -114,39 +143,45 @@ func (g *GDP) OnLoadIssued(addr uint64, cycle uint64) {
 			// Buffer full: invalidate the oldest pending request. If the oldest
 			// issued load has not caused a stall it is unlikely to increase the
 			// CPL (Section IV-A).
-			g.prb[g.newest].valid = false
-			g.pcb.children[g.newest] = false
+			if g.prb[g.newest].valid {
+				g.drop(slices.Index(g.live, int32(g.newest)))
+				g.evictions++
+			}
 			g.oldest = (g.oldest + 1) % len(g.prb)
-			g.evictions++
 		}
 	}
 	g.prb[g.newest] = prbEntry{
 		addr:  addr,
 		depth: g.pcb.depth,
+		base:  g.committing,
 		valid: true,
+		child: true,
 	}
-	g.pcb.children[g.newest] = true
+	g.live = append(g.live, int32(g.newest))
 	g.insertions++
 }
 
 // OnLoadCompleted implements Algorithm 2: SMS loads are marked completed,
 // PMS loads are dropped from the PRB (and from the PCB child list).
 func (g *GDP) OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, interference uint64) {
-	idx := g.findByAddr(addr)
-	if idx < 0 {
+	pos := g.findByAddr(addr)
+	if pos < 0 {
 		return // evicted earlier due to limited buffer space
 	}
-	if sms {
-		g.prb[idx].completed = true
-		g.prb[idx].completedAt = cycle
-		if g.opts.TrackOverlap {
-			g.overlapSum += g.prb[idx].overlap
-			g.overlapSMSLoads++
-		}
+	if !sms {
+		g.drop(pos)
 		return
 	}
-	g.prb[idx].valid = false
-	g.pcb.children[idx] = false
+	e := &g.prb[g.live[pos]]
+	if !e.completed {
+		e.base = g.committing - e.base // freeze the overlap
+		e.completed = true
+	}
+	e.completedAt = cycle
+	if g.opts.TrackOverlap {
+		g.overlapSum += e.base
+		g.overlapSMSLoads++
+	}
 }
 
 // OnCommitStall records the cycle at which the current commit period ended
@@ -159,62 +194,56 @@ func (g *GDP) OnCommitStall(addr uint64, sms bool, cycle uint64) {
 }
 
 // OnCommitResume implements Algorithm 3, run when the processor resumes
-// execution after a stall.
+// execution after a stall. The walks run backwards so a swap-removal only
+// moves an entry that was already visited.
 func (g *GDP) OnCommitResume(addr uint64, wasSMS bool, cycle uint64) {
-	defer func() { g.pcb.stalled = false }()
-
-	sIdx := g.findByAddr(addr)
-	if sIdx < 0 {
+	stallStart := cycle
+	if g.pcb.stalled {
+		stallStart = g.pcb.stalledAt
+	}
+	g.pcb.stalled = false
+	pos := g.findByAddr(addr)
+	if pos < 0 {
 		// PMS stall or evicted entry: does not affect the CPL.
 		return
 	}
-	stallStart := g.pcb.stalledAt
-	if !g.pcb.stalled {
-		stallStart = cycle
-	}
+	stalling := &g.prb[g.live[pos]]
 
 	// Step 1: complete the commit period l that ended at the stall. Requests
 	// that completed before the stall are its parents; its depth is the
 	// maximum of their depths.
-	for i := range g.prb {
-		e := &g.prb[i]
-		if e.valid && e.completed && e.completedAt < stallStart {
-			if e.depth > g.pcb.depth {
-				g.pcb.depth = e.depth
-			}
-			e.valid = false
-			g.pcb.children[i] = false
+	for i := len(g.live) - 1; i >= 0; i-- {
+		if e := &g.prb[g.live[i]]; e.completed && e.completedAt < stallStart {
+			g.pcb.depth = max(g.pcb.depth, e.depth)
+			g.drop(i)
 		}
 	}
 	// All children of the completed commit period sit one level deeper.
 	childDepth := g.pcb.depth + 1
-	for i, isChild := range g.pcb.children {
-		if isChild && g.prb[i].valid {
-			g.prb[i].depth = childDepth
-		}
+	if stalling.valid && stalling.child {
+		stalling.depth = childDepth
 	}
 	g.cplUpdates++
 
 	// Step 2: initialize the new commit period with the depth of the request
-	// that caused the stall, then absorb any other completed requests.
-	newDepth := g.prb[sIdx].depth
-	for i := range g.prb {
-		e := &g.prb[i]
-		if e.valid && e.completed {
-			if e.depth > newDepth {
-				newDepth = e.depth
-			}
-			e.valid = false
-			g.pcb.children[i] = false
+	// that caused the stall, then absorb any other completed requests. The
+	// same walk moves the children one level deeper before reading their
+	// depths, and leaves the new commit period with an empty child list:
+	// requests issued during earlier commit periods keep those as parents.
+	newDepth := stalling.depth
+	for i := len(g.live) - 1; i >= 0; i-- {
+		e := &g.prb[g.live[i]]
+		if e.child {
+			e.depth = childDepth
+			e.child = false
+		}
+		if e.completed {
+			newDepth = max(newDepth, e.depth)
+			g.drop(i)
 		}
 	}
 	g.pcb.depth = newDepth
 	g.pcb.startedAt = cycle
-	// The new commit period starts with an empty child list: requests issued
-	// during earlier commit periods keep those periods as parents.
-	for i := range g.pcb.children {
-		g.pcb.children[i] = false
-	}
 }
 
 // OnCycle advances the GDP-O overlap counters: every cycle the core commits
@@ -226,15 +255,10 @@ func (g *GDP) OnCycle(state cpu.CycleState) { g.OnIdleSpan(state, 1) }
 // OnIdleSpan implements cpu.IdleSpanProbe (and backs OnCycle with
 // cycles=1). Proven-idle spans never commit, so batched spans leave the
 // overlap counters unchanged; committing snapshots only arrive one cycle at
-// a time through OnCycle.
+// a time through OnCycle. A span costs O(1): see prbEntry.base.
 func (g *GDP) OnIdleSpan(state cpu.CycleState, cycles uint64) {
-	if !g.opts.TrackOverlap || !state.Committing {
-		return
-	}
-	for i := range g.prb {
-		if g.prb[i].valid && !g.prb[i].completed {
-			g.prb[i].overlap += cycles
-		}
+	if g.opts.TrackOverlap && state.Committing {
+		g.committing += cycles
 	}
 }
 
@@ -266,8 +290,9 @@ func (g *GDP) Retrieve() (cpl uint64, avgOverlap float64) {
 	return cpl, avgOverlap
 }
 
-// Diagnostics returns internal activity counters (insertions, evictions due
-// to a full PRB, and commit-period completions).
+// Diagnostics returns internal activity counters: insertions, evictions (valid
+// requests dropped because the PRB was full; the ring pointers wrapping onto
+// a free slot is not one) and commit-period completions.
 func (g *GDP) Diagnostics() (insertions, evictions, cplUpdates uint64) {
 	return g.insertions, g.evictions, g.cplUpdates
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cpu"
 )
@@ -194,6 +195,28 @@ func TestPRBEvictionOnOverflow(t *testing.T) {
 	}
 }
 
+func TestPRBRingWrapIsNoEviction(t *testing.T) {
+	// Pairs of loads that are issued, completed and absorbed never fill a
+	// 4-entry PRB, although the ring pointers wrap onto slots that are
+	// already free: no valid request is dropped, so none is counted.
+	g := newGDP(t, Options{PRBEntries: 4})
+	cycle := uint64(0)
+	for i := 0; i < 20; i++ {
+		a, b := uint64(0x1000+i*128), uint64(0x1040+i*128)
+		g.OnLoadIssued(a, cycle)
+		g.OnLoadIssued(b, cycle+1)
+		g.OnCommitStall(a, true, cycle+2)
+		g.OnLoadCompleted(a, true, cycle+50, 48, 0)
+		g.OnLoadCompleted(b, true, cycle+51, 48, 0)
+		g.OnCommitResume(a, true, cycle+52)
+		cycle += 60
+	}
+	insertions, evictions, _ := g.Diagnostics()
+	if insertions != 40 || evictions != 0 {
+		t.Errorf("Diagnostics = %d insertions, %d evictions; want 40, 0", insertions, evictions)
+	}
+}
+
 func TestRetrieveResetsInterval(t *testing.T) {
 	g := newGDP(t, DefaultOptions())
 	playLoadBurst(g, 3, false)
@@ -262,6 +285,15 @@ func TestStorageOverheadMatchesPaper(t *testing.T) {
 	}
 	if got := gdpo.StorageBits(); got != 3597 {
 		t.Errorf("GDP-O storage = %d bits, paper reports 3597", got)
+	}
+}
+
+func TestPRBEntryStaysSmall(t *testing.T) {
+	// The private reference allocates a 4096-entry PRB per run: the simulator's
+	// bookkeeping (overlap base, child bit) must not widen the entry past
+	// the 40 bytes the original five fields plus one overlap counter took.
+	if got := unsafe.Sizeof(prbEntry{}); got > 40 {
+		t.Errorf("prbEntry is %d bytes, want at most 40", got)
 	}
 }
 

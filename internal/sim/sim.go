@@ -676,6 +676,11 @@ func RunPrivateReference(ctx context.Context, cfg *config.CMPConfig, bench workl
 	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, true)
 }
 
+// referencePRBEntries sizes the private reference's dataflow unit (overlap
+// tracking on). 4096 is "unbounded": on the eight named scenarios at most 27
+// PRB entries are live at once, so the reference never drops a request.
+const referencePRBEntries = 4096
+
 // runPrivate is the private-mode run: one core and the memory system on the
 // shared-mode stepper, visiting cycles by the same rule. reference selects the
 // cycle-by-cycle engine (no event skipping, no request pooling).
@@ -701,8 +706,7 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	if err != nil {
 		return nil, err
 	}
-	// Reference dataflow unit: effectively unbounded PRB, overlap tracking on.
-	ref, err := gdpcore.New(gdpcore.Options{PRBEntries: 4096, TrackOverlap: true})
+	ref, err := gdpcore.New(gdpcore.Options{PRBEntries: referencePRBEntries, TrackOverlap: true})
 	if err != nil {
 		return nil, err
 	}
