@@ -48,8 +48,7 @@ type prbEntry struct {
 	child     bool // of the pending commit period (the PCB's child bit)
 }
 
-// pcb is the Pending Commit Buffer (Figure 2 of the paper); its children are
-// the valid PRB entries with the child bit set.
+// pcb is the Pending Commit Buffer (Figure 2); its children set prbEntry.child.
 type pcb struct {
 	depth     uint64
 	startedAt uint64
@@ -218,7 +217,8 @@ func (g *GDP) OnCommitResume(addr uint64, wasSMS bool, cycle uint64) {
 			g.drop(i)
 		}
 	}
-	// All children of the completed commit period sit one level deeper.
+	// All children of the completed commit period sit one level deeper: the
+	// stalling request's depth is set here, the others' in step 2's walk.
 	childDepth := g.pcb.depth + 1
 	if stalling.valid && stalling.child {
 		stalling.depth = childDepth
@@ -227,9 +227,9 @@ func (g *GDP) OnCommitResume(addr uint64, wasSMS bool, cycle uint64) {
 
 	// Step 2: initialize the new commit period with the depth of the request
 	// that caused the stall, then absorb any other completed requests. The
-	// same walk moves the children one level deeper before reading their
-	// depths, and leaves the new commit period with an empty child list:
-	// requests issued during earlier commit periods keep those as parents.
+	// walk deepens each child before reading its depth, and leaves the new
+	// commit period with an empty child list: requests issued during earlier
+	// commit periods keep those periods as parents.
 	newDepth := stalling.depth
 	for i := len(g.live) - 1; i >= 0; i-- {
 		e := &g.prb[g.live[i]]
