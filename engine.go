@@ -179,8 +179,9 @@ func (e *Engine) fillSim(opts *SimOptions) {
 }
 
 // RunPrivate executes a benchmark alone on the CMP, aligned on the supplied
-// instruction sample points. maxCycles bounds the run as a safety net; zero
-// selects a generous default derived from the last sample point.
+// instruction sample points, which must not decrease. maxCycles bounds the
+// run as a safety net; zero selects a generous default derived from the last
+// sample point.
 func (e *Engine) RunPrivate(ctx context.Context, cfg *CMPConfig, bench Benchmark,
 	samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	return sim.RunPrivateContext(ctx, cfg, bench, samplePoints, seed, maxCycles)

@@ -290,6 +290,15 @@ func (g *GDP) Retrieve() (cpl uint64, avgOverlap float64) {
 	return cpl, avgOverlap
 }
 
+// Totals returns the PCB's depth and the GDP-O overlap sum and completed-SMS
+// load count accumulated since the last Retrieve. A unit that is never
+// retrieved reports running totals, from which the CPL and average overlap of
+// any window follow by difference: CPL is max(0, Δdepth), as in CPL, and the
+// average overlap is Δsum / Δloads.
+func (g *GDP) Totals() (depth, overlapSum, overlapLoads uint64) {
+	return g.pcb.depth, g.overlapSum, g.overlapSMSLoads
+}
+
 // Diagnostics returns internal activity counters: insertions, evictions (valid
 // requests dropped because the PRB was full; the ring pointers wrapping onto
 // a free slot is not one) and commit-period completions.

@@ -8,15 +8,22 @@
 // All simulation cells are submitted as runner jobs: results are aggregated
 // by job index, and per-job seeds are derived from the study seed and the
 // workload index, so every driver produces byte-identical output whether it
-// runs on one worker or on runtime.NumCPU() workers. Private-mode reference
-// runs are memoized in the result cache the caller passes (a nil cache
-// memoizes nothing) because several studies align on the same reference
-// simulations.
+// runs on one worker or on runtime.NumCPU() workers.
+//
+// Private-mode references are per workload, not per alignment: a workload's
+// private runs depend only on its instruction streams, so every shared run of
+// the workload (the transparent techniques' and ASM's in an accuracy study)
+// finishes first, and then one private run per core, recorded at the union of
+// their sample points, serves them all (sim.PrivateReference.Align derives
+// each run's view). The references of one workload are one entry in the
+// result cache the caller passes (a nil cache memoizes nothing), so repeated
+// studies over the same population simulate them once.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/accounting"
 	"repro/internal/config"
@@ -27,30 +34,39 @@ import (
 	"repro/internal/workload"
 )
 
-// privateRefSpec is the cache key of one private-mode reference run; it
-// captures everything sim.RunPrivate's outcome depends on.
-type privateRefSpec struct {
-	Op           string
-	Config       *config.CMPConfig
-	Benchmark    workload.Benchmark
-	SamplePoints []uint64
-	Seed         int64
+// workloadRefSpec is the cache key of one workload's private-mode references:
+// everything their outcome depends on.
+type workloadRefSpec struct {
+	Op         string
+	Config     *config.CMPConfig
+	Benchmarks []workload.Benchmark
+	Seed       int64
+	Points     [][]uint64
 }
 
-// memoPrivateRef runs (or recalls) one private-mode reference simulation.
-// Cancellation reaches both the cycle loop of a reference being simulated and
-// a wait on another goroutine's in-flight simulation of the same spec.
-func memoPrivateRef(ctx context.Context, cache *runner.Cache, cfg *config.CMPConfig, bench workload.Benchmark,
-	samplePoints []uint64, seed int64) (*sim.PrivateReference, error) {
+// workloadReferences runs (or recalls) the private-mode reference of every
+// core of wl, core i recorded at points[i]. Cancellation reaches both the
+// cycle loop of a reference being simulated and a wait on another
+// goroutine's in-flight simulation of the same workload.
+func workloadReferences(ctx context.Context, cache *runner.Cache, cfg *config.CMPConfig, wl workload.Workload,
+	simSeed int64, points [][]uint64) ([]*sim.PrivateReference, error) {
 
-	spec := privateRefSpec{
-		Op: "RunPrivate/v1", Config: cfg, Benchmark: bench,
-		SamplePoints: samplePoints, Seed: seed,
+	spec := workloadRefSpec{
+		Op: "WorkloadRefs/v1", Config: cfg, Benchmarks: wl.Benchmarks,
+		Seed: simSeed, Points: points,
 	}
-	ref, _, err := runner.MemoContext(ctx, cache, spec, func() (*sim.PrivateReference, error) {
-		return sim.RunPrivateContext(ctx, cfg, bench, samplePoints, seed, 0)
+	refs, _, err := runner.MemoContext(ctx, cache, spec, func() ([]*sim.PrivateReference, error) {
+		refs := make([]*sim.PrivateReference, wl.Cores())
+		for core, bench := range wl.Benchmarks {
+			ref, err := sim.RunPrivateContext(ctx, cfg, bench, points[core], sim.CoreSeed(simSeed, core), 0)
+			if err != nil {
+				return nil, err
+			}
+			refs[core] = ref
+		}
+		return refs, nil
 	})
-	return ref, err
+	return refs, err
 }
 
 // TechniqueNames lists the accounting techniques compared in Figures 3 and 4,
@@ -222,27 +238,75 @@ func privateWindow(priv *sim.PrivateReference, k int) cpu.Stats {
 	return priv.At[k].Delta(priv.At[k-1])
 }
 
-// accumulateErrors walks one shared run and its aligned private references
-// and appends per-benchmark errors for every technique present in the run.
-func accumulateErrors(res *sim.Result, privs []*sim.PrivateReference, names []string,
-	perTechnique map[string][]BenchmarkErrors, comp *ComponentAccuracy, wl workload.Workload) {
+// sharedRun is one shared-mode run of an accuracy study reduced to what the
+// error reduction reads: per core, the sample points and, per interval, the
+// shared-mode instruction count and the estimates of names (in names order).
+type sharedRun struct {
+	names        []string
+	points       [][]uint64
+	instructions [][]uint64
+	estimates    [][]accounting.Estimate // len(names) per interval
+}
 
-	for core := range res.Intervals {
-		priv := privs[core]
-		series := map[string]*struct {
-			ipc   metrics.ErrorSeries
-			stall metrics.ErrorSeries
-		}{}
-		for _, n := range names {
-			series[n] = &struct {
-				ipc   metrics.ErrorSeries
-				stall metrics.ErrorSeries
-			}{}
+// runShared runs one workload's shared-mode simulation with accts attached
+// and keeps only its sharedRun reduction, so a study holds no interval
+// records while its private references run.
+func runShared(ctx context.Context, opts AccuracyOptions, wl workload.Workload, simSeed int64,
+	accts []accounting.Accountant) (*sharedRun, error) {
+
+	run := &sharedRun{
+		instructions: make([][]uint64, wl.Cores()),
+		estimates:    make([][]accounting.Estimate, wl.Cores()),
+	}
+	for _, a := range accts {
+		run.names = append(run.names, a.Name())
+	}
+	res, err := sim.RunContext(ctx, sim.Options{
+		Config:              opts.Config,
+		Workload:            wl,
+		InstructionsPerCore: opts.InstructionsPerCore,
+		IntervalCycles:      opts.IntervalCycles,
+		Seed:                simSeed,
+		Accountants:         accts,
+		Metrics:             opts.Instr.simMetrics(),
+		DiscardIntervals:    true,
+		OnInterval: func(rec sim.IntervalRecord) error {
+			run.instructions[rec.Core] = append(run.instructions[rec.Core], rec.Shared.Instructions)
+			for _, n := range run.names {
+				run.estimates[rec.Core] = append(run.estimates[rec.Core], rec.Estimates[n])
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	run.points = res.SamplePoints
+	return run, nil
+}
+
+// accumulate reduces the run against its aligned private references (privs[i]
+// aligned on core i's sample points) and appends per-benchmark errors for
+// every technique of the run, plus the GDP/GDP-O component errors.
+func (r *sharedRun) accumulate(privs []*sim.PrivateReference, perTechnique map[string][]BenchmarkErrors,
+	comp *ComponentAccuracy, wl workload.Workload) {
+
+	// Component errors come from the GDP-O estimates (falling back to GDP
+	// when GDP-O is not part of the study).
+	compIdx := -1
+	for i, n := range r.names {
+		if n == "GDP-O" || (n == "GDP" && compIdx < 0) {
+			compIdx = i
 		}
+	}
+	for core, instrs := range r.instructions {
+		priv := privs[core]
+		ipc := make([]metrics.ErrorSeries, len(r.names))
+		stall := make([]metrics.ErrorSeries, len(r.names))
 		var cplSeries, overlapSeries, latSeries metrics.ErrorSeries
 
-		for k, rec := range res.Intervals[core] {
-			if rec.Shared.Instructions == 0 || k >= len(priv.At) {
+		for k, n := range instrs {
+			if n == 0 {
 				continue
 			}
 			actual := privateWindow(priv, k)
@@ -251,68 +315,57 @@ func accumulateErrors(res *sim.Result, privs []*sim.PrivateReference, names []st
 			}
 			actualIPC := actual.IPC()
 			actualStall := float64(actual.StallSMS)
-
-			for _, n := range names {
-				est, ok := rec.Estimates[n]
-				if !ok {
-					continue
-				}
-				series[n].ipc.Add(est.PrivateIPC, actualIPC)
-				series[n].stall.Add(est.SMSStallCycles, actualStall)
+			ests := r.estimates[core][k*len(r.names) : (k+1)*len(r.names)]
+			for i, est := range ests {
+				ipc[i].Add(est.PrivateIPC, actualIPC)
+				stall[i].Add(est.SMSStallCycles, actualStall)
 			}
-
-			// Component errors come from the GDP-O estimates (falling back to
-			// GDP when GDP-O is not part of the study).
-			refName := "GDP-O"
-			if _, ok := rec.Estimates[refName]; !ok {
-				refName = "GDP"
+			if compIdx < 0 {
+				continue
 			}
-			if est, ok := rec.Estimates[refName]; ok && comp != nil {
-				if k < len(priv.CPLAt) && priv.CPLAt[k] > 0 {
-					cplSeries.Add(float64(est.CPL), float64(priv.CPLAt[k]))
-				}
-				if k < len(priv.OverlapAt) && priv.OverlapAt[k] > 0 && est.AvgOverlap > 0 {
-					overlapSeries.Add(est.AvgOverlap, priv.OverlapAt[k])
-				}
-				if actual.SMSLoads > 0 && est.PrivateLatency > 0 {
-					latSeries.Add(est.PrivateLatency, actual.AvgSMSLatency())
-				}
+			est := ests[compIdx]
+			if priv.CPLAt[k] > 0 {
+				cplSeries.Add(float64(est.CPL), float64(priv.CPLAt[k]))
+			}
+			if priv.OverlapAt[k] > 0 && est.AvgOverlap > 0 {
+				overlapSeries.Add(est.AvgOverlap, priv.OverlapAt[k])
+			}
+			if actual.SMSLoads > 0 && est.PrivateLatency > 0 {
+				latSeries.Add(est.PrivateLatency, actual.AvgSMSLatency())
 			}
 		}
 
-		for _, n := range names {
-			s := series[n]
-			if s.ipc.Len() == 0 {
+		for i, n := range r.names {
+			if ipc[i].Len() == 0 {
 				continue
 			}
 			perTechnique[n] = append(perTechnique[n], BenchmarkErrors{
 				Workload:    wl.ID,
 				Core:        core,
 				Benchmark:   wl.Benchmarks[core].Name,
-				IPCAbsRMS:   s.ipc.AbsRMS(),
-				IPCRelRMS:   s.ipc.RelRMS(),
-				StallAbsRMS: s.stall.AbsRMS(),
-				StallRelRMS: s.stall.RelRMS(),
+				IPCAbsRMS:   ipc[i].AbsRMS(),
+				IPCRelRMS:   ipc[i].RelRMS(),
+				StallAbsRMS: stall[i].AbsRMS(),
+				StallRelRMS: stall[i].RelRMS(),
 			})
 		}
-		if comp != nil {
-			if cplSeries.Len() > 0 {
-				comp.CPLRelRMS = append(comp.CPLRelRMS, cplSeries.RelRMS())
-			}
-			if overlapSeries.Len() > 0 {
-				comp.OverlapRelRMS = append(comp.OverlapRelRMS, overlapSeries.RelRMS())
-			}
-			if latSeries.Len() > 0 {
-				comp.LatencyRelRMS = append(comp.LatencyRelRMS, latSeries.RelRMS())
-			}
+		if cplSeries.Len() > 0 {
+			comp.CPLRelRMS = append(comp.CPLRelRMS, cplSeries.RelRMS())
+		}
+		if overlapSeries.Len() > 0 {
+			comp.OverlapRelRMS = append(comp.OverlapRelRMS, overlapSeries.RelRMS())
+		}
+		if latSeries.Len() > 0 {
+			comp.LatencyRelRMS = append(comp.LatencyRelRMS, latSeries.RelRMS())
 		}
 	}
 }
 
 // AccuracyStudy runs one cell of Figures 3-5: it generates the requested
 // workloads, runs the transparent techniques together on one shared-mode run
-// per workload, runs ASM on its own (invasive) shared-mode run, obtains the
-// aligned private-mode references, and reduces everything to RMS errors.
+// per workload, runs ASM on its own (invasive) shared-mode run, obtains one
+// private-mode reference per core aligned on both runs' sample points, and
+// reduces everything to RMS errors.
 func AccuracyStudy(opts AccuracyOptions) (*AccuracyResult, error) {
 	return AccuracyStudyContext(context.Background(), opts)
 }
@@ -346,129 +399,124 @@ func AccuracyStudyForWorkloadContext(ctx context.Context, wl workload.Workload, 
 	return accuracyStudyOver(ctx, []workload.Workload{wl}, opts)
 }
 
-// accuracyPartial is the result of one runner job: the errors one workload's
-// shared-mode run (transparent or ASM) contributes to the study.
+// accuracyPartial is the result of one workload's reduction job: the errors
+// its shared-mode runs contribute to the study.
 type accuracyPartial struct {
 	PerTechnique map[string][]BenchmarkErrors
 	Comp         ComponentAccuracy
 }
 
-// accuracyJobs builds the study's job list: per workload, one job for the
-// shared transparent-technique run and one for ASM's invasive run. The job
-// order (and therefore the aggregation order and the derived seeds) is fixed
-// by the workload order, never by scheduling.
-func accuracyJobs(workloads []workload.Workload, opts AccuracyOptions) []runner.Job[accuracyPartial] {
-	var jobs []runner.Job[accuracyPartial]
-	wantTransparent := false
-	for _, n := range opts.Techniques {
-		if n != "ASM" {
-			wantTransparent = true
-		}
+// sharedJobs builds the study's first phase: per workload, one job for the
+// shared transparent-technique run and one for ASM's invasive run, so that
+// two runs of one workload still execute side by side. A job whose run has
+// no technique returns a nil run. The job order (and therefore the
+// aggregation order and the derived seeds) is fixed by the workload order,
+// never by scheduling; every workload contributes perWorkload jobs.
+func sharedJobs(workloads []workload.Workload, opts AccuracyOptions) (jobs []runner.Job[*sharedRun], perWorkload int) {
+	type kind struct {
+		label string
+		accts func() ([]accounting.Accountant, error)
+	}
+	var kinds []kind
+	if slices.ContainsFunc(opts.Techniques, func(n string) bool { return n != "ASM" }) {
+		kinds = append(kinds, kind{"transparent", func() ([]accounting.Accountant, error) { return buildAccountants(opts) }})
+	}
+	if hasTechnique(opts.Techniques, "ASM") {
+		// ASM runs on its own because it perturbs the memory controller.
+		kinds = append(kinds, kind{"asm", func() ([]accounting.Accountant, error) {
+			asm, err := accounting.NewASM(opts.Cores, opts.IntervalCycles/4, nil)
+			return []accounting.Accountant{asm}, err
+		}})
 	}
 	for i, wl := range workloads {
-		wl := wl
 		// Per-job seed derivation: every workload simulates with its own
 		// seed so parallel execution order cannot leak into the results.
 		simSeed := opts.Seed + int64(i)
-		if wantTransparent {
-			jobs = append(jobs, runner.Job[accuracyPartial]{
-				Label: fmt.Sprintf("%s/transparent", wl.ID),
-				Fn: func(ctx context.Context) (accuracyPartial, error) {
-					return runTransparentCell(ctx, wl, opts, simSeed)
-				},
-			})
-		}
-		if hasTechnique(opts.Techniques, "ASM") {
-			jobs = append(jobs, runner.Job[accuracyPartial]{
-				Label: fmt.Sprintf("%s/asm", wl.ID),
-				Fn: func(ctx context.Context) (accuracyPartial, error) {
-					return runASMCell(ctx, wl, opts, simSeed)
+		for _, k := range kinds {
+			jobs = append(jobs, runner.Job[*sharedRun]{
+				Label: fmt.Sprintf("%s/%s", wl.ID, k.label),
+				Fn: func(ctx context.Context) (*sharedRun, error) {
+					accts, err := k.accts()
+					if err != nil || len(accts) == 0 {
+						return nil, err
+					}
+					return runShared(ctx, opts, wl, simSeed, accts)
 				},
 			})
 		}
 	}
-	return jobs
+	return jobs, len(kinds)
 }
 
-// runTransparentCell runs one workload's shared-mode simulation with every
-// transparent technique attached and reduces it against the private-mode
-// references.
-func runTransparentCell(ctx context.Context, wl workload.Workload, opts AccuracyOptions, simSeed int64) (accuracyPartial, error) {
+// reduceWorkload is the study's second phase for one workload: one private
+// reference per core over the union of the shared runs' sample points, then
+// each run reduced against its aligned view of it.
+func reduceWorkload(ctx context.Context, opts AccuracyOptions, wl workload.Workload, simSeed int64,
+	runs []*sharedRun) (accuracyPartial, error) {
+
 	partial := accuracyPartial{PerTechnique: map[string][]BenchmarkErrors{}}
-	transparent, err := buildAccountants(opts)
-	if err != nil {
-		return partial, err
-	}
-	if len(transparent) == 0 {
+	runs = slices.DeleteFunc(slices.Clone(runs), func(r *sharedRun) bool { return r == nil })
+	if len(runs) == 0 {
 		return partial, nil
 	}
-	transparentNames := make([]string, 0, len(transparent))
-	for _, a := range transparent {
-		transparentNames = append(transparentNames, a.Name())
+	points := make([][]uint64, wl.Cores())
+	for _, r := range runs {
+		for core := range points {
+			points[core] = append(points[core], r.points[core]...)
+		}
 	}
-	res, err := sim.RunContext(ctx, sharedOptions(opts, wl, simSeed, transparent))
+	for core := range points {
+		slices.Sort(points[core])
+		points[core] = slices.Compact(points[core])
+	}
+	refs, err := workloadReferences(ctx, opts.Cache, opts.Config, wl, simSeed, points)
 	if err != nil {
 		return partial, err
 	}
-	privs, err := privateReferences(ctx, opts, wl, res, simSeed)
-	if err != nil {
-		return partial, err
+	for _, r := range runs {
+		privs := make([]*sim.PrivateReference, len(refs))
+		for core, ref := range refs {
+			if privs[core], err = ref.Align(r.points[core]); err != nil {
+				return partial, err
+			}
+		}
+		r.accumulate(privs, partial.PerTechnique, &partial.Comp, wl)
 	}
-	accumulateErrors(res, privs, transparentNames, partial.PerTechnique, &partial.Comp, wl)
 	return partial, nil
-}
-
-// runASMCell runs ASM on its own shared-mode simulation because it perturbs
-// the memory controller.
-func runASMCell(ctx context.Context, wl workload.Workload, opts AccuracyOptions, simSeed int64) (accuracyPartial, error) {
-	partial := accuracyPartial{PerTechnique: map[string][]BenchmarkErrors{}}
-	asm, err := accounting.NewASM(opts.Cores, opts.IntervalCycles/4, nil)
-	if err != nil {
-		return partial, err
-	}
-	res, err := sim.RunContext(ctx, sharedOptions(opts, wl, simSeed, []accounting.Accountant{asm}))
-	if err != nil {
-		return partial, err
-	}
-	privs, err := privateReferences(ctx, opts, wl, res, simSeed)
-	if err != nil {
-		return partial, err
-	}
-	accumulateErrors(res, privs, []string{"ASM"}, partial.PerTechnique, nil, wl)
-	return partial, nil
-}
-
-// sharedOptions describes one workload's shared-mode simulation with accts
-// attached.
-func sharedOptions(opts AccuracyOptions, wl workload.Workload, simSeed int64, accts []accounting.Accountant) sim.Options {
-	return sim.Options{
-		Config:              opts.Config,
-		Workload:            wl,
-		InstructionsPerCore: opts.InstructionsPerCore,
-		IntervalCycles:      opts.IntervalCycles,
-		Seed:                simSeed,
-		Accountants:         accts,
-		Metrics:             opts.Instr.simMetrics(),
-	}
 }
 
 // accuracyStudyOver is the shared implementation of the accuracy studies: it
-// fans the per-workload simulations out over the worker pool and merges the
-// partial results in job order.
+// fans the per-workload shared runs and then the per-workload reference and
+// reduction jobs out over the worker pool, and merges the partial results in
+// workload order.
 func accuracyStudyOver(ctx context.Context, workloads []workload.Workload, opts AccuracyOptions) (*AccuracyResult, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
-
-	partials, err := runner.Run(ctx, accuracyJobs(workloads, opts), runner.Options{
+	pool := runner.Options{
 		Workers:  opts.Jobs,
 		Progress: opts.Progress,
 		Metrics:  opts.Instr.pool(),
-	})
+	}
+	jobs, perWorkload := sharedJobs(workloads, opts)
+	runs, err := runner.Run(ctx, jobs, pool)
 	if err != nil {
 		return nil, err
 	}
-
+	reduce := make([]runner.Job[accuracyPartial], len(workloads))
+	for i, wl := range workloads {
+		wlRuns := runs[i*perWorkload : (i+1)*perWorkload]
+		reduce[i] = runner.Job[accuracyPartial]{
+			Label: fmt.Sprintf("%s/reference", wl.ID),
+			Fn: func(ctx context.Context) (accuracyPartial, error) {
+				return reduceWorkload(ctx, opts, wl, opts.Seed+int64(i), wlRuns)
+			},
+		}
+	}
+	partials, err := runner.Run(ctx, reduce, pool)
+	if err != nil {
+		return nil, err
+	}
 	perTechnique := map[string][]BenchmarkErrors{}
 	comp := &ComponentAccuracy{}
 	for _, p := range partials {
@@ -500,22 +548,4 @@ func accuracyStudyOver(ctx context.Context, workloads []workload.Workload, opts 
 		result.Techniques = append(result.Techniques, ta)
 	}
 	return result, nil
-}
-
-// privateReferences obtains the private-mode simulations for every core of a
-// workload, aligned on the shared run's sample points. Identical benchmarks
-// on different cores still need separate references because their sample
-// points differ. References go through the result cache: the transparent and
-// ASM runs of a workload (and repeated studies over the same population)
-// share reference simulations whenever their sample points coincide.
-func privateReferences(ctx context.Context, opts AccuracyOptions, wl workload.Workload, res *sim.Result, simSeed int64) ([]*sim.PrivateReference, error) {
-	privs := make([]*sim.PrivateReference, wl.Cores())
-	for core, bench := range wl.Benchmarks {
-		p, err := memoPrivateRef(ctx, opts.Cache, opts.Config, bench, res.SamplePoints[core], sim.CoreSeed(simSeed, core))
-		if err != nil {
-			return nil, err
-		}
-		privs[core] = p
-	}
-	return privs, nil
 }

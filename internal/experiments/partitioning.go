@@ -110,19 +110,22 @@ func policyRun(name string, cores int, prb int) (acct []accounting.Accountant, p
 }
 
 // privateCPIs obtains the private-mode CPI of every benchmark slot of a
-// workload, on the unmanaged LLC, for the full instruction sample. This is
-// policy independent, so the per-core reference runs are memoized: the five
-// policy jobs of a workload (and any later study over the same population)
-// trigger each reference simulation once.
+// workload, on the unmanaged LLC, for the full instruction sample. It is
+// policy independent, so the workload's references are one cache entry: the
+// five policy jobs of a workload (and any later study over the same
+// population) simulate them once.
 func privateCPIs(ctx context.Context, opts PartitioningOptions, wl workload.Workload, simSeed int64) ([]float64, error) {
+	points := make([][]uint64, wl.Cores())
+	for core := range points {
+		points[core] = []uint64{opts.InstructionsPerCore}
+	}
+	refs, err := workloadReferences(ctx, opts.Cache, opts.Config, wl, simSeed, points)
+	if err != nil {
+		return nil, err
+	}
 	privateCPI := make([]float64, wl.Cores())
-	for core, bench := range wl.Benchmarks {
-		priv, err := memoPrivateRef(ctx, opts.Cache, opts.Config, bench,
-			[]uint64{opts.InstructionsPerCore}, sim.CoreSeed(simSeed, core))
-		if err != nil {
-			return nil, err
-		}
-		privateCPI[core] = priv.At[0].CPI()
+	for core, ref := range refs {
+		privateCPI[core] = ref.At[0].CPI()
 	}
 	return privateCPI, nil
 }

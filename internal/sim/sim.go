@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/accounting"
 	"repro/internal/config"
@@ -631,27 +632,96 @@ func (st *runState) recordInterval() error {
 }
 
 // PrivateReference holds the interference-free ground truth (and the
-// reference dataflow measurements) for one benchmark at the shared-mode
-// sample points.
+// reference dataflow measurements) for one benchmark at a list of
+// instruction sample points. The dataflow unit's running totals are recorded
+// too, so one run serves every consumer whose points are a subset of Points:
+// Align derives exactly what a run over that subset alone records.
 type PrivateReference struct {
 	Benchmark string
 	// Total is the cumulative statistics at the end of the private run.
 	Total cpu.Stats
-	// At[i] is the cumulative statistics when the benchmark reached shared-
-	// mode sample point i.
+	// Points are the instruction sample points, non-decreasing.
+	Points []uint64
+	// At[i] is the cumulative statistics when the benchmark reached Points[i]
+	// (Total for a point the cycle budget did not reach).
 	At []cpu.Stats
 	// CPLAt[i] and OverlapAt[i] are the reference (unbounded-buffer) dataflow
-	// CPL and average overlap measured in the private mode between sample
-	// points i-1 and i.
+	// CPL and average overlap measured in the private mode between points i-1
+	// and i (0 for a point the cycle budget did not reach).
 	CPLAt     []uint64
 	OverlapAt []float64
+	// Depth[i], OverlapSum[i] and OverlapLoads[i] are the reference unit's
+	// running PCB depth, overlap cycles of completed SMS loads and count of
+	// those loads at Points[i], for the points reached within the cycle
+	// budget. CPLAt[i] is max(0, ΔDepth) and OverlapAt[i] is ΔOverlapSum /
+	// ΔOverlapLoads (0 when no load completed), Δ taken against point i-1.
+	Depth        []uint64
+	OverlapSum   []uint64
+	OverlapLoads []uint64
+}
+
+// derive fills CPLAt and OverlapAt from the running totals.
+func (r *PrivateReference) derive() {
+	r.CPLAt = make([]uint64, len(r.At))
+	r.OverlapAt = make([]float64, len(r.At))
+	var depth, sum, loads uint64
+	for i := range r.Depth {
+		if r.Depth[i] > depth {
+			r.CPLAt[i] = r.Depth[i] - depth
+		}
+		if n := r.OverlapLoads[i] - loads; n > 0 {
+			r.OverlapAt[i] = float64(r.OverlapSum[i]-sum) / float64(n)
+		}
+		depth, sum, loads = r.Depth[i], r.OverlapSum[i], r.OverlapLoads[i]
+	}
+}
+
+// Align returns the reference a private run of the same benchmark, seed and
+// cycle budget over points alone records: its At, CPLAt and OverlapAt are
+// identical to that run's. points must be non-decreasing and each one of
+// r.Points. Total stays r's, which ran to r's last point. A zero maxCycles
+// derives the budget from the last point, so r's may be the larger one; the
+// two only differ for a benchmark slower than 500 cycles per instruction.
+func (r *PrivateReference) Align(points []uint64) (*PrivateReference, error) {
+	if err := checkPoints(points); err != nil {
+		return nil, err
+	}
+	out := &PrivateReference{Benchmark: r.Benchmark, Total: r.Total, Points: slices.Clone(points)}
+	j := 0
+	for _, p := range points {
+		for j < len(r.Points) && r.Points[j] < p {
+			j++
+		}
+		if j == len(r.Points) || r.Points[j] != p {
+			return nil, fmt.Errorf("sim: sample point %d is not one of the reference's", p)
+		}
+		out.At = append(out.At, r.At[j])
+		if j < len(r.Depth) {
+			out.Depth = append(out.Depth, r.Depth[j])
+			out.OverlapSum = append(out.OverlapSum, r.OverlapSum[j])
+			out.OverlapLoads = append(out.OverlapLoads, r.OverlapLoads[j])
+		}
+	}
+	out.derive()
+	return out, nil
+}
+
+// checkPoints rejects a decreasing sample-point list: a smaller later point
+// would count as reached at once and be recorded against the wrong window.
+func checkPoints(points []uint64) error {
+	for i := 1; i < len(points); i++ {
+		if points[i] < points[i-1] {
+			return fmt.Errorf("sim: sample points decrease at index %d (%d after %d)", i, points[i], points[i-1])
+		}
+	}
+	return nil
 }
 
 // RunPrivate executes a benchmark alone on the CMP (all other cores idle) and
 // records its statistics at the supplied instruction sample points, which
-// come from a shared-mode run (Section VI's alignment methodology).
-// maxCycles bounds the run; zero selects a generous default derived from the
-// last sample point.
+// come from shared-mode runs (Section VI's alignment methodology) and must
+// not decrease. maxCycles bounds the run; zero selects a generous default
+// derived from the last sample point.
 func RunPrivate(cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	return RunPrivateContext(context.Background(), cfg, bench, samplePoints, seed, maxCycles)
 }
@@ -686,6 +756,9 @@ const referencePRBEntries = 4096
 // cycle-by-cycle engine (no event skipping, no request pooling).
 func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64, reference bool) (*PrivateReference, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkPoints(samplePoints); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -724,7 +797,7 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 		maxCycles = defaultMaxCycles(budget)
 	}
 
-	out := &PrivateReference{Benchmark: bench.Name}
+	out := &PrivateReference{Benchmark: bench.Name, Points: slices.Clone(samplePoints)}
 	clk := newStepper(shared, []*cpu.Core{core}, nil, !reference)
 	next := 0
 	now := uint64(0)
@@ -738,10 +811,11 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 		if clk.coreAt[0] > now { // the core was ticked: its counts may have moved
 			stats := core.Stats()
 			for next < len(samplePoints) && stats.Instructions >= samplePoints[next] {
+				depth, sum, loads := ref.Totals()
 				out.At = append(out.At, stats)
-				cpl, overlap := ref.Retrieve()
-				out.CPLAt = append(out.CPLAt, cpl)
-				out.OverlapAt = append(out.OverlapAt, overlap)
+				out.Depth = append(out.Depth, depth)
+				out.OverlapSum = append(out.OverlapSum, sum)
+				out.OverlapLoads = append(out.OverlapLoads, loads)
 				next++
 			}
 			if next >= len(samplePoints) && stats.Instructions >= target {
@@ -770,8 +844,7 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	// statistics so downstream indexing stays aligned.
 	for len(out.At) < len(samplePoints) {
 		out.At = append(out.At, out.Total)
-		out.CPLAt = append(out.CPLAt, 0)
-		out.OverlapAt = append(out.OverlapAt, 0)
 	}
+	out.derive()
 	return out, nil
 }
