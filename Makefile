@@ -18,8 +18,9 @@ race:
 # fuzz-smoke runs each checked-in fuzz target briefly against its seed corpus
 # plus a short exploration budget: the three request decoders, the disk
 # cache entry decoder (the one durable-state decoder), the dataflow unit
-# against its O(PRB) oracle and a private reference's aligned views against
-# standalone private runs. A regression found
+# against its O(PRB) oracle, every accountant probe's cycle spans against
+# unit cycles and a private reference's aligned views against standalone
+# private runs. A regression found
 # here reproduces with `go test -run=Fuzz` once the failing input is added to
 # testdata.
 FUZZTIME ?= 10s
@@ -29,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/runner
 	$(GO) test -run='^$$' -fuzz=FuzzGDPUnitMatchesOracle -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzOnCyclesSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/accounting
 	$(GO) test -run='^$$' -fuzz=FuzzAlignedReference -fuzztime=$(FUZZTIME) ./internal/sim
 
 vet:

@@ -129,7 +129,7 @@ func TestGDPOSubtractsOverlap(t *testing.T) {
 		u.OnLoadIssued(0x100, 0)
 		// 50 committing cycles of overlap while pending.
 		for i := 0; i < 50; i++ {
-			u.OnCycle(cpu.CycleState{Committing: true})
+			u.OnCycles(&cpu.CycleState{Committing: true}, 1)
 		}
 		u.OnCommitStall(0x100, true, 60)
 		u.OnLoadCompleted(0x100, true, 300, 300, 0)
@@ -166,15 +166,15 @@ func TestITCAAccountsConditionCycles(t *testing.T) {
 	intfReq := &mem.Request{Core: 0, InterferenceMiss: true}
 	// 400 stalled cycles with an interference miss at the head of the ROB.
 	for i := 0; i < 400; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: intfReq})
+		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: intfReq}, 1)
 	}
 	// 100 stalled cycles where all MSHRs hold interference misses.
 	for i := 0; i < 100; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, PendingSMSLoads: 3, PendingInterferenceMisses: 3})
+		p.OnCycles(&cpu.CycleState{Committing: false, PendingSMSLoads: 3, PendingInterferenceMisses: 3}, 1)
 	}
 	// 200 stalled cycles that match no condition.
 	for i := 0; i < 200; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, PendingSMSLoads: 3, PendingInterferenceMisses: 1})
+		p.OnCycles(&cpu.CycleState{Committing: false, PendingSMSLoads: 3, PendingInterferenceMisses: 1}, 1)
 	}
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
@@ -196,7 +196,7 @@ func TestITCAConservativeWhenConditionsMiss(t *testing.T) {
 	// accounts nothing and estimates private = shared.
 	req := &mem.Request{Core: 0, MemInterference: 500}
 	for i := 0; i < 600; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, PendingSMSLoads: 4, PendingInterferenceMisses: 1})
+		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, PendingSMSLoads: 4, PendingInterferenceMisses: 1}, 1)
 	}
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
@@ -212,9 +212,9 @@ func TestPTCAAccountsInterferenceWhileROBFull(t *testing.T) {
 	// A 300-cycle stall on an SMS load, ROB full throughout: PTCA should
 	// account min(300, interference=150) = 150 cycles.
 	for i := 0; i < 300; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, ROBFull: true})
+		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, ROBFull: true}, 1)
 	}
-	p.OnCycle(cpu.CycleState{Committing: true})
+	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
 	if est.PrivateCPI != 1.7 {
@@ -231,13 +231,13 @@ func TestPTCADoubleCountsParallelLoads(t *testing.T) {
 	reqA := &mem.Request{ID: 1, Core: 0, MemInterference: 100}
 	reqB := &mem.Request{ID: 2, Core: 0, MemInterference: 100}
 	for i := 0; i < 120; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: reqA, ROBFull: true})
+		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: reqA, ROBFull: true}, 1)
 	}
-	p.OnCycle(cpu.CycleState{Committing: true})
+	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
 	for i := 0; i < 120; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: reqB, ROBFull: true})
+		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: reqB, ROBFull: true}, 1)
 	}
-	p.OnCycle(cpu.CycleState{Committing: true})
+	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
 	if est.PrivateCPI != 1.6 {
@@ -252,9 +252,9 @@ func TestPTCAIgnoresROBNotFull(t *testing.T) {
 	// The issue queue is the bottleneck (lbm-like): the ROB never fills, so
 	// PTCA accounts nothing.
 	for i := 0; i < 300; i++ {
-		p.OnCycle(cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, ROBFull: false})
+		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, ROBFull: false}, 1)
 	}
-	p.OnCycle(cpu.CycleState{Committing: true})
+	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
 	iv := interval(1000, 500, 300, 700)
 	if est := a.Estimate(0, iv); est.PrivateCPI != iv.CPI() {
 		t.Errorf("PTCA should account nothing when the ROB is never full, got CPI %v", est.PrivateCPI)
@@ -296,14 +296,14 @@ func TestASMSlowdownEstimate(t *testing.T) {
 	// as fast as over the whole interval -> slowdown 2 -> private CPI = shared/2.
 	a.currentOwner = 0
 	for i := 0; i < 100; i++ {
-		p.OnCycle(cpu.CycleState{})
+		p.OnCycles(&cpu.CycleState{}, 1)
 		if i%5 == 0 {
 			p.OnLoadCompleted(0, true, 0, 0, 0)
 		}
 	}
 	a.currentOwner = 1
 	for i := 0; i < 900; i++ {
-		p.OnCycle(cpu.CycleState{})
+		p.OnCycles(&cpu.CycleState{}, 1)
 		if i%10 == 0 {
 			p.OnLoadCompleted(0, true, 0, 0, 0)
 		}

@@ -45,15 +45,10 @@ type asmProbe struct {
 	hpAccesses    uint64
 }
 
-// OnCycle counts cycles, split into high-priority and normal ones. It is
-// defined as a one-cycle idle span so the batched fast-forwarding path is
-// equivalent by construction.
-func (p *asmProbe) OnCycle(s cpu.CycleState) { p.OnIdleSpan(s, 1) }
-
-// OnIdleSpan implements cpu.IdleSpanProbe: the epoch owner is constant
-// during a proven-idle span (epoch boundaries are events the driver never
-// skips past), so the cycle counters advance by the span length.
-func (p *asmProbe) OnIdleSpan(_ cpu.CycleState, cycles uint64) {
+// OnCycles counts cycles, split into high-priority and normal ones. The
+// epoch owner is constant over a span (epoch boundaries are events the driver
+// never skips past), so the cycle counters advance by the span length.
+func (p *asmProbe) OnCycles(_ *cpu.CycleState, cycles uint64) {
 	p.totalCycles += cycles
 	if p.owner.currentOwner == p.core {
 		p.hpCycles += cycles

@@ -31,15 +31,9 @@ type itcaProbe struct {
 	interferenceCycles uint64
 }
 
-// OnCycle evaluates ITCA's conditions for one cycle. It is defined as a
-// one-cycle idle span so the batched fast-forwarding path is equivalent by
-// construction.
-func (p *itcaProbe) OnCycle(s cpu.CycleState) { p.OnIdleSpan(s, 1) }
-
-// OnIdleSpan implements cpu.IdleSpanProbe: during a proven-idle span the
-// snapshot is constant, so the per-cycle condition evaluates once and the
-// matching counter advances by the span length.
-func (p *itcaProbe) OnIdleSpan(s cpu.CycleState, cycles uint64) {
+// OnCycles evaluates ITCA's conditions once for the span: the snapshot is
+// constant over it, so the matching counter advances by the span length.
+func (p *itcaProbe) OnCycles(s *cpu.CycleState, cycles uint64) {
 	if s.Committing {
 		return
 	}

@@ -35,15 +35,10 @@ type ptcaProbe struct {
 	stallReq        *mem.Request
 }
 
-// OnCycle accumulates the current stall's length and ROB-full portion. It is
-// defined as a one-cycle idle span so the batched fast-forwarding path is
-// equivalent by construction.
-func (p *ptcaProbe) OnCycle(s cpu.CycleState) { p.OnIdleSpan(s, 1) }
-
-// OnIdleSpan implements cpu.IdleSpanProbe: the stall-tracking state machine
-// sees the same snapshot for every cycle of a proven-idle span, so its
-// counters advance by the span length in one step.
-func (p *ptcaProbe) OnIdleSpan(s cpu.CycleState, cycles uint64) {
+// OnCycles accumulates the current stall's length and ROB-full portion. The
+// stall-tracking state machine sees the same snapshot for every cycle of the
+// span, so its counters advance by the span length in one step.
+func (p *ptcaProbe) OnCycles(s *cpu.CycleState, cycles uint64) {
 	if s.Committing || !s.HeadIsLoad || s.HeadReq == nil {
 		p.closeStall()
 		return

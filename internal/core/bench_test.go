@@ -27,7 +27,7 @@ func BenchmarkDataflowUnit(b *testing.B) {
 				addr := uint64(0x1000 + (i%32)*64)
 				cycle := uint64(i * 10)
 				unit.OnLoadIssued(addr, cycle)
-				unit.OnCycle(committing)
+				unit.OnCycles(&committing, 1)
 				unit.OnCommitStall(addr, true, cycle+1)
 				unit.OnLoadCompleted(addr, true, cycle+5, 200, 20)
 				unit.OnCommitResume(addr, true, cycle+6)

@@ -246,17 +246,11 @@ func (g *GDP) OnCommitResume(addr uint64, wasSMS bool, cycle uint64) {
 	g.pcb.startedAt = cycle
 }
 
-// OnCycle advances the GDP-O overlap counters: every cycle the core commits
+// OnCycles advances the GDP-O overlap counters: every cycle the core commits
 // instructions, each pending (not yet completed) PRB entry accumulates one
-// overlap cycle. It is defined as a one-cycle span so the batched
-// fast-forwarding path is equivalent by construction.
-func (g *GDP) OnCycle(state cpu.CycleState) { g.OnIdleSpan(state, 1) }
-
-// OnIdleSpan implements cpu.IdleSpanProbe (and backs OnCycle with
-// cycles=1). Proven-idle spans never commit, so batched spans leave the
-// overlap counters unchanged; committing snapshots only arrive one cycle at
-// a time through OnCycle. A span costs O(1): see prbEntry.base.
-func (g *GDP) OnIdleSpan(state cpu.CycleState, cycles uint64) {
+// overlap cycle. Proven-idle spans never commit, so only ticked cycles move
+// the counters; either way a call costs O(1): see prbEntry.base.
+func (g *GDP) OnCycles(state *cpu.CycleState, cycles uint64) {
 	if g.opts.TrackOverlap && state.Committing {
 		g.committing += cycles
 	}

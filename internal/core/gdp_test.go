@@ -239,11 +239,11 @@ func TestOverlapTracking(t *testing.T) {
 	g.OnLoadIssued(0x100, 0)
 	// 25 committing cycles while the load is pending.
 	for i := 0; i < 25; i++ {
-		g.OnCycle(cpu.CycleState{Committing: true})
+		g.OnCycles(&cpu.CycleState{Committing: true}, 1)
 	}
 	// 10 stalled cycles contribute nothing.
 	for i := 0; i < 10; i++ {
-		g.OnCycle(cpu.CycleState{Committing: false})
+		g.OnCycles(&cpu.CycleState{Committing: false}, 1)
 	}
 	g.OnLoadCompleted(0x100, true, 100, 100, 0)
 	if got := g.AvgOverlap(); got != 25 {
@@ -251,7 +251,7 @@ func TestOverlapTracking(t *testing.T) {
 	}
 	// Overlap stops accumulating after completion.
 	for i := 0; i < 5; i++ {
-		g.OnCycle(cpu.CycleState{Committing: true})
+		g.OnCycles(&cpu.CycleState{Committing: true}, 1)
 	}
 	if got := g.AvgOverlap(); got != 25 {
 		t.Errorf("overlap changed after completion: %v", got)
@@ -269,7 +269,7 @@ func TestPlainGDPIgnoresOverlap(t *testing.T) {
 	g := newGDP(t, DefaultOptions())
 	g.OnLoadIssued(0x100, 0)
 	for i := 0; i < 25; i++ {
-		g.OnCycle(cpu.CycleState{Committing: true})
+		g.OnCycles(&cpu.CycleState{Committing: true}, 1)
 	}
 	g.OnLoadCompleted(0x100, true, 100, 100, 0)
 	if g.AvgOverlap() != 0 {
@@ -342,7 +342,7 @@ func TestCPLNeverNegativeProperty(t *testing.T) {
 			case 3:
 				g.OnCommitResume(addr, true, cycle)
 			case 4:
-				g.OnCycle(cpu.CycleState{Committing: op%3 == 0})
+				g.OnCycles(&cpu.CycleState{Committing: op%3 == 0}, 1)
 			}
 		}
 		prev := uint64(0)

@@ -159,7 +159,7 @@ func (g *oracleGDP) OnCommitResume(addr uint64, wasSMS bool, cycle uint64) {
 	}
 }
 
-func (g *oracleGDP) OnIdleSpan(state cpu.CycleState, cycles uint64) {
+func (g *oracleGDP) OnCycles(state *cpu.CycleState, cycles uint64) {
 	if !g.opts.TrackOverlap || !state.Committing {
 		return
 	}
@@ -246,13 +246,13 @@ func replayAgainstOracle(t *testing.T, g *GDP, ops []byte) {
 			o.OnCommitResume(addr, op&1 == 0, cycle)
 		case 7:
 			what = "committing-cycle"
-			g.OnCycle(cpu.CycleState{Committing: true})
-			o.OnIdleSpan(cpu.CycleState{Committing: true}, 1)
+			g.OnCycles(&cpu.CycleState{Committing: true}, 1)
+			o.OnCycles(&cpu.CycleState{Committing: true}, 1)
 		case 8:
 			what = "span"
 			st := cpu.CycleState{Committing: arg&1 == 0}
-			g.OnIdleSpan(st, arg)
-			o.OnIdleSpan(st, arg)
+			g.OnCycles(&st, arg)
+			o.OnCycles(&st, arg)
 		case 9:
 			what = "retrieve"
 			gc, gov := g.Retrieve()

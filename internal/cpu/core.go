@@ -77,8 +77,9 @@ type Core struct {
 	l2     *cache.Cache
 	shared MemorySystem
 	probes []Probe
-	// idleProbes[i] is probes[i] as an IdleSpanProbe, nil when it is not one.
-	idleProbes []IdleSpanProbe
+	// state is the snapshot handed to the probes, rebuilt in place for every
+	// OnCycles call.
+	state CycleState
 
 	// Reorder buffer as a ring buffer.
 	rob      []robEntry
@@ -132,8 +133,8 @@ type Core struct {
 	// CompleteRequest since it) changed any architectural state.
 	active bool
 
-	// Functional-unit usage in the current cycle.
-	fuIntALU, fuIntMul, fuFPALU, fuFPMul, fuMemPorts int
+	// Functional-unit capacity and usage in the current cycle, per pool.
+	fuCap, fuUsed [numFUPools]int
 
 	stats Stats
 }
@@ -168,6 +169,14 @@ func New(id int, cfg *config.CMPConfig, src *trace.Generator, sharedMem MemorySy
 		rob:      make([]robEntry, cfg.Core.ROBEntries),
 		resolved: make([]uint64, (cfg.Core.ROBEntries+63)/64),
 		pending:  make([]*loadWaiters, 0, cfg.L1D.MSHRs),
+		fuCap: [numFUPools]int{
+			fuNone:   math.MaxInt,
+			fuIntALU: cfg.Core.IntALUs,
+			fuIntMul: cfg.Core.IntMulDiv,
+			fuFPALU:  cfg.Core.FPALUs,
+			fuFPMul:  cfg.Core.FPMulDiv,
+			fuMem:    2,
+		},
 	}, nil
 }
 
@@ -177,6 +186,9 @@ func (c *Core) ID() int { return c.id }
 // Stats returns a copy of the core's cumulative statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
+// Instructions returns the number of instructions committed so far.
+func (c *Core) Instructions() uint64 { return c.stats.Instructions }
+
 // L1D returns the core's L1 data cache (for diagnostics and tests).
 func (c *Core) L1D() *cache.Cache { return c.l1d }
 
@@ -184,11 +196,7 @@ func (c *Core) L1D() *cache.Cache { return c.l1d }
 func (c *Core) L2() *cache.Cache { return c.l2 }
 
 // AttachProbe registers an accounting probe.
-func (c *Core) AttachProbe(p Probe) {
-	isp, _ := p.(IdleSpanProbe)
-	c.probes = append(c.probes, p)
-	c.idleProbes = append(c.idleProbes, isp)
-}
+func (c *Core) AttachProbe(p Probe) { c.probes = append(c.probes, p) }
 
 // lineAddr masks an address to its cache-line address.
 func lineAddr(addr uint64) uint64 { return addr &^ 63 }
@@ -372,7 +380,7 @@ func (c *Core) CompleteRequest(req *mem.Request, now uint64) {
 // Tick advances the core by one cycle.
 func (c *Core) Tick(now uint64) {
 	c.stats.Cycles++
-	c.fuIntALU, c.fuIntMul, c.fuFPALU, c.fuFPMul, c.fuMemPorts = 0, 0, 0, 0, 0
+	c.fuUsed = [numFUPools]int{}
 	c.active = false
 
 	committing, stall := c.commit(now)
@@ -384,51 +392,58 @@ func (c *Core) Tick(now uint64) {
 		c.stats.CommitCycles++
 		c.commitCycleCount++
 	} else {
-		switch stall {
-		case StallInd:
-			c.stats.StallInd++
-		case StallPMS:
-			c.stats.StallPMS++
-		case StallSMS:
-			c.stats.StallSMS++
-		case StallOther:
-			c.stats.StallOther++
-		}
+		c.countStall(stall, 1)
 	}
 
-	if len(c.probes) > 0 {
-		state := c.buildCycleState(now, committing, stall)
-		for _, p := range c.probes {
-			p.OnCycle(state)
-		}
+	c.reportCycles(now, 1, committing, stall)
+}
+
+// countStall adds n cycles to a stall kind's counter.
+func (c *Core) countStall(stall StallKind, n uint64) {
+	switch stall {
+	case StallInd:
+		c.stats.StallInd += n
+	case StallPMS:
+		c.stats.StallPMS += n
+	case StallSMS:
+		c.stats.StallSMS += n
+	case StallOther:
+		c.stats.StallOther += n
 	}
 }
 
-// buildCycleState assembles the per-cycle architectural snapshot.
-func (c *Core) buildCycleState(now uint64, committing bool, stall StallKind) CycleState {
-	state := CycleState{
-		Cycle:      now,
-		Committing: committing,
-		Stall:      stall,
-		ROBFull:    c.robCount == len(c.rob),
-		ROBEmpty:   c.robCount == 0,
+// reportCycles hands the probes the snapshot of n cycles from now on, built
+// in place in c.state.
+func (c *Core) reportCycles(now, n uint64, committing bool, stall StallKind) {
+	if len(c.probes) == 0 {
+		return
 	}
+	s := &c.state
+	s.Cycle = now
+	s.Committing = committing
+	s.Stall = stall
+	s.ROBFull = c.robCount == len(c.rob)
+	s.ROBEmpty = c.robCount == 0
+	s.HeadIsLoad, s.HeadLoadSMS, s.HeadLoadAddr, s.HeadReq = false, false, 0, nil
 	if c.robCount > 0 {
 		head := c.robAt(0)
 		if head.inst.Kind == trace.Load && (head.complete == unknownCycle || head.complete > now) {
-			state.HeadIsLoad = true
-			state.HeadLoadAddr = head.inst.Addr
-			state.HeadLoadSMS = head.req != nil
-			state.HeadReq = head.req
+			s.HeadIsLoad = true
+			s.HeadLoadAddr = head.inst.Addr
+			s.HeadLoadSMS = head.req != nil
+			s.HeadReq = head.req
 		}
 	}
-	state.PendingSMSLoads = len(c.pending)
+	s.PendingSMSLoads = len(c.pending)
+	s.PendingInterferenceMisses = 0
 	for _, w := range c.pending {
 		if w.req != nil && w.req.InterferenceMiss {
-			state.PendingInterferenceMisses++
+			s.PendingInterferenceMisses++
 		}
 	}
-	return state
+	for _, p := range c.probes {
+		p.OnCycles(s, n)
+	}
 }
 
 // commit retires completed instructions in order, classifying any stall.
@@ -538,30 +553,42 @@ func (c *Core) drainStoreBuffer(now uint64) {
 
 // execute starts execution of up to FetchWidth un-issued entries whose
 // dependencies are met, oldest first: ring order from the head, i.e. slots
-// [robHead, len) then [0, robHead). The mask is re-read at every step, so an
-// entry woken by an older one issuing in this very scan is still visited.
+// [robHead, len) then [0, robHead). It walks a copy of each resolved-mask
+// word. An entry that an older one wakes during the scan is ready a cycle
+// later at the earliest (every latency is at least one cycle), so it could
+// not issue in this scan anyway.
 func (c *Core) execute(now uint64) {
-	issued := 0
+	issued, width := 0, c.cfg.FetchWidth
 	from, to := c.robHead, len(c.rob)
 	for range 2 {
-		for slot := c.nextResolved(from); slot < to && issued < c.cfg.FetchWidth; slot = c.nextResolved(slot + 1) {
-			e := &c.rob[slot]
-			if e.readyAt > now || !c.fuAvailable(e.inst.Kind) {
-				continue
+		for wi := from >> 6; wi<<6 < to && issued < width; wi++ {
+			w := c.resolved[wi]
+			if wi == from>>6 {
+				w = w >> (from & 63) << (from & 63)
 			}
-			if e.inst.Kind == trace.Load {
-				if !c.issueLoad(e, now) {
+			for ; w != 0 && issued < width; w &= w - 1 {
+				slot := wi<<6 + bits.TrailingZeros64(w)
+				if slot >= to {
+					break
+				}
+				e := &c.rob[slot]
+				if e.readyAt > now || !c.fuAvailable(e.inst.Kind) {
 					continue
 				}
-			} else {
-				c.claimFU(e.inst.Kind)
-				c.setComplete(e, now+uint64(trace.ExecLatency(e.inst.Kind)))
+				if e.inst.Kind == trace.Load {
+					if !c.issueLoad(e, now) {
+						continue
+					}
+				} else {
+					c.claimFU(e.inst.Kind)
+					c.setComplete(e, now+uint64(trace.ExecLatency(e.inst.Kind)))
+				}
+				e.issued = true
+				c.resolved[wi] &^= 1 << (slot & 63)
+				c.unissued--
+				issued++
+				c.active = true
 			}
-			e.issued = true
-			c.resolved[slot>>6] &^= 1 << (slot & 63)
-			c.unissued--
-			issued++
-			c.active = true
 		}
 		from, to = 0, c.robHead
 	}
@@ -574,40 +601,38 @@ func (c *Core) execute(now uint64) {
 	}
 }
 
+// Functional-unit pools: each instruction kind draws from one. fuNone holds
+// the kinds that need no unit and never runs out.
+const (
+	fuNone = iota
+	fuIntALU
+	fuIntMul
+	fuFPALU
+	fuFPMul
+	fuMem // memory ports
+	numFUPools
+)
+
+// fuPoolOf maps an instruction kind to its pool: a lookup, not a switch,
+// whose branches the instruction mix makes unpredictable. It spans every
+// Kind value, so indexing it needs no bounds check.
+var fuPoolOf = [256]uint8{
+	trace.IntOp: fuIntALU, trace.Branch: fuIntALU,
+	trace.IntMul: fuIntMul,
+	trace.FPOp:   fuFPALU,
+	trace.FPMul:  fuFPMul,
+	trace.Load:   fuMem, trace.Store: fuMem,
+}
+
 // fuAvailable reports whether a functional unit (or memory port) is free this
 // cycle for the given instruction kind.
 func (c *Core) fuAvailable(k trace.Kind) bool {
-	switch k {
-	case trace.IntOp, trace.Branch:
-		return c.fuIntALU < c.cfg.IntALUs
-	case trace.IntMul:
-		return c.fuIntMul < c.cfg.IntMulDiv
-	case trace.FPOp:
-		return c.fuFPALU < c.cfg.FPALUs
-	case trace.FPMul:
-		return c.fuFPMul < c.cfg.FPMulDiv
-	case trace.Load, trace.Store:
-		return c.fuMemPorts < 2
-	default:
-		return true
-	}
+	pool := fuPoolOf[k]
+	return c.fuUsed[pool] < c.fuCap[pool]
 }
 
 // claimFU consumes a functional-unit slot for this cycle.
-func (c *Core) claimFU(k trace.Kind) {
-	switch k {
-	case trace.IntOp, trace.Branch:
-		c.fuIntALU++
-	case trace.IntMul:
-		c.fuIntMul++
-	case trace.FPOp:
-		c.fuFPALU++
-	case trace.FPMul:
-		c.fuFPMul++
-	case trace.Load, trace.Store:
-		c.fuMemPorts++
-	}
-}
+func (c *Core) claimFU(k trace.Kind) { c.fuUsed[fuPoolOf[k]]++ }
 
 // issueLoad performs the memory access of a load whose operands are ready.
 // It returns false when the access cannot start this cycle (MSHRs exhausted).
@@ -634,7 +659,7 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 	}
 	if len(c.pending) >= c.l1MSHRs {
 		c.stats.Loads-- // retry next cycle; do not double-count
-		c.fuMemPorts--
+		c.fuUsed[fuMem]--
 		return false
 	}
 
@@ -793,9 +818,9 @@ func (c *Core) loadProvablyBlocked(e *robEntry) bool {
 
 // FastForward accounts for the idle span [from, to): the core repeats the
 // same non-committing stall for every cycle of the span, so the cycle and
-// stall counters advance by the span length and probes observe one idle-span
-// snapshot (equivalent to to-from identical OnCycle snapshots). The driver
-// only calls this after NextEvent proved the span idle.
+// stall counters advance by the span length and probes observe the span in
+// one OnCycles call. The driver only calls this after NextEvent proved the
+// span idle.
 func (c *Core) FastForward(from, to uint64) {
 	if to <= from {
 		return
@@ -813,30 +838,8 @@ func (c *Core) FastForward(from, to uint64) {
 			stall = StallOther
 		}
 	}
-	switch stall {
-	case StallInd:
-		c.stats.StallInd += n
-	case StallPMS:
-		c.stats.StallPMS += n
-	case StallSMS:
-		c.stats.StallSMS += n
-	case StallOther:
-		c.stats.StallOther += n
-	}
-
-	if len(c.probes) > 0 {
-		state := c.buildCycleState(from, false, stall)
-		for i, p := range c.probes {
-			if isp := c.idleProbes[i]; isp != nil {
-				isp.OnIdleSpan(state, n)
-				continue
-			}
-			for t := from; t < to; t++ {
-				state.Cycle = t
-				p.OnCycle(state)
-			}
-		}
-	}
+	c.countStall(stall, n)
+	c.reportCycles(from, n, false, stall)
 }
 
 // dispatch brings new instructions from the trace into the ROB and issue
@@ -865,13 +868,17 @@ func (c *Core) dispatch(now uint64) {
 			return
 		}
 		c.active = true
+		// Reset every field of the slot in place (a composite literal is
+		// built aside and copied in); a new robEntry field is reset here too.
 		pos := c.robSlot(c.robCount)
-		c.rob[pos] = robEntry{
-			inst:     inst,
-			index:    c.instIndex,
-			complete: unknownCycle,
-		}
 		e := &c.rob[pos]
+		e.inst = inst
+		e.index = c.instIndex
+		e.complete = unknownCycle
+		e.issued, e.isSMS, e.isL1Miss, e.stallSeen = false, false, false, false
+		e.req = nil
+		e.waiting, e.readyAt, e.wakeHead = 0, 0, 0
+		e.wakeNext = [2]wakeRef{}
 		c.linkProducers(e, pos)
 		c.unissued++
 		c.instIndex++

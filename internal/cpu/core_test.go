@@ -289,10 +289,10 @@ func (r *recordingProbe) OnLoadCompleted(_ uint64, sms bool, _ uint64, _, _ uint
 }
 func (r *recordingProbe) OnCommitStall(uint64, bool, uint64)  { r.stalls++ }
 func (r *recordingProbe) OnCommitResume(uint64, bool, uint64) { r.resumes++ }
-func (r *recordingProbe) OnCycle(s CycleState) {
-	r.cycles++
+func (r *recordingProbe) OnCycles(s *CycleState, n uint64) {
+	r.cycles += int(n)
 	if s.Committing {
-		r.commits++
+		r.commits += int(n)
 	}
 }
 
@@ -305,7 +305,7 @@ func TestProbeEventStream(t *testing.T) {
 	st := core.Stats()
 
 	if probe.cycles != 30000 {
-		t.Errorf("OnCycle fired %d times, want 30000", probe.cycles)
+		t.Errorf("OnCycles saw %d cycles, want 30000", probe.cycles)
 	}
 	if uint64(probe.commits) != st.CommitCycles {
 		t.Errorf("committing cycles seen by probe (%d) != stats (%d)", probe.commits, st.CommitCycles)
@@ -363,7 +363,7 @@ func TestNopProbeImplementsProbe(t *testing.T) {
 	p.OnLoadCompleted(0, false, 0, 0, 0)
 	p.OnCommitStall(0, false, 0)
 	p.OnCommitResume(0, false, 0)
-	p.OnCycle(CycleState{})
+	p.OnCycles(&CycleState{}, 1)
 }
 
 func TestCoreAccessors(t *testing.T) {

@@ -46,7 +46,9 @@ func (k StallKind) String() string {
 // probes. It contains exactly the observable state the transparent accounting
 // techniques in the paper monitor: commit activity, the stall cause, ROB
 // occupancy extremes, the load at the head of the ROB (if any) and the
-// population of outstanding shared-memory-system requests.
+// population of outstanding shared-memory-system requests. The core owns one
+// and rewrites it in place for every call, so the pointer a probe receives is
+// valid only during that call.
 type CycleState struct {
 	Cycle      uint64
 	Committing bool
@@ -71,8 +73,11 @@ type CycleState struct {
 }
 
 // Probe observes the events the dataflow and architecture-centric accounting
-// techniques need. All methods are called synchronously from the core's Tick;
-// implementations must not retain the CycleState pointer past the call.
+// techniques need. Every method is called synchronously: the event methods
+// and OnCycles(s, 1) from the core's Tick, and OnCycles for a longer span
+// from FastForward, which the simulation driver may call some cycles after
+// the span ended. Implementations must not modify the CycleState or retain
+// the pointer past the call.
 type Probe interface {
 	// OnLoadIssued fires when a load misses in the L1 data cache and a request
 	// is issued towards the L2/shared memory system (GDP Algorithm 1).
@@ -88,29 +93,22 @@ type Probe interface {
 	// OnCommitResume fires when commit resumes after a load-induced stall
 	// (GDP Algorithm 3).
 	OnCommitResume(addr uint64, wasSMS bool, cycle uint64)
-	// OnCycle fires once per cycle with the architectural snapshot.
-	OnCycle(state CycleState)
-}
-
-// IdleSpanProbe is an optional Probe extension for event fast-forwarding.
-// When the simulation driver proves a core fully idle for a span of cycles
-// (nothing commits, issues, dispatches or drains), the per-cycle snapshots
-// are identical except for the advancing Cycle field. Probes implementing
-// OnIdleSpan receive the span in one call; the implementation must be
-// exactly equivalent to `cycles` consecutive OnCycle calls with that
-// snapshot. Probes that do not implement it receive the individual OnCycle
-// calls instead (correct, just slower).
-//
-// Only this core is idle over the span: the driver defers the call until the
-// core's next event, so other cores and the memory system may have acted on
-// cycles inside it. An implementation may read its own state, the snapshot,
-// and state its accountant changes only in a Tick it declares through
-// accounting.EventSource (the driver settles every core before such a Tick).
-// Of an in-flight request the snapshot points to it may read InterferenceMiss
-// (kept constant over a span via memsys.System.OnInterferenceMiss) and nothing
-// else: the interference counters keep running until the request completes.
-type IdleSpanProbe interface {
-	OnIdleSpan(state CycleState, cycles uint64)
+	// OnCycles reports n consecutive cycles that share the snapshot s, whose
+	// Cycle is the first of them: n = 1 for a ticked cycle, and a whole span
+	// when the driver proves the core idle over it (nothing commits, issues,
+	// dispatches or drains). OnCycles(s, n) must be exactly equivalent to n
+	// calls OnCycles(s, 1) with Cycle advancing by one each time.
+	//
+	// Only this core is idle over a span: the driver defers the call until
+	// the core's next event, so other cores and the memory system may have
+	// acted on cycles inside it. A span may read the probe's own state, the
+	// snapshot, and state its accountant changes only in a Tick it declares
+	// through accounting.EventSource (the driver settles every core before
+	// such a Tick). Of an in-flight request the snapshot points to it may read
+	// InterferenceMiss (kept constant over a span via
+	// memsys.System.OnInterferenceMiss) and nothing else: the interference
+	// counters keep running until the request completes.
+	OnCycles(s *CycleState, n uint64)
 }
 
 // NopProbe is a Probe that ignores every event. Embed it to implement only a
@@ -129,5 +127,5 @@ func (NopProbe) OnCommitStall(uint64, bool, uint64) {}
 // OnCommitResume implements Probe.
 func (NopProbe) OnCommitResume(uint64, bool, uint64) {}
 
-// OnCycle implements Probe.
-func (NopProbe) OnCycle(CycleState) {}
+// OnCycles implements Probe.
+func (NopProbe) OnCycles(*CycleState, uint64) {}

@@ -221,6 +221,9 @@ func (s *System) Ring() *ring.Ring { return s.ring }
 // Stats returns a copy of the accumulated counters.
 func (s *System) Stats() Stats { return s.stats }
 
+// Submitted returns the number of requests submitted so far.
+func (s *System) Submitted() uint64 { return s.stats.Submitted }
+
 // SetPartition installs an LLC way partition (nil disables partitioning).
 func (s *System) SetPartition(alloc []int) error { return s.llc.SetPartition(alloc) }
 

@@ -336,7 +336,7 @@ func newRunState(opts Options) (*runState, error) {
 //     interference miss (the core's idle snapshot counts those flags and ITCA
 //     reads them): memsys.System.OnInterferenceMiss settles that core first;
 //  3. a cycle on which an accountant's EventSource bound is reached (ASM
-//     rotates the epoch owner its probes read in OnIdleSpan and reprograms the
+//     rotates the epoch owner its probes read in OnCycles and reprograms the
 //     memory controller): every component is settled before the Ticks;
 //  4. every interval boundary, before recordInterval reads statistics,
 //     estimates and in-flight interference, and the end of the run.
@@ -427,7 +427,7 @@ func (s *stepper) step(now uint64) {
 		s.shared.Tick(now)
 		s.memTicks++
 	}
-	submitted := s.shared.Stats().Submitted
+	submitted := s.shared.Submitted()
 	for i, core := range s.cores {
 		var completed []*mem.Request
 		if memTicked {
@@ -453,7 +453,7 @@ func (s *stepper) step(now uint64) {
 			s.wake[i] = core.NextEvent(now)
 		}
 	}
-	if s.lazy && (memTicked || s.shared.Stats().Submitted != submitted) {
+	if s.lazy && (memTicked || s.shared.Submitted() != submitted) {
 		s.memWake = s.shared.NextEvent(now)
 	}
 }
@@ -483,6 +483,7 @@ func (st *runState) runFast(ctx context.Context) error {
 	opts := st.opts
 	st.clk = newStepper(st.shared, st.cores, opts.Accountants, !opts.Reference)
 	var now uint64
+	last := opts.IntervalCycles - 1 // the last cycle of the interval now is in
 	for now < st.maxCycles {
 		st.clk.step(now)
 		// Per-core sample completion for STP: a core's instruction count only
@@ -491,14 +492,15 @@ func (st *runState) runFast(ctx context.Context) error {
 			if st.sampleTaken[i] || st.clk.coreAt[i] <= now {
 				continue
 			}
-			if stats := core.Stats(); stats.Instructions >= opts.InstructionsPerCore {
-				st.res.SampleStats[i] = stats
+			if core.Instructions() >= opts.InstructionsPerCore {
+				st.res.SampleStats[i] = core.Stats()
 				st.sampleTaken[i] = true
 				st.done++
 			}
 		}
 
-		if (now+1)%opts.IntervalCycles == 0 {
+		if now == last {
+			last += opts.IntervalCycles
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -519,8 +521,8 @@ func (st *runState) runFast(ctx context.Context) error {
 		target := st.clk.nextEvent(now)
 		if target > now+1 {
 			// Never skip an interval boundary or the cycle budget.
-			if boundary := now + opts.IntervalCycles - (now+1)%opts.IntervalCycles; target > boundary {
-				target = boundary
+			if target > last {
+				target = last
 			}
 			if target > st.maxCycles {
 				target = st.maxCycles

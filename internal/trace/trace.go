@@ -129,7 +129,7 @@ func (p *Params) Validate() error {
 		{"LoadFrac", p.LoadFrac}, {"StoreFrac", p.StoreFrac}, {"FPFrac", p.FPFrac},
 		{"FPMulFrac", p.FPMulFrac}, {"IntMulFrac", p.IntMulFrac},
 		{"BranchFrac", p.BranchFrac}, {"MispredictRate", p.MispredictRate},
-		{"LoadDepFrac", p.LoadDepFrac},
+		{"LoadDepFrac", p.LoadDepFrac}, {"ComputePhaseScale", p.ComputePhaseScale},
 	} {
 		if err := frac(c.name, c.v); err != nil {
 			return err
@@ -228,7 +228,7 @@ func (g *Generator) nextAddr() uint64 {
 			break
 		}
 	}
-	ws := g.params.WorkingSets[idx]
+	ws := &g.params.WorkingSets[idx]
 	lines := uint64(ws.Bytes / 64)
 	if lines == 0 {
 		lines = 1
@@ -263,20 +263,21 @@ func (g *Generator) depDistance() int32 {
 	return d
 }
 
-// Next returns the next instruction in the stream.
+// Next returns the next instruction in the stream. The stream counters
+// (index, sinceBurst, lastLoadDist) advance before the draws, which read the
+// values from before this instruction; a load or a burst start restarts its
+// counter at 1, counting itself.
 func (g *Generator) Next() Instruction {
-	defer func() {
-		g.index++
-		g.lastLoadDist++
-		g.sinceBurst++
-	}()
-
-	p := g.params
+	p := &g.params
 	loadFrac, storeFrac := p.LoadFrac, p.StoreFrac
 	if g.inComputePhase() {
 		loadFrac *= p.ComputePhaseScale
 		storeFrac *= p.ComputePhaseScale
 	}
+	sinceBurst, lastLoadDist := g.sinceBurst, g.lastLoadDist
+	g.index++
+	g.sinceBurst++
+	g.lastLoadDist++
 
 	// Store bursts override the nominal mix.
 	if p.StoreBurstLen > 0 {
@@ -284,8 +285,8 @@ func (g *Generator) Next() Instruction {
 			g.storeBurst--
 			return Instruction{Kind: Store, Addr: g.nextAddr(), Dep1: g.depDistance()}
 		}
-		if g.sinceBurst >= p.StoreBurstGap && p.StoreBurstGap > 0 {
-			g.sinceBurst = 0
+		if sinceBurst >= p.StoreBurstGap && p.StoreBurstGap > 0 {
+			g.sinceBurst = 1
 			g.storeBurst = p.StoreBurstLen - 1
 			return Instruction{Kind: Store, Addr: g.nextAddr(), Dep1: g.depDistance()}
 		}
@@ -295,13 +296,13 @@ func (g *Generator) Next() Instruction {
 	switch {
 	case r < loadFrac:
 		inst := Instruction{Kind: Load, Addr: g.nextAddr()}
-		if g.rng.Float64() < p.LoadDepFrac && g.lastLoadDist > 0 && g.lastLoadDist <= 64 {
+		if g.rng.Float64() < p.LoadDepFrac && lastLoadDist > 0 && lastLoadDist <= 64 {
 			// Pointer-chasing: the load's address depends on the previous load.
-			inst.Dep1 = int32(g.lastLoadDist)
+			inst.Dep1 = int32(lastLoadDist)
 		} else {
 			inst.Dep1 = g.depDistance()
 		}
-		g.lastLoadDist = 0
+		g.lastLoadDist = 1
 		return inst
 	case r < loadFrac+storeFrac:
 		return Instruction{Kind: Store, Addr: g.nextAddr(), Dep1: g.depDistance(), Dep2: g.depDistance()}
@@ -334,21 +335,21 @@ func (g *Generator) Generate(n int) []Instruction {
 	return out
 }
 
+// execLatency is ExecLatency's table. A lookup, not a switch: the
+// instruction mix makes a switch's branches unpredictable.
+var execLatency = [...]uint8{
+	IntOp: 1, Branch: 1,
+	IntMul: 6,
+	FPOp:   3,
+	FPMul:  8,
+	Load:   1, Store: 1, // address generation; memory latency is added by the memory system
+}
+
 // ExecLatency returns the execution latency in cycles of an instruction kind
-// on the modeled functional units.
+// on the modeled functional units (1 for an unknown kind).
 func ExecLatency(k Kind) int {
-	switch k {
-	case IntOp, Branch:
-		return 1
-	case IntMul:
-		return 6
-	case FPOp:
-		return 3
-	case FPMul:
-		return 8
-	case Load, Store:
-		return 1 // address generation; memory latency is added by the memory system
-	default:
-		return 1
+	if int(k) < len(execLatency) {
+		return int(execLatency[k])
 	}
+	return 1
 }

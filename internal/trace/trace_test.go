@@ -49,6 +49,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		}},
 		{"dep distance < 1", func(p *Params) { p.DepDistanceMean = 0 }},
 		{"bad mispredict rate", func(p *Params) { p.MispredictRate = 2 }},
+		{"compute phase scale above one", func(p *Params) { p.PhaseLength, p.ComputePhaseScale = 1000, 3 }},
+		{"negative compute phase scale", func(p *Params) { p.PhaseLength, p.ComputePhaseScale = 1000, -0.5 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
