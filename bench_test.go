@@ -95,7 +95,7 @@ func BenchmarkFigure3StallAccuracy(b *testing.B) {
 // stall-error distributions across core counts.
 func BenchmarkFigure4Distribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig3, err := experiments.Figure3(benchScale())
+		fig3, err := experiments.Figure3(b.Context(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,16 +285,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
 }
 
-// BenchmarkRunScenario measures end-to-end scenario estimation through the
-// Engine (the hot path of the service layer), one sub-benchmark per named
-// scenario, reporting simulated cycles per second.
-func BenchmarkRunScenario(b *testing.B) {
+// BenchmarkEstimateScenario measures end-to-end scenario estimation through
+// Engine.Estimate (the hot path of the service layer), one sub-benchmark per
+// named scenario, reporting simulated cycles per second.
+func BenchmarkEstimateScenario(b *testing.B) {
 	engine := newTestEngine(b)
 	for _, name := range ScenarioNames() {
 		b.Run(name, func(b *testing.B) {
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				res, err := engine.RunScenario(context.Background(), name, ScenarioRunOptions{
+				res, err := engine.Estimate(b.Context(), &EstimateRequest{
+					Scenario:            name,
 					Cores:               4,
 					InstructionsPerCore: 4000,
 					IntervalCycles:      2000,

@@ -167,7 +167,7 @@ func (e *Engine) fillScale(s StudyScale) StudyScale {
 // completing a single interval.
 func (e *Engine) Run(ctx context.Context, opts SimOptions) (*SimResult, error) {
 	e.fillSim(&opts)
-	return sim.RunContext(ctx, opts)
+	return sim.Run(ctx, opts)
 }
 
 // fillSim applies the Engine's simulation default to one run's options: the
@@ -184,7 +184,7 @@ func (e *Engine) fillSim(opts *SimOptions) {
 // sample point.
 func (e *Engine) RunPrivate(ctx context.Context, cfg *CMPConfig, bench Benchmark,
 	samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
-	return sim.RunPrivateContext(ctx, cfg, bench, samplePoints, seed, maxCycles)
+	return sim.RunPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles)
 }
 
 // ErrStreamStopped reports that a Stream consumer abandoned the sequence
@@ -228,7 +228,7 @@ func (e *Engine) Stream(ctx context.Context, opts SimOptions) (iter.Seq2[Interva
 			}
 			return nil
 		}
-		res, runErr = sim.RunContext(ctx, simOpts)
+		res, runErr = sim.Run(ctx, simOpts)
 		if runErr != nil && !stopped {
 			// Deliver terminal errors (cancellation, validation, simulation
 			// failures) in-band; a consumer that broke out is not re-entered.
@@ -274,28 +274,28 @@ func (e *Engine) RunFromCheckpoint(ctx context.Context, opts SimOptions, cp *Che
 // (Figures 3-5). Unset Jobs/Cache/Progress options inherit the Engine's.
 func (e *Engine) AccuracyStudy(ctx context.Context, opts AccuracyOptions) (*AccuracyResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	return experiments.AccuracyStudyContext(ctx, opts)
+	return experiments.AccuracyStudy(ctx, opts)
 }
 
 // AccuracyStudyForWorkload runs the accuracy study over one explicit
 // workload.
 func (e *Engine) AccuracyStudyForWorkload(ctx context.Context, wl Workload, opts AccuracyOptions) (*AccuracyResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	return experiments.AccuracyStudyForWorkloadContext(ctx, wl, opts)
+	return experiments.AccuracyStudyForWorkload(ctx, wl, opts)
 }
 
 // PartitioningStudy runs one cell of the LLC-partitioning evaluation
 // (Figure 6). Unset Jobs/Cache/Progress options inherit the Engine's.
 func (e *Engine) PartitioningStudy(ctx context.Context, opts PartitioningOptions) (*PartitioningResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	return experiments.PartitioningStudyContext(ctx, opts)
+	return experiments.PartitioningStudy(ctx, opts)
 }
 
 // Sweep runs a user-defined experiment grid through the Engine's worker pool.
 // Unset Jobs/Cache/Progress options inherit the Engine's.
 func (e *Engine) Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	return experiments.SweepContext(ctx, opts)
+	return experiments.Sweep(ctx, opts)
 }
 
 // SweepWorkers is Sweep sharded across an explicit worker fleet for this call
@@ -325,8 +325,8 @@ func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []
 
 // sweepDistributed runs a sweep grid through a dispatcher pool: the grid is
 // enumerated into self-contained cells (the exact cells and order
-// SweepContext executes), sharded across the fleet, and merged by index, so
-// the rows are byte-identical to a local sweep. The Engine's cache fronts the
+// experiments.Sweep executes), sharded across the fleet, and merged by index,
+// so the rows are byte-identical to a local sweep. The Engine's cache fronts the
 // fleet — cells it already holds are answered without dispatch, and every
 // completion (remote or local) is written back under the cell's spec key.
 func (e *Engine) sweepDistributed(ctx context.Context, opts SweepOptions, pool *dispatch.Pool) (*SweepResult, error) {
@@ -350,8 +350,8 @@ func (e *Engine) sweepDistributed(ctx context.Context, opts SweepOptions, pool *
 }
 
 // cellCacheAdapter exposes a runner.Cache as the dispatcher's cell cache. The
-// entries are the same []SweepRow values SweepContext memoizes, under the
-// same spec keys, so local sweeps, front-end dispatchers and remote workers
+// entries are the same []SweepRow values experiments.Sweep memoizes, under
+// the same spec keys, so local sweeps, front-end dispatchers and remote workers
 // all share one cache population.
 type cellCacheAdapter struct{ c *runner.Cache }
 
@@ -365,14 +365,14 @@ func (a cellCacheAdapter) Put(key string, rows []SweepRow) {
 
 // Figure3 regenerates Figures 3a/3b. A zero scale selects the Engine's.
 func (e *Engine) Figure3(ctx context.Context, scale StudyScale) (*Figure3Result, error) {
-	return experiments.Figure3Context(ctx, e.fillScale(scale))
+	return experiments.Figure3(ctx, e.fillScale(scale))
 }
 
 // Figure7 regenerates every panel of the sensitivity study. A zero
 // opts.Scale selects the Engine's.
 func (e *Engine) Figure7(ctx context.Context, opts SensitivityOptions) ([]*SensitivityResult, error) {
 	opts.Scale = e.fillScale(opts.Scale)
-	return experiments.Figure7Context(ctx, opts)
+	return experiments.Figure7(ctx, opts)
 }
 
 // fillStudy applies the Engine defaults to a study's Jobs/Cache/Progress/

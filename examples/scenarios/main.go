@@ -1,5 +1,5 @@
 // Command scenarios demonstrates the workload scenario subsystem: it lists
-// the registry, runs one scenario through Engine.RunScenario, reruns it with
+// the registry, runs one scenario through Engine.Estimate, reruns it with
 // the same seed and verifies the two results are byte-identical — every
 // instruction stream is a pure function of (profile, seed), so a scenario
 // name plus a seed is the whole reproducible artifact.
@@ -27,24 +27,24 @@ func main() {
 		fmt.Printf("  %-16s [%s] %s\n", sc.Name, sc.Class, sc.Description)
 	}
 
-	const name = "pointer-chase"
-	opts := gdp.ScenarioRunOptions{
+	req := &gdp.EstimateRequest{
+		Scenario:            "pointer-chase",
 		Cores:               2,
 		InstructionsPerCore: 3000,
 		IntervalCycles:      2000,
 		Seed:                7,
 	}
-	first, err := engine.RunScenario(ctx, name, opts)
+	first, err := engine.Estimate(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrun of %q (%d cores, %d cycles):\n", name, opts.Cores, first.Cycles)
+	fmt.Printf("\nrun of %q (%d cores, %d cycles):\n", req.Scenario, req.Cores, first.Cycles)
 	for _, ce := range first.Cores {
 		fmt.Printf("  core %d (%s): shared CPI=%.3f  estimated private CPI=%.3f  slowdown=%.2fx\n",
 			ce.Core, ce.Benchmark, ce.SharedCPI, ce.EstimatedPrivateCPI, ce.EstimatedSlowdown)
 	}
 
-	second, err := engine.RunScenario(ctx, name, opts)
+	second, err := engine.Estimate(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}

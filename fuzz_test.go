@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/dispatch"
+	"repro/internal/experiments"
 	"repro/internal/faultinject"
 )
 
@@ -30,19 +31,23 @@ func FuzzEstimateRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"cores": -1}`))
 	f.Add([]byte(`{"cores": 100000, "instructions_per_core": 99999999999}`))
 	f.Add([]byte(`{"mix": "bogus", "prb_entries": -7, "interval_cycles": 1}`))
+	f.Add([]byte(`{"benchmarks": ["lbm", "lbm"], "prb_entries": 4097}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req EstimateRequest
 		if err := json.Unmarshal(data, &req); err != nil {
 			return
 		}
-		p, err := req.validate()
+		wl, err := req.validate()
 		if err != nil {
 			requireRequestError(t, err)
 			return
 		}
-		if p.workload.Cores() == 0 {
+		if wl.Cores() == 0 {
 			t.Fatalf("validate accepted %q but produced an empty workload", data)
+		}
+		if req.PRBEntries < 0 || req.PRBEntries > maxServicePRBEntries {
+			t.Fatalf("validate accepted prb_entries = %d (limit %d): %q", req.PRBEntries, maxServicePRBEntries, data)
 		}
 	})
 }
@@ -57,6 +62,9 @@ func FuzzSweepRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"core_counts": [0]}`))
 	f.Add([]byte(`{"mixes": ["nope"]}`))
 	f.Add([]byte(`{"core_counts": [1,2,3,4,5,6,7,8], "prb_sizes": [1,2,4,8,16,32,64,128]}`))
+	// 64 core counts x 8 scenarios is exactly the cell limit; a scenario-only
+	// grid gets no default mixes.
+	f.Add([]byte(`{"core_counts": [2` + strings.Repeat(",2", 63) + `], "scenarios": ["bandwidth-bound", "bursty", "cache-thrash", "compute-heavy", "latency-bound", "phased", "pointer-chase", "streaming"]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SweepRequest
@@ -68,23 +76,9 @@ func FuzzSweepRequestJSON(f *testing.F) {
 			requireRequestError(t, err)
 			return
 		}
-		// Accepted requests stay within the advertised grid bound.
-		coreN, mixN, prbN := len(opts.CoreCounts), len(opts.Mixes), len(opts.PRBSizes)
-		if coreN == 0 {
-			coreN = 1
-		}
-		if mixN == 0 {
-			mixN = 3
-		}
-		if prbN == 0 {
-			prbN = 1
-		}
-		cells := coreN * mixN * prbN
-		if len(opts.Policies) > 0 {
-			cells += coreN * mixN
-		}
-		cells += coreN * len(opts.Scenarios) * prbN
-		if cells > maxSweepCells {
+		// Accepted requests stay within the advertised grid bound, counted by
+		// the enumeration the sweep runs rather than validate's arithmetic.
+		if cells := len(experiments.EnumerateSweepCells(opts)); cells > maxSweepCells {
 			t.Fatalf("validate accepted a grid of %d cells (limit %d): %q", cells, maxSweepCells, data)
 		}
 	})

@@ -20,7 +20,7 @@
 //   - CMP configuration (Table I parameter sets),
 //   - the synthetic benchmark suite and multi-programmed workload generator,
 //   - the workload scenario registry (named patterns beyond the paper's
-//     mixes; Engine.Scenarios, Engine.RunScenario), whose instruction
+//     mixes; Engine.Scenarios, EstimateRequest.Scenario), whose instruction
 //     streams, like the suite's, are pure functions of (profile, seed)
 //     (CoreSeed names the seed a run gives each core),
 //   - the simulation driver (shared-mode and private-mode runs),

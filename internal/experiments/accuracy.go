@@ -58,7 +58,7 @@ func workloadReferences(ctx context.Context, cache *runner.Cache, cfg *config.CM
 	refs, _, err := runner.MemoContext(ctx, cache, spec, func() ([]*sim.PrivateReference, error) {
 		refs := make([]*sim.PrivateReference, wl.Cores())
 		for core, bench := range wl.Benchmarks {
-			ref, err := sim.RunPrivateContext(ctx, cfg, bench, points[core], sim.CoreSeed(simSeed, core), 0)
+			ref, err := sim.RunPrivate(ctx, cfg, bench, points[core], sim.CoreSeed(simSeed, core), 0)
 			if err != nil {
 				return nil, err
 			}
@@ -261,7 +261,7 @@ func runShared(ctx context.Context, opts AccuracyOptions, wl workload.Workload, 
 	for _, a := range accts {
 		run.names = append(run.names, a.Name())
 	}
-	res, err := sim.RunContext(ctx, sim.Options{
+	res, err := sim.Run(ctx, sim.Options{
 		Config:              opts.Config,
 		Workload:            wl,
 		InstructionsPerCore: opts.InstructionsPerCore,
@@ -365,16 +365,11 @@ func (r *sharedRun) accumulate(privs []*sim.PrivateReference, perTechnique map[s
 // workloads, runs the transparent techniques together on one shared-mode run
 // per workload, runs ASM on its own (invasive) shared-mode run, obtains one
 // private-mode reference per core aligned on both runs' sample points, and
-// reduces everything to RMS errors.
-func AccuracyStudy(opts AccuracyOptions) (*AccuracyResult, error) {
-	return AccuracyStudyContext(context.Background(), opts)
-}
-
-// AccuracyStudyContext is AccuracyStudy with cancellation: the worker pool
-// stops scheduling further simulations and the context is plumbed into every
-// running simulation's cycle loop, which polls it at interval boundaries, so
-// in-flight cells abort promptly too.
-func AccuracyStudyContext(ctx context.Context, opts AccuracyOptions) (*AccuracyResult, error) {
+// reduces everything to RMS errors. Cancelling ctx stops the worker pool
+// from scheduling further simulations, and every running simulation's cycle
+// loop polls ctx at interval boundaries, so in-flight cells abort promptly
+// too.
+func AccuracyStudy(ctx context.Context, opts AccuracyOptions) (*AccuracyResult, error) {
 	opts = opts.withDefaults()
 	workloads, err := workload.Generate(workload.GenerateOptions{
 		Cores: opts.Cores, Mix: opts.Mix, Count: opts.Workloads, Seed: opts.Seed,
@@ -387,13 +382,7 @@ func AccuracyStudyContext(ctx context.Context, opts AccuracyOptions) (*AccuracyR
 
 // AccuracyStudyForWorkload runs the accuracy study over one explicit workload
 // (used by the CLI's run subcommand and by ad-hoc investigations).
-func AccuracyStudyForWorkload(wl workload.Workload, opts AccuracyOptions) (*AccuracyResult, error) {
-	return AccuracyStudyForWorkloadContext(context.Background(), wl, opts)
-}
-
-// AccuracyStudyForWorkloadContext is AccuracyStudyForWorkload with
-// cancellation.
-func AccuracyStudyForWorkloadContext(ctx context.Context, wl workload.Workload, opts AccuracyOptions) (*AccuracyResult, error) {
+func AccuracyStudyForWorkload(ctx context.Context, wl workload.Workload, opts AccuracyOptions) (*AccuracyResult, error) {
 	opts.Cores = wl.Cores()
 	opts = opts.withDefaults()
 	return accuracyStudyOver(ctx, []workload.Workload{wl}, opts)

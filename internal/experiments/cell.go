@@ -20,7 +20,7 @@ const (
 // content-addressed cache identity, with no reference back to the grid it was
 // enumerated from. This is the unit of distribution — a dispatcher ships
 // Cells to remote `gdpsim serve` workers over the wire, and because local
-// execution (SweepContext) and remote execution (the /v1/cells endpoint) both
+// execution (Sweep) and remote execution (the /v1/cells endpoint) both
 // flow through Cell.Spec and Cell.Run, a cell produces byte-identical rows
 // and hits the same two-layer cache entries wherever it runs.
 type Cell struct {
@@ -51,7 +51,7 @@ type Cell struct {
 }
 
 // Spec returns the content-hashable identity of the cell (see runner.SpecKey).
-// It is the exact spec SweepContext has always used for whole-cell
+// It is the exact spec Sweep has always used for whole-cell
 // memoization, so cells executed through a dispatcher recall (and populate)
 // the same cache entries as local sweeps.
 func (c Cell) Spec() any {
@@ -181,7 +181,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := AccuracyStudyContext(ctx, AccuracyOptions{
+		res, err := AccuracyStudy(ctx, AccuracyOptions{
 			Cores:               c.Cores,
 			Mix:                 mix,
 			Workloads:           c.Workloads,
@@ -213,7 +213,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := PartitioningStudyContext(ctx, PartitioningOptions{
+		res, err := PartitioningStudy(ctx, PartitioningOptions{
 			Cores:               c.Cores,
 			Mix:                 mix,
 			Workloads:           c.Workloads,
@@ -246,7 +246,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := AccuracyStudyForWorkloadContext(ctx, wl, AccuracyOptions{
+		res, err := AccuracyStudyForWorkload(ctx, wl, AccuracyOptions{
 			InstructionsPerCore: c.InstructionsPerCore,
 			IntervalCycles:      c.IntervalCycles,
 			Seed:                c.Seed,
@@ -276,7 +276,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 }
 
 // EnumerateSweepCells flattens a sweep grid into its cells, in the exact
-// fixed order SweepContext executes them: accuracy cells over cores × mixes ×
+// fixed order Sweep executes them: accuracy cells over cores × mixes ×
 // PRB sizes, then partitioning cells over cores × mixes, then scenario cells
 // over cores × scenarios × PRB sizes. Each cell carries its fully derived
 // seed and every option its rows depend on, so a cell is executable — and
@@ -284,11 +284,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 // rows in enumeration order reproduces the sweep's rows byte-identically;
 // this is the contract the distributed dispatcher builds on.
 func EnumerateSweepCells(opts SweepOptions) []Cell {
-	return enumerateCells(opts.withDefaults())
-}
-
-// enumerateCells is EnumerateSweepCells on already-defaulted options.
-func enumerateCells(opts SweepOptions) []Cell {
+	opts = opts.withDefaults()
 	base := Cell{
 		Workloads:           opts.Workloads,
 		InstructionsPerCore: opts.InstructionsPerCore,

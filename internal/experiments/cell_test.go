@@ -28,7 +28,7 @@ func cellTestOptions() SweepOptions {
 
 // TestEnumerateSweepCellsMatchesSweep is the dispatcher's foundational
 // contract: concatenating the enumerated cells' rows in order reproduces
-// SweepContext's rows byte-identically, and the sweep leaves a cache entry
+// Sweep's rows byte-identically, and the sweep leaves a cache entry
 // under every cell's spec key, retrievable with runner.Lookup — exactly how
 // the dispatch front-end short-circuits already-known cells.
 func TestEnumerateSweepCellsMatchesSweep(t *testing.T) {
@@ -36,7 +36,7 @@ func TestEnumerateSweepCellsMatchesSweep(t *testing.T) {
 	cache := runner.NewCache()
 	opts.Cache = cache
 
-	res, err := SweepContext(context.Background(), opts)
+	res, err := Sweep(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCellRunMatchesSweepCache(t *testing.T) {
 	opts := cellTestOptions()
 	cache := runner.NewCache()
 	opts.Cache = cache
-	if _, err := SweepContext(context.Background(), opts); err != nil {
+	if _, err := Sweep(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 

@@ -40,7 +40,7 @@ func quickAccuracyOptions(techniques ...string) AccuracyOptions {
 }
 
 func TestAccuracyStudyProducesErrorsForEveryTechnique(t *testing.T) {
-	res, err := AccuracyStudy(quickAccuracyOptions())
+	res, err := AccuracyStudy(t.Context(), quickAccuracyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAccuracyStudyProducesErrorsForEveryTechnique(t *testing.T) {
 }
 
 func TestAccuracyStudyComponentErrorsCollected(t *testing.T) {
-	res, err := AccuracyStudy(quickAccuracyOptions("GDP-O"))
+	res, err := AccuracyStudy(t.Context(), quickAccuracyOptions("GDP-O"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAccuracyStudyComponentErrorsCollected(t *testing.T) {
 }
 
 func TestAccuracyStudySubsetOfTechniques(t *testing.T) {
-	res, err := AccuracyStudy(quickAccuracyOptions("GDP"))
+	res, err := AccuracyStudy(t.Context(), quickAccuracyOptions("GDP"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAccuracyStudySubsetOfTechniques(t *testing.T) {
 }
 
 func TestFigure3AndDerivedFigures(t *testing.T) {
-	fig3, err := Figure3(quickScale())
+	fig3, err := Figure3(t.Context(), quickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestPartitioningStudy(t *testing.T) {
-	res, err := PartitioningStudy(PartitioningOptions{
+	res, err := PartitioningStudy(t.Context(), PartitioningOptions{
 		Cores:               2,
 		Mix:                 workload.MixH,
 		Workloads:           1,
@@ -182,7 +182,7 @@ func TestPartitioningStudy(t *testing.T) {
 }
 
 func TestPartitioningStudySubset(t *testing.T) {
-	res, err := PartitioningStudy(PartitioningOptions{
+	res, err := PartitioningStudy(t.Context(), PartitioningOptions{
 		Cores:               2,
 		Mix:                 workload.MixM,
 		Workloads:           1,

@@ -81,17 +81,12 @@ type Figure3Result struct {
 var mixes = []workload.MixKind{workload.MixH, workload.MixM, workload.MixL}
 
 // Figure3 runs the accounting-accuracy study for every core count and
-// workload category of the scale.
-func Figure3(scale StudyScale) (*Figure3Result, error) {
-	return Figure3Context(context.Background(), scale)
-}
-
-// Figure3Context is Figure3 with cancellation plumbed into every study cell.
-func Figure3Context(ctx context.Context, scale StudyScale) (*Figure3Result, error) {
+// workload category of the scale, with ctx plumbed into every study cell.
+func Figure3(ctx context.Context, scale StudyScale) (*Figure3Result, error) {
 	out := &Figure3Result{}
 	for _, cores := range scale.CoreCounts {
 		for _, mix := range mixes {
-			res, err := AccuracyStudyContext(ctx, AccuracyOptions{
+			res, err := AccuracyStudy(ctx, AccuracyOptions{
 				Cores:               cores,
 				Mix:                 mix,
 				Workloads:           scale.WorkloadsPerCell,

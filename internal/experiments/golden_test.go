@@ -83,7 +83,7 @@ func renderAccuracyGolden(res *AccuracyResult) string {
 // scale and seed, so refactors of the simulator, the accounting techniques or
 // the runner cannot silently shift the paper's numbers.
 func TestAccuracyStudyGolden(t *testing.T) {
-	res, err := AccuracyStudy(AccuracyOptions{
+	res, err := AccuracyStudy(t.Context(), AccuracyOptions{
 		Cores:               2,
 		Mix:                 workload.MixH,
 		Workloads:           2,
@@ -101,7 +101,7 @@ func TestAccuracyStudyGolden(t *testing.T) {
 // TestFigure3Golden pins the Figure 3 summary tables (the paper-facing
 // rendering plus a full-precision dump of every cell value).
 func TestFigure3Golden(t *testing.T) {
-	res, err := Figure3(goldenScale)
+	res, err := Figure3(t.Context(), goldenScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,16 +133,11 @@ func privateCPIs(ctx context.Context, opts PartitioningOptions, wl workload.Work
 // PartitioningStudy runs Figure 6's comparison for one core count and
 // workload category: every policy runs the same workloads, and system
 // throughput is computed against private-mode runs of each benchmark.
-func PartitioningStudy(opts PartitioningOptions) (*PartitioningResult, error) {
-	return PartitioningStudyContext(context.Background(), opts)
-}
-
-// PartitioningStudyContext is PartitioningStudy with cancellation: the pool
-// stops scheduling new simulations and in-flight cycle loops poll the context
-// at interval boundaries. Every (workload, policy) pair is one runner job;
-// STP values are aggregated by job index so the result is independent of the
-// worker count.
-func PartitioningStudyContext(ctx context.Context, opts PartitioningOptions) (*PartitioningResult, error) {
+// Cancelling ctx stops the pool from scheduling new simulations, and
+// in-flight cycle loops poll ctx at interval boundaries. Every (workload,
+// policy) pair is one runner job; STP values are aggregated by job index so
+// the result is independent of the worker count.
+func PartitioningStudy(ctx context.Context, opts PartitioningOptions) (*PartitioningResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
@@ -211,7 +206,7 @@ func runPolicyCell(ctx context.Context, opts PartitioningOptions, wl workload.Wo
 	if err != nil {
 		return 0, err
 	}
-	res, err := sim.RunContext(ctx, sim.Options{
+	res, err := sim.Run(ctx, sim.Options{
 		Config:              opts.Config,
 		Workload:            wl,
 		InstructionsPerCore: opts.InstructionsPerCore,

@@ -13,7 +13,7 @@ import (
 
 func TestAccuracyStudyOneReferenceEntryPerWorkload(t *testing.T) {
 	cache := runner.NewCache()
-	_, err := AccuracyStudy(AccuracyOptions{
+	_, err := AccuracyStudy(t.Context(), AccuracyOptions{
 		Cores:               4,
 		Mix:                 workload.MixH,
 		Workloads:           1,
@@ -34,7 +34,7 @@ func TestAccuracyStudyOneReferenceEntryPerWorkload(t *testing.T) {
 
 func TestPartitioningStudyOneReferenceEntryPerWorkload(t *testing.T) {
 	cache := runner.NewCache()
-	_, err := PartitioningStudy(PartitioningOptions{
+	_, err := PartitioningStudy(t.Context(), PartitioningOptions{
 		Cores:               2,
 		Mix:                 workload.MixH,
 		Workloads:           2,
@@ -70,7 +70,7 @@ func TestSweepMissesAreCellsPlusWorkloads(t *testing.T) {
 		Jobs:                2,
 		Cache:               runner.NewCache(),
 	}
-	res, err := Sweep(opts)
+	res, err := Sweep(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestAccuracyStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 	serialOpts := base
 	serialOpts.Jobs = 1
 	serialOpts.Cache = runner.NewCache() // private caches so runs stay independent
-	serial, err := AccuracyStudy(serialOpts)
+	serial, err := AccuracyStudy(t.Context(), serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestAccuracyStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 	parallelOpts := base
 	parallelOpts.Jobs = 8
 	parallelOpts.Cache = runner.NewCache()
-	parallel, err := AccuracyStudy(parallelOpts)
+	parallel, err := AccuracyStudy(t.Context(), parallelOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestFigure3DeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	scale.Jobs = 1
-	serial, err := Figure3(scale)
+	serial, err := Figure3(t.Context(), scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scale.Jobs = 8
-	parallel, err := Figure3(scale)
+	parallel, err := Figure3(t.Context(), scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func TestPartitioningStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 	serialOpts := base
 	serialOpts.Jobs = 1
 	serialOpts.Cache = runner.NewCache()
-	serial, err := PartitioningStudy(serialOpts)
+	serial, err := PartitioningStudy(t.Context(), serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallelOpts := base
 	parallelOpts.Jobs = 8
 	parallelOpts.Cache = runner.NewCache()
-	parallel, err := PartitioningStudy(parallelOpts)
+	parallel, err := PartitioningStudy(t.Context(), parallelOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPartitioningStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestAccuracyStudyCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AccuracyStudyContext(ctx, AccuracyOptions{
+	_, err := AccuracyStudy(ctx, AccuracyOptions{
 		Cores:               2,
 		Mix:                 workload.MixH,
 		Workloads:           4,
@@ -133,7 +133,7 @@ func TestAccuracyStudyCancellation(t *testing.T) {
 // once and recall it afterwards.
 func TestPrivateReferenceCacheSharing(t *testing.T) {
 	cache := runner.NewCache()
-	_, err := AccuracyStudy(AccuracyOptions{
+	_, err := AccuracyStudy(t.Context(), AccuracyOptions{
 		Cores:               2,
 		Mix:                 workload.MixH,
 		Workloads:           1,
@@ -153,7 +153,7 @@ func TestPrivateReferenceCacheSharing(t *testing.T) {
 
 	// Re-running the identical study must be served entirely from the cache:
 	// no new reference simulations.
-	_, err = AccuracyStudy(AccuracyOptions{
+	_, err = AccuracyStudy(t.Context(), AccuracyOptions{
 		Cores:               2,
 		Mix:                 workload.MixH,
 		Workloads:           1,
@@ -176,7 +176,7 @@ func TestPrivateReferenceCacheSharing(t *testing.T) {
 }
 
 func TestSweepEndToEnd(t *testing.T) {
-	res, err := Sweep(SweepOptions{
+	res, err := Sweep(t.Context(), SweepOptions{
 		CoreCounts:          []int{2},
 		Mixes:               []workload.MixKind{workload.MixH, workload.MixM},
 		PRBSizes:            []int{16, 32},
@@ -232,7 +232,7 @@ func TestSweepEndToEnd(t *testing.T) {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(jobs int) *SweepResult {
 		t.Helper()
-		res, err := Sweep(SweepOptions{
+		res, err := Sweep(t.Context(), SweepOptions{
 			CoreCounts:          []int{2},
 			Mixes:               []workload.MixKind{workload.MixH},
 			PRBSizes:            []int{16, 32},
@@ -260,7 +260,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestSweepIgnoresWarmupIntervals(t *testing.T) {
 	run := func(warmupIntervals int) *SweepResult {
 		t.Helper()
-		res, err := Sweep(SweepOptions{
+		res, err := Sweep(t.Context(), SweepOptions{
 			CoreCounts:          []int{2},
 			Mixes:               []workload.MixKind{workload.MixH},
 			PRBSizes:            []int{16, 32},
@@ -301,12 +301,12 @@ func TestSweepCellsRecalledFromCache(t *testing.T) {
 		Jobs:                1,
 		Cache:               cache,
 	}
-	first, err := SweepContext(ctx, opts)
+	first, err := Sweep(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore, _ := cache.Stats()
-	second, err := SweepContext(ctx, opts)
+	second, err := Sweep(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestSweepCellsRecalledFromCache(t *testing.T) {
 func TestScenarioSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(jobs int) *SweepResult {
 		t.Helper()
-		res, err := Sweep(SweepOptions{
+		res, err := Sweep(t.Context(), SweepOptions{
 			CoreCounts:          []int{2},
 			Scenarios:           workload.ScenarioNames(),
 			Techniques:          []string{"GDP-O"},

@@ -38,7 +38,7 @@ type SensitivityOptions struct {
 func gdpoErrorByMix(ctx context.Context, scale StudyScale, cfg *config.CMPConfig, prbEntries int, mixesToRun []workload.MixKind) (map[string]float64, error) {
 	out := map[string]float64{}
 	for _, mix := range mixesToRun {
-		res, err := AccuracyStudyContext(ctx, AccuracyOptions{
+		res, err := AccuracyStudy(ctx, AccuracyOptions{
 			Cores:               4,
 			Mix:                 mix,
 			Workloads:           scale.WorkloadsPerCell,
@@ -163,13 +163,9 @@ func Figure7f(ctx context.Context, opts SensitivityOptions) (*SensitivityResult,
 	return out, nil
 }
 
-// Figure7 runs every panel of the sensitivity study.
-func Figure7(opts SensitivityOptions) ([]*SensitivityResult, error) {
-	return Figure7Context(context.Background(), opts)
-}
-
-// Figure7Context is Figure7 with cancellation plumbed into every panel.
-func Figure7Context(ctx context.Context, opts SensitivityOptions) ([]*SensitivityResult, error) {
+// Figure7 runs every panel of the sensitivity study, with ctx plumbed into
+// every panel.
+func Figure7(ctx context.Context, opts SensitivityOptions) ([]*SensitivityResult, error) {
 	panels := []func(context.Context, SensitivityOptions) (*SensitivityResult, error){
 		Figure7a, Figure7b, Figure7c, Figure7d, Figure7e, Figure7f,
 	}

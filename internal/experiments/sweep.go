@@ -112,13 +112,9 @@ type SweepResult struct {
 	Cells int        `json:"cells"`
 }
 
-// Sweep runs a user-defined experiment grid through the runner.
-func Sweep(opts SweepOptions) (*SweepResult, error) {
-	return SweepContext(context.Background(), opts)
-}
-
-// SweepContext is Sweep with cancellation: the pool stops scheduling new
-// cells promptly, though a cell already simulating runs to completion. Cells
+// Sweep runs a user-defined experiment grid through the runner. Cancelling
+// ctx stops the pool from scheduling new cells promptly, though a cell
+// already simulating runs to completion. Cells
 // are enumerated in a fixed order (accuracy cells over cores × mixes × PRB
 // sizes, then partitioning cells over cores × mixes) and each cell derives
 // its seed from the base seed and its (cores, mix) values, so the result is
@@ -132,9 +128,9 @@ func Sweep(opts SweepOptions) (*SweepResult, error) {
 // reference runs) no matter what else the grid contains. The enumeration and
 // per-cell execution live in Cell/EnumerateSweepCells, shared with the
 // distributed dispatcher so a cell behaves identically wherever it runs.
-func SweepContext(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
+func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	opts = opts.withDefaults()
-	cells := enumerateCells(opts)
+	cells := EnumerateSweepCells(opts)
 	cfg := CellConfig{Cache: opts.Cache, Instr: opts.Instr}
 
 	// A journal stores cells under the result cache's spec keys.

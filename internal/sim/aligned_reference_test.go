@@ -29,7 +29,7 @@ func checkAligned(t *testing.T, cfg *config.CMPConfig, bench workload.Benchmark,
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, err := RunPrivate(cfg, bench, points, seed, maxCycles)
+	alone, err := RunPrivate(t.Context(), cfg, bench, points, seed, maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,12 @@ func TestAlignedReferenceMatchesStandalone(t *testing.T) {
 		for _, seed := range []int64{1, 7} {
 			opts := scenarioOptions(t, name, 2)
 			opts.Seed = seed
-			a, err := Run(opts)
+			a, err := Run(t.Context(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.IntervalCycles = 1700
-			b, err := Run(opts)
+			b, err := Run(t.Context(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestAlignedReferenceMatchesStandalone(t *testing.T) {
 				adjacent := []uint64{1000, 1001, 1002, 1003}
 				all := union(pa, pb, stalled, adjacent)
 				coreSeed := CoreSeed(seed, core)
-				ref, err := RunPrivate(opts.Config, bench, all, coreSeed, 0)
+				ref, err := RunPrivate(t.Context(), opts.Config, bench, all, coreSeed, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,13 +103,13 @@ func TestAlignedReferenceMatchesStandalone(t *testing.T) {
 func TestAlignedReferenceOutOfBudget(t *testing.T) {
 	opts := scenarioOptions(t, "latency-bound", 1)
 	bench := opts.Workload.Benchmarks[0]
-	full, err := RunPrivate(opts.Config, bench, []uint64{4000}, 3, 0)
+	full, err := RunPrivate(t.Context(), opts.Config, bench, []uint64{4000}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := full.Total.Cycles / 2
 	all := []uint64{500, 1000, 1500, 2000, 2500, 3000, 3500, 4000}
-	ref, err := RunPrivate(opts.Config, bench, all, 3, budget)
+	ref, err := RunPrivate(t.Context(), opts.Config, bench, all, 3, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,13 @@ func TestRunPrivateRejectsDecreasingPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := []uint64{1000, 2000, 1500}
-	if _, err := RunPrivate(cfg, bench, points, 1, 0); err == nil {
+	if _, err := RunPrivate(t.Context(), cfg, bench, points, 1, 0); err == nil {
 		t.Error("RunPrivate accepted decreasing sample points")
 	}
 	if _, err := RunPrivateReference(t.Context(), cfg, bench, points, 1, 0); err == nil {
 		t.Error("RunPrivateReference accepted decreasing sample points")
 	}
-	ref, err := RunPrivate(cfg, bench, []uint64{1000, 1500, 2000}, 1, 0)
+	ref, err := RunPrivate(t.Context(), cfg, bench, []uint64{1000, 1500, 2000}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func FuzzAlignedReference(f *testing.F) {
 	for p := uint64(150); p <= 2400; p += 150 {
 		all = append(all, p, p+1)
 	}
-	ref, err := RunPrivate(cfg, bench, all, 5, 0)
+	ref, err := RunPrivate(f.Context(), cfg, bench, all, 5, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func measureRunAllocs(t *testing.T, maxCycles uint64, withAccountant bool, metri
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
 		opts := allocRunOptions(t, maxCycles, withAccountant, metrics)
-		if _, err := Run(opts); err != nil {
+		if _, err := Run(t.Context(), opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -99,7 +99,7 @@ func TestMetricsCountersMatchRun(t *testing.T) {
 	const interval = 2000
 	const cycles = 20 * interval
 	opts := allocRunOptions(t, cycles, true, m)
-	if _, err := Run(opts); err != nil {
+	if _, err := Run(t.Context(), opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Runs(); got != 1 {
@@ -116,7 +116,7 @@ func TestMetricsCountersMatchRun(t *testing.T) {
 	}
 
 	// A second run accumulates into the same counters.
-	if _, err := Run(allocRunOptions(t, cycles, true, m)); err != nil {
+	if _, err := Run(t.Context(), allocRunOptions(t, cycles, true, m)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Runs(); got != 2 {

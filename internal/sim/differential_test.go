@@ -62,13 +62,13 @@ func TestFastPathMatchesReferenceAcrossScenarios(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			refOpts := scenarioOptions(t, name, 4)
 			refOpts.Reference = true
-			ref, err := Run(refOpts)
+			ref, err := Run(t.Context(), refOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			fastOpts := scenarioOptions(t, name, 4)
-			fast, err := Run(fastOpts)
+			fast, err := Run(t.Context(), fastOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestFastPathMatchesReferenceWithASM(t *testing.T) {
 		}
 		opts.Accountants = []accounting.Accountant{asm}
 		opts.Reference = reference
-		res, err := Run(opts)
+		res, err := Run(t.Context(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestFastPathMatchesReferenceWithPartitioner(t *testing.T) {
 		opts.Partitioner = partition.MCP{}
 		opts.PartitionSource = "GDP-O"
 		opts.Reference = reference
-		res, err := Run(opts)
+		res, err := Run(t.Context(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestPrivateFastPathMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := RunPrivateContext(context.Background(), cfg, wl.Benchmarks[0], points, 11, 0)
+			fast, err := RunPrivate(context.Background(), cfg, wl.Benchmarks[0], points, 11, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestFastForwardActuallySkips(t *testing.T) {
 	counter := &tickCounter{}
 	opts := scenarioOptions(t, "latency-bound", 4)
 	opts.Accountants = append(opts.Accountants, counter)
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func estimateDigest(t *testing.T, name string, seed int64) string {
 	t.Helper()
 	opts := scenarioOptions(t, name, 4)
 	opts.Seed = seed
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func estimateDigest(t *testing.T, name string, seed int64) string {
 		}
 	}
 	for core, bench := range opts.Workload.Benchmarks {
-		priv, err := RunPrivate(opts.Config, bench, res.SamplePoints[core], CoreSeed(seed, core), 0)
+		priv, err := RunPrivate(t.Context(), opts.Config, bench, res.SamplePoints[core], CoreSeed(seed, core), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,12 +160,6 @@ type controllerBinder interface {
 	BindController(c *dram.Controller)
 }
 
-// Run executes a shared-mode simulation. It is RunContext without
-// cancellation.
-func Run(opts Options) (*Result, error) {
-	return RunContext(context.Background(), opts)
-}
-
 // samplePointCapHint bounds the pre-allocated per-core sample-point capacity.
 const samplePointCapHint = 4096
 
@@ -203,12 +197,12 @@ type runState struct {
 	ffPending    uint64
 }
 
-// RunContext executes a shared-mode simulation under a context. Cancellation
+// Run executes a shared-mode simulation under a context. Cancellation
 // is checked before the first cycle and at every interval boundary, so an
 // already-expired context returns its error without completing a single
 // interval and a mid-run cancellation aborts within one interval's worth of
 // cycles.
-func RunContext(ctx context.Context, opts Options) (*Result, error) {
+func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -719,31 +713,26 @@ func checkPoints(points []uint64) error {
 	return nil
 }
 
-// RunPrivate executes a benchmark alone on the CMP (all other cores idle) and
-// records its statistics at the supplied instruction sample points, which
-// come from shared-mode runs (Section VI's alignment methodology) and must
-// not decrease. maxCycles bounds the run; zero selects a generous default
-// derived from the last sample point.
-func RunPrivate(cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
-	return RunPrivateContext(context.Background(), cfg, bench, samplePoints, seed, maxCycles)
-}
-
-// privateCancelCheckCycles is how often RunPrivateContext polls its context.
+// privateCancelCheckCycles is how often RunPrivate polls its context.
 // Private runs have no interval boundaries, so a fixed cycle stride bounds
 // the cancellation latency instead (the fast driver also caps its skips at
 // this stride, so cancellation responsiveness is preserved).
 const privateCancelCheckCycles = 4096
 
-// RunPrivateContext is RunPrivate under a context, polled every
+// RunPrivate executes a benchmark alone on the CMP (all other cores idle) and
+// records its statistics at the supplied instruction sample points, which
+// come from shared-mode runs (Section VI's alignment methodology) and must
+// not decrease. maxCycles bounds the run; zero selects a generous default
+// derived from the last sample point. ctx is polled every
 // privateCancelCheckCycles cycles. It uses the event-driven fast driver;
 // RunPrivateReference is the cycle-by-cycle twin for differential tests.
-func RunPrivateContext(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
+func RunPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, false)
 }
 
 // RunPrivateReference executes a private-mode run with event skipping and
 // request pooling disabled (the pre-optimization engine). Kept for
-// differential testing against RunPrivateContext.
+// differential testing against RunPrivate.
 func RunPrivateReference(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, true)
 }

@@ -77,22 +77,22 @@ func baseOptions(t *testing.T, cores int) Options {
 func TestOptionsValidation(t *testing.T) {
 	opts := baseOptions(t, 2)
 	opts.Config = nil
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(t.Context(), opts); err == nil {
 		t.Error("nil config accepted")
 	}
 	opts = baseOptions(t, 2)
 	opts.Workload = testWorkload(t, "lbm")
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(t.Context(), opts); err == nil {
 		t.Error("workload/core mismatch accepted")
 	}
 	opts = baseOptions(t, 2)
 	opts.InstructionsPerCore = 0
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(t.Context(), opts); err == nil {
 		t.Error("zero instruction budget accepted")
 	}
 	opts = baseOptions(t, 2)
 	opts.IntervalCycles = 0
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(t.Context(), opts); err == nil {
 		t.Error("zero interval accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestWorkersValidation(t *testing.T) {
 	opts := scenarioOptions(t, "bandwidth-bound", 4)
 	opts.Workers = -1
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(t.Context(), opts); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
 
@@ -111,7 +111,7 @@ func TestWorkersValidation(t *testing.T) {
 	for _, workers := range []int{0, 2, 64} {
 		opts := scenarioOptions(t, "bandwidth-bound", 4)
 		opts.Workers = workers
-		got, err := Run(opts)
+		got, err := Run(t.Context(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestDefaultMaxCyclesSaturates(t *testing.T) {
 }
 
 func TestSharedRunCompletes(t *testing.T) {
-	res, err := Run(baseOptions(t, 2))
+	res, err := Run(t.Context(), baseOptions(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSharedRunWithAccountants(t *testing.T) {
 	itca, _ := accounting.NewITCA(2)
 	ptca, _ := accounting.NewPTCA(2)
 	opts.Accountants = []accounting.Accountant{gdp, gdpo, itca, ptca}
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestGDPEstimatesBelowSharedCPIUnderContention(t *testing.T) {
 	gdp, _ := accounting.NewGDP(4, 32, false)
 	opts.Accountants = []accounting.Accountant{gdp}
 	opts.InstructionsPerCore = 8000
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestASMRunIsInvasive(t *testing.T) {
 	// without accountants.
 	base := baseOptions(t, 2)
 	base.Seed = 77
-	plain, err := Run(base)
+	plain, err := Run(t.Context(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestASMRunIsInvasive(t *testing.T) {
 	withASM.Seed = 77
 	asm, _ := accounting.NewASM(2, 2000, nil)
 	withASM.Accountants = []accounting.Accountant{asm}
-	asmRes, err := Run(withASM)
+	asmRes, err := Run(t.Context(), withASM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestPartitionedRunAppliesAllocations(t *testing.T) {
 	opts.Accountants = []accounting.Accountant{gdp}
 	opts.Partitioner = partition.MCP{}
 	opts.PartitionSource = "GDP"
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestPartitionedRunAppliesAllocations(t *testing.T) {
 func TestUCPPartitionedRun(t *testing.T) {
 	opts := baseOptions(t, 2)
 	opts.Partitioner = partition.UCP{}
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func TestUCPPartitionedRun(t *testing.T) {
 
 func TestRunPrivateAlignment(t *testing.T) {
 	opts := baseOptions(t, 2)
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bench := opts.Workload.Benchmarks[0]
-	priv, err := RunPrivate(opts.Config, bench, res.SamplePoints[0], opts.Seed, 0)
+	priv, err := RunPrivate(t.Context(), opts.Config, bench, res.SamplePoints[0], opts.Seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,17 +338,17 @@ func TestRunPrivateValidation(t *testing.T) {
 	cfg := config.ScaledConfig(2)
 	cfg.Cores = 0
 	b, _ := workload.ByName("lbm")
-	if _, err := RunPrivate(cfg, b, []uint64{100}, 1, 0); err == nil {
+	if _, err := RunPrivate(t.Context(), cfg, b, []uint64{100}, 1, 0); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
 
 func TestSeedReproducibility(t *testing.T) {
-	a, err := Run(baseOptions(t, 2))
+	a, err := Run(t.Context(), baseOptions(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(baseOptions(t, 2))
+	b, err := Run(t.Context(), baseOptions(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestSeedReproducibility(t *testing.T) {
 func TestRunContextExpiredBeforeFirstInterval(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, baseOptions(t, 2))
+	res, err := Run(ctx, baseOptions(t, 2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -387,7 +387,7 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := RunContext(ctx, opts)
+	_, err := Run(ctx, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -408,7 +408,7 @@ func TestOnIntervalStreamsAndDiscards(t *testing.T) {
 		streamed = append(streamed, rec)
 		return nil
 	}
-	res, err := RunContext(context.Background(), opts)
+	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestOnIntervalErrorAbortsRun(t *testing.T) {
 	opts.IntervalCycles = 1000
 	sentinel := errors.New("stop here")
 	opts.OnInterval = func(IntervalRecord) error { return sentinel }
-	_, err := RunContext(context.Background(), opts)
+	_, err := Run(context.Background(), opts)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -444,13 +444,13 @@ func TestOnIntervalErrorAbortsRun(t *testing.T) {
 
 func TestRunPrivateContextCancelled(t *testing.T) {
 	opts := baseOptions(t, 2)
-	res, err := Run(opts)
+	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunPrivateContext(ctx, opts.Config, opts.Workload.Benchmarks[0], res.SamplePoints[0], opts.Seed, 0)
+	_, err = RunPrivate(ctx, opts.Config, opts.Workload.Benchmarks[0], res.SamplePoints[0], opts.Seed, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

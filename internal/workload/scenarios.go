@@ -14,8 +14,8 @@ import (
 // purpose-built trace profiles (streaming, pointer chasing, store bursts,
 // phase changes, ...), so the same scenario name always denotes the same
 // workload shape at any core count. Scenarios are the registry behind
-// Engine.RunScenario, the service's GET /v1/scenarios endpoint and
-// `gdpsim sweep -scenario`.
+// the Engine's scenario estimates, the service's GET /v1/scenarios
+// endpoint and `gdpsim sweep -scenario`.
 type Scenario struct {
 	// Name is the registry key (lower-case, hyphenated).
 	Name string

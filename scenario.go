@@ -2,7 +2,6 @@ package gdp
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -93,48 +92,3 @@ func ScenarioByName(name string) (Scenario, error) { return workload.ScenarioByN
 
 // Scenarios returns the scenario registry, sorted by name.
 func (e *Engine) Scenarios() []Scenario { return workload.Scenarios() }
-
-// ScenarioRunOptions configure Engine.RunScenario. The zero value is useful:
-// 4 cores, GDP-O, a 32-entry PRB and the Engine scale's simulation sizes.
-type ScenarioRunOptions struct {
-	// Cores is the CMP size (default 4).
-	Cores int
-	// Technique is the accounting technique (default GDP-O).
-	Technique string
-	// PRBEntries sizes the GDP/GDP-O Pending Request Buffer (default 32).
-	PRBEntries int
-	// InstructionsPerCore, IntervalCycles and Seed mirror SimOptions; zero
-	// values select the Engine scale's defaults.
-	InstructionsPerCore uint64
-	IntervalCycles      uint64
-	Seed                int64
-	// MaxCycles bounds the simulation (0 = derived default).
-	MaxCycles uint64
-}
-
-// RunScenario runs a named scenario workload and reduces the run to per-core
-// instruction-weighted private-performance estimates. An unknown name yields
-// an *UnknownScenarioError (reachable through errors.As).
-func (e *Engine) RunScenario(ctx context.Context, name string, opts ScenarioRunOptions) (*EstimateResponse, error) {
-	sc, err := workload.ScenarioByName(name)
-	if err != nil {
-		return nil, badRequestErr(err)
-	}
-	cores := opts.Cores
-	if cores == 0 {
-		cores = 4
-	}
-	wl, err := sc.Workload(cores)
-	if err != nil {
-		return nil, badRequestf("%v", err)
-	}
-	return e.runEstimate(ctx, estimateParams{
-		workload:            wl,
-		technique:           opts.Technique,
-		prbEntries:          opts.PRBEntries,
-		instructionsPerCore: opts.InstructionsPerCore,
-		intervalCycles:      opts.IntervalCycles,
-		seed:                opts.Seed,
-		maxCycles:           opts.MaxCycles,
-	})
-}

@@ -1,7 +1,6 @@
 package gdp
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -20,14 +19,14 @@ func TestEngineScenariosListsRegistry(t *testing.T) {
 	}
 }
 
-func TestRunScenarioUnknownNameTypedError(t *testing.T) {
+func TestEstimateScenarioUnknownNameTypedError(t *testing.T) {
 	engine, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = engine.RunScenario(context.Background(), "no-such-scenario", ScenarioRunOptions{})
+	_, err = engine.Estimate(t.Context(), &EstimateRequest{Scenario: "no-such-scenario"})
 	if err == nil {
-		t.Fatal("RunScenario succeeded for an unknown name")
+		t.Fatal("Estimate succeeded for an unknown scenario name")
 	}
 	var unknown *UnknownScenarioError
 	if !errors.As(err, &unknown) {

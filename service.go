@@ -125,8 +125,10 @@ const (
 	minServiceIntervalCycles = 100
 	// maxServiceWorkloads bounds the workload population of one sweep cell.
 	maxServiceWorkloads = 64
-	// maxServicePRBEntries bounds the Pending Request Buffer size.
-	maxServicePRBEntries = 1 << 20
+	// maxServicePRBEntries bounds the Pending Request Buffer, which GDP
+	// allocates whole for every core: 4096 is the private reference's
+	// "unbounded" size and 4x Figure 7e's largest PRB.
+	maxServicePRBEntries = 4096
 )
 
 // checkWorkSize validates the shared simulation-size fields.
@@ -230,83 +232,29 @@ func (e *Engine) Estimate(ctx context.Context, req *EstimateRequest) (*EstimateR
 	if req == nil {
 		return nil, badRequestf("empty request")
 	}
-	p, err := req.validate()
+	wl, err := req.validate()
 	if err != nil {
 		return nil, err
 	}
-	return e.runEstimate(ctx, p)
-}
-
-// validate checks the request against the service work-size limits and
-// resolves it into estimateParams. It runs no simulation, which makes it the
-// fuzzable front half of Engine.Estimate.
-func (r *EstimateRequest) validate() (estimateParams, error) {
-	if r.APIVersion != "" && r.APIVersion != APIVersion {
-		return estimateParams{}, badRequestf("unsupported api_version %q (this server speaks %q)", r.APIVersion, APIVersion)
-	}
-	if err := checkWorkSize(r.InstructionsPerCore, r.IntervalCycles, 0); err != nil {
-		return estimateParams{}, err
-	}
-	// PRBEntries is range-checked in runEstimate (after defaulting), which
-	// both entry points — Estimate and RunScenario — flow through.
-	wl, err := r.resolveWorkload()
-	if err != nil {
-		return estimateParams{}, err
-	}
-	return estimateParams{
-		workload:            wl,
-		technique:           r.Technique,
-		prbEntries:          r.PRBEntries,
-		instructionsPerCore: r.InstructionsPerCore,
-		intervalCycles:      r.IntervalCycles,
-		seed:                r.Seed,
-		maxCycles:           r.MaxCycles,
-	}, nil
-}
-
-// estimateParams is the resolved form of one estimation run, shared by
-// Engine.Estimate and Engine.RunScenario. Zero values of
-// technique, prbEntries, instructionsPerCore and intervalCycles select the
-// defaults (GDP-O, 32, and the Engine scale).
-type estimateParams struct {
-	workload            Workload
-	technique           string
-	prbEntries          int
-	instructionsPerCore uint64
-	intervalCycles      uint64
-	seed                int64
-	maxCycles           uint64
-}
-
-// runEstimate executes one estimation run and reduces its interval stream to
-// per-core instruction-weighted estimates.
-func (e *Engine) runEstimate(ctx context.Context, p estimateParams) (*EstimateResponse, error) {
-	cores := p.workload.Cores()
-	if cores == 0 {
-		return nil, badRequestf("empty workload")
-	}
-
-	technique := p.technique
+	cores := wl.Cores()
+	technique := req.Technique
 	if technique == "" {
 		technique = "GDP-O"
 	}
-	prb := p.prbEntries
+	prb := req.PRBEntries
 	if prb == 0 {
 		prb = 32
-	}
-	if prb < 0 || prb > maxServicePRBEntries {
-		return nil, badRequestf("prb_entries = %d out of range (1..%d)", prb, maxServicePRBEntries)
 	}
 	acct, err := buildAccountant(technique, cores, prb)
 	if err != nil {
 		return nil, err
 	}
 
-	instructions := p.instructionsPerCore
+	instructions := req.InstructionsPerCore
 	if instructions == 0 {
 		instructions = e.scale.InstructionsPerCore
 	}
-	interval := p.intervalCycles
+	interval := req.IntervalCycles
 	if interval == 0 {
 		interval = e.scale.IntervalCycles
 	}
@@ -322,12 +270,12 @@ func (e *Engine) runEstimate(ctx context.Context, p estimateParams) (*EstimateRe
 	sums := make([]acc, cores)
 	res, err := e.Run(ctx, SimOptions{
 		Config:              config.ScaledConfig(cores),
-		Workload:            p.workload,
+		Workload:            wl,
 		InstructionsPerCore: instructions,
 		IntervalCycles:      interval,
-		Seed:                p.seed,
+		Seed:                req.Seed,
 		Accountants:         []Accountant{acct},
-		MaxCycles:           p.maxCycles,
+		MaxCycles:           req.MaxCycles,
 		DiscardIntervals:    true,
 		OnInterval: func(rec IntervalRecord) error {
 			if rec.Shared.Instructions == 0 {
@@ -350,14 +298,14 @@ func (e *Engine) runEstimate(ctx context.Context, p estimateParams) (*EstimateRe
 
 	out := &EstimateResponse{
 		APIVersion: APIVersion,
-		Workload:   p.workload.ID,
+		Workload:   wl.ID,
 		Technique:  technique,
 		Cycles:     res.Cycles,
 	}
 	for core := 0; core < cores; core++ {
 		ce := CoreEstimate{
 			Core:      core,
-			Benchmark: p.workload.Benchmarks[core].Name,
+			Benchmark: wl.Benchmarks[core].Name,
 			SharedCPI: res.SampleStats[core].CPI(),
 			Intervals: sums[core].count,
 		}
@@ -372,6 +320,26 @@ func (e *Engine) runEstimate(ctx context.Context, p estimateParams) (*EstimateRe
 		out.Cores = append(out.Cores, ce)
 	}
 	return out, nil
+}
+
+// validate checks the request against the service work-size limits and
+// resolves its workload. It runs no simulation, which makes it the fuzzable
+// front half of Engine.Estimate.
+func (r *EstimateRequest) validate() (Workload, error) {
+	if r.APIVersion != "" && r.APIVersion != APIVersion {
+		return Workload{}, badRequestf("unsupported api_version %q (this server speaks %q)", r.APIVersion, APIVersion)
+	}
+	if err := checkWorkSize(r.InstructionsPerCore, r.IntervalCycles, 0); err != nil {
+		return Workload{}, err
+	}
+	wl, err := r.resolveWorkload()
+	if err != nil {
+		return Workload{}, err
+	}
+	if r.PRBEntries < 0 || r.PRBEntries > maxServicePRBEntries {
+		return Workload{}, badRequestf("prb_entries = %d out of range (1..%d)", r.PRBEntries, maxServicePRBEntries)
+	}
+	return wl, nil
 }
 
 // SweepRequest asks for a user-defined experiment grid; it is the JSON face
@@ -619,9 +587,10 @@ func WithMaxConcurrent(n int) ServerOption {
 }
 
 // WithLogger installs a structured logger. Every request emits one access
-// record (method, endpoint, status, latency and — for estimation/sweep
-// requests — the 12-character spec-key prefix identifying the request in the
-// result cache); server lifecycle events land on the same logger.
+// record (method, endpoint, status, latency and, for estimate and sweep
+// requests, spec_key: 12 hex digits of the request body's content hash, which
+// for an estimate is the coalescer's group key; neither names a result-cache
+// entry); server lifecycle events land on the same logger.
 func WithLogger(l *slog.Logger) ServerOption {
 	return func(s *Server) error {
 		if l == nil {
@@ -745,17 +714,18 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// annotateSpecKey records the request's cache spec-key prefix for the access
-// log, letting operators correlate a slow request with the cache entry (and
-// the bench reports) it corresponds to.
-func annotateSpecKey(ctx context.Context, spec any) {
-	info, ok := ctx.Value(requestInfoKey{}).(*requestInfo)
-	if !ok {
-		return
+// annotateSpecKey hashes the decoded request body, records the key's
+// 12-character prefix for the access log and returns the whole key ("" when
+// the body cannot be hashed), so a caller that needs the key hashes once.
+func annotateSpecKey(ctx context.Context, spec any) string {
+	key, err := runner.SpecKey(spec)
+	if err != nil {
+		return ""
 	}
-	if key, err := runner.SpecKey(spec); err == nil && len(key) >= 12 {
+	if info, ok := ctx.Value(requestInfoKey{}).(*requestInfo); ok {
 		info.specKey = key[:12]
 	}
+	return key
 }
 
 // handleScenarios lists the scenario registry. The listing is static and
@@ -918,8 +888,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return
 	}
-	annotateSpecKey(r.Context(), req)
-	resp, err := s.coalescedEstimate(r.Context(), req)
+	key := annotateSpecKey(r.Context(), req)
+	resp, err := s.coalescedEstimate(r.Context(), req, key)
 	s.writeCallResult(w, resp, err)
 }
 

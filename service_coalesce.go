@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -71,11 +70,10 @@ func newCoalescer(estimate func(context.Context, *EstimateRequest) (*EstimateRes
 }
 
 // coalescedEstimate is the /v1/estimate entry point: identical concurrent
-// requests run one simulation. A request whose body cannot even be spec-keyed
-// falls through to the engine, which produces the proper validation error.
-func (s *Server) coalescedEstimate(ctx context.Context, req *EstimateRequest) (*EstimateResponse, error) {
-	key, err := runner.SpecKey(req)
-	if err != nil {
+// requests (same spec key) run one simulation. A body that could not be keyed
+// (key "") falls through to the engine, which produces the proper error.
+func (s *Server) coalescedEstimate(ctx context.Context, req *EstimateRequest, key string) (*EstimateResponse, error) {
+	if key == "" {
 		// Cannot group: fall through to the engine (which produces the
 		// proper validation error) under a concurrency slot of its own.
 		select {

@@ -120,6 +120,7 @@ func TestEstimateEndpointRejectsBadRequests(t *testing.T) {
 		`{"benchmarks": ["not-a-benchmark"]}`,
 		`{"technique": "MAGIC"}`,
 		`{"cores": 9999}`,
+		`{"prb_entries": 4097, "instructions_per_core": 1000, "interval_cycles": 800}`,
 	}
 	for _, body := range cases {
 		rec := postJSON(t, srv, "/v1/estimate", body)
@@ -223,6 +224,7 @@ func TestSweepEndpointRejectsInvalidNamesAndSizes(t *testing.T) {
 		`{"instructions_per_core": 999999999999}`,
 		`{"interval_cycles": 3}`,
 		`{"prb_sizes": [0]}`,
+		`{"prb_sizes": [4097], "core_counts": [2], "mixes": ["H"], "workloads": 1, "instructions_per_core": 1000, "interval_cycles": 800}`,
 	}
 	for _, body := range cases {
 		rec := postJSON(t, srv, "/v1/sweep", body)
