@@ -101,8 +101,8 @@ func BenchmarkFigure4Distribution(b *testing.B) {
 		}
 		fig4 := experiments.Figure4(fig3)
 		total := 0
-		for _, series := range fig4.PerCoreCount {
-			for _, s := range series {
+		for _, panel := range fig4.Panels {
+			for _, s := range panel.Series {
 				total += len(s.Sorted)
 			}
 		}
@@ -159,25 +159,16 @@ func BenchmarkFigure6STP(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure7Sensitivity regenerates two representative panels of the
-// Figure 7 sensitivity study (DRAM interface and mixed workloads); the CLI
-// regenerates all six panels.
+// BenchmarkFigure7Sensitivity regenerates all six panels of the Figure 7
+// sensitivity study.
 func BenchmarkFigure7Sensitivity(b *testing.B) {
-	opts := experiments.SensitivityOptions{Scale: benchScale()}
 	for i := 0; i < b.N; i++ {
-		d, err := experiments.Figure7d(context.Background(), opts)
+		panels, err := experiments.Figure7(b.Context(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(d.Points) != 2 {
-			b.Fatal("Figure 7d incomplete")
-		}
-		f, err := experiments.Figure7f(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f.Points) == 0 {
-			b.Fatal("Figure 7f incomplete")
+		if len(panels) != 6 {
+			b.Fatalf("Figure 7 has %d panels, want 6", len(panels))
 		}
 	}
 }
@@ -240,8 +231,7 @@ func BenchmarkAccuracySweep(b *testing.B) {
 					InstructionsPerCore: benchScale().InstructionsPerCore,
 					IntervalCycles:      benchScale().IntervalCycles,
 					Seed:                benchScale().Seed,
-					Jobs:                jobs,
-					Cache:               runner.NewCache(),
+					CellConfig:          experiments.CellConfig{Jobs: jobs, Cache: runner.NewCache()},
 				})
 				if err != nil {
 					b.Fatal(err)

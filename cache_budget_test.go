@@ -12,7 +12,7 @@ import (
 // techniques' shared entries plus private references) that a kilobyte-scale
 // cache budget forces evictions mid-sweep.
 func budgetSweepOpts() SweepOptions {
-	return SweepOptions{
+	opts := SweepOptions{
 		CoreCounts:          []int{2},
 		Mixes:               []MixKind{MixH},
 		PRBSizes:            []int{8, 16, 32, 64},
@@ -20,8 +20,9 @@ func budgetSweepOpts() SweepOptions {
 		InstructionsPerCore: 2000,
 		IntervalCycles:      2000,
 		Seed:                7,
-		Jobs:                2,
 	}
+	opts.Jobs = 2
+	return opts
 }
 
 // TestSweepByteIdenticalUnderCacheBudget is the acceptance check for bounded

@@ -224,18 +224,7 @@ func cmdFig4(ctx context.Context, engine *gdp.Engine) error {
 	if err != nil {
 		return err
 	}
-	fig4 := experiments.Figure4(fig3)
-	for cores, series := range fig4.PerCoreCount {
-		fmt.Printf("Figure 4: sorted SMS-load stall RMS errors, %d-core CMP\n", cores)
-		for _, s := range series {
-			fmt.Printf("  %-6s n=%d", s.Technique, len(s.Sorted))
-			if len(s.Sorted) > 0 {
-				fmt.Printf(" min=%.1f median=%.1f max=%.1f",
-					s.Sorted[0], s.Sorted[len(s.Sorted)/2], s.Sorted[len(s.Sorted)-1])
-			}
-			fmt.Println()
-		}
-	}
+	fmt.Print(experiments.Figure4(fig3).Render())
 	return nil
 }
 
@@ -244,12 +233,7 @@ func cmdFig5(ctx context.Context, engine *gdp.Engine) error {
 	if err != nil {
 		return err
 	}
-	fig5 := experiments.Figure5(fig3)
-	fmt.Println("Figure 5: GDP/GDP-O component relative RMS error distributions")
-	for cell, sums := range fig5.PerCell {
-		fmt.Printf("  %-8s CPL median=%.3f  overlap median=%.3f  latency median=%.3f\n",
-			cell, sums.CPL.Median, sums.Overlap.Median, sums.Latency.Median)
-	}
+	fmt.Print(experiments.Figure5(fig3).Render())
 	return nil
 }
 
@@ -281,7 +265,7 @@ func cmdFig6(ctx context.Context, engine *gdp.Engine, cores int) error {
 }
 
 func cmdFig7(ctx context.Context, engine *gdp.Engine) error {
-	res, err := engine.Figure7(ctx, gdp.SensitivityOptions{})
+	res, err := engine.Figure7(ctx, gdp.StudyScale{})
 	if err != nil {
 		return err
 	}

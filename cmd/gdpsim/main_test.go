@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +165,49 @@ func TestFig3DeterministicAcrossJobs(t *testing.T) {
 	}
 	if !strings.Contains(serial, "Figure 3a") {
 		t.Errorf("fig3 output missing header:\n%s", serial)
+	}
+}
+
+// TestFig4Fig5FollowFig3Order: fig4 lists its core counts and fig5 its cells
+// in fig3's order, on every run.
+func TestFig4Fig5FollowFig3Order(t *testing.T) {
+	args := []string{"-workloads", "1", "-instructions", "1000", "-interval", "800", "-cache-dir", t.TempDir()}
+	fig := func(name string) string {
+		return captureStdout(t, func() error { return run(context.Background(), append(args, name)) })
+	}
+	var labels []string
+	var cores []string
+	for _, line := range strings.Split(fig("fig3"), "\n") {
+		label, _, _ := strings.Cut(line, " ")
+		if c, _, ok := strings.Cut(label, "c-"); ok && !slices.Contains(labels, label) {
+			labels = append(labels, label)
+			if !slices.Contains(cores, c) {
+				cores = append(cores, c)
+			}
+		}
+	}
+	if len(cores) < 2 || len(labels) < 4 {
+		t.Fatalf("fig3 lists too few cells to check an order: %v", labels)
+	}
+	for i := 0; i < 4; i++ {
+		var got4, got5 []string
+		for _, line := range strings.Split(fig("fig4"), "\n") {
+			if _, rest, ok := strings.Cut(line, "errors, "); ok {
+				got4 = append(got4, strings.TrimSuffix(rest, "-core CMP"))
+			}
+		}
+		for _, line := range strings.Split(fig("fig5"), "\n") {
+			if label, ok := strings.CutPrefix(line, "  "); ok {
+				label, _, _ = strings.Cut(label, " ")
+				got5 = append(got5, label)
+			}
+		}
+		if !slices.Equal(got4, cores) {
+			t.Errorf("run %d: fig4 core counts %v, want fig3's %v", i, got4, cores)
+		}
+		if !slices.Equal(got5, labels) {
+			t.Errorf("run %d: fig5 cells %v, want fig3's %v", i, got5, labels)
+		}
 	}
 }
 

@@ -158,7 +158,7 @@ func (e *Engine) fillScale(s StudyScale) StudyScale {
 	if s.WorkloadsPerCell == 0 && s.InstructionsPerCore == 0 && len(s.CoreCounts) == 0 {
 		s = e.scale
 	}
-	e.fillStudy(&s.Jobs, &s.Cache, &s.Progress, &s.Instr)
+	e.fillStudy(&s.CellConfig)
 	return s
 }
 
@@ -271,30 +271,30 @@ func (e *Engine) RunFromCheckpoint(ctx context.Context, opts SimOptions, cp *Che
 }
 
 // AccuracyStudy runs one cell of the accounting-accuracy evaluation
-// (Figures 3-5). Unset Jobs/Cache/Progress options inherit the Engine's.
+// (Figures 3-5). Unset fields of opts.CellConfig inherit the Engine's.
 func (e *Engine) AccuracyStudy(ctx context.Context, opts AccuracyOptions) (*AccuracyResult, error) {
-	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
+	e.fillStudy(&opts.CellConfig)
 	return experiments.AccuracyStudy(ctx, opts)
 }
 
 // AccuracyStudyForWorkload runs the accuracy study over one explicit
 // workload.
 func (e *Engine) AccuracyStudyForWorkload(ctx context.Context, wl Workload, opts AccuracyOptions) (*AccuracyResult, error) {
-	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
+	e.fillStudy(&opts.CellConfig)
 	return experiments.AccuracyStudyForWorkload(ctx, wl, opts)
 }
 
 // PartitioningStudy runs one cell of the LLC-partitioning evaluation
-// (Figure 6). Unset Jobs/Cache/Progress options inherit the Engine's.
+// (Figure 6). Unset fields of opts.CellConfig inherit the Engine's.
 func (e *Engine) PartitioningStudy(ctx context.Context, opts PartitioningOptions) (*PartitioningResult, error) {
-	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
+	e.fillStudy(&opts.CellConfig)
 	return experiments.PartitioningStudy(ctx, opts)
 }
 
 // Sweep runs a user-defined experiment grid through the Engine's worker pool.
-// Unset Jobs/Cache/Progress options inherit the Engine's.
+// Unset fields of opts.CellConfig inherit the Engine's.
 func (e *Engine) Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
-	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
+	e.fillStudy(&opts.CellConfig)
 	return experiments.Sweep(ctx, opts)
 }
 
@@ -311,7 +311,7 @@ func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []
 	if len(workers) == 0 {
 		return e.Sweep(ctx, opts)
 	}
-	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
+	e.fillStudy(&opts.CellConfig)
 	pool, err := dispatch.NewPool(dispatch.Options{
 		Workers:   workers,
 		LocalJobs: e.jobs,
@@ -331,10 +331,9 @@ func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []
 // completion (remote or local) is written back under the cell's spec key.
 func (e *Engine) sweepDistributed(ctx context.Context, opts SweepOptions, pool *dispatch.Pool) (*SweepResult, error) {
 	cells := experiments.EnumerateSweepCells(opts)
-	cfg := experiments.CellConfig{Cache: opts.Cache, Instr: opts.Instr}
 	groups, err := pool.Run(ctx, cells, dispatch.RunConfig{
 		Local: func(ctx context.Context, c experiments.Cell) ([]SweepRow, error) {
-			return c.Run(ctx, cfg)
+			return c.Run(ctx, opts.CellConfig)
 		},
 		Cache:    cellCacheAdapter{opts.Cache},
 		Progress: opts.Progress,
@@ -368,26 +367,25 @@ func (e *Engine) Figure3(ctx context.Context, scale StudyScale) (*Figure3Result,
 	return experiments.Figure3(ctx, e.fillScale(scale))
 }
 
-// Figure7 regenerates every panel of the sensitivity study. A zero
-// opts.Scale selects the Engine's.
-func (e *Engine) Figure7(ctx context.Context, opts SensitivityOptions) ([]*SensitivityResult, error) {
-	opts.Scale = e.fillScale(opts.Scale)
-	return experiments.Figure7(ctx, opts)
+// Figure7 regenerates every panel of the sensitivity study. A zero scale
+// selects the Engine's.
+func (e *Engine) Figure7(ctx context.Context, scale StudyScale) ([]*SensitivityResult, error) {
+	return experiments.Figure7(ctx, e.fillScale(scale))
 }
 
-// fillStudy applies the Engine defaults to a study's Jobs/Cache/Progress/
-// Instr option fields when the caller left them unset.
-func (e *Engine) fillStudy(jobs *int, cache **ResultCache, progress *ProgressFunc, instr **experiments.Instrumentation) {
-	if *jobs == 0 {
-		*jobs = e.jobs
+// fillStudy applies the Engine defaults to the fields of a study's
+// execution environment the caller left unset.
+func (e *Engine) fillStudy(c *experiments.CellConfig) {
+	if c.Jobs == 0 {
+		c.Jobs = e.jobs
 	}
-	if *cache == nil {
-		*cache = e.cache
+	if c.Cache == nil {
+		c.Cache = e.cache
 	}
-	if *progress == nil {
-		*progress = e.progress
+	if c.Progress == nil {
+		c.Progress = e.progress
 	}
-	if *instr == nil {
-		*instr = e.instr
+	if c.Instr == nil {
+		c.Instr = e.instr
 	}
 }

@@ -76,9 +76,14 @@ func FuzzSweepRequestJSON(f *testing.F) {
 			requireRequestError(t, err)
 			return
 		}
-		// Accepted requests stay within the advertised grid bound, counted by
-		// the enumeration the sweep runs rather than validate's arithmetic.
-		if cells := len(experiments.EnumerateSweepCells(opts)); cells > maxSweepCells {
+		// validate sizes the grid with CellCount, which must count exactly
+		// the cells the sweep enumerates, and accepted requests stay within
+		// the advertised grid bound.
+		cells := len(experiments.EnumerateSweepCells(opts))
+		if n := opts.CellCount(); n != cells {
+			t.Fatalf("CellCount = %d, but the grid enumerates %d cells: %q", n, cells, data)
+		}
+		if cells > maxSweepCells {
 			t.Fatalf("validate accepted a grid of %d cells (limit %d): %q", cells, maxSweepCells, data)
 		}
 	})

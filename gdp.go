@@ -3,15 +3,19 @@
 // (Jahre & Eeckhout, HPCA 2018).
 //
 // The central type is Engine: a long-lived service object constructed once
-// via functional options (WithCache, WithJobs, WithProgress, WithScale) that
-// owns the worker-pool configuration and the result cache and exposes
-// context-first methods — Engine.Run, Engine.Stream, Engine.AccuracyStudy,
-// Engine.PartitioningStudy, Engine.Sweep, Engine.Figure3, Engine.Figure7 and
-// Engine.Estimate. Cancellation reaches the simulator's cycle loop (polled at
+// via functional options (WithCache, WithCacheBudget, WithJobs, WithProgress,
+// WithScale) that owns the worker-pool configuration and the result cache and
+// exposes context-first methods — Engine.Run, Engine.Stream,
+// Engine.AccuracyStudy, Engine.PartitioningStudy, Engine.Sweep, Engine.Figure3,
+// Engine.Figure7 and Engine.Estimate. Every study, sweep and figure runs in
+// one execution environment (worker-pool width, cache, progress sink,
+// telemetry) embedded in its options or scale; fields left unset inherit the
+// Engine's. Cancellation reaches the simulator's cycle loop (polled at
 // interval boundaries), and Engine.Stream yields interval records as the
 // simulation advances instead of accumulating them. Server wraps an Engine
-// as an HTTP/JSON service (POST /v1/estimate, POST /v1/sweep, GET /healthz);
-// `gdpsim serve` runs it from the command line.
+// as an HTTP/JSON service (POST /v1/estimate, POST /v1/sweep, POST /v1/cells,
+// GET /v1/scenarios, GET /metrics, GET /healthz); `gdpsim serve` runs it from
+// the command line.
 //
 // Around the Engine the package re-exports the stable surface of the
 // internal packages so that downstream users never import internal/...
@@ -25,7 +29,8 @@
 //     (CoreSeed names the seed a run gives each core),
 //   - the simulation driver (shared-mode and private-mode runs),
 //   - the accounting techniques (GDP, GDP-O, ITCA, PTCA, ASM),
-//   - the LLC partitioning policies (LRU, UCP, MCP, MCP-O),
+//   - the LLC partitioning policies (LRU, UCP, MCP, MCP-O; Figure 6 also
+//     drives MCP with ASM's estimates),
 //   - the experiment drivers that regenerate the paper's tables and figures,
 //     and
 //   - the parallel experiment runner (worker-pool fan-out, result caching,
@@ -171,8 +176,6 @@ type (
 	PartitioningOptions = experiments.PartitioningOptions
 	// PartitioningResult is the outcome of one partitioning-study cell.
 	PartitioningResult = experiments.PartitioningResult
-	// SensitivityOptions configure the Figure 7 sweeps.
-	SensitivityOptions = experiments.SensitivityOptions
 	// SensitivityResult is one panel of Figure 7.
 	SensitivityResult = experiments.SensitivityResult
 	// Figure3Result covers Figures 3a and 3b.

@@ -121,7 +121,7 @@ func TestPublicScales(t *testing.T) {
 func TestPublicSweepAndCache(t *testing.T) {
 	cache := runner.NewCache()
 	var events int
-	res, err := newTestEngine(t).Sweep(t.Context(), SweepOptions{
+	opts := SweepOptions{
 		CoreCounts:          []int{2},
 		Mixes:               []MixKind{MixH},
 		PRBSizes:            []int{32},
@@ -130,10 +130,9 @@ func TestPublicSweepAndCache(t *testing.T) {
 		InstructionsPerCore: 2000,
 		IntervalCycles:      2000,
 		Seed:                5,
-		Jobs:                2,
-		Cache:               cache,
-		Progress:            func(p RunnerProgress) { events++ },
-	})
+	}
+	opts.Jobs, opts.Cache, opts.Progress = 2, cache, func(p RunnerProgress) { events++ }
+	res, err := newTestEngine(t).Sweep(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package accounting
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/cpu"
@@ -70,6 +71,31 @@ type Accountant interface {
 	Estimate(core int, interval cpu.Stats) Estimate
 	// EndInterval resets per-interval state after all cores were estimated.
 	EndInterval()
+}
+
+// Names lists the techniques New builds, in the order the paper's figures
+// compare them.
+var Names = []string{"ITCA", "PTCA", "ASM", "GDP", "GDP-O"}
+
+// New instantiates the named technique for a CMP with cores cores. GDP and
+// GDP-O use a prbEntries-entry Pending Request Buffer; ASM rotates its
+// high-priority epoch every asmEpoch cycles (0 selects NewASM's default) and
+// is bound to the memory controller by the simulation driver.
+func New(name string, cores, prbEntries int, asmEpoch uint64) (Accountant, error) {
+	switch name {
+	case "GDP":
+		return NewGDP(cores, prbEntries, false)
+	case "GDP-O":
+		return NewGDP(cores, prbEntries, true)
+	case "ITCA":
+		return NewITCA(cores)
+	case "PTCA":
+		return NewPTCA(cores)
+	case "ASM":
+		return NewASM(cores, asmEpoch, nil)
+	default:
+		return nil, fmt.Errorf("accounting: unknown technique %q (want one of %v)", name, Names)
+	}
 }
 
 // stallEstimateFromCycles converts an estimated number of private-mode cycles

@@ -58,6 +58,23 @@ func TestNamesMatchPaperFigures(t *testing.T) {
 	}
 }
 
+// TestNewBuildsEveryName: New builds each technique of Names under its own
+// name and rejects any other name.
+func TestNewBuildsEveryName(t *testing.T) {
+	for _, name := range Names {
+		a, err := New(name, 2, 32, 1000)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if a.Name() != name {
+			t.Errorf("New(%q) built %q", name, a.Name())
+		}
+	}
+	if _, err := New("gdp", 2, 32, 1000); err == nil {
+		t.Error("New accepted the unknown technique \"gdp\"")
+	}
+}
+
 func TestAllAccountantsImplementInterface(t *testing.T) {
 	gdp, _ := NewGDP(2, 32, false)
 	itca, _ := NewITCA(2)

@@ -69,10 +69,6 @@ func workloadReferences(ctx context.Context, cache *runner.Cache, cfg *config.CM
 	return refs, err
 }
 
-// TechniqueNames lists the accounting techniques compared in Figures 3 and 4,
-// in the paper's order.
-var TechniqueNames = []string{"ITCA", "PTCA", "ASM", "GDP", "GDP-O"}
-
 // AccuracyOptions configure one accounting-accuracy study cell (one bar group
 // of Figure 3: a core count and a workload category).
 type AccuracyOptions struct {
@@ -90,19 +86,8 @@ type AccuracyOptions struct {
 	PRBEntries int
 	// Techniques restricts the evaluated techniques (nil = all five).
 	Techniques []string
-	// Jobs is the worker-pool width for the per-workload simulations
-	// (0 = runtime.NumCPU(), 1 = serial). Results are identical for any
-	// value: aggregation is ordered by job index and per-job seeds are
-	// derived from Seed and the workload index.
-	Jobs int
-	// Cache memoizes private-mode reference runs (nil = no memoization).
-	Cache *runner.Cache
-	// Progress, when non-nil, receives one event per completed job.
-	Progress runner.ProgressFunc
-	// Instr, when non-nil, attaches telemetry to the study: pool metrics on
-	// the worker pool and run counters on every simulation. Purely
-	// observational.
-	Instr *Instrumentation
+	// CellConfig is the study's execution environment.
+	CellConfig
 }
 
 // withDefaults fills unset options.
@@ -126,7 +111,7 @@ func (o AccuracyOptions) withDefaults() AccuracyOptions {
 		o.PRBEntries = 32
 	}
 	if len(o.Techniques) == 0 {
-		o.Techniques = TechniqueNames
+		o.Techniques = accounting.Names
 	}
 	return o
 }
@@ -182,51 +167,6 @@ func (r *AccuracyResult) Technique(name string) *TechniqueAccuracy {
 		}
 	}
 	return nil
-}
-
-// hasTechnique reports whether the study evaluates the named technique.
-func hasTechnique(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// buildAccountants instantiates the requested transparent techniques (ASM is
-// handled separately because it is invasive).
-func buildAccountants(opts AccuracyOptions) ([]accounting.Accountant, error) {
-	var out []accounting.Accountant
-	if hasTechnique(opts.Techniques, "GDP") {
-		a, err := accounting.NewGDP(opts.Cores, opts.PRBEntries, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	if hasTechnique(opts.Techniques, "GDP-O") {
-		a, err := accounting.NewGDP(opts.Cores, opts.PRBEntries, true)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	if hasTechnique(opts.Techniques, "ITCA") {
-		a, err := accounting.NewITCA(opts.Cores)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	if hasTechnique(opts.Techniques, "PTCA") {
-		a, err := accounting.NewPTCA(opts.Cores)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // privateWindow returns the actual private-mode statistics of the window
@@ -396,45 +336,51 @@ type accuracyPartial struct {
 }
 
 // sharedJobs builds the study's first phase: per workload, one job for the
-// shared transparent-technique run and one for ASM's invasive run, so that
-// two runs of one workload still execute side by side. A job whose run has
-// no technique returns a nil run. The job order (and therefore the
+// shared run of the transparent techniques and one for ASM's own run (ASM is
+// invasive: it perturbs the memory controller), so that two runs of one
+// workload still execute side by side. The job order (and therefore the
 // aggregation order and the derived seeds) is fixed by the workload order,
 // never by scheduling; every workload contributes perWorkload jobs.
 func sharedJobs(workloads []workload.Workload, opts AccuracyOptions) (jobs []runner.Job[*sharedRun], perWorkload int) {
-	type kind struct {
+	type group struct {
 		label string
-		accts func() ([]accounting.Accountant, error)
+		names []string
 	}
-	var kinds []kind
-	if slices.ContainsFunc(opts.Techniques, func(n string) bool { return n != "ASM" }) {
-		kinds = append(kinds, kind{"transparent", func() ([]accounting.Accountant, error) { return buildAccountants(opts) }})
+	transparent := group{label: "transparent"}
+	for _, name := range accounting.Names {
+		if name != "ASM" && slices.Contains(opts.Techniques, name) {
+			transparent.names = append(transparent.names, name)
+		}
 	}
-	if hasTechnique(opts.Techniques, "ASM") {
-		// ASM runs on its own because it perturbs the memory controller.
-		kinds = append(kinds, kind{"asm", func() ([]accounting.Accountant, error) {
-			asm, err := accounting.NewASM(opts.Cores, opts.IntervalCycles/4, nil)
-			return []accounting.Accountant{asm}, err
-		}})
+	var groups []group
+	if len(transparent.names) > 0 {
+		groups = append(groups, transparent)
+	}
+	if slices.Contains(opts.Techniques, "ASM") {
+		groups = append(groups, group{"asm", []string{"ASM"}})
 	}
 	for i, wl := range workloads {
 		// Per-job seed derivation: every workload simulates with its own
 		// seed so parallel execution order cannot leak into the results.
 		simSeed := opts.Seed + int64(i)
-		for _, k := range kinds {
+		for _, g := range groups {
 			jobs = append(jobs, runner.Job[*sharedRun]{
-				Label: fmt.Sprintf("%s/%s", wl.ID, k.label),
+				Label: fmt.Sprintf("%s/%s", wl.ID, g.label),
 				Fn: func(ctx context.Context) (*sharedRun, error) {
-					accts, err := k.accts()
-					if err != nil || len(accts) == 0 {
-						return nil, err
+					accts := make([]accounting.Accountant, len(g.names))
+					for j, name := range g.names {
+						a, err := accounting.New(name, opts.Cores, opts.PRBEntries, opts.IntervalCycles/4)
+						if err != nil {
+							return nil, err
+						}
+						accts[j] = a
 					}
 					return runShared(ctx, opts, wl, simSeed, accts)
 				},
 			})
 		}
 	}
-	return jobs, len(kinds)
+	return jobs, len(groups)
 }
 
 // reduceWorkload is the study's second phase for one workload: one private
@@ -444,10 +390,6 @@ func reduceWorkload(ctx context.Context, opts AccuracyOptions, wl workload.Workl
 	runs []*sharedRun) (accuracyPartial, error) {
 
 	partial := accuracyPartial{PerTechnique: map[string][]BenchmarkErrors{}}
-	runs = slices.DeleteFunc(slices.Clone(runs), func(r *sharedRun) bool { return r == nil })
-	if len(runs) == 0 {
-		return partial, nil
-	}
 	points := make([][]uint64, wl.Cores())
 	for _, r := range runs {
 		for core := range points {
@@ -481,6 +423,11 @@ func reduceWorkload(ctx context.Context, opts AccuracyOptions, wl workload.Workl
 func accuracyStudyOver(ctx context.Context, workloads []workload.Workload, opts AccuracyOptions) (*AccuracyResult, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
+	}
+	for _, name := range opts.Techniques {
+		if !slices.Contains(accounting.Names, name) {
+			return nil, fmt.Errorf("experiments: unknown technique %q (want one of %v)", name, accounting.Names)
+		}
 	}
 	pool := runner.Options{
 		Workers:  opts.Jobs,

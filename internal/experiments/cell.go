@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"repro/internal/accounting"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -135,46 +137,46 @@ func (c Cell) Validate() error {
 		return fmt.Errorf("experiments: unknown sweep cell kind %q", c.Kind)
 	}
 	for _, name := range c.Techniques {
-		known := false
-		for _, t := range TechniqueNames {
-			if t == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("experiments: unknown technique %q (want one of %v)", name, TechniqueNames)
+		if !slices.Contains(accounting.Names, name) {
+			return fmt.Errorf("experiments: unknown technique %q (want one of %v)", name, accounting.Names)
 		}
 	}
 	for _, name := range c.Policies {
-		known := false
-		for _, p := range PolicyNames {
-			if p == name {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(PolicyNames, name) {
 			return fmt.Errorf("experiments: unknown policy %q (want one of %v)", name, PolicyNames)
 		}
 	}
 	return nil
 }
 
-// CellConfig carries the execution-environment dependencies of a cell: the
-// result cache its inner studies memoize into and the telemetry bundle. Both
-// are observational/operational — they never change the cell's rows.
+// CellConfig is the execution environment of a study, a sweep or a grid
+// cell: how wide its worker pool is, where it memoizes, whom it reports
+// progress to and which telemetry it feeds. Every option struct of this
+// package embeds it. None of it changes a result: rows and figures are
+// byte-identical for any value of every field.
 type CellConfig struct {
+	// Jobs is the worker-pool width (0 = runtime.NumCPU(), 1 = serial).
+	// Aggregation is ordered by job index and per-job seeds derive from the
+	// study seed, so results are identical for any value.
+	Jobs int
+	// Cache memoizes private-mode reference runs and whole grid cells (nil =
+	// no memoization).
 	Cache *runner.Cache
+	// Progress, when non-nil, receives one event per completed pool job.
+	Progress runner.ProgressFunc
+	// Instr, when non-nil, attaches pool metrics to the worker pool and run
+	// counters to every simulation. Purely observational.
 	Instr *Instrumentation
 }
 
 // Run executes the cell and returns its flattened rows. Cell-level fan-out is
 // assumed to already saturate whatever pool the caller runs, so the inner
-// study runs serially (Jobs: 1) to avoid nesting worker pools. Rows are a
+// study runs serially (Jobs: 1) to avoid nesting worker pools, and reports no
+// progress of its own: only cfg's Cache and Instr reach it. Rows are a
 // pure function of the cell's exported fields: the same Cell produces
 // byte-identical rows on any machine and for any jobs count.
 func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
+	inner := CellConfig{Jobs: 1, Cache: cfg.Cache, Instr: cfg.Instr}
 	switch c.Kind {
 	case CellKindAccuracy:
 		mix, err := c.mixKind()
@@ -190,9 +192,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 			Seed:                c.Seed,
 			PRBEntries:          c.PRB,
 			Techniques:          c.Techniques,
-			Jobs:                1,
-			Cache:               cfg.Cache,
-			Instr:               cfg.Instr,
+			CellConfig:          inner,
 		})
 		if err != nil {
 			return nil, err
@@ -221,9 +221,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 			IntervalCycles:      c.IntervalCycles,
 			Seed:                c.Seed,
 			Policies:            c.Policies,
-			Jobs:                1,
-			Cache:               cfg.Cache,
-			Instr:               cfg.Instr,
+			CellConfig:          inner,
 		})
 		if err != nil {
 			return nil, err
@@ -252,9 +250,7 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 			Seed:                c.Seed,
 			PRBEntries:          c.PRB,
 			Techniques:          c.Techniques,
-			Jobs:                1,
-			Cache:               cfg.Cache,
-			Instr:               cfg.Instr,
+			CellConfig:          inner,
 		})
 		if err != nil {
 			return nil, err
@@ -273,6 +269,17 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown sweep cell kind %q", c.Kind)
 	}
+}
+
+// CellCount returns len(EnumerateSweepCells(o)) without building the cells,
+// so a caller can bound a grid's size before enumerating it.
+func (o SweepOptions) CellCount() int {
+	o = o.withDefaults()
+	n := len(o.CoreCounts) * len(o.Mixes) * len(o.PRBSizes)
+	if len(o.Policies) > 0 {
+		n += len(o.CoreCounts) * len(o.Mixes)
+	}
+	return n + len(o.CoreCounts)*len(o.Scenarios)*len(o.PRBSizes)
 }
 
 // EnumerateSweepCells flattens a sweep grid into its cells, in the exact

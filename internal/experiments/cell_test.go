@@ -125,3 +125,36 @@ func TestCellJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownTechniqueRejected: a misspelled technique is an error, not a
+// zero-error entry that reads as a perfect score.
+func TestUnknownTechniqueRejected(t *testing.T) {
+	opts := quickAccuracyOptions()
+	opts.Techniques = []string{"gdp"}
+	if res, err := AccuracyStudy(t.Context(), opts); err == nil {
+		t.Errorf("AccuracyStudy accepted technique \"gdp\": %+v", res.Techniques)
+	}
+	grid := cellTestOptions()
+	grid.Techniques = []string{"gdp", "GDP"}
+	if _, err := Sweep(t.Context(), grid); err == nil {
+		t.Error("Sweep accepted technique \"gdp\"")
+	}
+}
+
+// TestSweepRejectsNonPositiveGridValues: Sweep validates every cell before
+// it runs one, so a zero core count or PRB size is an error instead of a run
+// under the default labelled 0.
+func TestSweepRejectsNonPositiveGridValues(t *testing.T) {
+	for name, edit := range map[string]func(*SweepOptions){
+		"cores 0": func(o *SweepOptions) { o.CoreCounts = []int{0} },
+		"prb 0":   func(o *SweepOptions) { o.PRBSizes = []int{0} },
+		"prb -1":  func(o *SweepOptions) { o.PRBSizes = []int{-1} },
+	} {
+		grid := cellTestOptions()
+		grid.Policies, grid.Scenarios = nil, nil
+		edit(&grid)
+		if _, err := Sweep(t.Context(), grid); err == nil {
+			t.Errorf("%s: Sweep accepted the grid", name)
+		}
+	}
+}

@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/accounting"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -22,7 +22,7 @@ func quickScale() StudyScale {
 		IntervalCycles:      3000,
 		Seed:                7,
 		CoreCounts:          []int{2},
-		Cache:               testCache,
+		CellConfig:          CellConfig{Cache: testCache},
 	}
 }
 
@@ -35,7 +35,7 @@ func quickAccuracyOptions(techniques ...string) AccuracyOptions {
 		IntervalCycles:      3000,
 		Seed:                7,
 		Techniques:          techniques,
-		Cache:               testCache,
+		CellConfig:          CellConfig{Cache: testCache},
 	}
 }
 
@@ -47,8 +47,8 @@ func TestAccuracyStudyProducesErrorsForEveryTechnique(t *testing.T) {
 	if res.Label != "2c-H" {
 		t.Errorf("label = %q", res.Label)
 	}
-	if len(res.Techniques) != len(TechniqueNames) {
-		t.Fatalf("techniques = %d, want %d", len(res.Techniques), len(TechniqueNames))
+	if len(res.Techniques) != len(accounting.Names) {
+		t.Fatalf("techniques = %d, want %d", len(res.Techniques), len(accounting.Names))
 	}
 	for _, tech := range res.Techniques {
 		if len(tech.PerBenchmark) == 0 {
@@ -103,11 +103,10 @@ func TestFigure3AndDerivedFigures(t *testing.T) {
 	}
 
 	fig4 := Figure4(fig3)
-	series, ok := fig4.PerCoreCount[2]
-	if !ok || len(series) == 0 {
-		t.Fatal("Figure 4 has no series for 2 cores")
+	if len(fig4.Panels) != 1 || fig4.Panels[0].Cores != 2 || len(fig4.Panels[0].Series) == 0 {
+		t.Fatalf("Figure 4 panels = %+v, want one 2-core panel with series", fig4.Panels)
 	}
-	for _, s := range series {
+	for _, s := range fig4.Panels[0].Series {
 		for i := 1; i < len(s.Sorted); i++ {
 			if s.Sorted[i] < s.Sorted[i-1] {
 				t.Errorf("%s distribution not sorted", s.Technique)
@@ -116,8 +115,8 @@ func TestFigure3AndDerivedFigures(t *testing.T) {
 	}
 
 	fig5 := Figure5(fig3)
-	if len(fig5.PerCell) != 3 {
-		t.Errorf("Figure 5 cells = %d, want 3", len(fig5.PerCell))
+	if len(fig5.Cells) != 3 {
+		t.Errorf("Figure 5 cells = %d, want 3", len(fig5.Cells))
 	}
 
 	heads := Headlines(fig3)
@@ -148,7 +147,7 @@ func TestPartitioningStudy(t *testing.T) {
 		InstructionsPerCore: 3000,
 		IntervalCycles:      2500,
 		Seed:                3,
-		Cache:               testCache,
+		CellConfig:          CellConfig{Cache: testCache},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +189,7 @@ func TestPartitioningStudySubset(t *testing.T) {
 		IntervalCycles:      2500,
 		Seed:                3,
 		Policies:            []string{"LRU", "MCP"},
-		Cache:               testCache,
+		CellConfig:          CellConfig{Cache: testCache},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,34 +204,42 @@ func TestPartitioningStudySubset(t *testing.T) {
 
 func TestSensitivityPanels(t *testing.T) {
 	instr := NewInstrumentation(telemetry.NewRegistry())
-	opts := SensitivityOptions{Scale: StudyScale{
+	panels, err := Figure7(t.Context(), StudyScale{
 		WorkloadsPerCell:    1,
 		InstructionsPerCore: 2000,
 		IntervalCycles:      2000,
 		Seed:                11,
-		Cache:               testCache,
-		Instr:               instr,
-	}}
-	// Run two representative panels (the full Figure 7 is exercised by the
-	// benchmark harness; running all six here would slow the test suite).
-	d, err := Figure7d(context.Background(), opts)
+		CellConfig:          CellConfig{Cache: testCache, Instr: instr},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Points) != 2 {
-		t.Errorf("Figure 7d points = %d, want 2", len(d.Points))
+	want := []struct {
+		panel  string
+		points int
+	}{
+		{"Figure 7a: LLC size", 3},
+		{"Figure 7b: LLC associativity", 3},
+		{"Figure 7c: DDR2 channels", 3},
+		{"Figure 7d: DRAM interface", 2},
+		{"Figure 7e: PRB size", 5},
+		{"Figure 7f: mixed workloads", 1},
+	}
+	if len(panels) != len(want) {
+		t.Fatalf("Figure 7 has %d panels, want %d", len(panels), len(want))
+	}
+	for i, w := range want {
+		if panels[i].Panel != w.panel || len(panels[i].Points) != w.points {
+			t.Errorf("panel %d = %q with %d points, want %q with %d", i, panels[i].Panel, len(panels[i].Points), w.panel, w.points)
+		}
 	}
 	if instr.Sim.Runs() == 0 {
 		t.Error("Figure 7 simulations did not reach the scale's sim run counter")
 	}
-	f, err := Figure7f(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
+	if f := panels[5].Points[0]; len(f.ErrorByMix) != 3 {
+		t.Errorf("Figure 7f should report the three mixed categories, got %+v", f)
 	}
-	if len(f.Points) != 1 || len(f.Points[0].ErrorByMix) != 3 {
-		t.Errorf("Figure 7f should report the three mixed categories, got %+v", f.Points)
-	}
-	if !strings.Contains(d.Render(), "Figure 7d") {
+	if !strings.Contains(panels[3].Render(), "Figure 7d") {
 		t.Error("render missing panel name")
 	}
 }

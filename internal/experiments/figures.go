@@ -3,38 +3,28 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
+	"repro/internal/accounting"
 	"repro/internal/config"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
 // StudyScale controls how much work the figure drivers do. The paper's full
 // population (150 workloads, 100M-instruction samples) is far beyond what a
 // unit-test or benchmark run should attempt, so the drivers accept a scale
-// with sensible defaults and let the CLI raise it.
+// with sensible defaults and let the CLI raise it. The embedded CellConfig
+// is the execution environment every study cell of the figure runs in.
 type StudyScale struct {
 	WorkloadsPerCell    int
 	InstructionsPerCore uint64
 	IntervalCycles      uint64
 	Seed                int64
 	CoreCounts          []int
-	// Jobs is the runner worker-pool width used by every driver that accepts
-	// this scale (0 = runtime.NumCPU(), 1 = serial). Output is identical for
-	// any value.
-	Jobs int
-	// Cache memoizes the private-mode reference runs of every driver that
-	// accepts this scale (nil = no memoization).
-	Cache *runner.Cache
-	// Progress, when non-nil, receives one runner event per completed
-	// simulation job.
-	Progress runner.ProgressFunc
-	// Instr, when non-nil, attaches telemetry to every driver that accepts
-	// this scale. Purely observational.
-	Instr *Instrumentation
+	CellConfig
 }
 
 // DefaultScale returns the quick-run scale used by tests and benchmarks.
@@ -93,10 +83,7 @@ func Figure3(ctx context.Context, scale StudyScale) (*Figure3Result, error) {
 				InstructionsPerCore: scale.InstructionsPerCore,
 				IntervalCycles:      scale.IntervalCycles,
 				Seed:                scale.Seed,
-				Jobs:                scale.Jobs,
-				Cache:               scale.Cache,
-				Progress:            scale.Progress,
-				Instr:               scale.Instr,
+				CellConfig:          scale.CellConfig,
 			})
 			if err != nil {
 				return nil, err
@@ -125,13 +112,13 @@ func (r *Figure3Result) Render() string {
 	writeTable := func(title string, pick func(Figure3Cell) map[string]float64) {
 		fmt.Fprintf(&b, "%s\n", title)
 		fmt.Fprintf(&b, "%-10s", "cell")
-		for _, t := range TechniqueNames {
+		for _, t := range accounting.Names {
 			fmt.Fprintf(&b, "%12s", t)
 		}
 		b.WriteString("\n")
 		for _, cell := range r.Cells {
 			fmt.Fprintf(&b, "%-10s", cell.Label)
-			for _, t := range TechniqueNames {
+			for _, t := range accounting.Names {
 				fmt.Fprintf(&b, "%12.4g", pick(cell)[t])
 			}
 			b.WriteString("\n")
@@ -150,20 +137,28 @@ type Figure4Series struct {
 	Sorted    []float64
 }
 
-// Figure4Result groups the distributions by core count.
+// Figure4Panel is one core count's distributions, one series per technique
+// in name order.
+type Figure4Panel struct {
+	Cores  int
+	Series []Figure4Series
+}
+
+// Figure4Result holds one panel per core count, in Figure 3's order.
 type Figure4Result struct {
-	PerCoreCount map[int][]Figure4Series
+	Panels []Figure4Panel
 }
 
 // Figure4 reduces the raw accuracy results to the sorted error distributions
 // of Figure 4.
 func Figure4(fig3 *Figure3Result) *Figure4Result {
-	out := &Figure4Result{PerCoreCount: map[int][]Figure4Series{}}
 	byCore := map[int]map[string][]float64{}
+	var order []int
 	for _, res := range fig3.Raw {
 		cores := res.Options.Cores
 		if byCore[cores] == nil {
 			byCore[cores] = map[string][]float64{}
+			order = append(order, cores)
 		}
 		for _, t := range res.Techniques {
 			for _, e := range t.PerBenchmark {
@@ -171,49 +166,71 @@ func Figure4(fig3 *Figure3Result) *Figure4Result {
 			}
 		}
 	}
-	for cores, m := range byCore {
-		var series []Figure4Series
-		for _, t := range TechniqueNames {
-			if len(m[t]) == 0 {
-				continue
-			}
-			series = append(series, Figure4Series{Technique: t, Sorted: metrics.SortedAscending(m[t])})
+	out := &Figure4Result{}
+	for _, cores := range order {
+		panel := Figure4Panel{Cores: cores}
+		for _, t := range slices.Sorted(maps.Keys(byCore[cores])) {
+			panel.Series = append(panel.Series, Figure4Series{Technique: t, Sorted: metrics.SortedAscending(byCore[cores][t])})
 		}
-		sort.Slice(series, func(i, j int) bool { return series[i].Technique < series[j].Technique })
-		out.PerCoreCount[cores] = series
+		out.Panels = append(out.Panels, panel)
 	}
 	return out
 }
 
-// Figure5Result holds the component-error distribution summaries of Figure 5
-// (violin plots of the CPL, overlap and latency estimate errors).
-type Figure5Result struct {
-	PerCell map[string]struct {
-		CPL     metrics.DistributionSummary
-		Overlap metrics.DistributionSummary
-		Latency metrics.DistributionSummary
+// Render prints each panel's distributions as their size, minimum, median
+// and maximum.
+func (r *Figure4Result) Render() string {
+	var b strings.Builder
+	for _, p := range r.Panels {
+		fmt.Fprintf(&b, "Figure 4: sorted SMS-load stall RMS errors, %d-core CMP\n", p.Cores)
+		for _, s := range p.Series {
+			fmt.Fprintf(&b, "  %-6s n=%d", s.Technique, len(s.Sorted))
+			if n := len(s.Sorted); n > 0 {
+				fmt.Fprintf(&b, " min=%.1f median=%.1f max=%.1f", s.Sorted[0], s.Sorted[n/2], s.Sorted[n-1])
+			}
+			b.WriteString("\n")
+		}
 	}
+	return b.String()
+}
+
+// Figure5Cell summarizes one accuracy cell's component error distributions
+// (the violin plots of the CPL, overlap and latency estimate errors).
+type Figure5Cell struct {
+	Label   string
+	CPL     metrics.DistributionSummary
+	Overlap metrics.DistributionSummary
+	Latency metrics.DistributionSummary
+}
+
+// Figure5Result holds one summary per accuracy cell, in Figure 3's order.
+type Figure5Result struct {
+	Cells []Figure5Cell
 }
 
 // Figure5 reduces the raw accuracy results to component error summaries.
 func Figure5(fig3 *Figure3Result) *Figure5Result {
-	out := &Figure5Result{PerCell: map[string]struct {
-		CPL     metrics.DistributionSummary
-		Overlap metrics.DistributionSummary
-		Latency metrics.DistributionSummary
-	}{}}
+	out := &Figure5Result{}
 	for _, res := range fig3.Raw {
-		out.PerCell[res.Label] = struct {
-			CPL     metrics.DistributionSummary
-			Overlap metrics.DistributionSummary
-			Latency metrics.DistributionSummary
-		}{
+		out.Cells = append(out.Cells, Figure5Cell{
+			Label:   res.Label,
 			CPL:     metrics.Summarize(res.Components.CPLRelRMS),
 			Overlap: metrics.Summarize(res.Components.OverlapRelRMS),
 			Latency: metrics.Summarize(res.Components.LatencyRelRMS),
-		}
+		})
 	}
 	return out
+}
+
+// Render prints each cell's component error medians.
+func (r *Figure5Result) Render() string {
+	var b strings.Builder
+	b.WriteString("Figure 5: GDP/GDP-O component relative RMS error distributions\n")
+	for _, c := range r.Cells {
+		fmt.Fprintf(&b, "  %-8s CPL median=%.3f  overlap median=%.3f  latency median=%.3f\n",
+			c.Label, c.CPL.Median, c.Overlap.Median, c.Latency.Median)
+	}
+	return b.String()
 }
 
 // Table1 returns the Table I parameter listing for a core count.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accounting"
 	"repro/internal/workload"
 )
 
@@ -24,7 +25,7 @@ var goldenScale = StudyScale{
 	IntervalCycles:      1500,
 	Seed:                7,
 	CoreCounts:          []int{2},
-	Jobs:                1,
+	CellConfig:          CellConfig{Jobs: 1},
 }
 
 // compareGolden asserts got matches the named golden file, or rewrites the
@@ -90,7 +91,7 @@ func TestAccuracyStudyGolden(t *testing.T) {
 		InstructionsPerCore: goldenScale.InstructionsPerCore,
 		IntervalCycles:      goldenScale.IntervalCycles,
 		Seed:                goldenScale.Seed,
-		Jobs:                1,
+		CellConfig:          CellConfig{Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +109,7 @@ func TestFigure3Golden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(res.Render())
 	for _, cell := range res.Cells {
-		for _, tech := range TechniqueNames {
+		for _, tech := range accounting.Names {
 			fmt.Fprintf(&b, "cell %s %s ipc_abs=%.12g ipc_rel=%.12g stall_abs=%.12g\n",
 				cell.Label, tech, cell.IPCAbsRMS[tech], cell.IPCRelRMS[tech], cell.StallAbsRMS[tech])
 		}

@@ -30,18 +30,8 @@ type PartitioningOptions struct {
 	Config              *config.CMPConfig
 	// Policies restricts the evaluated policies (nil = all five).
 	Policies []string
-	// Jobs is the worker-pool width for the per-(workload, policy)
-	// simulations (0 = runtime.NumCPU(), 1 = serial); results are identical
-	// for any value.
-	Jobs int
-	// Cache memoizes the policy-independent private-mode runs
-	// (nil = no memoization).
-	Cache *runner.Cache
-	// Progress, when non-nil, receives one event per completed job.
-	Progress runner.ProgressFunc
-	// Instr, when non-nil, attaches telemetry (pool metrics, simulation run
-	// counters) to the study. Purely observational.
-	Instr *Instrumentation
+	// CellConfig is the study's execution environment.
+	CellConfig
 }
 
 func (o PartitioningOptions) withDefaults() PartitioningOptions {
@@ -79,33 +69,23 @@ type PartitioningResult struct {
 	AverageSTP  map[string]float64
 }
 
-// policyRun describes how to set up one policy's shared-mode run.
-func policyRun(name string, cores int, prb int) (acct []accounting.Accountant, pol partition.Policy, source string, err error) {
+// policyRun maps a Figure 6 policy to the LLC policy that manages the shared
+// run (nil = unmanaged LRU) and the technique whose estimates drive it ("" =
+// none).
+func policyRun(name string) (pol partition.Policy, source string, err error) {
 	switch name {
 	case "LRU":
-		return nil, nil, "", nil
+		return nil, "", nil
 	case "UCP":
-		return nil, partition.UCP{}, "", nil
+		return partition.UCP{}, "", nil
 	case "ASM":
-		a, err := accounting.NewASM(cores, 1000, nil)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return []accounting.Accountant{a}, partition.MCP{PolicyName: "ASM"}, "ASM", nil
+		return partition.MCP{PolicyName: "ASM"}, "ASM", nil
 	case "MCP":
-		a, err := accounting.NewGDP(cores, prb, false)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return []accounting.Accountant{a}, partition.MCP{}, "GDP", nil
+		return partition.MCP{}, "GDP", nil
 	case "MCP-O":
-		a, err := accounting.NewGDP(cores, prb, true)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return []accounting.Accountant{a}, partition.MCP{PolicyName: "MCP-O"}, "GDP-O", nil
+		return partition.MCP{PolicyName: "MCP-O"}, "GDP-O", nil
 	default:
-		return nil, nil, "", fmt.Errorf("experiments: unknown policy %q", name)
+		return nil, "", fmt.Errorf("experiments: unknown policy %q", name)
 	}
 }
 
@@ -202,9 +182,17 @@ func runPolicyCell(ctx context.Context, opts PartitioningOptions, wl workload.Wo
 	if err != nil {
 		return 0, err
 	}
-	accts, pol, source, err := policyRun(polName, opts.Cores, 32)
+	pol, source, err := policyRun(polName)
 	if err != nil {
 		return 0, err
+	}
+	var accts []accounting.Accountant
+	if source != "" {
+		a, err := accounting.New(source, opts.Cores, 32, 1000)
+		if err != nil {
+			return 0, err
+		}
+		accts = []accounting.Accountant{a}
 	}
 	res, err := sim.Run(ctx, sim.Options{
 		Config:              opts.Config,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/accounting"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -20,9 +21,8 @@ func TestAccuracyStudyOneReferenceEntryPerWorkload(t *testing.T) {
 		InstructionsPerCore: 2500,
 		IntervalCycles:      2000,
 		Seed:                21,
-		Techniques:          TechniqueNames,
-		Jobs:                2,
-		Cache:               cache,
+		Techniques:          accounting.Names,
+		CellConfig:          CellConfig{Jobs: 2, Cache: cache},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +41,7 @@ func TestPartitioningStudyOneReferenceEntryPerWorkload(t *testing.T) {
 		InstructionsPerCore: 2000,
 		IntervalCycles:      2000,
 		Seed:                4,
-		Jobs:                2,
-		Cache:               cache,
+		CellConfig:          CellConfig{Jobs: 2, Cache: cache},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +66,7 @@ func TestSweepMissesAreCellsPlusWorkloads(t *testing.T) {
 		InstructionsPerCore: 1500,
 		IntervalCycles:      1500,
 		Seed:                17,
-		Jobs:                2,
-		Cache:               runner.NewCache(),
+		CellConfig:          CellConfig{Jobs: 2, Cache: runner.NewCache()},
 	}
 	res, err := Sweep(t.Context(), opts)
 	if err != nil {

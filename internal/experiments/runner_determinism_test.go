@@ -120,7 +120,7 @@ func TestAccuracyStudyCancellation(t *testing.T) {
 		InstructionsPerCore: 2000,
 		IntervalCycles:      2000,
 		Seed:                1,
-		Cache:               runner.NewCache(),
+		CellConfig:          CellConfig{Cache: runner.NewCache()},
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -140,8 +140,7 @@ func TestPrivateReferenceCacheSharing(t *testing.T) {
 		InstructionsPerCore: 2500,
 		IntervalCycles:      2500,
 		Seed:                3,
-		Cache:               cache,
-		Jobs:                4,
+		CellConfig:          CellConfig{Cache: cache, Jobs: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +159,7 @@ func TestPrivateReferenceCacheSharing(t *testing.T) {
 		InstructionsPerCore: 2500,
 		IntervalCycles:      2500,
 		Seed:                3,
-		Cache:               cache,
-		Jobs:                4,
+		CellConfig:          CellConfig{Cache: cache, Jobs: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +184,7 @@ func TestSweepEndToEnd(t *testing.T) {
 		InstructionsPerCore: 2000,
 		IntervalCycles:      2000,
 		Seed:                9,
-		Jobs:                8,
-		Cache:               runner.NewCache(),
+		CellConfig:          CellConfig{Jobs: 8, Cache: runner.NewCache()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +238,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 			InstructionsPerCore: 2000,
 			IntervalCycles:      2000,
 			Seed:                4,
-			Jobs:                jobs,
-			Cache:               runner.NewCache(),
+			CellConfig:          CellConfig{Jobs: jobs, Cache: runner.NewCache()},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -270,8 +266,7 @@ func TestSweepIgnoresWarmupIntervals(t *testing.T) {
 			InstructionsPerCore: 5000,
 			IntervalCycles:      2000,
 			Seed:                7,
-			Jobs:                1,
-			Cache:               runner.NewCache(),
+			CellConfig:          CellConfig{Jobs: 1, Cache: runner.NewCache()},
 			WarmupIntervals:     warmupIntervals,
 		})
 		if err != nil {
@@ -298,8 +293,7 @@ func TestSweepCellsRecalledFromCache(t *testing.T) {
 		InstructionsPerCore: 4000,
 		IntervalCycles:      2000,
 		Seed:                3,
-		Jobs:                1,
-		Cache:               cache,
+		CellConfig:          CellConfig{Jobs: 1, Cache: cache},
 	}
 	first, err := Sweep(ctx, opts)
 	if err != nil {
@@ -335,8 +329,7 @@ func TestScenarioSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 			InstructionsPerCore: 2000,
 			IntervalCycles:      2000,
 			Seed:                4,
-			Jobs:                jobs,
-			Cache:               runner.NewCache(),
+			CellConfig:          CellConfig{Jobs: jobs, Cache: runner.NewCache()},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -27,153 +27,82 @@ type SensitivityResult struct {
 	Points []SensitivityPoint
 }
 
-// SensitivityOptions configure the Figure 7 sweeps (which always use the
-// 4-core system, as in the paper).
-type SensitivityOptions struct {
-	Scale StudyScale
+// sensitivitySetting is one point of a Figure 7 panel: the configuration,
+// PRB size and workload categories GDP-O is evaluated under.
+type sensitivitySetting struct {
+	label string
+	cfg   *config.CMPConfig
+	prb   int
+	mixes []workload.MixKind
 }
 
-// gdpoErrorByMix runs the GDP-O-only accuracy study for the three categories
-// under one configuration.
-func gdpoErrorByMix(ctx context.Context, scale StudyScale, cfg *config.CMPConfig, prbEntries int, mixesToRun []workload.MixKind) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, mix := range mixesToRun {
-		res, err := AccuracyStudy(ctx, AccuracyOptions{
-			Cores:               4,
-			Mix:                 mix,
-			Workloads:           scale.WorkloadsPerCell,
-			InstructionsPerCore: scale.InstructionsPerCore,
-			IntervalCycles:      scale.IntervalCycles,
-			Seed:                scale.Seed,
-			Config:              cfg,
-			PRBEntries:          prbEntries,
-			Techniques:          []string{"GDP-O"},
-			Jobs:                scale.Jobs,
-			Cache:               scale.Cache,
-			Progress:            scale.Progress,
-			Instr:               scale.Instr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if t := res.Technique("GDP-O"); t != nil {
-			out[mix.String()] = t.MeanIPCAbsRMS
-		}
-	}
-	return out, nil
+// sensitivityPanel is one panel of Figure 7: its title and its settings.
+type sensitivityPanel struct {
+	name     string
+	settings []sensitivitySetting
 }
 
-// Figure7a sweeps the LLC capacity (the paper uses 4, 8 and 16 MB; the scaled
-// hierarchy sweeps half, nominal and double capacity).
-func Figure7a(ctx context.Context, opts SensitivityOptions) (*SensitivityResult, error) {
+// figure7Panels lists Figure 7's panels and their settings, all on the
+// 4-core system as in the paper. The paper's LLC sizes are 4, 8 and 16 MB;
+// the scaled hierarchy sweeps half, nominal and double capacity.
+func figure7Panels() []sensitivityPanel {
 	base := config.ScaledConfig(4)
-	out := &SensitivityResult{Panel: "Figure 7a: LLC size"}
+	var size, ways, channels, prbs []sensitivitySetting
 	for _, factor := range []int{1, 2, 4} {
 		cfg := base.WithLLCSize(base.LLC.SizeBytes / 2 * factor)
-		errs, err := gdpoErrorByMix(ctx, opts.Scale, cfg, 32, mixes)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, SensitivityPoint{
-			Setting:    fmt.Sprintf("%dKB", cfg.LLC.SizeBytes>>10),
-			ErrorByMix: errs,
-		})
+		size = append(size, sensitivitySetting{fmt.Sprintf("%dKB", cfg.LLC.SizeBytes>>10), cfg, 32, mixes})
 	}
-	return out, nil
+	for _, n := range []int{16, 32, 64} {
+		ways = append(ways, sensitivitySetting{fmt.Sprintf("%d ways", n), base.WithLLCWays(n), 32, mixes})
+	}
+	for _, n := range []int{1, 2, 4} {
+		channels = append(channels, sensitivitySetting{fmt.Sprintf("%d channel(s)", n), base.WithDRAM(config.DDR2, n), 32, mixes})
+	}
+	for _, n := range []int{8, 16, 32, 64, 1024} {
+		prbs = append(prbs, sensitivitySetting{fmt.Sprintf("%d entries", n), base, n, mixes})
+	}
+	return []sensitivityPanel{
+		{"Figure 7a: LLC size", size},
+		{"Figure 7b: LLC associativity", ways},
+		{"Figure 7c: DDR2 channels", channels},
+		{"Figure 7d: DRAM interface", []sensitivitySetting{
+			{config.DDR2.String(), base.WithDRAM(config.DDR2, 1), 32, mixes},
+			{config.DDR4.String(), base.WithDRAM(config.DDR4, 1), 32, mixes},
+		}},
+		{"Figure 7e: PRB size", prbs},
+		{"Figure 7f: mixed workloads", []sensitivitySetting{
+			{"mixed", base, 32, []workload.MixKind{workload.MixHHML, workload.MixHMML, workload.MixHMLL}},
+		}},
+	}
 }
 
-// Figure7b sweeps the LLC associativity (16, 32 and 64 ways).
-func Figure7b(ctx context.Context, opts SensitivityOptions) (*SensitivityResult, error) {
-	base := config.ScaledConfig(4)
-	out := &SensitivityResult{Panel: "Figure 7b: LLC associativity"}
-	for _, ways := range []int{16, 32, 64} {
-		cfg := base.WithLLCWays(ways)
-		errs, err := gdpoErrorByMix(ctx, opts.Scale, cfg, 32, mixes)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, SensitivityPoint{
-			Setting:    fmt.Sprintf("%d ways", ways),
-			ErrorByMix: errs,
-		})
-	}
-	return out, nil
-}
-
-// Figure7c sweeps the number of DDR2 channels (1, 2, 4).
-func Figure7c(ctx context.Context, opts SensitivityOptions) (*SensitivityResult, error) {
-	base := config.ScaledConfig(4)
-	out := &SensitivityResult{Panel: "Figure 7c: DDR2 channels"}
-	for _, channels := range []int{1, 2, 4} {
-		cfg := base.WithDRAM(config.DDR2, channels)
-		errs, err := gdpoErrorByMix(ctx, opts.Scale, cfg, 32, mixes)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, SensitivityPoint{
-			Setting:    fmt.Sprintf("%d channel(s)", channels),
-			ErrorByMix: errs,
-		})
-	}
-	return out, nil
-}
-
-// Figure7d compares the DDR2-800 and DDR4-2666 interfaces.
-func Figure7d(ctx context.Context, opts SensitivityOptions) (*SensitivityResult, error) {
-	base := config.ScaledConfig(4)
-	out := &SensitivityResult{Panel: "Figure 7d: DRAM interface"}
-	for _, kind := range []config.DRAMKind{config.DDR2, config.DDR4} {
-		cfg := base.WithDRAM(kind, 1)
-		errs, err := gdpoErrorByMix(ctx, opts.Scale, cfg, 32, mixes)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, SensitivityPoint{Setting: kind.String(), ErrorByMix: errs})
-	}
-	return out, nil
-}
-
-// Figure7e sweeps the Pending Request Buffer size (8 to 1024 entries).
-func Figure7e(ctx context.Context, opts SensitivityOptions) (*SensitivityResult, error) {
-	base := config.ScaledConfig(4)
-	out := &SensitivityResult{Panel: "Figure 7e: PRB size"}
-	for _, entries := range []int{8, 16, 32, 64, 1024} {
-		errs, err := gdpoErrorByMix(ctx, opts.Scale, base, entries, mixes)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, SensitivityPoint{
-			Setting:    fmt.Sprintf("%d entries", entries),
-			ErrorByMix: errs,
-		})
-	}
-	return out, nil
-}
-
-// Figure7f evaluates the mixed workload categories (HHML, HMML, HMLL).
-func Figure7f(ctx context.Context, opts SensitivityOptions) (*SensitivityResult, error) {
-	base := config.ScaledConfig(4)
-	out := &SensitivityResult{Panel: "Figure 7f: mixed workloads"}
-	errs, err := gdpoErrorByMix(ctx, opts.Scale, base, 32,
-		[]workload.MixKind{workload.MixHHML, workload.MixHMML, workload.MixHMLL})
-	if err != nil {
-		return nil, err
-	}
-	out.Points = append(out.Points, SensitivityPoint{Setting: "mixed", ErrorByMix: errs})
-	return out, nil
-}
-
-// Figure7 runs every panel of the sensitivity study, with ctx plumbed into
-// every panel.
-func Figure7(ctx context.Context, opts SensitivityOptions) ([]*SensitivityResult, error) {
-	panels := []func(context.Context, SensitivityOptions) (*SensitivityResult, error){
-		Figure7a, Figure7b, Figure7c, Figure7d, Figure7e, Figure7f,
-	}
+// Figure7 runs every panel of the sensitivity study: at every setting, the
+// GDP-O-only accuracy study of each of the setting's categories.
+func Figure7(ctx context.Context, scale StudyScale) ([]*SensitivityResult, error) {
 	var out []*SensitivityResult
-	for _, panel := range panels {
-		res, err := panel(ctx, opts)
-		if err != nil {
-			return nil, err
+	for _, panel := range figure7Panels() {
+		res := &SensitivityResult{Panel: panel.name}
+		for _, s := range panel.settings {
+			point := SensitivityPoint{Setting: s.label, ErrorByMix: map[string]float64{}}
+			for _, mix := range s.mixes {
+				study, err := AccuracyStudy(ctx, AccuracyOptions{
+					Cores:               4,
+					Mix:                 mix,
+					Workloads:           scale.WorkloadsPerCell,
+					InstructionsPerCore: scale.InstructionsPerCore,
+					IntervalCycles:      scale.IntervalCycles,
+					Seed:                scale.Seed,
+					Config:              s.cfg,
+					PRBEntries:          s.prb,
+					Techniques:          []string{"GDP-O"},
+					CellConfig:          scale.CellConfig,
+				})
+				if err != nil {
+					return nil, err
+				}
+				point.ErrorByMix[mix.String()] = study.Technique("GDP-O").MeanIPCAbsRMS
+			}
+			res.Points = append(res.Points, point)
 		}
 		out = append(out, res)
 	}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/accounting"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -39,16 +40,10 @@ type SweepOptions struct {
 	IntervalCycles      uint64
 	Seed                int64
 
-	// Jobs is the worker-pool width for the grid (0 = runtime.NumCPU()).
-	Jobs int
-	// Cache memoizes private-mode reference runs and whole grid cells (nil =
-	// no memoization).
-	Cache *runner.Cache
-	// Progress, when non-nil, receives one event per completed grid cell.
-	Progress runner.ProgressFunc
-	// Instr, when non-nil, attaches telemetry to the sweep and is forwarded
-	// into every cell's inner study. Purely observational.
-	Instr *Instrumentation
+	// CellConfig is the grid's execution environment: Jobs, Progress and
+	// the pool metrics of Instr apply to the grid's cell pool; Cache and
+	// Instr also reach every cell's inner study.
+	CellConfig
 
 	// Journal, when non-nil, answers the cells it holds and records every
 	// other one as it completes.
@@ -80,7 +75,7 @@ func (o SweepOptions) withDefaults() SweepOptions {
 		o.PRBSizes = []int{32}
 	}
 	if len(o.Techniques) == 0 {
-		o.Techniques = TechniqueNames
+		o.Techniques = accounting.Names
 	}
 	return o
 }
@@ -112,7 +107,9 @@ type SweepResult struct {
 	Cells int        `json:"cells"`
 }
 
-// Sweep runs a user-defined experiment grid through the runner. Cancelling
+// Sweep runs a user-defined experiment grid through the runner. Every cell is
+// validated (Cell.Validate) before any runs, so an unknown technique or
+// policy, or a core count or PRB size below 1, is an error. Cancelling
 // ctx stops the pool from scheduling new cells promptly, though a cell
 // already simulating runs to completion. Cells
 // are enumerated in a fixed order (accuracy cells over cores × mixes × PRB
@@ -131,7 +128,11 @@ type SweepResult struct {
 func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	opts = opts.withDefaults()
 	cells := EnumerateSweepCells(opts)
-	cfg := CellConfig{Cache: opts.Cache, Instr: opts.Instr}
+	for _, cell := range cells {
+		if err := cell.Validate(); err != nil {
+			return nil, err
+		}
+	}
 
 	// A journal stores cells under the result cache's spec keys.
 	keys := make([]string, len(cells))
@@ -157,7 +158,7 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 						return rows, nil
 					}
 				}
-				rows, err := cell.Run(ctx, cfg)
+				rows, err := cell.Run(ctx, opts.CellConfig)
 				if err == nil && opts.Journal != nil {
 					_ = opts.Journal.Record(keys[i], cell.Label(), rows)
 				}

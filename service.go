@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/accounting"
 	"repro/internal/config"
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
@@ -204,24 +205,6 @@ func (r *EstimateRequest) resolveWorkload() (Workload, error) {
 	return ws[0], nil
 }
 
-// buildAccountant instantiates the requested accounting technique.
-func buildAccountant(technique string, cores, prbEntries int) (Accountant, error) {
-	switch technique {
-	case "GDP":
-		return NewGDP(cores, prbEntries)
-	case "GDP-O":
-		return NewGDPO(cores, prbEntries)
-	case "ITCA":
-		return NewITCA(cores)
-	case "PTCA":
-		return NewPTCA(cores)
-	case "ASM":
-		return NewASM(cores, 0)
-	default:
-		return nil, badRequestf("unknown technique %q (want GDP, GDP-O, ITCA, PTCA or ASM)", technique)
-	}
-}
-
 // Estimate answers one estimation query: it resolves the workload, attaches
 // the requested accounting technique, streams the shared-mode simulation
 // (intervals are reduced on the fly, never accumulated) and reports the
@@ -245,9 +228,9 @@ func (e *Engine) Estimate(ctx context.Context, req *EstimateRequest) (*EstimateR
 	if prb == 0 {
 		prb = 32
 	}
-	acct, err := buildAccountant(technique, cores, prb)
+	acct, err := accounting.New(technique, cores, prb, 5000)
 	if err != nil {
-		return nil, err
+		return nil, badRequestErr(err)
 	}
 
 	instructions := req.InstructionsPerCore
@@ -409,11 +392,11 @@ func (req *SweepRequest) validate() (SweepOptions, error) {
 			return SweepOptions{}, badRequestf("prb size %d out of range (1..%d)", prb, maxServicePRBEntries)
 		}
 	}
-	// An unknown technique, policy or scenario would otherwise be silently
-	// skipped by the study drivers, yielding a 200 with empty rows.
+	// An unknown technique, policy or scenario is the client's error: reject
+	// it as a 400 here, before any cell runs.
 	for _, name := range req.Techniques {
-		if !slices.Contains(experiments.TechniqueNames, name) {
-			return SweepOptions{}, badRequestf("unknown technique %q (want one of %v)", name, experiments.TechniqueNames)
+		if !slices.Contains(accounting.Names, name) {
+			return SweepOptions{}, badRequestf("unknown technique %q (want one of %v)", name, accounting.Names)
 		}
 	}
 	for _, name := range req.Policies {
@@ -439,27 +422,7 @@ func (req *SweepRequest) validate() (SweepOptions, error) {
 		}
 		opts.Mixes = mixes
 	}
-	// Account for the grid defaults SweepOptions fills in (cores {4},
-	// mixes {H, M, L} — only for grids without scenario cells — and PRB
-	// sizes {32}) when sizing the request. mixN comes from the parsed
-	// opts.Mixes, not len(req.Mixes): ParseMixList drops whitespace-only
-	// entries, and a request whose mixes all parse away gets the 3-mix
-	// default — counting the raw entries would undersize the grid.
-	coreN, mixN, prbN := len(req.CoreCounts), len(opts.Mixes), len(req.PRBSizes)
-	if coreN == 0 {
-		coreN = 1
-	}
-	if mixN == 0 && len(req.Scenarios) == 0 {
-		mixN = 3
-	}
-	if prbN == 0 {
-		prbN = 1
-	}
-	cells := coreN * mixN * prbN
-	if len(req.Policies) > 0 {
-		cells += coreN * mixN
-	}
-	cells += coreN * len(req.Scenarios) * prbN
+	cells := opts.CellCount()
 	if cells > maxSweepCells {
 		return SweepOptions{}, badRequestf("grid of %d cells exceeds the %d-cell limit", cells, maxSweepCells)
 	}
