@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet fmt-check diet bench bench-pairs bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke chaos-smoke clean
+.PHONY: all build test race fuzz-smoke vet fmt-check diet bench bench-pairs bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke clean
 
 all: build test vet fmt-check
 
@@ -105,8 +105,8 @@ bench-smoke:
 	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
 		$(GO) run ./benchmark -workload sim_sparse -seed 1 -seconds 2 -trace 1 -out "$$out"
 
-# smoke runs the four end-to-end scripts in sequence (CI's one smoke job).
-smoke: serve-smoke dispatch-smoke cache-smoke chaos-smoke
+# smoke runs the three end-to-end scripts in sequence (CI's one smoke job).
+smoke: serve-smoke dispatch-smoke cache-smoke
 
 # serve-smoke boots the real binary, curls /healthz and /metrics and checks
 # the telemetry exposition end to end (see scripts/serve_smoke.sh).
@@ -124,13 +124,6 @@ dispatch-smoke:
 # disk tier); see scripts/cache_smoke.sh.
 cache-smoke:
 	sh scripts/cache_smoke.sh
-
-# chaos-smoke SIGKILLs a -cache-dir sweep mid-grid under injected disk faults,
-# reruns it over the same directory, and runs a fleet sweep against a worker with an injected
-# cell-execution panic and cut result streams — all byte-compared against an
-# uninterrupted fault-free run (see scripts/chaos_smoke.sh).
-chaos-smoke:
-	sh scripts/chaos_smoke.sh
 
 # bench-go runs the go-test figure/regeneration benchmarks and the core-tick
 # micro-benchmark once each.

@@ -23,12 +23,12 @@
 // context; a running simulation aborts at its next interval boundary and
 // `serve` shuts down gracefully, draining in-flight requests first.
 //
-// -fault-spec (or the FI_SPEC environment variable) arms the deterministic
-// fault injector for chaos testing — e.g. "disk.write:err=EIO:every=7" or
-// "dispatch.stream:cut=0.05". A sweep run with -cache-dir is crash-safe: every
-// completed cell is fsynced into the cache before the next one starts, so
-// rerunning a killed sweep over the same directory recalls the finished cells
-// and simulates only the rest, with byte-identical rows.
+// A sweep run with -cache-dir is crash-safe: every completed cell is fsynced
+// into the cache before the next one starts, so rerunning a killed sweep over
+// the same directory recalls the finished cells and simulates only the rest,
+// with byte-identical rows. The binary carries no fault injector: faults reach
+// the cache and the worker only through seams the tests set (see the
+// internal/runner chaos test).
 package main
 
 import (
@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -51,7 +50,6 @@ import (
 	gdpcore "repro/internal/core"
 	"repro/internal/dief"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 )
 
 func main() {
@@ -81,8 +79,6 @@ func run(ctx context.Context, args []string) error {
 	cacheMemMB := fs.Float64("cache-mem-mb", 0, "bound the result cache's memory layer to this many MB, evicting cold entries (to -cache-dir when set, so they stay one disk read away; 0 = unbounded; may be fractional)")
 	progress := fs.Bool("progress", false, "report per-cell progress and ETA on stderr")
 	logLevel := fs.String("log-level", "info", "minimum structured log level on stderr (debug, info, warn, error)")
-	faultSpec := fs.String("fault-spec", os.Getenv("FI_SPEC"), "arm the deterministic fault injector, e.g. \"disk.write:err=EIO:every=7,dispatch.stream:cut=0.05\" (default $FI_SPEC; empty = off)")
-	faultSeed := fs.Int64("fault-seed", envInt64("FI_SEED", 1), "seed for probabilistic fault-injection rules (default $FI_SEED)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,17 +91,6 @@ func run(ctx context.Context, args []string) error {
 	logger, err := newLogger(*logLevel)
 	if err != nil {
 		return err
-	}
-	// Arm fault injection before the engine exists so every layer — cache,
-	// dispatcher, workers — sees the same armed injector; the engine
-	// registers the per-point counters at /metrics.
-	injector, err := faultinject.Parse(*faultSpec, *faultSeed)
-	if err != nil {
-		return err
-	}
-	faultinject.SetActive(injector)
-	if injector != nil {
-		logger.Warn("fault injection armed", "spec", *faultSpec, "seed", *faultSeed)
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
@@ -175,21 +160,6 @@ func run(ctx context.Context, args []string) error {
 	default:
 		return fmt.Errorf("unknown subcommand %q", rest[0])
 	}
-}
-
-// envInt64 parses an integer environment variable, falling back silently: a
-// malformed value surfaces when the flag default is printed, not as a crash
-// before flag parsing.
-func envInt64(name string, fallback int64) int64 {
-	v := os.Getenv(name)
-	if v == "" {
-		return fallback
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return fallback
-	}
-	return n
 }
 
 // newLogger builds the process logger: text records on stderr, filtered at

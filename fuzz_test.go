@@ -2,17 +2,18 @@ package gdp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 )
 
 // FuzzEstimateRequestJSON fuzzes the v1 estimate request decode-and-validate
@@ -92,7 +93,7 @@ func FuzzSweepRequestJSON(f *testing.F) {
 // FuzzCellsRequestJSON fuzzes the worker wire endpoint: arbitrary bytes posted
 // to /v1/cells must be refused with a 400 or answered with a well-formed
 // result stream — one line per posted cell, each carrying an index of the
-// batch, then the done line — and never panic. An armed cell.exec fault fails
+// batch, then the done line — and never panic. The server's runCell fails
 // every accepted cell before it simulates, so the decoder, validateCell and
 // the stream are exercised without running a simulation.
 func FuzzCellsRequestJSON(f *testing.F) {
@@ -105,12 +106,6 @@ func FuzzCellsRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"api_version": "v2", "cells": [{"index": 0, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": -3, "warmup_intervals": 5000, "co_prb_sizes": [0]}}]}`))
 	f.Add([]byte(`{"api_version": "v2", "cells": [{}]} trailing`))
 
-	in, err := faultinject.Parse("cell.exec:err=EIO", 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	faultinject.SetActive(in)
-	defer faultinject.SetActive(nil)
 	engine, err := NewEngine()
 	if err != nil {
 		f.Fatal(err)
@@ -118,6 +113,9 @@ func FuzzCellsRequestJSON(f *testing.F) {
 	srv, err := NewServer(engine)
 	if err != nil {
 		f.Fatal(err)
+	}
+	srv.runCell = func(experiments.Cell, context.Context, experiments.CellConfig) ([]SweepRow, error) {
+		return nil, syscall.EIO
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -152,7 +150,7 @@ func FuzzCellsRequestJSON(f *testing.F) {
 				t.Fatalf("line %d answers index %d, which was not posted", i, res.Index)
 			}
 			if res.Error == "" || len(res.Rows) != 0 {
-				t.Fatalf("line %d: cell ran despite the armed cell.exec fault: %+v", i, res)
+				t.Fatalf("line %d: cell ran despite the failing runCell: %+v", i, res)
 			}
 		}
 	})

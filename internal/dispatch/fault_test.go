@@ -1,15 +1,18 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 )
 
 // TestPoolOversizedResultLine is the regression test for the result-stream
@@ -47,22 +50,63 @@ func TestPoolOversizedResultLine(t *testing.T) {
 	}
 }
 
-// TestPoolInjectedStreamCutRecovers arms the dispatch.stream injection point:
-// the first result lines are severed like a mid-stream worker death, and the
-// run must still complete with the exact rows (reschedule or local fallback —
-// cells are pure, so either converges).
-func TestPoolInjectedStreamCutRecovers(t *testing.T) {
-	in, err := faultinject.Parse("dispatch.stream:cut=1:times=2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := faultinject.Count(faultinject.PointDispatchStream)
-	faultinject.SetActive(in)
-	defer faultinject.SetActive(nil)
+// faultyTransport wraps a RoundTripper: the first failPosts requests fail
+// before they reach the worker, and the next cutStreams responses are cut
+// after their first line, like a worker dying between result lines.
+type faultyTransport struct {
+	next                  http.RoundTripper
+	failPosts, cutStreams atomic.Int64
+}
 
+func (f *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if f.failPosts.Add(-1) >= 0 {
+		return nil, syscall.ECONNRESET
+	}
+	resp, err := f.next.RoundTrip(req)
+	if err == nil && f.cutStreams.Add(-1) >= 0 {
+		resp.Body = &cutBody{ReadCloser: resp.Body}
+	}
+	return resp, err
+}
+
+// cutBody passes a response body through up to and including its first
+// newline, then fails every read.
+type cutBody struct {
+	io.ReadCloser
+	cut bool
+}
+
+func (b *cutBody) Read(p []byte) (int, error) {
+	if b.cut {
+		return 0, syscall.ECONNRESET
+	}
+	n, err := b.ReadCloser.Read(p)
+	if i := bytes.IndexByte(p[:n], '\n'); i >= 0 {
+		b.cut = true
+		return i + 1, nil
+	}
+	return n, err
+}
+
+// faultyOptions is testOptions over a faultyTransport.
+func faultyOptions(url string, failPosts, cutStreams int64) (Options, *faultyTransport) {
+	tr := &faultyTransport{next: http.DefaultTransport}
+	tr.failPosts.Store(failPosts)
+	tr.cutStreams.Store(cutStreams)
+	opts := testOptions(url)
+	opts.Client = &http.Client{Transport: tr}
+	return opts, tr
+}
+
+// TestPoolInjectedStreamCutRecovers cuts the first two result streams after
+// their first line, like a mid-stream worker death, and the run must still
+// complete with the exact rows (reschedule or local fallback — cells are
+// pure, so either converges).
+func TestPoolInjectedStreamCutRecovers(t *testing.T) {
 	s := httptest.NewServer(newFakeWorker(fakeExec))
 	defer s.Close()
-	pool, err := NewPool(testOptions(s.URL))
+	opts, tr := faultyOptions(s.URL, 0, 2)
+	pool, err := NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,24 +121,18 @@ func TestPoolInjectedStreamCutRecovers(t *testing.T) {
 			t.Fatalf("cell %d rows = %+v, want %+v", i, groups[i], want[i])
 		}
 	}
-	if got := faultinject.Count(faultinject.PointDispatchStream) - before; got != 2 {
-		t.Fatalf("dispatch.stream fired %d times, want 2 (times=2)", got)
+	if left := tr.cutStreams.Load(); left > 0 {
+		t.Fatalf("only %d of 2 streams were cut", 2-left)
 	}
 }
 
-// TestPoolInjectedSendErrorRecovers arms dispatch.send: the first POST fails
-// before it leaves the process, and the batch reroutes.
+// TestPoolInjectedSendErrorRecovers fails the first POST before it leaves the
+// process, and the batch reroutes.
 func TestPoolInjectedSendErrorRecovers(t *testing.T) {
-	in, err := faultinject.Parse("dispatch.send:err=ECONNRESET:times=1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.SetActive(in)
-	defer faultinject.SetActive(nil)
-
 	s := httptest.NewServer(newFakeWorker(fakeExec))
 	defer s.Close()
-	pool, err := NewPool(testOptions(s.URL))
+	opts, tr := faultyOptions(s.URL, 1, 0)
+	pool, err := NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +146,9 @@ func TestPoolInjectedSendErrorRecovers(t *testing.T) {
 		if len(groups[i]) != len(want[i]) || groups[i][0] != want[i][0] {
 			t.Fatalf("cell %d rows = %+v, want %+v", i, groups[i], want[i])
 		}
+	}
+	if tr.failPosts.Load() > 0 {
+		t.Fatal("the failing POST never happened")
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"repro/internal/faultinject"
 )
 
 // Result-stream scanner sizing: rows for a wide sweep cell can far exceed
@@ -81,9 +79,6 @@ func (w *workerClient) runBatch(ctx context.Context, cells []CellEnvelope, onRes
 	if err != nil {
 		return fmt.Errorf("dispatch: marshal batch: %w", err)
 	}
-	if err := faultinject.Fire(faultinject.PointDispatchSend); err != nil {
-		return err
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/cells", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -104,11 +99,6 @@ func (w *workerClient) runBatch(ctx context.Context, cells []CellEnvelope, onRes
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, initialResultLineBytes), maxResultLineBytes)
 	for sc.Scan() {
-		// An injected dispatch.stream cut severs the result stream mid-flight,
-		// exactly like a worker dying between lines.
-		if err := faultinject.Fire(faultinject.PointDispatchStream); err != nil {
-			return fmt.Errorf("dispatch: worker %s stream cut: %w", w.url, err)
-		}
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue

@@ -102,26 +102,6 @@ func ANTT(privateCPI, sharedCPI []float64) (float64, error) {
 	return sum / float64(len(privateCPI)), nil
 }
 
-// HarmonicMeanSpeedup computes the harmonic mean of per-core speedups
-// (privateCPI_i / sharedCPI_i), a fairness-oriented system metric.
-func HarmonicMeanSpeedup(privateCPI, sharedCPI []float64) (float64, error) {
-	if len(privateCPI) == 0 || len(privateCPI) != len(sharedCPI) {
-		return 0, errors.New("metrics: speedup requires equal-length non-empty slices")
-	}
-	var sum float64
-	for i := range privateCPI {
-		if privateCPI[i] <= 0 {
-			return 0, errors.New("metrics: private CPI must be positive")
-		}
-		speedup := privateCPI[i] / sharedCPI[i]
-		if speedup <= 0 {
-			return 0, errors.New("metrics: non-positive speedup")
-		}
-		sum += 1 / speedup
-	}
-	return float64(len(privateCPI)) / sum, nil
-}
-
 // ErrorSeries accumulates per-interval estimation errors for one benchmark
 // and reduces them to the RMS statistics used in Figures 3-5.
 type ErrorSeries struct {

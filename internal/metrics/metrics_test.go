@@ -114,23 +114,6 @@ func TestANTT(t *testing.T) {
 	}
 }
 
-func TestHarmonicMeanSpeedup(t *testing.T) {
-	hs, err := HarmonicMeanSpeedup([]float64{1, 1}, []float64{1, 1})
-	if err != nil || !almostEqual(hs, 1.0, 1e-12) {
-		t.Errorf("HMS = %v err %v, want 1.0", hs, err)
-	}
-	hs, _ = HarmonicMeanSpeedup([]float64{1, 1}, []float64{2, 2})
-	if !almostEqual(hs, 0.5, 1e-12) {
-		t.Errorf("HMS = %v, want 0.5", hs)
-	}
-	if _, err := HarmonicMeanSpeedup([]float64{1}, nil); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := HarmonicMeanSpeedup([]float64{0}, []float64{1}); err == nil {
-		t.Error("zero private CPI should error")
-	}
-}
-
 func TestSTPBoundedByCoreCount(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {

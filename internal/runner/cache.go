@@ -12,8 +12,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/faultinject"
 )
 
 // Cache is a content-addressed result cache. Entries are keyed by a hash of
@@ -46,6 +44,7 @@ type Cache struct {
 	lru      *list.List               // front = most recently used
 	inflight map[string]*inflightCall
 	dir      string // empty = memory only
+	files    fileOps
 
 	// memBytes and maxBytes are mutated under mu but read lock-free by the
 	// stats path (the /metrics gauge scrapes them outside any critical
@@ -80,6 +79,27 @@ const entryOverhead = 96
 // bounded cache still has to account for them somehow).
 const fallbackEntrySize = 512
 
+// fileOps is the disk layer's file-system seam: every read and every step of a
+// write goes through it. Caches use osFiles; tests swap in faulty operations
+// to drive the disk layer through I/O errors, short writes, failed fsyncs and
+// failed renames.
+type fileOps struct {
+	readFile   func(name string) ([]byte, error)
+	createTemp func(dir, pattern string) (*os.File, error)
+	write      func(f *os.File, b []byte) (int, error)
+	sync       func(f *os.File) error
+	rename     func(oldpath, newpath string) error
+}
+
+// osFiles is the production seam: the os package itself.
+var osFiles = fileOps{
+	readFile:   os.ReadFile,
+	createTemp: os.CreateTemp,
+	write:      (*os.File).Write,
+	sync:       (*os.File).Sync,
+	rename:     os.Rename,
+}
+
 type inflightCall struct {
 	done chan struct{}
 	val  any
@@ -92,6 +112,7 @@ func NewCache() *Cache {
 		mem:      map[string]*list.Element{},
 		lru:      list.New(),
 		inflight: map[string]*inflightCall{},
+		files:    osFiles,
 	}
 }
 
@@ -536,13 +557,10 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, shard, key+".json")
 }
 
-// readDisk loads a key's bytes from the sharded location. An injected
-// disk.read fault behaves like a missing entry.
+// readDisk loads a key's bytes from the sharded location through the c.files
+// seam. Any read error behaves like a missing entry: the caller recomputes.
 func (c *Cache) readDisk(key string) ([]byte, bool) {
-	if faultinject.Fire(faultinject.PointDiskRead) != nil {
-		return nil, false
-	}
-	raw, err := os.ReadFile(c.path(key))
+	raw, err := c.files.readFile(c.path(key))
 	return raw, err == nil
 }
 
@@ -553,33 +571,35 @@ func (c *Cache) readDisk(key string) ([]byte, bool) {
 // so a crash (or power loss) can never leave a renamed-but-empty entry — the
 // rename only becomes visible once the entry's bytes are durable. Every write
 // has its own tmp file, so concurrent writers of one key (two processes on one
-// -cache-dir) never truncate each other's bytes. An injected disk.write fault
-// behaves like any other failed write.
+// -cache-dir) never truncate each other's bytes. A failure at any step (a
+// short write included) removes the tmp file, so no entry ever holds a prefix
+// of its bytes.
+//
+// The create, write, fsync and rename steps go through the c.files seam.
+// TestDiskCacheChaos swaps in seeded faults there; a failing seed replays
+// alone with go test -run 'TestDiskCacheChaos/seed=N' ./internal/runner.
 func (c *Cache) writeDisk(key string, raw []byte) bool {
-	if faultinject.Fire(faultinject.PointDiskWrite) != nil {
-		return false
-	}
 	p := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return false
 	}
-	f, err := os.CreateTemp(filepath.Dir(p), key+".*.tmp")
+	f, err := c.files.createTemp(filepath.Dir(p), key+".*.tmp")
 	if err != nil {
 		return false
 	}
 	tmp := f.Name()
-	_, err = f.Write(raw)
+	_, err = c.files.write(f, raw)
 	if err == nil {
 		err = f.Chmod(0o644) // CreateTemp creates 0600
 	}
 	if err == nil {
-		err = f.Sync()
+		err = c.files.sync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, p)
+		err = c.files.rename(tmp, p)
 	}
 	if err != nil {
 		os.Remove(tmp)

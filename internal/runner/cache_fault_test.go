@@ -1,12 +1,10 @@
 package runner
 
 import (
-	"context"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
 // TestWriteDiskDurableAndReadable pins the hardened write path: the entry
@@ -33,21 +31,15 @@ func TestWriteDiskDurableAndReadable(t *testing.T) {
 	}
 }
 
-// TestWriteDiskFaultInjected checks that an injected disk.write error behaves
-// like any other failed disk write: writeDisk reports failure, nothing reaches
-// the directory, and the caller's silent-optimization contract holds.
+// TestWriteDiskFaultInjected checks that a failed write behaves like any
+// other failed disk write: writeDisk reports failure, nothing reaches the
+// directory, and the caller's silent-optimization contract holds.
 func TestWriteDiskFaultInjected(t *testing.T) {
-	in, err := faultinject.Parse("disk.write:err=EIO:every=1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.SetActive(in)
-	defer faultinject.SetActive(nil)
-
 	c, err := NewDiskCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.files.write = func(*os.File, []byte) (int, error) { return 0, syscall.EIO }
 	if c.writeDisk("somekey", []byte(`{"v":1}`)) {
 		t.Fatal("writeDisk succeeded under an injected EIO")
 	}
@@ -56,9 +48,9 @@ func TestWriteDiskFaultInjected(t *testing.T) {
 	}
 }
 
-// TestReadDiskFaultInjectedIsMiss checks that an injected disk.read error
-// degrades to a cache miss — the entry is on disk, but the armed injector
-// makes the read behave as if it were not.
+// TestReadDiskFaultInjectedIsMiss checks that a read error degrades to a
+// cache miss: the entry is on disk, but the failing read behaves as if it
+// were not.
 func TestReadDiskFaultInjectedIsMiss(t *testing.T) {
 	c, err := NewDiskCache(t.TempDir())
 	if err != nil {
@@ -68,38 +60,13 @@ func TestReadDiskFaultInjectedIsMiss(t *testing.T) {
 		t.Fatal("writeDisk failed")
 	}
 
-	in, err := faultinject.Parse("disk.read:err=EIO:every=1:times=1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.SetActive(in)
-	defer faultinject.SetActive(nil)
+	c.files.readFile = func(string) ([]byte, error) { return nil, syscall.EIO }
 	if _, ok := c.readDisk("somekey"); ok {
 		t.Fatal("readDisk hit under an injected EIO")
 	}
-	// times=1 exhausted: the entry is intact underneath.
+	// The entry is intact underneath.
+	c.files.readFile = os.ReadFile
 	if raw, ok := c.readDisk("somekey"); !ok || string(raw) != `{"v":1}` {
 		t.Fatalf("readDisk after fault = %q, %v, want the intact entry", raw, ok)
-	}
-}
-
-// TestRunnerJobFaultFailsRun checks the runner.job injection point: an
-// injected job error fails the run exactly like a real job failure.
-func TestRunnerJobFaultFailsRun(t *testing.T) {
-	in, err := faultinject.Parse("runner.job:err=EIO:every=1:times=1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.SetActive(in)
-	defer faultinject.SetActive(nil)
-
-	jobs := []Job[int]{{Label: "cell", Fn: func(ctx context.Context) (int, error) { return 1, nil }}}
-	if _, err := Run(t.Context(), jobs, Options{Workers: 1}); err == nil {
-		t.Fatal("Run succeeded under an injected runner.job fault")
-	}
-	// Exhausted: the same run now succeeds.
-	res, err := Run(t.Context(), jobs, Options{Workers: 1})
-	if err != nil || res[0] != 1 {
-		t.Fatalf("Run after fault = %v, %v", res, err)
 	}
 }

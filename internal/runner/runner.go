@@ -27,8 +27,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/faultinject"
 )
 
 // Job is one unit of work: typically a single simulation cell. The type
@@ -232,13 +230,7 @@ func Run[T any](ctx context.Context, jobs []Job[T], opts Options) ([]T, error) {
 }
 
 // runOne executes (or recalls) a single job using its precomputed spec key.
-// An injected runner.job fault fails the job before it touches the cache,
-// exercising the pool's fail-fast and error-selection paths.
 func runOne[T any](ctx context.Context, job Job[T], key string, cache *Cache) (T, bool, error) {
-	if err := faultinject.Fire(faultinject.PointRunnerJob); err != nil {
-		var zero T
-		return zero, false, err
-	}
 	if cache == nil || key == "" {
 		res, err := job.Fn(ctx)
 		return res, false, err

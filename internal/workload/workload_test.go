@@ -238,21 +238,6 @@ func TestPaperSetScaling(t *testing.T) {
 	}
 }
 
-func TestMixedSet(t *testing.T) {
-	sets, err := MixedSet(4, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 3 {
-		t.Fatalf("MixedSet kinds = %d, want 3", len(sets))
-	}
-	for mix, ws := range sets {
-		if len(ws) != 2 {
-			t.Errorf("MixedSet[%s] size = %d, want 2", mix, len(ws))
-		}
-	}
-}
-
 func TestWorkloadIDsUnique(t *testing.T) {
 	f := func(seed int64) bool {
 		ws, err := Generate(GenerateOptions{Cores: 4, Mix: MixM, Count: 8, Seed: seed})

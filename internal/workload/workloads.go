@@ -196,24 +196,3 @@ func PaperSet(cores int, divisor int, seed int64) ([]Workload, error) {
 	}
 	return all, nil
 }
-
-// MixedSet reproduces the Figure 7f mixed-workload population: 10 workloads
-// each of the HHML, HMML and HMLL mixes (scaled by divisor).
-func MixedSet(cores int, divisor int, seed int64) (map[MixKind][]Workload, error) {
-	if divisor < 1 {
-		divisor = 1
-	}
-	count := 10 / divisor
-	if count < 1 {
-		count = 1
-	}
-	out := map[MixKind][]Workload{}
-	for _, mix := range []MixKind{MixHHML, MixHMML, MixHMLL} {
-		ws, err := Generate(GenerateOptions{Cores: cores, Mix: mix, Count: count, Seed: seed + int64(mix)*777})
-		if err != nil {
-			return nil, err
-		}
-		out[mix] = ws
-	}
-	return out, nil
-}

@@ -501,6 +501,9 @@ type Server struct {
 	batchSem    chan struct{}
 	cellSem     chan struct{}
 	dispatchSrv *dispatchServerMetrics
+	// runCell executes one dispatched cell: experiments.Cell.Run, or a
+	// faulting stand-in a test sets before the server starts serving.
+	runCell func(experiments.Cell, context.Context, experiments.CellConfig) ([]SweepRow, error)
 	// coalesce merges concurrent identical estimate requests into one
 	// simulation (see service_coalesce.go).
 	coalesce *coalescer
@@ -586,6 +589,7 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 		metrics:      newHTTPServerMetrics(engine.registry),
 		batchSem:     make(chan struct{}, maxActiveCellBatches),
 		dispatchSrv:  newDispatchServerMetrics(engine.registry),
+		runCell:      experiments.Cell.Run,
 	}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {

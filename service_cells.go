@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
@@ -19,8 +18,8 @@ import (
 // errCellPanic marks a cell whose execution panicked. The panic is contained
 // to that one cell: the worker process survives, and the dispatcher is told
 // the cell is retryable (a panic on this worker says nothing about the cell —
-// fault injection, a corrupted cache shard, or a worker-local bug can all
-// produce one, and the cell may well succeed elsewhere).
+// a corrupted cache shard or a worker-local bug can produce one, and the cell
+// may well succeed elsewhere).
 var errCellPanic = errors.New("cell execution panicked")
 
 // Worker wire protocol (the server side of internal/dispatch), one request
@@ -201,10 +200,7 @@ func (s *Server) runCellBatch(cells []dispatch.CellEnvelope, results chan<- disp
 							err = fmt.Errorf("%w: %v", errCellPanic, r)
 						}
 					}()
-					if ferr := faultinject.Fire(faultinject.PointCellExec); ferr != nil {
-						return nil, ferr
-					}
-					return env.Cell.Run(ctx, cfg)
+					return s.runCell(env.Cell, ctx, cfg)
 				})
 			}
 			switch {

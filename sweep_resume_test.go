@@ -1,15 +1,18 @@
 package gdp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 )
 
 // partialSweep is dispatchTestSweep cut down to its PRB-16 cells: what a
@@ -76,6 +79,44 @@ func TestSweepCacheDirResumeByteIdentical(t *testing.T) {
 			if misses, missing := resumed.Cache().DetailedStats().Misses, res.Cells-part.Cells; misses != int64(missing) {
 				t.Errorf("resumed sweep had %d cache misses, want only the %d missing cells", misses, missing)
 			}
+		})
+	}
+}
+
+// TestSweepCacheDirCancelledResume stands in for a SIGKILL mid-sweep: the
+// sweep's Progress callback cancels it after its second finished cell, and a
+// rerun on a new engine over the same cache directory recalls every cell that
+// finished, simulates only the rest and matches an uninterrupted run byte for
+// byte, at jobs=1 and jobs=8.
+func TestSweepCacheDirCancelledResume(t *testing.T) {
+	want := localSweepRows(t)
+	for _, jobs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(t.Context())
+			defer cancel()
+			finished := 0 // the pool serializes Progress calls
+			killed := diskEngine(t, dir, WithJobs(jobs), WithProgress(func(p RunnerProgress) {
+				finished++
+				if p.Done == 2 {
+					cancel()
+				}
+			}))
+			if _, err := killed.Sweep(ctx, dispatchTestSweep()); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+			}
+			// One worker stops at the cancel; eight may finish cells already
+			// in flight, and each of those is on disk too.
+			if jobs == 1 && finished != 2 {
+				t.Errorf("serial sweep finished %d cells after a cancel at the second", finished)
+			}
+			resumed := diskEngine(t, dir, WithJobs(jobs))
+			res, err := resumed.Sweep(t.Context(), dispatchTestSweep())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d of %d cells finished before the cancel took hold", finished, res.Cells)
+			checkResumed(t, want, res, finished, resumed, resumed.instr.Sim.Runs())
 		})
 	}
 }
@@ -160,22 +201,31 @@ func TestSweepWorkersRejectsJournal(t *testing.T) {
 	}
 }
 
-// TestWorkerCellPanicRetryable is the hardening acceptance check: an injected
-// panic inside a worker's cell execution must not kill the worker — the cell
-// comes back as a retryable failure, the dispatcher retries it, and the sweep
+// TestWorkerCellPanicRetryable is the hardening acceptance check: a panic
+// inside a worker's cell execution must not kill the worker — the cell comes
+// back as a retryable failure, the dispatcher retries it, and the sweep
 // finishes with byte-identical rows. The worker's metrics record the panic.
 func TestWorkerCellPanicRetryable(t *testing.T) {
 	want := localSweepRows(t)
 
-	in, err := faultinject.Parse("cell.exec:panic=1:times=1", 1)
+	worker, err := NewEngine(WithScale(dispatchTestScale()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := faultinject.Count(faultinject.PointCellExec)
-	faultinject.SetActive(in)
-	defer faultinject.SetActive(nil)
+	srv, err := NewServer(worker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var panics atomic.Int64
+	srv.runCell = func(c experiments.Cell, ctx context.Context, cfg experiments.CellConfig) ([]SweepRow, error) {
+		if panics.Add(1) == 1 {
+			panic("first cell execution panics")
+		}
+		return c.Run(ctx, cfg)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 
-	ts, _ := newWorker(t)
 	engine, err := NewEngine(WithScale(dispatchTestScale()))
 	if err != nil {
 		t.Fatal(err)
@@ -185,14 +235,11 @@ func TestWorkerCellPanicRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := rowsJSON(t, res.Rows); got != want {
-		t.Errorf("rows after injected panic differ from clean run:\n got %s\nwant %s", got, want)
-	}
-	if got := faultinject.Count(faultinject.PointCellExec) - before; got != 1 {
-		t.Errorf("cell.exec fired %d times, want 1 (times=1)", got)
+		t.Errorf("rows after a cell panic differ from clean run:\n got %s\nwant %s", got, want)
 	}
 
 	// The worker survived (it just served the rest of the grid) and accounted
-	// the panic in its outcome counter and fault-injection telemetry.
+	// the panic in its outcome counter.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +249,7 @@ func TestWorkerCellPanicRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics := string(raw)
-	if !strings.Contains(metrics, `gdpsim_dispatch_served_cells_total{outcome="panic"} 1`) {
+	if metrics := string(raw); !strings.Contains(metrics, `gdpsim_dispatch_served_cells_total{outcome="panic"} 1`) {
 		t.Errorf("worker metrics missing the panic outcome:\n%s", metrics)
-	}
-	if !strings.Contains(metrics, `gdpsim_fault_injected_total{point="cell.exec"} 1`) {
-		t.Errorf("worker metrics missing the cell.exec injection count:\n%s", metrics)
 	}
 }
