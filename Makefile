@@ -43,8 +43,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# diet prints the five tracked size numbers (ROADMAP aim 2; down is good), so
-# every PR reports them with the same commands. Never fails the build.
+# diet prints the six tracked size numbers (ROADMAP aim 2; down is good), so
+# every PR reports them with the same commands. Never fails the build. The
+# last counts exported funcs and methods in non-test files under internal/;
+# TestExportedNamesHaveCallers checks that each one has a caller.
 NONTEST_GO = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
 diet:
 	@echo "non-test Go lines outside benchmark/: $$($(NONTEST_GO) | xargs cat | wc -l)"
@@ -52,6 +54,7 @@ diet:
 	@echo "gdpsim flag definitions:              $$(ls cmd/gdpsim/*.go | grep -v _test.go | xargs cat | grep -cE 'fs\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|Var|[A-Za-z0-9]+Var)\(')"
 	@echo "root exported symbols:                $$(ls *.go | grep -v _test.go | xargs grep -hE '^(func|type|var|const) [A-Z]' | wc -l)"
 	@echo "gdpsim_* metric families:             $$($(NONTEST_GO) | xargs grep -hoE '"gdpsim_[a-z_]+"' | sort -u | wc -l)"
+	@echo "internal exported funcs and methods:  $$(find ./internal -name '*.go' ! -name '*_test.go' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]' | wc -l)"
 
 # bench runs the ledger (benchmark/, declared in BENCHMARK.json) on its six
 # workloads untraced, one result file per workload under $(BENCH_OUT). Compare

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/workload"
 )
 
 // The benchmarks in this file regenerate the paper's tables and figures, one
@@ -353,16 +352,22 @@ func BenchmarkEngineStream(b *testing.B) {
 }
 
 // BenchmarkWorkloadGeneration measures the paper-scale workload population
-// generation (Section VI methodology).
+// generation (Section VI methodology): 30 H, 15 M and 5 L workloads per core
+// count.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cores := range []int{2, 4, 8} {
-			ws, err := workload.PaperSet(cores, 1, int64(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(ws) != 50 {
-				b.Fatalf("expected 50 workloads, got %d", len(ws))
+			for _, mix := range []struct {
+				kind  MixKind
+				count int
+			}{{MixH, 30}, {MixM, 15}, {MixL, 5}} {
+				ws, err := GenerateWorkloads(cores, mix.kind, mix.count, int64(i)+int64(mix.kind)*1000)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ws) != mix.count {
+					b.Fatalf("expected %d workloads, got %d", mix.count, len(ws))
+				}
 			}
 		}
 	}

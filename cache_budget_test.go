@@ -108,14 +108,14 @@ func TestWithCacheBudgetValidation(t *testing.T) {
 	if _, err := NewEngine(WithCacheBudget(4096), WithCache(cache)); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.MaxBytes(); got != 4096 {
-		t.Errorf("budget before WithCache: MaxBytes = %d, want 4096", got)
+	if got := cache.DetailedStats().MemoryBudgetBytes; got != 4096 {
+		t.Errorf("budget before WithCache: MemoryBudgetBytes = %d, want 4096", got)
 	}
 	cache2 := runner.NewCache()
 	if _, err := NewEngine(WithCache(cache2), WithCacheBudget(8192)); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache2.MaxBytes(); got != 8192 {
-		t.Errorf("budget after WithCache: MaxBytes = %d, want 8192", got)
+	if got := cache2.DetailedStats().MemoryBudgetBytes; got != 8192 {
+		t.Errorf("budget after WithCache: MemoryBudgetBytes = %d, want 8192", got)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -85,7 +86,11 @@ func run(ctx context.Context, args []string) error {
 	if *jobs < 0 {
 		return fmt.Errorf("-jobs %d out of range (0 = all CPUs, or a positive width)", *jobs)
 	}
-	if *cacheMemMB < 0 {
+	if *cores < 1 {
+		return fmt.Errorf("-cores %d out of range (at least 1)", *cores)
+	}
+	// The budget in bytes must fit an int64; NaN fails every comparison.
+	if budget := *cacheMemMB * (1 << 20); !(budget >= 0 && budget < math.MaxInt64) {
 		return fmt.Errorf("-cache-mem-mb %v out of range (0 = unbounded, or a positive budget in MB)", *cacheMemMB)
 	}
 	logger, err := newLogger(*logLevel)
@@ -426,6 +431,9 @@ func cmdServe(ctx context.Context, engine *gdp.Engine, logger *slog.Logger, args
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve: unexpected argument %q", fs.Arg(0))
 	}
+	if *maxConcurrent < 0 {
+		return fmt.Errorf("serve: -max-concurrent %d out of range (0 = 2x CPUs, or a positive limit)", *maxConcurrent)
+	}
 	srvOpts := []gdp.ServerOption{gdp.WithLogger(logger)}
 	if *maxConcurrent > 0 {
 		srvOpts = append(srvOpts, gdp.WithMaxConcurrent(*maxConcurrent))
@@ -457,7 +465,7 @@ func serveUntilDone(ctx context.Context, ln net.Listener, handler http.Handler, 
 	// The serving line is the startup contract: scripts (and the serve-smoke
 	// CI check) parse the addr attribute to find the ephemeral port.
 	logger.Info("serving", "addr", ln.Addr().String(),
-		"endpoints", "POST /v1/estimate, POST /v1/sweep, GET /healthz, GET /metrics")
+		"endpoints", "POST /v1/estimate, POST /v1/sweep, POST /v1/cells, GET /v1/scenarios, GET /healthz, GET /metrics")
 
 	select {
 	case err := <-errCh:

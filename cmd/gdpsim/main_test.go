@@ -103,6 +103,8 @@ func TestRunRejectsNegativeJobs(t *testing.T) {
 		want string
 	}{
 		{[]string{"-jobs", "-2", "table1"}, "-jobs"},
+		{[]string{"-cores", "-1", "overhead"}, "-cores"},
+		{[]string{"-cores", "0", "table1"}, "-cores"},
 		{[]string{"-sim" + "-workers", "2", "run"}, "flag provided but not defined"},
 	} {
 		err := run(context.Background(), tc.args)
@@ -292,9 +294,12 @@ func TestSweepCheckpointFlagsRemoved(t *testing.T) {
 }
 
 func TestRunRejectsNegativeCacheBudget(t *testing.T) {
-	err := run(context.Background(), []string{"-cache-mem-mb", "-1", "table1"})
-	if err == nil || !strings.Contains(err.Error(), "-cache-mem-mb") {
-		t.Errorf("negative -cache-mem-mb accepted (err = %v)", err)
+	// NaN and +Inf are not budgets, and 1e300 MB overflows an int64 byte count.
+	for _, mb := range []string{"-1", "NaN", "+Inf", "1e300"} {
+		err := run(context.Background(), []string{"-cache-mem-mb", mb, "table1"})
+		if err == nil || !strings.Contains(err.Error(), "-cache-mem-mb") {
+			t.Errorf("-cache-mem-mb %s accepted (err = %v)", mb, err)
+		}
 	}
 }
 
@@ -414,6 +419,14 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"serve", "-addr", "999.999.999.999:0"}); err == nil {
 		t.Error("unlistenable address accepted")
+	}
+	// A cancelled context makes an accepted flag return at once instead of
+	// serving.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := run(ctx, []string{"serve", "-addr", "127.0.0.1:0", "-max-concurrent", "-3"})
+	if err == nil || !strings.Contains(err.Error(), "-max-concurrent") {
+		t.Errorf("negative -max-concurrent accepted (err = %v)", err)
 	}
 }
 

@@ -185,9 +185,9 @@ func (e *Engine) RunPrivate(ctx context.Context, cfg *CMPConfig, bench Benchmark
 	return sim.RunPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles)
 }
 
-// ErrStreamStopped reports that a Stream consumer abandoned the sequence
+// errStreamStopped reports that a Stream consumer abandoned the sequence
 // before the simulation finished.
-var ErrStreamStopped = errors.New("gdp: stream stopped before the simulation finished")
+var errStreamStopped = errors.New("gdp: stream stopped before the simulation finished")
 
 // Stream executes a shared-mode simulation and yields every IntervalRecord as
 // soon as its interval completes, instead of accumulating them in memory
@@ -201,12 +201,12 @@ var ErrStreamStopped = errors.New("gdp: stream stopped before the simulation fin
 //
 // The returned result function reports the run's outcome once the sequence
 // has ended: the final SimResult (with cumulative statistics and sample
-// points, but no interval records) on success, ErrStreamStopped if the
-// consumer broke out early, the context's error on cancellation.
+// points, but no interval records) on success, a "stream stopped" error if
+// the consumer broke out early, the context's error on cancellation.
 func (e *Engine) Stream(ctx context.Context, opts SimOptions) (iter.Seq2[IntervalRecord, error], func() (*SimResult, error)) {
 	var (
 		res      *SimResult
-		runErr   error = ErrStreamStopped // until the sequence actually ends
+		runErr   error = errStreamStopped // until the sequence actually ends
 		consumed bool
 	)
 	seq := func(yield func(IntervalRecord, error) bool) {
@@ -222,7 +222,7 @@ func (e *Engine) Stream(ctx context.Context, opts SimOptions) (iter.Seq2[Interva
 		simOpts.OnInterval = func(rec sim.IntervalRecord) error {
 			if !yield(rec, nil) {
 				stopped = true
-				return ErrStreamStopped
+				return errStreamStopped
 			}
 			return nil
 		}

@@ -219,8 +219,8 @@ func TestEngineStreamEarlyBreak(t *testing.T) {
 	for range seq {
 		break
 	}
-	if _, err := result(); !errors.Is(err, ErrStreamStopped) {
-		t.Errorf("result err = %v, want ErrStreamStopped", err)
+	if _, err := result(); !errors.Is(err, errStreamStopped) {
+		t.Errorf("result err = %v, want errStreamStopped", err)
 	}
 }
 

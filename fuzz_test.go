@@ -18,7 +18,7 @@ import (
 
 // FuzzEstimateRequestJSON fuzzes the v1 estimate request decode-and-validate
 // path: any bytes that unmarshal into an EstimateRequest must either resolve
-// to a workload or be rejected with a classified *RequestError — never panic
+// to a workload or be rejected with a classified *requestError — never panic
 // and never leak an unclassified error for a client-side problem. No
 // simulation runs; this is exactly the pre-simulation half of the HTTP
 // handler.
@@ -159,8 +159,8 @@ func FuzzCellsRequestJSON(f *testing.F) {
 // requireRequestError asserts a rejection maps to HTTP 400.
 func requireRequestError(t *testing.T, err error) {
 	t.Helper()
-	var reqErr *RequestError
+	var reqErr *requestError
 	if !errors.As(err, &reqErr) {
-		t.Fatalf("client-side rejection %v is not a *RequestError (would map to HTTP 500)", err)
+		t.Fatalf("client-side rejection %v is not a *requestError (would map to HTTP 500)", err)
 	}
 }

@@ -225,8 +225,5 @@ func NewDiskResultCache(dir string) (*ResultCache, error) { return runner.NewDis
 // simulation cell to w.
 func ConsoleProgress(w io.Writer) ProgressFunc { return runner.ConsoleProgress(w) }
 
-// WriteJSON writes v as indented JSON to w.
-func WriteJSON(w io.Writer, v any) error { return runner.WriteJSON(w, v) }
-
 // WriteJSONFile writes v as indented JSON to a file.
 func WriteJSONFile(path string, v any) error { return runner.WriteJSONFile(path, v) }

@@ -97,7 +97,7 @@ func TestGDPAccountantEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive core 0's unit through a serialized chain of 3 SMS loads.
-	unit := a.Unit(0)
+	unit := a.units[0]
 	cycle := uint64(0)
 	for i := 0; i < 3; i++ {
 		addr := uint64(0x1000 + i*64)
@@ -133,7 +133,7 @@ func TestGDPAccountantEstimate(t *testing.T) {
 		t.Error("GDP should estimate fewer private-mode stall cycles than the shared-mode measurement")
 	}
 	a.EndInterval()
-	if a.Latency().Count(0) != 0 {
+	if a.latency.SharedLatency(0) != 0 {
 		t.Error("EndInterval should reset DIEF")
 	}
 }
@@ -142,7 +142,7 @@ func TestGDPOSubtractsOverlap(t *testing.T) {
 	gdp, _ := NewGDP(1, 32, false)
 	gdpo, _ := NewGDP(1, 32, true)
 	drive := func(a *GDPAccountant) {
-		u := a.Unit(0)
+		u := a.units[0]
 		u.OnLoadIssued(0x100, 0)
 		// 50 committing cycles of overlap while pending.
 		for i := 0; i < 50; i++ {
@@ -289,20 +289,20 @@ func TestASMEpochRotation(t *testing.T) {
 	}
 	a, _ := NewASM(4, 1000, ctrl)
 	a.Tick(0)
-	if a.CurrentOwner() != 0 || ctrl.PriorityCore() != 0 {
-		t.Fatalf("epoch 0 should belong to core 0 (owner=%d prio=%d)", a.CurrentOwner(), ctrl.PriorityCore())
+	if a.currentOwner != 0 || ctrl.PriorityCore() != 0 {
+		t.Fatalf("epoch 0 should belong to core 0 (owner=%d prio=%d)", a.currentOwner, ctrl.PriorityCore())
 	}
 	for now := uint64(1); now <= 1000; now++ {
 		a.Tick(now)
 	}
-	if a.CurrentOwner() != 1 || ctrl.PriorityCore() != 1 {
-		t.Errorf("after one epoch the owner should be core 1, got %d", a.CurrentOwner())
+	if a.currentOwner != 1 || ctrl.PriorityCore() != 1 {
+		t.Errorf("after one epoch the owner should be core 1, got %d", a.currentOwner)
 	}
 	for now := uint64(1001); now <= 4000; now++ {
 		a.Tick(now)
 	}
-	if a.CurrentOwner() != 0 {
-		t.Errorf("epochs should wrap around to core 0, got %d", a.CurrentOwner())
+	if a.currentOwner != 0 {
+		t.Errorf("epochs should wrap around to core 0, got %d", a.currentOwner)
 	}
 }
 

@@ -125,9 +125,6 @@ func (a *ASM) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// CurrentOwner returns the core holding the high-priority epoch.
-func (a *ASM) CurrentOwner() int { return a.currentOwner }
-
 // Estimate implements Accountant.
 func (a *ASM) Estimate(core int, interval cpu.Stats) Estimate {
 	p := a.probes[core]

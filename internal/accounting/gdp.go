@@ -58,12 +58,6 @@ func NewGDP(cores int, prbEntries int, useOverlap bool) (*GDPAccountant, error) 
 // Name implements Accountant.
 func (a *GDPAccountant) Name() string { return a.name }
 
-// Unit exposes core's dataflow unit (for component-accuracy studies).
-func (a *GDPAccountant) Unit(core int) *gdpcore.GDP { return a.units[core] }
-
-// Latency exposes the DIEF estimator (for component-accuracy studies).
-func (a *GDPAccountant) Latency() *dief.Estimator { return a.latency }
-
 // SetLatencyFloor forwards the per-core unloaded-latency floor to DIEF.
 func (a *GDPAccountant) SetLatencyFloor(core int, floor uint64) {
 	a.latency.SetLatencyFloor(core, floor)

@@ -16,10 +16,7 @@ import (
 // an access that misses in the real shared cache but hits in the ATD would
 // have hit in private mode, so the miss is interference-induced.
 type ATD struct {
-	core       int
-	llcSets    int
 	ways       int
-	sampled    int // number of sampled sets
 	sampleStep int // distance between sampled LLC sets
 
 	// tags[sampledSet][way], maintained as a true LRU stack:
@@ -33,12 +30,11 @@ type ATD struct {
 	// wayHits[i] counts hits whose LRU stack distance is exactly i.
 	wayHits  []uint64
 	accesses uint64
-	misses   uint64
 }
 
 // NewATD creates an ATD for one core shadowing a shared cache with llcSets
 // sets and ways associativity, sampling sampledSets of those sets.
-func NewATD(core, llcSets, ways, sampledSets, lineBytes int) (*ATD, error) {
+func NewATD(llcSets, ways, sampledSets, lineBytes int) (*ATD, error) {
 	if sampledSets < 1 || sampledSets > llcSets {
 		return nil, fmt.Errorf("atd: sampled sets %d out of range [1,%d]", sampledSets, llcSets)
 	}
@@ -46,10 +42,7 @@ func NewATD(core, llcSets, ways, sampledSets, lineBytes int) (*ATD, error) {
 		return nil, fmt.Errorf("atd: llc set count %d not a power of two", llcSets)
 	}
 	a := &ATD{
-		core:       core,
-		llcSets:    llcSets,
 		ways:       ways,
-		sampled:    sampledSets,
 		sampleStep: llcSets / sampledSets,
 		tags:       make([][]uint64, sampledSets),
 		valid:      make([][]bool, sampledSets),
@@ -64,9 +57,6 @@ func NewATD(core, llcSets, ways, sampledSets, lineBytes int) (*ATD, error) {
 	return a, nil
 }
 
-// Core returns the core this ATD shadows.
-func (a *ATD) Core() int { return a.core }
-
 // sampleIndex maps an address to its sampled-set index, or -1 if the address
 // does not fall in a sampled set.
 func (a *ATD) sampleIndex(addr uint64) int {
@@ -76,9 +66,6 @@ func (a *ATD) sampleIndex(addr uint64) int {
 	}
 	return set / a.sampleStep
 }
-
-// Sampled reports whether addr falls in a sampled set.
-func (a *ATD) Sampled(addr uint64) bool { return a.sampleIndex(addr) >= 0 }
 
 // Access records a demand access. It returns (sampled, privateHit): sampled
 // is false when the address does not map to a sampled set (in which case the
@@ -109,7 +96,6 @@ func (a *ATD) Access(addr uint64) (sampled, privateHit bool) {
 		tags[0], valid[0] = tag, true
 		return true, true
 	}
-	a.misses++
 	// Insert at MRU, shifting everything down (LRU falls off).
 	copy(tags[1:], tags[0:a.ways-1])
 	copy(valid[1:], valid[0:a.ways-1])
@@ -135,27 +121,11 @@ func (a *ATD) MissCurve() []uint64 {
 	return curve
 }
 
-// SampledAccesses returns the number of accesses observed in sampled sets.
-func (a *ATD) SampledAccesses() uint64 { return a.accesses }
-
-// SampledMisses returns the number of full-associativity misses observed in
-// sampled sets.
-func (a *ATD) SampledMisses() uint64 { return a.misses }
-
 // ResetCounters clears the miss-curve counters while keeping the tag state,
 // so that miss curves reflect only the most recent measurement interval.
 func (a *ATD) ResetCounters() {
 	a.accesses = 0
-	a.misses = 0
 	for i := range a.wayHits {
 		a.wayHits[i] = 0
 	}
-}
-
-// StorageBits returns the ATD's storage cost in bits, assuming tagBits per
-// tag entry plus a valid bit. This reproduces the storage-overhead arithmetic
-// of the paper's Section IV-B/IV-C (set sampling reduces DIEF's cost from
-// megabytes to kilobytes).
-func (a *ATD) StorageBits(tagBits int) int {
-	return a.sampled * a.ways * (tagBits + 1)
 }

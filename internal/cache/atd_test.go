@@ -5,9 +5,9 @@ import (
 	"testing/quick"
 )
 
-func mustATD(t *testing.T, core, llcSets, ways, sampled int) *ATD {
+func mustATD(t *testing.T, llcSets, ways, sampled int) *ATD {
 	t.Helper()
-	a, err := NewATD(core, llcSets, ways, sampled, 64)
+	a, err := NewATD(llcSets, ways, sampled, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,42 +15,38 @@ func mustATD(t *testing.T, core, llcSets, ways, sampled int) *ATD {
 }
 
 func TestNewATDValidation(t *testing.T) {
-	if _, err := NewATD(0, 128, 16, 0, 64); err == nil {
+	if _, err := NewATD(128, 16, 0, 64); err == nil {
 		t.Error("zero sampled sets accepted")
 	}
-	if _, err := NewATD(0, 128, 16, 256, 64); err == nil {
+	if _, err := NewATD(128, 16, 256, 64); err == nil {
 		t.Error("more sampled sets than LLC sets accepted")
 	}
-	if _, err := NewATD(0, 100, 16, 10, 64); err == nil {
+	if _, err := NewATD(100, 16, 10, 64); err == nil {
 		t.Error("non-power-of-two LLC sets accepted")
-	}
-	a := mustATD(t, 3, 128, 16, 32)
-	if a.Core() != 3 {
-		t.Errorf("Core() = %d", a.Core())
 	}
 }
 
 func TestATDSampling(t *testing.T) {
-	a := mustATD(t, 0, 128, 16, 32) // sample step = 4
+	a := mustATD(t, 128, 16, 32) // sample step = 4
 	// Set index bits are addr[12:6] for 128 sets of 64B lines.
 	sampledAddr := uint64(0 << 6)   // set 0: sampled
 	unsampledAddr := uint64(1 << 6) // set 1: not sampled
-	if !a.Sampled(sampledAddr) {
+	if a.sampleIndex(sampledAddr) < 0 {
 		t.Error("set 0 should be sampled")
 	}
-	if a.Sampled(unsampledAddr) {
+	if a.sampleIndex(unsampledAddr) >= 0 {
 		t.Error("set 1 should not be sampled with step 4")
 	}
 	if s, _ := a.Access(unsampledAddr); s {
 		t.Error("access to unsampled set should report sampled=false")
 	}
-	if a.SampledAccesses() != 0 {
+	if a.accesses != 0 {
 		t.Error("unsampled access must not be counted")
 	}
 }
 
 func TestATDFullSamplingHitDetection(t *testing.T) {
-	a := mustATD(t, 0, 64, 4, 64) // every set sampled
+	a := mustATD(t, 64, 4, 64) // every set sampled
 	addr := uint64(0x4000)
 	if _, hit := a.Access(addr); hit {
 		t.Error("cold access should miss")
@@ -58,15 +54,15 @@ func TestATDFullSamplingHitDetection(t *testing.T) {
 	if _, hit := a.Access(addr); !hit {
 		t.Error("repeat access should hit")
 	}
-	if a.SampledMisses() != 1 || a.SampledAccesses() != 2 {
-		t.Errorf("misses=%d accesses=%d", a.SampledMisses(), a.SampledAccesses())
+	if curve := a.MissCurve(); curve[4] != 1 || a.accesses != 2 {
+		t.Errorf("misses=%d accesses=%d", curve[4], a.accesses)
 	}
 }
 
 func TestATDStackDistanceEviction(t *testing.T) {
 	// 2-way ATD: accessing 3 distinct lines mapping to the same set then
 	// re-accessing the first must miss (stack distance 2 >= ways).
-	a := mustATD(t, 0, 64, 2, 64)
+	a := mustATD(t, 64, 2, 64)
 	setStride := uint64(64 * 64) // same set, different tag
 	a.Access(0x0)
 	a.Access(setStride)
@@ -81,7 +77,7 @@ func TestATDStackDistanceEviction(t *testing.T) {
 }
 
 func TestMissCurveMonotonicityAndScaling(t *testing.T) {
-	a := mustATD(t, 0, 128, 8, 32) // scale factor 4
+	a := mustATD(t, 128, 8, 32) // scale factor 4
 	// Touch a few lines repeatedly in sampled set 0.
 	stride := uint64(128 * 64)
 	for rep := 0; rep < 4; rep++ {
@@ -98,8 +94,8 @@ func TestMissCurveMonotonicityAndScaling(t *testing.T) {
 			t.Errorf("miss curve not non-increasing at %d: %v", w, curve)
 		}
 	}
-	if curve[0] != a.SampledAccesses()*4 {
-		t.Errorf("curve[0] = %d, want scaled accesses %d", curve[0], a.SampledAccesses()*4)
+	if curve[0] != a.accesses*4 {
+		t.Errorf("curve[0] = %d, want scaled accesses %d", curve[0], a.accesses*4)
 	}
 	// With 6 distinct lines and 8 ways, a fully sized cache only suffers the
 	// 6 cold misses.
@@ -107,14 +103,14 @@ func TestMissCurveMonotonicityAndScaling(t *testing.T) {
 		t.Errorf("curve[ways] = %d, want 24 (cold misses only)", curve[8])
 	}
 	// With 1 way a repeating 6-line sequence always misses.
-	if curve[1] != a.SampledAccesses()*4 {
+	if curve[1] != a.accesses*4 {
 		t.Errorf("curve[1] = %d, want all accesses to miss", curve[1])
 	}
 }
 
 func TestMissCurvePropertyMonotone(t *testing.T) {
 	f := func(addrs []uint16) bool {
-		a, err := NewATD(0, 64, 8, 16, 64)
+		a, err := NewATD(64, 8, 16, 64)
 		if err != nil {
 			return false
 		}
@@ -135,28 +131,15 @@ func TestMissCurvePropertyMonotone(t *testing.T) {
 }
 
 func TestATDResetCounters(t *testing.T) {
-	a := mustATD(t, 0, 64, 4, 64)
+	a := mustATD(t, 64, 4, 64)
 	a.Access(0x0)
 	a.Access(0x0)
 	a.ResetCounters()
-	if a.SampledAccesses() != 0 || a.SampledMisses() != 0 {
+	if a.accesses != 0 || a.MissCurve()[2] != 0 {
 		t.Error("counters not cleared")
 	}
 	// Tag state must survive the reset: the line is still resident.
 	if _, hit := a.Access(0x0); !hit {
 		t.Error("ResetCounters must not flush ATD tags")
-	}
-}
-
-func TestATDStorageBits(t *testing.T) {
-	a := mustATD(t, 0, 8192, 16, 32)
-	full := mustATD(t, 0, 8192, 16, 8192)
-	sampledBits := a.StorageBits(40)
-	fullBits := full.StorageBits(40)
-	if sampledBits*200 > fullBits {
-		t.Errorf("set sampling should reduce storage dramatically: sampled=%d full=%d", sampledBits, fullBits)
-	}
-	if sampledBits != 32*16*41 {
-		t.Errorf("sampled storage = %d bits, want %d", sampledBits, 32*16*41)
 	}
 }

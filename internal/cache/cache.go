@@ -21,11 +21,9 @@ type line struct {
 // Cache is a set-associative cache tag store with LRU replacement and
 // optional per-core way partitioning. It models tags only; data never moves.
 type Cache struct {
-	name      string
-	sets      int
-	ways      int
-	lineBytes int
-	latency   int
+	name string
+	sets int
+	ways int
 
 	setShift uint
 	setMask  uint64
@@ -36,28 +34,10 @@ type Cache struct {
 	// partition[core] is the number of ways core may occupy in every set.
 	// nil means unpartitioned (pure LRU).
 	partition []int
-
-	stats Stats
-}
-
-// Stats aggregates cache access statistics.
-type Stats struct {
-	Accesses  uint64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-// MissRate returns the miss rate, or 0 for an idle cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
 }
 
 // New creates a cache with the given geometry. Sets must be a power of two.
-func New(name string, sizeBytes, ways, lineBytes, latency int) (*Cache, error) {
+func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if ways < 1 || lineBytes < 1 || sizeBytes < ways*lineBytes {
 		return nil, fmt.Errorf("cache %s: invalid geometry size=%d ways=%d line=%d", name, sizeBytes, ways, lineBytes)
 	}
@@ -66,14 +46,12 @@ func New(name string, sizeBytes, ways, lineBytes, latency int) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: set count %d is not a power of two", name, sets)
 	}
 	c := &Cache{
-		name:      name,
-		sets:      sets,
-		ways:      ways,
-		lineBytes: lineBytes,
-		latency:   latency,
-		setShift:  uint(bits.TrailingZeros(uint(lineBytes))),
-		setMask:   uint64(sets - 1),
-		lines:     make([][]line, sets),
+		name:     name,
+		sets:     sets,
+		ways:     ways,
+		setShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		setMask:  uint64(sets - 1),
+		lines:    make([][]line, sets),
 	}
 	for i := range c.lines {
 		c.lines[i] = make([]line, ways)
@@ -81,34 +59,13 @@ func New(name string, sizeBytes, ways, lineBytes, latency int) (*Cache, error) {
 	return c, nil
 }
 
-// Name returns the cache's name (for diagnostics).
-func (c *Cache) Name() string { return c.name }
-
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// Latency returns the access latency in cycles.
-func (c *Cache) Latency() int { return c.latency }
-
-// Stats returns a copy of the accumulated statistics.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the accumulated statistics.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // indexOf returns the set index and tag for an address.
 func (c *Cache) indexOf(addr uint64) (int, uint64) {
 	blk := addr >> c.setShift
 	return int(blk & c.setMask), blk >> uint(bits.TrailingZeros(uint(c.sets)))
-}
-
-// SetIndex exposes the set index an address maps to (used for ATD sampling).
-func (c *Cache) SetIndex(addr uint64) int {
-	s, _ := c.indexOf(addr)
-	return s
 }
 
 // SetPartition installs a way partition: alloc[core] ways per set for each
@@ -133,14 +90,6 @@ func (c *Cache) SetPartition(alloc []int) error {
 	return nil
 }
 
-// Partition returns the current allocation (nil when unpartitioned).
-func (c *Cache) Partition() []int {
-	if c.partition == nil {
-		return nil
-	}
-	return append([]int(nil), c.partition...)
-}
-
 // Lookup probes the cache without modifying replacement state and reports
 // whether the address hits.
 func (c *Cache) Lookup(addr uint64) bool {
@@ -157,18 +106,15 @@ func (c *Cache) Lookup(addr uint64) bool {
 // returns true. On a miss it returns false and does not allocate; use Fill to
 // install the line when the data returns (mirroring a real fill path).
 func (c *Cache) Access(core int, addr uint64) bool {
-	c.stats.Accesses++
 	set, tag := c.indexOf(addr)
 	c.lruTick++
 	for i := range c.lines[set] {
 		l := &c.lines[set][i]
 		if l.valid && l.tag == tag {
 			l.lru = c.lruTick
-			c.stats.Hits++
 			return true
 		}
 	}
-	c.stats.Misses++
 	return false
 }
 
@@ -206,7 +152,6 @@ func (c *Cache) Fill(core int, addr uint64) (evicted uint64, evictedValid bool) 
 	if l.valid {
 		evicted = c.rebuildAddr(set, l.tag)
 		evictedValid = true
-		c.stats.Evictions++
 	}
 	*l = line{tag: tag, valid: true, owner: core, lru: c.lruTick}
 	return evicted, evictedValid
@@ -289,20 +234,6 @@ func (c *Cache) lruVictim(set int, eligible func(int) bool) int {
 func (c *Cache) rebuildAddr(set int, tag uint64) uint64 {
 	setBits := uint(bits.TrailingZeros(uint(c.sets)))
 	return ((tag << setBits) | uint64(set)) << c.setShift
-}
-
-// Invalidate removes the line containing addr if present and reports whether
-// it was present.
-func (c *Cache) Invalidate(addr uint64) bool {
-	set, tag := c.indexOf(addr)
-	for i := range c.lines[set] {
-		l := &c.lines[set][i]
-		if l.valid && l.tag == tag {
-			l.valid = false
-			return true
-		}
-	}
-	return false
 }
 
 // OccupancyByCore returns, for shared caches, the number of valid lines each

@@ -5,9 +5,9 @@ import (
 	"testing/quick"
 )
 
-func mustCache(t *testing.T, size, ways, lineBytes, latency int) *Cache {
+func mustCache(t *testing.T, size, ways, lineBytes int) *Cache {
 	t.Helper()
-	c, err := New("test", size, ways, lineBytes, latency)
+	c, err := New("test", size, ways, lineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,19 +15,19 @@ func mustCache(t *testing.T, size, ways, lineBytes, latency int) *Cache {
 }
 
 func TestNewRejectsBadGeometry(t *testing.T) {
-	if _, err := New("bad", 100, 3, 64, 1); err == nil {
+	if _, err := New("bad", 100, 3, 64); err == nil {
 		t.Error("non-power-of-two sets accepted")
 	}
-	if _, err := New("bad", 0, 2, 64, 1); err == nil {
+	if _, err := New("bad", 0, 2, 64); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := New("bad", 1024, 0, 64, 1); err == nil {
+	if _, err := New("bad", 1024, 0, 64); err == nil {
 		t.Error("zero ways accepted")
 	}
 }
 
 func TestBasicHitMiss(t *testing.T) {
-	c := mustCache(t, 4096, 4, 64, 3)
+	c := mustCache(t, 4096, 4, 64)
 	if c.Access(0, 0x1000) {
 		t.Error("cold access should miss")
 	}
@@ -41,14 +41,10 @@ func TestBasicHitMiss(t *testing.T) {
 	if c.Access(0, 0x2000) {
 		t.Error("different line should miss")
 	}
-	st := c.Stats()
-	if st.Accesses != 4 || st.Hits != 2 || st.Misses != 2 {
-		t.Errorf("stats = %+v", st)
-	}
 }
 
 func TestAccessAndFill(t *testing.T) {
-	c := mustCache(t, 4096, 4, 64, 3)
+	c := mustCache(t, 4096, 4, 64)
 	if c.AccessAndFill(0, 0x40) {
 		t.Error("first access should miss")
 	}
@@ -59,7 +55,7 @@ func TestAccessAndFill(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	// 2-way cache, 1 set: size = 2 ways * 64B.
-	c := mustCache(t, 128, 2, 64, 1)
+	c := mustCache(t, 128, 2, 64)
 	c.AccessAndFill(0, 0x0000)
 	c.AccessAndFill(0, 0x1000)
 	// Touch 0x0000 so 0x1000 becomes LRU.
@@ -78,7 +74,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestFillReturnsEvictedAddress(t *testing.T) {
-	c := mustCache(t, 128, 2, 64, 1)
+	c := mustCache(t, 128, 2, 64)
 	c.Fill(0, 0x0000)
 	c.Fill(0, 0x1000)
 	evicted, valid := c.Fill(0, 0x2000)
@@ -93,22 +89,8 @@ func TestFillReturnsEvictedAddress(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := mustCache(t, 4096, 4, 64, 1)
-	c.Fill(0, 0x3000)
-	if !c.Invalidate(0x3000) {
-		t.Error("invalidate of present line should return true")
-	}
-	if c.Lookup(0x3000) {
-		t.Error("line still present after invalidate")
-	}
-	if c.Invalidate(0x3000) {
-		t.Error("invalidate of absent line should return false")
-	}
-}
-
 func TestSetPartitionValidation(t *testing.T) {
-	c := mustCache(t, 64*64*16, 16, 64, 10)
+	c := mustCache(t, 64*64*16, 16, 64)
 	if err := c.SetPartition([]int{8, 8}); err != nil {
 		t.Errorf("valid partition rejected: %v", err)
 	}
@@ -121,14 +103,14 @@ func TestSetPartitionValidation(t *testing.T) {
 	if err := c.SetPartition(nil); err != nil {
 		t.Errorf("clearing partition failed: %v", err)
 	}
-	if c.Partition() != nil {
+	if c.partition != nil {
 		t.Error("partition not cleared")
 	}
 }
 
 func TestPartitionEnforcement(t *testing.T) {
 	// Single-set, 8-way cache. Core 0 gets 2 ways, core 1 gets 6.
-	c := mustCache(t, 8*64, 8, 64, 1)
+	c := mustCache(t, 8*64, 8, 64)
 	if err := c.SetPartition([]int{2, 6}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +132,7 @@ func TestPartitionEnforcement(t *testing.T) {
 }
 
 func TestPartitionReclaimsOverQuotaLines(t *testing.T) {
-	c := mustCache(t, 8*64, 8, 64, 1)
+	c := mustCache(t, 8*64, 8, 64)
 	// Initially core 0 fills the whole set.
 	for i := 0; i < 8; i++ {
 		c.AccessAndFill(0, uint64(0x100000+i*64))
@@ -173,7 +155,7 @@ func TestPartitionReclaimsOverQuotaLines(t *testing.T) {
 }
 
 func TestOccupancyByCore(t *testing.T) {
-	c := mustCache(t, 4096, 4, 64, 1)
+	c := mustCache(t, 4096, 4, 64)
 	c.Fill(0, 0x0)
 	c.Fill(1, 0x1000)
 	c.Fill(1, 0x2000)
@@ -183,43 +165,27 @@ func TestOccupancyByCore(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
-	c := mustCache(t, 4096, 4, 64, 1)
-	c.AccessAndFill(0, 0x0)
-	c.AccessAndFill(0, 0x0)
-	if c.Stats().MissRate() != 0.5 {
-		t.Errorf("miss rate = %v, want 0.5", c.Stats().MissRate())
-	}
-	c.ResetStats()
-	if c.Stats().Accesses != 0 {
-		t.Error("ResetStats did not clear counters")
-	}
-	if (Stats{}).MissRate() != 0 {
-		t.Error("empty stats should have zero miss rate")
-	}
-}
-
 func TestAccessorGetters(t *testing.T) {
-	c := mustCache(t, 8192, 4, 64, 7)
-	if c.Name() != "test" || c.Ways() != 4 || c.Sets() != 32 || c.Latency() != 7 {
-		t.Errorf("unexpected getters: %s %d %d %d", c.Name(), c.Ways(), c.Sets(), c.Latency())
+	c := mustCache(t, 8192, 4, 64)
+	if c.Sets() != 32 {
+		t.Errorf("Sets() = %d, want 32", c.Sets())
 	}
 }
 
 func TestRebuildAddrRoundTrip(t *testing.T) {
 	f := func(raw uint64) bool {
-		c, err := New("p", 1<<14, 8, 64, 1)
+		c, err := New("p", 1<<14, 8, 64)
 		if err != nil {
 			return false
 		}
 		addr := (raw &^ 63) % (1 << 40)
 		c.Fill(0, addr)
 		// Evict by filling the same set with 8 more lines, capture evictions.
-		set := c.SetIndex(addr)
+		set, _ := c.indexOf(addr)
 		found := false
 		for i := 1; i <= 9; i++ {
 			cand := addr + uint64(i)*uint64(c.Sets())*64
-			if c.SetIndex(cand) != set {
+			if s, _ := c.indexOf(cand); s != set {
 				return false
 			}
 			if ev, ok := c.Fill(0, cand); ok && ev == addr {
@@ -229,23 +195,6 @@ func TestRebuildAddrRoundTrip(t *testing.T) {
 		return found
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHitRateNeverExceedsOne(t *testing.T) {
-	f := func(addrs []uint64) bool {
-		c, err := New("p", 1<<12, 4, 64, 1)
-		if err != nil {
-			return false
-		}
-		for _, a := range addrs {
-			c.AccessAndFill(0, a%(1<<30))
-		}
-		st := c.Stats()
-		return st.Hits+st.Misses == st.Accesses
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -299,12 +299,6 @@ func (c *CMPConfig) WithDRAM(kind DRAMKind, channels int) *CMPConfig {
 	return &out
 }
 
-// Clone returns a deep copy of the configuration.
-func (c *CMPConfig) Clone() *CMPConfig {
-	out := *c
-	return &out
-}
-
 // TableRow describes one row of Table I for reporting purposes.
 type TableRow struct {
 	Parameter string

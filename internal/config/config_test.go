@@ -177,15 +177,6 @@ func TestTableIRendering(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	a := PaperConfig(4)
-	b := a.Clone()
-	b.LLC.Ways = 99
-	if a.LLC.Ways == 99 {
-		t.Error("Clone shares state with original")
-	}
-}
-
 func TestScaledConfigSetsAlwaysPowerOfTwo(t *testing.T) {
 	f := func(coreSel uint8) bool {
 		cores := []int{2, 4, 8}[int(coreSel)%3]

@@ -66,9 +66,6 @@ type Options struct {
 	TrackOverlap bool
 }
 
-// DefaultOptions returns the paper's default configuration (32 PRB entries).
-func DefaultOptions() Options { return Options{PRBEntries: 32} }
-
 // GDP is the dataflow-accounting unit of one core. It implements cpu.Probe so
 // it can be attached directly to a simulated core. The zero value is not
 // usable; construct instances with New.
@@ -109,9 +106,6 @@ func New(opts Options) (*GDP, error) {
 		live: make([]int32, 0, opts.PRBEntries),
 	}, nil
 }
-
-// Options returns the configuration the unit was created with.
-func (g *GDP) Options() Options { return g.opts }
 
 // findByAddr returns the position in g.live of the valid PRB entry for addr,
 // or -1. Of several valid entries for addr, the lowest slot wins.

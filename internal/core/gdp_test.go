@@ -22,10 +22,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{PRBEntries: 0}); err == nil {
 		t.Error("zero-entry PRB accepted")
 	}
-	g := newGDP(t, DefaultOptions())
-	if g.Options().PRBEntries != 32 {
-		t.Errorf("default PRB entries = %d, want 32", g.Options().PRBEntries)
-	}
 }
 
 // playLoadBurst drives the GDP unit with a simple scenario: nLoads issued
@@ -53,7 +49,7 @@ func TestParallelLoadsCountOnceInCPL(t *testing.T) {
 	// Five independent loads issued in the same commit period and serviced in
 	// parallel form a single level of the dependency graph: CPL must grow by
 	// 1, not 5 (this is the MLP insight of Section II).
-	g := newGDP(t, DefaultOptions())
+	g := newGDP(t, Options{PRBEntries: 32})
 	playLoadBurst(g, 5, false)
 	if got := g.CPL(); got != 1 {
 		t.Errorf("CPL after one parallel load burst = %d, want 1", got)
@@ -63,7 +59,7 @@ func TestParallelLoadsCountOnceInCPL(t *testing.T) {
 func TestSerializedLoadsGrowCPL(t *testing.T) {
 	// Pointer chasing: each load is issued only after the previous one
 	// completed and commit resumed. Every load adds a graph level.
-	g := newGDP(t, DefaultOptions())
+	g := newGDP(t, Options{PRBEntries: 32})
 	cycle := uint64(0)
 	const chain = 7
 	for i := 0; i < chain; i++ {
@@ -87,7 +83,7 @@ func TestPaperFigure1Example(t *testing.T) {
 	// C1 -> L2/L3 -> ... with two loads on it (CPL = 2) per Figure 1b,
 	// and after the L4/L5 level the total becomes 3 levels of loads of which
 	// the paper counts CPL = 2 for the first retrieval window shown.
-	g := newGDP(t, DefaultOptions())
+	g := newGDP(t, Options{PRBEntries: 32})
 
 	// Commit period C1 runs until cycle 50; L1..L3 issue during it.
 	g.OnLoadIssued(0x100, 10) // L1
@@ -155,7 +151,7 @@ func TestFigure1EstimateMatchesPaperArithmetic(t *testing.T) {
 }
 
 func TestPMSLoadsDoNotAffectCPL(t *testing.T) {
-	g := newGDP(t, DefaultOptions())
+	g := newGDP(t, Options{PRBEntries: 32})
 	// A PMS load enters the PRB (Algorithm 1) but is invalidated on
 	// completion (Algorithm 2) and its stall does not modify the CPL.
 	g.OnLoadIssued(0x700, 10)
@@ -168,7 +164,7 @@ func TestPMSLoadsDoNotAffectCPL(t *testing.T) {
 }
 
 func TestUnknownResumeAddressIsIgnored(t *testing.T) {
-	g := newGDP(t, DefaultOptions())
+	g := newGDP(t, Options{PRBEntries: 32})
 	g.OnCommitStall(0xdead, true, 5)
 	g.OnCommitResume(0xdead, true, 10) // never issued -> PRB miss
 	if g.CPL() != 0 {
@@ -218,7 +214,7 @@ func TestPRBRingWrapIsNoEviction(t *testing.T) {
 }
 
 func TestRetrieveResetsInterval(t *testing.T) {
-	g := newGDP(t, DefaultOptions())
+	g := newGDP(t, Options{PRBEntries: 32})
 	playLoadBurst(g, 3, false)
 	cpl, _ := g.Retrieve()
 	if cpl != 1 {
@@ -266,7 +262,7 @@ func TestOverlapTracking(t *testing.T) {
 }
 
 func TestPlainGDPIgnoresOverlap(t *testing.T) {
-	g := newGDP(t, DefaultOptions())
+	g := newGDP(t, Options{PRBEntries: 32})
 	g.OnLoadIssued(0x100, 0)
 	for i := 0; i < 25; i++ {
 		g.OnCycles(&cpu.CycleState{Committing: true}, 1)

@@ -212,7 +212,7 @@ const oracleAddrPool = 6
 // following byte (when present) sizes it.
 func replayAgainstOracle(t *testing.T, g *GDP, ops []byte) {
 	t.Helper()
-	o := newOracle(g.Options())
+	o := newOracle(g.opts)
 	cycle := uint64(0)
 	for i := 0; i < len(ops); i++ {
 		op := ops[i]

@@ -148,11 +148,11 @@ func New(id int, cfg *config.CMPConfig, src *trace.Generator, sharedMem MemorySy
 	if sharedMem == nil {
 		return nil, fmt.Errorf("cpu: core %d needs a shared memory system", id)
 	}
-	l1d, err := cache.New(fmt.Sprintf("core%d-l1d", id), cfg.L1D.SizeBytes, cfg.L1D.Ways, cfg.L1D.LineBytes, cfg.L1D.LatencyCyc)
+	l1d, err := cache.New(fmt.Sprintf("core%d-l1d", id), cfg.L1D.SizeBytes, cfg.L1D.Ways, cfg.L1D.LineBytes)
 	if err != nil {
 		return nil, err
 	}
-	l2, err := cache.New(fmt.Sprintf("core%d-l2", id), cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineBytes, cfg.L2.LatencyCyc)
+	l2, err := cache.New(fmt.Sprintf("core%d-l2", id), cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -180,20 +180,11 @@ func New(id int, cfg *config.CMPConfig, src *trace.Generator, sharedMem MemorySy
 	}, nil
 }
 
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
 // Stats returns a copy of the core's cumulative statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
 // Instructions returns the number of instructions committed so far.
 func (c *Core) Instructions() uint64 { return c.stats.Instructions }
-
-// L1D returns the core's L1 data cache (for diagnostics and tests).
-func (c *Core) L1D() *cache.Cache { return c.l1d }
-
-// L2 returns the core's private L2 cache.
-func (c *Core) L2() *cache.Cache { return c.l2 }
 
 // AttachProbe registers an accounting probe.
 func (c *Core) AttachProbe(p Probe) { c.probes = append(c.probes, p) }

@@ -115,7 +115,11 @@ func scenarioParams(tb testing.TB, scenario string, slot int) trace.Params {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sc.Params(slot)
+	wl, err := sc.Workload(slot + 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return wl.Benchmarks[slot].Params
 }
 
 func newTestCore(tb testing.TB, params trace.Params, m MemorySystem) *Core {
@@ -172,9 +176,9 @@ func TestCoreMakesForwardProgress(t *testing.T) {
 	if st.CommitCycles == 0 {
 		t.Error("no commit cycles recorded")
 	}
-	if st.CommitCycles+st.TotalStall() != st.Cycles {
+	if stall := st.StallInd + st.StallPMS + st.StallSMS + st.StallOther; st.CommitCycles+stall != st.Cycles {
 		t.Errorf("cycle taxonomy does not add up: commit %d + stall %d != %d",
-			st.CommitCycles, st.TotalStall(), st.Cycles)
+			st.CommitCycles, stall, st.Cycles)
 	}
 }
 
@@ -340,8 +344,8 @@ func TestOverlapAccounting(t *testing.T) {
 	if st.SMSOverlapSum == 0 {
 		t.Error("expected nonzero commit/load overlap for independent loads")
 	}
-	if st.AvgOverlap() > st.AvgSMSLatency() {
-		t.Errorf("average overlap %v cannot exceed average SMS latency %v", st.AvgOverlap(), st.AvgSMSLatency())
+	if st.SMSOverlapSum > st.SMSLatencySum {
+		t.Errorf("overlap %d cycles cannot exceed SMS latency %d cycles", st.SMSOverlapSum, st.SMSLatencySum)
 	}
 }
 
@@ -369,10 +373,10 @@ func TestNopProbeImplementsProbe(t *testing.T) {
 func TestCoreAccessors(t *testing.T) {
 	fm := &fakeMem{latency: 100}
 	core := newTestCore(t, memParams(), fm)
-	if core.ID() != 0 {
+	if core.id != 0 {
 		t.Error("wrong core id")
 	}
-	if core.L1D() == nil || core.L2() == nil {
-		t.Error("cache accessors returned nil")
+	if core.l1d == nil || core.l2 == nil {
+		t.Error("private caches not built")
 	}
 }

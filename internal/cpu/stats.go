@@ -30,11 +30,6 @@ type Stats struct {
 	PostLLCLatSum uint64 // LLC -> DRAM -> back portion for LLC misses
 }
 
-// TotalStall returns the sum of all stall cycles.
-func (s Stats) TotalStall() uint64 {
-	return s.StallInd + s.StallPMS + s.StallSMS + s.StallOther
-}
-
 // CPI returns cycles per instruction (0 when no instruction committed).
 func (s Stats) CPI() float64 {
 	if s.Instructions == 0 {
@@ -57,15 +52,6 @@ func (s Stats) AvgSMSLatency() float64 {
 		return 0
 	}
 	return float64(s.SMSLatencySum) / float64(s.SMSLoads)
-}
-
-// AvgOverlap returns the average number of cycles the core committed
-// instructions while an SMS load was in flight (GDP-O's overlap term).
-func (s Stats) AvgOverlap() float64 {
-	if s.SMSLoads == 0 {
-		return 0
-	}
-	return float64(s.SMSOverlapSum) / float64(s.SMSLoads)
 }
 
 // Delta returns the statistics accumulated since an earlier snapshot.

@@ -68,9 +68,6 @@ func (e *Estimator) Observe(req *mem.Request) {
 	e.count[c]++
 }
 
-// Count returns the number of requests observed for core in this interval.
-func (e *Estimator) Count(core int) uint64 { return e.count[core] }
-
 // SharedLatency returns the measured average shared-mode latency L for core.
 func (e *Estimator) SharedLatency(core int) float64 {
 	if e.count[core] == 0 {

@@ -41,7 +41,7 @@ func TestPrivateLatencyIsSharedMinusInterference(t *testing.T) {
 	if got := e.PrivateLatency(0); got != 150 {
 		t.Errorf("private latency = %v, want 150", got)
 	}
-	if e.Count(0) != 2 || e.Count(1) != 0 {
+	if e.count[0] != 2 || e.count[1] != 0 {
 		t.Error("per-core counts wrong")
 	}
 }
@@ -80,7 +80,7 @@ func TestNoObservationsGivesZero(t *testing.T) {
 func TestOutOfRangeCoreIgnored(t *testing.T) {
 	e, _ := New(1)
 	e.Observe(req(7, 100, 0, 0, 0))
-	if e.Count(0) != 0 {
+	if e.count[0] != 0 {
 		t.Error("request for out-of-range core must be ignored")
 	}
 }
@@ -90,7 +90,7 @@ func TestResetInterval(t *testing.T) {
 	e.SetLatencyFloor(0, 25)
 	e.Observe(req(0, 300, 0, 0, 100))
 	e.ResetInterval()
-	if e.Count(0) != 0 || e.SharedLatency(0) != 0 {
+	if e.count[0] != 0 || e.SharedLatency(0) != 0 {
 		t.Error("ResetInterval did not clear accumulators")
 	}
 	// The floor must survive resets.
@@ -114,7 +114,7 @@ func TestPrivateLatencyNeverNegativeProperty(t *testing.T) {
 			e.Observe(req(0, l, 0, 0, uint64(intf[i])))
 		}
 		p := e.PrivateLatency(0)
-		return p >= 0 && !math.IsNaN(p) && p <= e.SharedLatency(0)+1e-9 || e.Count(0) == 0
+		return p >= 0 && !math.IsNaN(p) && p <= e.SharedLatency(0)+1e-9 || e.count[0] == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -441,10 +441,3 @@ func (c *Controller) Stats() Stats {
 	}
 	return s
 }
-
-// UnloadedReadLatency returns the latency of an isolated row-miss read: the
-// best-case private-mode latency DIEF uses as a sanity floor.
-func (c *Controller) UnloadedReadLatency() uint64 {
-	t := c.cfg.Timing
-	return uint64(t.TRCD + t.TCAS + t.Burst)
-}

@@ -251,13 +251,6 @@ func TestMultiChannelParallelism(t *testing.T) {
 	}
 }
 
-func TestUnloadedReadLatency(t *testing.T) {
-	c := mustController(t, testConfig())
-	if c.UnloadedReadLatency() != 120 {
-		t.Errorf("unloaded latency = %d, want 120", c.UnloadedReadLatency())
-	}
-}
-
 func TestStatsAverageLatency(t *testing.T) {
 	c := mustController(t, testConfig())
 	c.Enqueue(&mem.Request{ID: 1, Core: 0, Addr: 0x40}, 0)

@@ -160,7 +160,7 @@ func New(cfg *config.CMPConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	llc, err := cache.New("llc", cfg.LLC.SizeBytes, cfg.LLC.Ways, cfg.LLC.LineBytes, cfg.LLC.LatencyCyc)
+	llc, err := cache.New("llc", cfg.LLC.SizeBytes, cfg.LLC.Ways, cfg.LLC.LineBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func New(cfg *config.CMPConfig) (*System, error) {
 	}
 	s.atds = make([]*cache.ATD, cfg.Cores)
 	for core := 0; core < cfg.Cores; core++ {
-		atd, err := cache.NewATD(core, llc.Sets(), cfg.LLC.Ways, cfg.ATDSampledSets, cfg.LLC.LineBytes)
+		atd, err := cache.NewATD(llc.Sets(), cfg.LLC.Ways, cfg.ATDSampledSets, cfg.LLC.LineBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -202,12 +202,6 @@ func New(cfg *config.CMPConfig) (*System, error) {
 	}
 	return s, nil
 }
-
-// Config returns the configuration the system was built with.
-func (s *System) Config() *config.CMPConfig { return s.cfg }
-
-// LLC returns the shared cache (for partitioning policies and diagnostics).
-func (s *System) LLC() *cache.Cache { return s.llc }
 
 // ATD returns core's auxiliary tag directory.
 func (s *System) ATD(core int) *cache.ATD { return s.atds[core] }

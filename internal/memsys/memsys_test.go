@@ -23,7 +23,7 @@ func runUntil(s *System, start uint64, want int, budget uint64) map[int][]*mem.R
 	got := 0
 	for cyc := start; cyc < start+budget && got < want; cyc++ {
 		s.Tick(cyc)
-		for core := 0; core < s.Config().Cores; core++ {
+		for core := 0; core < s.cfg.Cores; core++ {
 			done := s.Completed(core)
 			got += len(done)
 			out[core] = append(out[core], done...)
@@ -130,7 +130,7 @@ func TestContentionCreatesInterference(t *testing.T) {
 
 func TestInterferenceMissDetection(t *testing.T) {
 	s := newSystem(t, 2)
-	cfg := s.Config()
+	cfg := s.cfg
 	// Core 0 repeatedly touches one line that maps to a sampled ATD set
 	// (set 0 is always sampled). Then core 1 streams enough lines through the
 	// same set to evict core 0's line from the real LLC. Core 0's next access
@@ -167,7 +167,7 @@ func TestInterferenceMissDetection(t *testing.T) {
 
 func TestPartitionLimitsOccupancy(t *testing.T) {
 	s := newSystem(t, 2)
-	cfg := s.Config()
+	cfg := s.cfg
 	if err := s.SetPartition([]int{cfg.LLC.Ways - 2, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPartitionLimitsOccupancy(t *testing.T) {
 		s.Submit(1, uint64(i)*lineStride, false, 0)
 	}
 	runUntil(s, 0, n, 4000000)
-	occ := s.LLC().OccupancyByCore(1)
+	occ := s.llc.OccupancyByCore(1)
 	if occ[1] > 2 {
 		t.Errorf("core 1 occupies %d lines in the partitioned LLC, quota 2 per set", occ[1])
 	}
@@ -208,10 +208,10 @@ func TestPendingCountDrainsToZero(t *testing.T) {
 
 func TestATDAccessorsAndControllerExposed(t *testing.T) {
 	s := newSystem(t, 4)
-	if s.ATD(2).Core() != 2 {
-		t.Error("ATD accessor returned wrong core")
+	if s.ATD(2) != s.atds[2] {
+		t.Error("ATD accessor returned the wrong core's ATD")
 	}
-	if s.Controller() == nil || s.LLC() == nil {
+	if s.Controller() == nil || s.llc == nil {
 		t.Error("controller and LLC must be exposed")
 	}
 	s.Controller().SetPriorityCore(1)

@@ -1,5 +1,5 @@
 // Package metrics implements the performance and estimation-accuracy metrics
-// used in the GDP paper's evaluation: CPI/IPC, system throughput (STP),
+// used in the GDP paper's evaluation: system throughput (STP),
 // average normalized turnaround time (ANTT), absolute and relative estimation
 // errors, root-mean-squared (RMS) error aggregation and distribution
 // summaries for violin-style reporting.
@@ -10,24 +10,6 @@ import (
 	"math"
 	"sort"
 )
-
-// CPI returns cycles per committed instruction. A zero instruction count
-// yields +Inf so that callers notice degenerate samples instead of silently
-// treating them as perfect.
-func CPI(cycles, instructions uint64) float64 {
-	if instructions == 0 {
-		return math.Inf(1)
-	}
-	return float64(cycles) / float64(instructions)
-}
-
-// IPC returns instructions per cycle.
-func IPC(cycles, instructions uint64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	return float64(instructions) / float64(cycles)
-}
 
 // AbsoluteError returns the signed absolute error of an estimate: est - actual.
 func AbsoluteError(est, actual float64) float64 { return est - actual }

@@ -8,21 +8,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestCPIAndIPC(t *testing.T) {
-	if got := CPI(200, 100); got != 2.0 {
-		t.Errorf("CPI = %v, want 2.0", got)
-	}
-	if got := IPC(200, 100); got != 0.5 {
-		t.Errorf("IPC = %v, want 0.5", got)
-	}
-	if !math.IsInf(CPI(10, 0), 1) {
-		t.Error("CPI with zero instructions should be +Inf")
-	}
-	if IPC(0, 10) != 0 {
-		t.Error("IPC with zero cycles should be 0")
-	}
-}
-
 func TestErrors(t *testing.T) {
 	if AbsoluteError(2.5, 2.0) != 0.5 {
 		t.Error("absolute error")

@@ -147,9 +147,6 @@ func (c *Cache) SetMaxBytes(maxBytes int64) {
 	c.spill(spill)
 }
 
-// MaxBytes reports the memory layer's byte budget (0 = unbounded).
-func (c *Cache) MaxBytes() int64 { return c.maxBytes.Load() }
-
 // Stats reports the cache's aggregate hit and miss counters. Hits sum every
 // layer that avoided a recomputation: memory lookups, disk loads, and joins
 // onto another caller's in-flight computation. Use DetailedStats for the
@@ -269,16 +266,9 @@ func memoKeyed[T any](ctx context.Context, c *Cache, key string, fn func() (T, e
 	var call *inflightCall
 	for {
 		c.mu.Lock()
-		if el, ok := c.mem[key]; ok {
-			v := el.Value.(*cacheEntry).val
-			c.lru.MoveToFront(el)
+		if v, found, err := memHit[T](c, key); found {
 			c.mu.Unlock()
-			typed, ok := v.(T)
-			if !ok {
-				return zero, false, fmt.Errorf("runner: cache entry %s holds %T, want %T", shortKey(key), v, zero)
-			}
-			c.memHits.Add(1)
-			return typed, true, nil
+			return v, err == nil, err
 		}
 		waiting, ok := c.inflight[key]
 		if !ok {
@@ -367,37 +357,75 @@ func memoKeyed[T any](ctx context.Context, c *Cache, key string, fn func() (T, e
 // It reports the entry's approximate memory footprint and whether the disk
 // layer holds it, so the caller can insert it into the LRU accounting.
 func computeCached[T any](c *Cache, key string, fn func() (T, error)) (v T, size int64, persisted, fromDisk bool, err error) {
-	var zero T
-	if c.dir != "" {
-		if raw, ok := c.readDisk(key); ok {
-			var out T
-			if err := json.Unmarshal(raw, &out); err == nil {
-				return out, int64(len(raw)) + entryOverhead, true, true, nil
-			}
-			// A corrupt or truncated entry is deleted and recomputed, never
-			// surfaced as a decode error: the disk layer is an optimization
-			// and a bad file must not poison lookups until someone removes it
-			// by hand. The recompute below rewrites a healthy entry.
-			c.removeCorrupt(key)
-		}
+	if v, size, ok := loadDisk[T](c, key); ok {
+		return v, size, true, true, nil
 	}
-	v, err = fn()
-	if err != nil {
+	if v, err = fn(); err != nil {
+		var zero T
 		return zero, 0, false, false, err
 	}
-	size = fallbackEntrySize
-	// The JSON encoding doubles as the disk payload and the size estimate.
-	// An unbounded memory-only cache needs neither, so it skips the encode —
-	// the hot configuration before budgets existed stays allocation-free.
-	if c.dir != "" || c.maxBytes.Load() > 0 {
-		if raw, jerr := json.Marshal(v); jerr == nil {
-			size = int64(len(raw)) + entryOverhead
-			if c.dir != "" {
-				persisted = c.writeDisk(key, raw)
-			}
-		}
-	}
+	size, persisted = c.writeThrough(key, v)
 	return v, size, persisted, false, nil
+}
+
+// memHit looks key up in the memory layer. On a hit it marks the entry most
+// recently used and, when the entry holds a T, counts a memory hit. found
+// reports whether key is in memory; err reports an entry of another type.
+// Callers must hold c.mu.
+func memHit[T any](c *Cache, key string) (v T, found bool, err error) {
+	el, ok := c.mem[key]
+	if !ok {
+		return v, false, nil
+	}
+	c.lru.MoveToFront(el)
+	val := el.Value.(*cacheEntry).val
+	typed, ok := val.(T)
+	if !ok {
+		return v, true, fmt.Errorf("runner: cache entry %s holds %T, want %T", shortKey(key), val, v)
+	}
+	c.memHits.Add(1)
+	return typed, true, nil
+}
+
+// loadDisk reads key's disk entry and decodes it as a T, reporting the
+// entry's approximate memory footprint. A corrupt or truncated entry is
+// deleted and reads as a miss, never as a decode error: the disk layer is an
+// optimization and a bad file must not poison lookups until someone removes it
+// by hand. The caller's recompute rewrites a healthy entry.
+func loadDisk[T any](c *Cache, key string) (v T, size int64, ok bool) {
+	if c.dir == "" {
+		return v, 0, false
+	}
+	raw, ok := c.readDisk(key)
+	if !ok {
+		return v, 0, false
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		c.removeCorrupt(key)
+		var zero T
+		return zero, 0, false
+	}
+	return v, int64(len(raw)) + entryOverhead, true
+}
+
+// writeThrough sizes v by its JSON encoding and, on a disk-backed cache,
+// writes that encoding under key. It reports the entry's approximate memory
+// footprint and whether the disk layer now holds it. The encoding doubles as
+// the disk payload and the size estimate; an unbounded memory-only cache
+// needs neither, so it skips the encode — the hot configuration before
+// budgets existed stays allocation-free.
+func (c *Cache) writeThrough(key string, v any) (size int64, persisted bool) {
+	if c.dir == "" && c.maxBytes.Load() <= 0 {
+		return fallbackEntrySize, false
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return fallbackEntrySize, false
+	}
+	if c.dir != "" {
+		persisted = c.writeDisk(key, raw)
+	}
+	return int64(len(raw)) + entryOverhead, persisted
 }
 
 // storeLocked inserts (or refreshes) a memory-layer entry and evicts past the
@@ -461,16 +489,11 @@ func (c *Cache) evictLocked(incoming int64) []*cacheEntry {
 
 // spill persists evicted entries whose write-through never happened (or
 // failed), so eviction demotes them to the disk tier instead of deleting
-// them. Runs outside the cache lock; failures are silent like every other
-// disk-layer write.
+// them. Only a disk-backed cache queues spills. Runs outside the cache lock;
+// failures are silent like every other disk-layer write.
 func (c *Cache) spill(entries []*cacheEntry) {
-	if c.dir == "" {
-		return
-	}
 	for _, e := range entries {
-		if raw, err := json.Marshal(e.val); err == nil {
-			c.writeDisk(e.key, raw)
-		}
+		c.writeThrough(e.key, e.val)
 	}
 }
 
@@ -485,32 +508,17 @@ func Lookup[T any](c *Cache, key string) (T, bool) {
 		return zero, false
 	}
 	c.mu.Lock()
-	if el, ok := c.mem[key]; ok {
-		v := el.Value.(*cacheEntry).val
-		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		typed, ok := v.(T)
-		if !ok {
-			return zero, false
-		}
-		c.memHits.Add(1)
-		return typed, true
-	}
+	v, found, err := memHit[T](c, key)
 	c.mu.Unlock()
-	if c.dir == "" {
-		return zero, false
+	if found {
+		return v, err == nil
 	}
-	raw, ok := c.readDisk(key)
+	out, size, ok := loadDisk[T](c, key)
 	if !ok {
 		return zero, false
 	}
-	var out T
-	if err := json.Unmarshal(raw, &out); err != nil {
-		c.removeCorrupt(key)
-		return zero, false
-	}
 	c.mu.Lock()
-	spill := c.storeLocked(key, out, int64(len(raw))+entryOverhead, true)
+	spill := c.storeLocked(key, out, size, true)
 	c.mu.Unlock()
 	c.spill(spill)
 	c.diskHits.Add(1)
@@ -524,16 +532,7 @@ func (c *Cache) Put(key string, v any) {
 	if c == nil || key == "" {
 		return
 	}
-	size := int64(fallbackEntrySize)
-	persisted := false
-	if c.dir != "" || c.maxBytes.Load() > 0 {
-		if raw, err := json.Marshal(v); err == nil {
-			size = int64(len(raw)) + entryOverhead
-			if c.dir != "" {
-				persisted = c.writeDisk(key, raw)
-			}
-		}
-	}
+	size, persisted := c.writeThrough(key, v)
 	c.mu.Lock()
 	spill := c.storeLocked(key, v, size, persisted)
 	c.mu.Unlock()

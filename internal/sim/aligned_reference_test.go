@@ -137,8 +137,8 @@ func TestRunPrivateRejectsDecreasingPoints(t *testing.T) {
 	if _, err := RunPrivate(t.Context(), cfg, bench, points, 1, 0); err == nil {
 		t.Error("RunPrivate accepted decreasing sample points")
 	}
-	if _, err := RunPrivateReference(t.Context(), cfg, bench, points, 1, 0); err == nil {
-		t.Error("RunPrivateReference accepted decreasing sample points")
+	if _, err := runPrivate(t.Context(), cfg, bench, points, 1, 0, true); err == nil {
+		t.Error("the reference private run accepted decreasing sample points")
 	}
 	ref, err := RunPrivate(t.Context(), cfg, bench, []uint64{1000, 1500, 2000}, 1, 0)
 	if err != nil {

@@ -102,27 +102,39 @@ func TestMetricsCountersMatchRun(t *testing.T) {
 	if _, err := Run(t.Context(), opts); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Runs(); got != 1 {
+	if got := counter(t, reg, "gdpsim_sim_runs_total"); got != 1 {
 		t.Errorf("runs = %d, want 1", got)
 	}
-	if got := m.Intervals(); got != 20 {
+	if got := counter(t, reg, "gdpsim_sim_intervals_total"); got != 20 {
 		t.Errorf("intervals = %d, want 20", got)
 	}
-	if got := m.Cycles(); got != cycles {
+	if got := counter(t, reg, "gdpsim_sim_cycles_total"); got != cycles {
 		t.Errorf("cycles = %d, want %d", got, cycles)
 	}
-	if ff := m.FastForwardedCycles(); ff >= m.Cycles() {
-		t.Errorf("fast-forwarded cycles %d not below total %d", ff, m.Cycles())
+	if ff := counter(t, reg, "gdpsim_sim_fastforwarded_cycles_total"); ff >= counter(t, reg, "gdpsim_sim_cycles_total") {
+		t.Errorf("fast-forwarded cycles %d not below total %d", ff, counter(t, reg, "gdpsim_sim_cycles_total"))
 	}
 
 	// A second run accumulates into the same counters.
 	if _, err := Run(t.Context(), allocRunOptions(t, cycles, true, m)); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Runs(); got != 2 {
+	if got := counter(t, reg, "gdpsim_sim_runs_total"); got != 2 {
 		t.Errorf("runs after second run = %d, want 2", got)
 	}
-	if got := m.Cycles(); got != 2*cycles {
+	if got := counter(t, reg, "gdpsim_sim_cycles_total"); got != 2*cycles {
 		t.Errorf("cycles after second run = %d, want %d", got, 2*cycles)
 	}
+}
+
+// counter reads the value of the counter family name from reg.
+func counter(t *testing.T, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	for _, f := range reg.Snapshot() {
+		if f.Name == name {
+			return uint64(*f.Series[0].Value)
+		}
+	}
+	t.Fatalf("no %s series", name)
+	return 0
 }

@@ -163,7 +163,7 @@ func TestPrivateFastPathMatchesReference(t *testing.T) {
 			}
 			cfg := config.ScaledConfig(1)
 			points := []uint64{1000, 2500, 4000}
-			ref, err := RunPrivateReference(context.Background(), cfg, wl.Benchmarks[0], points, 11, 0)
+			ref, err := runPrivate(context.Background(), cfg, wl.Benchmarks[0], points, 11, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}

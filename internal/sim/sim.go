@@ -725,16 +725,10 @@ const privateCancelCheckCycles = 4096
 // not decrease. maxCycles bounds the run; zero selects a generous default
 // derived from the last sample point. ctx is polled every
 // privateCancelCheckCycles cycles. It uses the event-driven fast driver;
-// RunPrivateReference is the cycle-by-cycle twin for differential tests.
+// runPrivate with reference set is the cycle-by-cycle twin for differential
+// tests.
 func RunPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, false)
-}
-
-// RunPrivateReference executes a private-mode run with event skipping and
-// request pooling disabled (the pre-optimization engine). Kept for
-// differential testing against RunPrivate.
-func RunPrivateReference(ctx context.Context, cfg *config.CMPConfig, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
-	return runPrivate(ctx, cfg, bench, samplePoints, seed, maxCycles, true)
 }
 
 // referencePRBEntries sizes the private reference's dataflow unit (overlap

@@ -160,7 +160,7 @@ func TestSharedRunCompletes(t *testing.T) {
 		if st.Instructions < 6000 {
 			t.Errorf("core %d committed only %d instructions", i, st.Instructions)
 		}
-		if st.CommitCycles+st.TotalStall() != st.Cycles {
+		if st.CommitCycles+st.StallInd+st.StallPMS+st.StallSMS+st.StallOther != st.Cycles {
 			t.Errorf("core %d cycle taxonomy inconsistent", i)
 		}
 	}

@@ -40,38 +40,6 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	return m
 }
 
-// Runs returns the number of completed runs (0 for nil).
-func (m *Metrics) Runs() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.runs.Load()
-}
-
-// Intervals returns the number of recorded intervals (0 for nil).
-func (m *Metrics) Intervals() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.intervals.Load()
-}
-
-// Cycles returns the number of simulated cycles (0 for nil).
-func (m *Metrics) Cycles() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.cycles.Load()
-}
-
-// FastForwardedCycles returns the cycles the loop did not visit (0 for nil).
-func (m *Metrics) FastForwardedCycles() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.ffCycles.Load()
-}
-
 // flushMetrics publishes the cycles simulated since the last flush plus any
 // pending interval/fast-forward counts. Drivers call it only at interval
 // boundaries and at the end of the run, never per cycle.

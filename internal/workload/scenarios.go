@@ -31,10 +31,6 @@ type Scenario struct {
 	profile func(slot int) trace.Params
 }
 
-// Params returns the trace parameters of the scenario's benchmark on the
-// given core slot.
-func (s Scenario) Params(slot int) trace.Params { return s.profile(slot) }
-
 // Workload assembles the scenario's multi-programmed workload for a core
 // count. The result is deterministic: no randomness is involved, only the
 // per-slot profile variations.

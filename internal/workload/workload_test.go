@@ -202,42 +202,6 @@ func TestMixedWorkloadPatterns(t *testing.T) {
 	}
 }
 
-func TestPaperSetCounts(t *testing.T) {
-	ws, err := PaperSet(4, 1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != 50 {
-		t.Fatalf("PaperSet size = %d, want 50 (30 H + 15 M + 5 L)", len(ws))
-	}
-	counts := map[string]int{}
-	for _, w := range ws {
-		for _, mix := range []string{"-H-", "-M-", "-L-"} {
-			if strings.Contains(w.ID, mix) {
-				counts[mix]++
-			}
-		}
-	}
-	if counts["-H-"] != 30 || counts["-M-"] != 15 || counts["-L-"] != 5 {
-		t.Errorf("PaperSet mix counts = %v", counts)
-	}
-}
-
-func TestPaperSetScaling(t *testing.T) {
-	ws, err := PaperSet(4, 5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != 6+3+1 {
-		t.Errorf("scaled PaperSet size = %d, want 10", len(ws))
-	}
-	// Degenerate divisor still yields at least one of each.
-	ws, _ = PaperSet(2, 1000, 1)
-	if len(ws) != 3 {
-		t.Errorf("heavily scaled PaperSet size = %d, want 3", len(ws))
-	}
-}
-
 func TestWorkloadIDsUnique(t *testing.T) {
 	f := func(seed int64) bool {
 		ws, err := Generate(GenerateOptions{Cores: 4, Mix: MixM, Count: 8, Seed: seed})

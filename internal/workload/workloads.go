@@ -161,38 +161,3 @@ func Generate(opts GenerateOptions) ([]Workload, error) {
 	}
 	return out, nil
 }
-
-// PaperSet reproduces the paper's workload population for one core count:
-// 30 H workloads, 15 M workloads and 5 L workloads (Section VI). The counts
-// can be scaled down uniformly with the divisor to keep experiment runtimes
-// manageable; divisor 1 reproduces the paper's counts.
-func PaperSet(cores int, divisor int, seed int64) ([]Workload, error) {
-	if divisor < 1 {
-		divisor = 1
-	}
-	scale := func(n int) int {
-		v := n / divisor
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	var all []Workload
-	for _, spec := range []struct {
-		mix   MixKind
-		count int
-	}{
-		{MixH, scale(30)},
-		{MixM, scale(15)},
-		{MixL, scale(5)},
-	} {
-		ws, err := Generate(GenerateOptions{
-			Cores: cores, Mix: spec.mix, Count: spec.count, Seed: seed + int64(spec.mix)*1000,
-		})
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, ws...)
-	}
-	return all, nil
-}

@@ -32,7 +32,7 @@ func TestEstimateScenarioUnknownNameTypedError(t *testing.T) {
 	if !errors.As(err, &unknown) {
 		t.Fatalf("error %v is not an *UnknownScenarioError", err)
 	}
-	var reqErr *RequestError
+	var reqErr *requestError
 	if !errors.As(err, &reqErr) {
 		t.Fatalf("error %v would not map to HTTP 400", err)
 	}
@@ -50,7 +50,7 @@ func TestScenariosEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.APIVersion != APIVersion {
+	if resp.APIVersion != apiVersion {
 		t.Errorf("api_version = %q", resp.APIVersion)
 	}
 	if len(resp.Scenarios) < 8 {

@@ -24,32 +24,32 @@ import (
 	"repro/internal/workload"
 )
 
-// APIVersion is the version tag of the request/response layer. Requests may
+// apiVersion is the version tag of the request/response layer. Requests may
 // leave their api_version empty (it defaults to this) or must match it.
-const APIVersion = "v1"
+const apiVersion = "v1"
 
-// RequestError marks a client-side problem with a service request; the HTTP
+// requestError marks a client-side problem with a service request; the HTTP
 // layer maps it to 400 Bad Request. When the problem originates in a typed
 // domain error (for example workload.UnknownScenarioError), Err carries it so
 // errors.As still reaches the cause through the service layer.
-type RequestError struct {
+type requestError struct {
 	Msg string
 	Err error
 }
 
-func (e *RequestError) Error() string { return "gdp: bad request: " + e.Msg }
+func (e *requestError) Error() string { return "gdp: bad request: " + e.Msg }
 
 // Unwrap exposes the wrapped domain error.
-func (e *RequestError) Unwrap() error { return e.Err }
+func (e *requestError) Unwrap() error { return e.Err }
 
 func badRequestf(format string, args ...any) error {
-	return &RequestError{Msg: fmt.Sprintf(format, args...)}
+	return &requestError{Msg: fmt.Sprintf(format, args...)}
 }
 
 // badRequestErr wraps a typed domain error as a 400 while keeping it
 // reachable with errors.As.
 func badRequestErr(err error) error {
-	return &RequestError{Msg: err.Error(), Err: err}
+	return &requestError{Msg: err.Error(), Err: err}
 }
 
 // EstimateRequest asks for interference-free performance estimates of one
@@ -209,8 +209,8 @@ func (r *EstimateRequest) resolveWorkload() (Workload, error) {
 // the requested accounting technique, streams the shared-mode simulation
 // (intervals are reduced on the fly, never accumulated) and reports the
 // instruction-weighted private-performance estimates per core. Client-side
-// problems return a *RequestError; cancellation of ctx aborts the simulation
-// at the next interval boundary.
+// problems return an error that Server answers with 400 Bad Request;
+// cancellation of ctx aborts the simulation at the next interval boundary.
 func (e *Engine) Estimate(ctx context.Context, req *EstimateRequest) (*EstimateResponse, error) {
 	if req == nil {
 		return nil, badRequestf("empty request")
@@ -280,7 +280,7 @@ func (e *Engine) Estimate(ctx context.Context, req *EstimateRequest) (*EstimateR
 	}
 
 	out := &EstimateResponse{
-		APIVersion: APIVersion,
+		APIVersion: apiVersion,
 		Workload:   wl.ID,
 		Technique:  technique,
 		Cycles:     res.Cycles,
@@ -309,8 +309,8 @@ func (e *Engine) Estimate(ctx context.Context, req *EstimateRequest) (*EstimateR
 // resolves its workload. It runs no simulation, which makes it the fuzzable
 // front half of Engine.Estimate.
 func (r *EstimateRequest) validate() (Workload, error) {
-	if r.APIVersion != "" && r.APIVersion != APIVersion {
-		return Workload{}, badRequestf("unsupported api_version %q (this server speaks %q)", r.APIVersion, APIVersion)
+	if r.APIVersion != "" && r.APIVersion != apiVersion {
+		return Workload{}, badRequestf("unsupported api_version %q (this server speaks %q)", r.APIVersion, apiVersion)
 	}
 	if err := checkWorkSize(r.InstructionsPerCore, r.IntervalCycles, 0); err != nil {
 		return Workload{}, err
@@ -365,8 +365,8 @@ const maxSweepCells = 512
 // resolves it into SweepOptions. It runs no simulation, which makes it the
 // fuzzable front half of EvaluateSweep.
 func (req *SweepRequest) validate() (SweepOptions, error) {
-	if req.APIVersion != "" && req.APIVersion != APIVersion {
-		return SweepOptions{}, badRequestf("unsupported api_version %q (this server speaks %q)", req.APIVersion, APIVersion)
+	if req.APIVersion != "" && req.APIVersion != apiVersion {
+		return SweepOptions{}, badRequestf("unsupported api_version %q (this server speaks %q)", req.APIVersion, apiVersion)
 	}
 	opts := SweepOptions{
 		CoreCounts:          req.CoreCounts,
@@ -448,7 +448,7 @@ func (e *Engine) EvaluateSweep(ctx context.Context, req *SweepRequest) (*SweepRe
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResponse{APIVersion: APIVersion, Cells: res.Cells, Rows: res.Rows}, nil
+	return &SweepResponse{APIVersion: apiVersion, Cells: res.Cells, Rows: res.Rows}, nil
 }
 
 // ScenarioInfo is one row of a ScenariosResponse.
@@ -703,7 +703,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "scenarios is GET-only")
 		return
 	}
-	resp := ScenariosResponse{APIVersion: APIVersion}
+	resp := ScenariosResponse{APIVersion: apiVersion}
 	for _, sc := range s.engine.Scenarios() {
 		resp.Scenarios = append(resp.Scenarios, ScenarioInfo{
 			Name:        sc.Name,
@@ -729,7 +729,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	stats := s.engine.Cache().DetailedStats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":       "ok",
-		"api_version":  APIVersion,
+		"api_version":  apiVersion,
 		"git_revision": gitRevision(),
 		"cache_hits":   stats.MemoryHits + stats.DiskHits + stats.InflightJoins,
 		"cache_misses": stats.Misses,
@@ -801,7 +801,7 @@ func (s *Server) writeCallResult(w http.ResponseWriter, resp any, err error) {
 		s.metrics.clientGone.Inc()
 		w.WriteHeader(statusClientClosedRequest)
 	default:
-		var reqErr *RequestError
+		var reqErr *requestError
 		if errors.As(err, &reqErr) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return

@@ -60,7 +60,7 @@ func TestEstimateEndpointHappyPath(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("bad JSON response: %v", err)
 	}
-	if resp.APIVersion != APIVersion {
+	if resp.APIVersion != apiVersion {
 		t.Errorf("api_version = %q", resp.APIVersion)
 	}
 	if resp.Technique != "GDP-O" {

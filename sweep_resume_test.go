@@ -37,17 +37,30 @@ func diskEngine(t *testing.T, dir string, opts ...EngineOption) *Engine {
 	return e
 }
 
+// simRuns reads the engine's gdpsim_sim_runs_total series: how many
+// simulations it ran.
+func simRuns(t *testing.T, e *Engine) uint64 {
+	t.Helper()
+	for _, f := range e.registry.Snapshot() {
+		if f.Name == "gdpsim_sim_runs_total" {
+			return uint64(*f.Series[0].Value)
+		}
+	}
+	t.Fatal("no gdpsim_sim_runs_total series")
+	return 0
+}
+
 // checkResumed asserts what a rerun over a killed sweep's cache directory
 // owes: rows byte-identical to a fresh memory-only run, a shared-mode
 // simulation for exactly the missing cells, and a disk hit for every
 // recalled one.
-func checkResumed(t *testing.T, want string, res *SweepResult, recalled int, resumed *Engine, simRuns uint64) {
+func checkResumed(t *testing.T, want string, res *SweepResult, recalled int, resumed *Engine, runs uint64) {
 	t.Helper()
 	if got := rowsJSON(t, res.Rows); got != want {
 		t.Errorf("resumed rows differ from a fresh run:\n got %s\nwant %s", got, want)
 	}
-	if missing := uint64(res.Cells - recalled); simRuns != missing {
-		t.Errorf("resumed sweep ran %d simulations, want one per missing cell (%d)", simRuns, missing)
+	if missing := uint64(res.Cells - recalled); runs != missing {
+		t.Errorf("resumed sweep ran %d simulations, want one per missing cell (%d)", runs, missing)
 	}
 	if hits := resumed.Cache().DetailedStats().DiskHits; hits < int64(recalled) {
 		t.Errorf("resumed sweep had %d disk hits, want at least the %d recalled cells", hits, recalled)
@@ -72,7 +85,7 @@ func TestSweepCacheDirResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkResumed(t, want, res, part.Cells, resumed, resumed.instr.Sim.Runs())
+			checkResumed(t, want, res, part.Cells, resumed, simRuns(t, resumed))
 			// The missing cells share their workloads with the recalled ones,
 			// so their private-mode references come from disk too: the only
 			// cache misses are the missing cells themselves.
@@ -116,7 +129,7 @@ func TestSweepCacheDirCancelledResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%d of %d cells finished before the cancel took hold", finished, res.Cells)
-			checkResumed(t, want, res, finished, resumed, resumed.instr.Sim.Runs())
+			checkResumed(t, want, res, finished, resumed, simRuns(t, resumed))
 		})
 	}
 }
@@ -158,7 +171,7 @@ func TestSweepJournalResumeByteIdentical(t *testing.T) {
 			if got := rowsJSON(t, res.Rows); got != want {
 				t.Errorf("resumed rows differ from uninterrupted run:\n got %s\nwant %s", got, want)
 			}
-			if runs, missing := resumed.instr.Sim.Runs(), uint64(res.Cells-part.Cells); runs != missing {
+			if runs, missing := simRuns(t, resumed), uint64(res.Cells-part.Cells); runs != missing {
 				t.Errorf("resumed sweep ran %d simulations, want one per missing cell (%d)", runs, missing)
 			}
 		})
@@ -184,7 +197,7 @@ func TestSweepWorkersCacheDirResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResumed(t, want, res, part.Cells, resumed, resumed.instr.Sim.Runs()+srv2.engine.instr.Sim.Runs())
+	checkResumed(t, want, res, part.Cells, resumed, simRuns(t, resumed)+simRuns(t, srv2.engine))
 }
 
 // TestSweepWorkersRejectsJournal: the deprecated journal is a local-sweep
