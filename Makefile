@@ -43,9 +43,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# diet prints the six tracked size numbers (ROADMAP aim 2; down is good), so
+# diet prints the seven tracked size numbers (ROADMAP aim 2; down is good), so
 # every PR reports them with the same commands. Never fails the build. The
-# last counts exported funcs and methods in non-test files under internal/;
+# last two count exported funcs and methods, and exported types (top-level
+# `type X` declarations), in non-test files under internal/;
 # TestExportedNamesHaveCallers checks that each one has a caller.
 NONTEST_GO = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
 diet:
@@ -55,6 +56,7 @@ diet:
 	@echo "root exported symbols:                $$(ls *.go | grep -v _test.go | xargs grep -hE '^(func|type|var|const) [A-Z]' | wc -l)"
 	@echo "gdpsim_* metric families:             $$($(NONTEST_GO) | xargs grep -hoE '"gdpsim_[a-z_]+"' | sort -u | wc -l)"
 	@echo "internal exported funcs and methods:  $$(find ./internal -name '*.go' ! -name '*_test.go' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]' | wc -l)"
+	@echo "internal exported types:              $$(find ./internal -name '*.go' ! -name '*_test.go' | xargs grep -hE '^type [A-Z]' | wc -l)"
 
 # bench runs the ledger (benchmark/, declared in BENCHMARK.json) on its six
 # workloads untraced, one result file per workload under $(BENCH_OUT). Compare

@@ -279,7 +279,7 @@ func cmdOverhead(cores int) error {
 	fmt.Printf("  GDP-O unit storage:  %d bits\n", gdpoUnit.StorageBits())
 	fmt.Printf("  DIEF full-map ATDs:  %d KB\n", full>>10)
 	fmt.Printf("  DIEF sampled ATDs:   %.1f KB\n", float64(sampled)/1024)
-	fmt.Printf("  Estimate latency:    %d cycles (sequential implementation)\n", gdpcore.EstimateLatencyCycles())
+	fmt.Printf("  Estimate latency:    %d cycles (sequential implementation)\n", gdpcore.Equation2LatencyCycles())
 	return nil
 }
 

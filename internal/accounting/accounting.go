@@ -1,14 +1,17 @@
 // Package accounting defines the common interface of performance-accounting
 // techniques and implements the techniques evaluated in the GDP paper:
 //
-//   - GDP and GDP-O (dataflow accounting, adapters over internal/core),
+//   - GDP and GDP-O (dataflow accounting: internal/core's CPL and overlap
+//     with DIEF's latency estimate, fed forward through Equation 2),
 //   - ITCA and PTCA (transparent, architecture-centric baselines), and
 //   - ASM (the invasive Application Slowdown Model baseline, which manipulates
 //     memory-controller priorities).
 //
 // An accountant estimates, at every measurement interval, the private-mode
 // (interference-free) performance of each running application from shared-mode
-// observations only.
+// observations only. Every technique ends in Equation 2 of the paper
+// (privateCycles): GDP and GDP-O evaluate it forward, the other three invert
+// it to derive their SMS stall estimate.
 package accounting
 
 import (
@@ -23,18 +26,6 @@ import (
 // to run at any particular cycle (transparent techniques). The simulation
 // driver treats it as "no constraint on fast-forwarding".
 const NoEvent = uint64(math.MaxUint64)
-
-// EventSource is implemented by accountants whose Tick must run at specific
-// cycles (invasive techniques such as ASM, whose epoch schedule reprograms
-// the memory controller). NextEvent returns a lower bound, strictly after
-// now, on the next cycle the accountant's Tick needs to observe; the event
-// fast-forwarding driver never skips past it, and holds on to the bound until
-// that cycle, so only the Tick there may move it. Accountants that do not
-// implement EventSource disable fast-forwarding entirely (their Tick is
-// then called every cycle, which is always correct).
-type EventSource interface {
-	NextEvent(now uint64) uint64
-}
 
 // Estimate is one per-core, per-interval private-mode performance estimate.
 type Estimate struct {
@@ -63,9 +54,15 @@ type Accountant interface {
 	Probe(core int) cpu.Probe
 	// ObserveRequest is called for every completed shared-memory request.
 	ObserveRequest(core int, req *mem.Request)
-	// Tick is called once per simulated cycle (used by invasive techniques
-	// such as ASM to drive their epoch schedule). Most techniques ignore it.
+	// Tick is called on every cycle the driver visits (used by invasive
+	// techniques such as ASM to drive their epoch schedule). Most techniques
+	// ignore it.
 	Tick(now uint64)
+	// NextEvent returns a lower bound, strictly after now, on the next cycle
+	// Tick needs to observe, or NoEvent when Tick never acts. The
+	// event-skipping driver never skips past it and holds on to the bound
+	// until that cycle, so only the Tick there may move it.
+	NextEvent(now uint64) uint64
 	// Estimate produces the private-mode estimate for one core given the
 	// interval's shared-mode statistics.
 	Estimate(core int, interval cpu.Stats) Estimate
@@ -98,13 +95,58 @@ func New(name string, cores, prbEntries int, asmEpoch uint64) (Accountant, error
 	}
 }
 
-// stallEstimateFromCycles converts an estimated number of private-mode cycles
-// into an estimated number of private-mode SMS stall cycles using the
-// performance model of Equation 2: everything that is not commit, independent
-// stall, PMS stall or other stall must be SMS stall.
-func stallEstimateFromCycles(privateCycles float64, interval cpu.Stats) float64 {
-	base := float64(interval.CommitCycles + interval.StallInd + interval.StallPMS + interval.StallOther)
-	est := privateCycles - base
+// privateCycles is Equation 2 of the paper, the performance model shared by
+// every technique: private cycles = C + S^Ind + S^PMS + σ̂^SMS + σ̂^Other,
+// where C, S^Ind and S^PMS are measured in shared mode and the two stall
+// terms are estimates of their private-mode values.
+func privateCycles(interval cpu.Stats, smsStall, otherStall float64) float64 {
+	return float64(interval.CommitCycles) +
+		float64(interval.StallInd) +
+		float64(interval.StallPMS) +
+		smsStall +
+		otherStall
+}
+
+// gdpEstimate evaluates Equation 2 forward for GDP, or for GDP-O when
+// useOverlap is set. cpl and avgOverlap come from the dataflow unit's
+// Retrieve and privateLatency is DIEF's estimate λ̂ of the interference-free
+// SMS load latency.
+func gdpEstimate(interval cpu.Stats, cpl uint64, avgOverlap, privateLatency float64, useOverlap bool) Estimate {
+	// σ̂^SMS: the critical path of the load/commit dependency graph times the
+	// private-mode latency (minus the overlap for GDP-O).
+	effectiveLatency := privateLatency
+	if useOverlap {
+		effectiveLatency -= avgOverlap
+	}
+	if effectiveLatency < 0 {
+		effectiveLatency = 0
+	}
+	smsStall := float64(cpl) * effectiveLatency
+
+	// σ̂^Other: the rare other stalls scale with the latency reduction between
+	// the shared and private modes (Section III).
+	scale := 1.0
+	if shared := interval.AvgSMSLatency(); shared > 0 && privateLatency > 0 && privateLatency < shared {
+		scale = privateLatency / shared
+	}
+	otherStall := float64(interval.StallOther) * scale
+
+	cpi, ipc := cpiFromCycles(privateCycles(interval, smsStall, otherStall), interval)
+	return Estimate{
+		PrivateCPI:     cpi,
+		PrivateIPC:     ipc,
+		SMSStallCycles: smsStall,
+		PrivateLatency: privateLatency,
+		CPL:            cpl,
+		AvgOverlap:     avgOverlap,
+	}
+}
+
+// stallEstimateFromCycles inverts Equation 2 for a technique that estimates
+// private cycles directly: keeping the measured S^Other, everything that is
+// not commit, independent stall, PMS stall or other stall must be SMS stall.
+func stallEstimateFromCycles(cycles float64, interval cpu.Stats) float64 {
+	est := cycles - privateCycles(interval, 0, float64(interval.StallOther))
 	if est < 0 {
 		return 0
 	}
@@ -112,10 +154,10 @@ func stallEstimateFromCycles(privateCycles float64, interval cpu.Stats) float64 
 }
 
 // cpiFromCycles converts a private-cycle estimate into CPI/IPC.
-func cpiFromCycles(privateCycles float64, interval cpu.Stats) (cpi, ipc float64) {
-	if interval.Instructions == 0 || privateCycles <= 0 {
+func cpiFromCycles(cycles float64, interval cpu.Stats) (cpi, ipc float64) {
+	if interval.Instructions == 0 || cycles <= 0 {
 		return 0, 0
 	}
-	cpi = privateCycles / float64(interval.Instructions)
+	cpi = cycles / float64(interval.Instructions)
 	return cpi, 1 / cpi
 }

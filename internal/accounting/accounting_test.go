@@ -1,8 +1,10 @@
 package accounting
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/mem"
@@ -135,6 +137,45 @@ func TestGDPAccountantEstimate(t *testing.T) {
 	a.EndInterval()
 	if a.latency.SharedLatency(0) != 0 {
 		t.Error("EndInterval should reset DIEF")
+	}
+}
+
+func TestFigure1EstimateMatchesPaperArithmetic(t *testing.T) {
+	// The worked example of Section IV-A: 190 instructions, 190 commit cycles,
+	// CPL 2, perfect private latency estimate of 140 cycles and average
+	// overlap 38. GDP estimates 2.5 CPI, GDP-O estimates 2.1 CPI.
+	interval := cpu.Stats{
+		CommitCycles:  190,
+		Instructions:  190,
+		StallSMS:      305, // shared-mode stalls (not used by the estimate)
+		SMSLoads:      5,
+		SMSLatencySum: 5 * 180,
+	}
+	gdp := gdpEstimate(interval, 2, 38, 140, false)
+	if math.Abs(gdp.PrivateCPI-2.473) > 0.02 {
+		t.Errorf("GDP CPI = %v, want about 2.47 ([190+280]/190)", gdp.PrivateCPI)
+	}
+	if gdp.SMSStallCycles != 280 {
+		t.Errorf("GDP stall estimate = %v, want 280", gdp.SMSStallCycles)
+	}
+	gdpo := gdpEstimate(interval, 2, 38, 140, true)
+	if gdpo.SMSStallCycles != 204 {
+		t.Errorf("GDP-O stall estimate = %v, want 204", gdpo.SMSStallCycles)
+	}
+	if math.Abs(gdpo.PrivateCPI-2.073) > 0.02 {
+		t.Errorf("GDP-O CPI = %v, want about 2.07 ([190+204]/190)", gdpo.PrivateCPI)
+	}
+}
+
+func TestGDPEstimateDegenerateInputs(t *testing.T) {
+	est := gdpEstimate(cpu.Stats{}, 0, 0, 0, false)
+	if est.PrivateCPI != 0 || est.PrivateIPC != 0 {
+		t.Error("empty interval should produce zero estimates")
+	}
+	// Negative effective latency clamps at zero.
+	est = gdpEstimate(cpu.Stats{Instructions: 10, CommitCycles: 10}, 5, 100, 50, true)
+	if est.SMSStallCycles != 0 {
+		t.Errorf("over-subtracted overlap should clamp the stall estimate at 0, got %v", est.SMSStallCycles)
 	}
 }
 
@@ -279,14 +320,7 @@ func TestPTCAIgnoresROBNotFull(t *testing.T) {
 }
 
 func TestASMEpochRotation(t *testing.T) {
-	ctrl, err := dram.New(dram.Config{
-		Channels: 1, BanksPerChan: 8, ReadQueue: 64, WriteQueue: 64,
-		PageBytes: 1024, LineBytes: 64,
-		Timing: dram.Timing{TRCD: 40, TCAS: 40, TRP: 40, Burst: 40},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := dram.New(config.PaperConfig(4).DRAM)
 	a, _ := NewASM(4, 1000, ctrl)
 	a.Tick(0)
 	if a.currentOwner != 0 || ctrl.PriorityCore() != 0 {

@@ -114,7 +114,7 @@ func (a *ASM) Tick(now uint64) {
 	}
 }
 
-// NextEvent implements EventSource: ASM's Tick must run at every epoch
+// NextEvent implements Accountant: ASM's Tick must run at every epoch
 // boundary (it rotates the high-priority core and reprograms the memory
 // controller), so the fast-forwarding driver never skips past one.
 func (a *ASM) NextEvent(now uint64) uint64 {

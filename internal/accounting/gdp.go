@@ -9,19 +9,14 @@ import (
 	"repro/internal/mem"
 )
 
-// GDPAccountant adapts the dataflow-accounting unit (internal/core) and the
-// DIEF latency estimator to the Accountant interface. UseOverlap selects
+// GDPAccountant pairs the dataflow-accounting unit (internal/core) with the
+// DIEF latency estimator behind the Accountant interface. UseOverlap selects
 // between GDP and GDP-O.
 type GDPAccountant struct {
 	name       string
 	useOverlap bool
 	units      []*gdpcore.GDP
 	latency    *dief.Estimator
-	estimator  gdpcore.Estimator
-
-	// Last retrieved per-core values, refreshed by Estimate.
-	lastCPL     []uint64
-	lastOverlap []float64
 }
 
 // NewGDP creates a GDP (useOverlap=false) or GDP-O (useOverlap=true)
@@ -35,12 +30,9 @@ func NewGDP(cores int, prbEntries int, useOverlap bool) (*GDPAccountant, error) 
 		return nil, err
 	}
 	a := &GDPAccountant{
-		name:        "GDP",
-		useOverlap:  useOverlap,
-		latency:     lat,
-		estimator:   gdpcore.Estimator{UseOverlap: useOverlap},
-		lastCPL:     make([]uint64, cores),
-		lastOverlap: make([]float64, cores),
+		name:       "GDP",
+		useOverlap: useOverlap,
+		latency:    lat,
 	}
 	if useOverlap {
 		a.name = "GDP-O"
@@ -74,25 +66,14 @@ func (a *GDPAccountant) ObserveRequest(core int, req *mem.Request) {
 // Tick implements Accountant (GDP is transparent: nothing to do).
 func (a *GDPAccountant) Tick(uint64) {}
 
-// NextEvent implements the driver's event-source probe: GDP's Tick never
-// acts, so it contributes no events to the fast-forwarding schedule.
+// NextEvent implements Accountant: GDP's Tick never acts, so it contributes
+// no events to the fast-forwarding schedule.
 func (a *GDPAccountant) NextEvent(uint64) uint64 { return NoEvent }
 
 // Estimate implements Accountant using Equation 2.
 func (a *GDPAccountant) Estimate(core int, interval cpu.Stats) Estimate {
 	cpl, overlap := a.units[core].Retrieve()
-	a.lastCPL[core] = cpl
-	a.lastOverlap[core] = overlap
-	lambda := a.latency.PrivateLatency(core)
-	est := a.estimator.Estimate(interval, cpl, overlap, lambda)
-	return Estimate{
-		PrivateCPI:     est.PrivateCPI,
-		PrivateIPC:     est.PrivateIPC,
-		SMSStallCycles: est.SMSStallCycles,
-		PrivateLatency: lambda,
-		CPL:            cpl,
-		AvgOverlap:     overlap,
-	}
+	return gdpEstimate(interval, cpl, overlap, a.latency.PrivateLatency(core), a.useOverlap)
 }
 
 // EndInterval implements Accountant: DIEF accumulators are per interval.

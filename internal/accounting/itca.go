@@ -72,8 +72,8 @@ func (a *ITCA) ObserveRequest(int, *mem.Request) {}
 // Tick implements Accountant (transparent technique).
 func (a *ITCA) Tick(uint64) {}
 
-// NextEvent implements the driver's event-source probe: ITCA's Tick never
-// acts, so it contributes no events to the fast-forwarding schedule.
+// NextEvent implements Accountant: ITCA's Tick never acts, so it contributes
+// no events to the fast-forwarding schedule.
 func (a *ITCA) NextEvent(uint64) uint64 { return NoEvent }
 
 // Estimate implements Accountant: private cycles = shared cycles minus the

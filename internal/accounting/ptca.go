@@ -102,8 +102,8 @@ func (a *PTCA) ObserveRequest(int, *mem.Request) {}
 // Tick implements Accountant (transparent technique).
 func (a *PTCA) Tick(uint64) {}
 
-// NextEvent implements the driver's event-source probe: PTCA's Tick never
-// acts, so it contributes no events to the fast-forwarding schedule.
+// NextEvent implements Accountant: PTCA's Tick never acts, so it contributes
+// no events to the fast-forwarding schedule.
 func (a *PTCA) NextEvent(uint64) uint64 { return NoEvent }
 
 // Estimate implements Accountant.

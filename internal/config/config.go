@@ -107,7 +107,14 @@ type CMPConfig struct {
 	ATDSampledSets int // number of LLC sets sampled by each auxiliary tag directory
 }
 
+// lineBytes is the only supported cache line size: the core masks addresses
+// to 64-byte lines for its MSHR key and the trace generator lays working sets
+// out in 64-byte lines.
+const lineBytes = 64
+
 // Validate reports an error describing the first invalid parameter found.
+// It is the only range check of the ring and DRAM parameters: ring.New and
+// dram.New trust what it accepted.
 func (c *CMPConfig) Validate() error {
 	switch {
 	case c.Cores < 1:
@@ -123,6 +130,10 @@ func (c *CMPConfig) Validate() error {
 		name string
 		cfg  CacheConfig
 	}{{"L1D", c.L1D}, {"L1I", c.L1I}, {"L2", c.L2}, {"LLC", c.LLC}} {
+		if cc.cfg.LineBytes != lineBytes {
+			return fmt.Errorf("config: %s line size %d B unsupported: the core's MSHR line key and the trace generator assume %d-byte lines",
+				cc.name, cc.cfg.LineBytes, lineBytes)
+		}
 		if cc.cfg.Sets() == 0 {
 			return fmt.Errorf("config: %s has zero sets (size=%d ways=%d line=%d)",
 				cc.name, cc.cfg.SizeBytes, cc.cfg.Ways, cc.cfg.LineBytes)
@@ -137,11 +148,22 @@ func (c *CMPConfig) Validate() error {
 	if c.LLC.Banks < 1 {
 		return errors.New("config: LLC must have at least one bank")
 	}
-	if c.DRAM.Channels < 1 {
+	switch d := c.DRAM; {
+	case d.Channels < 1:
 		return errors.New("config: DRAM must have at least one channel")
-	}
-	if c.DRAM.BanksPerChan < 1 {
+	case d.BanksPerChan < 1:
 		return errors.New("config: DRAM must have at least one bank per channel")
+	case d.ReadQueue < 1 || d.WriteQueue < 1:
+		return fmt.Errorf("config: DRAM queue sizes %d/%d must be at least 1", d.ReadQueue, d.WriteQueue)
+	case d.PageBytes < lineBytes:
+		return fmt.Errorf("config: DRAM page of %d B is smaller than a %d-byte line", d.PageBytes, lineBytes)
+	case d.TRCD < 1 || d.TCAS < 1 || d.TRP < 1 || d.BurstCyc < 1:
+		return fmt.Errorf("config: DRAM timings tRCD=%d tCAS=%d tRP=%d burst=%d must be at least 1 cycle",
+			d.TRCD, d.TCAS, d.TRP, d.BurstCyc)
+	}
+	if r := c.Ring; r.HopLatency < 1 || r.QueueEntries < 1 || r.RequestRings < 1 || r.ResponseRings < 1 {
+		return fmt.Errorf("config: ring hop latency %d, queue size %d and ring counts %d/%d must be at least 1",
+			r.HopLatency, r.QueueEntries, r.RequestRings, r.ResponseRings)
 	}
 	if c.ATDSampledSets < 1 || c.ATDSampledSets > c.LLC.Sets() {
 		return fmt.Errorf("config: ATD sampled sets %d out of range [1,%d]", c.ATDSampledSets, c.LLC.Sets())

@@ -95,6 +95,18 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"too many ATD sets", func(c *CMPConfig) { c.ATDSampledSets = 1 << 30 }},
 		{"zero ATD sets", func(c *CMPConfig) { c.ATDSampledSets = 0 }},
 		{"zero cache latency", func(c *CMPConfig) { c.LLC.LatencyCyc = 0 }},
+		{"128-byte L1D lines", func(c *CMPConfig) { c.L1D.LineBytes = 128 }},
+		{"128-byte lines everywhere", func(c *CMPConfig) {
+			c.L1D.LineBytes, c.L1I.LineBytes, c.L2.LineBytes, c.LLC.LineBytes = 128, 128, 128, 128
+		}},
+		{"zero DRAM read queue", func(c *CMPConfig) { c.DRAM.ReadQueue = 0 }},
+		{"zero DRAM write queue", func(c *CMPConfig) { c.DRAM.WriteQueue = 0 }},
+		{"DRAM page below a line", func(c *CMPConfig) { c.DRAM.PageBytes = 1 }},
+		{"zero tCAS", func(c *CMPConfig) { c.DRAM.TCAS = 0 }},
+		{"zero DRAM burst", func(c *CMPConfig) { c.DRAM.BurstCyc = 0 }},
+		{"zero ring hop latency", func(c *CMPConfig) { c.Ring.HopLatency = 0 }},
+		{"zero ring queue", func(c *CMPConfig) { c.Ring.QueueEntries = 0 }},
+		{"zero response rings", func(c *CMPConfig) { c.Ring.ResponseRings = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -327,3 +327,18 @@ func (g *GDP) StorageBits() int {
 	}
 	return total
 }
+
+// Equation2LatencyCycles returns the number of cycles a sequential hardware
+// implementation needs to evaluate Equation 2 (Section IV-C: 2 divisions, 2
+// multiplies and 5 additions at 25, 3 and 1 cycles respectively).
+func Equation2LatencyCycles() int {
+	const (
+		divisions  = 2
+		multiplies = 2
+		additions  = 5
+		divCycles  = 25
+		mulCycles  = 3
+		addCycles  = 1
+	)
+	return divisions*divCycles + multiplies*mulCycles + additions*addCycles
+}

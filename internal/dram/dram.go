@@ -10,50 +10,11 @@
 package dram
 
 import (
-	"fmt"
 	"math"
 
+	"repro/internal/config"
 	"repro/internal/mem"
 )
-
-// Timing holds device timing in CPU cycles.
-type Timing struct {
-	TRCD  int // activate to column command
-	TCAS  int // column command to data
-	TRP   int // precharge
-	Burst int // data-bus occupancy of one transfer
-}
-
-// Config describes one memory controller instance.
-type Config struct {
-	Channels     int
-	BanksPerChan int
-	ReadQueue    int
-	WriteQueue   int
-	PageBytes    int
-	LineBytes    int
-	Timing       Timing
-	// WriteDrainThreshold is the write-queue occupancy at which writes are
-	// drained even if reads are pending.
-	WriteDrainThreshold int
-}
-
-// Validate reports the first invalid field.
-func (c Config) Validate() error {
-	switch {
-	case c.Channels < 1:
-		return fmt.Errorf("dram: channels %d invalid", c.Channels)
-	case c.BanksPerChan < 1:
-		return fmt.Errorf("dram: banks %d invalid", c.BanksPerChan)
-	case c.ReadQueue < 1 || c.WriteQueue < 1:
-		return fmt.Errorf("dram: queue sizes %d/%d invalid", c.ReadQueue, c.WriteQueue)
-	case c.PageBytes < 64 || c.LineBytes < 1:
-		return fmt.Errorf("dram: page %d / line %d invalid", c.PageBytes, c.LineBytes)
-	case c.Timing.TRCD < 1 || c.Timing.TCAS < 1 || c.Timing.TRP < 1 || c.Timing.Burst < 1:
-		return fmt.Errorf("dram: timing %+v invalid", c.Timing)
-	}
-	return nil
-}
 
 // queued is a request waiting in a controller queue.
 type queued struct {
@@ -92,8 +53,11 @@ type channel struct {
 
 // Controller is the multi-channel memory controller.
 type Controller struct {
-	cfg      Config
+	cfg      config.DRAMConfig
 	channels []channel
+	// drainAt is the write-queue occupancy at which writes are drained even
+	// if reads are pending: three quarters of the write queue.
+	drainAt int
 
 	priorityCore int // core whose requests are scheduled first (-1 = none)
 
@@ -112,15 +76,10 @@ type Controller struct {
 	completedReads uint64
 }
 
-// New creates a memory controller.
-func New(cfg Config) (*Controller, error) {
-	if cfg.WriteDrainThreshold == 0 {
-		cfg.WriteDrainThreshold = cfg.WriteQueue * 3 / 4
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Controller{cfg: cfg, priorityCore: -1}
+// New creates a memory controller for a DRAM configuration that
+// config.CMPConfig.Validate accepted.
+func New(cfg config.DRAMConfig) *Controller {
+	c := &Controller{cfg: cfg, drainAt: cfg.WriteQueue * 3 / 4, priorityCore: -1}
 	c.channels = make([]channel, cfg.Channels)
 	for i := range c.channels {
 		c.channels[i].banks = make([]bankState, cfg.BanksPerChan)
@@ -129,7 +88,7 @@ func New(cfg Config) (*Controller, error) {
 		}
 		c.channels[i].busOwner = -1
 	}
-	return c, nil
+	return c
 }
 
 // SetPriorityCore gives core the highest scheduling priority (ASM's invasive
@@ -196,14 +155,14 @@ func (c *Controller) CanAccept(addr uint64, isWrite bool) bool {
 // serviceLatency returns the latency of servicing a request given the bank's
 // row state, and a row-state classification (0 hit, 1 closed, 2 conflict).
 func (c *Controller) serviceLatency(b *bankState, row uint64) (int, int) {
-	t := c.cfg.Timing
+	t := &c.cfg
 	switch {
 	case b.rowOpen && b.openRow == row:
-		return t.TCAS + t.Burst, 0
+		return t.TCAS + t.BurstCyc, 0
 	case !b.rowOpen:
-		return t.TRCD + t.TCAS + t.Burst, 1
+		return t.TRCD + t.TCAS + t.BurstCyc, 1
 	default:
-		return t.TRP + t.TRCD + t.TCAS + t.Burst, 2
+		return t.TRP + t.TRCD + t.TCAS + t.BurstCyc, 2
 	}
 }
 
@@ -285,7 +244,7 @@ func (c *Controller) Tick(now uint64) []*mem.Request {
 			continue
 		}
 		useWrites := len(chn.readQ) == 0 && len(chn.writeQ) > 0 ||
-			len(chn.writeQ) >= c.cfg.WriteDrainThreshold
+			len(chn.writeQ) >= c.drainAt
 		q := &chn.readQ
 		if useWrites {
 			q = &chn.writeQ
@@ -312,7 +271,7 @@ func (c *Controller) Tick(now uint64) []*mem.Request {
 		// same row) but the row is now closed or holds another core's row.
 		if rowClass != 0 {
 			if prevRow, ok := b.lastRowByCore[item.req.Core]; ok && prevRow == item.row && b.openedBy != item.req.Core {
-				item.req.MemInterference += uint64(lat - (c.cfg.Timing.TCAS + c.cfg.Timing.Burst))
+				item.req.MemInterference += uint64(lat - (c.cfg.TCAS + c.cfg.BurstCyc))
 			}
 		}
 
@@ -358,7 +317,7 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 		// (queue contents are constant during an idle span, so the policy
 		// choice is too), constrained by the data bus and each request's bank.
 		useWrites := len(chn.readQ) == 0 && len(chn.writeQ) > 0 ||
-			len(chn.writeQ) >= c.cfg.WriteDrainThreshold
+			len(chn.writeQ) >= c.drainAt
 		q := chn.readQ
 		if useWrites {
 			q = chn.writeQ

@@ -4,29 +4,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/config"
 	"repro/internal/mem"
 )
 
-func testConfig() Config {
-	return Config{
-		Channels:     1,
-		BanksPerChan: 8,
-		ReadQueue:    64,
-		WriteQueue:   64,
-		PageBytes:    1024,
-		LineBytes:    64,
-		Timing:       Timing{TRCD: 40, TCAS: 40, TRP: 40, Burst: 40},
-	}
-}
-
-func mustController(t *testing.T, cfg Config) *Controller {
-	t.Helper()
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
+// testConfig is Table I's DDR2-800 controller with one channel.
+func testConfig() config.DRAMConfig { return config.PaperConfig(2).DRAM }
 
 // drain runs the controller until n reads complete or maxCycles elapse.
 func drain(c *Controller, start uint64, n int, maxCycles uint64) []*mem.Request {
@@ -37,28 +20,8 @@ func drain(c *Controller, start uint64, n int, maxCycles uint64) []*mem.Request 
 	return done
 }
 
-func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Channels = 0 },
-		func(c *Config) { c.BanksPerChan = 0 },
-		func(c *Config) { c.ReadQueue = 0 },
-		func(c *Config) { c.PageBytes = 1 },
-		func(c *Config) { c.Timing.TCAS = 0 },
-	}
-	for i, mutate := range bad {
-		cfg := testConfig()
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-	if _, err := New(testConfig()); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-}
-
 func TestSingleReadLatency(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	req := &mem.Request{ID: 1, Core: 0, Addr: 0x1000}
 	if !c.Enqueue(req, 100) {
 		t.Fatal("enqueue failed")
@@ -78,7 +41,7 @@ func TestSingleReadLatency(t *testing.T) {
 }
 
 func TestRowHitFasterThanConflict(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	// Two reads to the same row back to back: second should be a row hit.
 	a := &mem.Request{ID: 1, Core: 0, Addr: 0x0}
 	b := &mem.Request{ID: 2, Core: 0, Addr: 0x40}
@@ -107,7 +70,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 }
 
 func TestFRFCFSPrefersRowHits(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	// Open a row with request 1.
 	first := &mem.Request{ID: 1, Core: 0, Addr: 0x0}
 	c.Enqueue(first, 0)
@@ -130,7 +93,7 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 }
 
 func TestPriorityCoreOverridesFRFCFS(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	c.SetPriorityCore(1)
 	if c.PriorityCore() != 1 {
 		t.Fatal("priority core not recorded")
@@ -151,7 +114,7 @@ func TestPriorityCoreOverridesFRFCFS(t *testing.T) {
 }
 
 func TestInterferenceAttributedToOtherCores(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	// Saturate with core-1 traffic, then a single core-0 read.
 	for i := 0; i < 8; i++ {
 		c.Enqueue(&mem.Request{ID: uint64(i), Core: 1, Addr: uint64(i * 0x40)}, 0)
@@ -168,7 +131,7 @@ func TestInterferenceAttributedToOtherCores(t *testing.T) {
 }
 
 func TestSoloCoreHasNoInterference(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	var reqs []*mem.Request
 	for i := 0; i < 10; i++ {
 		r := &mem.Request{ID: uint64(i), Core: 0, Addr: uint64(i) * 0x40 * 37}
@@ -186,7 +149,7 @@ func TestSoloCoreHasNoInterference(t *testing.T) {
 func TestQueueCapacityAndCanAccept(t *testing.T) {
 	cfg := testConfig()
 	cfg.ReadQueue = 2
-	c := mustController(t, cfg)
+	c := New(cfg)
 	if !c.Enqueue(&mem.Request{ID: 1, Addr: 0x40}, 0) || !c.Enqueue(&mem.Request{ID: 2, Addr: 0x80}, 0) {
 		t.Fatal("enqueue under capacity failed")
 	}
@@ -205,7 +168,7 @@ func TestQueueCapacityAndCanAccept(t *testing.T) {
 }
 
 func TestWritesDrainWhenIdle(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	w := &mem.Request{ID: 1, Core: 0, Addr: 0x1000, IsWrite: true}
 	if !c.Enqueue(w, 0) {
 		t.Fatal("write enqueue failed")
@@ -227,10 +190,10 @@ func TestWritesDrainWhenIdle(t *testing.T) {
 }
 
 func TestMultiChannelParallelism(t *testing.T) {
-	single := mustController(t, testConfig())
+	single := New(testConfig())
 	multiCfg := testConfig()
 	multiCfg.Channels = 4
-	multi := mustController(t, multiCfg)
+	multi := New(multiCfg)
 
 	run := func(c *Controller) uint64 {
 		n := 32
@@ -252,7 +215,7 @@ func TestMultiChannelParallelism(t *testing.T) {
 }
 
 func TestStatsAverageLatency(t *testing.T) {
-	c := mustController(t, testConfig())
+	c := New(testConfig())
 	c.Enqueue(&mem.Request{ID: 1, Core: 0, Addr: 0x40}, 0)
 	drain(c, 0, 1, 10000)
 	if c.Stats().AvgReadLatency <= 0 {
@@ -262,10 +225,7 @@ func TestStatsAverageLatency(t *testing.T) {
 
 func TestAllEnqueuedReadsEventuallyComplete(t *testing.T) {
 	f := func(addrs []uint32, cores []uint8) bool {
-		c, err := New(testConfig())
-		if err != nil {
-			return false
-		}
+		c := New(testConfig())
 		n := len(addrs)
 		if n > 40 {
 			n = 40

@@ -203,6 +203,7 @@ func runPolicyCell(ctx context.Context, opts PartitioningOptions, wl workload.Wo
 		Accountants:         accts,
 		Partitioner:         pol,
 		PartitionSource:     source,
+		DiscardIntervals:    true, // only SampleStats is read
 		Metrics:             opts.Instr.simMetrics(),
 	})
 	if err != nil {

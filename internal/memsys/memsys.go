@@ -150,42 +150,15 @@ func New(cfg *config.CMPConfig) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r, err := ring.New(ring.Config{
-		Cores:         cfg.Cores,
-		HopLatency:    cfg.Ring.HopLatency,
-		QueueEntries:  cfg.Ring.QueueEntries,
-		RequestRings:  cfg.Ring.RequestRings,
-		ResponseRings: cfg.Ring.ResponseRings,
-	})
-	if err != nil {
-		return nil, err
-	}
 	llc, err := cache.New("llc", cfg.LLC.SizeBytes, cfg.LLC.Ways, cfg.LLC.LineBytes)
-	if err != nil {
-		return nil, err
-	}
-	mc, err := dram.New(dram.Config{
-		Channels:     cfg.DRAM.Channels,
-		BanksPerChan: cfg.DRAM.BanksPerChan,
-		ReadQueue:    cfg.DRAM.ReadQueue,
-		WriteQueue:   cfg.DRAM.WriteQueue,
-		PageBytes:    cfg.DRAM.PageBytes,
-		LineBytes:    cfg.LLC.LineBytes,
-		Timing: dram.Timing{
-			TRCD:  cfg.DRAM.TRCD,
-			TCAS:  cfg.DRAM.TCAS,
-			TRP:   cfg.DRAM.TRP,
-			Burst: cfg.DRAM.BurstCyc,
-		},
-	})
 	if err != nil {
 		return nil, err
 	}
 	s := &System{
 		cfg:           cfg,
-		ring:          r,
+		ring:          ring.New(cfg),
 		llc:           llc,
-		mc:            mc,
+		mc:            dram.New(cfg.DRAM),
 		ingress:       make([]reqQueue, cfg.Cores),
 		bankBusyUntil: make([]uint64, cfg.LLC.Banks),
 		bankQueue:     make([]reqQueue, cfg.LLC.Banks),

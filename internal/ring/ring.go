@@ -8,9 +8,9 @@
 package ring
 
 import (
-	"fmt"
 	"math"
 
+	"repro/internal/config"
 	"repro/internal/mem"
 )
 
@@ -36,7 +36,6 @@ type entry struct {
 // `lanes` messages per direction; messages wait in FIFO order and accumulate
 // hop latency proportional to the distance between source and destination.
 type Ring struct {
-	cores      int
 	hopLatency int
 	queueCap   int
 	reqLanes   int
@@ -57,31 +56,15 @@ type Ring struct {
 	totalQueueing uint64
 }
 
-// Config mirrors config.RingConfig without importing it (keeps the package
-// free-standing and easy to test).
-type Config struct {
-	Cores         int
-	HopLatency    int
-	QueueEntries  int
-	RequestRings  int
-	ResponseRings int
-}
-
-// New creates a ring interconnect.
-func New(cfg Config) (*Ring, error) {
-	if cfg.Cores < 1 {
-		return nil, fmt.Errorf("ring: need at least one core")
-	}
-	if cfg.HopLatency < 1 || cfg.QueueEntries < 1 || cfg.RequestRings < 1 || cfg.ResponseRings < 1 {
-		return nil, fmt.Errorf("ring: invalid config %+v", cfg)
-	}
+// New creates the ring interconnect of a CMP configuration that
+// config.CMPConfig.Validate accepted.
+func New(cfg *config.CMPConfig) *Ring {
 	return &Ring{
-		cores:      cfg.Cores,
-		hopLatency: cfg.HopLatency,
-		queueCap:   cfg.QueueEntries,
-		reqLanes:   cfg.RequestRings,
-		rspLanes:   cfg.ResponseRings,
-	}, nil
+		hopLatency: cfg.Ring.HopLatency,
+		queueCap:   cfg.Ring.QueueEntries,
+		reqLanes:   cfg.Ring.RequestRings,
+		rspLanes:   cfg.Ring.ResponseRings,
+	}
 }
 
 // hops returns the hop count between a core and the LLC. Cores are laid out

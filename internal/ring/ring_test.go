@@ -4,27 +4,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/config"
 	"repro/internal/mem"
 )
 
-func defaultCfg(cores int) Config {
-	return Config{Cores: cores, HopLatency: 4, QueueEntries: 32, RequestRings: 1, ResponseRings: 1}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("zero config accepted")
-	}
-	if _, err := New(Config{Cores: 4, HopLatency: 0, QueueEntries: 1, RequestRings: 1, ResponseRings: 1}); err == nil {
-		t.Error("zero hop latency accepted")
-	}
-	if _, err := New(defaultCfg(4)); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-}
+// defaultCfg is Table I's ring: 4-cycle hops, 32-entry queues, one request
+// and one response ring.
+func defaultCfg() *config.CMPConfig { return config.PaperConfig(2) }
 
 func TestUnloadedLatency(t *testing.T) {
-	r, _ := New(defaultCfg(8))
+	r := New(defaultCfg())
 	if r.Latency(0) != 4 {
 		t.Errorf("core 0 latency = %d, want 4", r.Latency(0))
 	}
@@ -34,7 +23,7 @@ func TestUnloadedLatency(t *testing.T) {
 }
 
 func TestSubmitDeliverTiming(t *testing.T) {
-	r, _ := New(defaultCfg(4))
+	r := New(defaultCfg())
 	req := &mem.Request{ID: 1, Core: 0, Addr: 0x40}
 	if !r.Submit(RequestRing, req, 100) {
 		t.Fatal("submit failed")
@@ -56,7 +45,7 @@ func TestSubmitDeliverTiming(t *testing.T) {
 }
 
 func TestBandwidthLimitCausesInterference(t *testing.T) {
-	r, _ := New(defaultCfg(2))
+	r := New(defaultCfg())
 	// Two same-cycle requests from different cores; one lane means the second
 	// is delayed behind the first and must record interference.
 	a := &mem.Request{ID: 1, Core: 0}
@@ -77,7 +66,7 @@ func TestBandwidthLimitCausesInterference(t *testing.T) {
 }
 
 func TestSoloCoreQueueingIsNotInterference(t *testing.T) {
-	r, _ := New(defaultCfg(2))
+	r := New(defaultCfg())
 	a := &mem.Request{ID: 1, Core: 0}
 	b := &mem.Request{ID: 2, Core: 0}
 	r.Submit(RequestRing, a, 0)
@@ -93,9 +82,9 @@ func TestSoloCoreQueueingIsNotInterference(t *testing.T) {
 }
 
 func TestQueueBackPressure(t *testing.T) {
-	cfg := defaultCfg(2)
-	cfg.QueueEntries = 2
-	r, _ := New(cfg)
+	cfg := defaultCfg()
+	cfg.Ring.QueueEntries = 2
+	r := New(cfg)
 	if !r.Submit(RequestRing, &mem.Request{ID: 1}, 0) || !r.Submit(RequestRing, &mem.Request{ID: 2}, 0) {
 		t.Fatal("submissions under capacity failed")
 	}
@@ -105,7 +94,7 @@ func TestQueueBackPressure(t *testing.T) {
 }
 
 func TestSeparateDirections(t *testing.T) {
-	r, _ := New(defaultCfg(2))
+	r := New(defaultCfg())
 	r.Submit(RequestRing, &mem.Request{ID: 1, Core: 0}, 0)
 	r.Submit(ResponseRing, &mem.Request{ID: 2, Core: 0}, 0)
 	if r.QueueLen(RequestRing) != 1 || r.QueueLen(ResponseRing) != 1 {
@@ -121,9 +110,9 @@ func TestSeparateDirections(t *testing.T) {
 }
 
 func TestMultipleLanes(t *testing.T) {
-	cfg := defaultCfg(8)
-	cfg.RequestRings = 2
-	r, _ := New(cfg)
+	cfg := defaultCfg()
+	cfg.Ring.RequestRings = 2
+	r := New(cfg)
 	r.Submit(RequestRing, &mem.Request{ID: 1, Core: 0}, 0)
 	r.Submit(RequestRing, &mem.Request{ID: 2, Core: 1}, 0)
 	r.Submit(RequestRing, &mem.Request{ID: 3, Core: 2}, 0)
@@ -134,7 +123,7 @@ func TestMultipleLanes(t *testing.T) {
 }
 
 func TestFIFOOrderWithinLane(t *testing.T) {
-	r, _ := New(defaultCfg(2))
+	r := New(defaultCfg())
 	r.Submit(RequestRing, &mem.Request{ID: 1, Core: 0}, 0)
 	r.Submit(RequestRing, &mem.Request{ID: 2, Core: 0}, 1)
 	first := r.Deliver(RequestRing, 100)
@@ -145,10 +134,7 @@ func TestFIFOOrderWithinLane(t *testing.T) {
 
 func TestDeliveryConservation(t *testing.T) {
 	f := func(coreSel []uint8) bool {
-		r, err := New(defaultCfg(4))
-		if err != nil {
-			return false
-		}
+		r := New(defaultCfg())
 		if len(coreSel) > 30 {
 			coreSel = coreSel[:30]
 		}
@@ -171,7 +157,7 @@ func TestDeliveryConservation(t *testing.T) {
 }
 
 func TestTotalQueueingAccumulates(t *testing.T) {
-	r, _ := New(defaultCfg(2))
+	r := New(defaultCfg())
 	for i := 0; i < 10; i++ {
 		r.Submit(RequestRing, &mem.Request{ID: uint64(i), Core: i % 2}, 0)
 	}

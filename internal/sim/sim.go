@@ -329,7 +329,7 @@ func newRunState(opts Options) (*runState, error) {
 //  2. the memory system marking an in-flight request of a core as an
 //     interference miss (the core's idle snapshot counts those flags and ITCA
 //     reads them): memsys.System.OnInterferenceMiss settles that core first;
-//  3. a cycle on which an accountant's EventSource bound is reached (ASM
+//  3. a cycle on which an accountant's NextEvent bound is reached (ASM
 //     rotates the epoch owner its probes read in OnCycles and reprograms the
 //     memory controller): every component is settled before the Ticks;
 //  4. every interval boundary, before recordInterval reads statistics,
@@ -338,9 +338,8 @@ type stepper struct {
 	shared *memsys.System
 	cores  []*cpu.Core
 	accts  []accounting.Accountant
-	// lazy is the skip policy. It is off — every cycle is visited and every
-	// component ticked on it — under Options.Reference, and when an attached
-	// accountant does not declare its Tick schedule (accounting.EventSource).
+	// lazy is the skip policy. It is off under Options.Reference: every cycle
+	// is visited and every component ticked on it.
 	lazy bool
 
 	coreAt, wake      []uint64
@@ -363,11 +362,6 @@ func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Acc
 		lazy:   skip,
 		coreAt: make([]uint64, len(cores)),
 		wake:   make([]uint64, len(cores)),
-	}
-	for _, acct := range accts {
-		if _, ok := acct.(accounting.EventSource); !ok {
-			s.lazy = false // unknown Tick schedule: never skip a cycle
-		}
 	}
 	shared.StartClock(0, !s.lazy)
 	shared.OnInterferenceMiss = func(core int, now uint64) { // rule 2
@@ -411,8 +405,8 @@ func (s *stepper) step(now uint64) {
 	}
 	if acctEvent {
 		s.acctWake = accounting.NoEvent
-		for _, acct := range s.accts { // lazy: each one declares its schedule
-			s.acctWake = min(s.acctWake, acct.(accounting.EventSource).NextEvent(now))
+		for _, acct := range s.accts {
+			s.acctWake = min(s.acctWake, acct.NextEvent(now))
 		}
 	}
 

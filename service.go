@@ -379,36 +379,6 @@ func (req *SweepRequest) validate() (SweepOptions, error) {
 		IntervalCycles:      req.IntervalCycles,
 		Seed:                req.Seed,
 	}
-	if err := checkWorkSize(req.InstructionsPerCore, req.IntervalCycles, req.Workloads); err != nil {
-		return SweepOptions{}, err
-	}
-	for _, cores := range req.CoreCounts {
-		if cores <= 0 || cores > maxServiceCores {
-			return SweepOptions{}, badRequestf("core count %d out of range (1..%d)", cores, maxServiceCores)
-		}
-	}
-	for _, prb := range req.PRBSizes {
-		if prb <= 0 || prb > maxServicePRBEntries {
-			return SweepOptions{}, badRequestf("prb size %d out of range (1..%d)", prb, maxServicePRBEntries)
-		}
-	}
-	// An unknown technique, policy or scenario is the client's error: reject
-	// it as a 400 here, before any cell runs.
-	for _, name := range req.Techniques {
-		if !slices.Contains(accounting.Names, name) {
-			return SweepOptions{}, badRequestf("unknown technique %q (want one of %v)", name, accounting.Names)
-		}
-	}
-	for _, name := range req.Policies {
-		if !slices.Contains(experiments.PolicyNames, name) {
-			return SweepOptions{}, badRequestf("unknown policy %q (want one of %v)", name, experiments.PolicyNames)
-		}
-	}
-	for _, name := range req.Scenarios {
-		if _, err := workload.ScenarioByName(name); err != nil {
-			return SweepOptions{}, badRequestErr(err)
-		}
-	}
 	if len(req.Workers) > maxServiceWorkers {
 		return SweepOptions{}, badRequestf("%d workers exceeds the %d-worker limit", len(req.Workers), maxServiceWorkers)
 	}
@@ -425,6 +395,25 @@ func (req *SweepRequest) validate() (SweepOptions, error) {
 	cells := opts.CellCount()
 	if cells > maxSweepCells {
 		return SweepOptions{}, badRequestf("grid of %d cells exceeds the %d-cell limit", cells, maxSweepCells)
+	}
+	// Every cell passes the check a worker applies to a dispatched one: an
+	// out-of-range core count or PRB size and an unknown technique, policy or
+	// scenario is the client's error, rejected here before any cell runs.
+	partitioning := false
+	for _, c := range experiments.EnumerateSweepCells(opts) {
+		if err := validateCell(c); err != nil {
+			return SweepOptions{}, err
+		}
+		partitioning = partitioning || c.Kind == experiments.CellKindPartitioning
+	}
+	// A scenario-only grid has no partitioning cell to carry its policies;
+	// their names are still checked.
+	if !partitioning {
+		for _, name := range opts.Policies {
+			if !slices.Contains(experiments.PolicyNames, name) {
+				return SweepOptions{}, badRequestf("unknown policy %q (want one of %v)", name, experiments.PolicyNames)
+			}
+		}
 	}
 	return opts, nil
 }

@@ -234,6 +234,42 @@ func TestSweepEndpointRejectsInvalidNamesAndSizes(t *testing.T) {
 	}
 }
 
+// TestSweepValidateNamesTheBadValue: every grid value the sweep check rejects
+// comes back as a request error (HTTP 400) that names the value, an unknown
+// scenario stays reachable as an *UnknownScenarioError, and the policies of
+// a scenario-only grid, which no cell carries, are still checked.
+func TestSweepValidateNamesTheBadValue(t *testing.T) {
+	cases := []struct {
+		req SweepRequest
+		bad string
+	}{
+		{SweepRequest{CoreCounts: []int{2, 0}}, "0"},
+		{SweepRequest{CoreCounts: []int{maxServiceCores + 1}}, fmt.Sprint(maxServiceCores + 1)},
+		{SweepRequest{PRBSizes: []int{-3}}, "-3"},
+		{SweepRequest{PRBSizes: []int{maxServicePRBEntries + 1}}, fmt.Sprint(maxServicePRBEntries + 1)},
+		{SweepRequest{Techniques: []string{"GDP", "GPD-O"}}, "GPD-O"},
+		{SweepRequest{Policies: []string{"MAGIC"}}, "MAGIC"},
+		{SweepRequest{Scenarios: []string{"bursty"}, Policies: []string{"MAGIC"}}, "MAGIC"},
+		{SweepRequest{Scenarios: []string{"bursty", "bogus"}}, "bogus"},
+	}
+	for _, tc := range cases {
+		_, err := tc.req.validate()
+		if err == nil {
+			t.Errorf("%+v: accepted, want a rejection naming %q", tc.req, tc.bad)
+			continue
+		}
+		requireRequestError(t, err)
+		if !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("%+v: error %q does not name %q", tc.req, err, tc.bad)
+		}
+	}
+	_, err := (&SweepRequest{Scenarios: []string{"bogus"}}).validate()
+	var unknown *UnknownScenarioError
+	if !errors.As(err, &unknown) || unknown.Name != "bogus" {
+		t.Errorf("unknown sweep scenario error %v is not an *UnknownScenarioError for \"bogus\"", err)
+	}
+}
+
 func TestSweepEndpointRejectsOversizedGrid(t *testing.T) {
 	srv := testServer(t)
 	prbs := make([]string, 600)
