@@ -138,16 +138,20 @@ bench-go:
 # bench-cpu times cpu.Core.Tick alone (BenchmarkCoreTick: ns per ticked cycle
 # on the ledger's dense and sparse scenarios, allocations per cycle), the GDP
 # dataflow unit alone (BenchmarkDataflowUnit: ns per event group at PRB 32 and
-# 4096, which should be about equal) and the whole step loop
-# (BenchmarkStepLoop: ns per visited cycle, memory system and accountants
-# included), and leaves the cpu and sim test binaries and CPU profiles in
-# $(BENCH_OUT), to be read with `go tool pprof -top $(BENCH_OUT)/cpu.test
-# $(BENCH_OUT)/cpu.prof` (sim.test and sim.prof for the step loop).
+# 4096, which should be about equal), the synthetic instruction generator
+# alone (BenchmarkGeneratorNext: ns per instruction on the same two scenarios)
+# and the whole step loop (BenchmarkStepLoop: ns per visited cycle, memory
+# system and accountants included), and leaves the cpu, trace and sim test
+# binaries and CPU profiles in $(BENCH_OUT), to be read with `go tool pprof
+# -top $(BENCH_OUT)/cpu.test $(BENCH_OUT)/cpu.prof` (trace.test and
+# trace.prof for the generator, sim.test and sim.prof for the step loop).
 bench-cpu:
 	mkdir -p $(BENCH_OUT)
 	$(GO) test -run=^$$ -bench=BenchmarkDataflowUnit ./internal/core
 	$(GO) test -run=^$$ -bench=BenchmarkCoreTick -benchtime=20000000x \
 		-o $(BENCH_OUT)/cpu.test -cpuprofile $(BENCH_OUT)/cpu.prof ./internal/cpu
+	$(GO) test -run=^$$ -bench=BenchmarkGeneratorNext -benchtime=20000000x \
+		-o $(BENCH_OUT)/trace.test -cpuprofile $(BENCH_OUT)/trace.prof ./internal/trace
 	$(GO) test -run=^$$ -bench=BenchmarkStepLoop -benchtime=2000000x \
 		-o $(BENCH_OUT)/sim.test -cpuprofile $(BENCH_OUT)/sim.prof ./internal/sim
 

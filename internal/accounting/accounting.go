@@ -54,14 +54,14 @@ type Accountant interface {
 	Probe(core int) cpu.Probe
 	// ObserveRequest is called for every completed shared-memory request.
 	ObserveRequest(core int, req *mem.Request)
-	// Tick is called on every cycle the driver visits (used by invasive
-	// techniques such as ASM to drive their epoch schedule). Most techniques
-	// ignore it.
+	// Tick runs at cycle 0 and then only on the cycles NextEvent named (used
+	// by invasive techniques such as ASM to drive their epoch schedule). Most
+	// techniques ignore it.
 	Tick(now uint64)
-	// NextEvent returns a lower bound, strictly after now, on the next cycle
-	// Tick needs to observe, or NoEvent when Tick never acts. The
-	// event-skipping driver never skips past it and holds on to the bound
-	// until that cycle, so only the Tick there may move it.
+	// NextEvent is asked right after each Tick. It returns the next cycle,
+	// strictly after now, on which Tick needs to run, or NoEvent when Tick
+	// never acts again. The driver never skips past it and holds on to the
+	// bound until that cycle, so only the Tick there may move it.
 	NextEvent(now uint64) uint64
 	// Estimate produces the private-mode estimate for one core given the
 	// interval's shared-mode statistics.

@@ -103,9 +103,9 @@ func TestGDPAccountantEstimate(t *testing.T) {
 	cycle := uint64(0)
 	for i := 0; i < 3; i++ {
 		addr := uint64(0x1000 + i*64)
-		unit.OnLoadIssued(addr, cycle)
+		unit.OnLoadIssued(addr, cycle, 0)
 		unit.OnCommitStall(addr, true, cycle+1)
-		unit.OnLoadCompleted(addr, true, cycle+300, 300, 100)
+		unit.OnLoadCompleted(addr, true, cycle+300, 300, 100, 0)
 		unit.OnCommitResume(addr, true, cycle+301)
 		cycle += 310
 	}
@@ -184,13 +184,10 @@ func TestGDPOSubtractsOverlap(t *testing.T) {
 	gdpo, _ := NewGDP(1, 32, true)
 	drive := func(a *GDPAccountant) {
 		u := a.units[0]
-		u.OnLoadIssued(0x100, 0)
+		u.OnLoadIssued(0x100, 0, 0)
 		// 50 committing cycles of overlap while pending.
-		for i := 0; i < 50; i++ {
-			u.OnCycles(&cpu.CycleState{Committing: true}, 1)
-		}
 		u.OnCommitStall(0x100, true, 60)
-		u.OnLoadCompleted(0x100, true, 300, 300, 0)
+		u.OnLoadCompleted(0x100, true, 300, 300, 0, 50)
 		u.OnCommitResume(0x100, true, 301)
 		a.ObserveRequest(0, &mem.Request{Core: 0, IssueCycle: 0, CompleteCycle: 300})
 	}
@@ -218,21 +215,31 @@ func TestGDPLatencyFloor(t *testing.T) {
 	}
 }
 
+// stallProbe returns core 0's probe of a, which must observe stall cycles.
+func stallProbe(t *testing.T, a Accountant) cpu.StallProbe {
+	t.Helper()
+	p, ok := a.Probe(0).(cpu.StallProbe)
+	if !ok {
+		t.Fatalf("%s's probe does not observe stall cycles", a.Name())
+	}
+	return p
+}
+
 func TestITCAAccountsConditionCycles(t *testing.T) {
 	a, _ := NewITCA(1)
-	p := a.Probe(0)
+	p := stallProbe(t, a)
 	intfReq := &mem.Request{Core: 0, InterferenceMiss: true}
 	// 400 stalled cycles with an interference miss at the head of the ROB.
 	for i := 0; i < 400; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: intfReq}, 1)
+		p.OnCycles(&cpu.CycleState{HeadIsLoad: true, HeadReq: intfReq}, 1)
 	}
 	// 100 stalled cycles where all MSHRs hold interference misses.
 	for i := 0; i < 100; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, PendingSMSLoads: 3, PendingInterferenceMisses: 3}, 1)
+		p.OnCycles(&cpu.CycleState{PendingSMSLoads: 3, PendingInterferenceMisses: 3}, 1)
 	}
 	// 200 stalled cycles that match no condition.
 	for i := 0; i < 200; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, PendingSMSLoads: 3, PendingInterferenceMisses: 1}, 1)
+		p.OnCycles(&cpu.CycleState{PendingSMSLoads: 3, PendingInterferenceMisses: 1}, 1)
 	}
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
@@ -248,13 +255,13 @@ func TestITCAAccountsConditionCycles(t *testing.T) {
 
 func TestITCAConservativeWhenConditionsMiss(t *testing.T) {
 	a, _ := NewITCA(1)
-	p := a.Probe(0)
+	p := stallProbe(t, a)
 	// Plenty of interference-induced stalling, but the head request is not an
 	// interference miss and not all MSHRs are interference misses: ITCA
 	// accounts nothing and estimates private = shared.
 	req := &mem.Request{Core: 0, MemInterference: 500}
 	for i := 0; i < 600; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, PendingSMSLoads: 4, PendingInterferenceMisses: 1}, 1)
+		p.OnCycles(&cpu.CycleState{HeadIsLoad: true, HeadReq: req, PendingSMSLoads: 4, PendingInterferenceMisses: 1}, 1)
 	}
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
@@ -265,18 +272,36 @@ func TestITCAConservativeWhenConditionsMiss(t *testing.T) {
 
 func TestPTCAAccountsInterferenceWhileROBFull(t *testing.T) {
 	a, _ := NewPTCA(1)
-	p := a.Probe(0)
+	p := stallProbe(t, a)
 	req := &mem.Request{Core: 0, MemInterference: 150}
 	// A 300-cycle stall on an SMS load, ROB full throughout: PTCA should
 	// account min(300, interference=150) = 150 cycles.
 	for i := 0; i < 300; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, ROBFull: true}, 1)
+		p.OnCycles(&cpu.CycleState{HeadIsLoad: true, HeadReq: req, ROBFull: true}, 1)
 	}
-	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
+	p.OnCommitResume(req.Addr, true, 300)
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
 	if est.PrivateCPI != 1.7 {
 		t.Errorf("PTCA private CPI = %v, want (1000-150)/500 = 1.7", est.PrivateCPI)
+	}
+}
+
+// TestPTCAClosesStallOnCommitResume checks that the resume, not a later
+// Estimate, reads the stalling request's interference: the core reports no
+// committing cycle, and a completed request may be recycled after it.
+func TestPTCAClosesStallOnCommitResume(t *testing.T) {
+	a, _ := NewPTCA(1)
+	p := stallProbe(t, a)
+	req := &mem.Request{Core: 0, MemInterference: 50}
+	for i := 0; i < 100; i++ {
+		p.OnCycles(&cpu.CycleState{HeadIsLoad: true, HeadReq: req, ROBFull: true}, 1)
+	}
+	p.OnCommitResume(req.Addr, true, 100)
+	req.MemInterference = 500 // reused for another request
+	iv := interval(1000, 500, 300, 700)
+	if est := a.Estimate(0, iv); est.PrivateCPI != 1.9 {
+		t.Errorf("PTCA private CPI = %v, want (1000-50)/500 = 1.9", est.PrivateCPI)
 	}
 }
 
@@ -285,17 +310,17 @@ func TestPTCADoubleCountsParallelLoads(t *testing.T) {
 	// processes the two stalls independently and subtracts the interference
 	// twice, the MLP blind spot described in Section II of the paper.
 	a, _ := NewPTCA(1)
-	p := a.Probe(0)
+	p := stallProbe(t, a)
 	reqA := &mem.Request{ID: 1, Core: 0, MemInterference: 100}
 	reqB := &mem.Request{ID: 2, Core: 0, MemInterference: 100}
 	for i := 0; i < 120; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: reqA, ROBFull: true}, 1)
+		p.OnCycles(&cpu.CycleState{HeadIsLoad: true, HeadReq: reqA, ROBFull: true}, 1)
 	}
-	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
+	p.OnCommitResume(reqA.Addr, true, 120)
 	for i := 0; i < 120; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: reqB, ROBFull: true}, 1)
+		p.OnCycles(&cpu.CycleState{HeadIsLoad: true, HeadReq: reqB, ROBFull: true}, 1)
 	}
-	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
+	p.OnCommitResume(reqB.Addr, true, 241)
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
 	if est.PrivateCPI != 1.6 {
@@ -305,14 +330,14 @@ func TestPTCADoubleCountsParallelLoads(t *testing.T) {
 
 func TestPTCAIgnoresROBNotFull(t *testing.T) {
 	a, _ := NewPTCA(1)
-	p := a.Probe(0)
+	p := stallProbe(t, a)
 	req := &mem.Request{Core: 0, MemInterference: 400}
 	// The issue queue is the bottleneck (lbm-like): the ROB never fills, so
 	// PTCA accounts nothing.
 	for i := 0; i < 300; i++ {
-		p.OnCycles(&cpu.CycleState{Committing: false, HeadIsLoad: true, HeadReq: req, ROBFull: false}, 1)
+		p.OnCycles(&cpu.CycleState{HeadIsLoad: true, HeadReq: req, ROBFull: false}, 1)
 	}
-	p.OnCycles(&cpu.CycleState{Committing: true}, 1)
+	p.OnCommitResume(req.Addr, true, 300)
 	iv := interval(1000, 500, 300, 700)
 	if est := a.Estimate(0, iv); est.PrivateCPI != iv.CPI() {
 		t.Errorf("PTCA should account nothing when the ROB is never full, got CPI %v", est.PrivateCPI)
@@ -340,36 +365,58 @@ func TestASMEpochRotation(t *testing.T) {
 	}
 }
 
+// TestASMOwnedCyclesFollowTheEpochSchedule checks ownedCycles, the closed
+// form ASM divides its high-priority accesses by, against the schedule its
+// Tick keeps when it runs on every cycle: up to any cycle, a core owns exactly
+// the cycles on which it was the current owner.
+func TestASMOwnedCyclesFollowTheEpochSchedule(t *testing.T) {
+	for _, cores := range []int{1, 2, 3, 4} {
+		for _, epoch := range []uint64{1, 7, 100} {
+			a, _ := NewASM(cores, epoch, nil)
+			owned := make([]uint64, cores)
+			for now := uint64(0); now < 2000; now++ {
+				a.Tick(now)
+				owned[a.currentOwner]++
+				for c := range cores {
+					if got := a.ownedCycles(c, now+1); got != owned[c] {
+						t.Fatalf("%d cores, epoch %d: core %d owns %d of the cycles below %d, the schedule gave it %d",
+							cores, epoch, c, got, now+1, owned[c])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestASMSlowdownEstimate(t *testing.T) {
 	a, _ := NewASM(2, 100, nil)
 	p := a.probes[0]
-	// Simulate: during its high-priority epoch core 0 completes accesses twice
-	// as fast as over the whole interval -> slowdown 2 -> private CPI = shared/2.
-	a.currentOwner = 0
-	for i := 0; i < 100; i++ {
-		p.OnCycles(&cpu.CycleState{}, 1)
-		if i%5 == 0 {
-			p.OnLoadCompleted(0, true, 0, 0, 0)
+	// Over a 1000-cycle interval, core 0 completes an access every 5 cycles
+	// of its high-priority epochs (the even ones, 500 cycles) and every 10
+	// cycles of the others: 100 of 150 accesses in half the cycles, so the
+	// slowdown is (100/500) / (150/1000) = 4/3.
+	for now := uint64(0); now < 1000; now++ {
+		if now%100 == 0 {
+			a.Tick(now)
 		}
-	}
-	a.currentOwner = 1
-	for i := 0; i < 900; i++ {
-		p.OnCycles(&cpu.CycleState{}, 1)
-		if i%10 == 0 {
-			p.OnLoadCompleted(0, true, 0, 0, 0)
+		if (a.currentOwner == 0 && now%5 == 0) || now%10 == 0 {
+			p.OnLoadCompleted(0, true, now, 0, 0, 0)
 		}
 	}
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
-	if est.PrivateCPI >= iv.CPI() {
-		t.Errorf("ASM should estimate the private CPI below the shared CPI, got %v vs %v", est.PrivateCPI, iv.CPI())
-	}
-	if est.PrivateCPI <= 0 {
-		t.Error("ASM estimate must be positive")
+	if want := iv.CPI() * 3 / 4; math.Abs(est.PrivateCPI-want) > 1e-12 {
+		t.Errorf("ASM private CPI = %v, want shared CPI / (4/3) = %v", est.PrivateCPI, want)
 	}
 	a.EndInterval()
-	if p.totalCycles != 0 || p.hpAccesses != 0 {
+	if p.totalAccesses != 0 || p.hpAccesses != 0 {
 		t.Error("EndInterval should reset ASM probes")
+	}
+	// The next interval starts at cycle 1000, in core 0's epoch 10: of
+	// [1000, 1150) core 0 owns [1000, 1100).
+	if got := a.ownedCycles(0, 1150) - a.ownedCycles(0, a.intervalStart); a.intervalStart != 1000 || got != 100 {
+		t.Errorf("second interval starts at %d with %d high-priority cycles of core 0 in its first 150, want 1000 and 100",
+			a.intervalStart, got)
 	}
 }
 

@@ -31,32 +31,28 @@ type ASM struct {
 
 	currentOwner int
 	epochStart   uint64
+
+	// intervalStart is the first cycle of the interval being estimated.
+	// Intervals tile the run from cycle 0, so Estimate sets intervalEnd from
+	// the interval's length and EndInterval moves the start there.
+	intervalStart, intervalEnd uint64
 }
 
-// asmProbe measures per-core shared-memory access rates.
+// asmProbe counts per-core shared-memory accesses, split into those that
+// complete during the core's high-priority epochs and all of them. The cycles
+// they are divided by need no probe: the interval's length is in its Stats,
+// and the high-priority share follows from the fixed epoch schedule.
 type asmProbe struct {
 	cpu.NopProbe
 	core  int
 	owner *ASM
 
-	totalCycles   uint64
 	totalAccesses uint64
-	hpCycles      uint64
 	hpAccesses    uint64
 }
 
-// OnCycles counts cycles, split into high-priority and normal ones. The
-// epoch owner is constant over a span (epoch boundaries are events the driver
-// never skips past), so the cycle counters advance by the span length.
-func (p *asmProbe) OnCycles(_ *cpu.CycleState, cycles uint64) {
-	p.totalCycles += cycles
-	if p.owner.currentOwner == p.core {
-		p.hpCycles += cycles
-	}
-}
-
 // OnLoadCompleted counts completed shared-memory accesses.
-func (p *asmProbe) OnLoadCompleted(_ uint64, sms bool, _ uint64, _, _ uint64) {
+func (p *asmProbe) OnLoadCompleted(_ uint64, sms bool, _ uint64, _, _, _ uint64) {
 	if !sms {
 		return
 	}
@@ -116,7 +112,9 @@ func (a *ASM) Tick(now uint64) {
 
 // NextEvent implements Accountant: ASM's Tick must run at every epoch
 // boundary (it rotates the high-priority core and reprograms the memory
-// controller), so the fast-forwarding driver never skips past one.
+// controller), so the fast-forwarding driver never skips past one. Epoch k
+// therefore covers cycles [k·epochLen, (k+1)·epochLen) and belongs to core
+// k mod cores, which is what ownedCycles counts.
 func (a *ASM) NextEvent(now uint64) uint64 {
 	next := a.epochStart + a.epochLen
 	if next <= now {
@@ -125,18 +123,35 @@ func (a *ASM) NextEvent(now uint64) uint64 {
 	return next
 }
 
+// ownedCycles returns how many of the cycles [0, to) fall in core's
+// high-priority epochs.
+func (a *ASM) ownedCycles(core int, to uint64) uint64 {
+	epochs := to / a.epochLen
+	cores := uint64(a.cores)
+	n := epochs / cores * a.epochLen
+	switch rem := epochs % cores; {
+	case rem > uint64(core):
+		n += a.epochLen
+	case rem == uint64(core):
+		n += to % a.epochLen
+	}
+	return n
+}
+
 // Estimate implements Accountant.
 func (a *ASM) Estimate(core int, interval cpu.Stats) Estimate {
 	p := a.probes[core]
 	sharedCPI := interval.CPI()
+	a.intervalEnd = a.intervalStart + interval.Cycles
+	hpCycles := a.ownedCycles(core, a.intervalEnd) - a.ownedCycles(core, a.intervalStart)
 
 	// Access rates: requests per cycle overall and during high-priority epochs.
 	var carShared, carAlone float64
-	if p.totalCycles > 0 {
-		carShared = float64(p.totalAccesses) / float64(p.totalCycles)
+	if interval.Cycles > 0 {
+		carShared = float64(p.totalAccesses) / float64(interval.Cycles)
 	}
-	if p.hpCycles > 0 {
-		carAlone = float64(p.hpAccesses) / float64(p.hpCycles)
+	if hpCycles > 0 {
+		carAlone = float64(p.hpAccesses) / float64(hpCycles)
 	}
 
 	slowdown := 1.0
@@ -162,10 +177,9 @@ func (a *ASM) Estimate(core int, interval cpu.Stats) Estimate {
 
 // EndInterval implements Accountant.
 func (a *ASM) EndInterval() {
+	a.intervalStart = a.intervalEnd
 	for _, p := range a.probes {
-		p.totalCycles = 0
 		p.totalAccesses = 0
-		p.hpCycles = 0
 		p.hpAccesses = 0
 	}
 }

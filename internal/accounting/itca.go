@@ -31,12 +31,11 @@ type itcaProbe struct {
 	interferenceCycles uint64
 }
 
-// OnCycles evaluates ITCA's conditions once for the span: the snapshot is
-// constant over it, so the matching counter advances by the span length.
+// OnCycles evaluates ITCA's conditions once for the stall span: the snapshot
+// is constant over it, so the matching counter advances by the span length.
+// Every condition is a stall condition, so committing cycles, which the core
+// does not report, would never match.
 func (p *itcaProbe) OnCycles(s *cpu.CycleState, cycles uint64) {
-	if s.Committing {
-		return
-	}
 	// Condition (i): stalled with an interference miss at the head of the ROB.
 	if s.HeadIsLoad && s.HeadReq != nil && s.HeadReq.InterferenceMiss {
 		p.interferenceCycles += cycles

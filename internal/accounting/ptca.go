@@ -39,7 +39,7 @@ type ptcaProbe struct {
 // stall-tracking state machine sees the same snapshot for every cycle of the
 // span, so its counters advance by the span length in one step.
 func (p *ptcaProbe) OnCycles(s *cpu.CycleState, cycles uint64) {
-	if s.Committing || !s.HeadIsLoad || s.HeadReq == nil {
+	if !s.HeadIsLoad || s.HeadReq == nil {
 		p.closeStall()
 		return
 	}
@@ -54,6 +54,11 @@ func (p *ptcaProbe) OnCycles(s *cpu.CycleState, cycles uint64) {
 		p.stallROBFullCyc += cycles
 	}
 }
+
+// OnCommitResume closes the stall when commit resumes. The core reports no
+// committing cycle, so this is where a stall on an SMS load ends: the load is
+// an L1 miss, so commit reports it as the stalled-on head before it retires.
+func (p *ptcaProbe) OnCommitResume(uint64, bool, uint64) { p.closeStall() }
 
 // closeStall finalizes the previous stall: the accounted interference is the
 // request's interference latency, capped by both the stall length and the

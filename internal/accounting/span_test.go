@@ -27,10 +27,12 @@ func spanAccountants(t testing.TB) []Accountant {
 	return []Accountant{gdp, gdpo, itca, ptca, asm}
 }
 
-// replaySpans decodes ops into a stream of probe events, cycle spans, ASM
-// epoch ticks and interval ends. It feeds every span to one accountant set as
-// a single OnCycles(s, n) call and to another as n calls OnCycles(s, 1), the
-// Cycle advancing by one each time, and every other event to both alike. It
+// replaySpans decodes ops into a stream of probe events, stall spans,
+// committing runs, ASM epoch ticks and interval ends. It feeds every stall
+// span to the stall probes of one accountant set as a single OnCycles(s, n)
+// call and to those of another as n calls OnCycles(s, 1), and every other
+// event to both alike; a committing run only advances the committing-cycle
+// count the load events carry, as the core reports no committing cycle. It
 // fails t when an Estimate differs between the sets at an interval end or at
 // the end of the stream. Each op byte selects an event and its parameters;
 // the following byte (when present) sizes it.
@@ -43,6 +45,13 @@ func replaySpans(t *testing.T, ops []byte) {
 		}
 		for _, a := range units {
 			f(a.Probe(0))
+		}
+	}
+	stall := func(accts []Accountant, f func(cpu.StallProbe)) {
+		for _, a := range accts {
+			if p, ok := a.Probe(0).(cpu.StallProbe); ok {
+				f(p)
+			}
 		}
 	}
 	compare := func(i int) {
@@ -61,7 +70,7 @@ func replaySpans(t *testing.T, ops []byte) {
 		{Core: 0, Addr: 0x1040, MemInterference: 40, InterferenceMiss: true},
 		{Core: 0, Addr: 0x1080, LLCInterference: 90},
 	}
-	var now uint64
+	var now, commits uint64
 	for i := 0; i < len(ops); i++ {
 		op := ops[i]
 		arg := uint64(0)
@@ -72,35 +81,32 @@ func replaySpans(t *testing.T, ops []byte) {
 		switch op % 8 {
 		case 0, 1, 2:
 			n := arg%32 + 1
+			now += n
+			if op&0x08 != 0 {
+				commits += n
+				break
+			}
 			pending := int(arg>>5) % 4
 			s := cpu.CycleState{
-				Cycle:                     now,
-				Committing:                op&0x08 != 0,
-				Stall:                     cpu.StallKind(arg % 5),
 				ROBFull:                   op&0x40 != 0,
 				HeadIsLoad:                op&0x10 != 0,
 				PendingSMSLoads:           pending,
 				PendingInterferenceMisses: pending >> (op >> 7),
 			}
 			if j := int(op>>5) % 4; s.HeadIsLoad && j < len(reqs) {
-				s.HeadReq, s.HeadLoadSMS, s.HeadLoadAddr = reqs[j], true, reqs[j].Addr
+				s.HeadReq = reqs[j]
 			}
-			for _, a := range spans {
-				a.Probe(0).OnCycles(&s, n)
-			}
-			for _, a := range units {
-				p := a.Probe(0)
-				for k := range n {
+			stall(spans, func(p cpu.StallProbe) { p.OnCycles(&s, n) })
+			stall(units, func(p cpu.StallProbe) {
+				for range n {
 					unit := s
-					unit.Cycle = now + k
 					p.OnCycles(&unit, 1)
 				}
-			}
-			now += n
+			})
 		case 3:
-			both(func(p cpu.Probe) { p.OnLoadIssued(addr, now) })
+			both(func(p cpu.Probe) { p.OnLoadIssued(addr, now, commits) })
 		case 4:
-			both(func(p cpu.Probe) { p.OnLoadCompleted(addr, op&0x80 == 0, now, 200, arg) })
+			both(func(p cpu.Probe) { p.OnLoadCompleted(addr, op&0x80 == 0, now, 200, arg, commits) })
 		case 5:
 			both(func(p cpu.Probe) { p.OnCommitStall(addr, op&0x80 == 0, now) })
 		case 6:

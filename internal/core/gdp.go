@@ -19,9 +19,10 @@
 // pending (the overlap).
 //
 // The hardware searches its PRB in parallel; the simulator keeps Figure 2's
-// fields with bookkeeping of its own, so a cycle costs O(1) and an event
-// O(live entries): a committing-cycle counter and a base per entry for the
-// per-entry overlap counters, a child bit per entry for the PCB's bit vector,
+// fields with bookkeeping of its own, so a cycle costs nothing and an event
+// O(live entries): a base per entry against the core's running
+// committing-cycle count, which the load events carry, for the per-entry
+// overlap counters (GDP-O), a child bit per entry for the PCB's bit vector,
 // and a list of the valid entries. StorageBits still counts the paper's
 // hardware (3117 bits for GDP and 3597 for GDP-O at 32 entries).
 package core
@@ -30,8 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"repro/internal/cpu"
 )
 
 // prbEntry is one Pending Request Buffer entry (Figure 2 of the paper). The
@@ -40,7 +39,7 @@ type prbEntry struct {
 	addr        uint64
 	depth       uint64
 	completedAt uint64
-	// base is the unit's committing-cycle count at insertion. The first SMS
+	// base is the core's committing-cycle count at insertion. The first SMS
 	// completion replaces it with the entry's overlap, which then stays frozen.
 	base      uint64
 	completed bool
@@ -61,14 +60,14 @@ type Options struct {
 	// PRBEntries is the Pending Request Buffer size. The paper's default is 32.
 	PRBEntries int
 	// TrackOverlap enables the GDP-O overlap machinery (per-entry overlap
-	// counters, kept as the unit's committing-cycle counter and a base per
-	// entry, and the global overlap accumulator).
+	// counters, kept as a base per entry against the core's committing-cycle
+	// count, and the global overlap accumulator).
 	TrackOverlap bool
 }
 
 // GDP is the dataflow-accounting unit of one core. It implements cpu.Probe so
-// it can be attached directly to a simulated core. The zero value is not
-// usable; construct instances with New.
+// it can be attached directly to a simulated core; it observes events only,
+// never cycles. The zero value is not usable; construct instances with New.
 type GDP struct {
 	opts Options
 
@@ -79,8 +78,6 @@ type GDP struct {
 
 	// live lists the slots of the valid PRB entries, in no particular order.
 	live []int32
-	// committing counts the cycles the core committed instructions (GDP-O).
-	committing uint64
 
 	// CPL baseline at the last Retrieve call.
 	lastRetrievedDepth uint64
@@ -128,8 +125,9 @@ func (g *GDP) drop(pos int) {
 }
 
 // OnLoadIssued implements Algorithm 1: insert an L1-miss request into the PRB
-// and record it as a child of the pending commit period.
-func (g *GDP) OnLoadIssued(addr uint64, cycle uint64) {
+// and record it as a child of the pending commit period. commitCycles is the
+// core's running committing-cycle count, the base of the entry's overlap.
+func (g *GDP) OnLoadIssued(addr uint64, cycle uint64, commitCycles uint64) {
 	if g.prb[g.newest].valid {
 		g.newest = (g.newest + 1) % len(g.prb)
 		if g.newest == g.oldest {
@@ -146,7 +144,7 @@ func (g *GDP) OnLoadIssued(addr uint64, cycle uint64) {
 	g.prb[g.newest] = prbEntry{
 		addr:  addr,
 		depth: g.pcb.depth,
-		base:  g.committing,
+		base:  commitCycles,
 		valid: true,
 		child: true,
 	}
@@ -155,8 +153,10 @@ func (g *GDP) OnLoadIssued(addr uint64, cycle uint64) {
 }
 
 // OnLoadCompleted implements Algorithm 2: SMS loads are marked completed,
-// PMS loads are dropped from the PRB (and from the PCB child list).
-func (g *GDP) OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, interference uint64) {
+// PMS loads are dropped from the PRB (and from the PCB child list). The first
+// SMS completion freezes the entry's overlap: the cycles the core committed
+// since the entry was inserted, by the running count commitCycles.
+func (g *GDP) OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, interference uint64, commitCycles uint64) {
 	pos := g.findByAddr(addr)
 	if pos < 0 {
 		return // evicted earlier due to limited buffer space
@@ -167,7 +167,7 @@ func (g *GDP) OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, inte
 	}
 	e := &g.prb[g.live[pos]]
 	if !e.completed {
-		e.base = g.committing - e.base // freeze the overlap
+		e.base = commitCycles - e.base // freeze the overlap
 		e.completed = true
 	}
 	e.completedAt = cycle
@@ -238,16 +238,6 @@ func (g *GDP) OnCommitResume(addr uint64, wasSMS bool, cycle uint64) {
 	}
 	g.pcb.depth = newDepth
 	g.pcb.startedAt = cycle
-}
-
-// OnCycles advances the GDP-O overlap counters: every cycle the core commits
-// instructions, each pending (not yet completed) PRB entry accumulates one
-// overlap cycle. Proven-idle spans never commit, so only ticked cycles move
-// the counters; either way a call costs O(1): see prbEntry.base.
-func (g *GDP) OnCycles(state *cpu.CycleState, cycles uint64) {
-	if g.opts.TrackOverlap && state.Committing {
-		g.committing += cycles
-	}
 }
 
 // CPL returns the critical path length accumulated since the last Retrieve.

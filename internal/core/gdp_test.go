@@ -4,8 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
-
-	"repro/internal/cpu"
 )
 
 func newGDP(t *testing.T, opts Options) *GDP {
@@ -29,7 +27,7 @@ func TestNewValidation(t *testing.T) {
 func playLoadBurst(g *GDP, nLoads int, serialized bool) {
 	cycle := uint64(100)
 	for i := 0; i < nLoads; i++ {
-		g.OnLoadIssued(uint64(0x1000+i*64), cycle)
+		g.OnLoadIssued(uint64(0x1000+i*64), cycle, 0)
 		cycle += 2
 	}
 	stallAddr := uint64(0x1000)
@@ -37,7 +35,7 @@ func playLoadBurst(g *GDP, nLoads int, serialized bool) {
 	// All loads complete during the stall.
 	completeAt := cycle + 200
 	for i := 0; i < nLoads; i++ {
-		g.OnLoadCompleted(uint64(0x1000+i*64), true, completeAt, 200, 0)
+		g.OnLoadCompleted(uint64(0x1000+i*64), true, completeAt, 200, 0, 0)
 		completeAt += 5
 	}
 	g.OnCommitResume(stallAddr, true, completeAt)
@@ -63,9 +61,9 @@ func TestSerializedLoadsGrowCPL(t *testing.T) {
 	const chain = 7
 	for i := 0; i < chain; i++ {
 		addr := uint64(0x2000 + i*64)
-		g.OnLoadIssued(addr, cycle)
+		g.OnLoadIssued(addr, cycle, 0)
 		g.OnCommitStall(addr, true, cycle+1)
-		g.OnLoadCompleted(addr, true, cycle+100, 100, 0)
+		g.OnLoadCompleted(addr, true, cycle+100, 100, 0, 0)
 		g.OnCommitResume(addr, true, cycle+101)
 		cycle += 110
 	}
@@ -85,21 +83,21 @@ func TestPaperFigure1Example(t *testing.T) {
 	g := newGDP(t, Options{PRBEntries: 32})
 
 	// Commit period C1 runs until cycle 50; L1..L3 issue during it.
-	g.OnLoadIssued(0x100, 10) // L1
-	g.OnLoadIssued(0x200, 20) // L2
-	g.OnLoadIssued(0x300, 30) // L3
+	g.OnLoadIssued(0x100, 10, 0) // L1
+	g.OnLoadIssued(0x200, 20, 0) // L2
+	g.OnLoadIssued(0x300, 30, 0) // L3
 	// CPU stalls on L1 at cycle 50 (end of C1).
 	g.OnCommitStall(0x100, true, 50)
 	// L1 completes at 150; commit resumes (C2).
-	g.OnLoadCompleted(0x100, true, 150, 140, 0)
+	g.OnLoadCompleted(0x100, true, 150, 140, 0, 0)
 	g.OnCommitResume(0x100, true, 151)
 	// C2 commits briefly, stalls on L2 at 160.
 	g.OnCommitStall(0x200, true, 160)
-	g.OnLoadCompleted(0x200, true, 250, 230, 0)
+	g.OnLoadCompleted(0x200, true, 250, 230, 0, 0)
 	g.OnCommitResume(0x200, true, 251)
 	// C3 commits, stalls on L3.
 	g.OnCommitStall(0x300, true, 260)
-	g.OnLoadCompleted(0x300, true, 300, 270, 0)
+	g.OnLoadCompleted(0x300, true, 300, 270, 0, 0)
 	g.OnCommitResume(0x300, true, 301)
 
 	// After the first burst the three parallel loads contribute one level.
@@ -108,11 +106,11 @@ func TestPaperFigure1Example(t *testing.T) {
 	}
 
 	// C4 issues L4 and L5 (parallel pair), stalls on L4.
-	g.OnLoadIssued(0x400, 320)
-	g.OnLoadIssued(0x500, 330)
+	g.OnLoadIssued(0x400, 320, 0)
+	g.OnLoadIssued(0x500, 330, 0)
 	g.OnCommitStall(0x400, true, 340)
-	g.OnLoadCompleted(0x400, true, 450, 130, 0)
-	g.OnLoadCompleted(0x500, true, 460, 130, 0)
+	g.OnLoadCompleted(0x400, true, 450, 130, 0, 0)
+	g.OnLoadCompleted(0x500, true, 460, 130, 0, 0)
 	g.OnCommitResume(0x400, true, 461)
 
 	// The L4/L5 level adds one more critical load: CPL = 2, matching the
@@ -126,8 +124,8 @@ func TestPMSLoadsDoNotAffectCPL(t *testing.T) {
 	g := newGDP(t, Options{PRBEntries: 32})
 	// A PMS load enters the PRB (Algorithm 1) but is invalidated on
 	// completion (Algorithm 2) and its stall does not modify the CPL.
-	g.OnLoadIssued(0x700, 10)
-	g.OnLoadCompleted(0x700, false, 20, 9, 0)
+	g.OnLoadIssued(0x700, 10, 0)
+	g.OnLoadCompleted(0x700, false, 20, 9, 0, 0)
 	g.OnCommitStall(0x700, false, 15)
 	g.OnCommitResume(0x700, false, 21)
 	if g.CPL() != 0 {
@@ -147,7 +145,7 @@ func TestUnknownResumeAddressIsIgnored(t *testing.T) {
 func TestPRBEvictionOnOverflow(t *testing.T) {
 	g := newGDP(t, Options{PRBEntries: 4})
 	for i := 0; i < 10; i++ {
-		g.OnLoadIssued(uint64(0x1000+i*64), uint64(i))
+		g.OnLoadIssued(uint64(0x1000+i*64), uint64(i), 0)
 	}
 	_, evictions, _ := g.Diagnostics()
 	if evictions == 0 {
@@ -156,7 +154,7 @@ func TestPRBEvictionOnOverflow(t *testing.T) {
 	// The unit must still work after overflow.
 	addr := uint64(0x1000 + 9*64)
 	g.OnCommitStall(addr, true, 100)
-	g.OnLoadCompleted(addr, true, 200, 100, 0)
+	g.OnLoadCompleted(addr, true, 200, 100, 0, 0)
 	g.OnCommitResume(addr, true, 201)
 	if g.CPL() == 0 {
 		t.Error("CPL should still advance after PRB overflow")
@@ -171,11 +169,11 @@ func TestPRBRingWrapIsNoEviction(t *testing.T) {
 	cycle := uint64(0)
 	for i := 0; i < 20; i++ {
 		a, b := uint64(0x1000+i*128), uint64(0x1040+i*128)
-		g.OnLoadIssued(a, cycle)
-		g.OnLoadIssued(b, cycle+1)
+		g.OnLoadIssued(a, cycle, 0)
+		g.OnLoadIssued(b, cycle+1, 0)
 		g.OnCommitStall(a, true, cycle+2)
-		g.OnLoadCompleted(a, true, cycle+50, 48, 0)
-		g.OnLoadCompleted(b, true, cycle+51, 48, 0)
+		g.OnLoadCompleted(a, true, cycle+50, 48, 0, 0)
+		g.OnLoadCompleted(b, true, cycle+51, 48, 0, 0)
 		g.OnCommitResume(a, true, cycle+52)
 		cycle += 60
 	}
@@ -204,23 +202,21 @@ func TestRetrieveResetsInterval(t *testing.T) {
 
 func TestOverlapTracking(t *testing.T) {
 	g := newGDP(t, Options{PRBEntries: 32, TrackOverlap: true})
-	g.OnLoadIssued(0x100, 0)
-	// 25 committing cycles while the load is pending.
-	for i := 0; i < 25; i++ {
-		g.OnCycles(&cpu.CycleState{Committing: true}, 1)
-	}
-	// 10 stalled cycles contribute nothing.
-	for i := 0; i < 10; i++ {
-		g.OnCycles(&cpu.CycleState{Committing: false}, 1)
-	}
-	g.OnLoadCompleted(0x100, true, 100, 100, 0)
+	// The core had committed on 40 cycles when the load issued, and on 25
+	// more (besides stalled cycles, which the count leaves out) by the time it
+	// completed.
+	g.OnLoadIssued(0x100, 0, 40)
+	g.OnLoadCompleted(0x100, true, 100, 100, 0, 65)
 	if got := g.AvgOverlap(); got != 25 {
 		t.Errorf("average overlap = %v, want 25", got)
 	}
-	// Overlap stops accumulating after completion.
-	for i := 0; i < 5; i++ {
-		g.OnCycles(&cpu.CycleState{Committing: true}, 1)
+	// Overlap stops accumulating after completion: a second completion of the
+	// same entry adds the frozen value again.
+	g.OnLoadIssued(0x200, 101, 70)
+	if got := g.AvgOverlap(); got != 25 {
+		t.Errorf("overlap changed after completion: %v", got)
 	}
+	g.OnLoadCompleted(0x100, true, 102, 100, 0, 70)
 	if got := g.AvgOverlap(); got != 25 {
 		t.Errorf("overlap changed after completion: %v", got)
 	}
@@ -235,11 +231,8 @@ func TestOverlapTracking(t *testing.T) {
 
 func TestPlainGDPIgnoresOverlap(t *testing.T) {
 	g := newGDP(t, Options{PRBEntries: 32})
-	g.OnLoadIssued(0x100, 0)
-	for i := 0; i < 25; i++ {
-		g.OnCycles(&cpu.CycleState{Committing: true}, 1)
-	}
-	g.OnLoadCompleted(0x100, true, 100, 100, 0)
+	g.OnLoadIssued(0x100, 0, 0)
+	g.OnLoadCompleted(0x100, true, 100, 100, 0, 25)
 	if g.AvgOverlap() != 0 {
 		t.Error("plain GDP must not track overlap")
 	}
@@ -281,23 +274,25 @@ func TestCPLNeverNegativeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cycle := uint64(0)
+		cycle, commits := uint64(0), uint64(0)
 		pendingAddrs := []uint64{}
 		for _, op := range ops {
 			cycle += 3
 			addr := uint64(0x1000 + int(op%16)*64)
 			switch op % 5 {
 			case 0:
-				g.OnLoadIssued(addr, cycle)
+				g.OnLoadIssued(addr, cycle, commits)
 				pendingAddrs = append(pendingAddrs, addr)
 			case 1:
-				g.OnLoadCompleted(addr, op%2 == 0, cycle, 100, 10)
+				g.OnLoadCompleted(addr, op%2 == 0, cycle, 100, 10, commits)
 			case 2:
 				g.OnCommitStall(addr, true, cycle)
 			case 3:
 				g.OnCommitResume(addr, true, cycle)
 			case 4:
-				g.OnCycles(&cpu.CycleState{Committing: op%3 == 0}, 1)
+				if op%3 == 0 { // a committing cycle
+					commits++
+				}
 			}
 		}
 		prev := uint64(0)

@@ -3,13 +3,12 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/cpu"
 )
 
 // oracleGDP is the straightforward O(PRB) implementation of Algorithms 1-3:
-// every committing cycle walks the whole PRB to grow each pending entry's
-// overlap, and a commit resume walks it four times. It is the unit's
+// each load event first walks the whole PRB to grow every pending entry's
+// overlap by the committing cycles since the previous event, and a commit
+// resume walks it four times. It is the unit's
 // behavioural reference: GDP keeps the same books in O(live entries) per
 // event and must agree with it after every event. Its only departure from
 // the original code is the eviction counter, which counts dropped valid
@@ -23,6 +22,8 @@ type oracleGDP struct {
 	pcb    oraclePCB
 
 	lastRetrievedDepth uint64
+	// commits is the core's committing-cycle count at the last load event.
+	commits uint64
 
 	overlapSum      uint64
 	overlapSMSLoads uint64
@@ -66,7 +67,21 @@ func (g *oracleGDP) findByAddr(addr uint64) int {
 	return -1
 }
 
-func (g *oracleGDP) OnLoadIssued(addr uint64, cycle uint64) {
+// advance grows every pending entry's overlap by the committing cycles since
+// the last load event.
+func (g *oracleGDP) advance(commitCycles uint64) {
+	if g.opts.TrackOverlap {
+		for i := range g.prb {
+			if g.prb[i].valid && !g.prb[i].completed {
+				g.prb[i].overlap += commitCycles - g.commits
+			}
+		}
+	}
+	g.commits = commitCycles
+}
+
+func (g *oracleGDP) OnLoadIssued(addr uint64, cycle uint64, commitCycles uint64) {
+	g.advance(commitCycles)
 	if g.prb[g.newest].valid {
 		g.newest = (g.newest + 1) % len(g.prb)
 		if g.newest == g.oldest {
@@ -87,7 +102,8 @@ func (g *oracleGDP) OnLoadIssued(addr uint64, cycle uint64) {
 	g.insertions++
 }
 
-func (g *oracleGDP) OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, interference uint64) {
+func (g *oracleGDP) OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, interference uint64, commitCycles uint64) {
+	g.advance(commitCycles)
 	idx := g.findByAddr(addr)
 	if idx < 0 {
 		return
@@ -159,17 +175,6 @@ func (g *oracleGDP) OnCommitResume(addr uint64, wasSMS bool, cycle uint64) {
 	}
 }
 
-func (g *oracleGDP) OnCycles(state *cpu.CycleState, cycles uint64) {
-	if !g.opts.TrackOverlap || !state.Committing {
-		return
-	}
-	for i := range g.prb {
-		if g.prb[i].valid && !g.prb[i].completed {
-			g.prb[i].overlap += cycles
-		}
-	}
-}
-
 func (g *oracleGDP) CPL() uint64 {
 	if g.pcb.depth < g.lastRetrievedDepth {
 		return 0
@@ -213,7 +218,7 @@ const oracleAddrPool = 6
 func replayAgainstOracle(t *testing.T, g *GDP, ops []byte) {
 	t.Helper()
 	o := newOracle(g.opts)
-	cycle := uint64(0)
+	cycle, commits := uint64(0), uint64(0)
 	for i := 0; i < len(ops); i++ {
 		op := ops[i]
 		arg := uint64(0)
@@ -226,16 +231,16 @@ func replayAgainstOracle(t *testing.T, g *GDP, ops []byte) {
 		switch op % 10 {
 		case 0, 1:
 			what = "issue"
-			g.OnLoadIssued(addr, cycle)
-			o.OnLoadIssued(addr, cycle)
+			g.OnLoadIssued(addr, cycle, commits)
+			o.OnLoadIssued(addr, cycle, commits)
 		case 2, 3:
 			what = "sms-complete"
-			g.OnLoadCompleted(addr, true, cycle, 100, 10)
-			o.OnLoadCompleted(addr, true, cycle, 100, 10)
+			g.OnLoadCompleted(addr, true, cycle, 100, 10, commits)
+			o.OnLoadCompleted(addr, true, cycle, 100, 10, commits)
 		case 4:
 			what = "pms-complete"
-			g.OnLoadCompleted(addr, false, cycle, 10, 0)
-			o.OnLoadCompleted(addr, false, cycle, 10, 0)
+			g.OnLoadCompleted(addr, false, cycle, 10, 0, commits)
+			o.OnLoadCompleted(addr, false, cycle, 10, 0, commits)
 		case 5:
 			what = "stall"
 			g.OnCommitStall(addr, op&1 == 0, cycle)
@@ -246,13 +251,10 @@ func replayAgainstOracle(t *testing.T, g *GDP, ops []byte) {
 			o.OnCommitResume(addr, op&1 == 0, cycle)
 		case 7:
 			what = "committing-cycle"
-			g.OnCycles(&cpu.CycleState{Committing: true}, 1)
-			o.OnCycles(&cpu.CycleState{Committing: true}, 1)
+			commits++
 		case 8:
-			what = "span"
-			st := cpu.CycleState{Committing: arg&1 == 0}
-			g.OnCycles(&st, arg)
-			o.OnCycles(&st, arg)
+			what = "committing-cycles"
+			commits += arg
 		case 9:
 			what = "retrieve"
 			gc, gov := g.Retrieve()

@@ -2,9 +2,14 @@ package cpu
 
 import "testing"
 
+// nopStallProbe is a StallProbe that ignores every event.
+type nopStallProbe struct{ NopProbe }
+
+func (nopStallProbe) OnCycles(*CycleState, uint64) {}
+
 // BenchmarkCoreTick times Core.Tick alone — every cycle ticked, one no-op
-// probe so the per-cycle snapshot is built, a fixed-latency memory — on the
-// ledger's dense and sparse scenarios. One b.N iteration is one cycle, so
+// stall probe so the snapshot of every stall cycle is built, a fixed-latency
+// memory — on the ledger's dense and sparse scenarios. One b.N iteration is one cycle, so
 // ns/op is ns/cycle (also reported under that name); `make bench-cpu` runs it
 // with a CPU profile.
 func BenchmarkCoreTick(b *testing.B) {
@@ -12,7 +17,7 @@ func BenchmarkCoreTick(b *testing.B) {
 		b.Run(scenario, func(b *testing.B) {
 			fm := &fakeMem{latency: 200}
 			core := newTestCore(b, scenarioParams(b, scenario, 0), fm)
-			core.AttachProbe(NopProbe{})
+			core.AttachProbe(nopStallProbe{})
 			run(core, fm, 0, 20000) // warm the caches, pools and slices
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -58,7 +58,7 @@ type loadWaiters struct {
 	primary *robEntry
 	merged  []*robEntry
 	req     *mem.Request
-	// issueCount is commitCycleCount at the cycle the request was issued;
+	// issueCount is Stats.CommitCycles at the cycle the request was issued;
 	// per-request overlap (GDP-O) is the counter's increase over the request's
 	// lifetime. Keeping it on the waiter (rather than in a map keyed by the
 	// request ID) means the core never reads a request ID.
@@ -77,8 +77,10 @@ type Core struct {
 	l2     *cache.Cache
 	shared MemorySystem
 	probes []Probe
-	// state is the snapshot handed to the probes, rebuilt in place for every
-	// OnCycles call.
+	// stallProbes are the probes that implement StallProbe, in attach order.
+	stallProbes []StallProbe
+	// state is the snapshot handed to the stall probes, rebuilt in place for
+	// every OnCycles call.
 	state CycleState
 
 	// Reorder buffer as a ring buffer.
@@ -109,11 +111,6 @@ type Core struct {
 
 	// Commit-stall bookkeeping for probe events.
 	stalledOn *robEntry
-
-	// Committing-cycle counter used to compute per-request overlap in O(1):
-	// a request's overlap is the increase of this counter over its lifetime
-	// (each in-flight request's issue-time value lives on its loadWaiters).
-	commitCycleCount uint64
 
 	// memOps tracks the number of loads and stores currently in the ROB
 	// (load/store queue occupancy).
@@ -186,8 +183,14 @@ func (c *Core) Stats() Stats { return c.stats }
 // Instructions returns the number of instructions committed so far.
 func (c *Core) Instructions() uint64 { return c.stats.Instructions }
 
-// AttachProbe registers an accounting probe.
-func (c *Core) AttachProbe(p Probe) { c.probes = append(c.probes, p) }
+// AttachProbe registers an accounting probe. A StallProbe also receives the
+// core's non-committing cycles.
+func (c *Core) AttachProbe(p Probe) {
+	c.probes = append(c.probes, p)
+	if sp, ok := p.(StallProbe); ok {
+		c.stallProbes = append(c.stallProbes, sp)
+	}
+}
 
 // lineAddr masks an address to its cache-line address.
 func lineAddr(addr uint64) uint64 { return addr &^ 63 }
@@ -360,10 +363,10 @@ func (c *Core) CompleteRequest(req *mem.Request, now uint64) {
 		c.stats.PreLLCLatSum += latency
 	}
 	// Overlap (GDP-O): commit cycles observed while the request was in flight.
-	c.stats.SMSOverlapSum += c.commitCycleCount - w.issueCount
+	c.stats.SMSOverlapSum += c.stats.CommitCycles - w.issueCount
 
 	for _, p := range c.probes {
-		p.OnLoadCompleted(req.Addr, true, now, latency, interference)
+		p.OnLoadCompleted(req.Addr, true, now, latency, interference, c.stats.CommitCycles)
 	}
 	c.putWaiter(w)
 }
@@ -381,12 +384,10 @@ func (c *Core) Tick(now uint64) {
 
 	if committing {
 		c.stats.CommitCycles++
-		c.commitCycleCount++
 	} else {
 		c.countStall(stall, 1)
+		c.reportStall(now, 1)
 	}
-
-	c.reportCycles(now, 1, committing, stall)
 }
 
 // countStall adds n cycles to a stall kind's counter.
@@ -403,25 +404,19 @@ func (c *Core) countStall(stall StallKind, n uint64) {
 	}
 }
 
-// reportCycles hands the probes the snapshot of n cycles from now on, built
-// in place in c.state.
-func (c *Core) reportCycles(now, n uint64, committing bool, stall StallKind) {
-	if len(c.probes) == 0 {
+// reportStall hands the stall probes the snapshot of n non-committing cycles
+// from now on, built in place in c.state.
+func (c *Core) reportStall(now, n uint64) {
+	if len(c.stallProbes) == 0 {
 		return
 	}
 	s := &c.state
-	s.Cycle = now
-	s.Committing = committing
-	s.Stall = stall
 	s.ROBFull = c.robCount == len(c.rob)
-	s.ROBEmpty = c.robCount == 0
-	s.HeadIsLoad, s.HeadLoadSMS, s.HeadLoadAddr, s.HeadReq = false, false, 0, nil
+	s.HeadIsLoad, s.HeadReq = false, nil
 	if c.robCount > 0 {
 		head := c.robAt(0)
 		if head.inst.Kind == trace.Load && (head.complete == unknownCycle || head.complete > now) {
 			s.HeadIsLoad = true
-			s.HeadLoadAddr = head.inst.Addr
-			s.HeadLoadSMS = head.req != nil
 			s.HeadReq = head.req
 		}
 	}
@@ -432,7 +427,7 @@ func (c *Core) reportCycles(now, n uint64, committing bool, stall StallKind) {
 			s.PendingInterferenceMisses++
 		}
 	}
-	for _, p := range c.probes {
+	for _, p := range c.stallProbes {
 		p.OnCycles(s, n)
 	}
 }
@@ -657,7 +652,7 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 	e.isL1Miss = true
 	c.stats.L1Misses++
 	for _, p := range c.probes {
-		p.OnLoadIssued(addr, now)
+		p.OnLoadIssued(addr, now, c.stats.CommitCycles)
 	}
 
 	if c.l2.AccessAndFill(c.id, addr) {
@@ -665,7 +660,7 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 		c.setComplete(e, now+uint64(c.l1Lat+c.l2Lat))
 		c.stats.PMSLoads++
 		for _, p := range c.probes {
-			p.OnLoadCompleted(addr, false, e.complete, uint64(c.l1Lat+c.l2Lat), 0)
+			p.OnLoadCompleted(addr, false, e.complete, uint64(c.l1Lat+c.l2Lat), 0, c.stats.CommitCycles)
 		}
 		return true
 	}
@@ -677,7 +672,7 @@ func (c *Core) issueLoad(e *robEntry, now uint64) bool {
 	w.line = key
 	w.primary = e
 	w.req = req
-	w.issueCount = c.commitCycleCount
+	w.issueCount = c.stats.CommitCycles
 	c.pending = append(c.pending, w)
 	return true
 }
@@ -809,8 +804,8 @@ func (c *Core) loadProvablyBlocked(e *robEntry) bool {
 
 // FastForward accounts for the idle span [from, to): the core repeats the
 // same non-committing stall for every cycle of the span, so the cycle and
-// stall counters advance by the span length and probes observe the span in
-// one OnCycles call. The driver only calls this after NextEvent proved the
+// stall counters advance by the span length and stall probes observe the span
+// in one OnCycles call. The driver only calls this after NextEvent proved the
 // span idle.
 func (c *Core) FastForward(from, to uint64) {
 	if to <= from {
@@ -830,7 +825,7 @@ func (c *Core) FastForward(from, to uint64) {
 		}
 	}
 	c.countStall(stall, n)
-	c.reportCycles(from, n, false, stall)
+	c.reportStall(from, n)
 }
 
 // dispatch brings new instructions from the trace into the ROB and issue

@@ -280,25 +280,34 @@ type recordingProbe struct {
 	completedSMS int
 	stalls       int
 	resumes      int
-	cycles       int
-	commits      int
+	cycles       uint64
+	// commitCycles is the largest running committing-cycle count a load
+	// event carried; countsDecreased reports a count below an earlier one.
+	commitCycles    uint64
+	countsDecreased bool
 }
 
-func (r *recordingProbe) OnLoadIssued(uint64, uint64) { r.issued++ }
-func (r *recordingProbe) OnLoadCompleted(_ uint64, sms bool, _ uint64, _, _ uint64) {
+func (r *recordingProbe) sawCount(n uint64) {
+	if n < r.commitCycles {
+		r.countsDecreased = true
+	}
+	r.commitCycles = n
+}
+
+func (r *recordingProbe) OnLoadIssued(_, _ uint64, commitCycles uint64) {
+	r.issued++
+	r.sawCount(commitCycles)
+}
+func (r *recordingProbe) OnLoadCompleted(_ uint64, sms bool, _ uint64, _, _ uint64, commitCycles uint64) {
 	r.completed++
 	if sms {
 		r.completedSMS++
 	}
+	r.sawCount(commitCycles)
 }
 func (r *recordingProbe) OnCommitStall(uint64, bool, uint64)  { r.stalls++ }
 func (r *recordingProbe) OnCommitResume(uint64, bool, uint64) { r.resumes++ }
-func (r *recordingProbe) OnCycles(s *CycleState, n uint64) {
-	r.cycles += int(n)
-	if s.Committing {
-		r.commits += int(n)
-	}
-}
+func (r *recordingProbe) OnCycles(_ *CycleState, n uint64)    { r.cycles += n }
 
 func TestProbeEventStream(t *testing.T) {
 	fm := &fakeMem{latency: 250}
@@ -308,11 +317,15 @@ func TestProbeEventStream(t *testing.T) {
 	run(core, fm, 0, 30000)
 	st := core.Stats()
 
-	if probe.cycles != 30000 {
-		t.Errorf("OnCycles saw %d cycles, want 30000", probe.cycles)
+	// OnCycles sees the stall cycles and nothing else.
+	if st.Cycles != 30000 || st.CommitCycles == 0 {
+		t.Fatalf("ran %d cycles, %d committing; want 30000 with some committing", st.Cycles, st.CommitCycles)
 	}
-	if uint64(probe.commits) != st.CommitCycles {
-		t.Errorf("committing cycles seen by probe (%d) != stats (%d)", probe.commits, st.CommitCycles)
+	if want := st.Cycles - st.CommitCycles; probe.cycles != want {
+		t.Errorf("OnCycles saw %d cycles, want the %d non-committing ones", probe.cycles, want)
+	}
+	if probe.countsDecreased || probe.commitCycles > st.CommitCycles {
+		t.Errorf("load events carried a committing-cycle count that decreased or passed the final %d", st.CommitCycles)
 	}
 	if uint64(probe.issued) != st.L1Misses {
 		t.Errorf("OnLoadIssued count %d != L1 misses %d", probe.issued, st.L1Misses)
@@ -363,11 +376,13 @@ func TestStallKindString(t *testing.T) {
 
 func TestNopProbeImplementsProbe(t *testing.T) {
 	var p Probe = NopProbe{}
-	p.OnLoadIssued(0, 0)
-	p.OnLoadCompleted(0, false, 0, 0, 0)
+	p.OnLoadIssued(0, 0, 0)
+	p.OnLoadCompleted(0, false, 0, 0, 0, 0)
 	p.OnCommitStall(0, false, 0)
 	p.OnCommitResume(0, false, 0)
-	p.OnCycles(&CycleState{}, 1)
+	if _, ok := p.(StallProbe); ok {
+		t.Error("NopProbe implements StallProbe: the core would build a snapshot of every stall cycle for it")
+	}
 }
 
 func TestCoreAccessors(t *testing.T) {

@@ -42,26 +42,17 @@ func (k StallKind) String() string {
 	}
 }
 
-// CycleState is the per-cycle architectural snapshot handed to accounting
-// probes. It contains exactly the observable state the transparent accounting
-// techniques in the paper monitor: commit activity, the stall cause, ROB
-// occupancy extremes, the load at the head of the ROB (if any) and the
-// population of outstanding shared-memory-system requests. The core owns one
-// and rewrites it in place for every call, so the pointer a probe receives is
-// valid only during that call.
+// CycleState is the snapshot of a stall handed to stall probes. It contains
+// exactly the observable state the transparent architecture-centric techniques
+// monitor while commit is stalled: ROB occupancy, the load at the head of the
+// ROB (if any) and the population of outstanding shared-memory-system
+// requests. The core owns one and rewrites it in place for every call, so the
+// pointer a probe receives is valid only during that call.
 type CycleState struct {
-	Cycle      uint64
-	Committing bool
-	Stall      StallKind
+	ROBFull bool
 
-	ROBFull  bool
-	ROBEmpty bool
-
-	// Head-of-ROB load information (zero values when the head is not an
-	// incomplete load).
-	HeadIsLoad   bool
-	HeadLoadSMS  bool
-	HeadLoadAddr uint64
+	// HeadIsLoad reports an incomplete load at the head of the ROB.
+	HeadIsLoad bool
 	// HeadReq is the in-flight shared-memory request of the head load, when
 	// the head is an incomplete SMS load. Its interference counters update as
 	// the memory system simulates, so probes see the running values.
@@ -73,31 +64,42 @@ type CycleState struct {
 }
 
 // Probe observes the events the dataflow and architecture-centric accounting
-// techniques need. Every method is called synchronously: the event methods
-// and OnCycles(s, 1) from the core's Tick, and OnCycles for a longer span
-// from FastForward, which the simulation driver may call some cycles after
-// the span ended. Implementations must not modify the CycleState or retain
-// the pointer past the call.
+// techniques need. Every method is called synchronously from the core's Tick
+// (or, for a completion, from CompleteRequest just before it). The running
+// committing-cycle count the load events carry is the core's
+// Stats.CommitCycles at the call; the cycle being ticked is not counted yet.
 type Probe interface {
 	// OnLoadIssued fires when a load misses in the L1 data cache and a request
 	// is issued towards the L2/shared memory system (GDP Algorithm 1).
-	OnLoadIssued(addr uint64, cycle uint64)
+	OnLoadIssued(addr uint64, cycle uint64, commitCycles uint64)
 	// OnLoadCompleted fires when an L1-miss load completes. sms reports
 	// whether the request visited the shared memory system; latency is the
 	// request's total latency and interference the portion DIEF attributes to
 	// other cores (GDP Algorithm 2).
-	OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, interference uint64)
+	OnLoadCompleted(addr uint64, sms bool, cycle uint64, latency, interference uint64, commitCycles uint64)
 	// OnCommitStall fires when commit stops because an incomplete load is at
 	// the head of the ROB.
 	OnCommitStall(addr uint64, sms bool, cycle uint64)
 	// OnCommitResume fires when commit resumes after a load-induced stall
 	// (GDP Algorithm 3).
 	OnCommitResume(addr uint64, wasSMS bool, cycle uint64)
-	// OnCycles reports n consecutive cycles that share the snapshot s, whose
-	// Cycle is the first of them: n = 1 for a ticked cycle, and a whole span
-	// when the driver proves the core idle over it (nothing commits, issues,
-	// dispatches or drains). OnCycles(s, n) must be exactly equivalent to n
-	// calls OnCycles(s, 1) with Cycle advancing by one each time.
+}
+
+// StallProbe is a Probe that also observes the core's stall cycles. The core
+// reports every cycle on which nothing commits to it, and no other cycle: a
+// probe that needs the committing cycles reads them from the load events'
+// count or from the interval's Stats. AttachProbe finds out by a type
+// assertion, so a probe that does not implement OnCycles costs nothing per
+// cycle.
+type StallProbe interface {
+	Probe
+	// OnCycles reports n consecutive non-committing cycles that share the
+	// snapshot s: n = 1 for a ticked cycle, and a whole span when the driver
+	// proves the core idle over it (nothing commits, issues, dispatches or
+	// drains), reported by FastForward, which the simulation driver may call
+	// some cycles after the span ended. OnCycles(s, n) must be exactly
+	// equivalent to n calls OnCycles(s, 1). Implementations must not modify
+	// the CycleState or retain the pointer past the call.
 	//
 	// Only this core is idle over a span: the driver defers the call until
 	// the core's next event, so other cores and the memory system may have
@@ -116,16 +118,13 @@ type Probe interface {
 type NopProbe struct{}
 
 // OnLoadIssued implements Probe.
-func (NopProbe) OnLoadIssued(uint64, uint64) {}
+func (NopProbe) OnLoadIssued(uint64, uint64, uint64) {}
 
 // OnLoadCompleted implements Probe.
-func (NopProbe) OnLoadCompleted(uint64, bool, uint64, uint64, uint64) {}
+func (NopProbe) OnLoadCompleted(uint64, bool, uint64, uint64, uint64, uint64) {}
 
 // OnCommitStall implements Probe.
 func (NopProbe) OnCommitStall(uint64, bool, uint64) {}
 
 // OnCommitResume implements Probe.
 func (NopProbe) OnCommitResume(uint64, bool, uint64) {}
-
-// OnCycles implements Probe.
-func (NopProbe) OnCycles(*CycleState, uint64) {}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/accounting"
@@ -49,11 +50,12 @@ func BenchmarkStepLoop(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			clk := newStepper(st.shared, st.cores, accts, true)
+			never := func(int) uint64 { return math.MaxUint64 }
+			clk := newStepper(st.shared, st.cores, accts, true, never)
 			// visit mirrors runFast's loop for n visited cycles from now.
 			visit := func(now uint64, n int) uint64 {
 				for range n {
-					clk.step(now)
+					next := clk.step(now)
 					if (now+1)%interval == 0 {
 						clk.sync(now + 1)
 						if err := st.recordInterval(); err != nil {
@@ -61,7 +63,7 @@ func BenchmarkStepLoop(b *testing.B) {
 						}
 					}
 					boundary := now + interval - (now+1)%interval
-					now = max(now+1, min(clk.nextEvent(now), boundary))
+					now = max(now+1, min(next, boundary))
 				}
 				return now
 			}

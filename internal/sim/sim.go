@@ -173,7 +173,6 @@ type runState struct {
 	res       *Result
 	maxCycles uint64
 
-	sampleTaken  []bool
 	lastSnapshot []cpu.Stats
 
 	// Reusable per-interval scratch.
@@ -300,7 +299,6 @@ func newRunState(opts Options) (*runState, error) {
 		cores:          cores,
 		res:            res,
 		maxCycles:      maxCycles,
-		sampleTaken:    make([]bool, len(cores)),
 		lastSnapshot:   make([]cpu.Stats, len(cores)),
 		intervals:      make([]cpu.Stats, len(cores)),
 		records:        make([]IntervalRecord, len(cores)),
@@ -316,11 +314,12 @@ func newRunState(opts Options) (*runState, error) {
 // it sat out is applied in closed form (FastForward) when it is next ticked or
 // at a synchronisation point. coreAt[i] are the cores' clocks — bookkeeping is
 // applied for every cycle below them; the memory system keeps its controller's
-// clock itself and catches up on Settle — and wake[i], memWake and acctWake
+// clock itself and catches up on Settle — and wake[i], memWake and acctAt[k]
 // hold the NextEvent bound each component gave after its last tick, valid
 // until input reaches it from outside: a completion for a core (which is then
 // ticked whatever its bound), a Submit for the memory system (whose bound is
-// then taken again).
+// then taken again). An accountant has no input from outside: its Tick runs at
+// cycle 0 and then only on the cycles its NextEvent named.
 //
 // A deferred span is sound only while nothing its closed form reads changes,
 // so a component is caught up before each of these:
@@ -330,8 +329,9 @@ func newRunState(opts Options) (*runState, error) {
 //     interference miss (the core's idle snapshot counts those flags and ITCA
 //     reads them): memsys.System.OnInterferenceMiss settles that core first;
 //  3. a cycle on which an accountant's NextEvent bound is reached (ASM
-//     rotates the epoch owner its probes read in OnCycles and reprograms the
-//     memory controller): every component is settled before the Ticks;
+//     rotates the epoch owner and reprograms the memory controller): every
+//     component is settled before the Ticks, so an accountant's Tick, like
+//     its Estimate, finds every component at its own cycle;
 //  4. every interval boundary, before recordInterval reads statistics,
 //     estimates and in-flight interference, and the end of the run.
 type stepper struct {
@@ -342,26 +342,42 @@ type stepper struct {
 	// is visited and every component ticked on it.
 	lazy bool
 
-	coreAt, wake      []uint64
-	memWake, acctWake uint64
+	coreAt, wake []uint64
+	memWake      uint64
+	// acctAt[k] is the next cycle accountant k's Tick runs; acctWake is the
+	// earliest of them.
+	acctAt   []uint64
+	acctWake uint64
+
+	// sampleAt[i] is the committed-instruction count at which the driver next
+	// wants to look at core i: the first tick that takes the core there or
+	// beyond calls sample(i), which returns the next such count
+	// (math.MaxUint64: none). It starts at 0, so a core's first tick calls it.
+	sampleAt []uint64
+	sample   func(i int) uint64
 
 	// Exact work counts for the in-package tests: cycles visited, Ticks
-	// executed, and how often each cause other than a component's own bound
-	// settled or woke one that had fallen behind.
-	visited, coreTicks, memTicks                         uint64
+	// executed, cores' idle spans applied in closed form, and how often each
+	// cause other than a component's own bound settled or woke one that had
+	// fallen behind.
+	visited, coreTicks, memTicks, acctTicks, spans       uint64
 	missSyncs, acctSyncs, boundarySyncs, completionWakes uint64
 }
 
 // newStepper wires a stepper to the hardware with every clock at cycle 0,
-// where every component is due. skip is the requested policy.
-func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Accountant, skip bool) *stepper {
+// where every component is due. skip is the requested policy and sample the
+// driver's look at a core's committed-instruction count (see sampleAt).
+func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Accountant, skip bool, sample func(int) uint64) *stepper {
 	s := &stepper{
-		shared: shared,
-		cores:  cores,
-		accts:  accts,
-		lazy:   skip,
-		coreAt: make([]uint64, len(cores)),
-		wake:   make([]uint64, len(cores)),
+		shared:   shared,
+		cores:    cores,
+		accts:    accts,
+		lazy:     skip,
+		coreAt:   make([]uint64, len(cores)),
+		wake:     make([]uint64, len(cores)),
+		acctAt:   make([]uint64, len(accts)),
+		sampleAt: make([]uint64, len(cores)),
+		sample:   sample,
 	}
 	shared.StartClock(0, !s.lazy)
 	shared.OnInterferenceMiss = func(core int, now uint64) { // rule 2
@@ -380,6 +396,7 @@ func (s *stepper) settle(i int, to uint64) bool {
 	}
 	s.cores[i].FastForward(s.coreAt[i], to)
 	s.coreAt[i] = to
+	s.spans++
 	return true
 }
 
@@ -392,21 +409,25 @@ func (s *stepper) sync(to uint64) (behind bool) {
 	return s.shared.Settle(to) || behind
 }
 
-// step simulates the visited cycle now: accountants, then the memory system,
-// then the cores in index order, leaving out every component that is not due.
-func (s *stepper) step(now uint64) {
+// step simulates the visited cycle now — the accountants, then the memory
+// system, then the cores in index order, leaving out every component that is
+// not due — in one pass over the cores. It returns the earliest cycle after
+// now at which any component is due (math.MaxUint64 when everything waits
+// forever, which the caller caps), or now+1 with the skip policy off.
+func (s *stepper) step(now uint64) uint64 {
 	s.visited++
-	acctEvent := s.lazy && s.acctWake <= now
-	if acctEvent && s.sync(now) { // rule 3
-		s.acctSyncs++
-	}
-	for _, acct := range s.accts {
-		acct.Tick(now)
-	}
-	if acctEvent {
+	if s.acctWake <= now {
+		if s.sync(now) { // rule 3
+			s.acctSyncs++
+		}
 		s.acctWake = accounting.NoEvent
-		for _, acct := range s.accts {
-			s.acctWake = min(s.acctWake, acct.NextEvent(now))
+		for k, acct := range s.accts {
+			if s.acctAt[k] <= now {
+				acct.Tick(now)
+				s.acctTicks++
+				s.acctAt[k] = acct.NextEvent(now)
+			}
+			s.acctWake = min(s.acctWake, s.acctAt[k])
 		}
 	}
 
@@ -416,6 +437,7 @@ func (s *stepper) step(now uint64) {
 		s.memTicks++
 	}
 	submitted := s.shared.Submitted()
+	next := s.acctWake
 	for i, core := range s.cores {
 		var completed []*mem.Request
 		if memTicked {
@@ -423,6 +445,7 @@ func (s *stepper) step(now uint64) {
 		}
 		if s.lazy && s.wake[i] > now {
 			if len(completed) == 0 {
+				next = min(next, s.wake[i])
 				continue
 			}
 			s.completionWakes++
@@ -437,27 +460,21 @@ func (s *stepper) step(now uint64) {
 		core.Tick(now)
 		s.coreAt[i] = now + 1
 		s.coreTicks++
+		if core.Instructions() >= s.sampleAt[i] {
+			s.sampleAt[i] = s.sample(i)
+		}
 		if s.lazy {
 			s.wake[i] = core.NextEvent(now)
+			next = min(next, s.wake[i])
 		}
 	}
-	if s.lazy && (memTicked || s.shared.Submitted() != submitted) {
-		s.memWake = s.shared.NextEvent(now)
-	}
-}
-
-// nextEvent returns the earliest cycle after the just-stepped cycle now at
-// which any component is due (math.MaxUint64 when everything waits forever,
-// which the caller caps), or now+1 with the skip policy off.
-func (s *stepper) nextEvent(now uint64) uint64 {
 	if !s.lazy {
 		return now + 1
 	}
-	next := min(s.memWake, s.acctWake)
-	for _, w := range s.wake {
-		next = min(next, w)
+	if memTicked || s.shared.Submitted() != submitted {
+		s.memWake = s.shared.NextEvent(now)
 	}
-	return next
+	return min(next, s.memWake)
 }
 
 // runFast is the step loop: after every visited cycle it takes the earliest
@@ -469,23 +486,11 @@ func (s *stepper) nextEvent(now uint64) uint64 {
 // where every cycle is visited and every component ticked on it.
 func (st *runState) runFast(ctx context.Context) error {
 	opts := st.opts
-	st.clk = newStepper(st.shared, st.cores, opts.Accountants, !opts.Reference)
+	st.clk = newStepper(st.shared, st.cores, opts.Accountants, !opts.Reference, st.takeSample)
 	var now uint64
 	last := opts.IntervalCycles - 1 // the last cycle of the interval now is in
 	for now < st.maxCycles {
-		st.clk.step(now)
-		// Per-core sample completion for STP: a core's instruction count only
-		// moves on a cycle it was ticked on.
-		for i, core := range st.cores {
-			if st.sampleTaken[i] || st.clk.coreAt[i] <= now {
-				continue
-			}
-			if core.Instructions() >= opts.InstructionsPerCore {
-				st.res.SampleStats[i] = core.Stats()
-				st.sampleTaken[i] = true
-				st.done++
-			}
-		}
+		target := st.clk.step(now)
 
 		if now == last {
 			last += opts.IntervalCycles
@@ -506,7 +511,6 @@ func (st *runState) runFast(ctx context.Context) error {
 			break
 		}
 
-		target := st.clk.nextEvent(now)
 		if target > now+1 {
 			// Never skip an interval boundary or the cycle budget.
 			if target > last {
@@ -527,13 +531,25 @@ func (st *runState) runFast(ctx context.Context) error {
 	return nil
 }
 
+// takeSample is the stepper's sample callback: it records core i's
+// statistics for STP on the tick that takes it to its instruction sample.
+func (st *runState) takeSample(i int) uint64 {
+	core := st.cores[i]
+	if core.Instructions() < st.opts.InstructionsPerCore {
+		return st.opts.InstructionsPerCore
+	}
+	st.res.SampleStats[i] = core.Stats()
+	st.done++
+	return math.MaxUint64
+}
+
 // finish seals the result once the run's last cycle has been simulated.
 func (st *runState) finish(now uint64) {
 	st.clk.sync(now)
 	st.res.Cycles = now
 	for i, core := range st.cores {
 		st.res.CoreStats[i] = core.Stats()
-		if !st.sampleTaken[i] {
+		if st.clk.sampleAt[i] != math.MaxUint64 { // the sample was never reached
 			st.res.SampleStats[i] = core.Stats()
 		}
 	}
@@ -777,8 +793,26 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	}
 
 	out := &PrivateReference{Benchmark: bench.Name, Points: slices.Clone(samplePoints)}
-	clk := newStepper(shared, []*cpu.Core{core}, nil, !reference)
-	next := 0
+	next, finished := 0, false
+	// record takes every sample point the core's count has reached and
+	// returns the next one; past the last point the run is finished.
+	record := func(int) uint64 {
+		stats := core.Stats()
+		for next < len(samplePoints) && stats.Instructions >= samplePoints[next] {
+			depth, sum, loads := ref.Totals()
+			out.At = append(out.At, stats)
+			out.Depth = append(out.Depth, depth)
+			out.OverlapSum = append(out.OverlapSum, sum)
+			out.OverlapLoads = append(out.OverlapLoads, loads)
+			next++
+		}
+		if next < len(samplePoints) {
+			return samplePoints[next]
+		}
+		finished = true
+		return math.MaxUint64
+	}
+	clk := newStepper(shared, []*cpu.Core{core}, nil, !reference, record)
 	now := uint64(0)
 	for now < maxCycles {
 		if now%privateCancelCheckCycles == 0 {
@@ -786,24 +820,11 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 				return nil, err
 			}
 		}
-		clk.step(now)
-		if clk.coreAt[0] > now { // the core was ticked: its counts may have moved
-			stats := core.Stats()
-			for next < len(samplePoints) && stats.Instructions >= samplePoints[next] {
-				depth, sum, loads := ref.Totals()
-				out.At = append(out.At, stats)
-				out.Depth = append(out.Depth, depth)
-				out.OverlapSum = append(out.OverlapSum, sum)
-				out.OverlapLoads = append(out.OverlapLoads, loads)
-				next++
-			}
-			if next >= len(samplePoints) && stats.Instructions >= target {
-				now++
-				break
-			}
+		skipTo := clk.step(now)
+		if finished {
+			now++
+			break
 		}
-
-		skipTo := clk.nextEvent(now)
 		if skipTo > now+1 {
 			// Preserve the cancellation poll stride and the cycle budget.
 			if poll := now - now%privateCancelCheckCycles + privateCancelCheckCycles; skipTo > poll {

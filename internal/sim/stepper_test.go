@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/accounting"
+	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/memsys"
 	"repro/internal/workload"
@@ -77,13 +78,59 @@ func TestSyncRulesAllExercised(t *testing.T) {
 		clk.completionWakes, clk.missSyncs, clk.acctSyncs, clk.boundarySyncs)
 }
 
+// stallCounter wraps an accountant so that each core's probe counts the
+// OnCycles calls and cycles it receives.
+type stallCounter struct {
+	accounting.Accountant
+	probes []*countingProbe
+}
+
+type countingProbe struct {
+	cpu.StallProbe
+	calls, cycles uint64
+}
+
+func (p *countingProbe) OnCycles(s *cpu.CycleState, n uint64) {
+	p.calls++
+	p.cycles += n
+	p.StallProbe.OnCycles(s, n)
+}
+
+func countStalls(t *testing.T, a accounting.Accountant, cores int) *stallCounter {
+	t.Helper()
+	c := &stallCounter{Accountant: a}
+	for i := range cores {
+		p, ok := a.Probe(i).(cpu.StallProbe)
+		if !ok {
+			t.Fatalf("%s's probe does not observe stall cycles", a.Name())
+		}
+		c.probes = append(c.probes, &countingProbe{StallProbe: p})
+	}
+	return c
+}
+
+func (c *stallCounter) Probe(core int) cpu.Probe { return c.probes[core] }
+
+// totals returns the OnCycles calls and cycles over every core's probe.
+func (c *stallCounter) totals() (calls, cycles uint64) {
+	for _, p := range c.probes {
+		calls += p.calls
+		cycles += p.cycles
+	}
+	return calls, cycles
+}
+
 // TestStepperTicksOnlyDueComponents pins, in exact counts, that the work
 // disappears: a stalled core is not ticked on the cycles other components act
 // on, a memory system with nothing in flight is not ticked while the cores
 // compute, and the memory controller is not ticked on the memory system's
 // ticks that only move requests through the ring and the LLC. A cycle on
 // which no component has an event is not visited at all. With skipping off
-// every component is ticked on every cycle.
+// every hardware component is ticked on every cycle. Either way the four
+// transparent accountants, whose NextEvent is NoEvent, are ticked at cycle 0
+// only, and a stall probe (ITCA's, counted here) hears of exactly the
+// non-committing cycles: one OnCycles call per non-committing tick and per
+// idle span, none on a committing tick.
 func TestStepperTicksOnlyDueComponents(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string
@@ -99,7 +146,37 @@ func TestStepperTicksOnlyDueComponents(t *testing.T) {
 		{"compute-heavy", 2, 1, 0.30, 1, 0},
 	} {
 		t.Run(tc.scenario, func(t *testing.T) {
-			res, clk := runStepped(t, scenarioOptions(t, tc.scenario, tc.cores))
+			// run runs the scenario with ITCA's probes counted and checks the
+			// accountant and stall-probe counts, which are exact at either
+			// skip policy.
+			run := func(reference bool) (*Result, *stepper) {
+				opts := scenarioOptions(t, tc.scenario, tc.cores)
+				opts.Reference = reference
+				itca := countStalls(t, opts.Accountants[2], tc.cores)
+				opts.Accountants[2] = itca
+				res, clk := runStepped(t, opts)
+				if want := uint64(len(opts.Accountants)); clk.acctTicks != want {
+					t.Errorf("reference=%v: %d accountant ticks, want %d (each transparent accountant at cycle 0 only)",
+						reference, clk.acctTicks, want)
+				}
+				var commitTicks, stallCycles uint64
+				for _, st := range res.CoreStats {
+					commitTicks += st.CommitCycles // spans never commit: each is a tick
+					stallCycles += st.Cycles - st.CommitCycles
+				}
+				calls, cycles := itca.totals()
+				if want := clk.coreTicks - commitTicks + clk.spans; calls != want {
+					t.Errorf("reference=%v: %d OnCycles calls, want %d (%d non-committing ticks + %d idle spans)",
+						reference, calls, want, clk.coreTicks-commitTicks, clk.spans)
+				}
+				if cycles != stallCycles {
+					t.Errorf("reference=%v: OnCycles saw %d cycles, want the %d non-committing ones", reference, cycles, stallCycles)
+				}
+				t.Logf("reference=%v: %d accountant ticks; %d core ticks, %d committing; %d idle spans; %d OnCycles calls for %d stall cycles",
+					reference, clk.acctTicks, clk.coreTicks, commitTicks, clk.spans, calls, cycles)
+				return res, clk
+			}
+			res, clk := run(false)
 			coreMax := uint64(tc.cores) * clk.visited
 			coreShare := float64(clk.coreTicks) / float64(coreMax)
 			memShare := float64(clk.memTicks) / float64(clk.visited)
@@ -120,9 +197,7 @@ func TestStepperTicksOnlyDueComponents(t *testing.T) {
 				t.Errorf("visited %d cycles, want <= %d", clk.visited, tc.maxVisited)
 			}
 
-			refOpts := scenarioOptions(t, tc.scenario, tc.cores)
-			refOpts.Reference = true
-			ref, refClk := runStepped(t, refOpts)
+			ref, refClk := run(true)
 			if refClk.visited != ref.Cycles {
 				t.Errorf("reference visited %d of %d cycles, want all", refClk.visited, ref.Cycles)
 			}
