@@ -388,21 +388,27 @@ func TestASMOwnedCyclesFollowTheEpochSchedule(t *testing.T) {
 	}
 }
 
-func TestASMSlowdownEstimate(t *testing.T) {
-	a, _ := NewASM(2, 100, nil)
-	p := a.probes[0]
-	// Over a 1000-cycle interval, core 0 completes an access every 5 cycles
-	// of its high-priority epochs (the even ones, 500 cycles) and every 10
-	// cycles of the others: 100 of 150 accesses in half the cycles, so the
-	// slowdown is (100/500) / (150/1000) = 4/3.
-	for now := uint64(0); now < 1000; now++ {
+// runASMInterval drives a run of a (2 cores, 100-cycle epochs) from cycle 0
+// to cycle end, ticking it on its epoch boundaries as the step loop does.
+// Core 0 completes an access every 5 cycles of its high-priority epochs (the
+// even ones) and every 10 cycles of the others.
+func runASMInterval(a *ASM, end uint64) {
+	for now := range end {
 		if now%100 == 0 {
 			a.Tick(now)
 		}
 		if (a.currentOwner == 0 && now%5 == 0) || now%10 == 0 {
-			p.OnLoadCompleted(0, true, now, 0, 0, 0)
+			a.probes[0].OnLoadCompleted(0, true, now, 0, 0, 0)
 		}
 	}
+}
+
+func TestASMSlowdownEstimate(t *testing.T) {
+	a, _ := NewASM(2, 100, nil)
+	p := a.probes[0]
+	// Over a 1000-cycle interval core 0 completes 100 of 150 accesses in its
+	// 500 high-priority cycles, so the slowdown is (100/500) / (150/1000) = 4/3.
+	runASMInterval(a, 1000)
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
 	if want := iv.CPI() * 3 / 4; math.Abs(est.PrivateCPI-want) > 1e-12 {
@@ -417,6 +423,33 @@ func TestASMSlowdownEstimate(t *testing.T) {
 	if got := a.ownedCycles(0, 1150) - a.ownedCycles(0, a.intervalStart); a.intervalStart != 1000 || got != 100 {
 		t.Errorf("second interval starts at %d with %d high-priority cycles of core 0 in its first 150, want 1000 and 100",
 			a.intervalStart, got)
+	}
+}
+
+// TestASMRestartsAtCycleZero reuses one ASM for a second run that starts
+// while the first has left core 1 owning the epoch, an interval open and a
+// later interval start: Tick(0) must begin the schedule ownedCycles assumes,
+// so the second run estimates what a fresh instance does.
+func TestASMRestartsAtCycleZero(t *testing.T) {
+	iv := interval(1000, 500, 300, 700)
+	fresh, _ := NewASM(2, 100, nil)
+	runASMInterval(fresh, 1000)
+	want := fresh.Estimate(0, iv)
+
+	a, _ := NewASM(2, 100, nil)
+	runASMInterval(a, 1000)
+	a.Estimate(0, iv)
+	a.EndInterval()
+	for now := uint64(1000); now < 1150; now += 100 {
+		a.Tick(now)
+	}
+	a.probes[0].OnLoadCompleted(0, true, 1149, 0, 0, 0)
+	if a.currentOwner != 1 {
+		t.Fatalf("first run should end in core 1's epoch, got core %d", a.currentOwner)
+	}
+	runASMInterval(a, 1000)
+	if got := a.Estimate(0, iv); got != want {
+		t.Errorf("second run estimates %+v, a fresh ASM %+v", got, want)
 	}
 }
 

@@ -34,7 +34,9 @@ type ASM struct {
 
 	// intervalStart is the first cycle of the interval being estimated.
 	// Intervals tile the run from cycle 0, so Estimate sets intervalEnd from
-	// the interval's length and EndInterval moves the start there.
+	// the interval's length and EndInterval, which runs after the interval's
+	// Estimates, moves the start there. Tick(0) starts both, and the epoch
+	// schedule, afresh, so an instance can serve one run after another.
 	intervalStart, intervalEnd uint64
 }
 
@@ -98,15 +100,24 @@ func (a *ASM) ObserveRequest(int, *mem.Request) {}
 
 // Tick implements Accountant: it advances the rotating high-priority epoch
 // and programs the memory controller accordingly. This is the invasive part.
+// Cycle 0 starts a run: core 0 owns the first epoch and the first interval
+// begins, which is the schedule ownedCycles assumes.
 func (a *ASM) Tick(now uint64) {
-	if now-a.epochStart >= a.epochLen || now == 0 {
-		if now != 0 {
-			a.currentOwner = (a.currentOwner + 1) % a.cores
+	switch {
+	case now == 0:
+		a.currentOwner = 0
+		a.intervalStart, a.intervalEnd = 0, 0
+		for _, p := range a.probes {
+			p.totalAccesses, p.hpAccesses = 0, 0
 		}
-		a.epochStart = now
-		if a.controller != nil {
-			a.controller.SetPriorityCore(a.currentOwner)
-		}
+	case now-a.epochStart >= a.epochLen:
+		a.currentOwner = (a.currentOwner + 1) % a.cores
+	default:
+		return
+	}
+	a.epochStart = now
+	if a.controller != nil {
+		a.controller.SetPriorityCore(a.currentOwner)
 	}
 }
 

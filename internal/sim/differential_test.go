@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/config"
-	"repro/internal/cpu"
-	"repro/internal/mem"
 	"repro/internal/partition"
 	"repro/internal/workload"
 )
@@ -179,38 +177,18 @@ func TestPrivateFastPathMatchesReference(t *testing.T) {
 }
 
 // TestFastForwardActuallySkips guards the performance property itself: on the
-// latency-bound scenario (serialized DRAM misses) the event-driven driver
-// must need far fewer driver iterations than simulated cycles. It measures
-// skipping indirectly through accountant Tick counts: the reference driver
-// Ticks accountants every cycle, the fast driver only on processed cycles.
+// latency-bound scenario (serialized DRAM misses) the step loop must visit far
+// fewer cycles than it simulates. It reads the stepper's own count of visited
+// cycles, which with skipping off equals the simulated cycles.
 func TestFastForwardActuallySkips(t *testing.T) {
-	counter := &tickCounter{}
-	opts := scenarioOptions(t, "latency-bound", 4)
-	opts.Accountants = append(opts.Accountants, counter)
-	res, err := Run(t.Context(), opts)
-	if err != nil {
-		t.Fatal(err)
+	res, clk := runStepped(t, scenarioOptions(t, "latency-bound", 4))
+	if clk.visited == 0 {
+		t.Fatal("no cycle visited")
 	}
-	if counter.ticks == 0 {
-		t.Fatal("accountant never ticked")
+	if clk.visited*10 > res.Cycles*9 {
+		t.Errorf("step loop visited %d of %d cycles (>90%%): fast-forwarding is not engaging",
+			clk.visited, res.Cycles)
 	}
-	processed := counter.ticks
-	if processed*10 > res.Cycles*9 {
-		t.Errorf("fast driver processed %d of %d cycles (>90%%): fast-forwarding is not engaging",
-			processed, res.Cycles)
-	}
-	t.Logf("processed %d of %d simulated cycles (%.1f%%)",
-		processed, res.Cycles, 100*float64(processed)/float64(res.Cycles))
+	t.Logf("visited %d of %d simulated cycles (%.1f%%)",
+		clk.visited, res.Cycles, 100*float64(clk.visited)/float64(res.Cycles))
 }
-
-// tickCounter is a transparent accountant that counts driver-processed cycles
-// (its Tick contributes no events, so it does not inhibit fast-forwarding).
-type tickCounter struct{ ticks uint64 }
-
-func (c *tickCounter) Name() string                                { return "tick-counter" }
-func (c *tickCounter) Probe(int) cpu.Probe                         { return nil }
-func (c *tickCounter) ObserveRequest(int, *mem.Request)            {}
-func (c *tickCounter) Tick(uint64)                                 { c.ticks++ }
-func (c *tickCounter) Estimate(int, cpu.Stats) accounting.Estimate { return accounting.Estimate{} }
-func (c *tickCounter) EndInterval()                                {}
-func (c *tickCounter) NextEvent(uint64) uint64                     { return accounting.NoEvent }

@@ -164,10 +164,7 @@ func (p *Params) Validate() error {
 // Generator produces an infinite deterministic instruction stream.
 type Generator struct {
 	params Params
-	// src draws the stream's random numbers; exp is rand.New over it, for
-	// ExpFloat64 alone.
-	src *source
-	exp *rand.Rand
+	rng    *rand.Rand
 
 	// cumulative access probabilities for the working sets
 	cumProb []float64
@@ -187,11 +184,9 @@ func NewGenerator(params Params, seed int64) (*Generator, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	src := newSource(seed)
 	g := &Generator{
 		params: params,
-		src:    src,
-		exp:    rand.New(src),
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 	var total float64
 	for _, ws := range params.WorkingSets {
@@ -225,7 +220,7 @@ func (g *Generator) inComputePhase() bool {
 
 // nextAddr picks the next data address.
 func (g *Generator) nextAddr() uint64 {
-	r := g.src.float64()
+	r := g.rng.Float64()
 	idx := len(g.params.WorkingSets) - 1
 	for i, c := range g.cumProb {
 		if r <= c {
@@ -250,7 +245,7 @@ func (g *Generator) nextAddr() uint64 {
 		g.cursor[idx] = (g.cursor[idx] + stride) % lines
 		line = g.cursor[idx]
 	} else {
-		line = uint64(g.src.int63n(int64(lines)))
+		line = uint64(g.rng.Int63n(int64(lines)))
 	}
 	return g.base[idx] + line*64
 }
@@ -258,7 +253,7 @@ func (g *Generator) nextAddr() uint64 {
 // depDistance draws a register-dependency distance (>= 1).
 func (g *Generator) depDistance() int32 {
 	mean := g.params.DepDistanceMean
-	d := 1 + int32(g.exp.ExpFloat64()*(mean-1)+0.5)
+	d := 1 + int32(g.rng.ExpFloat64()*(mean-1)+0.5)
 	if d < 1 {
 		d = 1
 	}
@@ -297,11 +292,11 @@ func (g *Generator) Next() Instruction {
 		}
 	}
 
-	r := g.src.float64()
+	r := g.rng.Float64()
 	switch {
 	case r < loadFrac:
 		inst := Instruction{Kind: Load, Addr: g.nextAddr()}
-		if g.src.float64() < p.LoadDepFrac && lastLoadDist > 0 && lastLoadDist <= 64 {
+		if g.rng.Float64() < p.LoadDepFrac && lastLoadDist > 0 && lastLoadDist <= 64 {
 			// Pointer-chasing: the load's address depends on the previous load.
 			inst.Dep1 = int32(lastLoadDist)
 		} else {
@@ -315,16 +310,16 @@ func (g *Generator) Next() Instruction {
 		return Instruction{
 			Kind:         Branch,
 			Dep1:         g.depDistance(),
-			Mispredicted: g.src.float64() < p.MispredictRate,
+			Mispredicted: g.rng.Float64() < p.MispredictRate,
 		}
 	default:
 		kind := IntOp
-		if g.src.float64() < p.FPFrac {
+		if g.rng.Float64() < p.FPFrac {
 			kind = FPOp
-			if g.src.float64() < p.FPMulFrac {
+			if g.rng.Float64() < p.FPMulFrac {
 				kind = FPMul
 			}
-		} else if g.src.float64() < p.IntMulFrac {
+		} else if g.rng.Float64() < p.IntMulFrac {
 			kind = IntMul
 		}
 		return Instruction{Kind: kind, Dep1: g.depDistance(), Dep2: g.depDistance()}
