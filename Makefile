@@ -17,7 +17,8 @@ race:
 
 # fuzz-smoke runs each checked-in fuzz target briefly against its seed corpus
 # plus a short exploration budget: the three request decoders, the disk
-# cache entry decoder (the one durable-state decoder), the dataflow unit
+# cache entry decoder (the one durable-state decoder) and the sweep-row
+# payload codec inside it, the dataflow unit
 # against its O(PRB) oracle, every accountant probe's cycle spans against
 # unit cycles and a private reference's aligned views against standalone
 # private runs. A regression found
@@ -29,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/runner
+	$(GO) test -run='^$$' -fuzz=FuzzSweepRowsCodec -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run='^$$' -fuzz=FuzzGDPUnitMatchesOracle -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOnCyclesSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/accounting
 	$(GO) test -run='^$$' -fuzz=FuzzAlignedReference -fuzztime=$(FUZZTIME) ./internal/sim
@@ -71,8 +73,9 @@ bench:
 
 # bench-pairs is the ledger's rule for claiming a gain — at least ten
 # alternating pairs on seeds not used while the change was written — as one
-# command: it builds ./benchmark at PARENT (in a throw-away git worktree, so
-# the result files carry that commit) and at the working tree, runs PAIRS
+# command: it builds ./benchmark at PARENT (from `git archive` into a
+# throw-away directory, which is also where the parent runs; its result
+# files say git_rev "unknown") and at the working tree, runs PAIRS
 # pairs of WORKLOAD on fresh seeds, alternating which side goes first, into
 # $(BENCH_OUT)/pairs-$(WORKLOAD)/{parent,change}, and ends with -compare.
 # TRACE=1 gives the per-layer numbers instead; SEED0 pins the seeds.
@@ -82,9 +85,9 @@ PAIRS ?= 10
 PAIR_SECONDS ?= 10
 TRACE ?= 0
 bench-pairs:
-	@set -e; root=$$(pwd); tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/parent" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach "$$tmp/parent" $(PARENT) >/dev/null; \
+	@set -e; root=$$(pwd); tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	rev=$$(git rev-parse --short=12 --verify "$(PARENT)^{commit}"); echo "parent: $$rev"; \
+	mkdir "$$tmp/parent"; git archive "$$rev" | tar -x -C "$$tmp/parent"; \
 	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/bench-parent" ./benchmark); \
 	$(GO) build -o "$$tmp/bench-change" ./benchmark; \
 	out=$(abspath $(BENCH_OUT))/pairs-$(WORKLOAD); rm -rf "$$out"; mkdir -p "$$out/parent" "$$out/change"; \

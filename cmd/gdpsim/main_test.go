@@ -342,7 +342,7 @@ func TestCacheDirFlag(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "??", "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "??", "*.entry"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestCacheDirFlagFigureDriver(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "??", "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "??", "*.entry"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,16 @@ import (
 
 // Cache is a content-addressed result cache. Entries are keyed by a hash of
 // the job spec (SpecKey), held in a capacity-bounded in-memory LRU layer and,
-// when a directory is configured, mirrored to disk as JSON so repeated CLI
-// invocations can reuse earlier simulations.
+// when a directory is configured, mirrored to disk as framed entries so
+// repeated CLI invocations can reuse earlier simulations. An entry's payload
+// is binary when its value type registered a codec (RegisterCodec) and JSON
+// otherwise; the frame carries the payload's length and a CRC-32C, so a
+// truncated or bit-flipped file reads as a miss, never as a wrong value.
 //
 // The memory layer tracks an approximate byte size per entry (the length of
-// its JSON encoding, which the disk-write path computes anyway, plus a small
-// fixed bookkeeping overhead). SetMaxBytes installs a budget: inserting past
-// it evicts the least-recently-used entries first. An evicted entry is not
+// its framed encoding, which the disk-write path computes anyway, plus a
+// small fixed bookkeeping overhead). SetMaxBytes installs a budget: inserting
+// past it evicts the least-recently-used entries first. An evicted entry is not
 // lost when the cache is disk-backed — eviction guarantees it is persisted
 // (spilling it if the write-through failed or never happened), so a later
 // lookup re-serves it with one readDisk instead of a recompute. A
@@ -30,7 +33,7 @@ import (
 // (the default) the memory layer is unbounded, as it always was.
 //
 // The on-disk layer shards entries into 256 two-hex-character subdirectories
-// of the cache directory (dir/ab/<key>.json): large sweeps would otherwise
+// of the cache directory (dir/ab/<key>.entry): large sweeps would otherwise
 // pile thousands of files into one directory, which degrades lookup on most
 // filesystems.
 //
@@ -71,12 +74,12 @@ type cacheEntry struct {
 	persisted bool
 }
 
-// entryOverhead approximates the per-entry bookkeeping the JSON length does
+// entryOverhead approximates the per-entry bookkeeping the frame length does
 // not see: the map slot, the list element and the interface header.
 const entryOverhead = 96
 
-// fallbackEntrySize charges entries whose value cannot be JSON-encoded (a
-// bounded cache still has to account for them somehow).
+// fallbackEntrySize charges entries whose value cannot be encoded (a bounded
+// cache still has to account for them somehow).
 const fallbackEntrySize = 512
 
 // fileOps is the disk layer's file-system seam: every read and every step of a
@@ -117,7 +120,9 @@ func NewCache() *Cache {
 }
 
 // NewDiskCache returns a cache that additionally persists every entry under
-// dir (one JSON file per key), creating the directory if needed.
+// dir (one framed entry file per key), creating the directory if needed.
+// Entries of the older unframed format (<key>.json) are never opened: each
+// such key is recomputed once and written in the current format.
 func NewDiskCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: cache dir: %w", err)
@@ -130,7 +135,7 @@ func NewDiskCache(dir string) (*Cache, error) {
 // SetMaxBytes bounds the memory layer to approximately maxBytes (0 disables
 // the bound). If the cache is already over the new budget, cold entries are
 // evicted immediately. Entries stored while the cache was both unbounded and
-// memory-only were never sized (sizing costs a JSON encode) and are carried
+// memory-only were never sized (sizing costs an encode) and are carried
 // at a nominal footprint; set the budget before populating the cache — the
 // engine does this at construction — for accurate accounting.
 func (c *Cache) SetMaxBytes(maxBytes int64) {
@@ -168,7 +173,7 @@ type CacheStats struct {
 	// InflightJoins counts lookups that blocked on and shared another
 	// caller's concurrent computation of the same key.
 	InflightJoins int64 `json:"inflight_joins"`
-	// DiskBytesWritten counts JSON bytes persisted to the disk layer.
+	// DiskBytesWritten counts framed entry bytes persisted to the disk layer.
 	DiskBytesWritten int64 `json:"disk_bytes_written"`
 	// DiskCorruptions counts on-disk entries that failed to decode (bit rot,
 	// truncation, torn writes): each was deleted and its cell recomputed.
@@ -220,7 +225,8 @@ func shortKey(key string) string {
 
 // Memo returns the cached result for spec, computing it with fn on a miss.
 // Concurrent calls with the same spec run fn once. The result type must
-// survive a JSON round-trip when the cache is disk-backed.
+// survive its entry codec's round-trip when the cache is disk-backed: its
+// registered binary codec, or JSON.
 func Memo[T any](c *Cache, spec any, fn func() (T, error)) (T, bool, error) {
 	return MemoContext(context.Background(), c, spec, fn)
 }
@@ -388,10 +394,11 @@ func memHit[T any](c *Cache, key string) (v T, found bool, err error) {
 }
 
 // loadDisk reads key's disk entry and decodes it as a T, reporting the
-// entry's approximate memory footprint. A corrupt or truncated entry is
-// deleted and reads as a miss, never as a decode error: the disk layer is an
-// optimization and a bad file must not poison lookups until someone removes it
-// by hand. The caller's recompute rewrites a healthy entry.
+// entry's approximate memory footprint. An entry that fails its frame check
+// or does not decode (bit rot, truncation, another type's entry) is deleted
+// and reads as a miss, never as a decode error: the disk layer is an
+// optimization and a bad file must not poison lookups until someone removes
+// it by hand. The caller's recompute rewrites a healthy entry.
 func loadDisk[T any](c *Cache, key string) (v T, size int64, ok bool) {
 	if c.dir == "" {
 		return v, 0, false
@@ -400,7 +407,8 @@ func loadDisk[T any](c *Cache, key string) (v T, size int64, ok bool) {
 	if !ok {
 		return v, 0, false
 	}
-	if err := json.Unmarshal(raw, &v); err != nil {
+	v, err := decodeEntry[T](raw)
+	if err != nil {
 		c.removeCorrupt(key)
 		var zero T
 		return zero, 0, false
@@ -408,7 +416,7 @@ func loadDisk[T any](c *Cache, key string) (v T, size int64, ok bool) {
 	return v, int64(len(raw)) + entryOverhead, true
 }
 
-// writeThrough sizes v by its JSON encoding and, on a disk-backed cache,
+// writeThrough sizes v by its framed encoding and, on a disk-backed cache,
 // writes that encoding under key. It reports the entry's approximate memory
 // footprint and whether the disk layer now holds it. The encoding doubles as
 // the disk payload and the size estimate; an unbounded memory-only cache
@@ -418,7 +426,7 @@ func (c *Cache) writeThrough(key string, v any) (size int64, persisted bool) {
 	if c.dir == "" && c.maxBytes.Load() <= 0 {
 		return fallbackEntrySize, false
 	}
-	raw, err := json.Marshal(v)
+	raw, err := encodeEntry(v)
 	if err != nil {
 		return fallbackEntrySize, false
 	}
@@ -431,7 +439,7 @@ func (c *Cache) writeThrough(key string, v any) (size int64, persisted bool) {
 // storeLocked inserts (or refreshes) a memory-layer entry and evicts past the
 // budget, least-recently-used first. It returns the evicted entries that must
 // be spilled to disk to stay reachable; the caller performs those writes
-// outside the lock (spilling encodes JSON, which must not serialize every
+// outside the lock (spilling encodes the entry, which must not serialize every
 // concurrent cache touch). Callers must hold c.mu.
 func (c *Cache) storeLocked(key string, val any, size int64, persisted bool) []*cacheEntry {
 	if size <= 0 {
@@ -553,7 +561,7 @@ func (c *Cache) path(key string) string {
 	if len(key) >= 2 {
 		shard = key[:2]
 	}
-	return filepath.Join(c.dir, shard, key+".json")
+	return filepath.Join(c.dir, shard, key+entryExt)
 }
 
 // readDisk loads a key's bytes from the sharded location through the c.files

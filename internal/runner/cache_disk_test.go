@@ -1,10 +1,7 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -64,71 +61,4 @@ func TestDiskCacheConcurrentWriters(t *testing.T) {
 	if corrupt != 0 || bad.Load() != 0 {
 		t.Fatalf("%d corrupt entries, %d reads that missed or did not decode to the written rows", corrupt, bad.Load())
 	}
-}
-
-// FuzzDiskCacheEntry places arbitrary bytes at a key's sharded path, as bit
-// rot, a torn write or a foreign file would. Lookup must either return a
-// value that survives a JSON round-trip, or report a miss, count one
-// corruption and remove the file. It must never panic, and the key must work
-// normally afterwards.
-func FuzzDiskCacheEntry(f *testing.F) {
-	good, err := json.Marshal([]cachePayload{{Label: "accuracy/2c-H/prb16", Value: 3}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte{})
-
-	key, err := SpecKey("fuzz")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		c, err := NewDiskCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := c.path(key)
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		got, ok := Lookup[[]cachePayload](c, key)
-		corrupt := c.DetailedStats().DiskCorruptions
-		if ok {
-			raw, err := json.Marshal(got)
-			if err != nil {
-				t.Fatalf("decoded entry does not re-encode: %v", err)
-			}
-			var again []cachePayload
-			if err := json.Unmarshal(raw, &again); err != nil || !reflect.DeepEqual(again, got) {
-				t.Fatalf("decoded entry %+v does not round-trip (%v)", got, err)
-			}
-			if corrupt != 0 {
-				t.Fatalf("a hit counted %d corruptions", corrupt)
-			}
-		} else {
-			if corrupt != 1 {
-				t.Fatalf("a miss on a present file counted %d corruptions, want 1", corrupt)
-			}
-			if _, err := os.Stat(p); !os.IsNotExist(err) {
-				t.Fatalf("corrupt entry not removed (stat: %v)", err)
-			}
-		}
-
-		want := []cachePayload{{Label: "after", Value: 7}}
-		c.Put(key, want)
-		fresh, err := NewDiskCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, ok := Lookup[[]cachePayload](fresh, key); !ok || !reflect.DeepEqual(got, want) {
-			t.Fatalf("after Put, a new cache reads %+v (hit %v), want %+v", got, ok, want)
-		}
-	})
 }

@@ -57,8 +57,7 @@ func TestCacheCorruptDiskEntryRecomputed(t *testing.T) {
 		t.Fatal("first compute reported as cache hit")
 	}
 
-	// Flip the first byte (the opening '{'): flipping a byte inside a JSON
-	// string could still parse, so target the structure itself.
+	// Flip the first byte, inside the frame's magic.
 	corruptOnDisk(t, c1, spec, func(raw []byte) []byte {
 		raw[0] ^= 0xff
 		return raw
@@ -95,7 +94,7 @@ func TestCacheCorruptDiskEntryRecomputed(t *testing.T) {
 }
 
 // TestCacheTruncatedDiskEntryRecomputed covers the torn-write shape: a file
-// cut off mid-JSON is deleted and recomputed.
+// cut off mid-payload is deleted and recomputed.
 func TestCacheTruncatedDiskEntryRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	spec := map[string]any{"op": "truncate-test"}
@@ -200,7 +199,7 @@ func TestCacheLookupPut(t *testing.T) {
 	if s := c3.DetailedStats(); s.DiskCorruptions != 1 {
 		t.Fatalf("DiskCorruptions = %d, want 1", s.DiskCorruptions)
 	}
-	if _, err := os.Stat(filepath.Join(dir, key[:2], key+".json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, key[:2], key+entryExt)); !os.IsNotExist(err) {
 		t.Fatalf("corrupt entry not deleted: %v", err)
 	}
 }

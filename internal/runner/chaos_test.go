@@ -1,8 +1,8 @@
 package runner
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -32,9 +32,8 @@ type chaosSpec struct {
 }
 
 // chaosValue is spec n's one right answer. It has five digits, so every
-// non-empty proper prefix of its JSON decodes to a wrong int: a torn entry
-// that reached its final name would show as a wrong value, not as a decode
-// error the cache recovers from.
+// non-empty proper prefix of its JSON payload is a wrong int: a cut-short
+// entry that got past the frame check would show as a wrong value.
 func chaosValue(n int) int { return 10007 + n*7919 }
 
 // chaosFS is a seeded faulty fileOps. Whether an operation fails is a hash
@@ -149,13 +148,18 @@ func chaosJob(i, n, panicAt, cancelAt int, cancel context.CancelFunc) Job[int] {
 // writes, a job panic, cancellation at a job, a budget that spills evicted
 // entries), damages the directory the way a crash between a tmp write and
 // its rename would (the entry lost, a prefix of it left in a tmp file) and
-// adds stray tmp files, then reruns fault-free over the same directory.
+// the way a failing disk would (committed entries truncated in place, or
+// with one bit flipped, at seeded offsets), adds stray tmp files, then reruns
+// fault-free over the same directory.
 //
 // Every faulty run returns the reference results or an error it was
-// scheduled to return (disk faults never fail a run), every entry on disk
-// decodes to its key's value, the cache leaves no tmp file of its own, the
-// rerun returns the reference results, and goroutines and open files return
-// to their baseline. A failing seed replays alone with
+// scheduled to return (disk faults never fail a run), counts at most one
+// corruption per damaged entry, and leaves every entry on disk decoding to
+// its key's value unless it is a damaged entry the run never touched. No
+// damaged entry ever decodes. The cache leaves no tmp file of its own, the
+// rerun counts exactly one corruption per damaged entry, returns the
+// reference results and rewrites every entry, and goroutines and open files
+// return to their baseline. A failing seed replays alone with
 // go test -run 'TestDiskCacheChaos/seed=N' ./internal/runner.
 func TestDiskCacheChaos(t *testing.T) {
 	want := map[string]int{} // spec key -> value
@@ -181,7 +185,8 @@ func chaosSeed(t *testing.T, seed int64, want map[string]int) {
 	for i := range specs {
 		specs[i] = r.IntN(chaosSpecs)
 	}
-	planted := map[string]bool{} // tmp files the test left, not the cache
+	planted := map[string]bool{}   // tmp files the test left, not the cache
+	damaged := map[string][]byte{} // entries the test damaged -> their bytes
 
 	runs := 1 + r.IntN(3)
 	for run := range runs {
@@ -208,11 +213,15 @@ func chaosSeed(t *testing.T, seed int64, want map[string]int) {
 		for i, n := range specs {
 			jobs[i] = chaosJob(i, n, panicAt, cancelAt, cancel)
 		}
+		wasDamaged := len(damaged)
 		res, err := Run(ctx, jobs, Options{Workers: workers, Cache: c})
 		cancel()
-		desc := fmt.Sprintf("run %d (workers=%d rate=%.2f panic=%d cancel=%d, %d faults)",
-			run, workers, fsys.rate, panicAt, cancelAt, fsys.faults.Load())
+		desc := fmt.Sprintf("run %d (workers=%d rate=%.2f panic=%d cancel=%d, %d faults, %d damaged entries)",
+			run, workers, fsys.rate, panicAt, cancelAt, fsys.faults.Load(), wasDamaged)
 		t.Logf("%s: err=%v", desc, err)
+		if n := c.DetailedStats().DiskCorruptions; n > int64(wasDamaged) {
+			t.Errorf("%s: counted %d corruptions", desc, n)
+		}
 		switch {
 		case err == nil:
 			checkChaosResults(t, desc, res, specs)
@@ -221,8 +230,8 @@ func chaosSeed(t *testing.T, seed int64, want map[string]int) {
 		default:
 			t.Fatalf("%s: unscheduled error %v", desc, err)
 		}
-		checkChaosDir(t, desc, dir, want, planted)
-		damageChaosDir(t, r, dir, planted)
+		checkChaosDir(t, desc, dir, want, planted, damaged)
+		damageChaosDir(t, r, dir, planted, damaged)
 	}
 
 	c, err := NewDiskCache(dir)
@@ -233,17 +242,22 @@ func chaosSeed(t *testing.T, seed int64, want map[string]int) {
 	for i, n := range specs {
 		jobs[i] = chaosJob(i, n, -1, -1, nil)
 	}
+	wasDamaged := len(damaged)
 	res, err := Run(t.Context(), jobs, Options{Workers: 1 << r.IntN(4), Cache: c})
 	if err != nil {
 		t.Fatalf("fault-free rerun: %v", err)
 	}
 	checkChaosResults(t, "fault-free rerun", res, specs)
+	if n := c.DetailedStats().DiskCorruptions; n != int64(wasDamaged) {
+		t.Errorf("fault-free rerun counted %d corruptions over %d damaged entries", n, wasDamaged)
+	}
 	distinct := map[int]bool{}
 	for _, n := range specs {
 		distinct[n] = true
 	}
-	if n := checkChaosDir(t, "fault-free rerun", dir, want, planted); n != len(distinct) {
-		t.Errorf("fault-free rerun left %d entries on disk, want one per spec (%d)", n, len(distinct))
+	if n := checkChaosDir(t, "fault-free rerun", dir, want, planted, damaged); n != len(distinct) || len(damaged) != 0 {
+		t.Errorf("fault-free rerun left %d entries on disk (%d of them damaged), want one healthy entry per spec (%d)",
+			n, len(damaged), len(distinct))
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -268,12 +282,15 @@ func checkChaosResults(t *testing.T, desc string, res []int, specs []int) {
 	}
 }
 
-// checkChaosDir asserts that every entry on disk decodes to its key's value
-// and that every tmp file is one the test planted. It returns the number of
-// entries.
-func checkChaosDir(t *testing.T, desc, dir string, want map[string]int, planted map[string]bool) int {
+// checkChaosDir asserts that every entry on disk decodes through its frame to
+// its key's value, or fails the frame check and is a damaged entry the cache
+// has not touched since, and that every tmp file is one the test planted. It
+// drops the entries the cache removed or rewrote from damaged and returns the
+// number of entries.
+func checkChaosDir(t *testing.T, desc, dir string, want map[string]int, planted map[string]bool, damaged map[string][]byte) int {
 	t.Helper()
 	entries := 0
+	stillDamaged := map[string]bool{}
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -286,30 +303,43 @@ func checkChaosDir(t *testing.T, desc, dir string, want map[string]int, planted 
 			return nil
 		}
 		entries++
-		key := strings.TrimSuffix(name, ".json")
+		key := strings.TrimSuffix(name, entryExt)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		var got int
-		if err := json.Unmarshal(raw, &got); err != nil || got != want[key] {
-			t.Errorf("%s: entry %s holds %q, want %d", desc, shortKey(key), raw, want[key])
+		untouched := damaged[path] != nil && bytes.Equal(raw, damaged[path])
+		got, err := decodeEntry[int](raw)
+		switch {
+		case untouched && err == nil:
+			t.Errorf("%s: damaged entry %s decodes (to %d)", desc, shortKey(key), got)
+		case untouched:
+			stillDamaged[path] = true
+		case err != nil || got != want[key]:
+			t.Errorf("%s: entry %s holds %q (%v), want %d", desc, shortKey(key), raw, err, want[key])
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for path := range damaged {
+		if !stillDamaged[path] {
+			delete(damaged, path)
+		}
+	}
 	return entries
 }
 
-// damageChaosDir leaves what a crash can: for a seeded share of the entries,
-// the entry is gone and a tmp file holds a prefix of its bytes cut at a seeded
-// offset (the write reached the tmp file, the rename never happened). Stray
-// tmp files with junk bytes land in random shards.
-func damageChaosDir(t *testing.T, r *rand.Rand, dir string, planted map[string]bool) {
+// damageChaosDir leaves what a crash or a failing disk can. For a seeded half
+// of the entries, in equal shares: the entry is gone and a tmp file holds a
+// prefix of its bytes cut at a seeded offset (the write reached the tmp file,
+// the rename never happened); the entry is cut short in place at a seeded
+// offset; or one bit of it, at a seeded offset, is flipped. The last two are
+// recorded in damaged. Stray tmp files with junk bytes land in random shards.
+func damageChaosDir(t *testing.T, r *rand.Rand, dir string, planted map[string]bool, damaged map[string][]byte) {
 	t.Helper()
-	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*"+entryExt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,17 +353,34 @@ func damageChaosDir(t *testing.T, r *rand.Rand, dir string, planted map[string]b
 		planted[path] = true
 	}
 	for _, path := range entries {
-		if r.IntN(4) != 0 {
+		damage := r.IntN(6)
+		if damage > 2 {
 			continue
 		}
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Remove(path); err != nil {
+		if len(raw) == 0 {
+			continue // cut to nothing by an earlier run's damage
+		}
+		switch damage {
+		case 0:
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			plant(fmt.Sprintf("%s.%d.tmp", path, r.Uint32()), raw[:r.IntN(len(raw)+1)])
+			delete(damaged, path)
+			continue
+		case 1:
+			raw = raw[:r.IntN(len(raw))]
+		case 2:
+			raw[r.IntN(len(raw))] ^= 1 << r.IntN(8)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		plant(fmt.Sprintf("%s.%d.tmp", path, r.Uint32()), raw[:r.IntN(len(raw)+1)])
+		damaged[path] = raw
 	}
 	for range r.IntN(3) {
 		plant(filepath.Join(dir, fmt.Sprintf("%02x", r.IntN(256)), fmt.Sprintf("stray.%d.tmp", r.Uint32())),

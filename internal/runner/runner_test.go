@@ -188,12 +188,12 @@ func TestDiskCachePersistsAcrossInstances(t *testing.T) {
 	if computed.Load() != 1 {
 		t.Fatalf("computed %d times, want 1", computed.Load())
 	}
-	// Entries land in the sharded layout: dir/<2-hex-chars>/<key>.json.
-	files, _ := filepath.Glob(filepath.Join(dir, "??", "*.json"))
+	// Entries land in the sharded layout: dir/<2-hex-chars>/<key>.entry.
+	files, _ := filepath.Glob(filepath.Join(dir, "??", "*"+entryExt))
 	if len(files) != 1 {
 		t.Fatalf("cache dir holds %d sharded files, want 1", len(files))
 	}
-	if flat, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(flat) != 0 {
+	if flat, _ := filepath.Glob(filepath.Join(dir, "*"+entryExt)); len(flat) != 0 {
 		t.Fatalf("cache dir holds %d flat files, want 0", len(flat))
 	}
 }
@@ -214,7 +214,7 @@ func TestDiskCacheShardLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Join(dir, key[:2], key+".json")
+	want := filepath.Join(dir, key[:2], key+entryExt)
 	if _, err := os.Stat(want); err != nil {
 		t.Fatalf("expected entry at %s: %v", want, err)
 	}

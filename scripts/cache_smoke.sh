@@ -31,8 +31,8 @@ cmp -s "$workdir/base.json" "$workdir/bounded.json" || {
     exit 1
 }
 
-# The spill tier must actually hold entries (sharded layout dir/ab/<key>.json).
-spilled=$(find "$workdir/cache" -name '*.json' | wc -l)
+# The spill tier must actually hold entries (sharded layout dir/ab/<key>.entry).
+spilled=$(find "$workdir/cache" -name '*.entry' | wc -l)
 [ "$spilled" -gt 0 ] || { echo "cache-smoke: disk tier holds no entries"; exit 1; }
 
 # A second bounded run re-serves evicted entries from the disk tier.
