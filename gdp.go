@@ -129,7 +129,7 @@ func NewPTCA(cores int) (Accountant, error) { return accounting.NewPTCA(cores) }
 // NewASM creates the invasive ASM baseline with the given epoch length in
 // cycles (0 selects the default).
 func NewASM(cores int, epochLen uint64) (Accountant, error) {
-	return accounting.NewASM(cores, epochLen, nil)
+	return accounting.NewASM(cores, epochLen)
 }
 
 // Partitioning types.

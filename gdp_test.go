@@ -86,7 +86,6 @@ func TestPublicEndToEndRun(t *testing.T) {
 		Seed:                9,
 		Accountants:         []Accountant{acct},
 		Partitioner:         MCPOPolicy,
-		PartitionSource:     "GDP-O",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,16 +16,10 @@ package accounting
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
 )
-
-// NoEvent is returned by an accountant's NextEvent when its Tick never needs
-// to run at any particular cycle (transparent techniques). The simulation
-// driver treats it as "no constraint on fast-forwarding".
-const NoEvent = uint64(math.MaxUint64)
 
 // Estimate is one per-core, per-interval private-mode performance estimate.
 type Estimate struct {
@@ -54,15 +48,6 @@ type Accountant interface {
 	Probe(core int) cpu.Probe
 	// ObserveRequest is called for every completed shared-memory request.
 	ObserveRequest(core int, req *mem.Request)
-	// Tick runs at cycle 0 and then only on the cycles NextEvent named (used
-	// by invasive techniques such as ASM to drive their epoch schedule). Most
-	// techniques ignore it.
-	Tick(now uint64)
-	// NextEvent is asked right after each Tick. It returns the next cycle,
-	// strictly after now, on which Tick needs to run, or NoEvent when Tick
-	// never acts again. The driver never skips past it and holds on to the
-	// bound until that cycle, so only the Tick there may move it.
-	NextEvent(now uint64) uint64
 	// Estimate produces the private-mode estimate for one core given the
 	// interval's shared-mode statistics.
 	Estimate(core int, interval cpu.Stats) Estimate
@@ -89,7 +74,7 @@ func New(name string, cores, prbEntries int, asmEpoch uint64) (Accountant, error
 	case "PTCA":
 		return NewPTCA(cores)
 	case "ASM":
-		return NewASM(cores, asmEpoch, nil)
+		return NewASM(cores, asmEpoch)
 	default:
 		return nil, fmt.Errorf("accounting: unknown technique %q (want one of %v)", name, Names)
 	}
@@ -121,7 +106,9 @@ func gdpEstimate(interval cpu.Stats, cpl uint64, avgOverlap, privateLatency floa
 	if effectiveLatency < 0 {
 		effectiveLatency = 0
 	}
-	smsStall := float64(cpl) * effectiveLatency
+	// Each product is rounded by its float64 conversion, which keeps arm64
+	// from fusing it into Equation 2's sum (make fma-check).
+	smsStall := float64(float64(cpl) * effectiveLatency)
 
 	// σ̂^Other: the rare other stalls scale with the latency reduction between
 	// the shared and private modes (Section III).
@@ -129,7 +116,7 @@ func gdpEstimate(interval cpu.Stats, cpl uint64, avgOverlap, privateLatency floa
 	if shared := interval.AvgSMSLatency(); shared > 0 && privateLatency > 0 && privateLatency < shared {
 		scale = privateLatency / shared
 	}
-	otherStall := float64(interval.StallOther) * scale
+	otherStall := float64(float64(interval.StallOther) * scale)
 
 	cpi, ipc := cpiFromCycles(privateCycles(interval, smsStall, otherStall), interval)
 	return Estimate{

@@ -36,7 +36,7 @@ func TestAccountantConstructorsRejectZeroCores(t *testing.T) {
 	if _, err := NewPTCA(0); err == nil {
 		t.Error("PTCA with zero cores accepted")
 	}
-	if _, err := NewASM(0, 1000, nil); err == nil {
+	if _, err := NewASM(0, 1000); err == nil {
 		t.Error("ASM with zero cores accepted")
 	}
 }
@@ -46,7 +46,7 @@ func TestNamesMatchPaperFigures(t *testing.T) {
 	gdpo, _ := NewGDP(2, 32, true)
 	itca, _ := NewITCA(2)
 	ptca, _ := NewPTCA(2)
-	asm, _ := NewASM(2, 1000, nil)
+	asm, _ := NewASM(2, 1000)
 	for got, want := range map[string]string{
 		gdp.Name():  "GDP",
 		gdpo.Name(): "GDP-O",
@@ -81,12 +81,11 @@ func TestAllAccountantsImplementInterface(t *testing.T) {
 	gdp, _ := NewGDP(2, 32, false)
 	itca, _ := NewITCA(2)
 	ptca, _ := NewPTCA(2)
-	asm, _ := NewASM(2, 1000, nil)
+	asm, _ := NewASM(2, 1000)
 	for _, a := range []Accountant{gdp, itca, ptca, asm} {
 		if a.Probe(0) == nil && a.Name() != "ASM" && a.Name() != "ITCA" {
 			t.Errorf("%s returned a nil probe", a.Name())
 		}
-		a.Tick(0)
 		a.ObserveRequest(0, &mem.Request{Core: 0})
 		_ = a.Estimate(0, interval(100000, 40000, 50000, 30000))
 		a.EndInterval()
@@ -344,39 +343,56 @@ func TestPTCAIgnoresROBNotFull(t *testing.T) {
 	}
 }
 
+// TestASMEpochRotation checks ASM's schedule as its probe and the memory
+// controller see it: with 1000-cycle epochs on 4 cores a completion is
+// credited as high-priority exactly in the core's own epochs (cores 0, 1, 2,
+// 3, then 0 again), and BindController hands the controller the same
+// rotation, so in core 1's epoch its request is scheduled ahead of an older
+// one from core 0 to the same bank.
 func TestASMEpochRotation(t *testing.T) {
-	ctrl := dram.New(config.PaperConfig(4).DRAM)
-	a, _ := NewASM(4, 1000, ctrl)
-	a.Tick(0)
-	if a.currentOwner != 0 || ctrl.PriorityCore() != 0 {
-		t.Fatalf("epoch 0 should belong to core 0 (owner=%d prio=%d)", a.currentOwner, ctrl.PriorityCore())
+	a, _ := NewASM(4, 1000)
+	for _, c := range []struct {
+		cycle uint64
+		owner int
+	}{{0, 0}, {999, 0}, {1000, 1}, {2500, 2}, {3999, 3}, {4000, 0}, {5000, 1}} {
+		for core, p := range a.probes {
+			p.OnLoadCompleted(0, true, c.cycle, 0, 0, 0)
+			if got, want := p.hpAccesses == 1, core == c.owner; got != want {
+				t.Errorf("cycle %d: core %d credited as high-priority %v, want %v", c.cycle, core, got, want)
+			}
+			p.totalAccesses, p.hpAccesses = 0, 0
+		}
 	}
-	for now := uint64(1); now <= 1000; now++ {
-		a.Tick(now)
+
+	cfg := config.PaperConfig(4).DRAM
+	ctrl := dram.New(cfg)
+	a.BindController(ctrl)
+	older := &mem.Request{ID: 1, Core: 0, Addr: 0}
+	younger := &mem.Request{ID: 2, Core: 1, Addr: uint64(cfg.PageBytes * cfg.Channels * cfg.BanksPerChan)}
+	ctrl.Enqueue(older, 1000)
+	ctrl.Enqueue(younger, 1001)
+	for now := uint64(1002); now < 3000; now++ {
+		if done := ctrl.Tick(now); len(done) > 0 {
+			if done[0] != younger {
+				t.Errorf("core 1's epoch: core %d's request completed first, want core 1's", done[0].Core)
+			}
+			return
+		}
 	}
-	if a.currentOwner != 1 || ctrl.PriorityCore() != 1 {
-		t.Errorf("after one epoch the owner should be core 1, got %d", a.currentOwner)
-	}
-	for now := uint64(1001); now <= 4000; now++ {
-		a.Tick(now)
-	}
-	if a.currentOwner != 0 {
-		t.Errorf("epochs should wrap around to core 0, got %d", a.currentOwner)
-	}
+	t.Fatal("no request completed")
 }
 
 // TestASMOwnedCyclesFollowTheEpochSchedule checks ownedCycles, the closed
-// form ASM divides its high-priority accesses by, against the schedule its
-// Tick keeps when it runs on every cycle: up to any cycle, a core owns exactly
-// the cycles on which it was the current owner.
+// form ASM divides its high-priority accesses by, against the schedule
+// counted cycle by cycle: up to any cycle, a core owns exactly the cycles of
+// which it is the epoch owner.
 func TestASMOwnedCyclesFollowTheEpochSchedule(t *testing.T) {
 	for _, cores := range []int{1, 2, 3, 4} {
 		for _, epoch := range []uint64{1, 7, 100} {
-			a, _ := NewASM(cores, epoch, nil)
+			a, _ := NewASM(cores, epoch)
 			owned := make([]uint64, cores)
 			for now := uint64(0); now < 2000; now++ {
-				a.Tick(now)
-				owned[a.currentOwner]++
+				owned[now/epoch%uint64(cores)]++
 				for c := range cores {
 					if got := a.ownedCycles(c, now+1); got != owned[c] {
 						t.Fatalf("%d cores, epoch %d: core %d owns %d of the cycles below %d, the schedule gave it %d",
@@ -389,22 +405,18 @@ func TestASMOwnedCyclesFollowTheEpochSchedule(t *testing.T) {
 }
 
 // runASMInterval drives a run of a (2 cores, 100-cycle epochs) from cycle 0
-// to cycle end, ticking it on its epoch boundaries as the step loop does.
-// Core 0 completes an access every 5 cycles of its high-priority epochs (the
-// even ones) and every 10 cycles of the others.
+// to cycle end. Core 0 completes an access every 5 cycles of its
+// high-priority epochs (the even ones) and every 10 cycles of the others.
 func runASMInterval(a *ASM, end uint64) {
 	for now := range end {
-		if now%100 == 0 {
-			a.Tick(now)
-		}
-		if (a.currentOwner == 0 && now%5 == 0) || now%10 == 0 {
+		if (now/100%2 == 0 && now%5 == 0) || now%10 == 0 {
 			a.probes[0].OnLoadCompleted(0, true, now, 0, 0, 0)
 		}
 	}
 }
 
 func TestASMSlowdownEstimate(t *testing.T) {
-	a, _ := NewASM(2, 100, nil)
+	a, _ := NewASM(2, 100)
 	p := a.probes[0]
 	// Over a 1000-cycle interval core 0 completes 100 of 150 accesses in its
 	// 500 high-priority cycles, so the slowdown is (100/500) / (150/1000) = 4/3.
@@ -426,27 +438,23 @@ func TestASMSlowdownEstimate(t *testing.T) {
 	}
 }
 
-// TestASMRestartsAtCycleZero reuses one ASM for a second run that starts
-// while the first has left core 1 owning the epoch, an interval open and a
-// later interval start: Tick(0) must begin the schedule ownedCycles assumes,
-// so the second run estimates what a fresh instance does.
-func TestASMRestartsAtCycleZero(t *testing.T) {
+// TestASMRestartsOnBindController reuses one ASM for a second run after the
+// first has left an interval open, accesses counted and a later interval
+// start: BindController, which the driver calls at the start of every run,
+// must reset them, so the second run estimates what a fresh instance does.
+func TestASMRestartsOnBindController(t *testing.T) {
 	iv := interval(1000, 500, 300, 700)
-	fresh, _ := NewASM(2, 100, nil)
+	fresh, _ := NewASM(2, 100)
 	runASMInterval(fresh, 1000)
 	want := fresh.Estimate(0, iv)
 
-	a, _ := NewASM(2, 100, nil)
+	a, _ := NewASM(2, 100)
 	runASMInterval(a, 1000)
 	a.Estimate(0, iv)
 	a.EndInterval()
-	for now := uint64(1000); now < 1150; now += 100 {
-		a.Tick(now)
-	}
 	a.probes[0].OnLoadCompleted(0, true, 1149, 0, 0, 0)
-	if a.currentOwner != 1 {
-		t.Fatalf("first run should end in core 1's epoch, got core %d", a.currentOwner)
-	}
+	a.Estimate(0, interval(150, 100, 50, 100))
+	a.BindController(nil)
 	runASMInterval(a, 1000)
 	if got := a.Estimate(0, iv); got != want {
 		t.Errorf("second run estimates %+v, a fresh ASM %+v", got, want)
@@ -454,7 +462,7 @@ func TestASMRestartsAtCycleZero(t *testing.T) {
 }
 
 func TestASMWithoutActivityFallsBackToSharedCPI(t *testing.T) {
-	a, _ := NewASM(2, 100, nil)
+	a, _ := NewASM(2, 100)
 	iv := interval(1000, 500, 300, 700)
 	est := a.Estimate(0, iv)
 	if est.PrivateCPI != iv.CPI() {

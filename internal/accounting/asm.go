@@ -23,27 +23,23 @@ import (
 // high-priority epoch with a queue backlog measures a distorted alone-rate,
 // and the distortion grows with core count because epochs recur less often.
 type ASM struct {
-	cores      int
-	epochLen   uint64
-	controller *dram.Controller
+	cores    int
+	epochLen uint64
 
 	probes []*asmProbe
-
-	currentOwner int
-	epochStart   uint64
 
 	// intervalStart is the first cycle of the interval being estimated.
 	// Intervals tile the run from cycle 0, so Estimate sets intervalEnd from
 	// the interval's length and EndInterval, which runs after the interval's
-	// Estimates, moves the start there. Tick(0) starts both, and the epoch
-	// schedule, afresh, so an instance can serve one run after another.
+	// Estimates, moves the start there. BindController starts both afresh,
+	// so an instance can serve one run after another.
 	intervalStart, intervalEnd uint64
 }
 
 // asmProbe counts per-core shared-memory accesses, split into those that
 // complete during the core's high-priority epochs and all of them. The cycles
 // they are divided by need no probe: the interval's length is in its Stats,
-// and the high-priority share follows from the fixed epoch schedule.
+// and the high-priority share follows from the epoch schedule.
 type asmProbe struct {
 	cpu.NopProbe
 	core  int
@@ -53,36 +49,43 @@ type asmProbe struct {
 	hpAccesses    uint64
 }
 
-// OnLoadCompleted counts completed shared-memory accesses.
-func (p *asmProbe) OnLoadCompleted(_ uint64, sms bool, _ uint64, _, _, _ uint64) {
+// OnLoadCompleted counts completed shared-memory accesses, crediting one to
+// the high-priority count when the core owns its completion cycle.
+func (p *asmProbe) OnLoadCompleted(_ uint64, sms bool, cycle uint64, _, _, _ uint64) {
 	if !sms {
 		return
 	}
 	p.totalAccesses++
-	if p.owner.currentOwner == p.core {
+	if dram.EpochOwner(cycle, p.owner.epochLen, p.owner.cores) == p.core {
 		p.hpAccesses++
 	}
 }
 
-// BindController attaches the memory controller ASM manipulates. The
-// simulation driver calls it once the shared memory system exists, so an ASM
-// instance can be constructed before the system it will be attached to.
-func (a *ASM) BindController(c *dram.Controller) { a.controller = c }
+// BindController starts a run: it programs c with ASM's epoch rotation, which
+// is the invasive part, and resets the per-run state. The simulation driver
+// calls it once the shared memory system exists, so an ASM instance can be
+// constructed before the system it will be attached to. A nil c (for tests)
+// leaves the priority manipulation out; the estimation model still runs.
+func (a *ASM) BindController(c *dram.Controller) {
+	if c != nil {
+		c.SetRotation(a.epochLen, a.cores)
+	}
+	a.intervalStart, a.intervalEnd = 0, 0
+	for _, p := range a.probes {
+		p.totalAccesses, p.hpAccesses = 0, 0
+	}
+}
 
-// NewASM creates an ASM accountant. controller may be nil (for tests); then
-// the priority manipulation is skipped but the estimation model still runs.
-func NewASM(cores int, epochLen uint64, controller *dram.Controller) (*ASM, error) {
+// NewASM creates an ASM accountant whose high-priority epoch rotates every
+// epochLen cycles (0 selects 5000).
+func NewASM(cores int, epochLen uint64) (*ASM, error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("accounting: need at least one core")
 	}
 	if epochLen == 0 {
 		epochLen = 5000
 	}
-	a := &ASM{
-		cores:      cores,
-		epochLen:   epochLen,
-		controller: controller,
-	}
+	a := &ASM{cores: cores, epochLen: epochLen}
 	for c := 0; c < cores; c++ {
 		a.probes = append(a.probes, &asmProbe{core: c, owner: a})
 	}
@@ -98,52 +101,15 @@ func (a *ASM) Probe(core int) cpu.Probe { return a.probes[core] }
 // ObserveRequest implements Accountant.
 func (a *ASM) ObserveRequest(int, *mem.Request) {}
 
-// Tick implements Accountant: it advances the rotating high-priority epoch
-// and programs the memory controller accordingly. This is the invasive part.
-// Cycle 0 starts a run: core 0 owns the first epoch and the first interval
-// begins, which is the schedule ownedCycles assumes.
-func (a *ASM) Tick(now uint64) {
-	switch {
-	case now == 0:
-		a.currentOwner = 0
-		a.intervalStart, a.intervalEnd = 0, 0
-		for _, p := range a.probes {
-			p.totalAccesses, p.hpAccesses = 0, 0
-		}
-	case now-a.epochStart >= a.epochLen:
-		a.currentOwner = (a.currentOwner + 1) % a.cores
-	default:
-		return
-	}
-	a.epochStart = now
-	if a.controller != nil {
-		a.controller.SetPriorityCore(a.currentOwner)
-	}
-}
-
-// NextEvent implements Accountant: ASM's Tick must run at every epoch
-// boundary (it rotates the high-priority core and reprograms the memory
-// controller), so the fast-forwarding driver never skips past one. Epoch k
-// therefore covers cycles [k·epochLen, (k+1)·epochLen) and belongs to core
-// k mod cores, which is what ownedCycles counts.
-func (a *ASM) NextEvent(now uint64) uint64 {
-	next := a.epochStart + a.epochLen
-	if next <= now {
-		return now + 1
-	}
-	return next
-}
-
 // ownedCycles returns how many of the cycles [0, to) fall in core's
-// high-priority epochs.
+// high-priority epochs: epochLen for each full rotation, plus the part of
+// the last one up to the owner of cycle to.
 func (a *ASM) ownedCycles(core int, to uint64) uint64 {
-	epochs := to / a.epochLen
-	cores := uint64(a.cores)
-	n := epochs / cores * a.epochLen
-	switch rem := epochs % cores; {
-	case rem > uint64(core):
+	n := to / a.epochLen / uint64(a.cores) * a.epochLen
+	switch owner := dram.EpochOwner(to, a.epochLen, a.cores); {
+	case owner > core:
 		n += a.epochLen
-	case rem == uint64(core):
+	case owner == core:
 		n += to % a.epochLen
 	}
 	return n
@@ -177,7 +143,7 @@ func (a *ASM) Estimate(core int, interval cpu.Stats) Estimate {
 	if slowdown > 0 && sharedCPI > 0 {
 		privateCPI = sharedCPI / slowdown
 	}
-	privateCycles := privateCPI * float64(interval.Instructions)
+	privateCycles := float64(privateCPI * float64(interval.Instructions)) // rounded, not fused (make fma-check)
 	_, ipc := cpiFromCycles(privateCycles, interval)
 	return Estimate{
 		PrivateCPI:     privateCPI,

@@ -63,13 +63,6 @@ func (a *GDPAccountant) ObserveRequest(core int, req *mem.Request) {
 	a.latency.Observe(req)
 }
 
-// Tick implements Accountant (GDP is transparent: nothing to do).
-func (a *GDPAccountant) Tick(uint64) {}
-
-// NextEvent implements Accountant: GDP's Tick never acts, so it contributes
-// no events to the fast-forwarding schedule.
-func (a *GDPAccountant) NextEvent(uint64) uint64 { return NoEvent }
-
 // Estimate implements Accountant using Equation 2.
 func (a *GDPAccountant) Estimate(core int, interval cpu.Stats) Estimate {
 	cpl, overlap := a.units[core].Retrieve()

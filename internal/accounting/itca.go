@@ -68,13 +68,6 @@ func (a *ITCA) Probe(core int) cpu.Probe { return a.probes[core] }
 // ObserveRequest implements Accountant (ITCA does not use completed requests).
 func (a *ITCA) ObserveRequest(int, *mem.Request) {}
 
-// Tick implements Accountant (transparent technique).
-func (a *ITCA) Tick(uint64) {}
-
-// NextEvent implements Accountant: ITCA's Tick never acts, so it contributes
-// no events to the fast-forwarding schedule.
-func (a *ITCA) NextEvent(uint64) uint64 { return NoEvent }
-
 // Estimate implements Accountant: private cycles = shared cycles minus the
 // cycles matching ITCA's interference conditions.
 func (a *ITCA) Estimate(core int, interval cpu.Stats) Estimate {

@@ -104,13 +104,6 @@ func (a *PTCA) Probe(core int) cpu.Probe { return a.probes[core] }
 // directly from the head request during stalls).
 func (a *PTCA) ObserveRequest(int, *mem.Request) {}
 
-// Tick implements Accountant (transparent technique).
-func (a *PTCA) Tick(uint64) {}
-
-// NextEvent implements Accountant: PTCA's Tick never acts, so it contributes
-// no events to the fast-forwarding schedule.
-func (a *PTCA) NextEvent(uint64) uint64 { return NoEvent }
-
 // Estimate implements Accountant.
 func (a *PTCA) Estimate(core int, interval cpu.Stats) Estimate {
 	p := a.probes[core]

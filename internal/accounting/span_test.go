@@ -18,7 +18,7 @@ func spanAccountants(t testing.TB) []Accountant {
 	gdpo, err2 := NewGDP(2, 4, true)
 	itca, err3 := NewITCA(2)
 	ptca, err4 := NewPTCA(2)
-	asm, err5 := NewASM(2, 40, nil)
+	asm, err5 := NewASM(2, 40)
 	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func spanAccountants(t testing.TB) []Accountant {
 }
 
 // replaySpans decodes ops into a stream of probe events, stall spans,
-// committing runs, ASM epoch ticks and interval ends. It feeds every stall
+// committing runs, interference changes and interval ends. It feeds every stall
 // span to the stall probes of one accountant set as a single OnCycles(s, n)
 // call and to those of another as n calls OnCycles(s, 1), and every other
 // event to both alike; a committing run only advances the committing-cycle
@@ -113,11 +113,6 @@ func replaySpans(t *testing.T, ops []byte) {
 			both(func(p cpu.Probe) { p.OnCommitResume(addr, op&0x80 == 0, now) })
 		case 7:
 			switch (op >> 3) % 4 {
-			case 0: // ASM's epoch schedule
-				for k := range spans {
-					spans[k].Tick(now)
-					units[k].Tick(now)
-				}
 			case 1: // an in-flight request's interference moves between spans
 				r := reqs[int(op>>5)%len(reqs)]
 				r.InterferenceMiss = !r.InterferenceMiss

@@ -103,10 +103,8 @@ type StallProbe interface {
 	//
 	// Only this core is idle over a span: the driver defers the call until
 	// the core's next event, so other cores and the memory system may have
-	// acted on cycles inside it. A span may read the probe's own state, the
-	// snapshot, and state its accountant changes only in a Tick scheduled by
-	// the accountant's NextEvent (the driver settles every core before such a
-	// Tick). Of an in-flight request the snapshot points to it may read
+	// acted on cycles inside it. A span may read the probe's own state and
+	// the snapshot. Of an in-flight request the snapshot points to it may read
 	// InterferenceMiss (kept constant over a span via
 	// memsys.System.OnInterferenceMiss) and nothing else: the interference
 	// counters keep running until the request completes.

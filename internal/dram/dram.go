@@ -3,8 +3,9 @@
 // buffers and DDR2/DDR4 timing. The model exposes the two hooks the GDP
 // evaluation needs beyond plain timing:
 //
-//   - a per-core priority override used by the invasive ASM accounting scheme
-//     (a prioritized core's requests are scheduled ahead of FR-FCFS order), and
+//   - the priority rotation of the invasive ASM accounting scheme (the owner
+//     of the current epoch has its requests scheduled ahead of FR-FCFS
+//     order), and
 //   - per-request interference counters (queueing delay behind other cores and
 //     row-buffer locality destroyed by other cores) consumed by DIEF.
 package dram
@@ -59,7 +60,10 @@ type Controller struct {
 	// if reads are pending: three quarters of the write queue.
 	drainAt int
 
-	priorityCore int // core whose requests are scheduled first (-1 = none)
+	// epoch and cores are the priority rotation SetRotation programs: each
+	// cycle's EpochOwner is scheduled first. epoch 0 means no rotation.
+	epoch uint64
+	cores int
 
 	// doneBuf is the reused Tick return buffer (valid until the next Tick).
 	doneBuf []*mem.Request
@@ -79,7 +83,7 @@ type Controller struct {
 // New creates a memory controller for a DRAM configuration that
 // config.CMPConfig.Validate accepted.
 func New(cfg config.DRAMConfig) *Controller {
-	c := &Controller{cfg: cfg, drainAt: cfg.WriteQueue * 3 / 4, priorityCore: -1}
+	c := &Controller{cfg: cfg, drainAt: cfg.WriteQueue * 3 / 4}
 	c.channels = make([]channel, cfg.Channels)
 	for i := range c.channels {
 		c.channels[i].banks = make([]bankState, cfg.BanksPerChan)
@@ -91,12 +95,17 @@ func New(cfg config.DRAMConfig) *Controller {
 	return c
 }
 
-// SetPriorityCore gives core the highest scheduling priority (ASM's invasive
-// mechanism). Pass -1 to restore pure FR-FCFS.
-func (c *Controller) SetPriorityCore(core int) { c.priorityCore = core }
+// EpochOwner is ASM's priority schedule: epoch k covers cycles
+// [k·epoch, (k+1)·epoch) and belongs to core k mod cores, so core 0 owns the
+// epoch a run starts in. epoch must be positive.
+func EpochOwner(cycle, epoch uint64, cores int) int {
+	return int(cycle / epoch % uint64(cores))
+}
 
-// PriorityCore returns the currently prioritized core, or -1.
-func (c *Controller) PriorityCore() int { return c.priorityCore }
+// SetRotation makes the controller schedule the requests of each cycle's
+// EpochOwner ahead of FR-FCFS order (ASM's invasive mechanism). An epoch of
+// 0 restores pure FR-FCFS.
+func (c *Controller) SetRotation(epoch uint64, cores int) { c.epoch, c.cores = epoch, cores }
 
 // mapAddress returns the channel, bank and row for an address. Pages are
 // interleaved across channels and banks so that accesses within one DRAM page
@@ -167,12 +176,12 @@ func (c *Controller) serviceLatency(b *bankState, row uint64) (int, int) {
 }
 
 // pickFRFCFS selects the index of the next request to service from q per
-// FR-FCFS with the optional priority core: priority-core requests first, then
+// FR-FCFS with the optional priority core (-1: none): its requests first, then
 // row hits, then oldest-first (queue order breaks exact ties, so the choice
 // is deterministic). It only considers requests whose bank is free. Returns
 // -1 when nothing can issue. The selection is a single allocation-free pass —
 // this runs once per channel per cycle, squarely on the hot path.
-func (c *Controller) pickFRFCFS(chn *channel, q []queued, now uint64) int {
+func (c *Controller) pickFRFCFS(chn *channel, q []queued, now uint64, priorityCore int) int {
 	best := -1
 	var bestPriority, bestRowHit bool
 	var bestArrival uint64
@@ -181,7 +190,7 @@ func (c *Controller) pickFRFCFS(chn *channel, q []queued, now uint64) int {
 		if b.busyUntil > now {
 			continue
 		}
-		priority := q[i].req.Core == c.priorityCore
+		priority := q[i].req.Core == priorityCore
 		rowHit := b.rowOpen && b.openRow == q[i].row
 		if best >= 0 {
 			if bestPriority != priority {
@@ -206,6 +215,10 @@ func (c *Controller) pickFRFCFS(chn *channel, q []queued, now uint64) int {
 // only valid until the next Tick.
 func (c *Controller) Tick(now uint64) []*mem.Request {
 	done := c.doneBuf[:0]
+	priorityCore := -1
+	if c.epoch > 0 {
+		priorityCore = EpochOwner(now, c.epoch, c.cores)
+	}
 	for chIdx := range c.channels {
 		chn := &c.channels[chIdx]
 
@@ -249,7 +262,7 @@ func (c *Controller) Tick(now uint64) []*mem.Request {
 		if useWrites {
 			q = &chn.writeQ
 		}
-		idx := c.pickFRFCFS(chn, *q, now)
+		idx := c.pickFRFCFS(chn, *q, now, priorityCore)
 		if idx < 0 {
 			continue
 		}

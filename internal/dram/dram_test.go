@@ -92,24 +92,53 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	}
 }
 
-func TestPriorityCoreOverridesFRFCFS(t *testing.T) {
-	c := New(testConfig())
-	c.SetPriorityCore(1)
-	if c.PriorityCore() != 1 {
-		t.Fatal("priority core not recorded")
+// TestEpochOwnerRotates pins ASM's schedule: epoch k covers cycles
+// [k·epoch, (k+1)·epoch) and belongs to core k mod cores.
+func TestEpochOwnerRotates(t *testing.T) {
+	for _, c := range []struct {
+		cycle, epoch uint64
+		cores, owner int
+	}{
+		{0, 100, 3, 0}, {99, 100, 3, 0}, {100, 100, 3, 1}, {299, 100, 3, 2}, {300, 100, 3, 0},
+		{7, 1, 4, 3}, {1 << 40, 1 << 40, 2, 1}, {12345, 5000, 1, 0},
+	} {
+		if got := EpochOwner(c.cycle, c.epoch, c.cores); got != c.owner {
+			t.Errorf("EpochOwner(%d, %d, %d) = %d, want %d", c.cycle, c.epoch, c.cores, got, c.owner)
+		}
 	}
-	// Same-bank requests: core 0 arrives first, core 1 second, but core 1 has
-	// priority and should complete first.
-	a := &mem.Request{ID: 1, Core: 0, Addr: 0x0}
-	b := &mem.Request{ID: 2, Core: 1, Addr: uint64(testConfig().PageBytes * testConfig().BanksPerChan)}
-	c.Enqueue(a, 0)
-	c.Enqueue(b, 1)
-	done := drain(c, 2, 2, 20000)
-	if len(done) != 2 {
-		t.Fatal("requests did not complete")
-	}
-	if done[0].Core != 1 {
-		t.Errorf("prioritized core did not complete first (first was core %d)", done[0].Core)
+}
+
+// TestRotationOverridesFRFCFS: two same-bank reads, the older from one core
+// and the younger from the other. Pure FR-FCFS serves the older first; under
+// a rotation the epoch owner's goes first, whichever core that is.
+func TestRotationOverridesFRFCFS(t *testing.T) {
+	const epoch = 1000
+	for _, c := range []struct {
+		name     string
+		epoch    uint64
+		start    uint64 // arrival cycle of the older request
+		older    int    // core of the older request
+		wantCore int    // core served first
+	}{
+		{"no rotation", 0, 0, 0, 0},
+		{"core 1's epoch", epoch, epoch, 0, 1},
+		{"core 0's epoch", epoch, 2 * epoch, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctl := New(testConfig())
+			ctl.SetRotation(c.epoch, 2)
+			a := &mem.Request{ID: 1, Core: c.older, Addr: 0x0}
+			b := &mem.Request{ID: 2, Core: 1 - c.older, Addr: uint64(testConfig().PageBytes * testConfig().BanksPerChan)}
+			ctl.Enqueue(a, c.start)
+			ctl.Enqueue(b, c.start+1)
+			done := drain(ctl, c.start+2, 2, 20000)
+			if len(done) != 2 {
+				t.Fatal("requests did not complete")
+			}
+			if done[0].Core != c.wantCore {
+				t.Errorf("core %d completed first, want core %d", done[0].Core, c.wantCore)
+			}
+		})
 	}
 }
 

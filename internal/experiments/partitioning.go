@@ -202,7 +202,6 @@ func runPolicyCell(ctx context.Context, opts PartitioningOptions, wl workload.Wo
 		Seed:                simSeed,
 		Accountants:         accts,
 		Partitioner:         pol,
-		PartitionSource:     source,
 		DiscardIntervals:    true, // only SampleStats is read
 		Metrics:             opts.Instr.simMetrics(),
 	})

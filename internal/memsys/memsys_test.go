@@ -214,9 +214,41 @@ func TestATDAccessorsAndControllerExposed(t *testing.T) {
 	if s.Controller() == nil || s.llc == nil {
 		t.Error("controller and LLC must be exposed")
 	}
-	s.Controller().SetPriorityCore(1)
-	if s.Controller().PriorityCore() != 1 {
-		t.Error("priority hook not reachable through the system")
+}
+
+// TestRotationReachesTheController sets ASM's rotation through Controller
+// and floods DRAM from two cores inside core 1's epoch: every one of core
+// 1's reads must complete before core 0's last, and its total latency must
+// be below core 0's, so the controller the system exposes is the one it
+// ticks.
+func TestRotationReachesTheController(t *testing.T) {
+	const epoch = 1 << 20 // core 1 owns [epoch, 2·epoch), longer than the run
+	s := newSystem(t, 2)
+	s.Controller().SetRotation(epoch, 2)
+	n := 0
+	for i := 0; i < 12; i++ {
+		for c := 0; c < 2; c++ {
+			s.Submit(c, uint64(c)<<24|uint64(i)*4096, false, epoch)
+			n++
+		}
+	}
+	done := runUntil(s, epoch, n, epoch)
+	if len(done[0])+len(done[1]) != n {
+		t.Fatal("requests did not complete")
+	}
+	latency := func(reqs []*mem.Request) (sum, last uint64) {
+		for _, r := range reqs {
+			sum += r.CompleteCycle - r.IssueCycle
+			last = max(last, r.CompleteCycle)
+		}
+		return sum, last
+	}
+	sum0, last0 := latency(done[0])
+	sum1, last1 := latency(done[1])
+	t.Logf("core 0: latency %d, last %d; core 1: latency %d, last %d", sum0, last0, sum1, last1)
+	if sum1 >= sum0 || last1 >= last0 {
+		t.Errorf("core 1 owns the epoch but its reads took %d cycles in total and ended at %d, core 0's %d and %d",
+			sum1, last1, sum0, last0)
 	}
 }
 

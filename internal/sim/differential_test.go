@@ -97,7 +97,7 @@ func TestFastPathMatchesReferenceWithASM(t *testing.T) {
 	run := func(reference bool) *Result {
 		t.Helper()
 		opts := baseOptions(t, 4)
-		asm, err := accounting.NewASM(4, 900, nil) // deliberately not interval-aligned
+		asm, err := accounting.NewASM(4, 900) // deliberately not interval-aligned
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,8 +128,10 @@ func TestFastPathMatchesReferenceWithPartitioner(t *testing.T) {
 	run := func(reference bool) *Result {
 		t.Helper()
 		opts := scenarioOptions(t, "cache-thrash", 4)
+		// MCP reads the first accountant's estimates: GDP-O's.
+		a := opts.Accountants
+		a[0], a[1] = a[1], a[0]
 		opts.Partitioner = partition.MCP{}
-		opts.PartitionSource = "GDP-O"
 		opts.Reference = reference
 		res, err := Run(t.Context(), opts)
 		if err != nil {

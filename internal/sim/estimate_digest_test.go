@@ -42,7 +42,7 @@ func estimateDigest(t *testing.T, name string, seed int64, asm bool) string {
 	opts := scenarioOptions(t, name, 4)
 	opts.Seed = seed
 	if asm {
-		a, err := accounting.NewASM(4, estimateDigestASMEpoch, nil)
+		a, err := accounting.NewASM(4, estimateDigestASMEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}

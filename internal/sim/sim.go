@@ -62,12 +62,10 @@ type Options struct {
 	Seed int64
 	// Accountants are attached to the run and produce per-interval estimates.
 	Accountants []accounting.Accountant
-	// Partitioner, when non-nil, repartitions the LLC every interval.
+	// Partitioner, when non-nil, repartitions the LLC every interval, fed
+	// with the first accountant's private-CPI estimates, or with shared-mode
+	// CPI when there are none.
 	Partitioner partition.Policy
-	// PartitionSource names the accountant whose private-CPI estimates feed
-	// the partitioner (must match one of Accountants). Empty selects the
-	// first accountant, or shared-mode CPI when there are none.
-	PartitionSource string
 	// MaxCycles bounds the run as a safety net. Zero selects a generous
 	// default derived from the instruction budget.
 	MaxCycles uint64
@@ -307,19 +305,22 @@ func newRunState(opts Options) (*runState, error) {
 	return st, nil
 }
 
-// stepper advances the cores, the shared memory system and the accountants of
-// one run, each component on its own clock. The step loop decides which cycles
-// to visit; on a visited cycle the stepper ticks only the components that are
-// due. One it leaves out falls behind: the per-cycle bookkeeping of the cycles
-// it sat out is applied in closed form (FastForward) when it is next ticked or
-// at a synchronisation point. coreAt[i] are the cores' clocks — bookkeeping is
-// applied for every cycle below them; the memory system keeps its controller's
-// clock itself and catches up on Settle — and wake[i], memWake and acctAt[k]
-// hold the NextEvent bound each component gave after its last tick, valid
-// until input reaches it from outside: a completion for a core (which is then
-// ticked whatever its bound), a Submit for the memory system (whose bound is
-// then taken again). An accountant has no input from outside: its Tick runs at
-// cycle 0 and then only on the cycles its NextEvent named.
+// stepper advances the cores and the shared memory system of one run, each
+// component on its own clock, and hands completed requests to the
+// accountants. The step loop decides which cycles to visit; on a visited
+// cycle the stepper ticks only the components that are due. One it leaves
+// out falls behind: the per-cycle bookkeeping of the cycles it sat out is
+// applied in closed form (FastForward) when it is next ticked or at a
+// synchronisation point. coreAt[i] are the cores' clocks — bookkeeping is
+// applied for every cycle below them; the memory system keeps its
+// controller's clock itself and catches up on Settle — and wake[i] and
+// memWake hold the NextEvent bound each component gave after its last tick,
+// valid until input reaches it from outside: a completion for a core (which
+// is then ticked whatever its bound), a Submit for the memory system (whose
+// bound is then taken again). Accountants have no clock: they see only the
+// cores' probe events, completed requests and Estimate, and ASM's priority
+// rotation is a function of the cycle the controller evaluates on its own
+// ticks.
 //
 // A deferred span is sound only while nothing its closed form reads changes,
 // so a component is caught up before each of these:
@@ -328,11 +329,7 @@ func newRunState(opts Options) (*runState, error) {
 //  2. the memory system marking an in-flight request of a core as an
 //     interference miss (the core's idle snapshot counts those flags and ITCA
 //     reads them): memsys.System.OnInterferenceMiss settles that core first;
-//  3. a cycle on which an accountant's NextEvent bound is reached (ASM
-//     rotates the epoch owner and reprograms the memory controller): every
-//     component is settled before the Ticks, so an accountant's Tick, like
-//     its Estimate, finds every component at its own cycle;
-//  4. every interval boundary, before recordInterval reads statistics,
+//  3. every interval boundary, before recordInterval reads statistics,
 //     estimates and in-flight interference, and the end of the run.
 type stepper struct {
 	shared *memsys.System
@@ -344,10 +341,6 @@ type stepper struct {
 
 	coreAt, wake []uint64
 	memWake      uint64
-	// acctAt[k] is the next cycle accountant k's Tick runs; acctWake is the
-	// earliest of them.
-	acctAt   []uint64
-	acctWake uint64
 
 	// sampleAt[i] is the committed-instruction count at which the driver next
 	// wants to look at core i: the first tick that takes the core there or
@@ -360,8 +353,8 @@ type stepper struct {
 	// executed, cores' idle spans applied in closed form, and how often each
 	// cause other than a component's own bound settled or woke one that had
 	// fallen behind.
-	visited, coreTicks, memTicks, acctTicks, spans       uint64
-	missSyncs, acctSyncs, boundarySyncs, completionWakes uint64
+	visited, coreTicks, memTicks, spans       uint64
+	missSyncs, boundarySyncs, completionWakes uint64
 }
 
 // newStepper wires a stepper to the hardware with every clock at cycle 0,
@@ -375,7 +368,6 @@ func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Acc
 		lazy:     skip,
 		coreAt:   make([]uint64, len(cores)),
 		wake:     make([]uint64, len(cores)),
-		acctAt:   make([]uint64, len(accts)),
 		sampleAt: make([]uint64, len(cores)),
 		sample:   sample,
 	}
@@ -409,35 +401,20 @@ func (s *stepper) sync(to uint64) (behind bool) {
 	return s.shared.Settle(to) || behind
 }
 
-// step simulates the visited cycle now — the accountants, then the memory
-// system, then the cores in index order, leaving out every component that is
-// not due — in one pass over the cores. It returns the earliest cycle after
-// now at which any component is due (math.MaxUint64 when everything waits
-// forever, which the caller caps), or now+1 with the skip policy off.
+// step simulates the visited cycle now — the memory system, then the cores in
+// index order, leaving out every component that is not due — in one pass over
+// the cores. It returns the earliest cycle after now at which any component
+// is due (math.MaxUint64 when everything waits forever, which the caller
+// caps), or now+1 with the skip policy off.
 func (s *stepper) step(now uint64) uint64 {
 	s.visited++
-	if s.acctWake <= now {
-		if s.sync(now) { // rule 3
-			s.acctSyncs++
-		}
-		s.acctWake = accounting.NoEvent
-		for k, acct := range s.accts {
-			if s.acctAt[k] <= now {
-				acct.Tick(now)
-				s.acctTicks++
-				s.acctAt[k] = acct.NextEvent(now)
-			}
-			s.acctWake = min(s.acctWake, s.acctAt[k])
-		}
-	}
-
 	memTicked := !s.lazy || s.memWake <= now
 	if memTicked {
 		s.shared.Tick(now)
 		s.memTicks++
 	}
 	submitted := s.shared.Submitted()
-	next := s.acctWake
+	next := uint64(math.MaxUint64)
 	for i, core := range s.cores {
 		var completed []*mem.Request
 		if memTicked {
@@ -616,9 +593,7 @@ func (st *runState) recordInterval() error {
 				MissCurve: atd.MissCurve(),
 				Interval:  st.intervals[i],
 			}
-			if est, ok := records[i].Estimates[opts.PartitionSource]; ok {
-				st.snapshots[i].PrivateCPI = est.PrivateCPI
-			} else if len(opts.Accountants) > 0 {
+			if len(opts.Accountants) > 0 {
 				st.snapshots[i].PrivateCPI = records[i].Estimates[opts.Accountants[0].Name()].PrivateCPI
 			} else {
 				st.snapshots[i].PrivateCPI = st.intervals[i].CPI()

@@ -251,17 +251,19 @@ func TestASMRunIsInvasive(t *testing.T) {
 	}
 	withASM := baseOptions(t, 2)
 	withASM.Seed = 77
-	asm, _ := accounting.NewASM(2, 2000, nil)
+	asm, _ := accounting.NewASM(2, 2000)
 	withASM.Accountants = []accounting.Accountant{asm}
 	asmRes, err := Run(t.Context(), withASM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ASM without a controller hook cannot perturb; this test mostly checks
-	// the plumbing does not crash and estimates are produced. The controller
-	// hook is wired in the experiments package where the memsys is available.
+	// newRunState binds ASM to the run's memory controller, whose priority
+	// rotation then reorders DRAM service.
 	if len(asmRes.Intervals[0]) == 0 || len(plain.Intervals[0]) == 0 {
 		t.Error("interval records missing")
+	}
+	if reflect.DeepEqual(asmRes.CoreStats, plain.CoreStats) {
+		t.Error("attaching ASM left every core's statistics unchanged")
 	}
 }
 
@@ -270,7 +272,6 @@ func TestPartitionedRunAppliesAllocations(t *testing.T) {
 	gdp, _ := accounting.NewGDP(2, 32, false)
 	opts.Accountants = []accounting.Accountant{gdp}
 	opts.Partitioner = partition.MCP{}
-	opts.PartitionSource = "GDP"
 	res, err := Run(t.Context(), opts)
 	if err != nil {
 		t.Fatal(err)

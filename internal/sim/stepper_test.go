@@ -26,14 +26,14 @@ func runStepped(t *testing.T, opts Options) (*Result, *stepper) {
 	return st.res, st.clk
 }
 
-// TestSyncRulesAllExercised runs the one configuration that reaches all four
+// TestSyncRulesAllExercised runs the one configuration that reaches all three
 // hazards of a deferred span — interference misses sampled by the ATDs
-// (cache-thrash), an invasive accountant whose epoch is not interval-aligned
-// (ASM, 900 cycles), interval boundaries, completions delivered to stalled
-// cores — and requires fast ≡ Reference with every cause counted at least
-// once. A refactor that makes one of the stepper's sync rules unreachable then
-// shows up here as a zero, not as a differential suite that silently stopped
-// covering it.
+// (cache-thrash), interval boundaries, completions delivered to stalled
+// cores — with ASM's priority rotation on an epoch that is not
+// interval-aligned (900 cycles), and requires fast ≡ Reference with every
+// cause counted at least once. A refactor that makes one of the stepper's
+// sync rules unreachable then shows up here as a zero, not as a differential
+// suite that silently stopped covering it.
 func TestSyncRulesAllExercised(t *testing.T) {
 	const cores = 4
 	options := func(reference bool) Options {
@@ -46,7 +46,7 @@ func TestSyncRulesAllExercised(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		asm, err := accounting.NewASM(cores, 900, nil)
+		asm, err := accounting.NewASM(cores, 900)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,18 +64,17 @@ func TestSyncRulesAllExercised(t *testing.T) {
 	}{
 		{"rule 1: completion delivered to a core that was not due", clk.completionWakes},
 		{"rule 2: interference miss on a request of a core that had fallen behind", clk.missSyncs},
-		{"rule 3: accountant event with a component behind", clk.acctSyncs},
-		{"rule 4: interval boundary with a component behind", clk.boundarySyncs},
+		{"rule 3: interval boundary with a component behind", clk.boundarySyncs},
 	} {
 		if c.count == 0 {
 			t.Errorf("%s: never happened, so this run no longer covers it", c.rule)
 		}
 	}
-	if n := refClk.completionWakes + refClk.missSyncs + refClk.acctSyncs + refClk.boundarySyncs; n != 0 {
+	if n := refClk.completionWakes + refClk.missSyncs + refClk.boundarySyncs; n != 0 {
 		t.Errorf("reference run settled or woke a component %d times; nothing may fall behind with skipping off", n)
 	}
-	t.Logf("completion wakes %d, interference-miss syncs %d, accountant-event syncs %d, boundary syncs %d",
-		clk.completionWakes, clk.missSyncs, clk.acctSyncs, clk.boundarySyncs)
+	t.Logf("completion wakes %d, interference-miss syncs %d, boundary syncs %d",
+		clk.completionWakes, clk.missSyncs, clk.boundarySyncs)
 }
 
 // stallCounter wraps an accountant so that each core's probe counts the
@@ -126,11 +125,10 @@ func (c *stallCounter) totals() (calls, cycles uint64) {
 // compute, and the memory controller is not ticked on the memory system's
 // ticks that only move requests through the ring and the LLC. A cycle on
 // which no component has an event is not visited at all. With skipping off
-// every hardware component is ticked on every cycle. Either way the four
-// transparent accountants, whose NextEvent is NoEvent, are ticked at cycle 0
-// only, and a stall probe (ITCA's, counted here) hears of exactly the
-// non-committing cycles: one OnCycles call per non-committing tick and per
-// idle span, none on a committing tick.
+// every hardware component is ticked on every cycle. Either way a stall probe
+// (ITCA's, counted here) hears of exactly the non-committing cycles: one
+// OnCycles call per non-committing tick and per idle span, none on a
+// committing tick.
 func TestStepperTicksOnlyDueComponents(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string
@@ -147,18 +145,13 @@ func TestStepperTicksOnlyDueComponents(t *testing.T) {
 	} {
 		t.Run(tc.scenario, func(t *testing.T) {
 			// run runs the scenario with ITCA's probes counted and checks the
-			// accountant and stall-probe counts, which are exact at either
-			// skip policy.
+			// stall-probe counts, which are exact at either skip policy.
 			run := func(reference bool) (*Result, *stepper) {
 				opts := scenarioOptions(t, tc.scenario, tc.cores)
 				opts.Reference = reference
 				itca := countStalls(t, opts.Accountants[2], tc.cores)
 				opts.Accountants[2] = itca
 				res, clk := runStepped(t, opts)
-				if want := uint64(len(opts.Accountants)); clk.acctTicks != want {
-					t.Errorf("reference=%v: %d accountant ticks, want %d (each transparent accountant at cycle 0 only)",
-						reference, clk.acctTicks, want)
-				}
 				var commitTicks, stallCycles uint64
 				for _, st := range res.CoreStats {
 					commitTicks += st.CommitCycles // spans never commit: each is a tick
@@ -172,8 +165,8 @@ func TestStepperTicksOnlyDueComponents(t *testing.T) {
 				if cycles != stallCycles {
 					t.Errorf("reference=%v: OnCycles saw %d cycles, want the %d non-committing ones", reference, cycles, stallCycles)
 				}
-				t.Logf("reference=%v: %d accountant ticks; %d core ticks, %d committing; %d idle spans; %d OnCycles calls for %d stall cycles",
-					reference, clk.acctTicks, clk.coreTicks, commitTicks, clk.spans, calls, cycles)
+				t.Logf("reference=%v: %d core ticks, %d committing; %d idle spans; %d OnCycles calls for %d stall cycles",
+					reference, clk.coreTicks, commitTicks, clk.spans, calls, cycles)
 				return res, clk
 			}
 			res, clk := run(false)

@@ -34,7 +34,6 @@ var surfaceAllowlist = map[string]string{
 	"repro/internal/dram.Controller.Stats":         "sim TestNextEventBoundsHold fingerprints the DRAM controller",
 	"repro/internal/ring.Ring.Delivered":           "sim TestNextEventBoundsHold fingerprints the ring",
 	"repro/internal/ring.Ring.TotalQueueing":       "sim TestNextEventBoundsHold fingerprints the ring",
-	"repro/internal/dram.Controller.PriorityCore":  "accounting TestASMEpochRotation checks ASM hands the controller its priority core",
 	"repro/internal/cache.Cache.OccupancyByCore":   "memsys TestPartitionLimitsOccupancy checks the partitioned LLC's occupancy",
 	"repro/internal/metrics.ANTT":                  "root TestPublicEndToEndRun computes it over a public run",
 }
