@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet fmt-check diet bench bench-pairs bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke clean
+.PHONY: all build test race fuzz-smoke vet fmt-check fma-check diet bench bench-pairs bench-smoke bench-go bench-cpu bench-sweep smoke serve-smoke dispatch-smoke cache-smoke clean
 
 all: build test vet fmt-check
 
@@ -44,6 +44,22 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# fma-check fails when the arm64 build of a package outside benchmark/ holds
+# a fused multiply-add. Go may fuse x*y + z into one instruction on arm64 (not
+# on amd64), which rounds once instead of twice and so moves results by an
+# ulp between the two; an explicit float64(x*y) conversion rounds the product
+# and forbids the fusion. benchmark/stats.go keeps its two until the next
+# benchmark change.
+FUSED = (FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|FMSUBS|FNMADDS|FNMSUBS)
+fma-check:
+	@asm=$$(mktemp) && trap 'rm -f "$$asm"' EXIT && \
+	GOARCH=arm64 $(GO) build -o /dev/null -gcflags='repro/...=-S' ./... >"$$asm" 2>&1 || { cat "$$asm"; exit 1; }; \
+	out=$$(grep -E '[[:space:]]$(FUSED)[[:space:]]' "$$asm" | grep -v '$(CURDIR)/benchmark/'); \
+	if [ -n "$$out" ]; then \
+		echo "fused multiply-adds outside benchmark/ (wrap the product in float64(...)):"; echo "$$out"; exit 1; \
+	fi; \
+	echo "fma-check: $$(grep -cE '[[:space:]]$(FUSED)[[:space:]]' "$$asm") fused instructions, all under benchmark/"
 
 # diet prints the seven tracked size numbers (ROADMAP aim 2; down is good), so
 # every PR reports them with the same commands. Never fails the build. The

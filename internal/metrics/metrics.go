@@ -35,7 +35,7 @@ func RMS(errs []float64) (float64, error) {
 	}
 	var sum float64
 	for _, e := range errs {
-		sum += e * e
+		sum += float64(e * e) // rounded, not fused (make fma-check)
 	}
 	return math.Sqrt(sum / float64(len(errs))), nil
 }
@@ -166,14 +166,16 @@ func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := p * float64(len(sorted)-1)
+	// The float64 conversions round each product, so arm64 computes the
+	// same bits as amd64 (make fma-check).
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // SortedAscending returns a sorted copy of xs, the presentation used by the

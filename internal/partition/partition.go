@@ -179,7 +179,7 @@ func buildModel(s CoreSnapshot) model {
 		preLLCLat = float64(iv.PreLLCLatSum) / float64(iv.SMSLoads)
 	}
 	nonSMSStall := float64(iv.StallInd + iv.StallPMS + iv.StallOther)
-	preLLCCPI := (float64(iv.CommitCycles) + nonSMSStall + cplEst*preLLCLat) / inst
+	preLLCCPI := (float64(iv.CommitCycles) + nonSMSStall + float64(cplEst*preLLCLat)) / inst // rounded, not fused (make fma-check)
 
 	// Equation 6: the CPI gradient per additional LLC miss uses the average
 	// post-LLC (memory controller and bus) latency.
@@ -206,7 +206,7 @@ func stpTerm(m model, s CoreSnapshot, ways int) float64 {
 		return 0
 	}
 	misses := float64(missesAt(s.MissCurve, ways))
-	sharedCPI := m.preLLCCPI + m.gradient*misses
+	sharedCPI := m.preLLCCPI + float64(m.gradient*misses) // rounded, not fused (make fma-check)
 	if sharedCPI <= 0 {
 		return 0
 	}

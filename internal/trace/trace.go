@@ -253,7 +253,7 @@ func (g *Generator) nextAddr() uint64 {
 // depDistance draws a register-dependency distance (>= 1).
 func (g *Generator) depDistance() int32 {
 	mean := g.params.DepDistanceMean
-	d := 1 + int32(g.rng.ExpFloat64()*(mean-1)+0.5)
+	d := 1 + int32(float64(g.rng.ExpFloat64()*(mean-1))+0.5) // rounded, not fused (make fma-check)
 	if d < 1 {
 		d = 1
 	}

@@ -249,7 +249,7 @@ var scenarioRegistry = []Scenario{
 				LoadFrac:        0.10,
 				StoreFrac:       0.04,
 				FPFrac:          0.6,
-				FPMulFrac:       0.45 + 0.05*float64(slot%3),
+				FPMulFrac:       0.45 + float64(0.05*float64(slot%3)), // rounded, not fused (make fma-check)
 				IntMulFrac:      0.05,
 				BranchFrac:      0.08,
 				MispredictRate:  0.01,

@@ -269,7 +269,7 @@ func (e *Engine) Estimate(ctx context.Context, req *EstimateRequest) (*EstimateR
 				return nil
 			}
 			w := float64(rec.Shared.Instructions)
-			sums[rec.Core].weighted += est.PrivateCPI * w
+			sums[rec.Core].weighted += float64(est.PrivateCPI * w) // rounded, not fused (make fma-check)
 			sums[rec.Core].weight += w
 			sums[rec.Core].count++
 			return nil
