@@ -23,13 +23,15 @@ race:
 # unit cycles and a private reference's aligned views against standalone
 # private runs. A regression found
 # here reproduces with `go test -run=Fuzz` once the failing input is added to
-# testdata.
+# testdata. FuzzDiskCacheEntry does file I/O on every input, so minimizing a
+# new input at the default budget (60s) outlasts the whole run, which then
+# stops mutating and keeps nothing; its minimization is capped at 1s.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
-	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/runner
+	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/runner
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRowsCodec -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run='^$$' -fuzz=FuzzGDPUnitMatchesOracle -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOnCyclesSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/accounting

@@ -85,13 +85,14 @@ const fallbackEntrySize = 512
 // fileOps is the disk layer's file-system seam: every read and every step of a
 // write goes through it. Caches use osFiles; tests swap in faulty operations
 // to drive the disk layer through I/O errors, short writes, failed fsyncs and
-// failed renames.
+// failed renames, or leave the fsyncs out where durability is not under test.
 type fileOps struct {
 	readFile   func(name string) ([]byte, error)
 	createTemp func(dir, pattern string) (*os.File, error)
 	write      func(f *os.File, b []byte) (int, error)
 	sync       func(f *os.File) error
 	rename     func(oldpath, newpath string) error
+	syncDir    func(dir string)
 }
 
 // osFiles is the production seam: the os package itself.
@@ -101,6 +102,7 @@ var osFiles = fileOps{
 	write:      (*os.File).Write,
 	sync:       (*os.File).Sync,
 	rename:     os.Rename,
+	syncDir:    syncDir,
 }
 
 type inflightCall struct {
@@ -582,7 +584,8 @@ func (c *Cache) readDisk(key string) ([]byte, bool) {
 // short write included) removes the tmp file, so no entry ever holds a prefix
 // of its bytes.
 //
-// The create, write, fsync and rename steps go through the c.files seam.
+// The create, write, fsync, rename and directory fsync steps go through the
+// c.files seam.
 // TestDiskCacheChaos swaps in seeded faults there; a failing seed replays
 // alone with go test -run 'TestDiskCacheChaos/seed=N' ./internal/runner.
 func (c *Cache) writeDisk(key string, raw []byte) bool {
@@ -612,7 +615,7 @@ func (c *Cache) writeDisk(key string, raw []byte) bool {
 		os.Remove(tmp)
 		return false
 	}
-	syncDir(filepath.Dir(p))
+	c.files.syncDir(filepath.Dir(p))
 	c.diskBytes.Add(int64(len(raw)))
 	return true
 }

@@ -115,6 +115,7 @@ func (f *chaosFS) ops() fileOps {
 			}
 			return os.Rename(oldpath, newpath)
 		},
+		syncDir: syncDir,
 	}
 }
 

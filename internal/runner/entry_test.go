@@ -16,7 +16,12 @@ import (
 // reads them as sweep rows, the type with a binary codec. Lookup must either
 // return rows that round-trip through a new entry, or report a miss, count one
 // corruption and remove the file. It must never panic, and the key must work
-// normally afterwards.
+// normally afterwards. Durability is not under test here, so its caches skip
+// the fsyncs, every input reuses one directory, and the files the test writes
+// itself never replace older ones: an fsync per write, a directory created
+// and removed per input and the flush ext4 makes when a file replaces another
+// would spend most of the budget in the file system instead of in the
+// decoder.
 func FuzzDiskCacheEntry(f *testing.F) {
 	rows := []experiments.SweepRow{
 		{Cores: 2, Mix: "H", PRB: 16, Kind: "accuracy", Name: "GDP", MeanIPCAbsRMS: 0.031, MeanIPCRelRMS: 0.045, MeanStallAbsRMS: 1234.5},
@@ -42,16 +47,18 @@ func FuzzDiskCacheEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	dir := f.TempDir() // one per fuzzing process; inputs run one at a time
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
 		c, err := runner.NewDiskCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runner.SkipSyncs(c)
 		p := runner.EntryPath(c, key)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
+		os.Remove(p) // a new file: ext4 flushes one that replaces another
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +68,7 @@ func FuzzDiskCacheEntry(f *testing.F) {
 		if ok {
 			// Zero rows come back nil from the binary payload but may be
 			// an empty slice from a JSON one.
-			again := recall(t, got)
+			again := recall(t, dir, got)
 			if len(got)+len(again) != 0 && !reflect.DeepEqual(again, got) {
 				t.Fatalf("decoded entry %+v does not round-trip: %+v", got, again)
 			}
@@ -129,20 +136,22 @@ func entryBytes(tb testing.TB, v any) []byte {
 	return raw
 }
 
-// recall writes rows through a disk cache and reads them back with a new one.
-func recall(t *testing.T, rows []experiments.SweepRow) []experiments.SweepRow {
+// recall writes rows through a disk cache in dir (without fsyncs) and reads
+// them back with a new one.
+func recall(t *testing.T, dir string, rows []experiments.SweepRow) []experiments.SweepRow {
 	t.Helper()
-	dir := t.TempDir()
 	c, err := runner.NewDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runner.SkipSyncs(c)
 	c.Put("recall", rows)
 	fresh, err := runner.NewDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := runner.Lookup[[]experiments.SweepRow](fresh, "recall")
+	os.Remove(runner.EntryPath(fresh, "recall"))
 	if !ok {
 		t.Fatalf("rows %+v did not survive a disk round-trip", rows)
 	}
