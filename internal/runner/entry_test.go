@@ -53,7 +53,7 @@ func FuzzDiskCacheEntry(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner.SkipSyncs(c)
+		runner.FastFiles(c)
 		p := runner.EntryPath(c, key)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
@@ -144,7 +144,7 @@ func recall(t *testing.T, dir string, rows []experiments.SweepRow) []experiments
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.SkipSyncs(c)
+	runner.FastFiles(c)
 	c.Put("recall", rows)
 	fresh, err := runner.NewDiskCache(dir)
 	if err != nil {
