@@ -454,7 +454,7 @@ func TestASMRestartsOnBindController(t *testing.T) {
 	a.EndInterval()
 	a.probes[0].OnLoadCompleted(0, true, 1149, 0, 0, 0)
 	a.Estimate(0, interval(150, 100, 50, 100))
-	a.BindController(nil)
+	a.BindController(dram.New(config.PaperConfig(2).DRAM))
 	runASMInterval(a, 1000)
 	if got := a.Estimate(0, iv); got != want {
 		t.Errorf("second run estimates %+v, a fresh ASM %+v", got, want)

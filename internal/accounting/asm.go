@@ -64,12 +64,9 @@ func (p *asmProbe) OnLoadCompleted(_ uint64, sms bool, cycle uint64, _, _, _ uin
 // BindController starts a run: it programs c with ASM's epoch rotation, which
 // is the invasive part, and resets the per-run state. The simulation driver
 // calls it once the shared memory system exists, so an ASM instance can be
-// constructed before the system it will be attached to. A nil c (for tests)
-// leaves the priority manipulation out; the estimation model still runs.
+// constructed before the system it will be attached to.
 func (a *ASM) BindController(c *dram.Controller) {
-	if c != nil {
-		c.SetRotation(a.epochLen, a.cores)
-	}
+	c.SetRotation(a.epochLen, a.cores)
 	a.intervalStart, a.intervalEnd = 0, 0
 	for _, p := range a.probes {
 		p.totalAccesses, p.hpAccesses = 0, 0
