@@ -23,19 +23,21 @@ race:
 # unit cycles and a private reference's aligned views against standalone
 # private runs. A regression found
 # here reproduces with `go test -run=Fuzz` once the failing input is added to
-# testdata. FuzzDiskCacheEntry does file I/O on every input, so minimizing a
-# new input at the default budget (60s) outlasts the whole run, which then
-# stops mutating and keeps nothing; its minimization is capped at 1s.
+# testdata. Minimizing a new input at the default budget (60s) outlasts the
+# whole run, which then stops mutating and keeps nothing, so every target's
+# minimization is capped at FUZZMINIMIZETIME.
 FUZZTIME ?= 10s
+FUZZMINIMIZETIME ?= 1s
+FUZZ = $(GO) test -run='^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) -fuzz
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequestJSON -fuzztime=$(FUZZTIME) .
-	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
-	$(GO) test -run='^$$' -fuzz=FuzzCellsRequestJSON -fuzztime=$(FUZZTIME) .
-	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/runner
-	$(GO) test -run='^$$' -fuzz=FuzzSweepRowsCodec -fuzztime=$(FUZZTIME) ./internal/experiments
-	$(GO) test -run='^$$' -fuzz=FuzzGDPUnitMatchesOracle -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzOnCyclesSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/accounting
-	$(GO) test -run='^$$' -fuzz=FuzzAlignedReference -fuzztime=$(FUZZTIME) ./internal/sim
+	$(FUZZ)=FuzzEstimateRequestJSON .
+	$(FUZZ)=FuzzSweepRequestJSON .
+	$(FUZZ)=FuzzCellsRequestJSON .
+	$(FUZZ)=FuzzDiskCacheEntry ./internal/runner
+	$(FUZZ)=FuzzSweepRowsCodec ./internal/experiments
+	$(FUZZ)=FuzzGDPUnitMatchesOracle ./internal/core
+	$(FUZZ)=FuzzOnCyclesSpanEquivalence ./internal/accounting
+	$(FUZZ)=FuzzAlignedReference ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,15 +36,15 @@ import (
 // pile thousands of files into one directory, which degrades lookup on most
 // filesystems.
 //
-// Concurrent lookups of the same key are deduplicated: while one goroutine
-// computes a result, others requesting the same spec block and share the
-// outcome, so a private-mode reference needed by several studies is simulated
-// exactly once.
+// Concurrent lookups of the same key are deduplicated (Inflight): while one
+// goroutine computes a result, others requesting the same spec block and
+// share the outcome, so a private-mode reference needed by several studies is
+// simulated exactly once.
 type Cache struct {
 	mu       sync.Mutex
 	mem      map[string]*list.Element // of *cacheEntry
 	lru      *list.List               // front = most recently used
-	inflight map[string]*inflightCall
+	inflight Inflight[any]
 	dir      string // empty = memory only
 	files    fileOps
 
@@ -105,19 +104,12 @@ var osFiles = fileOps{
 	syncDir:    syncDir,
 }
 
-type inflightCall struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
 // NewCache returns an in-memory cache.
 func NewCache() *Cache {
 	return &Cache{
-		mem:      map[string]*list.Element{},
-		lru:      list.New(),
-		inflight: map[string]*inflightCall{},
-		files:    osFiles,
+		mem:   map[string]*list.Element{},
+		lru:   list.New(),
+		files: osFiles,
 	}
 }
 
@@ -247,14 +239,9 @@ func MemoKeyedContext[T any](ctx context.Context, c *Cache, key string, fn func(
 
 // MemoContext is Memo under a context: a caller blocked on another
 // goroutine's in-flight computation of the same spec stops waiting when ctx
-// is cancelled (the computation itself keeps running for the goroutine that
-// owns it, and its result is still cached). fn is responsible for honoring
-// ctx on the computing path.
-//
-// Cancellation never leaks between callers: when the owning goroutine's
-// computation dies of *its* cancellation, a waiter whose own context is
-// still live retries — becoming the new owner if needed — instead of
-// inheriting the foreign context error.
+// is cancelled (the computation keeps running for its owner, and its result
+// is still cached), and never inherits that owner's cancellation (see
+// Inflight.Do). fn is responsible for honoring ctx on the computing path.
 func MemoContext[T any](ctx context.Context, c *Cache, spec any, fn func() (T, error)) (T, bool, error) {
 	var zero T
 	if c == nil {
@@ -271,94 +258,56 @@ func MemoContext[T any](ctx context.Context, c *Cache, spec any, fn func() (T, e
 // memoKeyed is the shared implementation of MemoContext and MemoKeyedContext.
 func memoKeyed[T any](ctx context.Context, c *Cache, key string, fn func() (T, error)) (T, bool, error) {
 	var zero T
-	var call *inflightCall
-	for {
-		c.mu.Lock()
-		if v, found, err := memHit[T](c, key); found {
-			c.mu.Unlock()
-			return v, err == nil, err
-		}
-		waiting, ok := c.inflight[key]
-		if !ok {
-			break // this caller owns the computation
-		}
-		c.mu.Unlock()
-		select {
-		case <-waiting.done:
-		case <-ctx.Done():
-			return zero, false, ctx.Err()
-		}
-		if waiting.err != nil {
-			if errors.Is(waiting.err, context.Canceled) || errors.Is(waiting.err, context.DeadlineExceeded) {
-				// The owner's request was cancelled, not ours: retry.
-				if err := ctx.Err(); err != nil {
-					return zero, false, err
-				}
-				continue
-			}
-			return zero, false, waiting.err
-		}
-		typed, ok := waiting.val.(T)
-		if !ok {
-			return zero, false, fmt.Errorf("runner: cache entry %s holds %T, want %T", shortKey(key), waiting.val, zero)
-		}
-		c.inflightJoins.Add(1)
-		return typed, true, nil
-	}
-	call = &inflightCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
-	// If fn panics (or kills the goroutine via runtime.Goexit), the in-flight
-	// entry must still be released: otherwise every later caller for this key
-	// blocks on call.done forever. The panic is recorded as the call's error
-	// for current waiters, the registration is deleted so future callers
-	// recompute, and the panic continues unwinding in the owner.
-	finished := false
-	defer func() {
-		if finished {
-			return
-		}
-		r := recover()
-		if r != nil {
-			call.err = fmt.Errorf("runner: computing cache entry %s panicked: %v", shortKey(key), r)
-		} else {
-			call.err = fmt.Errorf("runner: computing cache entry %s aborted before returning", shortKey(key))
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(call.done)
-		if r != nil {
-			panic(r)
-		}
-	}()
-	val, size, persisted, fromDisk, err := computeCached(c, key, fn)
-	finished = true
-
-	call.val, call.err = val, err
-	var spill []*cacheEntry
 	c.mu.Lock()
-	if err == nil {
-		spill = c.storeLocked(key, val, size, persisted)
-	}
-	delete(c.inflight, key)
+	v, found, err := memHit[T](c, key)
 	c.mu.Unlock()
-	// Count the owner's lookup before waking the joiners: anyone who observes
-	// this call's completion must also see its miss (or disk hit).
-	if err == nil {
+	if found {
+		return v, err == nil, err
+	}
+	var (
+		spill  []*cacheEntry
+		cached bool // the owner found the value in memory or on disk
+	)
+	val, joined, err := c.inflight.Do(ctx, key, func() (any, error) {
+		// A previous owner may have stored the value between the lookup above
+		// and this caller's registration.
+		c.mu.Lock()
+		v, found, err := memHit[T](c, key)
+		c.mu.Unlock()
+		if found {
+			cached = true
+			return v, err
+		}
+		v, size, persisted, fromDisk, err := computeCached(c, key, fn)
+		if err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		spill = c.storeLocked(key, v, size, persisted)
+		c.mu.Unlock()
+		// Count the owner's lookup before waking the joiners: anyone who
+		// observes this call's completion must also see its miss (or disk hit).
 		if fromDisk {
 			c.diskHits.Add(1)
 		} else {
 			c.misses.Add(1)
 		}
-	}
-	close(call.done)
+		cached = fromDisk
+		return v, nil
+	})
 	c.spill(spill)
 	if err != nil {
 		return zero, false, err
 	}
-	return val, fromDisk, nil
+	typed, ok := val.(T)
+	if !ok {
+		return zero, false, fmt.Errorf("runner: cache entry %s holds %T, want %T", shortKey(key), val, zero)
+	}
+	if joined {
+		c.inflightJoins.Add(1)
+		return typed, true, nil
+	}
+	return typed, cached, nil
 }
 
 // computeCached loads the value from disk or runs fn and persists the result.

@@ -37,8 +37,7 @@ health=$(curl -fsS "http://$addr/healthz")
 echo "$health" | grep -q '"status": "ok"' || { echo "bad healthz payload: $health"; exit 1; }
 echo "$health" | grep -q '"git_revision"' || { echo "healthz missing git_revision: $health"; exit 1; }
 
-# One real estimate exercises the coalescer path (a single request is still
-# one batch) before the metrics scrape.
+# One real estimate before the metrics scrape.
 curl -fsS -X POST "http://$addr/v1/estimate" \
     -d '{"cores": 2, "mix": "H", "instructions_per_core": 2000, "interval_cycles": 2000}' \
     | grep -q '"cores"' || { echo "estimate request failed"; exit 1; }
@@ -49,8 +48,7 @@ echo "$metrics" | grep -q '^gdpsim_http_requests_total{' || {
 echo "$metrics" | grep -q '^# TYPE gdpsim_http_request_seconds histogram' || {
     echo "metrics exposition missing the latency histogram family"; exit 1; }
 for series in gdpsim_cache_evictions_total gdpsim_cache_mem_bytes \
-              gdpsim_cache_mem_budget_bytes gdpsim_coalesce_joined_total \
-              gdpsim_coalesce_batches_total; do
+              gdpsim_cache_mem_budget_bytes gdpsim_coalesce_joined_total; do
     echo "$metrics" | grep -q "^$series " || {
         echo "metrics exposition missing $series"; exit 1; }
 done

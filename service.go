@@ -493,9 +493,12 @@ type Server struct {
 	// runCell executes one dispatched cell: experiments.Cell.Run, or a
 	// faulting stand-in a test sets before the server starts serving.
 	runCell func(experiments.Cell, context.Context, experiments.CellConfig) ([]SweepRow, error)
-	// coalesce merges concurrent identical estimate requests into one
-	// simulation (see service_coalesce.go).
-	coalesce *coalescer
+	// estimate runs one /v1/estimate simulation: Engine.Estimate, or a
+	// faulting stand-in a test sets before the server starts serving.
+	estimate func(context.Context, *EstimateRequest) (*EstimateResponse, error)
+	// inflight shares one simulation among concurrent identical estimate
+	// requests.
+	inflight runner.Inflight[*EstimateResponse]
 }
 
 // httpServerMetrics holds the HTTP-layer metric handles, resolved once at
@@ -507,6 +510,8 @@ type httpServerMetrics struct {
 	inFlight   *telemetry.GaugeVec
 	shed       *telemetry.Counter
 	clientGone *telemetry.Counter
+	// joined counts estimate requests that shared another's simulation.
+	joined *telemetry.Counter
 }
 
 // newHTTPServerMetrics registers the HTTP metric families on r.
@@ -522,6 +527,8 @@ func newHTTPServerMetrics(r *telemetry.Registry) *httpServerMetrics {
 			"Requests rejected with 503 because the concurrent-request limit was reached."),
 		clientGone: r.Counter("gdpsim_http_client_gone_total",
 			"Requests whose client disappeared mid-simulation (status 499)."),
+		joined: r.Counter("gdpsim_coalesce_joined_total",
+			"Estimate requests that shared another identical request's simulation."),
 	}
 }
 
@@ -544,8 +551,8 @@ func WithMaxConcurrent(n int) ServerOption {
 // WithLogger installs a structured logger. Every request emits one access
 // record (method, endpoint, status, latency and, for estimate and sweep
 // requests, spec_key: 12 hex digits of the request body's content hash, which
-// for an estimate is the coalescer's group key; neither names a result-cache
-// entry); server lifecycle events land on the same logger.
+// for an estimate is the key identical in-flight requests share; neither names
+// a result-cache entry); server lifecycle events land on the same logger.
 func WithLogger(l *slog.Logger) ServerOption {
 	return func(s *Server) error {
 		if l == nil {
@@ -579,6 +586,7 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 		batchSem:     make(chan struct{}, maxActiveCellBatches),
 		dispatchSrv:  newDispatchServerMetrics(engine.registry),
 		runCell:      experiments.Cell.Run,
+		estimate:     engine.Estimate,
 	}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
@@ -596,12 +604,11 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 		cellJobs = defaultConcurrency()
 	}
 	s.cellSem = make(chan struct{}, cellJobs)
-	s.coalesce = newCoalescer(engine.Estimate, newCoalesceMetrics(engine.registry))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("/v1/estimate", s.instrument("/v1/estimate", s.handleEstimate))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", handleJSON(s, s.engine.EvaluateSweep)))
+	s.mux.HandleFunc("/v1/estimate", s.instrument("/v1/estimate", handleJSON(s, s.sharedEstimate)))
+	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", handleJSON(s, s.sweep)))
 	s.mux.HandleFunc("/v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarios))
 	s.mux.HandleFunc("/v1/cells", s.instrument("/v1/cells", s.handleCellsPost))
 	if s.pprofEnabled {
@@ -640,7 +647,9 @@ type requestInfoKey struct{}
 
 // instrument wraps a handler with the per-endpoint metrics and the access
 // log: an in-flight gauge around the call, then a latency observation, a
-// (endpoint, code) request count and one structured log record.
+// (endpoint, code) request count and one structured log record. The
+// bookkeeping also runs when the handler panics, counting the request as a
+// 500; the panic goes on to net/http, which recovers it.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	requests := s.metrics.requests
 	latency := s.metrics.latency.With(endpoint)
@@ -651,22 +660,29 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		inFlight.Inc()
 		start := time.Now()
+		returned := false
+		defer func() {
+			elapsed := time.Since(start)
+			inFlight.Dec()
+			if !returned {
+				rec.status = http.StatusInternalServerError
+			}
+			latency.Observe(elapsed.Seconds())
+			requests.With(endpoint, strconv.Itoa(rec.status)).Inc()
+			attrs := make([]slog.Attr, 0, 5)
+			attrs = append(attrs,
+				slog.String("method", r.Method),
+				slog.String("endpoint", endpoint),
+				slog.Int("status", rec.status),
+				slog.Duration("latency", elapsed),
+			)
+			if info.specKey != "" {
+				attrs = append(attrs, slog.String("spec_key", info.specKey))
+			}
+			s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
+		}()
 		h(rec, r)
-		elapsed := time.Since(start)
-		inFlight.Dec()
-		latency.Observe(elapsed.Seconds())
-		requests.With(endpoint, strconv.Itoa(rec.status)).Inc()
-		attrs := make([]slog.Attr, 0, 5)
-		attrs = append(attrs,
-			slog.String("method", r.Method),
-			slog.String("endpoint", endpoint),
-			slog.Int("status", rec.status),
-			slog.Duration("latency", elapsed),
-		)
-		if info.specKey != "" {
-			attrs = append(attrs, slog.String("spec_key", info.specKey))
-		}
-		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
+		returned = true
 	}
 }
 
@@ -799,20 +815,15 @@ func (s *Server) writeCallResult(w http.ResponseWriter, resp any, err error) {
 	}
 }
 
-// handleJSON adapts an Engine method to a POST JSON endpoint with the
-// server's concurrency limit and error mapping.
-func handleJSON[Req any, Resp any](s *Server, call func(context.Context, *Req) (*Resp, error)) http.HandlerFunc {
+// handleJSON adapts call to a POST JSON endpoint: it decodes the body,
+// records the body's spec key for the access log and hands the key to call,
+// then maps call's outcome to the response. call takes its own concurrency
+// slot (see limited).
+func handleJSON[Req any, Resp any](s *Server, call func(context.Context, *Req, string) (*Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			writeError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.writeCallResult(w, nil, errServerBusy)
 			return
 		}
 		req := new(Req)
@@ -821,32 +832,45 @@ func handleJSON[Req any, Resp any](s *Server, call func(context.Context, *Req) (
 			writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 			return
 		}
-		annotateSpecKey(r.Context(), req)
-		resp, err := call(r.Context(), req)
+		key := annotateSpecKey(r.Context(), req)
+		resp, err := call(r.Context(), req, key)
 		s.writeCallResult(w, resp, err)
 	}
 }
 
-// handleEstimate is the coalescing POST /v1/estimate endpoint. Unlike
-// handleJSON it does not hold a concurrency slot for the whole request:
-// the coalescer charges one slot per *simulation* (the group leader), so a
-// burst of identical requests costs one slot instead of shedding at the
-// limiter before it can coalesce. Joining an in-flight group is free.
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
+// limited runs call under one concurrency slot, or fails with errServerBusy
+// when every slot is held.
+func limited[Req any, Resp any](s *Server, ctx context.Context, req *Req, call func(context.Context, *Req) (*Resp, error)) (*Resp, error) {
+	select {
+	case s.sem <- struct{}{}:
+		defer func() { <-s.sem }()
+	default:
+		return nil, errServerBusy
 	}
-	req := new(EstimateRequest)
-	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return
+	return call(ctx, req)
+}
+
+// sweep answers POST /v1/sweep under one concurrency slot.
+func (s *Server) sweep(ctx context.Context, req *SweepRequest, _ string) (*SweepResponse, error) {
+	return limited(s, ctx, req, s.engine.EvaluateSweep)
+}
+
+// sharedEstimate answers POST /v1/estimate. Identical concurrent requests
+// (same spec key) share one simulation: the first runs it and every identical
+// request that arrives before it finishes waits for its response, so none
+// waits longer than the simulation it shares. Only the simulating request
+// takes a concurrency slot: a burst of identical requests costs one slot and
+// is shed only when the engine is saturated with distinct work. If the
+// simulating request's client disconnects, its run is aborted and a waiting
+// request reruns the simulation itself.
+func (s *Server) sharedEstimate(ctx context.Context, req *EstimateRequest, key string) (*EstimateResponse, error) {
+	resp, joined, err := s.inflight.Do(ctx, key, func() (*EstimateResponse, error) {
+		return limited(s, ctx, req, s.estimate)
+	})
+	if joined {
+		s.metrics.joined.Inc()
 	}
-	key := annotateSpecKey(r.Context(), req)
-	resp, err := s.coalescedEstimate(r.Context(), req, key)
-	s.writeCallResult(w, resp, err)
+	return resp, err
 }
 
 // defaultConcurrency is the machine-derived concurrent-request default.

@@ -282,20 +282,76 @@ func TestSweepEndpointRejectsOversizedGrid(t *testing.T) {
 	}
 }
 
-// TestConcurrentRequestLimit fills the server's single slot with a slow
-// request and checks the next one is shed with 503.
+// TestConcurrentRequestLimit pins what the limiter bounds: concurrent
+// simulations, not requests. With the only slot taken, a new simulation is
+// shed with 503 and Retry-After, whether the slot is held directly or by a
+// running simulation; requests identical to that running simulation join it
+// instead and all get its response.
 func TestConcurrentRequestLimit(t *testing.T) {
-	srv := testServer(t, WithMaxConcurrent(1))
-	srv.sem <- struct{}{} // occupy the only slot
-	rec := postJSON(t, srv, "/v1/estimate", `{"cores": 2}`)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 (%s)", rec.Code, rec.Body.String())
-	}
-	<-srv.sem
-	rec = postJSON(t, srv, "/v1/estimate", `{"cores": 2, "instructions_per_core": 2000}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("after releasing the slot: status = %d (%s)", rec.Code, rec.Body.String())
-	}
+	t.Run("slot held", func(t *testing.T) {
+		srv := testServer(t, WithMaxConcurrent(1))
+		srv.sem <- struct{}{} // occupy the only slot
+		rec := postJSON(t, srv, "/v1/estimate", `{"cores": 2}`)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status = %d, want 503 (%s)", rec.Code, rec.Body.String())
+		}
+		<-srv.sem
+		rec = postJSON(t, srv, "/v1/estimate", `{"cores": 2, "instructions_per_core": 2000}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("after releasing the slot: status = %d (%s)", rec.Code, rec.Body.String())
+		}
+	})
+	t.Run("slot held by a simulation", func(t *testing.T) {
+		srv := testServer(t, WithMaxConcurrent(1))
+		entered, release := gateEstimate(srv)
+		const n = 4
+		recs := make([]*httptest.ResponseRecorder, n)
+		var wg sync.WaitGroup
+		post := func(i int, ctx context.Context) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				recs[i] = postEstimate(srv, ctx, estimateBody)
+			}()
+		}
+		post(0, context.Background())
+		<-entered // the simulation holds the only slot
+		joined := make(chan struct{})
+		for i := 1; i < n; i++ {
+			post(i, joiningCtx(joined))
+		}
+		for i := 1; i < n; i++ {
+			<-joined
+		}
+
+		shed := metricValue(t, scrape(t, srv), "gdpsim_http_shed_total")
+		rec := postJSON(t, srv, "/v1/estimate", distinctBody)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("distinct request: status = %d, Retry-After = %q; want 503 with Retry-After (%s)",
+				rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+		}
+		if got := metricValue(t, scrape(t, srv), "gdpsim_http_shed_total"); got != shed+1 {
+			t.Errorf("shed total = %v, want %v", got, shed+1)
+		}
+
+		close(release)
+		wg.Wait()
+		for i, r := range recs {
+			if r.Code != http.StatusOK {
+				t.Fatalf("identical request %d: status = %d (%s)", i, r.Code, r.Body.String())
+			}
+			if r.Body.String() != recs[0].Body.String() {
+				t.Errorf("identical request %d's response differs from the first:\n%s\nvs\n%s", i, r.Body.String(), recs[0].Body.String())
+			}
+		}
+		m := scrape(t, srv)
+		if got := metricValue(t, m, "gdpsim_sim_runs_total"); got != 1 {
+			t.Errorf("sim runs = %v, want 1", got)
+		}
+		if got := metricValue(t, m, "gdpsim_coalesce_joined_total"); got != n-1 {
+			t.Errorf("coalesce joined = %v, want %d", got, n-1)
+		}
+	})
 }
 
 // TestServerGracefulShutdown starts a real http.Server on a loopback
