@@ -25,10 +25,9 @@ race:
 # here reproduces with `go test -run=Fuzz` once the failing input is added to
 # testdata. Minimizing a new input at the default budget (60s) outlasts the
 # whole run, which then stops mutating and keeps nothing, so every target's
-# minimization is capped at FUZZMINIMIZETIME.
+# minimization is capped at 1 s.
 FUZZTIME ?= 10s
-FUZZMINIMIZETIME ?= 1s
-FUZZ = $(GO) test -run='^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) -fuzz
+FUZZ = $(GO) test -run='^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -fuzz
 fuzz-smoke:
 	$(FUZZ)=FuzzEstimateRequestJSON .
 	$(FUZZ)=FuzzSweepRequestJSON .

@@ -790,7 +790,9 @@ const statusClientClosedRequest = 499
 var errServerBusy = errors.New("gdp: concurrent-request limit reached")
 
 // writeCallResult maps an Engine call's outcome to the HTTP response: 200,
-// 503 (shed), 499 (client gone), 400 (request errors) or 500.
+// 503 (shed), 499 (client gone), 400 (request errors) or 500. A 500's cause
+// (an I/O failure, a recovered panic's value) is internal: it goes to the
+// server log and the client gets a generic message.
 func (s *Server) writeCallResult(w http.ResponseWriter, resp any, err error) {
 	switch {
 	case err == nil:
@@ -811,7 +813,8 @@ func (s *Server) writeCallResult(w http.ResponseWriter, resp any, err error) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err.Error())
+		s.logger.Error("request failed", slog.String("error", err.Error()))
+		writeError(w, http.StatusInternalServerError, "internal error")
 	}
 }
 

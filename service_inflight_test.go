@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +184,69 @@ func TestEstimateOwnerDisconnectReruns(t *testing.T) {
 	}
 }
 
+// takeSlotOnRetryCtx is a joining context (see joinSignalCtx) that fills
+// sem's free slot the first time its request asks for Err. A joiner asks
+// once, when the simulation it waited on died of its owner's cancellation,
+// right before it reruns the simulation; the owner has freed its slot by
+// then. took reports whether the slot was free.
+type takeSlotOnRetryCtx struct {
+	*joinSignalCtx
+	sem  chan struct{}
+	once sync.Once
+	took atomic.Bool
+}
+
+func (c *takeSlotOnRetryCtx) Err() error {
+	c.once.Do(func() {
+		select {
+		case c.sem <- struct{}{}:
+			c.took.Store(true)
+		default:
+		}
+	})
+	return c.joinSignalCtx.Err()
+}
+
+// TestEstimateRerunAfterDisconnectCanBeShed pins the cost of the rerun in
+// TestEstimateOwnerDisconnectReruns: the rerun needs a concurrency slot of
+// its own, so when every slot is taken by then, the request that waited gets
+// 503 with Retry-After instead of a response.
+func TestEstimateRerunAfterDisconnectCanBeShed(t *testing.T) {
+	srv := testServer(t, WithMaxConcurrent(1))
+	entered, release := gateEstimate(srv)
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	owner := make(chan *httptest.ResponseRecorder, 1)
+	go func() { owner <- postEstimate(srv, ownerCtx, estimateBody) }()
+	<-entered
+	joined := make(chan struct{})
+	ctx := &takeSlotOnRetryCtx{
+		joinSignalCtx: &joinSignalCtx{Context: context.Background(), joined: joined},
+		sem:           srv.sem,
+	}
+	joiner := make(chan *httptest.ResponseRecorder, 1)
+	go func() { joiner <- postEstimate(srv, ctx, estimateBody) }()
+	<-joined
+
+	cancel()
+	if rec := <-owner; rec.Code != statusClientClosedRequest {
+		t.Fatalf("owner status = %d, want %d (%s)", rec.Code, statusClientClosedRequest, rec.Body.String())
+	}
+	close(release) // a rerun that got past the limiter would finish, not hang
+	rec := <-joiner
+	if !ctx.took.Load() {
+		t.Fatal("the only slot was still held when the joiner went to rerun")
+	}
+	<-srv.sem
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("joiner: status = %d, Retry-After = %q; want 503 with Retry-After (%s)",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	if len(entered) != 0 {
+		t.Error("the shed rerun reached the engine")
+	}
+}
+
 // lockedBuffer is a strings.Builder safe for the server's goroutines to write
 // and the test to read.
 type lockedBuffer struct {
@@ -205,12 +269,14 @@ func (l *lockedBuffer) String() string {
 // TestEstimatePanicStaysInItsHandler: a simulation that panics unwinds in the
 // handler goroutine of the request that ran it, where net/http recovers it
 // and drops that connection; the server keeps serving. An identical request
-// waiting on that simulation gets a 500, not a hang. The request bookkeeping
+// waiting on that simulation gets a 500, not a hang; its body does not carry
+// the panic, which goes to the server log instead. The request bookkeeping
 // survives the panic: the in-flight gauge returns to 0 and the panicking
 // request counts as a 500. Requests marked X-Join wait on the panicking
 // simulation, so the test knows when they have joined.
 func TestEstimatePanicStaysInItsHandler(t *testing.T) {
-	srv := testServer(t)
+	var srvLog lockedBuffer
+	srv := testServer(t, WithLogger(slog.New(slog.NewTextHandler(&srvLog, nil))))
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	estimate := srv.estimate
@@ -267,8 +333,11 @@ func TestEstimatePanicStaysInItsHandler(t *testing.T) {
 	if r := <-owner; r.err == nil {
 		t.Errorf("panicking request answered %d (%s), want a dropped connection", r.code, r.body)
 	}
-	if r := <-joiner; r.err != nil || r.code != http.StatusInternalServerError || !strings.Contains(r.body, "panicked") {
-		t.Errorf("joined request: status %d, body %q, err %v; want a 500 reporting the panic", r.code, r.body, r.err)
+	if r := <-joiner; r.err != nil || r.code != http.StatusInternalServerError || strings.Contains(r.body, "panic") {
+		t.Errorf("joined request: status %d, body %q, err %v; want a 500 that does not expose the panic", r.code, r.body, r.err)
+	}
+	if !strings.Contains(srvLog.String(), "injected estimate panic") {
+		t.Errorf("the joined request's 500 did not log the panic; server log:\n%s", srvLog.String())
 	}
 	if !strings.Contains(errLog.String(), "injected estimate panic") {
 		t.Errorf("net/http did not recover the panic; server log:\n%s", errLog.String())
