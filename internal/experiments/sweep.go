@@ -134,33 +134,33 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 		}
 	}
 
-	// A journal stores cells under the result cache's spec keys.
-	keys := make([]string, len(cells))
-	if opts.Journal != nil {
-		for i, cell := range cells {
-			key, err := runner.SpecKey(cell.Spec())
-			if err != nil {
-				return nil, fmt.Errorf("experiments: sweep cell %q: %w", cell.Label(), err)
-			}
-			keys[i] = key
-		}
-	}
-
+	// A journal stores cells under the result cache's spec keys. A job that
+	// runs hashes its cell and marks it journaled once it found the cell there
+	// or recorded it; only the cells the result cache answered without running
+	// a job are left for the pass after the pool.
+	journaled := make([]bool, len(cells))
 	jobs := make([]runner.Job[[]SweepRow], len(cells))
 	for i, cell := range cells {
-		i, cell := i, cell
+		i, cell, spec := i, cell, cell.Spec()
 		jobs[i] = runner.Job[[]SweepRow]{
 			Label: cell.Label(),
-			Spec:  cell.Spec(),
+			Spec:  spec,
 			Fn: func(ctx context.Context) ([]SweepRow, error) {
-				if opts.Journal != nil {
-					if rows, ok := opts.Journal.Lookup(keys[i]); ok {
-						return rows, nil
-					}
+				if opts.Journal == nil {
+					return cell.Run(ctx, opts.CellConfig)
+				}
+				key, err := runner.SpecKey(spec)
+				if err != nil {
+					return nil, err
+				}
+				if rows, ok := opts.Journal.Lookup(key); ok {
+					journaled[i] = true
+					return rows, nil
 				}
 				rows, err := cell.Run(ctx, opts.CellConfig)
-				if err == nil && opts.Journal != nil {
-					_ = opts.Journal.Record(keys[i], cell.Label(), rows)
+				if err == nil {
+					_ = opts.Journal.Record(key, cell.Label(), rows)
+					journaled[i] = true
 				}
 				return rows, err
 			},
@@ -183,7 +183,14 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 		// Cells the result cache answered never ran their job function:
 		// record them too, so the journal holds the whole grid.
 		for i, cell := range cells {
-			_ = opts.Journal.Record(keys[i], cell.Label(), rowGroups[i])
+			if journaled[i] {
+				continue
+			}
+			key, err := runner.SpecKey(cell.Spec())
+			if err != nil {
+				return nil, fmt.Errorf("experiments: sweep cell %q: %w", cell.Label(), err)
+			}
+			_ = opts.Journal.Record(key, cell.Label(), rowGroups[i])
 		}
 	}
 	out := &SweepResult{Cells: len(cells)}

@@ -94,9 +94,10 @@ type fileOps struct {
 	syncDir    func(dir string)
 }
 
-// osFiles is the production seam: the os package itself.
+// osFiles is the production seam: readEntryFile for reads, the os package for
+// every step of a write.
 var osFiles = fileOps{
-	readFile:   os.ReadFile,
+	readFile:   readEntryFile,
 	createTemp: os.CreateTemp,
 	write:      (*os.File).Write,
 	sync:       (*os.File).Sync,
@@ -122,7 +123,7 @@ func NewDiskCache(dir string) (*Cache, error) {
 		return nil, fmt.Errorf("runner: cache dir: %w", err)
 	}
 	c := NewCache()
-	c.dir = dir
+	c.dir = filepath.Clean(dir) // path appends to it without re-cleaning
 	return c, nil
 }
 
@@ -226,9 +227,8 @@ func Memo[T any](c *Cache, spec any, fn func() (T, error)) (T, bool, error) {
 }
 
 // MemoKeyedContext is MemoContext for callers that already hold the spec's
-// content hash: the worker pool computes SpecKey once per job submission and
-// reuses it for the lookup, the in-flight registration and the disk write, so
-// large sweeps do not re-marshal the same spec JSON on every cache touch.
+// content hash, so the lookup, the in-flight registration and the disk write
+// reuse it instead of re-marshaling the spec JSON.
 func MemoKeyedContext[T any](ctx context.Context, c *Cache, key string, fn func() (T, error)) (T, bool, error) {
 	if c == nil {
 		v, err := fn()
@@ -512,7 +512,7 @@ func (c *Cache) path(key string) string {
 	if len(key) >= 2 {
 		shard = key[:2]
 	}
-	return filepath.Join(c.dir, shard, key+entryExt)
+	return c.dir + string(filepath.Separator) + shard + string(filepath.Separator) + key + entryExt
 }
 
 // readDisk loads a key's bytes from the sharded location through the c.files

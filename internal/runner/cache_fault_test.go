@@ -65,7 +65,7 @@ func TestReadDiskFaultInjectedIsMiss(t *testing.T) {
 		t.Fatal("readDisk hit under an injected EIO")
 	}
 	// The entry is intact underneath.
-	c.files.readFile = os.ReadFile
+	c.files.readFile = readEntryFile
 	if raw, ok := c.readDisk("somekey"); !ok || string(raw) != `{"v":1}` {
 		t.Fatalf("readDisk after fault = %q, %v, want the intact entry", raw, ok)
 	}

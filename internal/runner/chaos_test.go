@@ -83,7 +83,7 @@ func (f *chaosFS) ops() fileOps {
 			if r := f.roll("read", name); r != nil {
 				return nil, &os.PathError{Op: "read", Path: name, Err: syscall.EIO}
 			}
-			return os.ReadFile(name)
+			return readEntryFile(name)
 		},
 		createTemp: func(dir, pattern string) (*os.File, error) {
 			if r := f.roll("create", pattern); r != nil {

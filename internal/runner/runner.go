@@ -36,7 +36,7 @@ type Job[T any] struct {
 	Label string
 	// Spec, when non-nil and a Cache is attached to the pool, enables result
 	// caching: it must be a JSON-marshalable value that fully determines the
-	// job's output (see SpecKey).
+	// job's output (see SpecKey). A spec that does not marshal fails its job.
 	Spec any
 	// Fn computes the result. It should honor ctx cancellation where it can
 	// (a job that ignores ctx delays shutdown until it returns) and must not
@@ -118,24 +118,6 @@ func Run[T any](ctx context.Context, jobs []Job[T], opts Options) ([]T, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Memoize every job's spec hash once at submission: the cache touches the
-	// key on lookup, in-flight registration and the disk write, and hashing
-	// means marshaling the whole spec JSON — per-touch recomputation is pure
-	// waste on large sweeps.
-	keys := make([]string, len(jobs))
-	if opts.Cache != nil {
-		for i := range jobs {
-			if jobs[i].Spec == nil {
-				continue
-			}
-			key, err := SpecKey(jobs[i].Spec)
-			if err != nil {
-				return nil, fmt.Errorf("runner: job %q: %w", jobs[i].Label, err)
-			}
-			keys[i] = key
-		}
-	}
-
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
 	ran := make([]bool, len(jobs))
@@ -193,7 +175,7 @@ func Run[T any](ctx context.Context, jobs []Job[T], opts Options) ([]T, error) {
 				}
 				opts.Metrics.jobStarted()
 				jobStart := time.Now()
-				res, hit, err := runOne(ctx, jobs[i], keys[i], opts.Cache)
+				res, hit, err := runOne(ctx, jobs[i], opts.Cache)
 				opts.Metrics.jobFinished(time.Since(jobStart), hit, err)
 				results[i], errs[i], ran[i] = res, err, true
 				if err != nil {
@@ -229,11 +211,14 @@ func Run[T any](ctx context.Context, jobs []Job[T], opts Options) ([]T, error) {
 	return results, nil
 }
 
-// runOne executes (or recalls) a single job using its precomputed spec key.
-func runOne[T any](ctx context.Context, job Job[T], key string, cache *Cache) (T, bool, error) {
-	if cache == nil || key == "" {
+// runOne executes (or recalls) a single job. The job's spec is hashed here, in
+// the worker, once: the key serves the lookup, the in-flight registration and
+// the disk write, and hashing runs in parallel with other jobs' reads instead
+// of holding every job until the whole grid is hashed.
+func runOne[T any](ctx context.Context, job Job[T], cache *Cache) (T, bool, error) {
+	if job.Spec == nil {
 		res, err := job.Fn(ctx)
 		return res, false, err
 	}
-	return MemoKeyedContext(ctx, cache, key, func() (T, error) { return job.Fn(ctx) })
+	return MemoContext(ctx, cache, job.Spec, func() (T, error) { return job.Fn(ctx) })
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -500,5 +501,23 @@ func TestPoolMetricsBalance(t *testing.T) {
 	}
 	if pm.JobSeconds.Count() != 8 {
 		t.Errorf("job histogram count = %d, want 8", pm.JobSeconds.Count())
+	}
+}
+
+// TestRunUnhashableSpecNamesJob: a spec is hashed by the worker that runs its
+// job, so a spec that does not marshal fails that job, and Run's error names
+// the job's label and wraps SpecKey's error.
+func TestRunUnhashableSpecNamesJob(t *testing.T) {
+	jobs := []Job[int]{
+		{Label: "fine", Spec: specV{Op: "fine"}, Fn: func(context.Context) (int, error) { return 1, nil }},
+		{Label: "unhashable", Spec: func() {}, Fn: func(context.Context) (int, error) { return 2, nil }},
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := Run(context.Background(), jobs, Options{Workers: workers, Cache: NewCache()})
+		var unsupported *json.UnsupportedTypeError
+		if err == nil || !strings.Contains(err.Error(), `"unhashable"`) ||
+			!strings.Contains(err.Error(), "spec not hashable") || !errors.As(err, &unsupported) {
+			t.Fatalf("workers=%d: err = %v, want the job's label wrapping SpecKey's error", workers, err)
+		}
 	}
 }
