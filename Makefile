@@ -167,6 +167,12 @@ bench-go:
 # binaries and CPU profiles in $(BENCH_OUT), to be read with `go tool pprof
 # -top $(BENCH_OUT)/cpu.test $(BENCH_OUT)/cpu.prof` (trace.test and
 # trace.prof for the generator, sim.test and sim.prof for the step loop).
+# Last it runs BenchmarkEstimateScenario (one Engine.Estimate per scenario,
+# the service's hot path) with -benchmem and leaves an alloc-space profile:
+# `go tool pprof -sample_index=alloc_space -top $(BENCH_OUT)/repro.test
+# $(BENCH_OUT)/estimate.memprof` lists the call sites by bytes allocated
+# (alloc_objects counts objects instead); a warm estimate allocates little
+# beyond its result, so a new entry near the top is new per-run garbage.
 bench-cpu:
 	mkdir -p $(BENCH_OUT)
 	$(GO) test -run=^$$ -bench=BenchmarkDataflowUnit ./internal/core
@@ -176,6 +182,8 @@ bench-cpu:
 		-o $(BENCH_OUT)/trace.test -cpuprofile $(BENCH_OUT)/trace.prof ./internal/trace
 	$(GO) test -run=^$$ -bench=BenchmarkStepLoop -benchtime=2000000x \
 		-o $(BENCH_OUT)/sim.test -cpuprofile $(BENCH_OUT)/sim.prof ./internal/sim
+	$(GO) test -run=^$$ -bench=BenchmarkEstimateScenario -benchmem \
+		-o $(BENCH_OUT)/repro.test -memprofile $(BENCH_OUT)/estimate.memprof .
 
 # bench-sweep compares the runner's serial vs parallel accuracy-study
 # wall-clock (BenchmarkAccuracySweep/jobs=1 vs /jobs=N).

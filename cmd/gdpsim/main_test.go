@@ -175,21 +175,38 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return out
 }
 
-// TestFig3DeterministicAcrossJobs is the CLI-level acceptance check:
-// `gdpsim fig3 -jobs 8` must print exactly what `-jobs 1` prints.
-func TestFig3DeterministicAcrossJobs(t *testing.T) {
-	args := []string{"-workloads", "1", "-instructions", "2000", "-interval", "2000", "fig3"}
-	serial := captureStdout(t, func() error {
-		return run(context.Background(), append([]string{"-jobs", "1"}, args...))
-	})
-	parallel := captureStdout(t, func() error {
-		return run(context.Background(), append([]string{"-jobs", "8"}, args...))
-	})
-	if serial != parallel {
-		t.Errorf("fig3 output differs between -jobs 1 and -jobs 8:\n--- jobs=1\n%s--- jobs=8\n%s", serial, parallel)
-	}
-	if !strings.Contains(serial, "Figure 3a") {
-		t.Errorf("fig3 output missing header:\n%s", serial)
+// TestOutputDeterministicAcrossJobsAndReruns is the CLI-level acceptance
+// check: each command prints the same bytes at -jobs 1 and -jobs 4, and again
+// when it runs a second time in the same process, where every simulation
+// runs on a machine a finished one handed back.
+func TestOutputDeterministicAcrossJobsAndReruns(t *testing.T) {
+	for _, tc := range []struct {
+		name, header string
+		args         []string
+	}{
+		{"fig3", "Figure 3a", []string{"fig3"}},
+		{"fig6", "Figure 6", []string{"fig6"}},
+		{"headline", "Headline ratios", []string{"headline"}},
+		{"sweep", "Sweep:", []string{"sweep", "-cores", "2", "-mixes", "H", "-prb", "16,32", "-policies", "LRU,MCP"}},
+		{"run", "Workload 4c-H-00", []string{"run"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			capture := func(jobs string) string {
+				args := append([]string{"-jobs", jobs, "-workloads", "1", "-instructions", "2000", "-interval", "2000"}, tc.args...)
+				return captureStdout(t, func() error { return run(context.Background(), args) })
+			}
+			first := capture("1")
+			for _, again := range []struct{ label, jobs string }{
+				{"jobs=1 rerun", "1"}, {"jobs=4", "4"}, {"jobs=4 rerun", "4"},
+			} {
+				if got := capture(again.jobs); got != first {
+					t.Errorf("%s output differs from the first jobs=1 print:\n--- first\n%s--- %s\n%s", tc.name, first, again.label, got)
+				}
+			}
+			if !strings.Contains(first, tc.header) {
+				t.Errorf("%s output missing %q:\n%s", tc.name, tc.header, first)
+			}
+		})
 	}
 }
 

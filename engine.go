@@ -193,7 +193,9 @@ var errStreamStopped = errors.New("gdp: stream stopped before the simulation fin
 // soon as its interval completes, instead of accumulating them in memory
 // (records arrive in core order within an interval and in time order across
 // intervals; Result.Intervals stays empty). The simulation advances in the
-// consumer's goroutine while the sequence is iterated.
+// consumer's goroutine while the sequence is iterated. A record's Estimates
+// map is valid until the next iteration: the simulation reuses it for the
+// core's next record, so a consumer copies what it keeps.
 //
 // The sequence yields (record, nil) pairs and ends either when the simulation
 // completes, when the consumer breaks out, or — after cancellation or a

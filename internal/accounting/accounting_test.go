@@ -365,7 +365,7 @@ func TestASMEpochRotation(t *testing.T) {
 	}
 
 	cfg := config.PaperConfig(4).DRAM
-	ctrl := dram.New(cfg)
+	ctrl := dram.New(cfg, 4)
 	a.BindController(ctrl)
 	older := &mem.Request{ID: 1, Core: 0, Addr: 0}
 	younger := &mem.Request{ID: 2, Core: 1, Addr: uint64(cfg.PageBytes * cfg.Channels * cfg.BanksPerChan)}
@@ -454,7 +454,7 @@ func TestASMRestartsOnBindController(t *testing.T) {
 	a.EndInterval()
 	a.probes[0].OnLoadCompleted(0, true, 1149, 0, 0, 0)
 	a.Estimate(0, interval(150, 100, 50, 100))
-	a.BindController(dram.New(config.PaperConfig(2).DRAM))
+	a.BindController(dram.New(config.PaperConfig(2).DRAM, 2))
 	runASMInterval(a, 1000)
 	if got := a.Estimate(0, iv); got != want {
 		t.Errorf("second run estimates %+v, a fresh ASM %+v", got, want)

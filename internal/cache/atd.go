@@ -50,11 +50,22 @@ func NewATD(llcSets, ways, sampledSets, lineBytes int) (*ATD, error) {
 		setMask:    uint64(llcSets - 1),
 		wayHits:    make([]uint64, ways),
 	}
+	tags, valid := make([]uint64, sampledSets*ways), make([]bool, sampledSets*ways)
 	for i := range a.tags {
-		a.tags[i] = make([]uint64, ways)
-		a.valid[i] = make([]bool, ways)
+		a.tags[i] = tags[i*ways : (i+1)*ways : (i+1)*ways]
+		a.valid[i] = valid[i*ways : (i+1)*ways : (i+1)*ways]
 	}
+	a.Reset()
 	return a, nil
+}
+
+// Reset empties the directory and its counters, exactly as NewATD builds it.
+func (a *ATD) Reset() {
+	for i := range a.tags {
+		clear(a.tags[i])
+		clear(a.valid[i])
+	}
+	a.ResetCounters()
 }
 
 // sampleIndex maps an address to its sampled-set index, or -1 if the address

@@ -53,10 +53,22 @@ func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 		setMask:  uint64(sets - 1),
 		lines:    make([][]line, sets),
 	}
+	all := make([]line, sets*ways)
 	for i := range c.lines {
-		c.lines[i] = make([]line, ways)
+		c.lines[i] = all[i*ways : (i+1)*ways : (i+1)*ways]
 	}
+	c.Reset()
 	return c, nil
+}
+
+// Reset empties the cache: every line invalid, the LRU clock at zero and no
+// way partition, exactly as New builds it.
+func (c *Cache) Reset() {
+	for _, set := range c.lines {
+		clear(set)
+	}
+	c.lruTick = 0
+	c.partition = nil
 }
 
 // Sets returns the number of sets.

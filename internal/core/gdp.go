@@ -97,11 +97,25 @@ func New(opts Options) (*GDP, error) {
 	if opts.PRBEntries < 1 || opts.PRBEntries > math.MaxInt32 {
 		return nil, fmt.Errorf("core: PRB needs 1 to %d entries, got %d", math.MaxInt32, opts.PRBEntries)
 	}
-	return &GDP{
+	g := &GDP{
 		opts: opts,
 		prb:  make([]prbEntry, opts.PRBEntries),
 		live: make([]int32, 0, opts.PRBEntries),
-	}, nil
+	}
+	g.Reset()
+	return g, nil
+}
+
+// Reset empties the PRB and the PCB and zeroes every counter, as New builds
+// the unit.
+func (g *GDP) Reset() {
+	clear(g.prb)
+	g.newest, g.oldest = 0, 0
+	g.pcb = pcb{}
+	g.live = g.live[:0]
+	g.lastRetrievedDepth = 0
+	g.overlapSum, g.overlapSMSLoads = 0, 0
+	g.insertions, g.evictions, g.cplUpdates = 0, 0, 0
 }
 
 // findByAddr returns the position in g.live of the valid PRB entry for addr,

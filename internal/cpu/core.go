@@ -153,7 +153,7 @@ func New(id int, cfg *config.CMPConfig, src *trace.Generator, sharedMem MemorySy
 	if err != nil {
 		return nil, err
 	}
-	return &Core{
+	c := &Core{
 		id:       id,
 		cfg:      cfg.Core,
 		l1Lat:    cfg.L1D.LatencyCyc,
@@ -174,7 +174,39 @@ func New(id int, cfg *config.CMPConfig, src *trace.Generator, sharedMem MemorySy
 			fuFPMul:  cfg.Core.FPMulDiv,
 			fuMem:    2,
 		},
-	}, nil
+	}
+	c.Reset()
+	return c, nil
+}
+
+// Reset returns the core to the state New builds: empty pipeline and store
+// buffer, cold private caches, no probes attached and zeroed statistics. The
+// instruction source and the shared memory system stay attached (the caller
+// resets those), and the outstanding-miss trackers join the free list.
+func (c *Core) Reset() {
+	c.l1d.Reset()
+	c.l2.Reset()
+	clear(c.probes)
+	clear(c.stallProbes)
+	c.probes, c.stallProbes = c.probes[:0], c.stallProbes[:0]
+	c.state = CycleState{}
+	clear(c.rob)
+	c.robHead, c.robCount = 0, 0
+	c.unissued = 0
+	clear(c.resolved)
+	c.instIndex = 0
+	for _, w := range c.pending {
+		c.putWaiter(w)
+	}
+	clear(c.pending)
+	c.pending = c.pending[:0]
+	c.storeBuffer = c.storeBuffer[:0]
+	c.pendingRedirect, c.fetchStallUntil, c.stalledOn = nil, 0, nil
+	c.memOps = 0
+	c.staged, c.hasStaged = trace.Instruction{}, false
+	c.active = false
+	c.fuUsed = [numFUPools]int{}
+	c.stats = Stats{}
 }
 
 // Stats returns a copy of the core's cumulative statistics.

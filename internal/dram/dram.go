@@ -37,9 +37,11 @@ type bankState struct {
 	openRow   uint64
 	openedBy  int
 	busyUntil uint64
-	// lastRowByCore remembers the last row each core touched in this bank, to
-	// detect row-buffer locality destroyed by other cores (DIEF).
-	lastRowByCore map[int]uint64
+	// lastRowByCore[core] is 1 + the last row core touched in this bank (0:
+	// none yet), to detect row-buffer locality destroyed by other cores (DIEF).
+	// A page holds at least a line, so a row never reaches 2^58 and 1 + row
+	// never wraps.
+	lastRowByCore []uint64
 }
 
 // channel is one memory channel with its own queues, banks and data bus.
@@ -65,6 +67,9 @@ type Controller struct {
 	epoch uint64
 	cores int
 
+	// lastRows backs every bank's lastRowByCore.
+	lastRows []uint64
+
 	// doneBuf is the reused Tick return buffer (valid until the next Tick).
 	doneBuf []*mem.Request
 	// doneWrites collects completed write requests so the shared memory
@@ -81,18 +86,46 @@ type Controller struct {
 }
 
 // New creates a memory controller for a DRAM configuration that
-// config.CMPConfig.Validate accepted.
-func New(cfg config.DRAMConfig) *Controller {
+// config.CMPConfig.Validate accepted, serving requests of cores cores.
+func New(cfg config.DRAMConfig, cores int) *Controller {
 	c := &Controller{cfg: cfg, drainAt: cfg.WriteQueue * 3 / 4}
 	c.channels = make([]channel, cfg.Channels)
+	c.lastRows = make([]uint64, cfg.Channels*cfg.BanksPerChan*cores)
 	for i := range c.channels {
-		c.channels[i].banks = make([]bankState, cfg.BanksPerChan)
-		for b := range c.channels[i].banks {
-			c.channels[i].banks[b].lastRowByCore = map[int]uint64{}
+		banks := make([]bankState, cfg.BanksPerChan)
+		for b := range banks {
+			at := (i*cfg.BanksPerChan + b) * cores
+			banks[b].lastRowByCore = c.lastRows[at : at+cores : at+cores]
 		}
-		c.channels[i].busOwner = -1
+		c.channels[i].banks = banks
 	}
+	c.Reset()
 	return c
+}
+
+// Reset empties every queue, closes every row, forgets the row history and
+// the priority rotation and zeroes the statistics, as New builds them; the
+// queues and buffers keep their storage.
+func (c *Controller) Reset() {
+	for i := range c.channels {
+		chn := &c.channels[i]
+		clear(chn.readQ)
+		clear(chn.writeQ)
+		clear(chn.inflight)
+		chn.readQ, chn.writeQ, chn.inflight = chn.readQ[:0], chn.writeQ[:0], chn.inflight[:0]
+		for b := range chn.banks {
+			chn.banks[b] = bankState{lastRowByCore: chn.banks[b].lastRowByCore}
+		}
+		chn.busBusyUntil, chn.busOwner = 0, -1
+	}
+	clear(c.lastRows)
+	c.epoch, c.cores = 0, 0
+	clear(c.doneBuf)
+	clear(c.doneWrites)
+	c.doneBuf, c.doneWrites = c.doneBuf[:0], c.doneWrites[:0]
+	c.reads, c.writes = 0, 0
+	c.rowHits, c.rowMisses, c.rowConflicts = 0, 0, 0
+	c.totalReadLat, c.completedReads = 0, 0
 }
 
 // EpochOwner is ASM's priority schedule: epoch k covers cycles
@@ -283,7 +316,7 @@ func (c *Controller) Tick(now uint64) []*mem.Request {
 		// in private mode (its core's previous access to this bank used the
 		// same row) but the row is now closed or holds another core's row.
 		if rowClass != 0 {
-			if prevRow, ok := b.lastRowByCore[item.req.Core]; ok && prevRow == item.row && b.openedBy != item.req.Core {
+			if b.lastRowByCore[item.req.Core] == item.row+1 && b.openedBy != item.req.Core {
 				item.req.MemInterference += uint64(lat - (c.cfg.TCAS + c.cfg.BurstCyc))
 			}
 		}
@@ -292,7 +325,7 @@ func (c *Controller) Tick(now uint64) []*mem.Request {
 		b.openRow = item.row
 		b.openedBy = item.req.Core
 		b.busyUntil = now + uint64(lat)
-		b.lastRowByCore[item.req.Core] = item.row
+		b.lastRowByCore[item.req.Core] = item.row + 1
 		chn.busBusyUntil = now + uint64(lat)
 		chn.busOwner = item.req.Core
 		chn.inflight = append(chn.inflight, inflight{req: item.req, complete: now + uint64(lat)})

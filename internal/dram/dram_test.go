@@ -11,6 +11,10 @@ import (
 // testConfig is Table I's DDR2-800 controller with one channel.
 func testConfig() config.DRAMConfig { return config.PaperConfig(2).DRAM }
 
+// testCores is the core count the test controllers serve: the tests issue
+// requests from cores 0 to 3.
+const testCores = 4
+
 // drain runs the controller until n reads complete or maxCycles elapse.
 func drain(c *Controller, start uint64, n int, maxCycles uint64) []*mem.Request {
 	var done []*mem.Request
@@ -21,7 +25,7 @@ func drain(c *Controller, start uint64, n int, maxCycles uint64) []*mem.Request 
 }
 
 func TestSingleReadLatency(t *testing.T) {
-	c := New(testConfig())
+	c := New(testConfig(), testCores)
 	req := &mem.Request{ID: 1, Core: 0, Addr: 0x1000}
 	if !c.Enqueue(req, 100) {
 		t.Fatal("enqueue failed")
@@ -41,7 +45,7 @@ func TestSingleReadLatency(t *testing.T) {
 }
 
 func TestRowHitFasterThanConflict(t *testing.T) {
-	c := New(testConfig())
+	c := New(testConfig(), testCores)
 	// Two reads to the same row back to back: second should be a row hit.
 	a := &mem.Request{ID: 1, Core: 0, Addr: 0x0}
 	b := &mem.Request{ID: 2, Core: 0, Addr: 0x40}
@@ -70,7 +74,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 }
 
 func TestFRFCFSPrefersRowHits(t *testing.T) {
-	c := New(testConfig())
+	c := New(testConfig(), testCores)
 	// Open a row with request 1.
 	first := &mem.Request{ID: 1, Core: 0, Addr: 0x0}
 	c.Enqueue(first, 0)
@@ -125,7 +129,7 @@ func TestRotationOverridesFRFCFS(t *testing.T) {
 		{"core 0's epoch", epoch, 2 * epoch, 1, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ctl := New(testConfig())
+			ctl := New(testConfig(), testCores)
 			ctl.SetRotation(c.epoch, 2)
 			a := &mem.Request{ID: 1, Core: c.older, Addr: 0x0}
 			b := &mem.Request{ID: 2, Core: 1 - c.older, Addr: uint64(testConfig().PageBytes * testConfig().BanksPerChan)}
@@ -143,7 +147,7 @@ func TestRotationOverridesFRFCFS(t *testing.T) {
 }
 
 func TestInterferenceAttributedToOtherCores(t *testing.T) {
-	c := New(testConfig())
+	c := New(testConfig(), testCores)
 	// Saturate with core-1 traffic, then a single core-0 read.
 	for i := 0; i < 8; i++ {
 		c.Enqueue(&mem.Request{ID: uint64(i), Core: 1, Addr: uint64(i * 0x40)}, 0)
@@ -160,7 +164,7 @@ func TestInterferenceAttributedToOtherCores(t *testing.T) {
 }
 
 func TestSoloCoreHasNoInterference(t *testing.T) {
-	c := New(testConfig())
+	c := New(testConfig(), testCores)
 	var reqs []*mem.Request
 	for i := 0; i < 10; i++ {
 		r := &mem.Request{ID: uint64(i), Core: 0, Addr: uint64(i) * 0x40 * 37}
@@ -178,7 +182,7 @@ func TestSoloCoreHasNoInterference(t *testing.T) {
 func TestQueueCapacityAndCanAccept(t *testing.T) {
 	cfg := testConfig()
 	cfg.ReadQueue = 2
-	c := New(cfg)
+	c := New(cfg, testCores)
 	if !c.Enqueue(&mem.Request{ID: 1, Addr: 0x40}, 0) || !c.Enqueue(&mem.Request{ID: 2, Addr: 0x80}, 0) {
 		t.Fatal("enqueue under capacity failed")
 	}
@@ -197,7 +201,7 @@ func TestQueueCapacityAndCanAccept(t *testing.T) {
 }
 
 func TestWritesDrainWhenIdle(t *testing.T) {
-	c := New(testConfig())
+	c := New(testConfig(), testCores)
 	w := &mem.Request{ID: 1, Core: 0, Addr: 0x1000, IsWrite: true}
 	if !c.Enqueue(w, 0) {
 		t.Fatal("write enqueue failed")
@@ -219,10 +223,10 @@ func TestWritesDrainWhenIdle(t *testing.T) {
 }
 
 func TestMultiChannelParallelism(t *testing.T) {
-	single := New(testConfig())
+	single := New(testConfig(), testCores)
 	multiCfg := testConfig()
 	multiCfg.Channels = 4
-	multi := New(multiCfg)
+	multi := New(multiCfg, testCores)
 
 	run := func(c *Controller) uint64 {
 		n := 32
@@ -244,7 +248,7 @@ func TestMultiChannelParallelism(t *testing.T) {
 }
 
 func TestStatsAverageLatency(t *testing.T) {
-	c := New(testConfig())
+	c := New(testConfig(), testCores)
 	c.Enqueue(&mem.Request{ID: 1, Core: 0, Addr: 0x40}, 0)
 	drain(c, 0, 1, 10000)
 	if c.Stats().AvgReadLatency <= 0 {
@@ -254,7 +258,7 @@ func TestStatsAverageLatency(t *testing.T) {
 
 func TestAllEnqueuedReadsEventuallyComplete(t *testing.T) {
 	f := func(addrs []uint32, cores []uint8) bool {
-		c := New(testConfig())
+		c := New(testConfig(), testCores)
 		n := len(addrs)
 		if n > 40 {
 			n = 40

@@ -52,6 +52,12 @@ type reqQueue struct {
 
 func (q *reqQueue) push(r *mem.Request) { q.items = append(q.items, r) }
 
+// reset empties the queue, keeping its backing array.
+func (q *reqQueue) reset() {
+	clear(q.items)
+	q.items, q.head = q.items[:0], 0
+}
+
 func (q *reqQueue) len() int { return len(q.items) - q.head }
 
 func (q *reqQueue) front() *mem.Request { return q.items[q.head] }
@@ -119,6 +125,9 @@ type System struct {
 	retiredNow  []*mem.Request
 	retiredPrev []*mem.Request
 	agedTo      uint64
+	// all lists every request the pool ever allocated, so Reset can free the
+	// ones still in flight too.
+	all []*mem.Request
 
 	// OnInterferenceMiss, when non-nil, is called with the issuing core and
 	// the cycle just before a request is marked as an interference miss:
@@ -158,12 +167,11 @@ func New(cfg *config.CMPConfig) (*System, error) {
 		cfg:           cfg,
 		ring:          ring.New(cfg),
 		llc:           llc,
-		mc:            dram.New(cfg.DRAM),
+		mc:            dram.New(cfg.DRAM, cfg.Cores),
 		ingress:       make([]reqQueue, cfg.Cores),
 		bankBusyUntil: make([]uint64, cfg.LLC.Banks),
 		bankQueue:     make([]reqQueue, cfg.LLC.Banks),
 		completed:     make([][]*mem.Request, cfg.Cores),
-		pooling:       true,
 	}
 	s.atds = make([]*cache.ATD, cfg.Cores)
 	for core := 0; core < cfg.Cores; core++ {
@@ -173,7 +181,46 @@ func New(cfg *config.CMPConfig) (*System, error) {
 		}
 		s.atds[core] = atd
 	}
+	s.Reset()
 	return s, nil
+}
+
+// Reset returns the system to the state New builds: cold LLC and ATDs, empty
+// rings, queues and controller (no priority rotation, no way partition),
+// request recycling on and zeroed counters. Every backing array is kept, and
+// every request the pool allocated, finished or still in flight, is free
+// again. OnInterferenceMiss is the driver's hook, not simulation state, and
+// stays as it is.
+func (s *System) Reset() {
+	s.ring.Reset()
+	s.llc.Reset()
+	for _, atd := range s.atds {
+		atd.Reset()
+	}
+	s.mc.Reset()
+	for i := range s.ingress {
+		s.ingress[i].reset()
+	}
+	clear(s.bankBusyUntil)
+	for i := range s.bankQueue {
+		s.bankQueue[i].reset()
+	}
+	clear(s.inLookup)
+	clear(s.toMemory)
+	clear(s.toResponse)
+	s.inLookup, s.toMemory, s.toResponse = s.inLookup[:0], s.toMemory[:0], s.toResponse[:0]
+	for i := range s.completed {
+		clear(s.completed[i])
+		s.completed[i] = s.completed[i][:0]
+	}
+	s.pooling = true
+	s.pool = append(s.pool[:0], s.all...)
+	clear(s.retiredPrev)
+	clear(s.retiredNow)
+	s.retiredPrev, s.retiredNow, s.agedTo = s.retiredPrev[:0], s.retiredNow[:0], 0
+	s.mcAt, s.mcWake, s.mcTicks, s.mcEveryCycle = 0, 0, 0, false
+	s.nextID = 0
+	s.stats = Stats{}
 }
 
 // ATD returns core's auxiliary tag directory.
@@ -247,6 +294,9 @@ func (s *System) newRequest(core int, addr uint64, isWrite bool, now uint64) *me
 		*req = mem.Request{}
 	} else {
 		req = &mem.Request{}
+		if s.pooling {
+			s.all = append(s.all, req)
+		}
 	}
 	req.Core = core
 	req.Addr = addr

@@ -59,12 +59,26 @@ type Ring struct {
 // New creates the ring interconnect of a CMP configuration that
 // config.CMPConfig.Validate accepted.
 func New(cfg *config.CMPConfig) *Ring {
-	return &Ring{
+	r := &Ring{
 		hopLatency: cfg.Ring.HopLatency,
 		queueCap:   cfg.Ring.QueueEntries,
 		reqLanes:   cfg.Ring.RequestRings,
 		rspLanes:   cfg.Ring.ResponseRings,
 	}
+	r.Reset()
+	return r
+}
+
+// Reset empties both rings and zeroes the statistics, as New builds them;
+// the queues and delivery buffers keep their storage.
+func (r *Ring) Reset() {
+	clear(r.reqQueue)
+	clear(r.rspQueue)
+	clear(r.reqOut)
+	clear(r.rspOut)
+	r.reqQueue, r.rspQueue = r.reqQueue[:0], r.rspQueue[:0]
+	r.reqOut, r.rspOut = r.reqOut[:0], r.rspOut[:0]
+	r.reqDelivered, r.rspDelivered, r.totalQueueing = 0, 0, 0
 }
 
 // hops returns the hop count between a core and the LLC. Cores are laid out

@@ -42,11 +42,13 @@ func allocRunOptions(t *testing.T, maxCycles uint64, withAccountant bool, metric
 	return opts
 }
 
-// measureRunAllocs returns the average allocation count of a full Run.
-func measureRunAllocs(t *testing.T, maxCycles uint64, withAccountant bool, metrics *Metrics) float64 {
+// measureRunAllocs returns the average allocation count of a full Run, with
+// sink as its OnInterval when it is non-nil.
+func measureRunAllocs(t *testing.T, maxCycles uint64, withAccountant bool, metrics *Metrics, sink func(IntervalRecord) error) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
 		opts := allocRunOptions(t, maxCycles, withAccountant, metrics)
+		opts.OnInterval = sink
 		if _, err := Run(t.Context(), opts); err != nil {
 			t.Fatal(err)
 		}
@@ -59,25 +61,31 @@ func measureRunAllocs(t *testing.T, maxCycles uint64, withAccountant bool, metri
 // the total allocations of a short and a long run with identical setup; the
 // difference is attributable purely to the extra steady-state intervals. The
 // instrumented variants attach a telemetry.Metrics sink, pinning the claim
-// that observability does not cost the hot path its allocation-free status.
+// that observability does not cost the hot path its allocation-free status,
+// and an OnInterval sink, whose records reuse one Estimates map per core.
 func TestIntervalLoopZeroAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement needs full runs")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector, so a run may build a machine")
 	}
 	reg := telemetry.NewRegistry()
 	for _, tc := range []struct {
 		name           string
 		withAccountant bool
 		metrics        *Metrics
+		sink           func(IntervalRecord) error
 	}{
-		{"no-accountant", false, nil},
-		{"gdp-o", true, nil},
-		{"gdp-o+metrics", true, NewMetrics(reg)},
+		{"no-accountant", false, nil, nil},
+		{"gdp-o", true, nil, nil},
+		{"gdp-o+metrics", true, NewMetrics(reg), nil},
+		{"gdp-o+sink", true, nil, func(IntervalRecord) error { return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const interval = 2000
-			shortAllocs := measureRunAllocs(t, 20*interval, tc.withAccountant, tc.metrics)
-			longAllocs := measureRunAllocs(t, 120*interval, tc.withAccountant, tc.metrics)
+			shortAllocs := measureRunAllocs(t, 20*interval, tc.withAccountant, tc.metrics, tc.sink)
+			longAllocs := measureRunAllocs(t, 120*interval, tc.withAccountant, tc.metrics, tc.sink)
 			perInterval := (longAllocs - shortAllocs) / 100
 			if perInterval >= 1 {
 				t.Errorf("steady-state interval loop allocates %.2f objects/interval (short run %.0f, long run %.0f), want 0",

@@ -38,7 +38,7 @@ func BenchmarkStepLoop(b *testing.B) {
 				b.Fatal(err)
 			}
 			accts := []accounting.Accountant{gdp, gdpo, itca, ptca}
-			st, err := newRunState(Options{
+			st, err := startRun(Options{
 				Config:              config.ScaledConfig(cores),
 				Workload:            wl,
 				InstructionsPerCore: 1 << 40, // never reached: the loop runs for as long as b.N asks
@@ -51,7 +51,8 @@ func BenchmarkStepLoop(b *testing.B) {
 				b.Fatal(err)
 			}
 			never := func(int) uint64 { return math.MaxUint64 }
-			clk := newStepper(st.shared, st.cores, accts, true, never)
+			clk := st.clk
+			clk.start(accts, true, never)
 			// visit mirrors runFast's loop for n visited cycles from now.
 			visit := func(now uint64, n int) uint64 {
 				for range n {

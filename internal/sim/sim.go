@@ -14,10 +14,14 @@
 // per-cycle bookkeeping of the span they sat out (stall counters, probe
 // snapshots, DRAM queue-interference charges) is applied in closed form.
 // Cycles on which no component has an event are not visited at all. With
-// skipping off (Options.Reference, which also disables request pooling) the
-// same loop visits every cycle and ticks every component on it; it
-// reproduces the pre-optimization engine exactly and anchors the differential
-// tests. Both settings produce byte-identical Results.
+// skipping off (Options.Reference, which also disables request pooling and
+// machine reuse) the same loop visits every cycle and ticks every component
+// on it; it reproduces the pre-optimization engine exactly and anchors the
+// differential tests. Both settings produce byte-identical Results.
+//
+// Every other run takes its simulated CMP from a pool (machine.go) and hands
+// it back reset when it ends, so a warm process allocates per run only what
+// the run returns.
 package sim
 
 import (
@@ -74,6 +78,10 @@ type Options struct {
 	// in time order across intervals). A non-nil return aborts the run with
 	// that error. This is the streaming path: consumers observe estimates
 	// while the simulation advances instead of waiting for the full Result.
+	// With DiscardIntervals set, a record's Estimates map is valid only until
+	// the call returns: the run reuses it for the core's next record, and the
+	// next run on the same machine after that. A consumer copies what it
+	// keeps.
 	OnInterval func(IntervalRecord) error
 	// DiscardIntervals, when true, keeps Result.Intervals empty: records are
 	// only delivered through OnInterval. SamplePoints are still collected
@@ -82,9 +90,10 @@ type Options struct {
 	// memory.
 	DiscardIntervals bool
 	// Reference turns event skipping and request pooling off, so every cycle
-	// is ticked explicitly: the exact pre-optimization engine, kept
-	// build-tag-free for differential testing against the event-driven
-	// default. Results are byte-identical either way.
+	// is ticked explicitly, and runs on a machine built for the run alone,
+	// never one a finished run handed back: the exact pre-optimization
+	// engine, kept build-tag-free for differential testing against the
+	// event-driven default. Results are byte-identical either way.
 	Reference bool
 	// Workers is accepted and ignored: it selected the width of an
 	// intra-simulation threaded driver that was measured and removed. Negative
@@ -158,42 +167,6 @@ type controllerBinder interface {
 	BindController(c *dram.Controller)
 }
 
-// samplePointCapHint bounds the pre-allocated per-core sample-point capacity.
-const samplePointCapHint = 4096
-
-// runState holds one shared-mode run in flight: the instantiated hardware,
-// the accumulating result and the reusable per-interval scratch (so the
-// steady-state interval loop performs no heap allocations).
-type runState struct {
-	opts      Options
-	shared    *memsys.System
-	cores     []*cpu.Core
-	res       *Result
-	maxCycles uint64
-
-	lastSnapshot []cpu.Stats
-
-	// Reusable per-interval scratch.
-	intervals []cpu.Stats
-	records   []IntervalRecord
-	snapshots []partition.CoreSnapshot
-	// reuseEstimates reports that interval records never escape the run
-	// (DiscardIntervals set and no OnInterval sink), so their Estimates maps
-	// can be recycled across intervals.
-	reuseEstimates bool
-
-	// clk steps the hardware and the accountants, each on its own clock
-	// (runFast builds it).
-	clk *stepper
-	// done counts the cores that have committed their instruction sample.
-	done int
-
-	// Telemetry accumulators: plain fields the drivers advance on the hot
-	// path and flushMetrics publishes atomically at interval boundaries.
-	flushedCycle uint64
-	ffPending    uint64
-}
-
 // Run executes a shared-mode simulation under a context. Cancellation
 // is checked before the first cycle and at every interval boundary, so an
 // already-expired context returns its error without completing a single
@@ -206,14 +179,15 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	st, err := newRunState(opts)
+	m, err := startRun(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.runFast(ctx); err != nil {
+	defer m.release()
+	if err := m.runFast(ctx); err != nil {
 		return nil, err
 	}
-	return st.res, nil
+	return m.res, nil // read before the deferred release drops it
 }
 
 // defaultMaxCyclesMultiplier derives the default cycle budget from the
@@ -231,78 +205,63 @@ func defaultMaxCycles(instructions uint64) uint64 {
 	return instructions * defaultMaxCyclesMultiplier
 }
 
-// newRunState instantiates the CMP for one shared-mode run.
-func newRunState(opts Options) (*runState, error) {
-	maxCycles := opts.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = defaultMaxCycles(opts.InstructionsPerCore)
-	}
-
-	shared, err := memsys.New(opts.Config)
+// startRun takes a machine for opts and starts a shared-mode run on it.
+func startRun(opts Options) (*machine, error) {
+	m, err := acquireMachine(opts.Config, opts.Config.Cores, opts.Reference)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Reference {
-		shared.DisableRecycling()
+	if err := m.start(opts); err != nil {
+		m.release()
+		return nil, err
 	}
-	cores := make([]*cpu.Core, opts.Config.Cores)
-	for i := range cores {
-		gen, err := opts.Workload.Benchmarks[i].NewGenerator(CoreSeed(opts.Seed, i))
-		if err != nil {
-			return nil, err
-		}
-		core, err := cpu.New(i, opts.Config, gen, shared)
-		if err != nil {
-			return nil, err
+	return m, nil
+}
+
+// start loads the workload, attaches the accountants and readies the result
+// and the stepper for a shared-mode run of opts.
+func (m *machine) start(opts Options) error {
+	for i := range m.cores {
+		if err := m.load(i, opts.Workload.Benchmarks[i], CoreSeed(opts.Seed, i)); err != nil {
+			return err
 		}
 		for _, acct := range opts.Accountants {
 			if p := acct.Probe(i); p != nil {
-				core.AttachProbe(p)
+				m.cores[i].AttachProbe(p)
 			}
 		}
-		cores[i] = core
 	}
 	for _, acct := range opts.Accountants {
 		if fs, ok := acct.(latencyFloorSetter); ok {
-			for i := range cores {
-				fs.SetLatencyFloor(i, shared.UnloadedSMSLatency(i))
+			for i := range m.cores {
+				fs.SetLatencyFloor(i, m.shared.UnloadedSMSLatency(i))
 			}
 		}
 		if cb, ok := acct.(controllerBinder); ok {
-			cb.BindController(shared.Controller())
+			cb.BindController(m.shared.Controller())
 		}
 	}
 
-	res := &Result{
-		Config:       opts.Config,
-		Workload:     opts.Workload,
-		CoreStats:    make([]cpu.Stats, len(cores)),
-		SampleStats:  make([]cpu.Stats, len(cores)),
-		Intervals:    make([][]IntervalRecord, len(cores)),
-		SamplePoints: make([][]uint64, len(cores)),
+	m.opts = opts
+	m.maxCycles = opts.MaxCycles
+	if m.maxCycles == 0 {
+		m.maxCycles = defaultMaxCycles(opts.InstructionsPerCore)
 	}
-	spCap := maxCycles / opts.IntervalCycles
-	if spCap >= samplePointCapHint {
-		spCap = samplePointCapHint
-	} else {
-		spCap++
+	n := len(m.cores)
+	m.res = &Result{
+		Config:      opts.Config,
+		Workload:    opts.Workload,
+		CoreStats:   make([]cpu.Stats, n),
+		SampleStats: make([]cpu.Stats, n),
+		Intervals:   make([][]IntervalRecord, n),
 	}
-	for i := range res.SamplePoints {
-		res.SamplePoints[i] = make([]uint64, 0, spCap)
+	clear(m.lastSnapshot)
+	for i := range m.points {
+		m.points[i] = m.points[i][:0]
 	}
-
-	st := &runState{
-		opts:           opts,
-		shared:         shared,
-		cores:          cores,
-		res:            res,
-		maxCycles:      maxCycles,
-		lastSnapshot:   make([]cpu.Stats, len(cores)),
-		intervals:      make([]cpu.Stats, len(cores)),
-		records:        make([]IntervalRecord, len(cores)),
-		reuseEstimates: opts.DiscardIntervals && opts.OnInterval == nil,
-	}
-	return st, nil
+	m.done, m.flushedCycle, m.ffPending = 0, 0, 0
+	m.clk.start(opts.Accountants, !opts.Reference, m.sampleRun)
+	return nil
 }
 
 // stepper advances the cores and the shared memory system of one run, each
@@ -357,27 +316,40 @@ type stepper struct {
 	missSyncs, boundarySyncs, completionWakes uint64
 }
 
-// newStepper wires a stepper to the hardware with every clock at cycle 0,
-// where every component is due. skip is the requested policy and sample the
-// driver's look at a core's committed-instruction count (see sampleAt).
-func newStepper(shared *memsys.System, cores []*cpu.Core, accts []accounting.Accountant, skip bool, sample func(int) uint64) *stepper {
+// newStepper wires a stepper to the hardware of a machine. Each run starts
+// it afresh.
+func newStepper(shared *memsys.System, cores []*cpu.Core) *stepper {
 	s := &stepper{
 		shared:   shared,
 		cores:    cores,
-		accts:    accts,
-		lazy:     skip,
 		coreAt:   make([]uint64, len(cores)),
 		wake:     make([]uint64, len(cores)),
 		sampleAt: make([]uint64, len(cores)),
-		sample:   sample,
 	}
-	shared.StartClock(0, !s.lazy)
-	shared.OnInterferenceMiss = func(core int, now uint64) { // rule 2
-		if s.settle(core, now) {
-			s.missSyncs++
-		}
-	}
+	shared.OnInterferenceMiss = s.onInterferenceMiss
 	return s
+}
+
+// start readies the stepper for a run with every clock at cycle 0, where
+// every component is due, and every work count at zero. skip is the
+// requested policy and sample the driver's look at a core's
+// committed-instruction count (see sampleAt).
+func (s *stepper) start(accts []accounting.Accountant, skip bool, sample func(int) uint64) {
+	s.accts, s.lazy, s.sample = accts, skip, sample
+	clear(s.coreAt)
+	clear(s.wake)
+	clear(s.sampleAt)
+	s.memWake = 0
+	s.visited, s.coreTicks, s.memTicks, s.spans = 0, 0, 0, 0
+	s.missSyncs, s.boundarySyncs, s.completionWakes = 0, 0, 0
+	s.shared.StartClock(0, !s.lazy)
+}
+
+// onInterferenceMiss is the memory system's OnInterferenceMiss hook (rule 2).
+func (s *stepper) onInterferenceMiss(core int, now uint64) {
+	if s.settle(core, now) {
+		s.missSyncs++
+	}
 }
 
 // settle applies core i's deferred bookkeeping for the cycles below to and
@@ -461,29 +433,28 @@ func (s *stepper) step(now uint64) uint64 {
 // applies the span's per-cycle bookkeeping in closed form when it catches the
 // component up, so the Result is byte-identical to a run with skipping off,
 // where every cycle is visited and every component ticked on it.
-func (st *runState) runFast(ctx context.Context) error {
-	opts := st.opts
-	st.clk = newStepper(st.shared, st.cores, opts.Accountants, !opts.Reference, st.takeSample)
+func (m *machine) runFast(ctx context.Context) error {
+	opts := m.opts
 	var now uint64
 	last := opts.IntervalCycles - 1 // the last cycle of the interval now is in
-	for now < st.maxCycles {
-		target := st.clk.step(now)
+	for now < m.maxCycles {
+		target := m.clk.step(now)
 
 		if now == last {
 			last += opts.IntervalCycles
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if st.clk.sync(now + 1) {
-				st.clk.boundarySyncs++
+			if m.clk.sync(now + 1) {
+				m.clk.boundarySyncs++
 			}
-			if err := st.recordInterval(); err != nil {
+			if err := m.recordInterval(); err != nil {
 				return err
 			}
-			st.flushMetrics(now+1, 1)
+			m.flushMetrics(now+1, 1)
 		}
 
-		if st.done == len(st.cores) {
+		if m.done == len(m.cores) {
 			now++
 			break
 		}
@@ -493,79 +464,83 @@ func (st *runState) runFast(ctx context.Context) error {
 			if target > last {
 				target = last
 			}
-			if target > st.maxCycles {
-				target = st.maxCycles
+			if target > m.maxCycles {
+				target = m.maxCycles
 			}
 		}
 		if target > now+1 {
-			st.ffPending += target - (now + 1)
+			m.ffPending += target - (now + 1)
 			now = target
 		} else {
 			now++
 		}
 	}
-	st.finish(now)
+	m.finish(now)
 	return nil
 }
 
 // takeSample is the stepper's sample callback: it records core i's
 // statistics for STP on the tick that takes it to its instruction sample.
-func (st *runState) takeSample(i int) uint64 {
-	core := st.cores[i]
-	if core.Instructions() < st.opts.InstructionsPerCore {
-		return st.opts.InstructionsPerCore
+func (m *machine) takeSample(i int) uint64 {
+	core := m.cores[i]
+	if core.Instructions() < m.opts.InstructionsPerCore {
+		return m.opts.InstructionsPerCore
 	}
-	st.res.SampleStats[i] = core.Stats()
-	st.done++
+	m.res.SampleStats[i] = core.Stats()
+	m.done++
 	return math.MaxUint64
 }
 
-// finish seals the result once the run's last cycle has been simulated.
-func (st *runState) finish(now uint64) {
-	st.clk.sync(now)
-	st.res.Cycles = now
-	for i, core := range st.cores {
-		st.res.CoreStats[i] = core.Stats()
-		if st.clk.sampleAt[i] != math.MaxUint64 { // the sample was never reached
-			st.res.SampleStats[i] = core.Stats()
+// finish seals the result once the run's last cycle has been simulated. The
+// sample points move into one allocation sized to fit.
+func (m *machine) finish(now uint64) {
+	m.clk.sync(now)
+	m.res.Cycles = now
+	for i, core := range m.cores {
+		m.res.CoreStats[i] = core.Stats()
+		if m.clk.sampleAt[i] != math.MaxUint64 { // the sample was never reached
+			m.res.SampleStats[i] = core.Stats()
 		}
 	}
-	st.flushMetrics(now, 0)
-	if m := st.opts.Metrics; m != nil {
-		m.runs.Add(1)
+	total := 0
+	for _, p := range m.points {
+		total += len(p)
+	}
+	all := make([]uint64, total)
+	m.res.SamplePoints = make([][]uint64, len(m.points))
+	for i, p := range m.points {
+		n := copy(all, p)
+		m.res.SamplePoints[i], all = all[:n:n], all[n:]
+	}
+	m.flushMetrics(now, 0)
+	if sink := m.opts.Metrics; sink != nil {
+		sink.runs.Add(1)
 	}
 }
 
 // recordInterval captures the interval deltas, queries every accountant,
 // delivers the records to the streaming sink, optionally repartitions the LLC
 // and resets interval state. The per-interval scratch (delta slices, record
-// slice and — when records cannot escape — the estimate maps) is reused
-// across intervals, keeping the steady-state interval loop allocation-free.
-func (st *runState) recordInterval() error {
-	opts, res, cores := st.opts, st.res, st.cores
+// slice and — with DiscardIntervals — the estimate maps) is reused across
+// intervals and runs, keeping the steady-state interval loop allocation-free.
+func (m *machine) recordInterval() error {
+	opts, res, cores := m.opts, m.res, m.cores
 	for i, core := range cores {
 		stats := core.Stats()
-		st.intervals[i] = stats.Delta(st.lastSnapshot[i])
-		var ests map[string]accounting.Estimate
-		if st.reuseEstimates && st.records[i].Estimates != nil {
-			ests = st.records[i].Estimates
-			clear(ests)
-		} else {
-			ests = make(map[string]accounting.Estimate, len(opts.Accountants))
-		}
-		st.records[i] = IntervalRecord{
+		m.intervals[i] = stats.Delta(m.lastSnapshot[i])
+		m.records[i] = IntervalRecord{
 			Core:              i,
-			StartInstructions: st.lastSnapshot[i].Instructions,
+			StartInstructions: m.lastSnapshot[i].Instructions,
 			EndInstructions:   stats.Instructions,
-			Shared:            st.intervals[i],
-			Estimates:         ests,
+			Shared:            m.intervals[i],
+			Estimates:         m.estimates(i),
 		}
-		st.lastSnapshot[i] = stats
+		m.lastSnapshot[i] = stats
 	}
-	records := st.records
+	records := m.records
 	for _, acct := range opts.Accountants {
 		for i := range cores {
-			records[i].Estimates[acct.Name()] = acct.Estimate(i, st.intervals[i])
+			records[i].Estimates[acct.Name()] = acct.Estimate(i, m.intervals[i])
 		}
 		acct.EndInterval()
 	}
@@ -573,7 +548,7 @@ func (st *runState) recordInterval() error {
 		if !opts.DiscardIntervals {
 			res.Intervals[i] = append(res.Intervals[i], records[i])
 		}
-		res.SamplePoints[i] = append(res.SamplePoints[i], records[i].EndInstructions)
+		m.points[i] = append(m.points[i], records[i].EndInstructions)
 	}
 	if opts.OnInterval != nil {
 		for i := range records {
@@ -584,32 +559,48 @@ func (st *runState) recordInterval() error {
 	}
 
 	if opts.Partitioner != nil {
-		if st.snapshots == nil {
-			st.snapshots = make([]partition.CoreSnapshot, len(cores))
+		if m.snapshots == nil {
+			m.snapshots = make([]partition.CoreSnapshot, len(cores))
 		}
 		for i := range cores {
-			atd := st.shared.ATD(i)
-			st.snapshots[i] = partition.CoreSnapshot{
+			atd := m.shared.ATD(i)
+			m.snapshots[i] = partition.CoreSnapshot{
 				MissCurve: atd.MissCurve(),
-				Interval:  st.intervals[i],
+				Interval:  m.intervals[i],
 			}
 			if len(opts.Accountants) > 0 {
-				st.snapshots[i].PrivateCPI = records[i].Estimates[opts.Accountants[0].Name()].PrivateCPI
+				m.snapshots[i].PrivateCPI = records[i].Estimates[opts.Accountants[0].Name()].PrivateCPI
 			} else {
-				st.snapshots[i].PrivateCPI = st.intervals[i].CPI()
+				m.snapshots[i].PrivateCPI = m.intervals[i].CPI()
 			}
 			atd.ResetCounters()
 		}
-		decision := opts.Partitioner.Decide(st.snapshots, opts.Config.LLC.Ways)
-		_ = st.shared.SetPartition(decision.Allocation)
+		decision := opts.Partitioner.Decide(m.snapshots, opts.Config.LLC.Ways)
+		_ = m.shared.SetPartition(decision.Allocation)
 	} else {
 		// Keep ATD counters interval-scoped even without partitioning so miss
 		// curves stay meaningful for diagnostics.
 		for i := range cores {
-			st.shared.ATD(i).ResetCounters()
+			m.shared.ATD(i).ResetCounters()
 		}
 	}
 	return nil
+}
+
+// estimates returns the Estimates map of core i's record for this interval.
+// With DiscardIntervals a record cannot outlive the interval's OnInterval
+// calls, so the machine's map for core i is cleared and reused; otherwise the
+// record goes into Result.Intervals with a map of its own.
+func (m *machine) estimates(i int) map[string]accounting.Estimate {
+	if !m.opts.DiscardIntervals {
+		return make(map[string]accounting.Estimate, len(m.opts.Accountants))
+	}
+	if m.ests[i] == nil {
+		m.ests[i] = make(map[string]accounting.Estimate, len(m.opts.Accountants))
+	} else {
+		clear(m.ests[i])
+	}
+	return m.ests[i]
 }
 
 // PrivateReference holds the interference-free ground truth (and the
@@ -734,26 +725,28 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	shared, err := memsys.New(cfg)
+	m, err := acquireMachine(cfg, 1, reference)
 	if err != nil {
 		return nil, err
 	}
-	if reference {
-		shared.DisableRecycling()
-	}
-	gen, err := bench.NewGenerator(seed)
-	if err != nil {
+	defer m.release()
+	return m.runPrivate(ctx, bench, samplePoints, seed, maxCycles, reference)
+}
+
+// runPrivate runs bench alone on core 0 of m for the runPrivate function.
+func (m *machine) runPrivate(ctx context.Context, bench workload.Benchmark, samplePoints []uint64, seed int64, maxCycles uint64, reference bool) (*PrivateReference, error) {
+	if err := m.load(0, bench, seed); err != nil {
 		return nil, err
 	}
-	core, err := cpu.New(0, cfg, gen, shared)
-	if err != nil {
-		return nil, err
+	if m.ref == nil {
+		ref, err := gdpcore.New(gdpcore.Options{PRBEntries: referencePRBEntries, TrackOverlap: true})
+		if err != nil {
+			return nil, err
+		}
+		m.ref = ref
 	}
-	ref, err := gdpcore.New(gdpcore.Options{PRBEntries: referencePRBEntries, TrackOverlap: true})
-	if err != nil {
-		return nil, err
-	}
-	core.AttachProbe(ref)
+	core := m.cores[0]
+	core.AttachProbe(m.ref)
 
 	var target uint64
 	if len(samplePoints) > 0 {
@@ -768,26 +761,9 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 	}
 
 	out := &PrivateReference{Benchmark: bench.Name, Points: slices.Clone(samplePoints)}
-	next, finished := 0, false
-	// record takes every sample point the core's count has reached and
-	// returns the next one; past the last point the run is finished.
-	record := func(int) uint64 {
-		stats := core.Stats()
-		for next < len(samplePoints) && stats.Instructions >= samplePoints[next] {
-			depth, sum, loads := ref.Totals()
-			out.At = append(out.At, stats)
-			out.Depth = append(out.Depth, depth)
-			out.OverlapSum = append(out.OverlapSum, sum)
-			out.OverlapLoads = append(out.OverlapLoads, loads)
-			next++
-		}
-		if next < len(samplePoints) {
-			return samplePoints[next]
-		}
-		finished = true
-		return math.MaxUint64
-	}
-	clk := newStepper(shared, []*cpu.Core{core}, nil, !reference, record)
+	m.priv = privateRun{core: core, ref: m.ref, out: out, points: samplePoints}
+	clk := m.clk
+	clk.start(nil, !reference, m.samplePriv)
 	now := uint64(0)
 	for now < maxCycles {
 		if now%privateCancelCheckCycles == 0 {
@@ -796,7 +772,7 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 			}
 		}
 		skipTo := clk.step(now)
-		if finished {
+		if m.priv.finished {
 			now++
 			break
 		}

@@ -139,7 +139,7 @@ func TestDefaultMaxCyclesSaturates(t *testing.T) {
 	}
 	opts := scenarioOptions(t, "bandwidth-bound", 4)
 	opts.InstructionsPerCore = math.MaxUint64 / 3
-	st, err := newRunState(opts)
+	st, err := startRun(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestASMRunIsInvasive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// newRunState binds ASM to the run's memory controller, whose priority
+	// machine.start binds ASM to the run's memory controller, whose priority
 	// rotation then reorders DRAM service.
 	if len(asmRes.Intervals[0]) == 0 || len(plain.Intervals[0]) == 0 {
 		t.Error("interval records missing")
@@ -404,22 +404,21 @@ func TestOnIntervalStreamsAndDiscards(t *testing.T) {
 	gdpo, _ := accounting.NewGDP(2, 32, true)
 	opts.Accountants = []accounting.Accountant{gdpo}
 	opts.DiscardIntervals = true
-	var streamed []IntervalRecord
+	streamed := 0
 	opts.OnInterval = func(rec IntervalRecord) error {
-		streamed = append(streamed, rec)
+		// The record's Estimates map is valid until the call returns.
+		if _, ok := rec.Estimates["GDP-O"]; !ok {
+			t.Error("streamed record missing estimates")
+		}
+		streamed++
 		return nil
 	}
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed) == 0 {
+	if streamed == 0 {
 		t.Fatal("no records streamed")
-	}
-	for _, rec := range streamed {
-		if _, ok := rec.Estimates["GDP-O"]; !ok {
-			t.Fatal("streamed record missing estimates")
-		}
 	}
 	for core := range res.Intervals {
 		if len(res.Intervals[core]) != 0 {

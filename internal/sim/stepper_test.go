@@ -16,7 +16,7 @@ import (
 // with the stepper, whose unexported work counts the tests below read.
 func runStepped(t *testing.T, opts Options) (*Result, *stepper) {
 	t.Helper()
-	st, err := newRunState(opts)
+	st, err := startRun(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestNextEventBoundsHold(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%dc", name, cores), func(t *testing.T) {
 				opts := scenarioOptions(t, name, cores)
 				opts.Reference = true
-				st, err := newRunState(opts)
+				st, err := startRun(opts)
 				if err != nil {
 					t.Fatal(err)
 				}

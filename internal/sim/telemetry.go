@@ -14,7 +14,7 @@ import (
 // these counters.
 //
 // The hot path never touches Metrics directly: drivers accumulate into plain
-// uint64 fields on runState and flush with a handful of atomic adds at
+// uint64 fields on the run's machine and flush with a handful of atomic adds at
 // interval boundaries, so attaching Metrics preserves the interval loop's
 // zero-allocation and near-zero-overhead properties. A nil *Metrics is a
 // valid no-op sink.
@@ -43,18 +43,18 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 // flushMetrics publishes the cycles simulated since the last flush plus any
 // pending interval/fast-forward counts. Drivers call it only at interval
 // boundaries and at the end of the run, never per cycle.
-func (st *runState) flushMetrics(upTo uint64, intervals uint64) {
-	m := st.opts.Metrics
-	if m == nil {
+func (m *machine) flushMetrics(upTo uint64, intervals uint64) {
+	sink := m.opts.Metrics
+	if sink == nil {
 		return
 	}
-	m.intervals.Add(intervals)
-	if upTo > st.flushedCycle {
-		m.cycles.Add(upTo - st.flushedCycle)
-		st.flushedCycle = upTo
+	sink.intervals.Add(intervals)
+	if upTo > m.flushedCycle {
+		sink.cycles.Add(upTo - m.flushedCycle)
+		m.flushedCycle = upTo
 	}
-	if st.ffPending > 0 {
-		m.ffCycles.Add(st.ffPending)
-		st.ffPending = 0
+	if m.ffPending > 0 {
+		sink.ffCycles.Add(m.ffPending)
+		m.ffPending = 0
 	}
 }

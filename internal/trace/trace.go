@@ -8,6 +8,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Kind enumerates the instruction classes the core model distinguishes.
@@ -181,21 +182,35 @@ type Generator struct {
 // NewGenerator creates a generator for the given parameters and seed. The
 // same (params, seed) pair always produces the same stream.
 func NewGenerator(params Params, seed int64) (*Generator, error) {
-	if err := params.Validate(); err != nil {
+	g := &Generator{rng: rand.New(rand.NewSource(seed))}
+	if err := g.Reset(params, seed); err != nil {
 		return nil, err
 	}
-	g := &Generator{
-		params: params,
-		rng:    rand.New(rand.NewSource(seed)),
+	return g, nil
+}
+
+// Reset restarts g on the stream NewGenerator(params, seed) yields, reusing
+// its random source (re-seeded in place) and its per-working-set slices. An
+// invalid params leaves g as it was.
+func (g *Generator) Reset(params Params, seed int64) error {
+	if err := params.Validate(); err != nil {
+		return err
 	}
+	n := len(params.WorkingSets)
+	*g = Generator{
+		params:  params,
+		rng:     g.rng,
+		cumProb: slices.Grow(g.cumProb[:0], n)[:n],
+		cursor:  slices.Grow(g.cursor[:0], n)[:n],
+		base:    slices.Grow(g.base[:0], n)[:n],
+	}
+	g.rng.Seed(seed)
+	clear(g.cursor)
 	var total float64
 	for _, ws := range params.WorkingSets {
 		total += ws.AccessProb
 	}
 	var cum float64
-	g.cumProb = make([]float64, len(params.WorkingSets))
-	g.cursor = make([]uint64, len(params.WorkingSets))
-	g.base = make([]uint64, len(params.WorkingSets))
 	for i, ws := range params.WorkingSets {
 		cum += ws.AccessProb / total
 		g.cumProb[i] = cum
@@ -206,7 +221,7 @@ func NewGenerator(params Params, seed int64) (*Generator, error) {
 		// separate processes would.
 		g.base[i] = (uint64(i)+1)<<40 | uint64(uint16(seed))<<22
 	}
-	return g, nil
+	return nil
 }
 
 // inComputePhase reports whether the current index falls in a compute-bound

@@ -317,14 +317,15 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
-// ByClass returns all benchmarks of the requested class, sorted by name.
-func ByClass(c Class) []Benchmark {
-	var out []Benchmark
+// suiteByClass builds the suite once and splits it by class, each class
+// sorted by name.
+func suiteByClass() map[Class][]Benchmark {
+	out := map[Class][]Benchmark{}
 	for _, b := range Suite() {
-		if b.Class == c {
-			out = append(out, b)
-		}
+		out[b.Class] = append(out[b.Class], b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	for _, bs := range out {
+		sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
+	}
 	return out
 }

@@ -49,14 +49,14 @@ func TestPaperClassMembership(t *testing.T) {
 			t.Errorf("%s class = %v, want M", name, b.Class)
 		}
 	}
-	if len(ByClass(HighSensitivity)) != 8 {
-		t.Errorf("H class size = %d, want 8", len(ByClass(HighSensitivity)))
+	if len(suiteByClass()[HighSensitivity]) != 8 {
+		t.Errorf("H class size = %d, want 8", len(suiteByClass()[HighSensitivity]))
 	}
-	if len(ByClass(MediumSensitivity)) != 8 {
-		t.Errorf("M class size = %d, want 8", len(ByClass(MediumSensitivity)))
+	if len(suiteByClass()[MediumSensitivity]) != 8 {
+		t.Errorf("M class size = %d, want 8", len(suiteByClass()[MediumSensitivity]))
 	}
-	if len(ByClass(LowSensitivity)) != 52-16 {
-		t.Errorf("L class size = %d, want 36", len(ByClass(LowSensitivity)))
+	if len(suiteByClass()[LowSensitivity]) != 52-16 {
+		t.Errorf("L class size = %d, want 36", len(suiteByClass()[LowSensitivity]))
 	}
 }
 
@@ -297,18 +297,18 @@ func TestByClassTable(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.class.String(), func(t *testing.T) {
-			got := ByClass(tc.class)
+			got := suiteByClass()[tc.class]
 			if len(got) != tc.wantCount {
-				t.Fatalf("ByClass(%v) has %d benchmarks, want %d", tc.class, len(got), tc.wantCount)
+				t.Fatalf("suiteByClass()[%v] has %d benchmarks, want %d", tc.class, len(got), tc.wantCount)
 			}
 			for i := 1; i < len(got); i++ {
 				if got[i-1].Name >= got[i].Name {
-					t.Fatalf("ByClass(%v) not sorted: %q before %q", tc.class, got[i-1].Name, got[i].Name)
+					t.Fatalf("suiteByClass()[%v] not sorted: %q before %q", tc.class, got[i-1].Name, got[i].Name)
 				}
 			}
 			for _, b := range got {
 				if b.Class != tc.class {
-					t.Errorf("ByClass(%v) contains %s of class %v", tc.class, b.Name, b.Class)
+					t.Errorf("suiteByClass()[%v] contains %s of class %v", tc.class, b.Name, b.Class)
 				}
 			}
 		})

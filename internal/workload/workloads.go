@@ -122,11 +122,7 @@ func Generate(opts GenerateOptions) ([]Workload, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	pattern := classPattern(opts.Mix, opts.Cores)
-	byClass := map[Class][]Benchmark{
-		HighSensitivity:   ByClass(HighSensitivity),
-		MediumSensitivity: ByClass(MediumSensitivity),
-		LowSensitivity:    ByClass(LowSensitivity),
-	}
+	byClass := suiteByClass()
 	for c, bs := range byClass {
 		need := 0
 		for _, pc := range pattern {

@@ -83,6 +83,22 @@ func TestEstimateEndpointHappyPath(t *testing.T) {
 	}
 }
 
+// TestEstimateEndpointRerunIsByteIdentical posts one body twice to one
+// server: the second simulation runs on the machine the first handed back,
+// and the response bytes must not change.
+func TestEstimateEndpointRerunIsByteIdentical(t *testing.T) {
+	srv := testServer(t)
+	const body = `{"cores": 4, "mix": "H", "seed": 5}`
+	first := postJSON(t, srv, "/v1/estimate", body)
+	if first.Code != http.StatusOK {
+		t.Fatalf("status = %d, body = %s", first.Code, first.Body.String())
+	}
+	second := postJSON(t, srv, "/v1/estimate", body)
+	if second.Code != http.StatusOK || second.Body.String() != first.Body.String() {
+		t.Errorf("rerun answered %d %s, want 200 %s", second.Code, second.Body.String(), first.Body.String())
+	}
+}
+
 func TestEstimateEndpointExplicitBenchmarks(t *testing.T) {
 	srv := testServer(t)
 	rec := postJSON(t, srv, "/v1/estimate",
