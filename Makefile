@@ -20,7 +20,7 @@ race:
 # cache entry decoder (the one durable-state decoder) and the sweep-row
 # payload codec inside it, the dataflow unit
 # against its O(PRB) oracle, every accountant probe's cycle spans against
-# unit cycles and a private reference's aligned views against standalone
+# unit cycles and a private reference's windows against standalone
 # private runs. A regression found
 # here reproduces with `go test -run=Fuzz` once the failing input is added to
 # testdata. Minimizing a new input at the default budget (60s) outlasts the
@@ -172,7 +172,10 @@ bench-go:
 # `go tool pprof -sample_index=alloc_space -top $(BENCH_OUT)/repro.test
 # $(BENCH_OUT)/estimate.memprof` lists the call sites by bytes allocated
 # (alloc_objects counts objects instead); a warm estimate allocates little
-# beyond its result, so a new entry near the top is new per-run garbage.
+# beyond its result, so a new entry near the top is new per-run garbage. Then
+# BenchmarkSweepGrid (Engine.Sweep over a small grid of every cell kind on a
+# fresh memory cache) leaves $(BENCH_OUT)/sweep.memprof, read the same way
+# against repro.test: a sweep's garbage by call site.
 bench-cpu:
 	mkdir -p $(BENCH_OUT)
 	$(GO) test -run=^$$ -bench=BenchmarkDataflowUnit ./internal/core
@@ -184,6 +187,8 @@ bench-cpu:
 		-o $(BENCH_OUT)/sim.test -cpuprofile $(BENCH_OUT)/sim.prof ./internal/sim
 	$(GO) test -run=^$$ -bench=BenchmarkEstimateScenario -benchmem \
 		-o $(BENCH_OUT)/repro.test -memprofile $(BENCH_OUT)/estimate.memprof .
+	$(GO) test -run=^$$ -bench=BenchmarkSweepGrid -benchmem \
+		-o $(BENCH_OUT)/repro.test -memprofile $(BENCH_OUT)/sweep.memprof .
 
 # bench-sweep compares the runner's serial vs parallel accuracy-study
 # wall-clock (BenchmarkAccuracySweep/jobs=1 vs /jobs=N).

@@ -243,6 +243,36 @@ func BenchmarkAccuracySweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepGrid runs Engine.Sweep over a small grid of every cell kind
+// (accuracy cells at two PRB sizes, partitioning cells under LRU and MCP, and
+// scenario cells) on a fresh in-memory cache per iteration, so every cell and
+// every private-mode reference is simulated: with -benchmem its B/op is a
+// researcher's sweep write path without the disk, and `make bench-cpu`
+// leaves its alloc-space profile.
+func BenchmarkSweepGrid(b *testing.B) {
+	engine := newTestEngine(b)
+	var cells int
+	for i := 0; i < b.N; i++ {
+		res, err := engine.Sweep(context.Background(), SweepOptions{
+			CoreCounts:          []int{2, 4},
+			Mixes:               []MixKind{MixH},
+			PRBSizes:            []int{16, 32},
+			Policies:            []string{"LRU", "MCP"},
+			Scenarios:           []string{"bursty"},
+			Workloads:           1,
+			InstructionsPerCore: 1500,
+			IntervalCycles:      1000,
+			Seed:                42,
+			CellConfig:          experiments.CellConfig{Cache: runner.NewCache()},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = res.Cells
+	}
+	b.ReportMetric(float64(cells), "cells/op")
+}
+
 // BenchmarkSimulatorThroughput measures the raw simulator speed (cycles per
 // second of a 4-core shared-mode run); it is the cost driver of every figure.
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -118,10 +118,16 @@ func (a *ATD) Access(addr uint64) (sampled, privateHit bool) {
 // the full (non-sampled) cache as a function of allocated ways, scaled from
 // the sampled sets. Index w of the result is the miss count with w ways;
 // index 0 therefore equals the scaled access count (no cache at all), and the
-// curve is non-increasing in w.
-func (a *ATD) MissCurve() []uint64 {
+// curve is non-increasing in w. The curve is written into dst's array when it
+// has room for it (a caller that keeps one slice per core allocates nothing
+// per interval) and into a new one otherwise.
+func (a *ATD) MissCurve(dst []uint64) []uint64 {
 	scale := uint64(a.sampleStep)
-	curve := make([]uint64, a.ways+1)
+	curve := dst
+	if cap(curve) < a.ways+1 {
+		curve = make([]uint64, a.ways+1)
+	}
+	curve = curve[:a.ways+1]
 	// With w ways, hits are exactly the accesses whose stack distance is < w.
 	var cumHits uint64
 	curve[0] = a.accesses * scale

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,7 +55,7 @@ func TestATDFullSamplingHitDetection(t *testing.T) {
 	if _, hit := a.Access(addr); !hit {
 		t.Error("repeat access should hit")
 	}
-	if curve := a.MissCurve(); curve[4] != 1 || a.accesses != 2 {
+	if curve := a.MissCurve(nil); curve[4] != 1 || a.accesses != 2 {
 		t.Errorf("misses=%d accesses=%d", curve[4], a.accesses)
 	}
 }
@@ -85,7 +86,7 @@ func TestMissCurveMonotonicityAndScaling(t *testing.T) {
 			a.Access(i * stride)
 		}
 	}
-	curve := a.MissCurve()
+	curve := a.MissCurve(nil)
 	if len(curve) != 9 {
 		t.Fatalf("curve length = %d, want ways+1", len(curve))
 	}
@@ -106,6 +107,11 @@ func TestMissCurveMonotonicityAndScaling(t *testing.T) {
 	if curve[1] != a.accesses*4 {
 		t.Errorf("curve[1] = %d, want all accesses to miss", curve[1])
 	}
+	// A destination with room is written in place, whatever its length.
+	fresh := slices.Clone(curve)
+	if again := a.MissCurve(curve[:1]); &again[0] != &curve[0] || !slices.Equal(again, fresh) {
+		t.Errorf("MissCurve into its previous array = %v at %p, want %v at %p", again, &again[0], fresh, &curve[0])
+	}
 }
 
 func TestMissCurvePropertyMonotone(t *testing.T) {
@@ -117,7 +123,7 @@ func TestMissCurvePropertyMonotone(t *testing.T) {
 		for _, x := range addrs {
 			a.Access(uint64(x) * 64)
 		}
-		curve := a.MissCurve()
+		curve := a.MissCurve(nil)
 		for w := 1; w < len(curve); w++ {
 			if curve[w] > curve[w-1] {
 				return false
@@ -135,7 +141,7 @@ func TestATDResetCounters(t *testing.T) {
 	a.Access(0x0)
 	a.Access(0x0)
 	a.ResetCounters()
-	if a.accesses != 0 || a.MissCurve()[2] != 0 {
+	if a.accesses != 0 || a.MissCurve(nil)[2] != 0 {
 		t.Error("counters not cleared")
 	}
 	// Tag state must survive the reset: the line is still resident.

@@ -14,10 +14,10 @@
 // private runs depend only on its instruction streams, so every shared run of
 // the workload (the transparent techniques' and ASM's in an accuracy study)
 // finishes first, and then one private run per core, recorded at the union of
-// their sample points, serves them all (sim.PrivateReference.Align derives
-// each run's view). The references of one workload are one entry in the
-// result cache the caller passes (a nil cache memoizes nothing), so repeated
-// studies over the same population simulate them once.
+// their sample points, serves them all (sim.PrivateReference.Index and Window
+// read each run's windows from it in place). The references of one workload
+// are one entry in the result cache the caller passes (a nil cache memoizes
+// nothing), so repeated studies over the same population simulate them once.
 package experiments
 
 import (
@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/config"
-	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -169,23 +168,44 @@ func (r *AccuracyResult) Technique(name string) *TechniqueAccuracy {
 	return nil
 }
 
-// privateWindow returns the actual private-mode statistics of the window
-// ending at sample index k (delta between consecutive aligned snapshots).
-func privateWindow(priv *sim.PrivateReference, k int) cpu.Stats {
-	if k == 0 {
-		return priv.At[0]
-	}
-	return priv.At[k].Delta(priv.At[k-1])
+// sharedRun is one shared-mode run of an accuracy study reduced to the
+// numbers the error reduction reads: per core, the sample points and, per
+// interval, the shared-mode instruction count, every technique's IPC and SMS
+// stall estimates (in names order) and the component technique's estimates.
+type sharedRun struct {
+	names     []string
+	comp      int // index in names of the component technique, -1 for none
+	points    [][]uint64
+	intervals [][]sharedInterval
+	estimates [][]techniqueEstimate // len(names) per interval
 }
 
-// sharedRun is one shared-mode run of an accuracy study reduced to what the
-// error reduction reads: per core, the sample points and, per interval, the
-// shared-mode instruction count and the estimates of names (in names order).
-type sharedRun struct {
-	names        []string
-	points       [][]uint64
-	instructions [][]uint64
-	estimates    [][]accounting.Estimate // len(names) per interval
+// sharedInterval is one interval of a core: its shared-mode instruction count
+// and the component technique's CPL, overlap and latency estimates.
+type sharedInterval struct {
+	instructions uint64
+	cpl          uint64
+	overlap      float64
+	latency      float64
+}
+
+// techniqueEstimate is one technique's private-mode IPC and SMS stall
+// estimates for one interval.
+type techniqueEstimate struct {
+	ipc, stall float64
+}
+
+// componentTechnique returns the index in names of the technique whose
+// estimates the component errors come from: GDP-O, falling back to GDP when
+// GDP-O is not part of the study, or -1.
+func componentTechnique(names []string) int {
+	comp := -1
+	for i, n := range names {
+		if n == "GDP-O" || (n == "GDP" && comp < 0) {
+			comp = i
+		}
+	}
+	return comp
 }
 
 // runShared runs one workload's shared-mode simulation with accts attached
@@ -195,12 +215,13 @@ func runShared(ctx context.Context, opts AccuracyOptions, wl workload.Workload, 
 	accts []accounting.Accountant) (*sharedRun, error) {
 
 	run := &sharedRun{
-		instructions: make([][]uint64, wl.Cores()),
-		estimates:    make([][]accounting.Estimate, wl.Cores()),
+		intervals: make([][]sharedInterval, wl.Cores()),
+		estimates: make([][]techniqueEstimate, wl.Cores()),
 	}
 	for _, a := range accts {
 		run.names = append(run.names, a.Name())
 	}
+	run.comp = componentTechnique(run.names)
 	res, err := sim.Run(ctx, sim.Options{
 		Config:              opts.Config,
 		Workload:            wl,
@@ -211,10 +232,15 @@ func runShared(ctx context.Context, opts AccuracyOptions, wl workload.Workload, 
 		Metrics:             opts.Instr.simMetrics(),
 		DiscardIntervals:    true,
 		OnInterval: func(rec sim.IntervalRecord) error {
-			run.instructions[rec.Core] = append(run.instructions[rec.Core], rec.Shared.Instructions)
-			for _, n := range run.names {
-				run.estimates[rec.Core] = append(run.estimates[rec.Core], rec.Estimates[n])
+			iv := sharedInterval{instructions: rec.Shared.Instructions}
+			for i, n := range run.names {
+				est := rec.Estimates[n]
+				run.estimates[rec.Core] = append(run.estimates[rec.Core], techniqueEstimate{est.PrivateIPC, est.SMSStallCycles})
+				if i == run.comp {
+					iv.cpl, iv.overlap, iv.latency = est.CPL, est.AvgOverlap, est.PrivateLatency
+				}
 			}
+			run.intervals[rec.Core] = append(run.intervals[rec.Core], iv)
 			return nil
 		},
 	})
@@ -225,31 +251,26 @@ func runShared(ctx context.Context, opts AccuracyOptions, wl workload.Workload, 
 	return run, nil
 }
 
-// accumulate reduces the run against its aligned private references (privs[i]
-// aligned on core i's sample points) and appends per-benchmark errors for
-// every technique of the run, plus the GDP/GDP-O component errors.
-func (r *sharedRun) accumulate(privs []*sim.PrivateReference, perTechnique map[string][]BenchmarkErrors,
+// accumulate reduces the run against its workload's private references
+// (refs[i] is core i's, and idx[i] maps the run's sample points on core i to
+// refs[i]'s, as PrivateReference.Index does) and appends per-benchmark errors
+// for every technique of the run, plus the GDP/GDP-O component errors.
+func (r *sharedRun) accumulate(refs []*sim.PrivateReference, idx [][]int, perTechnique map[string][]BenchmarkErrors,
 	comp *ComponentAccuracy, wl workload.Workload) {
 
-	// Component errors come from the GDP-O estimates (falling back to GDP
-	// when GDP-O is not part of the study).
-	compIdx := -1
-	for i, n := range r.names {
-		if n == "GDP-O" || (n == "GDP" && compIdx < 0) {
-			compIdx = i
-		}
-	}
-	for core, instrs := range r.instructions {
-		priv := privs[core]
-		ipc := make([]metrics.ErrorSeries, len(r.names))
-		stall := make([]metrics.ErrorSeries, len(r.names))
+	ipc := make([]metrics.ErrorSeries, len(r.names))
+	stall := make([]metrics.ErrorSeries, len(r.names))
+	for core, ivs := range r.intervals {
+		ref, at := refs[core], idx[core]
+		clear(ipc)
+		clear(stall)
 		var cplSeries, overlapSeries, latSeries metrics.ErrorSeries
 
-		for k, n := range instrs {
-			if n == 0 {
+		for k, iv := range ivs {
+			if iv.instructions == 0 {
 				continue
 			}
-			actual := privateWindow(priv, k)
+			actual, cpl, overlap := ref.Window(at, k)
 			if actual.Instructions == 0 || actual.Cycles == 0 {
 				continue
 			}
@@ -257,21 +278,20 @@ func (r *sharedRun) accumulate(privs []*sim.PrivateReference, perTechnique map[s
 			actualStall := float64(actual.StallSMS)
 			ests := r.estimates[core][k*len(r.names) : (k+1)*len(r.names)]
 			for i, est := range ests {
-				ipc[i].Add(est.PrivateIPC, actualIPC)
-				stall[i].Add(est.SMSStallCycles, actualStall)
+				ipc[i].Add(est.ipc, actualIPC)
+				stall[i].Add(est.stall, actualStall)
 			}
-			if compIdx < 0 {
+			if r.comp < 0 {
 				continue
 			}
-			est := ests[compIdx]
-			if priv.CPLAt[k] > 0 {
-				cplSeries.Add(float64(est.CPL), float64(priv.CPLAt[k]))
+			if cpl > 0 {
+				cplSeries.Add(float64(iv.cpl), float64(cpl))
 			}
-			if priv.OverlapAt[k] > 0 && est.AvgOverlap > 0 {
-				overlapSeries.Add(est.AvgOverlap, priv.OverlapAt[k])
+			if overlap > 0 && iv.overlap > 0 {
+				overlapSeries.Add(iv.overlap, overlap)
 			}
-			if actual.SMSLoads > 0 && est.PrivateLatency > 0 {
-				latSeries.Add(est.PrivateLatency, actual.AvgSMSLatency())
+			if actual.SMSLoads > 0 && iv.latency > 0 {
+				latSeries.Add(iv.latency, actual.AvgSMSLatency())
 			}
 		}
 
@@ -385,12 +405,20 @@ func sharedJobs(workloads []workload.Workload, opts AccuracyOptions) (jobs []run
 
 // reduceWorkload is the study's second phase for one workload: one private
 // reference per core over the union of the shared runs' sample points, then
-// each run reduced against its aligned view of it.
+// each run reduced against it.
 func reduceWorkload(ctx context.Context, opts AccuracyOptions, wl workload.Workload, simSeed int64,
 	runs []*sharedRun) (accuracyPartial, error) {
 
-	partial := accuracyPartial{PerTechnique: map[string][]BenchmarkErrors{}}
-	points := make([][]uint64, wl.Cores())
+	refs, err := workloadReferences(ctx, opts.Cache, opts.Config, wl, simSeed, unionPoints(runs, wl.Cores()))
+	if err != nil {
+		return accuracyPartial{}, err
+	}
+	return reduceRuns(refs, runs, wl)
+}
+
+// unionPoints returns, per core, the sorted union of the runs' sample points.
+func unionPoints(runs []*sharedRun, cores int) [][]uint64 {
+	points := make([][]uint64, cores)
 	for _, r := range runs {
 		for core := range points {
 			points[core] = append(points[core], r.points[core]...)
@@ -400,18 +428,30 @@ func reduceWorkload(ctx context.Context, opts AccuracyOptions, wl workload.Workl
 		slices.Sort(points[core])
 		points[core] = slices.Compact(points[core])
 	}
-	refs, err := workloadReferences(ctx, opts.Cache, opts.Config, wl, simSeed, points)
-	if err != nil {
-		return partial, err
+	return points
+}
+
+// reduceRuns reduces every run of wl against the workload's references. Core
+// i's index buffer holds as many points as the longest run on it and serves
+// every run, so the reduction allocates nothing per interval.
+func reduceRuns(refs []*sim.PrivateReference, runs []*sharedRun, wl workload.Workload) (accuracyPartial, error) {
+	partial := accuracyPartial{PerTechnique: map[string][]BenchmarkErrors{}}
+	idx := make([][]int, len(refs))
+	for core := range idx {
+		n := 0
+		for _, r := range runs {
+			n = max(n, len(r.points[core]))
+		}
+		idx[core] = make([]int, 0, n)
 	}
 	for _, r := range runs {
-		privs := make([]*sim.PrivateReference, len(refs))
 		for core, ref := range refs {
-			if privs[core], err = ref.Align(r.points[core]); err != nil {
+			var err error
+			if idx[core], err = ref.Index(idx[core][:0], r.points[core]); err != nil {
 				return partial, err
 			}
 		}
-		r.accumulate(privs, partial.PerTechnique, &partial.Comp, wl)
+		r.accumulate(refs, idx, partial.PerTechnique, &partial.Comp, wl)
 	}
 	return partial, nil
 }

@@ -11,13 +11,13 @@ import (
 	"sort"
 )
 
-// AbsoluteError returns the signed absolute error of an estimate: est - actual.
-func AbsoluteError(est, actual float64) float64 { return est - actual }
+// absoluteError returns the signed absolute error of an estimate: est - actual.
+func absoluteError(est, actual float64) float64 { return est - actual }
 
-// RelativeError returns (est - actual) / actual. When the actual value is
+// relativeError returns (est - actual) / actual. When the actual value is
 // zero the result is +Inf (or 0 when both are zero) so pathological samples
 // surface instead of disappearing.
-func RelativeError(est, actual float64) float64 {
+func relativeError(est, actual float64) float64 {
 	if actual == 0 {
 		if est == 0 {
 			return 0
@@ -25,19 +25,6 @@ func RelativeError(est, actual float64) float64 {
 		return math.Inf(1)
 	}
 	return (est - actual) / actual
-}
-
-// RMS returns the root-mean-squared value of the slice. It returns an error
-// for an empty slice; NaN inputs propagate.
-func RMS(errs []float64) (float64, error) {
-	if len(errs) == 0 {
-		return 0, errors.New("metrics: RMS of empty slice")
-	}
-	var sum float64
-	for _, e := range errs {
-		sum += float64(e * e) // rounded, not fused (make fma-check)
-	}
-	return math.Sqrt(sum / float64(len(errs))), nil
 }
 
 // Mean returns the arithmetic mean of xs, or an error for an empty slice.
@@ -85,45 +72,45 @@ func ANTT(privateCPI, sharedCPI []float64) (float64, error) {
 }
 
 // ErrorSeries accumulates per-interval estimation errors for one benchmark
-// and reduces them to the RMS statistics used in Figures 3-5.
+// and reduces them to the RMS statistics used in Figures 3-5. It keeps only
+// the running sums of squares, each square rounded before it is added (not
+// fused: make fma-check), in the order the samples arrive.
 type ErrorSeries struct {
-	abs []float64
-	rel []float64
+	n      int     // samples
+	absSq  float64 // sum of squared absolute errors
+	relSq  float64 // sum of squared finite relative errors
+	relLen int     // samples with a finite relative error
 }
 
 // Add records one estimate/actual pair.
 func (s *ErrorSeries) Add(est, actual float64) {
-	s.abs = append(s.abs, AbsoluteError(est, actual))
-	s.rel = append(s.rel, RelativeError(est, actual))
+	e := absoluteError(est, actual)
+	s.absSq += float64(e * e)
+	s.n++
+	if r := relativeError(est, actual); !math.IsInf(r, 0) && !math.IsNaN(r) {
+		s.relSq += float64(r * r)
+		s.relLen++
+	}
 }
 
 // Len returns the number of recorded samples.
-func (s *ErrorSeries) Len() int { return len(s.abs) }
+func (s *ErrorSeries) Len() int { return s.n }
 
-// AbsRMS returns the RMS of the absolute errors (0 when empty).
-func (s *ErrorSeries) AbsRMS() float64 {
-	v, err := RMS(s.abs)
-	if err != nil {
-		return 0
-	}
-	return v
-}
+// AbsRMS returns the RMS of the absolute errors (0 when empty). A NaN error
+// propagates.
+func (s *ErrorSeries) AbsRMS() float64 { return rms(s.absSq, s.n) }
 
 // RelRMS returns the RMS of the relative errors (0 when empty). Samples with
 // infinite relative error (actual == 0) are excluded, matching the paper's
 // treatment of degenerate intervals.
-func (s *ErrorSeries) RelRMS() float64 {
-	finite := make([]float64, 0, len(s.rel))
-	for _, e := range s.rel {
-		if !math.IsInf(e, 0) && !math.IsNaN(e) {
-			finite = append(finite, e)
-		}
-	}
-	v, err := RMS(finite)
-	if err != nil {
+func (s *ErrorSeries) RelRMS() float64 { return rms(s.relSq, s.relLen) }
+
+// rms is the root mean of n squares summing to sumSq (0 when n is 0).
+func rms(sumSq float64, n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	return v
+	return math.Sqrt(sumSq / float64(n))
 }
 
 // DistributionSummary captures the order statistics the paper reports in its

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -9,41 +10,46 @@ import (
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestErrors(t *testing.T) {
-	if AbsoluteError(2.5, 2.0) != 0.5 {
+	if absoluteError(2.5, 2.0) != 0.5 {
 		t.Error("absolute error")
 	}
-	if RelativeError(2.5, 2.0) != 0.25 {
+	if relativeError(2.5, 2.0) != 0.25 {
 		t.Error("relative error")
 	}
-	if !math.IsInf(RelativeError(1, 0), 1) {
+	if !math.IsInf(relativeError(1, 0), 1) {
 		t.Error("relative error with zero actual should be +Inf")
 	}
-	if RelativeError(0, 0) != 0 {
+	if relativeError(0, 0) != 0 {
 		t.Error("relative error 0/0 should be 0")
 	}
 }
 
-func TestRMS(t *testing.T) {
-	v, err := RMS([]float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
+// seriesOf returns a series whose absolute errors are errs (every actual is
+// 1, so the relative errors are the same values).
+func seriesOf(errs ...float64) *ErrorSeries {
+	var s ErrorSeries
+	for _, e := range errs {
+		s.Add(1+e, 1)
 	}
-	if !almostEqual(v, math.Sqrt(12.5), 1e-12) {
+	return &s
+}
+
+func TestRMS(t *testing.T) {
+	if v := seriesOf(3, 4).AbsRMS(); !almostEqual(v, math.Sqrt(12.5), 1e-12) {
 		t.Errorf("RMS = %v", v)
 	}
-	if _, err := RMS(nil); err == nil {
-		t.Error("RMS of empty slice should error")
+	if v := seriesOf().AbsRMS(); v != 0 {
+		t.Errorf("RMS of no samples = %v, want 0", v)
 	}
 }
 
 func TestRMSMeasuresBiasAndVariability(t *testing.T) {
-	biased, _ := RMS([]float64{1, 1, 1, 1})
-	unbiased, _ := RMS([]float64{-1, 1, -1, 1})
+	biased := seriesOf(1, 1, 1, 1).AbsRMS()
+	unbiased := seriesOf(-1, 1, -1, 1).AbsRMS()
 	if !almostEqual(biased, unbiased, 1e-12) {
 		t.Error("RMS should treat bias and variance symmetrically")
 	}
-	zero, _ := RMS([]float64{0, 0})
-	if zero != 0 {
+	if zero := seriesOf(0, 0).AbsRMS(); zero != 0 {
 		t.Error("RMS of zeros should be zero")
 	}
 }
@@ -152,6 +158,57 @@ func TestErrorSeriesSkipsInfiniteRelative(t *testing.T) {
 	}
 	if s.AbsRMS() == 0 {
 		t.Error("AbsRMS should still reflect the absolute error")
+	}
+}
+
+// sliceRMS is the reduction ErrorSeries replaced, written out: keep every
+// error, then sum the rounded squares in order (0 for no samples).
+func sliceRMS(errs []float64) float64 {
+	if len(errs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, e := range errs {
+		sum += float64(e * e)
+	}
+	return math.Sqrt(sum / float64(len(errs)))
+}
+
+// TestErrorSeriesMatchesSliceRMS feeds seeded samples, zero actuals and NaN
+// estimates among them, to an ErrorSeries and to the slice formula: every
+// RMS must be the same bits.
+func TestErrorSeriesMatchesSliceRMS(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewPCG(seed, 54))
+		var s ErrorSeries
+		var abs, rel []float64
+		for range r.IntN(200) {
+			est, actual := r.NormFloat64()*1e3, r.ExpFloat64()*100
+			switch r.IntN(8) {
+			case 0:
+				actual = 0
+			case 1:
+				if seed%4 == 0 { // NaN absolute errors make AbsRMS NaN: a few seeds only
+					est = math.NaN()
+				}
+			case 2:
+				est, actual = 0, 0
+			}
+			s.Add(est, actual)
+			abs = append(abs, absoluteError(est, actual))
+			if e := relativeError(est, actual); !math.IsInf(e, 0) && !math.IsNaN(e) {
+				rel = append(rel, e)
+			}
+		}
+		if s.Len() != len(abs) {
+			t.Errorf("seed %d: Len %d, want %d", seed, s.Len(), len(abs))
+		}
+		if got, want := s.AbsRMS(), sliceRMS(abs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("seed %d: AbsRMS %v, slice formula %v", seed, got, want)
+		}
+		if got, want := s.RelRMS(), sliceRMS(rel); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("seed %d: RelRMS %v, slice formula %v", seed, got, want)
+		}
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -539,10 +541,15 @@ func (c *Cache) readDisk(key string) ([]byte, bool) {
 // alone with go test -run 'TestDiskCacheChaos/seed=N' ./internal/runner.
 func (c *Cache) writeDisk(key string, raw []byte) bool {
 	p := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return false
+	dir := filepath.Dir(p)
+	f, err := c.files.createTemp(dir, key+".*.tmp")
+	if errors.Is(err, fs.ErrNotExist) {
+		// The shard directory is made by the first write into it (or again,
+		// if it was removed since).
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			f, err = c.files.createTemp(dir, key+".*.tmp")
+		}
 	}
-	f, err := c.files.createTemp(filepath.Dir(p), key+".*.tmp")
 	if err != nil {
 		return false
 	}
@@ -564,7 +571,7 @@ func (c *Cache) writeDisk(key string, raw []byte) bool {
 		os.Remove(tmp)
 		return false
 	}
-	c.files.syncDir(filepath.Dir(p))
+	c.files.syncDir(dir)
 	c.diskBytes.Add(int64(len(raw)))
 	return true
 }

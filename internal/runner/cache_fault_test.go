@@ -31,6 +31,44 @@ func TestWriteDiskDurableAndReadable(t *testing.T) {
 	}
 }
 
+// TestWriteDiskRecreatesRemovedShard: a shard directory is made by the first
+// write into it, later writes into it create no directory, and one removed
+// mid-run (by a user clearing part of the cache) is made again by the next
+// write, which then lands and reads back.
+func TestWriteDiskRecreatesRemovedShard(t *testing.T) {
+	c, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	creates := 0
+	c.files.createTemp = func(dir, pattern string) (*os.File, error) {
+		creates++
+		return os.CreateTemp(dir, pattern)
+	}
+	write := func(key string, wantCreates int) {
+		t.Helper()
+		creates = 0
+		if !c.writeDisk(key, []byte(key)) {
+			t.Fatalf("writeDisk(%s) failed", key)
+		}
+		if creates != wantCreates {
+			t.Errorf("writeDisk(%s) made %d createTemp calls, want %d", key, creates, wantCreates)
+		}
+		if raw, ok := c.readDisk(key); !ok || string(raw) != key {
+			t.Fatalf("readDisk(%s) = %q, %v", key, raw, ok)
+		}
+	}
+	write("ab1", 2) // the shard is missing: create, make it, create again
+	write("ab2", 1)
+	if err := os.RemoveAll(filepath.Dir(c.path("ab1"))); err != nil {
+		t.Fatal(err)
+	}
+	write("ab3", 2)
+	if _, ok := c.readDisk("ab1"); ok {
+		t.Error("an entry of the removed shard still reads")
+	}
+}
+
 // TestWriteDiskFaultInjected checks that a failed write behaves like any
 // other failed disk write: writeDisk reports failure, nothing reaches the
 // directory, and the caller's silent-optimization contract holds.

@@ -1,11 +1,12 @@
 package sim
 
 import (
-	"reflect"
+	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/cpu"
 	"repro/internal/workload"
 )
 
@@ -19,13 +20,14 @@ func union(lists ...[]uint64) []uint64 {
 	return slices.Compact(out)
 }
 
-// checkAligned derives ref's view on points and compares it with a private
-// run over points alone (same benchmark, seed and cycle budget).
+// checkAligned reads ref's windows on points and compares them with a private
+// run over points alone (same benchmark, seed and cycle budget): its
+// per-point statistics deltas, CPLAt and OverlapAt.
 func checkAligned(t *testing.T, cfg *config.CMPConfig, bench workload.Benchmark, seed int64, maxCycles uint64,
 	ref *PrivateReference, points []uint64) {
 
 	t.Helper()
-	view, err := ref.Align(points)
+	idx, err := ref.Index(nil, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,20 +35,27 @@ func checkAligned(t *testing.T, cfg *config.CMPConfig, bench workload.Benchmark,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(view.At, alone.At) {
-		t.Errorf("%s seed %d points %v: At differs from a standalone run", bench.Name, seed, points)
+	if len(idx) != len(alone.At) {
+		t.Fatalf("%s seed %d points %v: %d indices, standalone run has %d points", bench.Name, seed, points, len(idx), len(alone.At))
 	}
-	if !reflect.DeepEqual(view.CPLAt, alone.CPLAt) {
-		t.Errorf("%s seed %d: CPLAt %v, standalone %v", bench.Name, seed, view.CPLAt, alone.CPLAt)
-	}
-	if !reflect.DeepEqual(view.OverlapAt, alone.OverlapAt) {
-		t.Errorf("%s seed %d: OverlapAt %v, standalone %v", bench.Name, seed, view.OverlapAt, alone.OverlapAt)
+	for k := range idx {
+		stats, cpl, overlap := ref.Window(idx, k)
+		want := alone.At[k]
+		if k > 0 {
+			want = want.Delta(alone.At[k-1])
+		}
+		if stats != want {
+			t.Errorf("%s seed %d points %v: window %d statistics %+v, standalone %+v", bench.Name, seed, points, k, stats, want)
+		}
+		if cpl != alone.CPLAt[k] || math.Float64bits(overlap) != math.Float64bits(alone.OverlapAt[k]) {
+			t.Errorf("%s seed %d: window %d CPL %d overlap %v, standalone %d %v", bench.Name, seed, k, cpl, overlap, alone.CPLAt[k], alone.OverlapAt[k])
+		}
 	}
 }
 
 // TestAlignedReferenceMatchesStandalone pins the exactness of recording one
-// private run at the union of several consumers' sample points: the view
-// Align derives for each consumer equals what a private run over that
+// private run at the union of several consumers' sample points: the windows
+// Index and Window read for each consumer equal what a private run over that
 // consumer's points alone records. The consumers are two shared runs of the
 // same streams at different interval lengths, a list with a repeated point
 // (what a fully stalled interval produces) and a list of adjacent points that
@@ -79,12 +88,12 @@ func TestAlignedReferenceMatchesStandalone(t *testing.T) {
 				for _, points := range [][]uint64{pa, pb, stalled, adjacent, all} {
 					checkAligned(t, opts.Config, bench, coreSeed, 0, ref, points)
 				}
-				view, err := ref.Align(adjacent)
+				idx, err := ref.Index(nil, adjacent)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 1; i < len(view.At); i++ {
-					if view.At[i] == view.At[i-1] {
+				for k := 1; k < len(idx); k++ {
+					if stats, _, _ := ref.Window(idx, k); stats == (cpu.Stats{}) {
 						crossedTogether++
 					}
 				}
@@ -144,15 +153,15 @@ func TestRunPrivateRejectsDecreasingPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Align(points); err == nil {
-		t.Error("Align accepted decreasing sample points")
+	if _, err := ref.Index(nil, points); err == nil {
+		t.Error("Index accepted decreasing sample points")
 	}
-	if _, err := ref.Align([]uint64{1000, 1200}); err == nil {
-		t.Error("Align accepted a point the reference did not record")
+	if _, err := ref.Index(nil, []uint64{1000, 1200}); err == nil {
+		t.Error("Index accepted a point the reference did not record")
 	}
 }
 
-// FuzzAlignedReference checks Align against a standalone run on arbitrary
+// FuzzAlignedReference checks Index and Window against a standalone run on arbitrary
 // subsets of a short reference's points: byte i of the input keeps point i
 // when its low bit is set and repeats it when bit 1 is set too.
 func FuzzAlignedReference(f *testing.F) {

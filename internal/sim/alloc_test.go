@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/config"
+	"repro/internal/partition"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -43,17 +44,24 @@ func allocRunOptions(t *testing.T, maxCycles uint64, withAccountant bool, metric
 }
 
 // measureRunAllocs returns the average allocation count of a full Run, with
-// sink as its OnInterval when it is non-nil.
-func measureRunAllocs(t *testing.T, maxCycles uint64, withAccountant bool, metrics *Metrics, sink func(IntervalRecord) error) float64 {
+// sink as its OnInterval and policy as its Partitioner when they are non-nil.
+func measureRunAllocs(t *testing.T, maxCycles uint64, withAccountant bool, metrics *Metrics, sink func(IntervalRecord) error,
+	policy partition.Policy) float64 {
+
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
 		opts := allocRunOptions(t, maxCycles, withAccountant, metrics)
 		opts.OnInterval = sink
+		opts.Partitioner = policy
 		if _, err := Run(t.Context(), opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
+
+// mcpAllocsPerInterval is what a partitioned run's interval loop allocates
+// per interval, all of it in the repartitioning step.
+const mcpAllocsPerInterval = 3
 
 // TestIntervalLoopZeroAllocations is the allocation-regression test for the
 // simulation driver: once a run is warm (request pool filled, scratch slices
@@ -63,6 +71,10 @@ func measureRunAllocs(t *testing.T, maxCycles uint64, withAccountant bool, metri
 // instrumented variants attach a telemetry.Metrics sink, pinning the claim
 // that observability does not cost the hot path its allocation-free status,
 // and an OnInterval sink, whose records reuse one Estimates map per core.
+// A partitioned run writes each core's miss curve into the previous
+// interval's array; what it still allocates per interval is MCP's decision
+// (its per-core models and the lookahead's allocation) and the LLC's copy of
+// that allocation, pinned at mcpAllocsPerInterval in both directions.
 func TestIntervalLoopZeroAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement needs full runs")
@@ -76,20 +88,23 @@ func TestIntervalLoopZeroAllocations(t *testing.T) {
 		withAccountant bool
 		metrics        *Metrics
 		sink           func(IntervalRecord) error
+		policy         partition.Policy
+		want           float64 // objects per interval
 	}{
-		{"no-accountant", false, nil, nil},
-		{"gdp-o", true, nil, nil},
-		{"gdp-o+metrics", true, NewMetrics(reg), nil},
-		{"gdp-o+sink", true, nil, func(IntervalRecord) error { return nil }},
+		{"no-accountant", false, nil, nil, nil, 0},
+		{"gdp-o", true, nil, nil, nil, 0},
+		{"gdp-o+metrics", true, NewMetrics(reg), nil, nil, 0},
+		{"gdp-o+sink", true, nil, func(IntervalRecord) error { return nil }, nil, 0},
+		{"gdp-o+mcp", true, nil, nil, partition.MCP{}, mcpAllocsPerInterval},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const interval = 2000
-			shortAllocs := measureRunAllocs(t, 20*interval, tc.withAccountant, tc.metrics, tc.sink)
-			longAllocs := measureRunAllocs(t, 120*interval, tc.withAccountant, tc.metrics, tc.sink)
+			shortAllocs := measureRunAllocs(t, 20*interval, tc.withAccountant, tc.metrics, tc.sink, tc.policy)
+			longAllocs := measureRunAllocs(t, 120*interval, tc.withAccountant, tc.metrics, tc.sink, tc.policy)
 			perInterval := (longAllocs - shortAllocs) / 100
-			if perInterval >= 1 {
-				t.Errorf("steady-state interval loop allocates %.2f objects/interval (short run %.0f, long run %.0f), want 0",
-					perInterval, shortAllocs, longAllocs)
+			if perInterval >= tc.want+1 || perInterval <= tc.want-1 {
+				t.Errorf("steady-state interval loop allocates %.2f objects/interval (short run %.0f, long run %.0f), want %.0f",
+					perInterval, shortAllocs, longAllocs, tc.want)
 			} else {
 				t.Logf("steady-state allocations: %.3f objects/interval", perInterval)
 			}

@@ -194,17 +194,11 @@ type privateRun struct {
 
 // record is the private run's sample callback: it takes every sample point
 // the core's count has reached and returns the next one; past the last point
-// the run is finished. The first point taken sizes the per-point slices for
-// all of them.
+// the run is finished. runPrivate sized the per-point slices for all of them.
 func (p *privateRun) record(int) uint64 {
 	stats := p.core.Stats()
 	out := p.out
 	for p.next < len(p.points) && stats.Instructions >= p.points[p.next] {
-		if out.At == nil {
-			n := len(p.points)
-			out.At = make([]cpu.Stats, 0, n)
-			out.Depth, out.OverlapSum, out.OverlapLoads = make([]uint64, 0, n), make([]uint64, 0, n), make([]uint64, 0, n)
-		}
 		depth, sum, loads := p.ref.Totals()
 		out.At = append(out.At, stats)
 		out.Depth = append(out.Depth, depth)

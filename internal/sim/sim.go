@@ -563,15 +563,13 @@ func (m *machine) recordInterval() error {
 			m.snapshots = make([]partition.CoreSnapshot, len(cores))
 		}
 		for i := range cores {
-			atd := m.shared.ATD(i)
-			m.snapshots[i] = partition.CoreSnapshot{
-				MissCurve: atd.MissCurve(),
-				Interval:  m.intervals[i],
-			}
+			atd, snap := m.shared.ATD(i), &m.snapshots[i]
+			snap.MissCurve = atd.MissCurve(snap.MissCurve) // the previous interval's array
+			snap.Interval = m.intervals[i]
 			if len(opts.Accountants) > 0 {
-				m.snapshots[i].PrivateCPI = records[i].Estimates[opts.Accountants[0].Name()].PrivateCPI
+				snap.PrivateCPI = records[i].Estimates[opts.Accountants[0].Name()].PrivateCPI
 			} else {
-				m.snapshots[i].PrivateCPI = m.intervals[i].CPI()
+				snap.PrivateCPI = m.intervals[i].CPI()
 			}
 			atd.ResetCounters()
 		}
@@ -607,7 +605,7 @@ func (m *machine) estimates(i int) map[string]accounting.Estimate {
 // reference dataflow measurements) for one benchmark at a list of
 // instruction sample points. The dataflow unit's running totals are recorded
 // too, so one run serves every consumer whose points are a subset of Points:
-// Align derives exactly what a run over that subset alone records.
+// Index and Window read exactly what a run over that subset alone records.
 type PrivateReference struct {
 	Benchmark string
 	// Total is the cumulative statistics at the end of the private run.
@@ -636,46 +634,69 @@ type PrivateReference struct {
 func (r *PrivateReference) derive() {
 	r.CPLAt = make([]uint64, len(r.At))
 	r.OverlapAt = make([]float64, len(r.At))
-	var depth, sum, loads uint64
 	for i := range r.Depth {
-		if r.Depth[i] > depth {
-			r.CPLAt[i] = r.Depth[i] - depth
-		}
-		if n := r.OverlapLoads[i] - loads; n > 0 {
-			r.OverlapAt[i] = float64(r.OverlapSum[i]-sum) / float64(n)
-		}
-		depth, sum, loads = r.Depth[i], r.OverlapSum[i], r.OverlapLoads[i]
+		r.CPLAt[i], r.OverlapAt[i] = r.dataflow(i, i-1)
 	}
 }
 
-// Align returns the reference a private run of the same benchmark, seed and
-// cycle budget over points alone records: its At, CPLAt and OverlapAt are
-// identical to that run's. points must be non-decreasing and each one of
-// r.Points. Total stays r's, which ran to r's last point. A zero maxCycles
-// derives the budget from the last point, so r's may be the larger one; the
-// two only differ for a benchmark slower than 500 cycles per instruction.
-func (r *PrivateReference) Align(points []uint64) (*PrivateReference, error) {
-	if err := checkPoints(points); err != nil {
-		return nil, err
+// dataflow returns the reference CPL and average overlap between Points[prev]
+// (the run's start when prev < 0) and Points[j]: max(0, ΔDepth) and
+// ΔOverlapSum / ΔOverlapLoads (0 when no load completed), or zeros when the
+// cycle budget did not reach Points[j]. prev must not exceed j.
+func (r *PrivateReference) dataflow(j, prev int) (cpl uint64, overlap float64) {
+	if j >= len(r.Depth) {
+		return 0, 0
 	}
-	out := &PrivateReference{Benchmark: r.Benchmark, Total: r.Total, Points: slices.Clone(points)}
+	var depth, sum, loads uint64
+	if prev >= 0 {
+		depth, sum, loads = r.Depth[prev], r.OverlapSum[prev], r.OverlapLoads[prev]
+	}
+	if r.Depth[j] > depth {
+		cpl = r.Depth[j] - depth
+	}
+	if n := r.OverlapLoads[j] - loads; n > 0 {
+		overlap = float64(r.OverlapSum[j]-sum) / float64(n)
+	}
+	return cpl, overlap
+}
+
+// Index appends to dst the index in r.Points of each of points, which must be
+// non-decreasing and each one of r.Points, and returns the extended slice:
+// the run those points came from reads its windows through Window.
+func (r *PrivateReference) Index(dst []int, points []uint64) ([]int, error) {
+	if err := checkPoints(points); err != nil {
+		return dst, err
+	}
 	j := 0
 	for _, p := range points {
 		for j < len(r.Points) && r.Points[j] < p {
 			j++
 		}
 		if j == len(r.Points) || r.Points[j] != p {
-			return nil, fmt.Errorf("sim: sample point %d is not one of the reference's", p)
+			return dst, fmt.Errorf("sim: sample point %d is not one of the reference's", p)
 		}
-		out.At = append(out.At, r.At[j])
-		if j < len(r.Depth) {
-			out.Depth = append(out.Depth, r.Depth[j])
-			out.OverlapSum = append(out.OverlapSum, r.OverlapSum[j])
-			out.OverlapLoads = append(out.OverlapLoads, r.OverlapLoads[j])
-		}
+		dst = append(dst, j)
 	}
-	out.derive()
-	return out, nil
+	return dst, nil
+}
+
+// Window returns what a private run of the same benchmark, seed and cycle
+// budget over a run's points alone records for the window ending at that
+// run's point k, with idx the run's points as Index maps them: the statistics
+// delta against the run's previous point (the cumulative statistics for
+// k == 0), the reference CPL and the average overlap; that is, the run's
+// At[k].Delta(At[k-1]), CPLAt[k] and OverlapAt[k]. A zero maxCycles derives
+// the budget from the last point, so r's may be the larger one; the two only
+// differ for a benchmark slower than 500 cycles per instruction.
+func (r *PrivateReference) Window(idx []int, k int) (stats cpu.Stats, cpl uint64, overlap float64) {
+	j, prev := idx[k], -1
+	stats = r.At[j]
+	if k > 0 {
+		prev = idx[k-1]
+		stats = stats.Delta(r.At[prev])
+	}
+	cpl, overlap = r.dataflow(j, prev)
+	return stats, cpl, overlap
 }
 
 // checkPoints rejects a decreasing sample-point list: a smaller later point
@@ -761,6 +782,14 @@ func (m *machine) runPrivate(ctx context.Context, bench workload.Benchmark, samp
 	}
 
 	out := &PrivateReference{Benchmark: bench.Name, Points: slices.Clone(samplePoints)}
+	if n := len(samplePoints); n > 0 {
+		// Every point is recorded or padded, and at most n are reached, so
+		// nothing grows during the run; the three running totals share one
+		// array.
+		out.At = make([]cpu.Stats, 0, n)
+		totals := make([]uint64, 3*n)
+		out.Depth, out.OverlapSum, out.OverlapLoads = totals[:0:n], totals[n:n:2*n], totals[2*n:2*n:3*n]
+	}
 	m.priv = privateRun{core: core, ref: m.ref, out: out, points: samplePoints}
 	clk := m.clk
 	clk.start(nil, !reference, m.samplePriv)
@@ -795,6 +824,11 @@ func (m *machine) runPrivate(ctx context.Context, bench workload.Benchmark, samp
 	// statistics so downstream indexing stays aligned.
 	for len(out.At) < len(samplePoints) {
 		out.At = append(out.At, out.Total)
+	}
+	if len(out.Depth) == 0 {
+		// No point reached: no running totals, as such a reference has
+		// always been recorded (and encoded in cache entries).
+		out.Depth, out.OverlapSum, out.OverlapLoads = nil, nil, nil
 	}
 	out.derive()
 	return out, nil
