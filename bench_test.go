@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 )
 
 // The benchmarks in this file regenerate the paper's tables and figures, one
@@ -44,6 +45,7 @@ func BenchmarkTable1Config(b *testing.B) {
 // error of the private-mode IPC estimates for every technique.
 func BenchmarkFigure3IPCAccuracy(b *testing.B) {
 	engine := newTestEngine(b)
+	defer reportSharedRuns(b, engine.registry)()
 	for i := 0; i < b.N; i++ {
 		res, err := engine.AccuracyStudy(context.Background(), AccuracyOptions{
 			Cores:               4,
@@ -161,14 +163,28 @@ func BenchmarkFigure6STP(b *testing.B) {
 // BenchmarkFigure7Sensitivity regenerates all six panels of the Figure 7
 // sensitivity study.
 func BenchmarkFigure7Sensitivity(b *testing.B) {
+	reg := telemetry.NewRegistry()
+	scale := benchScale()
+	scale.Instr = experiments.NewInstrumentation(reg)
+	defer reportSharedRuns(b, reg)()
 	for i := 0; i < b.N; i++ {
-		panels, err := experiments.Figure7(b.Context(), benchScale())
+		panels, err := experiments.Figure7(b.Context(), scale)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(panels) != 6 {
 			b.Fatalf("Figure 7 has %d panels, want 6", len(panels))
 		}
+	}
+}
+
+// reportSharedRuns returns a func that reports the shared-mode runs reg
+// counted since the call as shared-runs/op, a count that does not depend on
+// the machine.
+func reportSharedRuns(b *testing.B, reg *telemetry.Registry) func() {
+	before := simRuns(b, reg)
+	return func() {
+		b.ReportMetric(float64(simRuns(b, reg)-before)/float64(b.N), "shared-runs/op")
 	}
 }
 

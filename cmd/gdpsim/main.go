@@ -140,18 +140,10 @@ func run(ctx context.Context, args []string) error {
 	switch rest[0] {
 	case "table1":
 		return cmdTable1(*cores)
-	case "fig3":
-		return cmdFig3(ctx, engine)
-	case "fig4":
-		return cmdFig4(ctx, engine)
-	case "fig5":
-		return cmdFig5(ctx, engine)
+	case "fig3", "fig4", "fig5", "fig7", "headline":
+		return cmdFigure(ctx, engine, rest[0])
 	case "fig6":
 		return cmdFig6(ctx, engine, *cores)
-	case "fig7":
-		return cmdFig7(ctx, engine)
-	case "headline":
-		return cmdHeadline(ctx, engine)
 	case "overhead":
 		return cmdOverhead(*cores)
 	case "run":
@@ -185,30 +177,38 @@ func cmdTable1(cores int) error {
 	return nil
 }
 
-func cmdFig3(ctx context.Context, engine *gdp.Engine) error {
-	res, err := engine.Figure3(ctx, gdp.StudyScale{})
-	if err != nil {
-		return err
+// cmdFigure prints an accuracy figure: Figure 7, or one view of Figure 3's
+// studies (Figure 3 itself, Figure 4 or 5 derived from it, or the headline
+// ratios).
+func cmdFigure(ctx context.Context, engine *gdp.Engine, view string) error {
+	if view == "fig7" {
+		panels, err := engine.Figure7(ctx, gdp.StudyScale{})
+		if err != nil {
+			return err
+		}
+		for _, panel := range panels {
+			fmt.Print(panel.Render())
+		}
+		return nil
 	}
-	fmt.Print(res.Render())
-	return nil
-}
-
-func cmdFig4(ctx context.Context, engine *gdp.Engine) error {
 	fig3, err := engine.Figure3(ctx, gdp.StudyScale{})
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.Figure4(fig3).Render())
-	return nil
-}
-
-func cmdFig5(ctx context.Context, engine *gdp.Engine) error {
-	fig3, err := engine.Figure3(ctx, gdp.StudyScale{})
-	if err != nil {
-		return err
+	switch view {
+	case "fig3":
+		fmt.Print(fig3.Render())
+	case "fig4":
+		fmt.Print(experiments.Figure4(fig3).Render())
+	case "fig5":
+		fmt.Print(experiments.Figure5(fig3).Render())
+	default:
+		fmt.Println("Headline ratios (derived from Figure 3):")
+		for _, h := range experiments.Headlines(fig3) {
+			fmt.Printf("  %-8s ASM/GDP IPC relative RMS error ratio = %.2fx, GDP/GDP-O stall RMS ratio = %.2fx\n",
+				h.Label, h.ASMOverGDPIPCError, h.GDPOverGDPOStallGain)
+		}
 	}
-	fmt.Print(experiments.Figure5(fig3).Render())
 	return nil
 }
 
@@ -235,30 +235,6 @@ func cmdFig6(ctx context.Context, engine *gdp.Engine, cores int) error {
 			}
 			fmt.Println()
 		}
-	}
-	return nil
-}
-
-func cmdFig7(ctx context.Context, engine *gdp.Engine) error {
-	res, err := engine.Figure7(ctx, gdp.StudyScale{})
-	if err != nil {
-		return err
-	}
-	for _, panel := range res {
-		fmt.Print(panel.Render())
-	}
-	return nil
-}
-
-func cmdHeadline(ctx context.Context, engine *gdp.Engine) error {
-	fig3, err := engine.Figure3(ctx, gdp.StudyScale{})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Headline ratios (derived from Figure 3):")
-	for _, h := range experiments.Headlines(fig3) {
-		fmt.Printf("  %-8s ASM/GDP IPC relative RMS error ratio = %.2fx, GDP/GDP-O stall RMS ratio = %.2fx\n",
-			h.Label, h.ASMOverGDPIPCError, h.GDPOverGDPOStallGain)
 	}
 	return nil
 }

@@ -185,7 +185,10 @@ func TestOutputDeterministicAcrossJobsAndReruns(t *testing.T) {
 		args         []string
 	}{
 		{"fig3", "Figure 3a", []string{"fig3"}},
+		{"fig4", "Figure 4:", []string{"fig4"}},
+		{"fig5", "Figure 5:", []string{"fig5"}},
 		{"fig6", "Figure 6", []string{"fig6"}},
+		{"fig7", "Figure 7a", []string{"fig7"}},
 		{"headline", "Headline ratios", []string{"headline"}},
 		{"sweep", "Sweep:", []string{"sweep", "-cores", "2", "-mixes", "H", "-prb", "16,32", "-policies", "LRU,MCP"}},
 		{"run", "Workload 4c-H-00", []string{"run"}},

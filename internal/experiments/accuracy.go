@@ -18,11 +18,17 @@
 // read each run's windows from it in place). The references of one workload
 // are one entry in the result cache the caller passes (a nil cache memoizes
 // nothing), so repeated studies over the same population simulate them once.
+//
+// A figure lists its accuracy studies and hands them to one study runner
+// (runStudies): a study identical to an earlier one runs once, and the rest
+// share one worker pool per phase (shared runs, then references and
+// reductions). A sweep cell is a list of one.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"repro/internal/accounting"
@@ -208,20 +214,26 @@ func componentTechnique(names []string) int {
 	return comp
 }
 
-// runShared runs one workload's shared-mode simulation with accts attached
-// and keeps only its sharedRun reduction, so a study holds no interval
-// records while its private references run.
+// runShared runs one workload's shared-mode simulation with the named
+// techniques attached and keeps only its sharedRun reduction, so a study
+// holds no interval records while its private references run.
 func runShared(ctx context.Context, opts AccuracyOptions, wl workload.Workload, simSeed int64,
-	accts []accounting.Accountant) (*sharedRun, error) {
+	names []string) (*sharedRun, error) {
 
 	run := &sharedRun{
+		names:     names,
+		comp:      componentTechnique(names),
 		intervals: make([][]sharedInterval, wl.Cores()),
 		estimates: make([][]techniqueEstimate, wl.Cores()),
 	}
-	for _, a := range accts {
-		run.names = append(run.names, a.Name())
+	accts := make([]accounting.Accountant, len(names))
+	for i, name := range names {
+		a, err := accounting.New(name, opts.Cores, opts.PRBEntries, opts.IntervalCycles/4)
+		if err != nil {
+			return nil, err
+		}
+		accts[i] = a
 	}
-	run.comp = componentTechnique(run.names)
 	res, err := sim.Run(ctx, sim.Options{
 		Config:              opts.Config,
 		Workload:            wl,
@@ -330,22 +342,42 @@ func (r *sharedRun) accumulate(refs []*sim.PrivateReference, idx [][]int, perTec
 // loop polls ctx at interval boundaries, so in-flight cells abort promptly
 // too.
 func AccuracyStudy(ctx context.Context, opts AccuracyOptions) (*AccuracyResult, error) {
-	opts = opts.withDefaults()
-	workloads, err := workload.Generate(workload.GenerateOptions{
-		Cores: opts.Cores, Mix: opts.Mix, Count: opts.Workloads, Seed: opts.Seed,
-	})
+	res, err := runStudies(ctx, opts.CellConfig, []accuracyStudy{{opts: opts}})
 	if err != nil {
 		return nil, err
 	}
-	return accuracyStudyOver(ctx, workloads, opts)
+	return res[0], nil
 }
 
 // AccuracyStudyForWorkload runs the accuracy study over one explicit workload
 // (used by the CLI's run subcommand and by ad-hoc investigations).
 func AccuracyStudyForWorkload(ctx context.Context, wl workload.Workload, opts AccuracyOptions) (*AccuracyResult, error) {
 	opts.Cores = wl.Cores()
-	opts = opts.withDefaults()
-	return accuracyStudyOver(ctx, []workload.Workload{wl}, opts)
+	res, err := runStudies(ctx, opts.CellConfig, []accuracyStudy{{opts: opts, workloads: []workload.Workload{wl}}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// accuracyStudy is one study of a runStudies list: its options and, for a
+// study over explicit workloads, those workloads (nil: generated from the
+// options). label prefixes its job labels ("" or a name ending in "/");
+// sharedJobs sets perWorkload, the number of shared runs per workload.
+type accuracyStudy struct {
+	label       string
+	opts        AccuracyOptions
+	workloads   []workload.Workload
+	perWorkload int
+}
+
+// sameWork reports whether s does exactly the work of t: both generate their
+// workloads, and their options are equal apart from the execution
+// environment (Config compared by value, Techniques element by element).
+func (s accuracyStudy) sameWork(t accuracyStudy) bool {
+	a, b := s.opts, t.opts
+	a.CellConfig, b.CellConfig = CellConfig{}, CellConfig{}
+	return s.workloads == nil && t.workloads == nil && reflect.DeepEqual(a, b)
 }
 
 // accuracyPartial is the result of one workload's reduction job: the errors
@@ -355,13 +387,88 @@ type accuracyPartial struct {
 	Comp         ComponentAccuracy
 }
 
-// sharedJobs builds the study's first phase: per workload, one job for the
-// shared run of the transparent techniques and one for ASM's own run (ASM is
-// invasive: it perturbs the memory controller), so that two runs of one
-// workload still execute side by side. The job order (and therefore the
-// aggregation order and the derived seeds) is fixed by the workload order,
-// never by scheduling; every workload contributes perWorkload jobs.
-func sharedJobs(workloads []workload.Workload, opts AccuracyOptions) (jobs []runner.Job[*sharedRun], perWorkload int) {
+// runStudies runs a list of accuracy studies in env and returns their results
+// in list order; a duplicate shares its first occurrence's result. Job order,
+// and with it every derived seed, is fixed by the list and workload order.
+func runStudies(ctx context.Context, env CellConfig, studies []accuracyStudy) ([]*AccuracyResult, error) {
+	distinct := make([]accuracyStudy, 0, len(studies))
+	first := make([]int, len(studies)) // index in distinct of each study's work
+	for i, s := range studies {
+		s.opts = s.opts.withDefaults()
+		s.opts.CellConfig = env
+		if first[i] = slices.IndexFunc(distinct, s.sameWork); first[i] < 0 {
+			first[i] = len(distinct)
+			distinct = append(distinct, s)
+		}
+	}
+	pool := runner.Options{Workers: env.Jobs, Progress: env.Progress, Metrics: env.Instr.pool()}
+	var shared []runner.Job[*sharedRun]
+	for k := range distinct {
+		jobs, err := distinct[k].sharedJobs()
+		if err != nil {
+			return nil, err
+		}
+		shared = append(shared, jobs...)
+	}
+	runs, err := runner.Run(ctx, shared, pool)
+	if err != nil {
+		return nil, err
+	}
+	var reduce []runner.Job[accuracyPartial]
+	for _, s := range distinct {
+		for i, wl := range s.workloads {
+			wlRuns := runs[:s.perWorkload]
+			runs = runs[s.perWorkload:]
+			reduce = append(reduce, runner.Job[accuracyPartial]{
+				Label: s.label + wl.ID + "/reference",
+				Fn: func(ctx context.Context) (accuracyPartial, error) {
+					refs, err := workloadReferences(ctx, s.opts.Cache, s.opts.Config, wl, s.opts.Seed+int64(i), unionPoints(wlRuns, wl.Cores()))
+					if err != nil {
+						return accuracyPartial{}, err
+					}
+					return reduceRuns(refs, wlRuns, wl)
+				},
+			})
+		}
+	}
+	partials, err := runner.Run(ctx, reduce, pool)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*AccuracyResult, len(distinct))
+	for k, s := range distinct {
+		results[k] = foldStudy(s.opts, partials[:len(s.workloads)])
+		partials = partials[len(s.workloads):]
+	}
+	out := make([]*AccuracyResult, len(studies))
+	for i, k := range first {
+		out[i] = results[k]
+	}
+	return out, nil
+}
+
+// sharedJobs generates the study's workloads unless it names them, checks
+// its options and builds its first phase: per workload, in workload order, a
+// shared run of the transparent techniques and one of ASM (invasive: it
+// perturbs the memory controller), s.perWorkload jobs side by side.
+func (s *accuracyStudy) sharedJobs() (jobs []runner.Job[*sharedRun], err error) {
+	opts := s.opts
+	if s.workloads == nil {
+		s.workloads, err = workload.Generate(workload.GenerateOptions{
+			Cores: opts.Cores, Mix: opts.Mix, Count: opts.Workloads, Seed: opts.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := opts.Config.Validate(); err != nil {
+		return nil, err
+	}
+	for _, name := range opts.Techniques {
+		if !slices.Contains(accounting.Names, name) {
+			return nil, fmt.Errorf("experiments: unknown technique %q (want one of %v)", name, accounting.Names)
+		}
+	}
 	type group struct {
 		label string
 		names []string
@@ -379,41 +486,21 @@ func sharedJobs(workloads []workload.Workload, opts AccuracyOptions) (jobs []run
 	if slices.Contains(opts.Techniques, "ASM") {
 		groups = append(groups, group{"asm", []string{"ASM"}})
 	}
-	for i, wl := range workloads {
+	for i, wl := range s.workloads {
 		// Per-job seed derivation: every workload simulates with its own
 		// seed so parallel execution order cannot leak into the results.
 		simSeed := opts.Seed + int64(i)
 		for _, g := range groups {
 			jobs = append(jobs, runner.Job[*sharedRun]{
-				Label: fmt.Sprintf("%s/%s", wl.ID, g.label),
+				Label: s.label + wl.ID + "/" + g.label,
 				Fn: func(ctx context.Context) (*sharedRun, error) {
-					accts := make([]accounting.Accountant, len(g.names))
-					for j, name := range g.names {
-						a, err := accounting.New(name, opts.Cores, opts.PRBEntries, opts.IntervalCycles/4)
-						if err != nil {
-							return nil, err
-						}
-						accts[j] = a
-					}
-					return runShared(ctx, opts, wl, simSeed, accts)
+					return runShared(ctx, opts, wl, simSeed, g.names)
 				},
 			})
 		}
 	}
-	return jobs, len(groups)
-}
-
-// reduceWorkload is the study's second phase for one workload: one private
-// reference per core over the union of the shared runs' sample points, then
-// each run reduced against it.
-func reduceWorkload(ctx context.Context, opts AccuracyOptions, wl workload.Workload, simSeed int64,
-	runs []*sharedRun) (accuracyPartial, error) {
-
-	refs, err := workloadReferences(ctx, opts.Cache, opts.Config, wl, simSeed, unionPoints(runs, wl.Cores()))
-	if err != nil {
-		return accuracyPartial{}, err
-	}
-	return reduceRuns(refs, runs, wl)
+	s.perWorkload = len(groups)
+	return jobs, nil
 }
 
 // unionPoints returns, per core, the sorted union of the runs' sample points.
@@ -456,45 +543,11 @@ func reduceRuns(refs []*sim.PrivateReference, runs []*sharedRun, wl workload.Wor
 	return partial, nil
 }
 
-// accuracyStudyOver is the shared implementation of the accuracy studies: it
-// fans the per-workload shared runs and then the per-workload reference and
-// reduction jobs out over the worker pool, and merges the partial results in
-// workload order.
-func accuracyStudyOver(ctx context.Context, workloads []workload.Workload, opts AccuracyOptions) (*AccuracyResult, error) {
-	if err := opts.Config.Validate(); err != nil {
-		return nil, err
-	}
-	for _, name := range opts.Techniques {
-		if !slices.Contains(accounting.Names, name) {
-			return nil, fmt.Errorf("experiments: unknown technique %q (want one of %v)", name, accounting.Names)
-		}
-	}
-	pool := runner.Options{
-		Workers:  opts.Jobs,
-		Progress: opts.Progress,
-		Metrics:  opts.Instr.pool(),
-	}
-	jobs, perWorkload := sharedJobs(workloads, opts)
-	runs, err := runner.Run(ctx, jobs, pool)
-	if err != nil {
-		return nil, err
-	}
-	reduce := make([]runner.Job[accuracyPartial], len(workloads))
-	for i, wl := range workloads {
-		wlRuns := runs[i*perWorkload : (i+1)*perWorkload]
-		reduce[i] = runner.Job[accuracyPartial]{
-			Label: fmt.Sprintf("%s/reference", wl.ID),
-			Fn: func(ctx context.Context) (accuracyPartial, error) {
-				return reduceWorkload(ctx, opts, wl, opts.Seed+int64(i), wlRuns)
-			},
-		}
-	}
-	partials, err := runner.Run(ctx, reduce, pool)
-	if err != nil {
-		return nil, err
-	}
+// foldStudy merges a study's per-workload partial results, in workload
+// order, into its result.
+func foldStudy(opts AccuracyOptions, partials []accuracyPartial) *AccuracyResult {
 	perTechnique := map[string][]BenchmarkErrors{}
-	comp := &ComponentAccuracy{}
+	var comp ComponentAccuracy
 	for _, p := range partials {
 		for name, errs := range p.PerTechnique {
 			perTechnique[name] = append(perTechnique[name], errs...)
@@ -507,7 +560,7 @@ func accuracyStudyOver(ctx context.Context, workloads []workload.Workload, opts 
 	result := &AccuracyResult{
 		Label:      fmt.Sprintf("%dc-%s", opts.Cores, opts.Mix),
 		Options:    opts,
-		Components: *comp,
+		Components: comp,
 	}
 	for _, name := range opts.Techniques {
 		errs := perTechnique[name]
@@ -523,5 +576,5 @@ func accuracyStudyOver(ctx context.Context, workloads []workload.Workload, opts 
 		ta.MeanStallAbsRMS, _ = metrics.Mean(stallAbs)
 		result.Techniques = append(result.Techniques, ta)
 	}
-	return result, nil
+	return result
 }

@@ -178,30 +178,44 @@ type CellConfig struct {
 func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 	inner := CellConfig{Jobs: 1, Cache: cfg.Cache, Instr: cfg.Instr}
 	switch c.Kind {
-	case CellKindAccuracy:
-		mix, err := c.mixKind()
-		if err != nil {
-			return nil, err
-		}
-		res, err := AccuracyStudy(ctx, AccuracyOptions{
+	case CellKindAccuracy, CellKindScenario:
+		study := accuracyStudy{opts: AccuracyOptions{
 			Cores:               c.Cores,
-			Mix:                 mix,
 			Workloads:           c.Workloads,
 			InstructionsPerCore: c.InstructionsPerCore,
 			IntervalCycles:      c.IntervalCycles,
 			Seed:                c.Seed,
 			PRBEntries:          c.PRB,
 			Techniques:          c.Techniques,
-			CellConfig:          inner,
-		})
+		}}
+		name := c.Mix
+		if c.Kind == CellKindScenario {
+			sc, err := workload.ScenarioByName(c.Scenario)
+			if err != nil {
+				return nil, err
+			}
+			wl, err := sc.Workload(c.Cores)
+			if err != nil {
+				return nil, err
+			}
+			study.workloads = []workload.Workload{wl}
+			name = c.Scenario
+		} else {
+			mix, err := c.mixKind()
+			if err != nil {
+				return nil, err
+			}
+			study.opts.Mix = mix
+		}
+		res, err := runStudies(ctx, inner, []accuracyStudy{study})
 		if err != nil {
 			return nil, err
 		}
-		rows := make([]SweepRow, 0, len(res.Techniques))
-		for _, t := range res.Techniques {
+		rows := make([]SweepRow, 0, len(res[0].Techniques))
+		for _, t := range res[0].Techniques {
 			rows = append(rows, SweepRow{
-				Cores: c.Cores, Mix: c.Mix, PRB: c.PRB,
-				Kind: CellKindAccuracy, Name: t.Technique,
+				Cores: c.Cores, Mix: name, PRB: c.PRB,
+				Kind: c.Kind, Name: t.Technique,
 				MeanIPCAbsRMS:   t.MeanIPCAbsRMS,
 				MeanIPCRelRMS:   t.MeanIPCRelRMS,
 				MeanStallAbsRMS: t.MeanStallAbsRMS,
@@ -232,37 +246,6 @@ func (c Cell) Run(ctx context.Context, cfg CellConfig) ([]SweepRow, error) {
 				Cores: c.Cores, Mix: c.Mix,
 				Kind: CellKindPartitioning, Name: pol,
 				AverageSTP: res.AverageSTP[pol],
-			})
-		}
-		return rows, nil
-	case CellKindScenario:
-		sc, err := workload.ScenarioByName(c.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		wl, err := sc.Workload(c.Cores)
-		if err != nil {
-			return nil, err
-		}
-		res, err := AccuracyStudyForWorkload(ctx, wl, AccuracyOptions{
-			InstructionsPerCore: c.InstructionsPerCore,
-			IntervalCycles:      c.IntervalCycles,
-			Seed:                c.Seed,
-			PRBEntries:          c.PRB,
-			Techniques:          c.Techniques,
-			CellConfig:          inner,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]SweepRow, 0, len(res.Techniques))
-		for _, t := range res.Techniques {
-			rows = append(rows, SweepRow{
-				Cores: c.Cores, Mix: c.Scenario, PRB: c.PRB,
-				Kind: CellKindScenario, Name: t.Technique,
-				MeanIPCAbsRMS:   t.MeanIPCAbsRMS,
-				MeanIPCRelRMS:   t.MeanIPCRelRMS,
-				MeanStallAbsRMS: t.MeanStallAbsRMS,
 			})
 		}
 		return rows, nil

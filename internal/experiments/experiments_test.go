@@ -203,45 +203,90 @@ func TestPartitioningStudySubset(t *testing.T) {
 }
 
 func TestSensitivityPanels(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	instr := NewInstrumentation(reg)
-	panels, err := Figure7(t.Context(), StudyScale{
-		WorkloadsPerCell:    1,
-		InstructionsPerCore: 2000,
-		IntervalCycles:      2000,
-		Seed:                11,
-		CellConfig:          CellConfig{Cache: testCache, Instr: instr},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []struct {
-		panel  string
-		points int
-	}{
-		{"Figure 7a: LLC size", 3},
-		{"Figure 7b: LLC associativity", 3},
-		{"Figure 7c: DDR2 channels", 3},
-		{"Figure 7d: DRAM interface", 2},
-		{"Figure 7e: PRB size", 5},
-		{"Figure 7f: mixed workloads", 1},
-	}
-	if len(panels) != len(want) {
-		t.Fatalf("Figure 7 has %d panels, want %d", len(panels), len(want))
-	}
-	for i, w := range want {
-		if panels[i].Panel != w.panel || len(panels[i].Points) != w.points {
-			t.Errorf("panel %d = %q with %d points, want %q with %d", i, panels[i].Panel, len(panels[i].Points), w.panel, w.points)
+	// Of Figure 7's 51 (setting, category) studies, 12 are the base
+	// configuration at PRB 32 again (7a's middle size, 7b's 16 ways, 7c's one
+	// channel, 7d's DDR2 for each of H, M and L): 39 distinct studies, one
+	// shared run each at one workload per cell, whatever the pool width.
+	for _, jobs := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		instr := NewInstrumentation(reg)
+		panels, err := Figure7(t.Context(), StudyScale{
+			WorkloadsPerCell:    1,
+			InstructionsPerCore: 2000,
+			IntervalCycles:      2000,
+			Seed:                11,
+			CellConfig:          CellConfig{Jobs: jobs, Cache: testCache, Instr: instr},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []struct {
+			panel  string
+			points int
+		}{
+			{"Figure 7a: LLC size", 3},
+			{"Figure 7b: LLC associativity", 3},
+			{"Figure 7c: DDR2 channels", 3},
+			{"Figure 7d: DRAM interface", 2},
+			{"Figure 7e: PRB size", 5},
+			{"Figure 7f: mixed workloads", 1},
+		}
+		if len(panels) != len(want) {
+			t.Fatalf("Figure 7 has %d panels, want %d", len(panels), len(want))
+		}
+		for i, w := range want {
+			if panels[i].Panel != w.panel || len(panels[i].Points) != w.points {
+				t.Errorf("panel %d = %q with %d points, want %q with %d", i, panels[i].Panel, len(panels[i].Points), w.panel, w.points)
+			}
+		}
+		if got := simRuns(reg); got != 39 {
+			t.Errorf("jobs=%d: Figure 7 simulated %d shared runs, want 39", jobs, got)
+		}
+		if f := panels[5].Points[0]; len(f.ErrorByMix) != 3 {
+			t.Errorf("Figure 7f should report the three mixed categories, got %+v", f)
+		}
+		if !strings.Contains(panels[3].Render(), "Figure 7d") {
+			t.Error("render missing panel name")
 		}
 	}
-	if !simRan(reg) {
-		t.Error("Figure 7 simulations did not reach the scale's sim run counter")
-	}
-	if f := panels[5].Points[0]; len(f.ErrorByMix) != 3 {
-		t.Errorf("Figure 7f should report the three mixed categories, got %+v", f)
-	}
-	if !strings.Contains(panels[3].Render(), "Figure 7d") {
-		t.Error("render missing panel name")
+}
+
+// TestSharedRunCounts pins how many shared runs Figure 3 and a small sweep
+// simulate: one per (study, workload, technique group), at every pool width.
+func TestSharedRunCounts(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		scale := goldenScale
+		scale.CellConfig = CellConfig{Jobs: jobs, Cache: runner.NewCache(), Instr: NewInstrumentation(reg)}
+		if _, err := Figure3(t.Context(), scale); err != nil {
+			t.Fatal(err)
+		}
+		// Three categories, one workload each, a transparent and an ASM run.
+		if got := simRuns(reg); got != 6 {
+			t.Errorf("jobs=%d: Figure 3 simulated %d shared runs, want 6", jobs, got)
+		}
+
+		reg = telemetry.NewRegistry()
+		_, err := Sweep(t.Context(), SweepOptions{
+			CoreCounts:          []int{2},
+			Mixes:               []workload.MixKind{workload.MixH},
+			PRBSizes:            []int{16, 32},
+			Policies:            []string{"LRU", "MCP"},
+			Scenarios:           []string{"bursty"},
+			Workloads:           1,
+			InstructionsPerCore: 1500,
+			IntervalCycles:      1500,
+			Seed:                3,
+			CellConfig:          CellConfig{Jobs: jobs, Cache: runner.NewCache(), Instr: NewInstrumentation(reg)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two accuracy and two scenario cells of two runs each, and one
+		// partitioning cell of one run per policy.
+		if got := simRuns(reg); got != 10 {
+			t.Errorf("jobs=%d: the sweep simulated %d shared runs, want 10", jobs, got)
+		}
 	}
 }
 
@@ -278,12 +323,13 @@ func TestDefaultAndPaperScale(t *testing.T) {
 	}
 }
 
-// simRan reports whether reg's gdpsim_sim_runs_total series counts a run.
-func simRan(reg *telemetry.Registry) bool {
+// simRuns reads reg's gdpsim_sim_runs_total series: how many shared-mode
+// runs were simulated.
+func simRuns(reg *telemetry.Registry) uint64 {
 	for _, f := range reg.Snapshot() {
 		if f.Name == "gdpsim_sim_runs_total" {
-			return *f.Series[0].Value > 0
+			return uint64(*f.Series[0].Value)
 		}
 	}
-	return false
+	return 0
 }

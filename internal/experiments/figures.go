@@ -50,6 +50,12 @@ func PaperScale() StudyScale {
 	}
 }
 
+// accuracyOptions returns the scale's accuracy study of one core count and category.
+func (s StudyScale) accuracyOptions(cores int, mix workload.MixKind) AccuracyOptions {
+	return AccuracyOptions{Cores: cores, Mix: mix, Workloads: s.WorkloadsPerCell,
+		InstructionsPerCore: s.InstructionsPerCore, IntervalCycles: s.IntervalCycles, Seed: s.Seed}
+}
+
 // Figure3Cell is one bar group of Figures 3a/3b: a core count and category
 // with the per-technique mean RMS errors.
 type Figure3Cell struct {
@@ -73,35 +79,30 @@ var mixes = []workload.MixKind{workload.MixH, workload.MixM, workload.MixL}
 // Figure3 runs the accounting-accuracy study for every core count and
 // workload category of the scale, with ctx plumbed into every study cell.
 func Figure3(ctx context.Context, scale StudyScale) (*Figure3Result, error) {
-	out := &Figure3Result{}
+	var studies []accuracyStudy
 	for _, cores := range scale.CoreCounts {
 		for _, mix := range mixes {
-			res, err := AccuracyStudy(ctx, AccuracyOptions{
-				Cores:               cores,
-				Mix:                 mix,
-				Workloads:           scale.WorkloadsPerCell,
-				InstructionsPerCore: scale.InstructionsPerCore,
-				IntervalCycles:      scale.IntervalCycles,
-				Seed:                scale.Seed,
-				CellConfig:          scale.CellConfig,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cell := Figure3Cell{
-				Label:       res.Label,
-				IPCAbsRMS:   map[string]float64{},
-				StallAbsRMS: map[string]float64{},
-				IPCRelRMS:   map[string]float64{},
-			}
-			for _, t := range res.Techniques {
-				cell.IPCAbsRMS[t.Technique] = t.MeanIPCAbsRMS
-				cell.StallAbsRMS[t.Technique] = t.MeanStallAbsRMS
-				cell.IPCRelRMS[t.Technique] = t.MeanIPCRelRMS
-			}
-			out.Cells = append(out.Cells, cell)
-			out.Raw = append(out.Raw, res)
+			studies = append(studies, accuracyStudy{opts: scale.accuracyOptions(cores, mix)})
 		}
+	}
+	raw, err := runStudies(ctx, scale.CellConfig, studies)
+	if err != nil {
+		return nil, err
+	}
+	out := &Figure3Result{Raw: raw}
+	for _, res := range raw {
+		cell := Figure3Cell{
+			Label:       res.Label,
+			IPCAbsRMS:   map[string]float64{},
+			StallAbsRMS: map[string]float64{},
+			IPCRelRMS:   map[string]float64{},
+		}
+		for _, t := range res.Techniques {
+			cell.IPCAbsRMS[t.Technique] = t.MeanIPCAbsRMS
+			cell.StallAbsRMS[t.Technique] = t.MeanStallAbsRMS
+			cell.IPCRelRMS[t.Technique] = t.MeanIPCRelRMS
+		}
+		out.Cells = append(out.Cells, cell)
 	}
 	return out, nil
 }

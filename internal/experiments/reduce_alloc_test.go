@@ -20,7 +20,11 @@ func warmReduction(t *testing.T, instr uint64) ([]*sim.PrivateReference, []*shar
 		t.Fatal(err)
 	}
 	wl := wls[0]
-	jobs, _ := sharedJobs(wls, opts)
+	study := accuracyStudy{opts: opts, workloads: wls}
+	jobs, err := study.sharedJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	runs, err := runner.Run(t.Context(), jobs, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -77,34 +77,33 @@ func figure7Panels() []sensitivityPanel {
 }
 
 // Figure7 runs every panel of the sensitivity study: at every setting, the
-// GDP-O-only accuracy study of each of the setting's categories.
+// GDP-O-only accuracy study of each of the setting's categories. All studies
+// share one worker pool per phase, and each distinct study runs once (the
+// base configuration at PRB 32 serves a point in each of panels a to e).
 func Figure7(ctx context.Context, scale StudyScale) ([]*SensitivityResult, error) {
 	var out []*SensitivityResult
+	var studies []accuracyStudy
+	var byMix []map[string]float64 // the point each study reports to
 	for _, panel := range figure7Panels() {
 		res := &SensitivityResult{Panel: panel.name}
 		for _, s := range panel.settings {
 			point := SensitivityPoint{Setting: s.label, ErrorByMix: map[string]float64{}}
 			for _, mix := range s.mixes {
-				study, err := AccuracyStudy(ctx, AccuracyOptions{
-					Cores:               4,
-					Mix:                 mix,
-					Workloads:           scale.WorkloadsPerCell,
-					InstructionsPerCore: scale.InstructionsPerCore,
-					IntervalCycles:      scale.IntervalCycles,
-					Seed:                scale.Seed,
-					Config:              s.cfg,
-					PRBEntries:          s.prb,
-					Techniques:          []string{"GDP-O"},
-					CellConfig:          scale.CellConfig,
-				})
-				if err != nil {
-					return nil, err
-				}
-				point.ErrorByMix[mix.String()] = study.Technique("GDP-O").MeanIPCAbsRMS
+				opts := scale.accuracyOptions(4, mix)
+				opts.Config, opts.PRBEntries, opts.Techniques = s.cfg, s.prb, []string{"GDP-O"}
+				studies = append(studies, accuracyStudy{label: s.label + "/", opts: opts})
+				byMix = append(byMix, point.ErrorByMix)
 			}
 			res.Points = append(res.Points, point)
 		}
 		out = append(out, res)
+	}
+	results, err := runStudies(ctx, scale.CellConfig, studies)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range results {
+		byMix[i][r.Options.Mix.String()] = r.Technique("GDP-O").MeanIPCAbsRMS
 	}
 	return out, nil
 }

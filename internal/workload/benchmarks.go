@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -317,9 +318,9 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
-// suiteByClass builds the suite once and splits it by class, each class
-// sorted by name.
-func suiteByClass() map[Class][]Benchmark {
+// suiteByClass is the suite split by class, each class sorted by name, built
+// once per process and never written (Generate hands out copies).
+var suiteByClass = sync.OnceValue(func() map[Class][]Benchmark {
 	out := map[Class][]Benchmark{}
 	for _, b := range Suite() {
 		out[b.Class] = append(out[b.Class], b)
@@ -328,4 +329,4 @@ func suiteByClass() map[Class][]Benchmark {
 		sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
 	}
 	return out
-}
+})

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,6 +166,31 @@ func TestGenerateDeterministicAcrossCalls(t *testing.T) {
 		if strings.Join(a[i].Names(), ",") != strings.Join(b[i].Names(), ",") {
 			t.Fatal("workload generation is not deterministic for a fixed seed")
 		}
+	}
+}
+
+// TestGenerateHandsOutCopies: Generate draws from a suite built once per
+// process, so a caller that edits a returned benchmark's parameters, working
+// sets included, must not change what the next call returns.
+func TestGenerateHandsOutCopies(t *testing.T) {
+	opts := GenerateOptions{Cores: 4, Mix: MixL, Count: 3, Seed: 5}
+	a, err := Generate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%+v", a)
+	for _, w := range a {
+		for i := range w.Benchmarks {
+			p := &w.Benchmarks[i].Params
+			p.LoadFrac = -1
+			for j := range p.WorkingSets {
+				p.WorkingSets[j].Bytes = 1
+			}
+		}
+	}
+	b, _ := Generate(opts)
+	if got := fmt.Sprintf("%+v", b); got != want {
+		t.Errorf("editing a generated workload changed the next Generate's benchmarks:\n got %s\nwant %s", got, want)
 	}
 }
 

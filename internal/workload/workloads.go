@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Workload is one multi-programmed combination of benchmarks, one per core.
@@ -104,7 +105,8 @@ type GenerateOptions struct {
 }
 
 // Generate produces Count multi-programmed workloads drawn at random (with
-// the given seed) from the benchmarks matching the mix's class pattern.
+// the given seed) from the benchmarks matching the mix's class pattern. Every
+// benchmark it returns is a copy the caller may change.
 func Generate(opts GenerateOptions) ([]Workload, error) {
 	if opts.Cores < 1 {
 		return nil, fmt.Errorf("workload: core count %d invalid", opts.Cores)
@@ -151,6 +153,7 @@ func Generate(opts GenerateOptions) ([]Workload, error) {
 				}
 			}
 			uses[pick.Name]++
+			pick.Params.WorkingSets = slices.Clone(pick.Params.WorkingSets)
 			w.Benchmarks = append(w.Benchmarks, pick)
 		}
 		out = append(out, w)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/telemetry"
 )
 
 // partialSweep is dispatchTestSweep cut down to its PRB-16 cells: what a
@@ -37,11 +38,11 @@ func diskEngine(t *testing.T, dir string, opts ...EngineOption) *Engine {
 	return e
 }
 
-// simRuns reads the engine's gdpsim_sim_runs_total series: how many
-// simulations it ran.
-func simRuns(t *testing.T, e *Engine) uint64 {
+// simRuns reads reg's gdpsim_sim_runs_total series: how many shared-mode
+// simulations ran.
+func simRuns(t testing.TB, reg *telemetry.Registry) uint64 {
 	t.Helper()
-	for _, f := range e.registry.Snapshot() {
+	for _, f := range reg.Snapshot() {
 		if f.Name == "gdpsim_sim_runs_total" {
 			return uint64(*f.Series[0].Value)
 		}
@@ -85,7 +86,7 @@ func TestSweepCacheDirResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkResumed(t, want, res, part.Cells, resumed, simRuns(t, resumed))
+			checkResumed(t, want, res, part.Cells, resumed, simRuns(t, resumed.registry))
 			// The missing cells share their workloads with the recalled ones,
 			// so their private-mode references come from disk too: the only
 			// cache misses are the missing cells themselves.
@@ -129,7 +130,7 @@ func TestSweepCacheDirCancelledResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%d of %d cells finished before the cancel took hold", finished, res.Cells)
-			checkResumed(t, want, res, finished, resumed, simRuns(t, resumed))
+			checkResumed(t, want, res, finished, resumed, simRuns(t, resumed.registry))
 		})
 	}
 }
@@ -171,7 +172,7 @@ func TestSweepJournalResumeByteIdentical(t *testing.T) {
 			if got := rowsJSON(t, res.Rows); got != want {
 				t.Errorf("resumed rows differ from uninterrupted run:\n got %s\nwant %s", got, want)
 			}
-			if runs, missing := simRuns(t, resumed), uint64(res.Cells-part.Cells); runs != missing {
+			if runs, missing := simRuns(t, resumed.registry), uint64(res.Cells-part.Cells); runs != missing {
 				t.Errorf("resumed sweep ran %d simulations, want one per missing cell (%d)", runs, missing)
 			}
 		})
@@ -197,7 +198,7 @@ func TestSweepWorkersCacheDirResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResumed(t, want, res, part.Cells, resumed, simRuns(t, resumed)+simRuns(t, srv2.engine))
+	checkResumed(t, want, res, part.Cells, resumed, simRuns(t, resumed.registry)+simRuns(t, srv2.engine.registry))
 }
 
 // TestSweepWorkersRejectsJournal: the deprecated journal is a local-sweep
