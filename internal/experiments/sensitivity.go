@@ -27,77 +27,55 @@ type SensitivityResult struct {
 	Points []SensitivityPoint
 }
 
-// sensitivitySetting is one point of a Figure 7 panel: the configuration,
-// PRB size and workload categories GDP-O is evaluated under.
-type sensitivitySetting struct {
-	label string
-	cfg   *config.CMPConfig
-	prb   int
-	mixes []workload.MixKind
-}
-
-// sensitivityPanel is one panel of Figure 7: its title and its settings.
-type sensitivityPanel struct {
-	name     string
-	settings []sensitivitySetting
-}
-
-// figure7Panels lists Figure 7's panels and their settings, all on the
-// 4-core system as in the paper. The paper's LLC sizes are 4, 8 and 16 MB;
-// the scaled hierarchy sweeps half, nominal and double capacity.
-func figure7Panels() []sensitivityPanel {
-	base := config.ScaledConfig(4)
-	var size, ways, channels, prbs []sensitivitySetting
-	for _, factor := range []int{1, 2, 4} {
-		cfg := base.WithLLCSize(base.LLC.SizeBytes / 2 * factor)
-		size = append(size, sensitivitySetting{fmt.Sprintf("%dKB", cfg.LLC.SizeBytes>>10), cfg, 32, mixes})
-	}
-	for _, n := range []int{16, 32, 64} {
-		ways = append(ways, sensitivitySetting{fmt.Sprintf("%d ways", n), base.WithLLCWays(n), 32, mixes})
-	}
-	for _, n := range []int{1, 2, 4} {
-		channels = append(channels, sensitivitySetting{fmt.Sprintf("%d channel(s)", n), base.WithDRAM(config.DDR2, n), 32, mixes})
-	}
-	for _, n := range []int{8, 16, 32, 64, 1024} {
-		prbs = append(prbs, sensitivitySetting{fmt.Sprintf("%d entries", n), base, n, mixes})
-	}
-	return []sensitivityPanel{
-		{"Figure 7a: LLC size", size},
-		{"Figure 7b: LLC associativity", ways},
-		{"Figure 7c: DDR2 channels", channels},
-		{"Figure 7d: DRAM interface", []sensitivitySetting{
-			{config.DDR2.String(), base.WithDRAM(config.DDR2, 1), 32, mixes},
-			{config.DDR4.String(), base.WithDRAM(config.DDR4, 1), 32, mixes},
-		}},
-		{"Figure 7e: PRB size", prbs},
-		{"Figure 7f: mixed workloads", []sensitivitySetting{
-			{"mixed", base, 32, []workload.MixKind{workload.MixHHML, workload.MixHMML, workload.MixHMLL}},
-		}},
-	}
-}
-
-// Figure7 runs every panel of the sensitivity study: at every setting, the
-// GDP-O-only accuracy study of each of the setting's categories. All studies
-// share one worker pool per phase, and each distinct study runs once (the
-// base configuration at PRB 32 serves a point in each of panels a to e).
+// Figure7 runs every panel of the sensitivity study, all on the 4-core system
+// as in the paper: at every setting, the GDP-O-only accuracy study of each of
+// the setting's categories. It lists every study first; they share one worker
+// pool per phase, and each distinct study runs once (the base configuration
+// at PRB 32 serves a point in each of panels a to e). The paper's LLC sizes
+// are 4, 8 and 16 MB; the scaled hierarchy sweeps half, nominal and double
+// capacity.
 func Figure7(ctx context.Context, scale StudyScale) ([]*SensitivityResult, error) {
 	var out []*SensitivityResult
 	var studies []accuracyStudy
 	var byMix []map[string]float64 // the point each study reports to
-	for _, panel := range figure7Panels() {
-		res := &SensitivityResult{Panel: panel.name}
-		for _, s := range panel.settings {
-			point := SensitivityPoint{Setting: s.label, ErrorByMix: map[string]float64{}}
-			for _, mix := range s.mixes {
-				opts := scale.accuracyOptions(4, mix)
-				opts.Config, opts.PRBEntries, opts.Techniques = s.cfg, s.prb, []string{"GDP-O"}
-				studies = append(studies, accuracyStudy{label: s.label + "/", opts: opts})
-				byMix = append(byMix, point.ErrorByMix)
-			}
-			res.Points = append(res.Points, point)
-		}
-		out = append(out, res)
+	panel := func(name string) {
+		out = append(out, &SensitivityResult{Panel: name})
 	}
+	point := func(setting string, cfg *config.CMPConfig, prb int, categories ...workload.MixKind) {
+		p := SensitivityPoint{Setting: setting, ErrorByMix: map[string]float64{}}
+		for _, mix := range categories {
+			opts := scale.accuracyOptions(4, mix)
+			opts.Config, opts.PRBEntries, opts.Techniques = cfg, prb, []string{"GDP-O"}
+			studies = append(studies, accuracyStudy{label: setting + "/", opts: opts})
+			byMix = append(byMix, p.ErrorByMix)
+		}
+		res := out[len(out)-1]
+		res.Points = append(res.Points, p)
+	}
+	base := config.ScaledConfig(4)
+	panel("Figure 7a: LLC size")
+	for _, factor := range []int{1, 2, 4} {
+		cfg := base.WithLLCSize(base.LLC.SizeBytes / 2 * factor)
+		point(fmt.Sprintf("%dKB", cfg.LLC.SizeBytes>>10), cfg, 32, mixes...)
+	}
+	panel("Figure 7b: LLC associativity")
+	for _, n := range []int{16, 32, 64} {
+		point(fmt.Sprintf("%d ways", n), base.WithLLCWays(n), 32, mixes...)
+	}
+	panel("Figure 7c: DDR2 channels")
+	for _, n := range []int{1, 2, 4} {
+		point(fmt.Sprintf("%d channel(s)", n), base.WithDRAM(config.DDR2, n), 32, mixes...)
+	}
+	panel("Figure 7d: DRAM interface")
+	point(config.DDR2.String(), base.WithDRAM(config.DDR2, 1), 32, mixes...)
+	point(config.DDR4.String(), base.WithDRAM(config.DDR4, 1), 32, mixes...)
+	panel("Figure 7e: PRB size")
+	for _, n := range []int{8, 16, 32, 64, 1024} {
+		point(fmt.Sprintf("%d entries", n), base, n, mixes...)
+	}
+	panel("Figure 7f: mixed workloads")
+	point("mixed", base, 32, workload.MixHHML, workload.MixHMML, workload.MixHMLL)
+
 	results, err := runStudies(ctx, scale.CellConfig, studies)
 	if err != nil {
 		return nil, err
