@@ -112,12 +112,12 @@ type (
 // NewGDP creates the GDP accounting technique for a CMP with cores cores and
 // the given Pending Request Buffer size (the paper uses 32).
 func NewGDP(cores, prbEntries int) (Accountant, error) {
-	return accounting.NewGDP(cores, prbEntries, false)
+	return accounting.NewGDP("GDP", cores, prbEntries, false)
 }
 
 // NewGDPO creates the GDP-O variant (GDP plus overlap accounting).
 func NewGDPO(cores, prbEntries int) (Accountant, error) {
-	return accounting.NewGDP(cores, prbEntries, true)
+	return accounting.NewGDP("GDP-O", cores, prbEntries, true)
 }
 
 // NewITCA creates the ITCA transparent baseline.

@@ -62,13 +62,13 @@ var Names = []string{"ITCA", "PTCA", "ASM", "GDP", "GDP-O"}
 // New instantiates the named technique for a CMP with cores cores. GDP and
 // GDP-O use a prbEntries-entry Pending Request Buffer; ASM rotates its
 // high-priority epoch every asmEpoch cycles (0 selects NewASM's default) and
-// is bound to the memory controller by the simulation driver.
+// is bound to the memory controller by the simulation driver. The instance is
+// named after its technique, and the accountants of one run must have
+// different names (sim.Run rejects a run that repeats one).
 func New(name string, cores, prbEntries int, asmEpoch uint64) (Accountant, error) {
 	switch name {
-	case "GDP":
-		return NewGDP(cores, prbEntries, false)
-	case "GDP-O":
-		return NewGDP(cores, prbEntries, true)
+	case "GDP", "GDP-O":
+		return NewGDP(name, cores, prbEntries, name == "GDP-O")
 	case "ITCA":
 		return NewITCA(cores)
 	case "PTCA":

@@ -27,7 +27,7 @@ func interval(cycles, inst, commit, stallSMS uint64) cpu.Stats {
 }
 
 func TestAccountantConstructorsRejectZeroCores(t *testing.T) {
-	if _, err := NewGDP(0, 32, false); err == nil {
+	if _, err := NewGDP("GDP", 0, 32, false); err == nil {
 		t.Error("GDP with zero cores accepted")
 	}
 	if _, err := NewITCA(0); err == nil {
@@ -42,8 +42,8 @@ func TestAccountantConstructorsRejectZeroCores(t *testing.T) {
 }
 
 func TestNamesMatchPaperFigures(t *testing.T) {
-	gdp, _ := NewGDP(2, 32, false)
-	gdpo, _ := NewGDP(2, 32, true)
+	gdp, _ := NewGDP("GDP", 2, 32, false)
+	gdpo, _ := NewGDP("GDP-O", 2, 32, true)
 	itca, _ := NewITCA(2)
 	ptca, _ := NewPTCA(2)
 	asm, _ := NewASM(2, 1000)
@@ -78,7 +78,7 @@ func TestNewBuildsEveryName(t *testing.T) {
 }
 
 func TestAllAccountantsImplementInterface(t *testing.T) {
-	gdp, _ := NewGDP(2, 32, false)
+	gdp, _ := NewGDP("GDP", 2, 32, false)
 	itca, _ := NewITCA(2)
 	ptca, _ := NewPTCA(2)
 	asm, _ := NewASM(2, 1000)
@@ -93,7 +93,7 @@ func TestAllAccountantsImplementInterface(t *testing.T) {
 }
 
 func TestGDPAccountantEstimate(t *testing.T) {
-	a, err := NewGDP(2, 32, false)
+	a, err := NewGDP("GDP", 2, 32, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,8 @@ func TestGDPEstimateDegenerateInputs(t *testing.T) {
 }
 
 func TestGDPOSubtractsOverlap(t *testing.T) {
-	gdp, _ := NewGDP(1, 32, false)
-	gdpo, _ := NewGDP(1, 32, true)
+	gdp, _ := NewGDP("GDP", 1, 32, false)
+	gdpo, _ := NewGDP("GDP-O", 1, 32, true)
 	drive := func(a *GDPAccountant) {
 		u := a.units[0]
 		u.OnLoadIssued(0x100, 0, 0)
@@ -204,7 +204,7 @@ func TestGDPOSubtractsOverlap(t *testing.T) {
 }
 
 func TestGDPLatencyFloor(t *testing.T) {
-	a, _ := NewGDP(1, 32, false)
+	a, _ := NewGDP("GDP", 1, 32, false)
 	a.SetLatencyFloor(0, 42)
 	// Pathological observation: interference larger than latency.
 	a.ObserveRequest(0, &mem.Request{Core: 0, IssueCycle: 0, CompleteCycle: 50, MemInterference: 500})

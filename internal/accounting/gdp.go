@@ -20,8 +20,10 @@ type GDPAccountant struct {
 }
 
 // NewGDP creates a GDP (useOverlap=false) or GDP-O (useOverlap=true)
-// accountant for a CMP with the given number of cores and PRB size.
-func NewGDP(cores int, prbEntries int, useOverlap bool) (*GDPAccountant, error) {
+// accountant named name for a CMP with the given number of cores and PRB
+// size. New names it after its technique; a run that carries the technique at
+// several PRB sizes names each instance apart ("GDP-O/8").
+func NewGDP(name string, cores int, prbEntries int, useOverlap bool) (*GDPAccountant, error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("accounting: need at least one core")
 	}
@@ -30,12 +32,9 @@ func NewGDP(cores int, prbEntries int, useOverlap bool) (*GDPAccountant, error) 
 		return nil, err
 	}
 	a := &GDPAccountant{
-		name:       "GDP",
+		name:       name,
 		useOverlap: useOverlap,
 		latency:    lat,
-	}
-	if useOverlap {
-		a.name = "GDP-O"
 	}
 	for c := 0; c < cores; c++ {
 		unit, err := gdpcore.New(gdpcore.Options{PRBEntries: prbEntries, TrackOverlap: useOverlap})

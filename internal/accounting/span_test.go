@@ -14,8 +14,8 @@ import (
 // probes are driven.
 func spanAccountants(t testing.TB) []Accountant {
 	t.Helper()
-	gdp, err1 := NewGDP(2, 4, false)
-	gdpo, err2 := NewGDP(2, 4, true)
+	gdp, err1 := NewGDP("GDP", 2, 4, false)
+	gdpo, err2 := NewGDP("GDP-O", 2, 4, true)
 	itca, err3 := NewITCA(2)
 	ptca, err4 := NewPTCA(2)
 	asm, err5 := NewASM(2, 40)

@@ -34,7 +34,7 @@ func allocRunOptions(t *testing.T, maxCycles uint64, withAccountant bool, metric
 		Metrics:             metrics,
 	}
 	if withAccountant {
-		gdpo, err := accounting.NewGDP(2, 32, true)
+		gdpo, err := accounting.NewGDP("GDP-O", 2, 32, true)
 		if err != nil {
 			t.Fatal(err)
 		}

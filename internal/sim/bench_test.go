@@ -30,8 +30,8 @@ func BenchmarkStepLoop(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			gdp, err1 := accounting.NewGDP(cores, 32, false)
-			gdpo, err2 := accounting.NewGDP(cores, 32, true)
+			gdp, err1 := accounting.NewGDP("GDP", cores, 32, false)
+			gdpo, err2 := accounting.NewGDP("GDP-O", cores, 32, true)
 			itca, err3 := accounting.NewITCA(cores)
 			ptca, err4 := accounting.NewPTCA(cores)
 			if err := errors.Join(err1, err2, err3, err4); err != nil {

@@ -24,11 +24,11 @@ func scenarioOptions(t *testing.T, name string, cores int) Options {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gdp, err := accounting.NewGDP(cores, 32, false)
+	gdp, err := accounting.NewGDP("GDP", cores, 32, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gdpo, err := accounting.NewGDP(cores, 32, true)
+	gdpo, err := accounting.NewGDP("GDP-O", cores, 32, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,8 @@ type Options struct {
 	// Seed randomizes the synthetic traces. Core i's generator is seeded with
 	// CoreSeed(Seed, i).
 	Seed int64
-	// Accountants are attached to the run and produce per-interval estimates.
+	// Accountants are attached to the run and produce per-interval estimates,
+	// keyed by name in IntervalRecord.Estimates, so their names must differ.
 	Accountants []accounting.Accountant
 	// Partitioner, when non-nil, repartitions the LLC every interval, fed
 	// with the first accountant's private-CPI estimates, or with shared-mode
@@ -151,6 +152,13 @@ func (o *Options) validate() error {
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("sim: Workers = %d, must be >= 0", o.Workers)
+	}
+	for i, a := range o.Accountants {
+		for _, b := range o.Accountants[:i] {
+			if a.Name() == b.Name() {
+				return fmt.Errorf("sim: two accountants are named %q", a.Name())
+			}
+		}
 	}
 	return nil
 }

@@ -176,8 +176,8 @@ func TestSharedRunCompletes(t *testing.T) {
 
 func TestSharedRunWithAccountants(t *testing.T) {
 	opts := baseOptions(t, 2)
-	gdp, _ := accounting.NewGDP(2, 32, false)
-	gdpo, _ := accounting.NewGDP(2, 32, true)
+	gdp, _ := accounting.NewGDP("GDP", 2, 32, false)
+	gdpo, _ := accounting.NewGDP("GDP-O", 2, 32, true)
 	itca, _ := accounting.NewITCA(2)
 	ptca, _ := accounting.NewPTCA(2)
 	opts.Accountants = []accounting.Accountant{gdp, gdpo, itca, ptca}
@@ -207,7 +207,7 @@ func TestGDPEstimatesBelowSharedCPIUnderContention(t *testing.T) {
 	// of a sound accounting technique should on average be at most the shared
 	// CPI (interference only ever slows an application down).
 	opts := baseOptions(t, 4)
-	gdp, _ := accounting.NewGDP(4, 32, false)
+	gdp, _ := accounting.NewGDP("GDP", 4, 32, false)
 	opts.Accountants = []accounting.Accountant{gdp}
 	opts.InstructionsPerCore = 8000
 	res, err := Run(t.Context(), opts)
@@ -269,7 +269,7 @@ func TestASMRunIsInvasive(t *testing.T) {
 
 func TestPartitionedRunAppliesAllocations(t *testing.T) {
 	opts := baseOptions(t, 2)
-	gdp, _ := accounting.NewGDP(2, 32, false)
+	gdp, _ := accounting.NewGDP("GDP", 2, 32, false)
 	opts.Accountants = []accounting.Accountant{gdp}
 	opts.Partitioner = partition.MCP{}
 	res, err := Run(t.Context(), opts)
@@ -401,7 +401,7 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 
 func TestOnIntervalStreamsAndDiscards(t *testing.T) {
 	opts := baseOptions(t, 2)
-	gdpo, _ := accounting.NewGDP(2, 32, true)
+	gdpo, _ := accounting.NewGDP("GDP-O", 2, 32, true)
 	opts.Accountants = []accounting.Accountant{gdpo}
 	opts.DiscardIntervals = true
 	streamed := 0
