@@ -142,6 +142,7 @@ func BenchmarkFigure5Components(b *testing.B) {
 // LLC management policies.
 func BenchmarkFigure6STP(b *testing.B) {
 	engine := newTestEngine(b)
+	defer reportSharedRuns(b, engine.registry)()
 	for i := 0; i < b.N; i++ {
 		res, err := engine.PartitioningStudy(context.Background(), PartitioningOptions{
 			Cores:               4,

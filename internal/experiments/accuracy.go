@@ -16,19 +16,22 @@
 // finishes first, and then one private run per core, recorded at the union of
 // their sample points, serves them all (sim.PrivateReference.Index and Window
 // read each run's windows from it in place). The references of one workload
-// are one entry in the result cache the caller passes (a nil cache memoizes
-// nothing), so repeated studies over the same population simulate them once.
+// are also one entry in the result cache the caller passes (a nil cache
+// memoizes nothing), so later studies over the same population recall them.
 //
 // A figure lists its accuracy studies and hands them to one study runner
-// (runStudies): a study identical to an earlier one runs once, and the rest
-// share one worker pool per phase (shared runs, then references and
-// reductions). A sweep cell is a list of one.
+// (runStudies), which plans by simulation identity (simKey: configuration,
+// workload, sample size, interval, and whether the run is ASM's). Studies
+// whose runs share an identity read one run, which carries the union of
+// their accountant instances (GDP and GDP-O named with their PRB size), and
+// one set of references; each study then reads its own columns. One worker
+// pool runs every shared run, a second every reference set and its
+// reductions. A sweep cell is a list of one.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"slices"
 
 	"repro/internal/accounting"
@@ -174,163 +177,155 @@ func (r *AccuracyResult) Technique(name string) *TechniqueAccuracy {
 	return nil
 }
 
-// sharedRun is one shared-mode run of an accuracy study reduced to the
-// numbers the error reduction reads: per core, the sample points and, per
-// interval, the shared-mode instruction count, every technique's IPC and SMS
-// stall estimates (in names order) and the component technique's estimates.
+// instance is one accountant a shared run carries: its technique, its PRB
+// size (0 but for GDP and GDP-O), its name on the run, which carries the size
+// ("GDP-O/8") so one run can hold a technique at several sizes, and the
+// offset of its estimates in the run's interval samples.
+type instance struct {
+	name, technique string
+	prb, off        int
+}
+
+// sharedRun is one shared-mode run of a study plan: the simulation its first
+// study asked for, carrying every instance its studies read. Once run, it
+// holds per core the sample points and, per interval, a sample of width
+// values: the shared-mode instruction count, then per instance its IPC and
+// SMS stall estimates and, for GDP and GDP-O, its CPL, overlap and latency
+// estimates. at maps the points into the workload's references.
 type sharedRun struct {
-	names     []string
-	comp      int // index in names of the component technique, -1 for none
-	points    [][]uint64
-	intervals [][]sharedInterval
-	estimates [][]techniqueEstimate // len(names) per interval
+	label     string
+	opts      AccuracyOptions
+	wl        workload.Workload
+	seed      int64
+	instances []instance
+	width     int
+
+	points  [][]uint64
+	samples [][]float64
+	at      [][]int
 }
 
-// sharedInterval is one interval of a core: its shared-mode instruction count
-// and the component technique's CPL, overlap and latency estimates.
-type sharedInterval struct {
-	instructions uint64
-	cpl          uint64
-	overlap      float64
-	latency      float64
-}
-
-// techniqueEstimate is one technique's private-mode IPC and SMS stall
-// estimates for one interval.
-type techniqueEstimate struct {
-	ipc, stall float64
-}
-
-// componentTechnique returns the index in names of the technique whose
-// estimates the component errors come from: GDP-O, falling back to GDP when
-// GDP-O is not part of the study, or -1.
-func componentTechnique(names []string) int {
-	comp := -1
-	for i, n := range names {
-		if n == "GDP-O" || (n == "GDP" && comp < 0) {
-			comp = i
+// add returns the offset of in's estimates in r's samples, adding in unless
+// r carries an instance of that name.
+func (r *sharedRun) add(in instance) int {
+	for _, x := range r.instances {
+		if x.name == in.name {
+			return x.off
 		}
 	}
-	return comp
+	in.off = r.width
+	r.width += 2
+	if in.prb != 0 {
+		r.width += 3
+	}
+	r.instances = append(r.instances, in)
+	return in.off
 }
 
-// runShared runs one workload's shared-mode simulation with the named
-// techniques attached and keeps only its sharedRun reduction, so a study
-// holds no interval records while its private references run.
-func runShared(ctx context.Context, opts AccuracyOptions, wl workload.Workload, simSeed int64,
-	names []string) (*sharedRun, error) {
-
-	run := &sharedRun{
-		names:     names,
-		comp:      componentTechnique(names),
-		intervals: make([][]sharedInterval, wl.Cores()),
-		estimates: make([][]techniqueEstimate, wl.Cores()),
-	}
-	accts := make([]accounting.Accountant, len(names))
-	for i, name := range names {
-		a, err := accounting.New(name, opts.Cores, opts.PRBEntries, opts.IntervalCycles/4)
+// run simulates r with its instances attached and keeps only what the
+// reduction reads, so a study holds no interval records while its private
+// references run.
+func (r *sharedRun) run(ctx context.Context, sink *sim.Metrics) error {
+	cores := r.wl.Cores()
+	r.samples = make([][]float64, cores)
+	accts := make([]accounting.Accountant, len(r.instances))
+	for i, in := range r.instances {
+		var err error
+		if in.prb != 0 {
+			accts[i], err = accounting.NewGDP(in.name, cores, in.prb, in.technique == "GDP-O")
+		} else {
+			accts[i], err = accounting.New(in.technique, cores, 0, r.opts.IntervalCycles/4)
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		accts[i] = a
 	}
 	res, err := sim.Run(ctx, sim.Options{
-		Config:              opts.Config,
-		Workload:            wl,
-		InstructionsPerCore: opts.InstructionsPerCore,
-		IntervalCycles:      opts.IntervalCycles,
-		Seed:                simSeed,
+		Config:              r.opts.Config,
+		Workload:            r.wl,
+		InstructionsPerCore: r.opts.InstructionsPerCore,
+		IntervalCycles:      r.opts.IntervalCycles,
+		Seed:                r.seed,
 		Accountants:         accts,
-		Metrics:             opts.Instr.simMetrics(),
+		Metrics:             sink,
 		DiscardIntervals:    true,
 		OnInterval: func(rec sim.IntervalRecord) error {
-			iv := sharedInterval{instructions: rec.Shared.Instructions}
-			for i, n := range run.names {
-				est := rec.Estimates[n]
-				run.estimates[rec.Core] = append(run.estimates[rec.Core], techniqueEstimate{est.PrivateIPC, est.SMSStallCycles})
-				if i == run.comp {
-					iv.cpl, iv.overlap, iv.latency = est.CPL, est.AvgOverlap, est.PrivateLatency
+			s := append(r.samples[rec.Core], float64(rec.Shared.Instructions))
+			for _, in := range r.instances {
+				est := rec.Estimates[in.name]
+				s = append(s, est.PrivateIPC, est.SMSStallCycles)
+				if in.prb != 0 {
+					s = append(s, float64(est.CPL), est.AvgOverlap, est.PrivateLatency)
 				}
 			}
-			run.intervals[rec.Core] = append(run.intervals[rec.Core], iv)
+			r.samples[rec.Core] = s
 			return nil
 		},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	run.points = res.SamplePoints
-	return run, nil
+	r.points = res.SamplePoints
+	return nil
 }
 
-// accumulate reduces the run against its workload's private references
-// (refs[i] is core i's, and idx[i] maps the run's sample points on core i to
-// refs[i]'s, as PrivateReference.Index does) and appends per-benchmark errors
-// for every technique of the run, plus the GDP/GDP-O component errors.
-func (r *sharedRun) accumulate(refs []*sim.PrivateReference, idx [][]int, perTechnique map[string][]BenchmarkErrors,
-	comp *ComponentAccuracy, wl workload.Workload) {
-
-	ipc := make([]metrics.ErrorSeries, len(r.names))
-	stall := make([]metrics.ErrorSeries, len(r.names))
-	for core, ivs := range r.intervals {
-		ref, at := refs[core], idx[core]
-		clear(ipc)
-		clear(stall)
-		var cplSeries, overlapSeries, latSeries metrics.ErrorSeries
-
-		for k, iv := range ivs {
-			if iv.instructions == 0 {
+// reduce returns, per core, the RMS errors of the estimates at offset off of
+// r's samples against refs (r.at maps r's points into them), and appends to
+// comp, unless it is nil, the relative RMS errors of the CPL, overlap and
+// latency estimates that follow them (a GDP or GDP-O instance's).
+func (r *sharedRun) reduce(off int, refs []*sim.PrivateReference, comp *ComponentAccuracy) []BenchmarkErrors {
+	var errs []BenchmarkErrors
+	for core, ref := range refs {
+		var ipc, stall, cpl, overlap, latency metrics.ErrorSeries
+		for k := range len(r.samples[core]) / r.width {
+			v := r.samples[core][k*r.width:]
+			if v[0] == 0 {
 				continue
 			}
-			actual, cpl, overlap := ref.Window(at, k)
+			actual, actualCPL, actualOverlap := ref.Window(r.at[core], k)
 			if actual.Instructions == 0 || actual.Cycles == 0 {
 				continue
 			}
-			actualIPC := actual.IPC()
-			actualStall := float64(actual.StallSMS)
-			ests := r.estimates[core][k*len(r.names) : (k+1)*len(r.names)]
-			for i, est := range ests {
-				ipc[i].Add(est.ipc, actualIPC)
-				stall[i].Add(est.stall, actualStall)
-			}
-			if r.comp < 0 {
+			ipc.Add(v[off], actual.IPC())
+			stall.Add(v[off+1], float64(actual.StallSMS))
+			if comp == nil {
 				continue
 			}
-			if cpl > 0 {
-				cplSeries.Add(float64(iv.cpl), float64(cpl))
+			if actualCPL > 0 {
+				cpl.Add(v[off+2], float64(actualCPL))
 			}
-			if overlap > 0 && iv.overlap > 0 {
-				overlapSeries.Add(iv.overlap, overlap)
+			if actualOverlap > 0 && v[off+3] > 0 {
+				overlap.Add(v[off+3], actualOverlap)
 			}
-			if actual.SMSLoads > 0 && iv.latency > 0 {
-				latSeries.Add(iv.latency, actual.AvgSMSLatency())
+			if actual.SMSLoads > 0 && v[off+4] > 0 {
+				latency.Add(v[off+4], actual.AvgSMSLatency())
 			}
 		}
-
-		for i, n := range r.names {
-			if ipc[i].Len() == 0 {
-				continue
-			}
-			perTechnique[n] = append(perTechnique[n], BenchmarkErrors{
-				Workload:    wl.ID,
+		if ipc.Len() > 0 {
+			errs = append(errs, BenchmarkErrors{
+				Workload:    r.wl.ID,
 				Core:        core,
-				Benchmark:   wl.Benchmarks[core].Name,
-				IPCAbsRMS:   ipc[i].AbsRMS(),
-				IPCRelRMS:   ipc[i].RelRMS(),
-				StallAbsRMS: stall[i].AbsRMS(),
-				StallRelRMS: stall[i].RelRMS(),
+				Benchmark:   r.wl.Benchmarks[core].Name,
+				IPCAbsRMS:   ipc.AbsRMS(),
+				IPCRelRMS:   ipc.RelRMS(),
+				StallAbsRMS: stall.AbsRMS(),
+				StallRelRMS: stall.RelRMS(),
 			})
 		}
-		if cplSeries.Len() > 0 {
-			comp.CPLRelRMS = append(comp.CPLRelRMS, cplSeries.RelRMS())
+		if comp == nil {
+			continue
 		}
-		if overlapSeries.Len() > 0 {
-			comp.OverlapRelRMS = append(comp.OverlapRelRMS, overlapSeries.RelRMS())
+		if cpl.Len() > 0 {
+			comp.CPLRelRMS = append(comp.CPLRelRMS, cpl.RelRMS())
 		}
-		if latSeries.Len() > 0 {
-			comp.LatencyRelRMS = append(comp.LatencyRelRMS, latSeries.RelRMS())
+		if overlap.Len() > 0 {
+			comp.OverlapRelRMS = append(comp.OverlapRelRMS, overlap.RelRMS())
+		}
+		if latency.Len() > 0 {
+			comp.LatencyRelRMS = append(comp.LatencyRelRMS, latency.RelRMS())
 		}
 	}
+	return errs
 }
 
 // AccuracyStudy runs one cell of Figures 3-5: it generates the requested
@@ -362,145 +357,180 @@ func AccuracyStudyForWorkload(ctx context.Context, wl workload.Workload, opts Ac
 
 // accuracyStudy is one study of a runStudies list: its options and, for a
 // study over explicit workloads, those workloads (nil: generated from the
-// options). label prefixes its job labels ("" or a name ending in "/");
-// sharedJobs sets perWorkload, the number of shared runs per workload.
+// options). label prefixes its job labels ("" or a name ending in "/").
 type accuracyStudy struct {
-	label       string
-	opts        AccuracyOptions
-	workloads   []workload.Workload
-	perWorkload int
+	label     string
+	opts      AccuracyOptions
+	workloads []workload.Workload
 }
 
-// sameWork reports whether s does exactly the work of t: both generate their
-// workloads, and their options are equal apart from the execution
-// environment (Config compared by value, Techniques element by element).
-func (s accuracyStudy) sameWork(t accuracyStudy) bool {
-	a, b := s.opts, t.opts
-	a.CellConfig, b.CellConfig = CellConfig{}, CellConfig{}
-	return s.workloads == nil && t.workloads == nil && reflect.DeepEqual(a, b)
+// simKey is the identity of a shared run: the runs of every study with equal
+// keys are one simulation, and the private references of equal keys with asm
+// false one set. Config compares by value; gen is zero for a study over
+// explicit workloads, which has its list index in study (-1 otherwise).
+type simKey struct {
+	config                 config.CMPConfig
+	gen                    workload.GenerateOptions
+	study, workload        int
+	instructions, interval uint64
+	asm                    bool
 }
 
-// accuracyPartial is the result of one workload's reduction job: the errors
-// its shared-mode runs contribute to the study.
+// refSet is one reference identity of a study plan: the shared runs aligned
+// on its references (the transparent one and ASM's) and what each (study,
+// workload) over it reads.
+type refSet struct {
+	label string
+	runs  []*sharedRun
+	reads []studyRead
+}
+
+// studyRead is what one workload of one study reads of its reference set:
+// per technique of the study, in names order, its run and its offset there.
+// dst is the study's partial result for the workload.
+type studyRead struct {
+	cols []column
+	dst  *accuracyPartial
+}
+
+// column is one technique's estimates on a shared run: their offset in the
+// run's samples.
+type column struct {
+	technique string
+	run       *sharedRun
+	off       int
+}
+
+// accuracyPartial is the result of one workload's reduction: the errors its
+// shared-mode runs contribute to the study.
 type accuracyPartial struct {
 	PerTechnique map[string][]BenchmarkErrors
 	Comp         ComponentAccuracy
 }
 
-// runStudies runs a list of accuracy studies in env and returns their results
-// in list order; a duplicate shares its first occurrence's result. Job order,
-// and with it every derived seed, is fixed by the list and workload order.
-func runStudies(ctx context.Context, env CellConfig, studies []accuracyStudy) ([]*AccuracyResult, error) {
-	distinct := make([]accuracyStudy, 0, len(studies))
-	first := make([]int, len(studies)) // index in distinct of each study's work
-	for i, s := range studies {
-		s.opts = s.opts.withDefaults()
-		s.opts.CellConfig = env
-		if first[i] = slices.IndexFunc(distinct, s.sameWork); first[i] < 0 {
-			first[i] = len(distinct)
-			distinct = append(distinct, s)
+// studyPlan is a study list planned by simulation identity: its distinct
+// shared runs and reference sets, and per study its options and the partial
+// results its workloads' reductions fill.
+type studyPlan struct {
+	opts     []AccuracyOptions
+	partials [][]accuracyPartial
+	runs     []*sharedRun
+	sets     []*refSet
+}
+
+// planStudies checks each study's options, generates its workloads unless it
+// names them, and plans its work: per workload, a transparent run carrying
+// its transparent techniques and an ASM run (invasive: it perturbs the memory
+// controller), each shared with every study whose run has the same key, and
+// one reference set per key. Runs and sets are listed in the order the study
+// list first asks for them, so every job order and derived seed is fixed by
+// it.
+func planStudies(env CellConfig, studies []accuracyStudy) (*studyPlan, error) {
+	p := &studyPlan{}
+	runAt, setAt := map[simKey]*sharedRun{}, map[simKey]*refSet{}
+	for k, s := range studies {
+		o := s.opts.withDefaults()
+		o.CellConfig = env
+		key := simKey{config: *o.Config, study: k, instructions: o.InstructionsPerCore, interval: o.IntervalCycles}
+		wls := s.workloads
+		if wls == nil {
+			key.gen = workload.GenerateOptions{Cores: o.Cores, Mix: o.Mix, Count: o.Workloads, Seed: o.Seed}
+			key.study = -1
+			var err error
+			if wls, err = workload.Generate(key.gen); err != nil {
+				return nil, err
+			}
 		}
-	}
-	pool := runner.Options{Workers: env.Jobs, Progress: env.Progress, Metrics: env.Instr.pool()}
-	var shared []runner.Job[*sharedRun]
-	for k := range distinct {
-		jobs, err := distinct[k].sharedJobs()
-		if err != nil {
+		if err := o.Config.Validate(); err != nil {
 			return nil, err
 		}
-		shared = append(shared, jobs...)
+		for _, name := range o.Techniques {
+			if !slices.Contains(accounting.Names, name) {
+				return nil, fmt.Errorf("experiments: unknown technique %q (want one of %v)", name, accounting.Names)
+			}
+		}
+		p.opts = append(p.opts, o)
+		p.partials = append(p.partials, make([]accuracyPartial, len(wls)))
+		for i, wl := range wls {
+			key.workload, key.asm = i, false
+			set := setAt[key]
+			if set == nil {
+				set = &refSet{label: s.label + wl.ID + "/reference"}
+				setAt[key] = set
+				p.sets = append(p.sets, set)
+			}
+			rd := studyRead{dst: &p.partials[k][i]}
+			for _, name := range accounting.Names {
+				if !slices.Contains(o.Techniques, name) {
+					continue
+				}
+				key.asm = name == "ASM"
+				r := runAt[key]
+				if r == nil {
+					r = &sharedRun{label: s.label + wl.ID + "/transparent", opts: o, wl: wl, seed: o.Seed + int64(i), width: 1}
+					if key.asm {
+						r.label = s.label + wl.ID + "/asm"
+					}
+					runAt[key] = r
+					p.runs = append(p.runs, r)
+					set.runs = append(set.runs, r)
+				}
+				in := instance{name: name, technique: name}
+				if name == "GDP" || name == "GDP-O" {
+					in.name, in.prb = fmt.Sprintf("%s/%d", name, o.PRBEntries), o.PRBEntries
+				}
+				rd.cols = append(rd.cols, column{name, r, r.add(in)})
+			}
+			set.reads = append(set.reads, rd)
+		}
 	}
-	runs, err := runner.Run(ctx, shared, pool)
+	return p, nil
+}
+
+// runStudies runs a list of accuracy studies in env and returns their results
+// in list order. It simulates each shared run and each reference set of the
+// list's plan once, whatever the cache: one pool runs every shared run, a
+// second every reference set and its reductions.
+func runStudies(ctx context.Context, env CellConfig, studies []accuracyStudy) ([]*AccuracyResult, error) {
+	p, err := planStudies(env, studies)
 	if err != nil {
 		return nil, err
 	}
-	var reduce []runner.Job[accuracyPartial]
-	for _, s := range distinct {
-		for i, wl := range s.workloads {
-			wlRuns := runs[:s.perWorkload]
-			runs = runs[s.perWorkload:]
-			reduce = append(reduce, runner.Job[accuracyPartial]{
-				Label: s.label + wl.ID + "/reference",
-				Fn: func(ctx context.Context) (accuracyPartial, error) {
-					refs, err := workloadReferences(ctx, s.opts.Cache, s.opts.Config, wl, s.opts.Seed+int64(i), unionPoints(wlRuns, wl.Cores()))
-					if err != nil {
-						return accuracyPartial{}, err
-					}
-					return reduceRuns(refs, wlRuns, wl)
-				},
-			})
-		}
+	pool := runner.Options{Workers: env.Jobs, Progress: env.Progress, Metrics: env.Instr.pool()}
+	shared := make([]runner.Job[*sharedRun], len(p.runs))
+	for j, r := range p.runs {
+		shared[j] = runner.Job[*sharedRun]{Label: r.label, Fn: func(ctx context.Context) (*sharedRun, error) {
+			return r, r.run(ctx, env.Instr.simMetrics())
+		}}
+	}
+	if _, err := runner.Run(ctx, shared, pool); err != nil {
+		return nil, err
+	}
+	reduce := make([]runner.Job[[]accuracyPartial], len(p.sets))
+	for j, set := range p.sets {
+		reduce[j] = runner.Job[[]accuracyPartial]{Label: set.label, Fn: func(ctx context.Context) ([]accuracyPartial, error) {
+			r := set.runs[0]
+			refs, err := workloadReferences(ctx, env.Cache, r.opts.Config, r.wl, r.seed, unionPoints(set.runs, r.wl.Cores()))
+			if err != nil {
+				return nil, err
+			}
+			return set.reduce(refs)
+		}}
 	}
 	partials, err := runner.Run(ctx, reduce, pool)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*AccuracyResult, len(distinct))
-	for k, s := range distinct {
-		results[k] = foldStudy(s.opts, partials[:len(s.workloads)])
-		partials = partials[len(s.workloads):]
-	}
-	out := make([]*AccuracyResult, len(studies))
-	for i, k := range first {
-		out[i] = results[k]
-	}
-	return out, nil
-}
-
-// sharedJobs generates the study's workloads unless it names them, checks
-// its options and builds its first phase: per workload, in workload order, a
-// shared run of the transparent techniques and one of ASM (invasive: it
-// perturbs the memory controller), s.perWorkload jobs side by side.
-func (s *accuracyStudy) sharedJobs() (jobs []runner.Job[*sharedRun], err error) {
-	opts := s.opts
-	if s.workloads == nil {
-		s.workloads, err = workload.Generate(workload.GenerateOptions{
-			Cores: opts.Cores, Mix: opts.Mix, Count: opts.Workloads, Seed: opts.Seed,
-		})
-		if err != nil {
-			return nil, err
+	for j, set := range p.sets {
+		for n, rd := range set.reads {
+			*rd.dst = partials[j][n]
 		}
 	}
-	if err := opts.Config.Validate(); err != nil {
-		return nil, err
+	results := make([]*AccuracyResult, len(p.opts))
+	for k, o := range p.opts {
+		results[k] = foldStudy(o, p.partials[k])
 	}
-	for _, name := range opts.Techniques {
-		if !slices.Contains(accounting.Names, name) {
-			return nil, fmt.Errorf("experiments: unknown technique %q (want one of %v)", name, accounting.Names)
-		}
-	}
-	type group struct {
-		label string
-		names []string
-	}
-	transparent := group{label: "transparent"}
-	for _, name := range accounting.Names {
-		if name != "ASM" && slices.Contains(opts.Techniques, name) {
-			transparent.names = append(transparent.names, name)
-		}
-	}
-	var groups []group
-	if len(transparent.names) > 0 {
-		groups = append(groups, transparent)
-	}
-	if slices.Contains(opts.Techniques, "ASM") {
-		groups = append(groups, group{"asm", []string{"ASM"}})
-	}
-	for i, wl := range s.workloads {
-		// Per-job seed derivation: every workload simulates with its own
-		// seed so parallel execution order cannot leak into the results.
-		simSeed := opts.Seed + int64(i)
-		for _, g := range groups {
-			jobs = append(jobs, runner.Job[*sharedRun]{
-				Label: s.label + wl.ID + "/" + g.label,
-				Fn: func(ctx context.Context) (*sharedRun, error) {
-					return runShared(ctx, opts, wl, simSeed, g.names)
-				},
-			})
-		}
-	}
-	s.perWorkload = len(groups)
-	return jobs, nil
+	return results, nil
 }
 
 // unionPoints returns, per core, the sorted union of the runs' sample points.
@@ -518,29 +548,37 @@ func unionPoints(runs []*sharedRun, cores int) [][]uint64 {
 	return points
 }
 
-// reduceRuns reduces every run of wl against the workload's references. Core
-// i's index buffer holds as many points as the longest run on it and serves
-// every run, so the reduction allocates nothing per interval.
-func reduceRuns(refs []*sim.PrivateReference, runs []*sharedRun, wl workload.Workload) (accuracyPartial, error) {
-	partial := accuracyPartial{PerTechnique: map[string][]BenchmarkErrors{}}
-	idx := make([][]int, len(refs))
-	for core := range idx {
-		n := 0
-		for _, r := range runs {
-			n = max(n, len(r.points[core]))
-		}
-		idx[core] = make([]int, 0, n)
-	}
-	for _, r := range runs {
+// reduce maps the sample points of the set's runs into refs (r.at, as
+// PrivateReference.Index does) and reduces each read of the set: per
+// technique, its errors and, for the component technique (GDP-O, or GDP when
+// the study has no GDP-O), its component errors.
+func (set *refSet) reduce(refs []*sim.PrivateReference) (_ []accuracyPartial, err error) {
+	for _, r := range set.runs {
+		r.at = make([][]int, len(refs))
 		for core, ref := range refs {
-			var err error
-			if idx[core], err = ref.Index(idx[core][:0], r.points[core]); err != nil {
-				return partial, err
+			if r.at[core], err = ref.Index(make([]int, 0, len(r.points[core])), r.points[core]); err != nil {
+				return nil, err
 			}
 		}
-		r.accumulate(refs, idx, partial.PerTechnique, &partial.Comp, wl)
 	}
-	return partial, nil
+	out := make([]accuracyPartial, len(set.reads))
+	for n, rd := range set.reads {
+		comp := -1
+		for i, c := range rd.cols {
+			if c.technique == "GDP-O" || (c.technique == "GDP" && comp < 0) {
+				comp = i
+			}
+		}
+		out[n].PerTechnique = make(map[string][]BenchmarkErrors, len(rd.cols))
+		for i, c := range rd.cols {
+			var dst *ComponentAccuracy
+			if i == comp {
+				dst = &out[n].Comp
+			}
+			out[n].PerTechnique[c.technique] = c.run.reduce(c.off, refs, dst)
+		}
+	}
+	return out, nil
 }
 
 // foldStudy merges a study's per-workload partial results, in workload

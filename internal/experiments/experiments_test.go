@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -203,50 +204,121 @@ func TestPartitioningStudySubset(t *testing.T) {
 }
 
 func TestSensitivityPanels(t *testing.T) {
-	// Of Figure 7's 51 (setting, category) studies, 12 are the base
-	// configuration at PRB 32 again (7a's middle size, 7b's 16 ways, 7c's one
-	// channel, 7d's DDR2 for each of H, M and L): 39 distinct studies, one
-	// shared run each at one workload per cell, whatever the pool width.
+	// Figure 7's 51 (setting, category) studies ask for 27 distinct shared
+	// runs at one workload per cell: the base configuration serves a point in
+	// each of panels a to e (7a's middle size, 7b's 16 ways, 7c's one channel,
+	// 7d's DDR2 and all five PRB sizes of 7e) on one run per category, and
+	// each run's references are one set, whatever the pool width and the cache.
 	for _, jobs := range []int{1, 4} {
-		reg := telemetry.NewRegistry()
-		instr := NewInstrumentation(reg)
-		panels, err := Figure7(t.Context(), StudyScale{
-			WorkloadsPerCell:    1,
-			InstructionsPerCore: 2000,
-			IntervalCycles:      2000,
-			Seed:                11,
-			CellConfig:          CellConfig{Jobs: jobs, Cache: testCache, Instr: instr},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []struct {
-			panel  string
-			points int
-		}{
-			{"Figure 7a: LLC size", 3},
-			{"Figure 7b: LLC associativity", 3},
-			{"Figure 7c: DDR2 channels", 3},
-			{"Figure 7d: DRAM interface", 2},
-			{"Figure 7e: PRB size", 5},
-			{"Figure 7f: mixed workloads", 1},
-		}
-		if len(panels) != len(want) {
-			t.Fatalf("Figure 7 has %d panels, want %d", len(panels), len(want))
-		}
-		for i, w := range want {
-			if panels[i].Panel != w.panel || len(panels[i].Points) != w.points {
-				t.Errorf("panel %d = %q with %d points, want %q with %d", i, panels[i].Panel, len(panels[i].Points), w.panel, w.points)
+		for _, cache := range []*runner.Cache{runner.NewCache(), nil} {
+			reg := telemetry.NewRegistry()
+			instr := NewInstrumentation(reg)
+			scale := StudyScale{
+				WorkloadsPerCell:    1,
+				InstructionsPerCore: 2000,
+				IntervalCycles:      2000,
+				Seed:                11,
+				CellConfig:          CellConfig{Jobs: jobs, Cache: cache, Instr: instr},
+			}
+			panels, err := Figure7(t.Context(), scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []struct {
+				panel  string
+				points int
+			}{
+				{"Figure 7a: LLC size", 3},
+				{"Figure 7b: LLC associativity", 3},
+				{"Figure 7c: DDR2 channels", 3},
+				{"Figure 7d: DRAM interface", 2},
+				{"Figure 7e: PRB size", 5},
+				{"Figure 7f: mixed workloads", 1},
+			}
+			if len(panels) != len(want) {
+				t.Fatalf("Figure 7 has %d panels, want %d", len(panels), len(want))
+			}
+			for i, w := range want {
+				if panels[i].Panel != w.panel || len(panels[i].Points) != w.points {
+					t.Errorf("panel %d = %q with %d points, want %q with %d", i, panels[i].Panel, len(panels[i].Points), w.panel, w.points)
+				}
+			}
+			runs := simRuns(reg)
+			if runs != 27 {
+				t.Errorf("jobs=%d cache=%t: Figure 7 simulated %d shared runs, want 27", jobs, cache != nil, runs)
+			}
+			// Without a cache, every pool job that is not a shared run is one
+			// reference set; with one, every set is a miss.
+			sets := uint64(instr.Pool.JobsTotal.With("ok").Value()) - runs
+			if cache != nil {
+				_, misses := cache.Stats()
+				sets = uint64(misses)
+			}
+			if sets != 27 {
+				t.Errorf("jobs=%d cache=%t: Figure 7 simulated %d reference sets, want 27", jobs, cache != nil, sets)
+			}
+			if f := panels[5].Points[0]; len(f.ErrorByMix) != 3 {
+				t.Errorf("Figure 7f should report the three mixed categories, got %+v", f)
+			}
+			if !strings.Contains(panels[3].Render(), "Figure 7d") {
+				t.Error("render missing panel name")
+			}
+			if jobs == 1 && cache != nil {
+				checkPRBPanel(t, scale, panels[4])
 			}
 		}
-		if got := simRuns(reg); got != 39 {
-			t.Errorf("jobs=%d: Figure 7 simulated %d shared runs, want 39", jobs, got)
+	}
+}
+
+// checkPRBPanel holds each Figure 7e setting's GDP-O errors, read off a run
+// that carries all five PRB sizes, to a standalone study at that size, bit
+// for bit.
+func checkPRBPanel(t *testing.T, scale StudyScale, panel *SensitivityResult) {
+	t.Helper()
+	for i, prb := range []int{8, 16, 32, 64, 1024} {
+		for _, mix := range mixes {
+			opts := scale.accuracyOptions(4, mix)
+			opts.PRBEntries, opts.Techniques = prb, []string{"GDP-O"}
+			res, err := AccuracyStudy(t.Context(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := res.Technique("GDP-O").MeanIPCAbsRMS
+			if got := panel.Points[i].ErrorByMix[mix.String()]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Figure 7e %s, %s: GDP-O error %v, a standalone study reads %v", panel.Points[i].Setting, mix, got, want)
+			}
 		}
-		if f := panels[5].Points[0]; len(f.ErrorByMix) != 3 {
-			t.Errorf("Figure 7f should report the three mixed categories, got %+v", f)
-		}
-		if !strings.Contains(panels[3].Render(), "Figure 7d") {
-			t.Error("render missing panel name")
+	}
+}
+
+// TestFigure6PrivateRuns pins quick-scale 4-core Figure 6's private runs: each
+// workload's references are one job, so 3 categories × 2 workloads × 4
+// cores = 24 private runs beside the 30 policy runs, with a cache or without.
+func TestFigure6PrivateRuns(t *testing.T) {
+	scale := DefaultScale()
+	for _, jobs := range []int{1, 4} {
+		for _, cache := range []*runner.Cache{runner.NewCache(), nil} {
+			reg := telemetry.NewRegistry()
+			instr := NewInstrumentation(reg)
+			for _, mix := range mixes {
+				_, err := PartitioningStudy(t.Context(), PartitioningOptions{
+					Cores: 4, Mix: mix, Workloads: scale.WorkloadsPerCell, InstructionsPerCore: scale.InstructionsPerCore,
+					IntervalCycles: scale.IntervalCycles, Seed: scale.Seed,
+					CellConfig: CellConfig{Jobs: jobs, Cache: cache, Instr: instr},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			runs := simRuns(reg)
+			sets := uint64(instr.Pool.JobsTotal.With("ok").Value()) - runs
+			if cache != nil {
+				_, misses := cache.Stats()
+				sets = uint64(misses)
+			}
+			if runs != 30 || 4*sets != 24 {
+				t.Errorf("jobs=%d cache=%t: Figure 6 simulated %d policy runs and %d private runs, want 30 and 24", jobs, cache != nil, runs, 4*sets)
+			}
 		}
 	}
 }

@@ -91,9 +91,9 @@ func policyRun(name string) (pol partition.Policy, source string, err error) {
 
 // privateCPIs obtains the private-mode CPI of every benchmark slot of a
 // workload, on the unmanaged LLC, for the full instruction sample. It is
-// policy independent, so the workload's references are one cache entry: the
-// five policy jobs of a workload (and any later study over the same
-// population) simulate them once.
+// policy independent, so the workload's references are one job and one cache
+// entry, whatever the number of policies (and any later study over the same
+// population recalls them).
 func privateCPIs(ctx context.Context, opts PartitioningOptions, wl workload.Workload, simSeed int64) ([]float64, error) {
 	points := make([][]uint64, wl.Cores())
 	for core := range points {
@@ -114,9 +114,10 @@ func privateCPIs(ctx context.Context, opts PartitioningOptions, wl workload.Work
 // workload category: every policy runs the same workloads, and system
 // throughput is computed against private-mode runs of each benchmark.
 // Cancelling ctx stops the pool from scheduling new simulations, and
-// in-flight cycle loops poll ctx at interval boundaries. Every (workload,
-// policy) pair is one runner job; STP values are aggregated by job index so
-// the result is independent of the worker count.
+// in-flight cycle loops poll ctx at interval boundaries. Per workload, its
+// references and each policy's shared run are one runner job each, all in one
+// pool; every job yields per-core CPIs, and STP is computed from them by job
+// index, so the result is independent of the worker count.
 func PartitioningStudy(ctx context.Context, opts PartitioningOptions) (*PartitioningResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.Config.Validate(); err != nil {
@@ -129,22 +130,26 @@ func PartitioningStudy(ctx context.Context, opts PartitioningOptions) (*Partitio
 		return nil, err
 	}
 
-	var jobs []runner.Job[float64]
+	var jobs []runner.Job[[]float64]
 	for i, wl := range workloads {
-		wl := wl
 		simSeed := opts.Seed + int64(i) // per-job derived seed, shared by the
-		// policies of one workload so they stay directly comparable
+		// references and the policies of one workload so they stay comparable
+		jobs = append(jobs, runner.Job[[]float64]{
+			Label: wl.ID + "/reference",
+			Fn: func(ctx context.Context) ([]float64, error) {
+				return privateCPIs(ctx, opts, wl, simSeed)
+			},
+		})
 		for _, polName := range opts.Policies {
-			polName := polName
-			jobs = append(jobs, runner.Job[float64]{
+			jobs = append(jobs, runner.Job[[]float64]{
 				Label: fmt.Sprintf("%s/%s", wl.ID, polName),
-				Fn: func(ctx context.Context) (float64, error) {
+				Fn: func(ctx context.Context) ([]float64, error) {
 					return runPolicyCell(ctx, opts, wl, polName, simSeed)
 				},
 			})
 		}
 	}
-	stps, err := runner.Run(ctx, jobs, runner.Options{
+	cpis, err := runner.Run(ctx, jobs, runner.Options{
 		Workers:  opts.Jobs,
 		Progress: opts.Progress,
 		Metrics:  opts.Instr.pool(),
@@ -160,8 +165,12 @@ func PartitioningStudy(ctx context.Context, opts PartitioningOptions) (*Partitio
 	perPolicy := map[string][]float64{}
 	for i, wl := range workloads {
 		entry := WorkloadSTP{Workload: wl.ID, STP: map[string]float64{}}
+		row := cpis[i*(len(opts.Policies)+1):] // the references, then each policy's run
 		for j, polName := range opts.Policies {
-			stp := stps[i*len(opts.Policies)+j]
+			stp, err := metrics.STP(row[0], row[1+j])
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", wl.ID, polName, err)
+			}
 			entry.STP[polName] = stp
 			perPolicy[polName] = append(perPolicy[polName], stp)
 		}
@@ -176,21 +185,17 @@ func PartitioningStudy(ctx context.Context, opts PartitioningOptions) (*Partitio
 }
 
 // runPolicyCell runs one policy's shared-mode simulation of one workload and
-// reduces it to system throughput.
-func runPolicyCell(ctx context.Context, opts PartitioningOptions, wl workload.Workload, polName string, simSeed int64) (float64, error) {
-	privateCPI, err := privateCPIs(ctx, opts, wl, simSeed)
-	if err != nil {
-		return 0, err
-	}
+// returns each core's shared-mode CPI over its instruction sample.
+func runPolicyCell(ctx context.Context, opts PartitioningOptions, wl workload.Workload, polName string, simSeed int64) ([]float64, error) {
 	pol, source, err := policyRun(polName)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	var accts []accounting.Accountant
 	if source != "" {
 		a, err := accounting.New(source, opts.Cores, 32, 1000)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		accts = []accounting.Accountant{a}
 	}
@@ -206,13 +211,13 @@ func runPolicyCell(ctx context.Context, opts PartitioningOptions, wl workload.Wo
 		Metrics:             opts.Instr.simMetrics(),
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	sharedCPI := make([]float64, wl.Cores())
 	for core := range sharedCPI {
 		sharedCPI[core] = res.SampleStats[core].CPI()
 	}
-	return metrics.STP(privateCPI, sharedCPI)
+	return sharedCPI, nil
 }
 
 // RelativeToLRU returns each workload's STP normalized to the LRU baseline

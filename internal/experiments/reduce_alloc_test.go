@@ -3,43 +3,38 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// warmReduction runs one 2-core workload's shared runs (all five techniques)
-// at instr instructions per core and its private references, and returns what
-// reduceRuns reads plus the number of intervals on core 0.
-func warmReduction(t *testing.T, instr uint64) ([]*sim.PrivateReference, []*sharedRun, workload.Workload, int) {
+// warmReduction plans one 2-core workload's study (all five techniques) at
+// instr instructions per core, runs its shared runs and its private
+// references, and returns the reference set and the references its
+// reduction reads, plus the number of intervals on core 0.
+func warmReduction(t *testing.T, instr uint64) (*refSet, []*sim.PrivateReference, int) {
 	t.Helper()
-	opts := AccuracyOptions{Cores: 2, Mix: workload.MixH, Workloads: 1, InstructionsPerCore: instr,
-		IntervalCycles: 1000, Seed: 8}.withDefaults()
-	wls, err := workload.Generate(workload.GenerateOptions{Cores: opts.Cores, Mix: opts.Mix, Count: 1, Seed: opts.Seed})
+	p, err := planStudies(CellConfig{}, []accuracyStudy{{opts: AccuracyOptions{Cores: 2, Mix: workload.MixH,
+		Workloads: 1, InstructionsPerCore: instr, IntervalCycles: 1000, Seed: 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := wls[0]
-	study := accuracyStudy{opts: opts, workloads: wls}
-	jobs, err := study.sharedJobs()
+	for _, r := range p.runs {
+		if err := r.run(t.Context(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set, r := p.sets[0], p.runs[0]
+	refs, err := workloadReferences(t.Context(), nil, r.opts.Config, r.wl, r.seed, unionPoints(set.runs, r.wl.Cores()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := runner.Run(t.Context(), jobs, runner.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs, err := workloadReferences(t.Context(), nil, opts.Config, wl, opts.Seed, unionPoints(runs, wl.Cores()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return refs, runs, wl, len(runs[0].intervals[0])
+	return set, refs, len(r.samples[0]) / r.width
 }
 
 // TestAccuracyReduceAllocations pins that the accuracy study's reduction reads
 // the private references in place: with the references warm, its allocations
-// (the partial result, one index buffer per core, the per-benchmark entries)
-// do not grow with the number of intervals reduced.
+// (the partial results, one index buffer per run and core, the
+// per-benchmark entries) do not grow with the number of intervals reduced.
 func TestAccuracyReduceAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement needs full runs")
@@ -48,9 +43,9 @@ func TestAccuracyReduceAllocations(t *testing.T) {
 		t.Skip("allocation counts are not pinned under the race detector")
 	}
 	measure := func(instr uint64) (float64, int) {
-		refs, runs, wl, intervals := warmReduction(t, instr)
+		set, refs, intervals := warmReduction(t, instr)
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := reduceRuns(refs, runs, wl); err != nil {
+			if _, err := set.reduce(refs); err != nil {
 				t.Fatal(err)
 			}
 		})

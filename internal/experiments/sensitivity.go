@@ -29,11 +29,12 @@ type SensitivityResult struct {
 
 // Figure7 runs every panel of the sensitivity study, all on the 4-core system
 // as in the paper: at every setting, the GDP-O-only accuracy study of each of
-// the setting's categories. It lists every study first; they share one worker
-// pool per phase, and each distinct study runs once (the base configuration
-// at PRB 32 serves a point in each of panels a to e). The paper's LLC sizes
-// are 4, 8 and 16 MB; the scaled hierarchy sweeps half, nominal and double
-// capacity.
+// the setting's categories. It lists every study first and hands the list to
+// the study runner, which simulates each distinct shared run once: the base
+// configuration's run of each category serves a point in each of panels a to
+// e, all five PRB sizes of 7e included, since GDP-O only observes the run it
+// accounts for. The paper's LLC sizes are 4, 8 and 16 MB; the scaled
+// hierarchy sweeps half, nominal and double capacity.
 func Figure7(ctx context.Context, scale StudyScale) ([]*SensitivityResult, error) {
 	var out []*SensitivityResult
 	var studies []accuracyStudy
